@@ -3,9 +3,9 @@
 Subcommands: ``solve``, ``sweep``, ``calibrate``, ``evaluate``,
 ``experiment``, ``oracle-check``, ``generate``.  Global flags ``--seed``,
 ``--out`` and ``--format`` come before the subcommand.  Exit codes: 0 on
-success, 2 for input or schema errors, 3 for infeasible or degenerate
-models, 4 for internal validation failures.  All output is deterministic
-for fixed inputs and seed.
+success, 2 for input or schema errors (unreadable input or unwritable output
+files included), 3 for infeasible or degenerate models, 4 for internal
+validation failures.  All output is deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .validation import (
     DegenerateModelError,
     InputError,
     InternalCheckError,
+    require,
+    require_finite,
 )
 
 
@@ -118,10 +120,18 @@ def _cmd_sweep(args) -> str:
     if args.min is not None or args.max is not None or args.count is not None:
         if args.min is None or args.max is None:
             raise InputError("--min and --max must be given together")
-        count = args.count or 100
+        count = 100 if args.count is None else args.count
+        require(count >= 1, f"--count must be >= 1, got {count!r}")
+        require_finite("--min", args.min)
+        require_finite("--max", args.max)
         import numpy as np
 
         if args.axis == "alpha":
+            require(
+                args.min > 0.0 and args.max > 0.0,
+                f"--axis alpha needs --min and --max > 0 (geometric grid), "
+                f"got {args.min!r} and {args.max!r}",
+            )
             values = [float(v) for v in np.geomspace(args.min, args.max, count)]
         else:
             values = [float(v) for v in np.linspace(args.min, args.max, count)]
@@ -310,7 +320,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = args.handler(args)
-    except InputError as exc:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+    except (InputError, OSError) as exc:
         print(f"robustnv: input error: {exc}", file=sys.stderr)
         return 2
     except DegenerateModelError as exc:  # includes infeasibility
@@ -319,10 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"robustnv: internal validation failure: {exc}", file=sys.stderr)
         return 4
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    else:
+    if not args.out:
         sys.stdout.write(payload)
     return 0
 

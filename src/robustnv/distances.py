@@ -139,9 +139,7 @@ def _psi_from_gamma(gamma: float, ref: ReferenceDistribution, price: float) -> f
     """Order quantity for a singleton reference at effective index gamma."""
     if gamma < price / (2.0 * ref.q_star):
         return ref.q_star * (gamma * ref.q_star / price)
-    if math.isinf(gamma):
-        return ref.q_star
-    return ref.q_star - price / (4.0 * gamma)
+    return ref.q_star - price / (4.0 * gamma)  # q_star at gamma = inf
 
 
 def _balance_residual(
@@ -154,9 +152,9 @@ def _balance_residual(
     """Left side of the implicit equation for the effective index.
 
     Decreasing in ``x`` on the bracket: the truncated-moment terms shrink
-    as the cutoff ``p/(2x)`` falls, while the penalty term grows toward
-    the pole at ``alpha`` (or stays flat at ``theta`` for the infinite
-    index).
+    as the cutoff ``p/(2x)`` falls, while the penalty term
+    ``theta/(1 - x/alpha)^2`` grows toward the pole at ``alpha`` (or stays
+    flat at ``theta`` for the infinite index, ``1/alpha = 0``).
     """
     cut = cost.price / (2.0 * x)
     head = math.fsum(
@@ -167,11 +165,7 @@ def _balance_residual(
     tail = (cost.price**2 / (4.0 * x * x)) * (
         cost.kappa - ref.distribution.cdf(cut)
     )
-    if alpha.is_infinite:
-        penalty = theta
-    else:
-        penalty = alpha.alpha**2 * theta / (alpha.alpha - x) ** 2
-    return head + tail - penalty
+    return head + tail - theta / (1.0 - x * alpha.inv) ** 2
 
 
 def _implicit_gamma(
@@ -242,9 +236,8 @@ def wasserstein_misspec_solve(
     theta = spec.theta
 
     if theta == 0.0:
-        gamma = math.inf if a.is_infinite else a.alpha
         return WassersteinSolution(
-            gamma, _psi_from_gamma(gamma, ref, cost.price), WassersteinCase.POINT_BALL
+            a.alpha, _psi_from_gamma(a.alpha, ref, cost.price), WassersteinCase.POINT_BALL
         )
     if theta >= ref.beta_effective:
         return WassersteinSolution(0.0, 0.0, WassersteinCase.DEGENERATE_RADIUS)
@@ -294,10 +287,7 @@ def tv_misspec_quantity(
     ambiguity-only quantity.
     """
     a = as_misspec_index(alpha)
-    q_inf = scarf_quantity(m, cost).quantity
-    if a.is_infinite:
-        return q_inf
-    return min(2.0 * a.alpha / cost.price, q_inf)
+    return min(2.0 * a.alpha / cost.price, scarf_quantity(m, cost).quantity)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ class DualSolution:
 
 def _alpha_for_portfolio(alpha: AlphaLike) -> MisspecIndex:
     a = as_misspec_index(alpha)
-    if not a.is_infinite and a.alpha == 0.0:
+    if a.alpha == 0.0:
         raise DegenerateModelError(
             "alpha = 0 admits arbitrary misspecification; the portfolio dual "
             "is defined for alpha > 0 or the infinite index"
@@ -130,12 +130,8 @@ def _alpha_for_portfolio(alpha: AlphaLike) -> MisspecIndex:
 
 def _breakpoint(prod: ProductSpec, a: MisspecIndex) -> float:
     """Per-product multiplier breakpoint c_i / (2 mu_i - p_i/alpha)^+."""
-    if a.is_infinite:
-        return prod.cost / (2.0 * prod.mean)
-    denom = 2.0 * prod.mean - prod.price / a.alpha
-    if denom <= 0.0:
-        return math.inf
-    return prod.cost / denom
+    denom = 2.0 * prod.mean - prod.price * a.inv
+    return prod.cost / denom if denom > 0.0 else math.inf
 
 
 def _sorted_breakpoints(
@@ -160,14 +156,11 @@ def lambda_breakpoints(
 def _active_term(prod: ProductSpec, a: MisspecIndex, lam: float) -> float:
     # implied second moment of a product whose breakpoint is not yet reached
     mu2 = prod.mean * prod.mean
-    if a.is_infinite:
-        return prod.price * mu2 / prod.cost
     if math.isinf(lam):
         return mu2
-    al = a.alpha
-    num = al * al * prod.cost + 2.0 * al * prod.cost * lam + prod.price * lam * lam
-    den = prod.price * lam + al * prod.cost
-    return prod.price * mu2 * num / (den * den)
+    p, c = prod.price, prod.cost
+    den = p * lam * a.inv + c
+    return mu2 * (1.0 + c * (p - c) / (den * den))
 
 
 def _settled_term(prod: ProductSpec, lam: float, form: ThetaForm) -> float:
@@ -243,25 +236,18 @@ def product_quantities(
 
 def _single_quantity(lam: float, prod: ProductSpec, a: MisspecIndex) -> float:
     p, c, mu = prod.price, prod.cost, prod.mean
+    pinv = p * a.inv
     if lam == 0.0:
         return 0.0
     if math.isinf(lam):
         # all-variance-forbidden limit: order for the point mass at the mean
-        if a.is_infinite:
-            return mu
-        if a.alpha >= p / (2.0 * mu):
-            return mu - p / (4.0 * a.alpha)
-        return a.alpha * mu * mu / p
-    if a.is_infinite:
-        if lam >= c / (2.0 * mu):
-            return mu + (p - 2.0 * c) / (4.0 * lam)
-        return p * mu * mu * lam / (c * c)
-    margin = mu - c / (2.0 * lam)
-    if margin > 0.0 and a.alpha >= p / (2.0 * margin):
-        return mu + (p - 2.0 * c) / (4.0 * lam) - p / (4.0 * a.alpha)
-    al = a.alpha
-    den = p * lam / al + c
-    return lam * (lam + al) * p * mu * mu / (al * den * den)
+        if 2.0 * mu >= pinv:
+            return mu - 0.25 * pinv
+        return mu * mu / pinv
+    if 2.0 * mu - c / lam >= pinv:
+        return mu + (p - 2.0 * c) / (4.0 * lam) - 0.25 * pinv
+    den = p * lam * a.inv + c
+    return lam * mu * mu * (1.0 + (p - c) / den) / den
 
 
 def solve_lambda(

@@ -19,6 +19,10 @@ Three layers of decision models live here:
   ``alpha`` means strong aversion (``alpha -> 0`` orders nothing), while
   ``alpha -> INFINITY`` recovers the ambiguity-only model.
 
+The envelope, transform, value function, dual certificate and worst-case law
+are each written once in ``inv = 1/alpha``; the ambiguity-only model is the
+case ``inv = 0`` of the same formulas, not a separate branch.
+
 Every solver returns a :class:`SolveReport` carrying the quantity, the model
 value, the attaining two-point worst-case law, and (where available) the dual
 certificate ``(s_alpha, r_alpha, t_alpha)`` for the mean, second-moment, and
@@ -123,8 +127,10 @@ class MisspecIndex:
 
     ``alpha`` is a finite penalty weight >= 0 (money per squared demand unit);
     the distinguished value :data:`MisspecIndex.INFINITY` selects the
-    ambiguity-only model.  Formulas never do arithmetic with ``math.inf`` —
-    every operation branches to its documented limit instead.
+    ambiguity-only model.  The model formulas read the index through
+    :attr:`inv` ``= 1/alpha``, which is 0 for INFINITY: the ambiguity-only
+    limit is ``inv = 0`` of the finite formulas, so no formula branches on
+    the infinite index.
     """
 
     alpha: float
@@ -140,6 +146,11 @@ class MisspecIndex:
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.alpha)
+
+    @property
+    def inv(self) -> float:
+        """Reciprocal index 1/alpha: 0 for INFINITY, ``math.inf`` for alpha = 0."""
+        return math.inf if self.alpha == 0.0 else 1.0 / self.alpha
 
     def __repr__(self) -> str:  # keep reports readable
         return "MisspecIndex.INFINITY" if self.is_infinite else f"MisspecIndex({self.alpha!r})"
@@ -229,7 +240,7 @@ class DiscreteDistribution:
         mv, mw = _merge_sorted(v[order], w[order])
         total = math.fsum(mw)
         require(abs(total - 1.0) <= 1e-9, f"weights must sum to ~1, got {total!r}")
-        keep = [(x, p / total) for x, p in zip(mv, mw) if p > 1e-15]
+        keep = [(x, p / total) for x, p in zip(mv, mw) if p > 0.0]
         if not keep:  # all mass merged into dust — cannot happen for valid input
             raise InputError("no atom carries positive weight")
         return cls(tuple(x for x, _ in keep), tuple(p for _, p in keep))
@@ -296,7 +307,7 @@ class TransformSpec:
     MIXED regime (``alpha >= p/(4q)``): quadratic below ``p/(2 alpha)``, the
     shift ``v - p/(4 alpha)`` above; the two pieces agree at the junction.
     ``apply(0) = 0`` in both regimes.  The infinite-index transform is the
-    identity (MIXED with a vanishing shift).
+    identity: MIXED with ``p/alpha = 0``, so the shift vanishes.
     """
 
     alpha: float
@@ -307,13 +318,11 @@ class TransformSpec:
     def apply(self, v: float) -> float:
         v = float(v)
         require(v >= -0.0 and math.isfinite(v), f"v must be >= 0, got {v!r}")
-        if self.regime is TransformRegime.QUADRATIC:
-            return (self.alpha / self.price) * v * v
-        if math.isinf(self.alpha):
-            return v
-        if v < self.price / (2.0 * self.alpha):
-            return (self.alpha / self.price) * v * v
-        return v - self.price / (4.0 * self.alpha)
+        if self.regime is TransformRegime.MIXED:
+            pinv = self.price / self.alpha  # p * inv: 0 at the infinite index
+            if 2.0 * v >= pinv:
+                return v - 0.25 * pinv
+        return (self.alpha / self.price) * v * v
 
 
 def transform(alpha: AlphaLike, price: float, q: float) -> TransformSpec:
@@ -321,11 +330,9 @@ def transform(alpha: AlphaLike, price: float, q: float) -> TransformSpec:
     a = as_misspec_index(alpha)
     require_positive("price", price)
     require_nonnegative("q", q)
-    if a.is_infinite:
-        regime = TransformRegime.MIXED  # identity limit
-    elif a.alpha == 0.0:
+    if a.alpha == 0.0:
         raise DegenerateModelError("alpha = 0 admits no transform; the model orders zero")
-    elif q == 0.0 or a.alpha < price / (4.0 * q):
+    if 4.0 * q < price * a.inv:
         regime = TransformRegime.QUADRATIC
     else:
         regime = TransformRegime.MIXED
@@ -333,10 +340,13 @@ def transform(alpha: AlphaLike, price: float, q: float) -> TransformSpec:
 
 
 def push_forward(dist: DiscreteDistribution, t: TransformSpec) -> DiscreteDistribution:
-    """Image law of ``dist`` under ``t.apply``; coincident images merge."""
-    return DiscreteDistribution.from_pairs(
-        [t.apply(v) for v in dist.support], dist.weights
-    )
+    """Image law of ``dist`` under ``t.apply``; coincident images merge.  An
+    image equal to the support (the infinite-index identity) returns ``dist``.
+    """
+    image = tuple(t.apply(v) for v in dist.support)
+    if image == dist.support:
+        return dist
+    return DiscreteDistribution.from_pairs(image, dist.weights)
 
 
 class Regime(str, Enum):
@@ -388,11 +398,10 @@ def ell(alpha: AlphaLike, q: float, v: float, cost: CostStructure) -> float:
     Closed form: for ``q <= p/(4 alpha)`` it equals
     ``min(alpha v^2, p q) - c q``; otherwise ``alpha v^2 - c q`` when
     ``v <= p/(2 alpha)`` and ``p*min(v - p/(4 alpha), q) - c q`` above.
-    The infinite index gives back ``pi`` itself.
+    At ``inv = 1/alpha = 0`` only the last piece is reached and ``ell`` is
+    ``pi`` itself.
     """
     a = as_misspec_index(alpha)
-    if a.is_infinite:
-        return profit(q, v, cost)
     if a.alpha == 0.0:
         raise DegenerateModelError(
             "alpha = 0 (strongest misspecification aversion): the envelope "
@@ -400,12 +409,13 @@ def ell(alpha: AlphaLike, q: float, v: float, cost: CostStructure) -> float:
         )
     q = require_nonnegative("q", q)
     v = require_nonnegative("v", v)
-    p, c, av = cost.price, cost.cost, a.alpha
-    if q <= p / (4.0 * av):
-        return min(av * v * v, p * q) - c * q
-    if v <= p / (2.0 * av):
-        return av * v * v - c * q
-    return p * min(v - p / (4.0 * av), q) - c * q
+    p, c = cost.price, cost.cost
+    pinv = p * a.inv
+    if 4.0 * q <= pinv:  # only q = 0 when inv = 0
+        return (a.alpha * v * v if v * v < q * pinv else p * q) - c * q
+    if 2.0 * v < pinv:
+        return a.alpha * v * v - c * q
+    return p * min(v - 0.25 * pinv, q) - c * q
 
 
 def fractile_factor(x: float) -> float:
@@ -431,29 +441,61 @@ def ambiguity_worst_case(q: float, m: MomentSpec) -> DiscreteDistribution:
     For ``q < (mu^2 + sigma^2)/(2 mu)`` the law puts mass at 0 and at
     ``(mu^2 + sigma^2)/mu``; otherwise at ``q -+ w`` with
     ``w = sqrt((q - mu)^2 + sigma^2)``.  The two constructions coincide at the
-    boundary quantity.
+    boundary quantity.  This is the law of :func:`misspec_worst_case` at
+    ``inv = 0``.
     """
-    q = require_nonnegative("q", q)
+    return _worst_case_law(0.0, 0.0, require_nonnegative("q", q), m)
+
+
+def _in_region_q(pinv: float, q: float, m: MomentSpec) -> bool:
+    """Membership in the square-root-branch region Q of the value function,
+    with ``pinv = p/alpha`` (0 for the ambiguity-only model)."""
+    mu = m.mean
+    return q >= 0.25 * pinv and (2.0 * mu - pinv) * q >= m.second_moment - 0.5 * pinv * mu
+
+
+def _outer_radical(pqi: float, m: MomentSpec) -> tuple[float, float, float]:
+    """``(x, w, rad)`` off Q, with ``pqi = p q/alpha``: ``w = pqi + mu^2 +
+    sigma^2`` and ``rad = sqrt(w^2 - 4 mu^2 pqi)``, taken as
+    ``hypot(x, 2 mu sigma)`` with ``x = pqi + sigma^2 - mu^2`` so that no
+    nearly equal terms are subtracted.
+    """
     mu, sig = m.mean, m.std
-    b = m.second_moment
-    if q < b / (2.0 * mu):
-        hi = b / mu
-        return DiscreteDistribution.from_pairs([0.0, hi], [sig * sig / b, mu * mu / b])
-    w = math.hypot(q - mu, sig)
-    if w <= 1e-15:  # sigma = 0 and q = mu: degenerate point mass
-        return DiscreteDistribution.point_mass(mu)
-    shift = (q - mu) / (2.0 * w)
+    x = pqi + sig * sig - mu * mu
+    return x, pqi + m.second_moment, math.hypot(x, 2.0 * mu * sig)
+
+
+def _two_point(lo: float, hi: float, x: float, y: float, h: float) -> DiscreteDistribution:
+    """Law on ``lo < hi`` with weights ``((h + x)/(2h), (h - x)/(2h))`` where
+    ``h = hypot(x, y)``; the smaller weight is ``y^2/(2h(h + |x|))``, free of
+    cancellation."""
+    big = (h + abs(x)) / (2.0 * h)
+    small = y * y / (2.0 * h * (h + abs(x)))
     return DiscreteDistribution.from_pairs(
-        [q - w, q + w], [0.5 + shift, 0.5 - shift]
+        [lo, hi], [big, small] if x >= 0.0 else [small, big]
     )
 
 
-def _in_region_q(alpha: float, q: float, m: MomentSpec, cost: CostStructure) -> bool:
-    """Membership in the square-root-branch region Q of the value function."""
-    p = cost.price
-    if q < p / (4.0 * alpha):
-        return False
-    return (2.0 * m.mean - p / alpha) * q >= m.second_moment - p * m.mean / (2.0 * alpha)
+def _worst_case_law(
+    pinv: float, pqi: float, q: float, m: MomentSpec
+) -> DiscreteDistribution:
+    """Worst-case law of the moment set at order quantity ``q``, with
+    ``pinv = p/alpha`` and ``pqi = p q/alpha``; see :func:`misspec_worst_case`."""
+    mu, sig = m.mean, m.std
+    if _in_region_q(pinv, q, m):
+        u = q + 0.25 * pinv
+        x = u - mu
+        h = math.hypot(x, sig)
+        if h <= 1e-12 * u:  # sigma ~ 0 and u ~ mu: point mass
+            return DiscreteDistribution.point_mass(mu)
+        lo = mu - sig * sig / (h + x) if x > 0.0 else u - h
+        return _two_point(lo, u + h, x, sig, h)
+    x, w, rad = _outer_radical(pqi, m)
+    if rad <= 1e-12 * w:  # sigma ~ 0 and pqi ~ mu^2: point mass
+        return DiscreteDistribution.point_mass(0.5 * w / mu)
+    return _two_point(
+        2.0 * mu * pqi / (w + rad), (w + rad) / (2.0 * mu), x, 2.0 * mu * sig, rad
+    )
 
 
 def worst_case_transformed_expectation(
@@ -465,72 +507,53 @@ def worst_case_transformed_expectation(
 
     Two branches: on the region Q = {q >= p/(4 alpha)} intersected with
     {(2 mu - p/alpha) q >= mu^2 + sigma^2 - p mu/(2 alpha)} a square-root
-    formula; elsewhere a formula driven by the discriminant of the two-point
-    worst case.  The infinite index takes the documented limits (Q becomes
-    {q >= (mu^2+sigma^2)/(2 mu)}; the other branch becomes linear in q).
+    formula; elsewhere ``2 mu^2 p q/(w + rad) - c q`` with ``w = p q/alpha +
+    mu^2 + sigma^2`` and ``rad = sqrt(w^2 - 4 mu^2 p q/alpha)``.  At
+    ``inv = 1/alpha = 0`` Q becomes {q >= (mu^2+sigma^2)/(2 mu)} and the other
+    branch the linear ``p q mu^2/(mu^2 + sigma^2) - c q``.
     """
     a = as_misspec_index(alpha)
     q = require_nonnegative("q", q)
-    mu, sig = m.mean, m.std
-    b = m.second_moment
-    p, c = cost.price, cost.cost
     if q == 0.0:
         return 0.0
-    if a.is_infinite:
-        if q >= b / (2.0 * mu):
-            return 0.5 * p * (mu - q - math.hypot(q - mu, sig)) + (p - c) * q
-        return p * q * mu * mu / b - c * q
-    av = a.alpha
-    if av == 0.0:
+    if a.alpha == 0.0:
         raise DegenerateModelError(
             "alpha = 0: every order loses its full cost in the worst case; "
             "the model orders zero"
         )
-    if _in_region_q(av, q, m, cost):
-        u = q + p / (4.0 * av)
-        return 0.5 * p * (mu - u - math.hypot(u - mu, sig)) + (p - c) * q
-    w = p * q / av + b
-    r = math.sqrt(max(w * w - 4.0 * mu * mu * p * q / av, 0.0))
-    return 0.5 * av * (w - r) - c * q
+    mu = m.mean
+    p, c = cost.price, cost.cost
+    pinv = p * a.inv
+    if _in_region_q(pinv, q, m):
+        u = q + 0.25 * pinv
+        return 0.5 * p * (mu - u - math.hypot(u - mu, m.std)) + (p - c) * q
+    _, w, rad = _outer_radical(p * (q * a.inv), m)
+    return 2.0 * mu * mu * p * q / (w + rad) - c * q
 
 
 def _dual_certificate(
     a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
 ) -> tuple[tuple[str, float], ...]:
     """Dual variables (s, r, t) certifying L_alpha(q); empty when degenerate."""
-    mu, sig = m.mean, m.std
-    b = m.second_moment
+    mu = m.mean
     p, c = cost.price, cost.cost
-    if a.is_infinite:
-        if q >= b / (2.0 * mu):
-            den = math.hypot(q - mu, sig)
-            if den <= 1e-15:
-                return ()
-            r = p / (4.0 * den)
-            s = 0.5 * p + 2.0 * r * q
-            t = p * p / (16.0 * r) + r * q * q + 0.5 * p * q - (p - c) * q
-        else:
-            s = 2.0 * mu * p * q / b
-            r = p * q * mu * mu / (b * b)
-            t = c * q
-        return (("s_alpha", s), ("r_alpha", r), ("t_alpha", t))
-    av = a.alpha
-    if _in_region_q(av, q, m, cost):
-        u = q + p / (4.0 * av)
-        den = math.hypot(u - mu, sig)
-        if den <= 1e-15:
+    pinv = p * a.inv
+    if _in_region_q(pinv, q, m):
+        u = q + 0.25 * pinv
+        den = math.hypot(u - mu, m.std)
+        if den <= 1e-12 * u:
             return ()
         r = p / (4.0 * den)
         s = 0.5 * p + 2.0 * r * u
         t = p * p / (16.0 * r) + r * u * u + 0.5 * p * u - (p - c) * q
     else:
-        w = p * q / av + b
-        rad = math.sqrt(max(w * w - 4.0 * mu * mu * p * q / av, 0.0))
-        if rad <= 1e-15:
+        pqi = p * (q * a.inv)
+        _, w, rad = _outer_radical(pqi, m)
+        if rad <= 1e-12 * w:
             return ()
         s = 2.0 * mu * p * q / rad
-        r = 0.5 * av * (w / rad - 1.0)
-        t = 0.5 * p * q * (w / rad - 1.0) + c * q
+        r = 2.0 * mu * mu * p * q / ((w + rad) * rad)
+        t = r * pqi + c * q
     return (("s_alpha", s), ("r_alpha", r), ("t_alpha", t))
 
 
@@ -542,43 +565,20 @@ def misspec_worst_case(
 
     G* has at most two atoms.  Inside the region Q the atoms sit at
     ``u -+ s`` with ``u = q + p/(4 alpha)`` and ``s = sqrt((u-mu)^2+sigma^2)``;
-    outside they are the roots of a quadratic built from the discriminant of
-    the moment constraints.  The expected profit of the transformed image at
-    ``q`` reproduces ``worst_case_transformed_expectation`` within 1e-9
-    (checked; violation raises :class:`InternalCheckError`).
+    outside they are ``(w -+ rad)/(2 mu)``, the roots of the quadratic built
+    from the discriminant of the moment constraints.  At ``inv = 1/alpha = 0``
+    G* is :func:`ambiguity_worst_case` and the transform is the identity.  The
+    expected profit of the transformed image at ``q`` reproduces
+    ``worst_case_transformed_expectation`` within 1e-9 (checked; violation
+    raises :class:`InternalCheckError`).
     """
     a = as_misspec_index(alpha)
     q = require_nonnegative("q", q)
-    mu, sig = m.mean, m.std
-    b = m.second_moment
-    p = cost.price
-    if a.is_infinite:
-        g_star = ambiguity_worst_case(q, m)
-        transformed = g_star  # the infinite-index transform is the identity
-    elif a.alpha == 0.0:
+    if a.alpha == 0.0:
         raise DegenerateModelError("alpha = 0 has no attaining law; the model orders zero")
-    elif _in_region_q(a.alpha, q, m, cost):
-        u = q + p / (4.0 * a.alpha)
-        s = math.hypot(u - mu, sig)
-        if s <= 1e-15:
-            g_star = DiscreteDistribution.point_mass(mu)
-        else:
-            shift = (u - mu) / (2.0 * s)
-            g_star = DiscreteDistribution.from_pairs(
-                [u - s, u + s], [0.5 + shift, 0.5 - shift]
-            )
-        transformed = push_forward(g_star, transform(a, p, q))
-    else:
-        w = p * q / a.alpha + b
-        rad = math.sqrt(max(w * w - 4.0 * mu * mu * p * q / a.alpha, 0.0))
-        if rad <= 1e-15:
-            g_star = DiscreteDistribution.point_mass(0.5 * w / mu)
-        else:
-            v1 = (w - rad) / (2.0 * mu)
-            v2 = (w + rad) / (2.0 * mu)
-            shift = (mu * mu - sig * sig - p * q / a.alpha) / (2.0 * rad)
-            g_star = DiscreteDistribution.from_pairs([v1, v2], [0.5 - shift, 0.5 + shift])
-        transformed = push_forward(g_star, transform(a, p, q))
+    p = cost.price
+    g_star = _worst_case_law(p * a.inv, p * (q * a.inv), q, m)
+    transformed = push_forward(g_star, transform(a, p, q))
 
     _check_moments(g_star, m)
     expected = worst_case_transformed_expectation(a, q, m, cost)

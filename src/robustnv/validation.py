@@ -11,7 +11,6 @@ cross-check failed".
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
 
 
 class ModelError(Exception):
@@ -66,20 +65,6 @@ def require_nonnegative(name: str, value: float, *, allow_inf: bool = False) -> 
     if value < 0.0:
         raise InputError(f"{name} must be >= 0, got {value!r}")
     return value
-
-
-def require_in_open_interval(name: str, value: float, lo: float, hi: float) -> float:
-    value = require_finite(name, value)
-    if not (lo < value < hi):
-        raise InputError(f"{name} must lie in ({lo}, {hi}), got {value!r}")
-    return value
-
-
-def require_nonempty(name: str, seq: Sequence | Iterable) -> Sequence:
-    seq = tuple(seq) if not isinstance(seq, Sequence) else seq
-    if len(seq) == 0:
-        raise InputError(f"{name} must be non-empty")
-    return seq
 
 
 def positive_part(x: float) -> float:

@@ -264,3 +264,21 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("robustnv ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--method", "cv", "--price", "10", "--cost", "3",
+         "--train", "{tmp}/missing.csv"],
+        ["--out", "{tmp}/no-such-dir/out.json"] + SOLVE + ["--alpha", "4"],
+        ["sweep", "--price", "10", "--cost", "3", "--axis", "alpha",
+         "--mu", "4", "--sigma", "2", "--min", "0", "--max", "5"],
+    ],
+    ids=["missing-train-file", "out-into-missing-directory", "alpha-axis-min-zero"],
+)
+def test_bad_files_and_axis_bounds_exit_2(argv, tmp_path, capsys):
+    code, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("robustnv: input error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -482,6 +482,86 @@ def test_solve_report_duals_certify_the_value():
 
 
 # ---------------------------------------------------------------------------
+# numerical stability across alpha and demand scale
+# ---------------------------------------------------------------------------
+
+
+def test_large_alpha_worst_case_attains_the_value():
+    # off Q the value 0.5*alpha*(w - rad) cancels as alpha grows; the
+    # rationalized 2 mu^2 p q/(w + rad) does not
+    m, cost = MomentSpec(100, 1), CostStructure(10, 3)
+    g_star, transformed = misspec_worst_case(1e6, 0.3, m, cost)
+    assert g_star.mean() == pytest.approx(100, abs=1e-9 * m.second_moment)
+    attained = transformed.expectation(lambda v: profit(0.3, v, cost))
+    assert attained == pytest.approx(
+        worst_case_transformed_expectation(1e6, 0.3, m, cost), abs=1e-9
+    )
+    # at alpha = 1e12 the value is p q mu^2/(mu^2 + sigma^2) - c q to 1e-12
+    value = worst_case_transformed_expectation(1e12, 0.3, m, cost)
+    assert value == pytest.approx(2.09970003, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "alpha, mu, price, cost",
+    [
+        (0.19320111457048228, 140.61194372178394, 5.627221275874181, 1.0834211511725373),
+        (0.04665528588572574, 12.48566025610184, 2.0955789028174587, 1.019428800099878),
+    ],
+)
+def test_zero_variance_solves_certify(alpha, mu, price, cost):
+    # at sigma = 0 the off-Q radical is |p q/alpha - mu^2|; an ulp-sized
+    # radical must read as degenerate, not feed a division in the certificate
+    m, cs = MomentSpec(mu, 0.0), CostStructure(price, cost)
+    r = misspec_quantity(alpha, m, cs)
+    assert r.worst_case.mean() == pytest.approx(mu, rel=1e-12)
+    assert r.value == pytest.approx(
+        ell(alpha, r.quantity, mu, cs), abs=1e-9 * max(1.0, abs(r.value))
+    )
+
+
+def test_near_gate_solve_attains_the_value():
+    # kappa barely above sigma^2/(mu^2 + sigma^2): a tiny quantity at a
+    # demand scale in the thousands
+    m = MomentSpec(5307.720206434114, 5515.79842624879)
+    cost = CostStructure(7.9813760290752365, 3.83730564345852)
+    r = misspec_quantity(19.575646044264236, m, cost)
+    assert r.regime is Regime.LOW_ALPHA
+    attained = r.transformed_worst_case.expectation(
+        lambda v: profit(r.quantity, v, cost)
+    )
+    assert attained == pytest.approx(r.value, abs=1e-9)
+
+
+def test_tiny_weight_atom_is_kept():
+    # the far atom of this law weighs ~1e-16 but carries ~3e-9 of the second
+    # moment; dropping it breaks the moment constraints
+    m = MomentSpec(0.011769666397322015, 5.548449750499481e-05)
+    cost = CostStructure(9.857047985967593, 2.5666538934148426)
+    g_star, _ = misspec_worst_case(1e-3, 0.006321853907569039, m, cost)
+    assert len(g_star.support) == 2 and 0.0 < g_star.weights[1] < 1e-15
+    assert g_star.second_moment() == pytest.approx(m.second_moment, rel=1e-9)
+
+
+def test_value_function_stable_and_monotone_over_alpha_and_scale():
+    rng = np.random.default_rng(20240511)
+    for _ in range(250):
+        mu = float(10 ** rng.uniform(-2, 4))
+        sigma = 0.0 if rng.uniform() < 0.1 else mu * float(10 ** rng.uniform(-6, 0.5))
+        p = float(rng.uniform(1, 20))
+        cost = CostStructure(p, p * float(rng.uniform(0.05, 0.95)))
+        m = MomentSpec(mu, sigma)
+        q = mu * float(10 ** rng.uniform(-3, 0.7))  # reaches both branches
+        alphas = sorted(10 ** rng.uniform(-3, 15, size=8)) + [1e15, INF]
+        values = []
+        for alpha in alphas:
+            misspec_worst_case(alpha, q, m, cost)  # raises if the law misses
+            values.append(worst_case_transformed_expectation(alpha, q, m, cost))
+        tol = 1e-9 * max(1.0, abs(values[-1]))
+        assert all(b >= a - tol for a, b in zip(values, values[1:])), (q, m, cost)
+        assert values[-2] == pytest.approx(values[-1], abs=tol)
+
+
+# ---------------------------------------------------------------------------
 # threshold scans
 # ---------------------------------------------------------------------------
 
