@@ -17,6 +17,7 @@ import sys
 from ._version import __version__
 from .calibration import cv_alpha, formula_calibrate, stress_calibrate
 from .evaluation import (
+    _DEFAULT_EPS_GRID,
     ExperimentConfig,
     Method,
     default_alpha_grid,
@@ -150,7 +151,7 @@ def _cmd_calibrate(args) -> str:
             raise InputError(f"--test is required for method {args.method!r}")
         test = load_demand_csv(args.test)
         if args.method == "formula":
-            eps_grid = args.eps_grid or [0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0]
+            eps_grid = args.eps_grid or _DEFAULT_EPS_GRID
             pick = formula_calibrate(
                 train, test, cost, eps_grid, seed=args.seed, folds=args.folds
             )
@@ -177,7 +178,9 @@ def _cmd_experiment(args) -> str:
     train = load_demand_csv(args.train)
     test = load_demand_csv(args.test) if args.test else None
     grid = tuple(args.alpha_grid or default_alpha_grid(cost.price))
-    methods = tuple(Method(m.strip().upper()) for m in (args.methods or "NOMINAL,AMBIGUITY,MISSPEC,WASSERSTEIN,TV").split(","))
+    methods = tuple(Method)
+    if args.methods:
+        methods = tuple(Method(m.strip().upper()) for m in args.methods.split(","))
     config = ExperimentConfig(
         train=train,
         cost=cost,
@@ -186,7 +189,7 @@ def _cmd_experiment(args) -> str:
         seed=args.seed,
         test=test,
         theta=args.theta,
-        eps_grid=tuple(args.eps_grid or (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0)),
+        eps_grid=args.eps_grid or _DEFAULT_EPS_GRID,
         folds=args.folds,
     )
     report = run_experiment(config)

@@ -91,6 +91,9 @@ RESERVED_METHOD_TAGS = ("DELAGE_YE",)
 
 _EPOCH = date(2020, 1, 1)
 
+#: estimation-budget grid of the formula-based calibration when none is given
+_DEFAULT_EPS_GRID = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
+
 
 class Method(str, Enum):
     NOMINAL = "NOMINAL"
@@ -130,7 +133,7 @@ class ExperimentConfig:
     seed: int
     test: SampleSet | None = None
     theta: float = 0.0
-    eps_grid: tuple[float, ...] = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
+    eps_grid: tuple[float, ...] = _DEFAULT_EPS_GRID
     folds: int = 5
     out_path: str | None = None
 

@@ -21,13 +21,17 @@ Three layers of decision models live here:
 
 The envelope, transform, value function, dual certificate and worst-case law
 are each written once in ``inv = 1/alpha``; the ambiguity-only model is the
-case ``inv = 0`` of the same formulas, not a separate branch.
+case ``inv = 0`` of the same formulas, not a separate branch, and Scarf's
+minimax quantity :func:`scarf_quantity` is :func:`misspec_quantity` at
+``inv = 0``.
 
-Every solver returns a :class:`SolveReport` carrying the quantity, the model
-value, the attaining two-point worst-case law, and (where available) the dual
-certificate ``(s_alpha, r_alpha, t_alpha)`` for the mean, second-moment, and
-normalization constraints; the identity
-``s*mu - r*(mu^2 + sigma^2) - t == value`` is checked on construction.
+Every solve returns a :class:`SolveReport` carrying the quantity, the model
+value, the attaining worst-case law and its transformed image, and (where
+available) the dual certificate ``(s_alpha, r_alpha, t_alpha)`` for the mean,
+second-moment and normalization constraints.  Each report is built and
+checked once, for every index including INFINITY: the law's moments, its
+attainment of the value, and the identity
+``s*mu - r*(mu^2 + sigma^2) - t == value``.
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ __all__ = [
 
 #: absolute tolerance for internal moment / value cross-checks
 _CHECK_TOL = 1e-9
+#: rounding bound of the dual identity, per unit of its summed term sizes
+_ROUNDING = 16.0 * 2.0**-52
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +380,7 @@ class SolveReport:
     duals: tuple[tuple[str, float], ...] = field(default=())
 
     def dual(self, name: str) -> float:
-        for key, val in self.duals:
-            if key == name:
-                return val
-        raise KeyError(name)
+        return dict(self.duals)[name]
 
 
 # ---------------------------------------------------------------------------
@@ -442,27 +445,36 @@ def ambiguity_worst_case(q: float, m: MomentSpec) -> DiscreteDistribution:
     ``(mu^2 + sigma^2)/mu``; otherwise at ``q -+ w`` with
     ``w = sqrt((q - mu)^2 + sigma^2)``.  The two constructions coincide at the
     boundary quantity.  This is the law of :func:`misspec_worst_case` at
-    ``inv = 0``.
+    ``inv = 0``, where the price drops out.
     """
-    return _worst_case_law(0.0, 0.0, require_nonnegative("q", q), m)
+    return _worst_case_law(0.0, require_nonnegative("q", q), m, 1.0)
 
 
-def _in_region_q(pinv: float, q: float, m: MomentSpec) -> bool:
-    """Membership in the square-root-branch region Q of the value function,
-    with ``pinv = p/alpha`` (0 for the ambiguity-only model)."""
-    mu = m.mean
-    return q >= 0.25 * pinv and (2.0 * mu - pinv) * q >= m.second_moment - 0.5 * pinv * mu
-
-
-def _outer_radical(pqi: float, m: MomentSpec) -> tuple[float, float, float]:
-    """``(x, w, rad)`` off Q, with ``pqi = p q/alpha``: ``w = pqi + mu^2 +
-    sigma^2`` and ``rad = sqrt(w^2 - 4 mu^2 pqi)``, taken as
-    ``hypot(x, 2 mu sigma)`` with ``x = pqi + sigma^2 - mu^2`` so that no
-    nearly equal terms are subtracted.
+def _region(
+    inv: float, q: float, m: MomentSpec, p: float
+) -> tuple[bool, bool, float, float, float, float]:
+    """Branch of the value function at ``(inv = 1/alpha, q)`` and the terms
+    that the value, the worst-case law and the certificate read, as
+    ``(in_q, point_mass, x, h, z, pqi)``.  In region Q (see
+    :func:`worst_case_transformed_expectation`): ``z = u = q + p/(4 alpha)``,
+    ``x = u - mu``, ``h = hypot(x, sigma)``.  Off Q: ``z = w = pqi + mu^2 +
+    sigma^2`` with ``pqi = p q/alpha``, and ``h = rad = sqrt(w^2 - 4 mu^2
+    pqi)`` taken as ``hypot(x, 2 mu sigma)``, ``x = pqi + sigma^2 - mu^2``, so
+    that no nearly equal terms are subtracted.  ``point_mass`` (``h <= 1e-12
+    z``): the worst case is one atom and the certificate is empty.
     """
     mu, sig = m.mean, m.std
+    pinv = p * inv
+    pqi = p * (q * inv)
+    if q >= 0.25 * pinv and (2.0 * mu - pinv) * q >= m.second_moment - 0.5 * pinv * mu:
+        u = q + 0.25 * pinv
+        x = u - mu
+        h = math.hypot(x, sig)
+        return True, h <= 1e-12 * u, x, h, u, pqi
     x = pqi + sig * sig - mu * mu
-    return x, pqi + m.second_moment, math.hypot(x, 2.0 * mu * sig)
+    h = math.hypot(x, 2.0 * mu * sig)
+    w = pqi + m.second_moment
+    return False, h <= 1e-12 * w, x, h, w, pqi
 
 
 def _two_point(lo: float, hi: float, x: float, y: float, h: float) -> DiscreteDistribution:
@@ -476,26 +488,16 @@ def _two_point(lo: float, hi: float, x: float, y: float, h: float) -> DiscreteDi
     )
 
 
-def _worst_case_law(
-    pinv: float, pqi: float, q: float, m: MomentSpec
-) -> DiscreteDistribution:
-    """Worst-case law of the moment set at order quantity ``q``, with
-    ``pinv = p/alpha`` and ``pqi = p q/alpha``; see :func:`misspec_worst_case`."""
+def _worst_case_law(inv: float, q: float, m: MomentSpec, p: float) -> DiscreteDistribution:
+    """Worst-case law at ``(inv = 1/alpha, q)``; see :func:`misspec_worst_case`."""
     mu, sig = m.mean, m.std
-    if _in_region_q(pinv, q, m):
-        u = q + 0.25 * pinv
-        x = u - mu
-        h = math.hypot(x, sig)
-        if h <= 1e-12 * u:  # sigma ~ 0 and u ~ mu: point mass
-            return DiscreteDistribution.point_mass(mu)
-        lo = mu - sig * sig / (h + x) if x > 0.0 else u - h
-        return _two_point(lo, u + h, x, sig, h)
-    x, w, rad = _outer_radical(pqi, m)
-    if rad <= 1e-12 * w:  # sigma ~ 0 and pqi ~ mu^2: point mass
-        return DiscreteDistribution.point_mass(0.5 * w / mu)
-    return _two_point(
-        2.0 * mu * pqi / (w + rad), (w + rad) / (2.0 * mu), x, 2.0 * mu * sig, rad
-    )
+    in_q, point_mass, x, h, z, pqi = _region(inv, q, m, p)
+    if point_mass:
+        return DiscreteDistribution.point_mass(mu if in_q else 0.5 * z / mu)
+    if in_q:
+        lo = mu - sig * sig / (h + x) if x > 0.0 else z - h
+        return _two_point(lo, z + h, x, sig, h)
+    return _two_point(2.0 * mu * pqi / (z + h), (z + h) / (2.0 * mu), x, 2.0 * mu * sig, h)
 
 
 def worst_case_transformed_expectation(
@@ -523,12 +525,10 @@ def worst_case_transformed_expectation(
         )
     mu = m.mean
     p, c = cost.price, cost.cost
-    pinv = p * a.inv
-    if _in_region_q(pinv, q, m):
-        u = q + 0.25 * pinv
-        return 0.5 * p * (mu - u - math.hypot(u - mu, m.std)) + (p - c) * q
-    _, w, rad = _outer_radical(p * (q * a.inv), m)
-    return 2.0 * mu * mu * p * q / (w + rad) - c * q
+    in_q, _, _, h, z, _ = _region(a.inv, q, m, p)
+    if in_q:
+        return 0.5 * p * (mu - z - h) + (p - c) * q
+    return 2.0 * mu * mu * p * q / (z + h) - c * q
 
 
 def _dual_certificate(
@@ -537,22 +537,16 @@ def _dual_certificate(
     """Dual variables (s, r, t) certifying L_alpha(q); empty when degenerate."""
     mu = m.mean
     p, c = cost.price, cost.cost
-    pinv = p * a.inv
-    if _in_region_q(pinv, q, m):
-        u = q + 0.25 * pinv
-        den = math.hypot(u - mu, m.std)
-        if den <= 1e-12 * u:
-            return ()
-        r = p / (4.0 * den)
-        s = 0.5 * p + 2.0 * r * u
-        t = p * p / (16.0 * r) + r * u * u + 0.5 * p * u - (p - c) * q
-    else:
-        pqi = p * (q * a.inv)
-        _, w, rad = _outer_radical(pqi, m)
-        if rad <= 1e-12 * w:
-            return ()
-        s = 2.0 * mu * p * q / rad
-        r = 2.0 * mu * mu * p * q / ((w + rad) * rad)
+    in_q, point_mass, _, h, z, pqi = _region(a.inv, q, m, p)
+    if point_mass:
+        return ()
+    if in_q:  # z = u, h = hypot(u - mu, sigma)
+        r = p / (4.0 * h)
+        s = 0.5 * p + 2.0 * r * z
+        t = p * p / (16.0 * r) + r * z * z + 0.5 * p * z - (p - c) * q
+    else:  # z = w, h = rad
+        s = 2.0 * mu * p * q / h
+        r = 2.0 * mu * mu * p * q / ((z + h) * h)
         t = r * pqi + c * q
     return (("s_alpha", s), ("r_alpha", r), ("t_alpha", t))
 
@@ -576,30 +570,44 @@ def misspec_worst_case(
     q = require_nonnegative("q", q)
     if a.alpha == 0.0:
         raise DegenerateModelError("alpha = 0 has no attaining law; the model orders zero")
-    p = cost.price
-    g_star = _worst_case_law(p * a.inv, p * (q * a.inv), q, m)
-    transformed = push_forward(g_star, transform(a, p, q))
+    return _attaining_law(a, q, m, cost)[1:]
 
-    _check_moments(g_star, m)
-    expected = worst_case_transformed_expectation(a, q, m, cost)
+
+def _attaining_law(
+    a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
+) -> tuple[float, DiscreteDistribution, DiscreteDistribution]:
+    """The value L_alpha(q), the worst-case law and its transformed image,
+    with the law's moments and its attainment of the value checked."""
+    p = cost.price
+    value = worst_case_transformed_expectation(a, q, m, cost)
+    g_star = _worst_case_law(a.inv, q, m, p)
+    transformed = push_forward(g_star, transform(a, p, q))
+    mean, second = g_star.mean(), g_star.second_moment()
+    tol = _CHECK_TOL * max(1.0, m.second_moment)
+    if abs(mean - m.mean) > tol or abs(second - m.second_moment) > tol:
+        raise InternalCheckError(
+            f"constructed law violates its moment constraints: mean {mean!r} "
+            f"vs {m.mean!r}, second moment {second!r} vs {m.second_moment!r}"
+        )
     attained = transformed.expectation(lambda v: profit(q, v, cost))
-    if abs(attained - expected) > _CHECK_TOL * max(1.0, abs(expected)):
+    if abs(attained - value) > _CHECK_TOL * max(1.0, abs(value)):
         raise InternalCheckError(
             f"worst-case law fails to attain the value function: "
-            f"{attained!r} vs {expected!r} at alpha={a!r}, q={q!r}"
+            f"{attained!r} vs {value!r} at alpha={a!r}, q={q!r}"
         )
-    return g_star, transformed
+    return value, g_star, transformed
 
 
-def _check_moments(g: DiscreteDistribution, m: MomentSpec) -> None:
-    scale = max(1.0, m.second_moment)
-    if abs(g.mean() - m.mean) > _CHECK_TOL * scale or (
-        abs(g.second_moment() - m.second_moment) > _CHECK_TOL * scale
-    ):
-        raise InternalCheckError(
-            f"constructed law violates its moment constraints: mean {g.mean()!r} "
-            f"vs {m.mean!r}, second moment {g.second_moment()!r} vs {m.second_moment!r}"
-        )
+def _report(
+    a: MisspecIndex, q: float, regime: Regime, m: MomentSpec, cost: CostStructure
+) -> SolveReport:
+    """The checked report at ``(a, q)``: the value function, the worst-case law
+    and its image, their checks, and the certificate, each evaluated once."""
+    value, g_star, transformed = _attaining_law(a, q, m, cost)
+    duals = _dual_certificate(a, q, m, cost)
+    report = SolveReport(q, value, regime, a, g_star, transformed, duals)
+    _check_report(report, m)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -608,38 +616,14 @@ def _check_moments(g: DiscreteDistribution, m: MomentSpec) -> None:
 
 
 def scarf_quantity(m: MomentSpec, cost: CostStructure) -> SolveReport:
-    """Ambiguity-only minimax order quantity.
+    """Ambiguity-only minimax order quantity: :func:`misspec_quantity` at
+    ``inv = 1/alpha = 0``.
 
     Non-degenerate branch (``kappa >= sigma^2/(mu^2+sigma^2)``): quantity
-    ``mu + sigma*f(1-kappa)``, value ``mu(p-c) - sigma*sqrt(c(p-c))``.
-    Otherwise ordering anything is worthless: quantity 0, value 0
-    (regime DEGENERATE).
+    ``mu + sigma*f(1-kappa)``.  Otherwise ordering anything is worthless:
+    quantity 0, value 0 (regime DEGENERATE).
     """
-    kappa = cost.kappa
-    mu, sig = m.mean, m.std
-    p, c = cost.price, cost.cost
-    gate = sig * sig / m.second_moment
-    if kappa >= gate:
-        q = mu + sig * fractile_factor(1.0 - kappa)
-        value = mu * (p - c) - sig * math.sqrt(c * (p - c))
-        regime = Regime.AMBIGUITY_ONLY
-    else:
-        q = 0.0
-        value = 0.0
-        regime = Regime.DEGENERATE
-    g_star = ambiguity_worst_case(q, m)
-    duals = _dual_certificate(MisspecIndex.INFINITY, q, m, cost)
-    report = SolveReport(
-        quantity=q,
-        value=value,
-        regime=regime,
-        alpha=MisspecIndex.INFINITY,
-        worst_case=g_star,
-        transformed_worst_case=g_star,
-        duals=duals,
-    )
-    _check_report(report, m, cost)
-    return report
+    return misspec_quantity(MisspecIndex.INFINITY, m, cost)
 
 
 def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> SolveReport:
@@ -652,28 +636,17 @@ def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> So
     threshold when the parenthesis is nonpositive), and LOW_ALPHA
     ``(mu^2 - sigma^2 + 2 mu sigma f(1-kappa)) * alpha/p`` below it.  The
     quantity is continuous and non-decreasing in alpha and capped by the
-    ambiguity-only quantity; the infinite index delegates to
-    :func:`scarf_quantity`.
+    ambiguity-only quantity, which is the HIGH_ALPHA branch at the infinite
+    index (labelled AMBIGUITY_ONLY there).
     """
     a = as_misspec_index(alpha)
-    if a.is_infinite:
-        return scarf_quantity(m, cost)
     kappa = cost.kappa
     mu, sig = m.mean, m.std
     p = cost.price
     if a.alpha == 0.0:
         # strongest aversion: max-min over all laws — order nothing
         g_star = ambiguity_worst_case(0.0, m)
-        report = SolveReport(
-            quantity=0.0,
-            value=0.0,
-            regime=Regime.DEGENERATE,
-            alpha=a,
-            worst_case=g_star,
-            transformed_worst_case=g_star,
-            duals=(),
-        )
-        return report
+        return SolveReport(0.0, 0.0, Regime.DEGENERATE, a, g_star, g_star)
     gate = sig * sig / m.second_moment
     if kappa < gate:
         q = 0.0
@@ -681,39 +654,28 @@ def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> So
     else:
         margin = mu - sig * math.sqrt((1.0 - kappa) / kappa)
         threshold = p / (2.0 * margin) if margin > 0.0 else math.inf
+        f = fractile_factor(1.0 - kappa)
         if a.alpha >= threshold:
-            q = mu + sig * fractile_factor(1.0 - kappa) - p / (4.0 * a.alpha)
-            regime = Regime.HIGH_ALPHA
+            q = mu + sig * f - p / (4.0 * a.alpha)
+            regime = Regime.AMBIGUITY_ONLY if a.is_infinite else Regime.HIGH_ALPHA
         else:
-            f = fractile_factor(1.0 - kappa)
             q = (mu * mu - sig * sig + 2.0 * mu * sig * f) * a.alpha / p
             regime = Regime.LOW_ALPHA
-    q = max(q, 0.0)
-    value = worst_case_transformed_expectation(a, q, m, cost)
-    g_star, transformed = misspec_worst_case(a, q, m, cost)
-    duals = _dual_certificate(a, q, m, cost)
-    report = SolveReport(
-        quantity=q,
-        value=value,
-        regime=regime,
-        alpha=a,
-        worst_case=g_star,
-        transformed_worst_case=transformed,
-        duals=duals,
-    )
-    _check_report(report, m, cost)
-    return report
+    return _report(a, max(q, 0.0), regime, m, cost)
 
 
-def _check_report(report: SolveReport, m: MomentSpec, cost: CostStructure) -> None:
-    """Internal consistency: moments of the worst case and the dual identity."""
-    _check_moments(report.worst_case, m)
+def _check_report(report: SolveReport, m: MomentSpec) -> None:
+    """The dual identity ``s*mu - r*(mu^2 + sigma^2) - t == value``, within
+    1e-9 (relative above 1) plus the rounding bound of evaluating the three
+    terms: near sigma = 0 they grow like mu/sigma and cancel to the value."""
     if report.duals:
-        s = report.dual("s_alpha")
-        r = report.dual("r_alpha")
+        s = report.dual("s_alpha") * m.mean
+        r = report.dual("r_alpha") * m.second_moment
         t = report.dual("t_alpha")
-        dual_value = s * m.mean - r * m.second_moment - t
-        if abs(dual_value - report.value) > _CHECK_TOL * max(1.0, abs(report.value)):
+        dual_value = s - r - t
+        size = abs(s) + abs(r) + abs(t)
+        tol = _CHECK_TOL * max(1.0, abs(report.value)) + _ROUNDING * size
+        if abs(dual_value - report.value) > tol:
             raise InternalCheckError(
                 f"dual certificate mismatch: {dual_value!r} vs {report.value!r}"
             )
@@ -724,18 +686,18 @@ def _check_report(report: SolveReport, m: MomentSpec, cost: CostStructure) -> No
 # ---------------------------------------------------------------------------
 
 
-def _tail_turn_index(quantities: Sequence[float], tol: float = 1e-12) -> int | None:
-    """Smallest index j such that the series is non-increasing from j to the
-    end, requiring at least one comparison (j <= len-2); None when only the
-    vacuous single-point suffix qualifies.
+def _tail_turn(
+    grid: Sequence[float], quantities: Sequence[float], tol: float = 1e-12
+) -> float | None:
+    """Grid point at the smallest index j such that the quantities are
+    non-increasing from j to the end, requiring at least one comparison
+    (j <= len-2); None when only the vacuous single-point suffix qualifies.
     """
     n = len(quantities)
-    if n < 2:
-        return None
     j = n - 1
     while j > 0 and quantities[j] <= quantities[j - 1] + tol:
         j -= 1
-    return j if j <= n - 2 else None
+    return grid[j] if j <= n - 2 else None
 
 
 def price_threshold_scan(
@@ -760,8 +722,7 @@ def price_threshold_scan(
     quantities = [
         misspec_quantity(a, m, CostStructure(price=p, cost=c)).quantity for p in grid
     ]
-    j = _tail_turn_index(quantities)
-    return None if j is None else grid[j]
+    return _tail_turn(grid, quantities)
 
 
 def variance_threshold_scan(
@@ -792,5 +753,4 @@ def variance_threshold_scan(
     quantities = [
         misspec_quantity(a, MomentSpec(mean=mu, std=s), cost).quantity for s in grid
     ]
-    j = _tail_turn_index(quantities)
-    return None if j is None else grid[j]
+    return _tail_turn(grid, quantities)

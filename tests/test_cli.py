@@ -282,3 +282,59 @@ def test_bad_files_and_axis_bounds_exit_2(argv, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("robustnv: input error:") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+# stdout bytes of `solve` at a finite and the infinite index, at zero variance
+# and past the degeneracy gate; frozen, so the one solve path keeps them
+SOLVE_GOLDENS = [
+    (
+        SOLVE + ["--alpha", "4"],
+        '{"alpha":4.0,"duals":{"r_alpha":1.145644,"s_alpha":16.165151,"t_alpha":27.287878},'
+        '"quantity":4.247872,"regime":"HIGH_ALPHA","value":14.459849,'
+        '"worst_case":{"support":[2.690693,7.05505],"weights":[0.7,0.3]}}\n',
+    ),
+    (
+        ["--format", "csv"] + SOLVE + ["--alpha", "4"],
+        "alpha,duals.r_alpha,duals.s_alpha,duals.t_alpha,quantity,regime,value,"
+        "worst_case.support,worst_case.weights\n"
+        "4.0,1.145644,16.165151,27.287878,4.247872,HIGH_ALPHA,14.459849,"
+        "2.690693;7.05505,0.7;0.3\n",
+    ),
+    (
+        SOLVE + ["--alpha", "inf"],
+        '{"alpha":"inf","duals":{"r_alpha":1.145644,"s_alpha":16.165151,"t_alpha":22.912878},'
+        '"quantity":4.872872,"regime":"AMBIGUITY_ONLY","value":18.834849,'
+        '"worst_case":{"support":[2.690693,7.05505],"weights":[0.7,0.3]}}\n',
+    ),
+    (
+        ["--format", "csv"] + SOLVE + ["--alpha", "inf"],
+        "alpha,duals.r_alpha,duals.s_alpha,duals.t_alpha,quantity,regime,value,"
+        "worst_case.support,worst_case.weights\n"
+        "inf,1.145644,16.165151,22.912878,4.872872,AMBIGUITY_ONLY,18.834849,"
+        "2.690693;7.05505,0.7;0.3\n",
+    ),
+    (
+        ["solve", "--price", "10", "--cost", "3", "--mu", "4", "--sigma", "0",
+         "--alpha", "inf"],
+        '{"alpha":"inf","duals":{},"quantity":4.0,"regime":"AMBIGUITY_ONLY","value":28.0,'
+        '"worst_case":{"support":[4.0],"weights":[1.0]}}\n',
+    ),
+    (
+        ["solve", "--price", "10", "--cost", "9", "--mu", "1", "--sigma", "3",
+         "--alpha", "inf"],
+        '{"alpha":"inf","duals":{"r_alpha":0.0,"s_alpha":0.0,"t_alpha":0.0},'
+        '"quantity":0.0,"regime":"DEGENERATE","value":0.0,'
+        '"worst_case":{"support":[0.0,10.0],"weights":[0.9,0.1]}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    SOLVE_GOLDENS,
+    ids=["a4-json", "a4-csv", "inf-json", "inf-csv", "inf-sigma0", "inf-degenerate"],
+)
+def test_solve_output_bytes_are_frozen(argv, expected, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    assert out == expected

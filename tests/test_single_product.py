@@ -1,15 +1,18 @@
 """Closed-form single-product solvers: frozen values and model invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import robustnv.single_product as sp
 from robustnv import (
     CostStructure,
     DegenerateModelError,
     DiscreteDistribution,
     InputError,
+    InternalCheckError,
     MisspecIndex,
     MomentSpec,
     Regime,
@@ -251,6 +254,83 @@ def test_scarf_worst_case_attains_the_value():
         assert r.worst_case.second_moment() == pytest.approx(
             m.second_moment, rel=1e-9, abs=1e-9
         )
+
+
+def test_scarf_is_misspec_quantity_at_the_infinite_index():
+    rng = np.random.default_rng(77)
+    checked = {"zero_variance": 0, "degenerate": 0, "ambiguity_only": 0}
+    for i in range(300):
+        mu = float(10 ** rng.uniform(-2, 4))
+        sigma = 0.0 if i % 10 == 0 else mu * float(10 ** rng.uniform(-4, 0.7))
+        p = float(rng.uniform(1, 40))
+        cost = CostStructure(p, p * float(rng.uniform(0.02, 0.98)))
+        m = MomentSpec(mu, sigma)
+        r = scarf_quantity(m, cost)
+        assert r == misspec_quantity(INF, m, cost)
+        if sigma == 0.0:
+            checked["zero_variance"] += 1
+        if r.regime is Regime.DEGENERATE:
+            checked["degenerate"] += 1
+            assert r.quantity == 0.0 and r.value == 0.0
+        else:
+            checked["ambiguity_only"] += 1
+            assert r.regime is Regime.AMBIGUITY_ONLY
+            # Scarf's closed-form value mu(p - c) - sigma sqrt(c(p - c))
+            c = cost.cost
+            closed = mu * (p - c) - sigma * math.sqrt(c * (p - c))
+            assert r.value == pytest.approx(closed, rel=1e-11, abs=1e-11 * mu * p)
+    assert min(checked.values()) >= 10, checked
+
+
+@pytest.mark.parametrize("alpha", [0.5, 4.0, 1e6, INF])
+def test_one_solve_builds_and_checks_the_report_once(alpha, monkeypatch):
+    calls = {}
+
+    def counted(obj, name):
+        inner = getattr(obj, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(obj, name, wrapper)
+
+    counted(sp, "worst_case_transformed_expectation")  # the value function
+    counted(sp, "_worst_case_law")
+    counted(sp.DiscreteDistribution, "second_moment")  # the moment check
+    counted(sp.DiscreteDistribution, "expectation")  # the attainment check
+    counted(sp, "_dual_certificate")
+    counted(sp, "_check_report")
+    misspec_quantity(alpha, M42, COST)
+    assert calls == dict.fromkeys(calls, 1) and len(calls) == 6, calls
+
+
+def test_near_zero_variance_certificate_found_instance_certifies():
+    # the identity's terms grow like mu/sigma ~ 6e5 here; the value is 0.8169
+    m = MomentSpec(12.611107123231836, 2.1052261483191464e-05)
+    cost = CostStructure(17.52857817621089, 16.185991050256128)
+    r = misspec_quantity(0.06705963691850146, m, cost)
+    assert r.duals and r.value == pytest.approx(0.81688022, abs=1e-8)
+
+
+def test_near_zero_variance_certificates_pass_their_check():
+    rng = np.random.default_rng(606)
+    for _ in range(1500):
+        mu = float(10 ** rng.uniform(-2, 4))
+        sigma = mu * float(10 ** rng.uniform(-10, -2))
+        p = float(10 ** rng.uniform(-1, 2))
+        cost = CostStructure(p, p * float(rng.uniform(0.01, 0.99)))
+        alpha = INF if rng.uniform() < 0.1 else float(10 ** rng.uniform(-3, 12)) * p / 10
+        misspec_quantity(alpha, MomentSpec(mu, sigma), cost)  # raises on a failed check
+
+
+@pytest.mark.parametrize("alpha", [4.0, INF])
+def test_perturbed_certificate_is_rejected(alpha):
+    r = misspec_quantity(alpha, M42, COST)
+    sp._check_report(r, M42)
+    bad = tuple((k, v * (1.0 + 1e-6) if k == "r_alpha" else v) for k, v in r.duals)
+    with pytest.raises(InternalCheckError, match="dual certificate mismatch"):
+        sp._check_report(replace(r, duals=bad), M42)
 
 
 def test_footnote_two_point_law_example():
