@@ -26,9 +26,9 @@ from .single_product import (
     DiscreteDistribution,
     MisspecIndex,
     MomentSpec,
+    _expected_profit,
+    _solve,
     as_misspec_index,
-    misspec_quantity,
-    profit,
 )
 from .validation import (
     DegenerateModelError,
@@ -267,14 +267,14 @@ def guarantee(
     m_hat = samples.moments
     total = eps + shift
     alpha_n = alpha_for_radius(total, m_hat, cost)
-    report = misspec_quantity(alpha_n, m_hat, cost)
+    _, value = _solve(alpha_n, m_hat, cost)
     penalty = 0.5 * math.sqrt(cost.price * (cost.price - cost.cost) * total)
     return GuaranteeReport(
         epsilon_n=eps,
         shift_estimate=shift,
         alpha_n=alpha_n,
-        in_sample_value=report.value,
-        lower_bound=positive_part(report.value - penalty),
+        in_sample_value=value,
+        lower_bound=positive_part(value - penalty),
     )
 
 
@@ -345,7 +345,7 @@ def cv_alpha(
     best: MisspecIndex | None = None
     best_score = -math.inf
     for a in grid:
-        qs = [misspec_quantity(a, m, cost).quantity for m in fold_ms]
+        qs = [_solve(a, m, cost)[0] for m in fold_ms]
         score = _held_out_score(values, parts, qs, cost)
         if (
             best is None
@@ -436,7 +436,7 @@ def formula_calibrate(
         qs = []
         for m in fold_ms:
             a = alpha_for_radius(eps + shift, m, cost)
-            qs.append(misspec_quantity(a, m, cost).quantity)
+            qs.append(_solve(a, m, cost)[0])
         score = _held_out_score(values, parts, qs, cost)
         if (
             best_eps is None
@@ -488,8 +488,7 @@ def stress_calibrate(
     best: MisspecIndex | None = None
     best_score = -math.inf
     for a in grid:
-        q = misspec_quantity(a, m_train, cost).quantity
-        score = f_stress.expectation(lambda v: profit(q, v, cost))
+        score = _expected_profit(f_stress, _solve(a, m_train, cost)[0], cost)
         if (
             best is None
             or score > best_score

@@ -51,6 +51,13 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    """A nonnegative integer: numpy's seeded generators reject negative seeds."""
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -180,7 +187,13 @@ def _cmd_experiment(args) -> str:
     grid = tuple(args.alpha_grid or default_alpha_grid(cost.price))
     methods = tuple(Method)
     if args.methods:
-        methods = tuple(Method(m.strip().upper()) for m in args.methods.split(","))
+        names = [m.strip().upper() for m in args.methods.split(",")]
+        require(
+            all(name in Method.__members__ for name in names),
+            f"--methods takes a comma list of {', '.join(Method.__members__)}, "
+            f"got {args.methods!r}",
+        )
+        methods = tuple(Method[name] for name in names)
     config = ExperimentConfig(
         train=train,
         cost=cost,
@@ -235,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Robust newsvendor ordering under moment ambiguity and misspecification.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    parser.add_argument("--seed", type=_seed, default=0, help="seed for all randomness")
     parser.add_argument("--out", type=str, default=None, help="write output to this path")
     parser.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"

@@ -27,9 +27,9 @@ from .single_product import (
     DiscreteDistribution,
     MisspecIndex,
     MomentSpec,
+    _solve,
     as_misspec_index,
     nominal_quantity,
-    scarf_quantity,
 )
 from .validation import (
     DegenerateModelError,
@@ -287,7 +287,7 @@ def tv_misspec_quantity(
     ambiguity-only quantity.
     """
     a = as_misspec_index(alpha)
-    return min(2.0 * a.alpha / cost.price, scarf_quantity(m, cost).quantity)
+    return min(2.0 * a.alpha / cost.price, _solve(MisspecIndex.INFINITY, m, cost)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from ._version import __version__
 from .calibration import (
@@ -45,12 +44,12 @@ from .single_product import (
     DiscreteDistribution,
     MisspecIndex,
     MomentSpec,
+    _expected_profit,
+    _solve,
     as_misspec_index,
     ell,
     misspec_quantity,
     nominal_quantity,
-    profit,
-    scarf_quantity,
 )
 from .validation import (
     InputError,
@@ -270,18 +269,18 @@ def sweep(
     fixed_alpha = None if axis == "alpha" else _sole_alpha(config, alpha)
     for v in vals:
         if axis == "alpha":
-            rep = misspec_quantity(v, m, base)
+            q, value = _solve(v, m, base)
             cost_here = base
         elif axis == "price":
             cost_here = CostStructure(v, base.cost)
-            rep = misspec_quantity(fixed_alpha, m, cost_here)
+            q, value = _solve(fixed_alpha, m, cost_here)
         else:
             cost_here = base
-            rep = misspec_quantity(fixed_alpha, MomentSpec(m.mean, v), base)
-        quantities.append(rep.quantity)
-        in_sample.append(rep.value)
+            q, value = _solve(fixed_alpha, MomentSpec(m.mean, v), base)
+        quantities.append(q)
+        in_sample.append(value)
         if config.test is not None:
-            out_sample.append(out_of_sample_profit(rep.quantity, config.test, cost_here))
+            out_sample.append(out_of_sample_profit(q, config.test, cost_here))
         else:
             out_sample.append(math.nan)
     return SweepSeries(axis, vals, tuple(quantities), tuple(in_sample), tuple(out_sample))
@@ -301,11 +300,9 @@ def _method_solution(
     if method is Method.NOMINAL:
         return nominal_quantity(config.train.empirical, cost), None
     if method is Method.AMBIGUITY:
-        rep = scarf_quantity(m, cost)
-        return rep.quantity, rep.value
+        return _solve(MisspecIndex.INFINITY, m, cost)
     if method is Method.MISSPEC:
-        rep = misspec_quantity(alpha, m, cost)
-        return rep.quantity, rep.value
+        return _solve(alpha, m, cost)
     if method is Method.WASSERSTEIN:
         sol = wasserstein_misspec_solve(
             config.train.empirical, RadiusSpec(config.theta, alpha), cost
@@ -336,7 +333,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 method=method,
                 alpha=a,
                 quantity=q,
-                in_sample=emp.expectation(lambda v: profit(q, v, cost)),
+                in_sample=_expected_profit(emp, q, cost),
                 out_of_sample=(
                     out_of_sample_profit(q, config.test, cost)
                     if config.test is not None
@@ -418,7 +415,10 @@ def _draw_segment(
 ) -> np.ndarray:
     if kind is DemandKind.LOGNORMAL:
         return rng.lognormal(mean=mu, sigma=sigma, size=n)
-    # normal truncated to the nonnegative half line
+    # normal truncated to the nonnegative half line; scipy.stats is imported
+    # here, not at module level, because it is most of the package's import time
+    from scipy import stats
+
     a = (0.0 - mu) / sigma
     return stats.truncnorm.rvs(a, np.inf, loc=mu, scale=sigma, size=n, random_state=rng)
 
@@ -742,7 +742,7 @@ def oracle_check(
                 ),
             )
         )
-        q_hi = max(scarf_quantity(m, cs).quantity * 1.2, 1e-6)
+        q_hi = max(_solve(MisspecIndex.INFINITY, m, cs)[0] * 1.2, 1e-6)
         q_grid = np.linspace(0.0, q_hi, int(q_points))
         q_step = q_grid[1] - q_grid[0]
         a = None if isinstance(alpha, MisspecIndex) and alpha.is_infinite else float(

@@ -28,10 +28,13 @@ minimax quantity :func:`scarf_quantity` is :func:`misspec_quantity` at
 Every solve returns a :class:`SolveReport` carrying the quantity, the model
 value, the attaining worst-case law and its transformed image, and (where
 available) the dual certificate ``(s_alpha, r_alpha, t_alpha)`` for the mean,
-second-moment and normalization constraints.  Each report is built and
-checked once, for every index including INFINITY: the law's moments, its
-attainment of the value, and the identity
-``s*mu - r*(mu^2 + sigma^2) - t == value``.
+second-moment and normalization constraints.  Every solve is evaluated and
+checked once, for every index including INFINITY, on the worst-case atoms
+before any law object exists: the law's mass and moments, its attainment of
+the value, and the identity ``s*mu - r*(mu^2 + sigma^2) - t == value``.
+Callers that read only the quantity and the value (the scans, the
+calibrators, the sweeps) run the same checks through ``_solve`` and never
+build the laws.
 """
 
 from __future__ import annotations
@@ -395,6 +398,15 @@ def profit(q: float, v: float, cost: CostStructure) -> float:
     return cost.price * min(q, v) - cost.cost * q
 
 
+def _expected_profit(dist: DiscreteDistribution, q: float, cost: CostStructure) -> float:
+    """``dist.expectation(lambda v: profit(q, v, cost))``, bit for bit: the
+    same terms, evaluated in numpy, summed by ``math.fsum``."""
+    q = require_nonnegative("q", q)
+    p, c = cost.price, cost.cost
+    terms = dist.weights_array() * (p * np.minimum(q, dist.support_array()) - c * q)
+    return math.fsum(terms.tolist())
+
+
 def ell(alpha: AlphaLike, q: float, v: float, cost: CostStructure) -> float:
     """Pointwise envelope min_u { pi(q, u) + alpha*(u - v)^2 }.
 
@@ -447,7 +459,8 @@ def ambiguity_worst_case(q: float, m: MomentSpec) -> DiscreteDistribution:
     boundary quantity.  This is the law of :func:`misspec_worst_case` at
     ``inv = 0``, where the price drops out.
     """
-    return _worst_case_law(0.0, require_nonnegative("q", q), m, 1.0)
+    q = require_nonnegative("q", q)
+    return DiscreteDistribution.from_pairs(*_worst_case_law(0.0, q, m, 1.0))
 
 
 def _region(
@@ -477,23 +490,25 @@ def _region(
     return False, h <= 1e-12 * w, x, h, w, pqi
 
 
-def _two_point(lo: float, hi: float, x: float, y: float, h: float) -> DiscreteDistribution:
-    """Law on ``lo < hi`` with weights ``((h + x)/(2h), (h - x)/(2h))`` where
+_Atoms = tuple[tuple[float, ...], tuple[float, ...]]
+
+
+def _two_point(lo: float, hi: float, x: float, y: float, h: float) -> _Atoms:
+    """Atoms ``lo < hi`` with weights ``((h + x)/(2h), (h - x)/(2h))`` where
     ``h = hypot(x, y)``; the smaller weight is ``y^2/(2h(h + |x|))``, free of
-    cancellation."""
+    cancellation.  ``lo`` is clamped at 0 against rounding."""
     big = (h + abs(x)) / (2.0 * h)
     small = y * y / (2.0 * h * (h + abs(x)))
-    return DiscreteDistribution.from_pairs(
-        [lo, hi], [big, small] if x >= 0.0 else [small, big]
-    )
+    return (max(lo, 0.0), hi), ((big, small) if x >= 0.0 else (small, big))
 
 
-def _worst_case_law(inv: float, q: float, m: MomentSpec, p: float) -> DiscreteDistribution:
-    """Worst-case law at ``(inv = 1/alpha, q)``; see :func:`misspec_worst_case`."""
+def _worst_case_law(inv: float, q: float, m: MomentSpec, p: float) -> _Atoms:
+    """Atoms and weights of the worst-case law at ``(inv = 1/alpha, q)``; see
+    :func:`misspec_worst_case`."""
     mu, sig = m.mean, m.std
     in_q, point_mass, x, h, z, pqi = _region(inv, q, m, p)
     if point_mass:
-        return DiscreteDistribution.point_mass(mu if in_q else 0.5 * z / mu)
+        return (mu if in_q else 0.5 * z / mu,), (1.0,)
     if in_q:
         lo = mu - sig * sig / (h + x) if x > 0.0 else z - h
         return _two_point(lo, z + h, x, sig, h)
@@ -563,51 +578,105 @@ def misspec_worst_case(
     from the discriminant of the moment constraints.  At ``inv = 1/alpha = 0``
     G* is :func:`ambiguity_worst_case` and the transform is the identity.  The
     expected profit of the transformed image at ``q`` reproduces
-    ``worst_case_transformed_expectation`` within 1e-9 (checked; violation
-    raises :class:`InternalCheckError`).
+    ``worst_case_transformed_expectation`` within 1e-9 (checked, with the
+    law's moments and the dual certificate; violation raises
+    :class:`InternalCheckError`).
     """
     a = as_misspec_index(alpha)
     q = require_nonnegative("q", q)
     if a.alpha == 0.0:
         raise DegenerateModelError("alpha = 0 has no attaining law; the model orders zero")
-    return _attaining_law(a, q, m, cost)[1:]
+    _, atoms, _ = _evaluate(a, q, m, cost)
+    return _laws(a, q, atoms, cost.price)
 
 
-def _attaining_law(
+def _evaluate(
     a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
-) -> tuple[float, DiscreteDistribution, DiscreteDistribution]:
-    """The value L_alpha(q), the worst-case law and its transformed image,
-    with the law's moments and its attainment of the value checked."""
+) -> tuple[float, _Atoms, tuple[tuple[str, float], ...]]:
+    """The checked evaluation at ``(a, q)``, ``a`` nonzero: the value
+    L_alpha(q), the worst-case atoms and weights, and the dual certificate,
+    each computed once.  It checks the law's mass and moments, the transformed
+    atoms' attainment of the value and the dual identity, and builds no
+    :class:`DiscreteDistribution`."""
     p = cost.price
     value = worst_case_transformed_expectation(a, q, m, cost)
-    g_star = _worst_case_law(a.inv, q, m, p)
-    transformed = push_forward(g_star, transform(a, p, q))
-    mean, second = g_star.mean(), g_star.second_moment()
+    atoms = _worst_case_law(a.inv, q, m, p)
+    t = transform(a, p, q)
+    images = tuple(t.apply(v) for v in atoms[0])
+    _check_moments(atoms, m)
+    _check_attainment(images, atoms[1], a, q, value, cost)
+    duals = _dual_certificate(a, q, m, cost)
+    _check_certificate(duals, value, m)
+    return value, atoms, duals
+
+
+def _laws(
+    a: MisspecIndex, q: float, atoms: _Atoms, p: float
+) -> tuple[DiscreteDistribution, DiscreteDistribution]:
+    """The worst-case law built from checked atoms, and its transformed image."""
+    g_star = DiscreteDistribution.from_pairs(*atoms)
+    return g_star, push_forward(g_star, transform(a, p, q))
+
+
+def _check_moments(atoms: _Atoms, m: MomentSpec) -> None:
+    """The law's mass is 1 and its mean and second moment match ``m``, within
+    1e-9 (relative to the second moment above 1)."""
+    support, weights = atoms
+    mass = math.fsum(weights)
+    mean = math.fsum(v * w for v, w in zip(support, weights))
+    second = math.fsum(v * v * w for v, w in zip(support, weights))
     tol = _CHECK_TOL * max(1.0, m.second_moment)
-    if abs(mean - m.mean) > tol or abs(second - m.second_moment) > tol:
+    if (
+        abs(mass - 1.0) > _CHECK_TOL
+        or abs(mean - m.mean) > tol
+        or abs(second - m.second_moment) > tol
+    ):
         raise InternalCheckError(
-            f"constructed law violates its moment constraints: mean {mean!r} "
-            f"vs {m.mean!r}, second moment {second!r} vs {m.second_moment!r}"
+            f"constructed law violates its moment constraints: mass {mass!r}, mean "
+            f"{mean!r} vs {m.mean!r}, second moment {second!r} vs {m.second_moment!r}"
         )
-    attained = transformed.expectation(lambda v: profit(q, v, cost))
+
+
+def _check_attainment(
+    images: Sequence[float],
+    weights: Sequence[float],
+    a: MisspecIndex,
+    q: float,
+    value: float,
+    cost: CostStructure,
+) -> None:
+    """The expected profit of the transformed atoms at ``q`` equals the value,
+    within 1e-9 (relative above 1)."""
+    p, c = cost.price, cost.cost
+    attained = math.fsum(w * (p * min(q, v) - c * q) for v, w in zip(images, weights))
     if abs(attained - value) > _CHECK_TOL * max(1.0, abs(value)):
         raise InternalCheckError(
             f"worst-case law fails to attain the value function: "
             f"{attained!r} vs {value!r} at alpha={a!r}, q={q!r}"
         )
-    return value, g_star, transformed
 
 
-def _report(
-    a: MisspecIndex, q: float, regime: Regime, m: MomentSpec, cost: CostStructure
-) -> SolveReport:
-    """The checked report at ``(a, q)``: the value function, the worst-case law
-    and its image, their checks, and the certificate, each evaluated once."""
-    value, g_star, transformed = _attaining_law(a, q, m, cost)
-    duals = _dual_certificate(a, q, m, cost)
-    report = SolveReport(q, value, regime, a, g_star, transformed, duals)
-    _check_report(report, m)
-    return report
+def _check_certificate(
+    duals: tuple[tuple[str, float], ...], value: float, m: MomentSpec
+) -> None:
+    """The dual identity ``s*mu - r*(mu^2 + sigma^2) - t == value``, within
+    1e-9 (relative above 1) plus the rounding bound of evaluating the three
+    terms: near sigma = 0 they grow like mu/sigma and cancel to the value."""
+    if duals:
+        d = dict(duals)
+        s = d["s_alpha"] * m.mean
+        r = d["r_alpha"] * m.second_moment
+        t = d["t_alpha"]
+        dual_value = s - r - t
+        size = abs(s) + abs(r) + abs(t)
+        tol = _CHECK_TOL * max(1.0, abs(value)) + _ROUNDING * size
+        if abs(dual_value - value) > tol:
+            raise InternalCheckError(f"dual certificate mismatch: {dual_value!r} vs {value!r}")
+
+
+def _check_report(report: SolveReport, m: MomentSpec) -> None:
+    """The certificate check of a built report."""
+    _check_certificate(report.duals, report.value, m)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +695,26 @@ def scarf_quantity(m: MomentSpec, cost: CostStructure) -> SolveReport:
     return misspec_quantity(MisspecIndex.INFINITY, m, cost)
 
 
+def _quantity(a: MisspecIndex, m: MomentSpec, cost: CostStructure) -> tuple[float, Regime]:
+    """The closed-form quantity and its regime at a nonzero index; see
+    :func:`misspec_quantity`."""
+    kappa = cost.kappa
+    mu, sig = m.mean, m.std
+    p = cost.price
+    if kappa < sig * sig / m.second_moment:
+        return 0.0, Regime.DEGENERATE
+    margin = mu - sig * math.sqrt((1.0 - kappa) / kappa)
+    threshold = p / (2.0 * margin) if margin > 0.0 else math.inf
+    f = fractile_factor(1.0 - kappa)
+    if a.alpha >= threshold:
+        q = mu + sig * f - p / (4.0 * a.alpha)
+        regime = Regime.AMBIGUITY_ONLY if a.is_infinite else Regime.HIGH_ALPHA
+    else:
+        q = (mu * mu - sig * sig + 2.0 * mu * sig * f) * a.alpha / p
+        regime = Regime.LOW_ALPHA
+    return max(q, 0.0), regime
+
+
 def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> SolveReport:
     """Optimal order quantity under the misspecification-penalized model.
 
@@ -640,45 +729,24 @@ def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> So
     index (labelled AMBIGUITY_ONLY there).
     """
     a = as_misspec_index(alpha)
-    kappa = cost.kappa
-    mu, sig = m.mean, m.std
-    p = cost.price
     if a.alpha == 0.0:
         # strongest aversion: max-min over all laws — order nothing
         g_star = ambiguity_worst_case(0.0, m)
         return SolveReport(0.0, 0.0, Regime.DEGENERATE, a, g_star, g_star)
-    gate = sig * sig / m.second_moment
-    if kappa < gate:
-        q = 0.0
-        regime = Regime.DEGENERATE
-    else:
-        margin = mu - sig * math.sqrt((1.0 - kappa) / kappa)
-        threshold = p / (2.0 * margin) if margin > 0.0 else math.inf
-        f = fractile_factor(1.0 - kappa)
-        if a.alpha >= threshold:
-            q = mu + sig * f - p / (4.0 * a.alpha)
-            regime = Regime.AMBIGUITY_ONLY if a.is_infinite else Regime.HIGH_ALPHA
-        else:
-            q = (mu * mu - sig * sig + 2.0 * mu * sig * f) * a.alpha / p
-            regime = Regime.LOW_ALPHA
-    return _report(a, max(q, 0.0), regime, m, cost)
+    q, regime = _quantity(a, m, cost)
+    value, atoms, duals = _evaluate(a, q, m, cost)
+    return SolveReport(q, value, regime, a, *_laws(a, q, atoms, cost.price), duals)
 
 
-def _check_report(report: SolveReport, m: MomentSpec) -> None:
-    """The dual identity ``s*mu - r*(mu^2 + sigma^2) - t == value``, within
-    1e-9 (relative above 1) plus the rounding bound of evaluating the three
-    terms: near sigma = 0 they grow like mu/sigma and cancel to the value."""
-    if report.duals:
-        s = report.dual("s_alpha") * m.mean
-        r = report.dual("r_alpha") * m.second_moment
-        t = report.dual("t_alpha")
-        dual_value = s - r - t
-        size = abs(s) + abs(r) + abs(t)
-        tol = _CHECK_TOL * max(1.0, abs(report.value)) + _ROUNDING * size
-        if abs(dual_value - report.value) > tol:
-            raise InternalCheckError(
-                f"dual certificate mismatch: {dual_value!r} vs {report.value!r}"
-            )
+def _solve(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> tuple[float, float]:
+    """``(quantity, value)`` of :func:`misspec_quantity`, bit for bit, from the
+    same checked evaluation, for callers that read nothing else: no law object
+    is built."""
+    a = as_misspec_index(alpha)
+    if a.alpha == 0.0:
+        return 0.0, 0.0
+    q, _ = _quantity(a, m, cost)
+    return q, _evaluate(a, q, m, cost)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -719,9 +787,7 @@ def price_threshold_scan(
         require(a_ < b_, "p_grid must be strictly increasing")
     require(grid[0] > c, f"all grid prices must exceed c={c!r}")
     a = as_misspec_index(alpha)
-    quantities = [
-        misspec_quantity(a, m, CostStructure(price=p, cost=c)).quantity for p in grid
-    ]
+    quantities = [_solve(a, m, CostStructure(price=p, cost=c))[0] for p in grid]
     return _tail_turn(grid, quantities)
 
 
@@ -750,7 +816,5 @@ def variance_threshold_scan(
         f"sigma_grid must stay within [0, {hi!r}] (non-degenerate region)",
     )
     a = as_misspec_index(alpha)
-    quantities = [
-        misspec_quantity(a, MomentSpec(mean=mu, std=s), cost).quantity for s in grid
-    ]
+    quantities = [_solve(a, MomentSpec(mean=mu, std=s), cost)[0] for s in grid]
     return _tail_turn(grid, quantities)

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import robustnv
 from robustnv import InternalCheckError, load_demand_csv, write_demand_csv
 from robustnv.cli import main
 
@@ -338,3 +343,109 @@ def test_solve_output_bytes_are_frozen(argv, expected, capsys):
     code, out, err = run(argv, capsys)
     assert code == 0 and err == ""
     assert out == expected
+
+
+# the argv fuzz draws each flag value from its valid pool, or with probability
+# 0.15 from the bad values: non-finite, negative, zero, huge, malformed, empty
+FUZZ_BAD = ["0", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "abc", ""]
+FUZZ_BAD_GRIDS = ["", ",", "nan", "1,nan", "-1,2", "0", "0,0", "4,x", "inf,-inf"]
+
+
+def _fuzz_argv(rng, files):
+    """One argv: a subcommand with randomly valid or invalid flag values,
+    sometimes missing a flag or carrying an unknown one."""
+
+    def flag(name, valid, bad=FUZZ_BAD):
+        pool = bad if rng.uniform() < 0.15 else valid
+        return [name, pool[int(rng.integers(len(pool)))]]
+
+    def grid(name, valid):
+        return flag(name, valid, FUZZ_BAD_GRIDS)
+
+    good_files, bad_files = files[:2], files[2:]
+    cost = flag("--price", ["10", "12.5", "4"]) + flag("--cost", ["3", "2", "0.5"])
+    train = flag("--train", good_files, bad_files)
+    test = flag("--test", good_files, bad_files)
+    moments = flag("--mu", ["4", "9", "0.2"]) + flag("--sigma", ["2", "0.5", "0"])
+    alpha = flag("--alpha", ["4", "0.5", "inf", "1e9", "0"])
+    command = ["solve", "sweep", "calibrate", "evaluate", "experiment", "oracle-check",
+               "generate"][int(rng.integers(7))]
+    if command == "solve":
+        body = cost + moments + alpha
+    elif command == "sweep":
+        body = cost + flag("--axis", ["alpha", "price", "sigma"], ["beta"])
+        body += train if rng.uniform() < 0.5 else moments
+        body += test if rng.uniform() < 0.5 else []
+        body += alpha + grid("--alpha-grid", ["0.5,2,8", "inf", "1,inf"])
+        if rng.uniform() < 0.6:
+            body += flag("--min", ["0.5", "3", "11"]) + flag("--max", ["12", "30"])
+            body += flag("--count", ["1", "3", "7"], ["0", "-2", "x"])
+    elif command == "calibrate":
+        body = flag("--method", ["cv", "formula", "stress"], ["magic"]) + cost + train
+        body += test if rng.uniform() < 0.8 else []
+        body += grid("--alpha-grid", ["0.5,2,8", "inf", "1,inf"])
+        body += grid("--eps-grid", ["0.01,0.1", "0", "0.5"])
+        body += flag("--folds", ["2", "3"], ["1", "0", "-2", "20", "x"])
+    elif command == "evaluate":
+        body = cost + flag("--quantity", ["0", "4", "7.5"]) + test
+    elif command == "experiment":
+        body = cost + train + (test if rng.uniform() < 0.6 else [])
+        body += grid("--alpha-grid", ["0.5,2", "inf", "1,inf"])
+        body += grid("--eps-grid", ["0.01,0.1", "0.5"])
+        body += flag("--theta", ["0", "1.5"]) + flag("--folds", ["2", "3"], ["1", "0", "x"])
+        body += flag("--methods", ["misspec", "tv,nominal", "ambiguity,wasserstein"],
+                     ["bogus", ""])
+    elif command == "oracle-check":
+        body = flag("--instances", ["1", "2"], ["0", "-1", "x"])
+        body += flag("--grid-points", ["20", "30"], ["19", "401", "-5"])
+        body += flag("--q-points", ["10", "12"], ["9", "0"])
+    else:
+        body = flag("--kind", ["trunc-normal", "lognormal", "regime-shift"], ["poisson"])
+        body += flag("--n", ["1", "5", "40"], ["0", "-3", "x"]) + moments
+        for name in ("--mu2", "--sigma2", "--split"):
+            if rng.uniform() < 0.5:
+                body += flag(name, ["3", "0.5"])
+    if rng.uniform() < 0.1:  # drop one flag and its value
+        k = 2 * int(rng.integers(len(body) // 2))
+        body = body[:k] + body[k + 2:]
+    if rng.uniform() < 0.05:
+        body += ["--frobnicate"]
+    head = flag("--seed", ["0", "7"], ["-1", "x"]) + flag("--format", ["json", "csv"], ["xml"])
+    if rng.uniform() < 0.1:
+        head += ["--out", files[-1] + "/no-such-dir/out.json"]
+    return head + [command] + body
+
+
+def test_fuzzed_argvs_exit_with_documented_codes_and_no_traceback(tmp_path, capsys):
+    rng = np.random.default_rng(2024)
+    good = [demand_file(tmp_path, f"d{k}.csv", tuple(float(v) for v in rng.gamma(4.0, 2.0, 12)))
+            for k in range(2)]
+    constant = demand_file(tmp_path, "constant.csv", (5.0,) * 6)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("date,demand\n2020-01-01,-4\n2020-01-02,nan\nnot,a,row\n")
+    files = good + [constant, str(empty), str(bad), str(tmp_path / "missing.csv"),
+                    str(tmp_path)]
+    codes = []
+    for _ in range(300):
+        argv = _fuzz_argv(rng, files)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors and --version
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in err, argv
+        codes.append(code)
+    assert {0, 2, 3} <= set(codes), codes
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats is most of the start-up time; only `generate` needs it
+    src = os.path.dirname(os.path.dirname(robustnv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, robustnv, robustnv.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"

@@ -282,8 +282,8 @@ def test_scarf_is_misspec_quantity_at_the_infinite_index():
     assert min(checked.values()) >= 10, checked
 
 
-@pytest.mark.parametrize("alpha", [0.5, 4.0, 1e6, INF])
-def test_one_solve_builds_and_checks_the_report_once(alpha, monkeypatch):
+def _count_checked_evaluation(monkeypatch):
+    """Count the calls of each stage of the checked evaluation."""
     calls = {}
 
     def counted(obj, name):
@@ -297,12 +297,100 @@ def test_one_solve_builds_and_checks_the_report_once(alpha, monkeypatch):
 
     counted(sp, "worst_case_transformed_expectation")  # the value function
     counted(sp, "_worst_case_law")
-    counted(sp.DiscreteDistribution, "second_moment")  # the moment check
-    counted(sp.DiscreteDistribution, "expectation")  # the attainment check
+    counted(sp, "_check_moments")
+    counted(sp, "_check_attainment")
     counted(sp, "_dual_certificate")
-    counted(sp, "_check_report")
+    counted(sp, "_check_certificate")
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [0.5, 4.0, 1e6, INF])
+def test_one_solve_builds_and_checks_the_report_once(alpha, monkeypatch):
+    calls = _count_checked_evaluation(monkeypatch)
     misspec_quantity(alpha, M42, COST)
     assert calls == dict.fromkeys(calls, 1) and len(calls) == 6, calls
+
+
+@pytest.mark.parametrize("alpha", [0.5, 4.0, 1e6, INF])
+def test_quantity_only_solve_checks_once_and_builds_no_law(alpha, monkeypatch):
+    report = misspec_quantity(alpha, M42, COST)
+    calls = _count_checked_evaluation(monkeypatch)
+    laws = []
+    post_init = DiscreteDistribution.__post_init__
+    monkeypatch.setattr(
+        DiscreteDistribution, "__post_init__", lambda d: laws.append(d) or post_init(d)
+    )
+    assert sp._solve(alpha, M42, COST) == (report.quantity, report.value)
+    assert calls == dict.fromkeys(calls, 1) and len(calls) == 6, calls
+    assert laws == []
+
+
+def _random_instance(rng):
+    """Seeded instance over the whole range: mu 1e-2..1e4, sigma/mu 1e-6..3
+    (10% sigma = 0), p 0.1..100, alpha 1e-3..1e15 * p/10 (10% INFINITY and
+    a few alpha = 0)."""
+    mu = float(10 ** rng.uniform(-2, 4))
+    sigma = 0.0 if rng.uniform() < 0.1 else mu * float(10 ** rng.uniform(-6, math.log10(3)))
+    p = float(10 ** rng.uniform(-1, 2))
+    cost = CostStructure(p, p * float(rng.uniform(0.01, 0.99)))
+    u = rng.uniform()
+    if u < 0.1:
+        alpha = INF
+    elif u < 0.11:
+        alpha = 0.0
+    else:
+        alpha = float(10 ** rng.uniform(-3, 15)) * p / 10
+    return alpha, MomentSpec(mu, sigma), cost
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception class is the outcome to compare
+        return type(exc)
+
+
+def test_quantity_only_solve_is_bit_equal_to_the_report():
+    rng = np.random.default_rng(20_000)
+    for _ in range(20_000):
+        alpha, m, cost = _random_instance(rng)
+        report = _outcome(misspec_quantity, alpha, m, cost)
+        want = report if isinstance(report, type) else (report.quantity, report.value)
+        assert _outcome(sp._solve, alpha, m, cost) == want, (alpha, m, cost)
+
+
+def test_expected_profit_is_bit_equal_to_the_expectation():
+    rng = np.random.default_rng(3_000)
+    for _ in range(3_000):
+        scale = float(10 ** rng.uniform(-2, 4))
+        n = int(rng.integers(1, 200))
+        dist = DiscreteDistribution.from_samples(scale * rng.gamma(2.0, 0.5, size=n))
+        p = float(10 ** rng.uniform(-1, 2))
+        cost = CostStructure(p, p * float(rng.uniform(0.01, 0.99)))
+        q = scale * float(rng.uniform(0.0, 3.0))
+        want = dist.expectation(lambda v: profit(q, v, cost))
+        assert sp._expected_profit(dist, q, cost) == want
+
+
+def test_perturbed_atom_weight_fails_the_quantity_only_solve(monkeypatch):
+    law = sp._worst_case_law
+
+    def perturbed(*args):
+        support, weights = law(*args)
+        k = int(np.argmax(weights))
+        bumped = weights[k] * (1.0 + 1e-6)
+        return support, weights[:k] + (bumped,) + weights[k + 1 :]
+
+    monkeypatch.setattr(sp, "_worst_case_law", perturbed)
+    rng = np.random.default_rng(7)
+    solved = 0
+    while solved < 300:
+        alpha, m, cost = _random_instance(rng)
+        if alpha == 0.0:
+            continue
+        with pytest.raises(InternalCheckError):
+            sp._solve(alpha, m, cost)
+        solved += 1
 
 
 def test_near_zero_variance_certificate_found_instance_certifies():
