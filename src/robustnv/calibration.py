@@ -27,6 +27,7 @@ from .single_product import (
     MisspecIndex,
     MomentSpec,
     _expected_profit,
+    _profit,
     _solve,
     as_misspec_index,
 )
@@ -308,9 +309,8 @@ def _held_out_score(
     cost: CostStructure,
 ) -> float:
     """Average over folds of the held-out mean selling profit."""
-    p, c = cost.price, cost.cost
     scores = [
-        float(np.mean(p * np.minimum(q, values[held]) - c * q))
+        float(np.mean(_profit(q, values[held], cost)))
         for held, q in zip(parts, quantities)
     ]
     return float(np.mean(scores))

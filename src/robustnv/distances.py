@@ -243,14 +243,14 @@ def wasserstein_misspec_solve(
         return WassersteinSolution(0.0, 0.0, WassersteinCase.DEGENERATE_RADIUS)
 
     cutoff = cost.price / (2.0 * ref.q_star)
-    if not a.is_infinite:
-        gamma2 = a.alpha * (1.0 - math.sqrt(theta / ref.beta_effective))
-        if gamma2 < cutoff:
-            return WassersteinSolution(
-                gamma2,
-                _psi_from_gamma(gamma2, ref, cost.price),
-                WassersteinCase.CLOSED_FORM,
-            )
+    # at inv = 0 gamma2 is inf (NaN if the root factor is 0) and falls through
+    gamma2 = a.alpha * (1.0 - math.sqrt(theta / ref.beta_effective))
+    if gamma2 < cutoff:
+        return WassersteinSolution(
+            gamma2,
+            _psi_from_gamma(gamma2, ref, cost.price),
+            WassersteinCase.CLOSED_FORM,
+        )
     gamma, step = _implicit_gamma(ref, theta, a, cost)
     return WassersteinSolution(
         gamma,

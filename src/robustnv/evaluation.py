@@ -50,6 +50,7 @@ from .single_product import (
     ell,
     misspec_quantity,
     nominal_quantity,
+    profit,
 )
 from .validation import (
     InputError,
@@ -209,9 +210,7 @@ class ExperimentReport:
 
 def out_of_sample_profit(q: float, test: SampleSet, cost: CostStructure) -> float:
     """Average selling profit of ordering ``q`` against held-out observations."""
-    require_nonnegative("q", q)
-    vals = np.asarray(test.values, dtype=float)
-    return float(np.mean(cost.price * np.minimum(q, vals) - cost.cost * q))
+    return float(np.mean(profit(q, np.asarray(test.values, dtype=float), cost)))
 
 
 _SWEEP_AXES = ("alpha", "price", "sigma")
@@ -745,13 +744,7 @@ def oracle_check(
         q_hi = max(_solve(MisspecIndex.INFINITY, m, cs)[0] * 1.2, 1e-6)
         q_grid = np.linspace(0.0, q_hi, int(q_points))
         q_step = q_grid[1] - q_grid[0]
-        a = None if isinstance(alpha, MisspecIndex) and alpha.is_infinite else float(
-            alpha if not isinstance(alpha, MisspecIndex) else alpha.alpha
-        )
-        rows = np.empty((q_grid.size + 1, grid.size))
-        for i, q in enumerate(q_grid):
-            rows[i] = _objective_row(a, float(q), grid, cs)
-        rows[-1] = _objective_row(a, closed.quantity, grid, cs)
+        rows = np.array([ell(alpha, float(q), grid, cs) for q in [*q_grid, closed.quantity]])
         values, _ = family.minimize_many(rows)
         best = int(np.argmax(values[:-1]))
         q_gap = abs(closed.quantity - q_grid[best])
@@ -782,11 +775,3 @@ def oracle_check(
         "max_value_gap_fraction_of_budget": round(float(worst_value_gap), 6),
         "passed": True,
     }
-
-
-def _objective_row(
-    alpha: float | None, q: float, grid: np.ndarray, cs: CostStructure
-) -> np.ndarray:
-    if alpha is None:
-        return cs.price * np.minimum(q, grid) - cs.cost * q
-    return np.array([ell(alpha, q, float(v), cs) for v in grid])

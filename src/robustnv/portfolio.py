@@ -419,12 +419,9 @@ def dual_objective_curve(lambdas, portfolio: PortfolioSpec, grid) -> np.ndarray:
         w = np.where(singleton, 1.0, w)
         # second-moment chords: one slope per candidate law
         slopes = (w * (va * va)[:, None] + (1.0 - w) * (vb * vb)[None, :]).ravel()
-        lvals = np.array(
-            [[ell(a, float(q), float(u), cost) for u in v] for q in v]
-        )
         best = np.full(lams.size, -np.inf)
-        for qi in range(v.size):
-            row = lvals[qi]
+        for q in v:
+            row = ell(a, float(q), v, cost)
             intercepts = (
                 w * row[ia][:, None] + (1.0 - w) * row[ib][None, :]
             ).ravel()

@@ -116,7 +116,7 @@ class CostStructure:
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """First two moments of demand: mean ``mu > 0`` and std ``sigma >= 0``."""
+    """Demand mean ``mu > 0`` and std ``sigma >= 0``, with ``mu^2 + sigma^2`` finite."""
 
     mean: float
     std: float
@@ -124,6 +124,8 @@ class MomentSpec:
     def __post_init__(self) -> None:
         require_positive("mean", self.mean)
         require_nonnegative("std", self.std)
+        second = self.second_moment
+        require(math.isfinite(second), f"mean^2 + std^2 must be finite, got {second!r}")
 
     @property
     def second_moment(self) -> float:
@@ -168,6 +170,7 @@ class MisspecIndex:
 MisspecIndex.INFINITY = MisspecIndex(math.inf)
 
 AlphaLike = Union[MisspecIndex, float, int]
+_Demand = Union[float, np.ndarray]
 
 
 def as_misspec_index(alpha: AlphaLike) -> MisspecIndex:
@@ -391,30 +394,42 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def profit(q: float, v: float, cost: CostStructure) -> float:
-    """Selling profit p*min(q, v) - c*q."""
+def _require_demands(v: np.ndarray) -> np.ndarray:
+    """An array of demands as floats, checked once: every entry finite and >= 0."""
+    v = np.asarray(v, dtype=float)
+    require(bool(np.all(np.isfinite(v) & (v >= 0.0))), "v entries must be finite and >= 0")
+    return v
+
+
+def _profit(q: float, v: _Demand, cost: CostStructure) -> _Demand:
+    """``p*min(q, v) - c*q`` on a checked float or array ``v``; on a float the
+    conditional is ``min(q, v)`` bit for bit, without the builtin's call."""
+    sold = (v if v < q else q) if isinstance(v, float) else np.minimum(q, v)
+    return cost.price * sold - cost.cost * q
+
+
+def profit(q: float, v: _Demand, cost: CostStructure) -> _Demand:
+    """Selling profit p*min(q, v) - c*q, for a float ``v`` or an array of demands."""
     q = require_nonnegative("q", q)
-    v = require_nonnegative("v", v)
-    return cost.price * min(q, v) - cost.cost * q
+    v = _require_demands(v) if isinstance(v, np.ndarray) else require_nonnegative("v", v)
+    return _profit(q, v, cost)
 
 
 def _expected_profit(dist: DiscreteDistribution, q: float, cost: CostStructure) -> float:
     """``dist.expectation(lambda v: profit(q, v, cost))``, bit for bit: the
     same terms, evaluated in numpy, summed by ``math.fsum``."""
-    q = require_nonnegative("q", q)
-    p, c = cost.price, cost.cost
-    terms = dist.weights_array() * (p * np.minimum(q, dist.support_array()) - c * q)
+    terms = dist.weights_array() * profit(q, dist.support_array(), cost)
     return math.fsum(terms.tolist())
 
 
-def ell(alpha: AlphaLike, q: float, v: float, cost: CostStructure) -> float:
+def ell(alpha: AlphaLike, q: float, v: _Demand, cost: CostStructure) -> _Demand:
     """Pointwise envelope min_u { pi(q, u) + alpha*(u - v)^2 }.
 
     Closed form: for ``q <= p/(4 alpha)`` it equals
     ``min(alpha v^2, p q) - c q``; otherwise ``alpha v^2 - c q`` when
-    ``v <= p/(2 alpha)`` and ``p*min(v - p/(4 alpha), q) - c q`` above.
-    At ``inv = 1/alpha = 0`` only the last piece is reached and ``ell`` is
-    ``pi`` itself.
+    ``v <= p/(2 alpha)`` and ``pi(q, v - p/(4 alpha))`` above.  At
+    ``inv = 1/alpha = 0`` only the last piece is reached and ``ell`` is
+    ``pi`` itself.  ``v`` may be a float or an array: per point, bit for bit.
     """
     a = as_misspec_index(alpha)
     if a.alpha == 0.0:
@@ -423,14 +438,22 @@ def ell(alpha: AlphaLike, q: float, v: float, cost: CostStructure) -> float:
             "degenerates; use the robust limit q = 0"
         )
     q = require_nonnegative("q", q)
-    v = require_nonnegative("v", v)
     p, c = cost.price, cost.cost
     pinv = p * a.inv
-    if 4.0 * q <= pinv:  # only q = 0 when inv = 0
-        return (a.alpha * v * v if v * v < q * pinv else p * q) - c * q
-    if 2.0 * v < pinv:
-        return a.alpha * v * v - c * q
-    return p * min(v - 0.25 * pinv, q) - c * q
+    if not isinstance(v, np.ndarray):
+        v = require_nonnegative("v", v)
+        if 4.0 * q <= pinv:  # only q = 0 when inv = 0
+            return (a.alpha * v * v if v * v < q * pinv else p * q) - c * q
+        if 2.0 * v < pinv:
+            return a.alpha * v * v - c * q
+        return _profit(q, v - 0.25 * pinv, cost)
+    v = _require_demands(v)
+    # np.where forms both sides: the unused alpha*v^2 may be inf*0 or overflow
+    with np.errstate(invalid="ignore", over="ignore"):
+        quad = a.alpha * v * v
+        if 4.0 * q <= pinv:
+            return np.where(v * v < q * pinv, quad, p * q) - c * q
+        return np.where(2.0 * v < pinv, quad - c * q, _profit(q, v - 0.25 * pinv, cost))
 
 
 def fractile_factor(x: float) -> float:
@@ -626,10 +649,10 @@ def _check_moments(atoms: _Atoms, m: MomentSpec) -> None:
     mean = math.fsum(v * w for v, w in zip(support, weights))
     second = math.fsum(v * v * w for v, w in zip(support, weights))
     tol = _CHECK_TOL * max(1.0, m.second_moment)
-    if (
-        abs(mass - 1.0) > _CHECK_TOL
-        or abs(mean - m.mean) > tol
-        or abs(second - m.second_moment) > tol
+    if not (
+        abs(mass - 1.0) <= _CHECK_TOL
+        and abs(mean - m.mean) <= tol
+        and abs(second - m.second_moment) <= tol
     ):
         raise InternalCheckError(
             f"constructed law violates its moment constraints: mass {mass!r}, mean "
@@ -647,9 +670,8 @@ def _check_attainment(
 ) -> None:
     """The expected profit of the transformed atoms at ``q`` equals the value,
     within 1e-9 (relative above 1)."""
-    p, c = cost.price, cost.cost
-    attained = math.fsum(w * (p * min(q, v) - c * q) for v, w in zip(images, weights))
-    if abs(attained - value) > _CHECK_TOL * max(1.0, abs(value)):
+    attained = math.fsum(w * _profit(q, v, cost) for v, w in zip(images, weights))
+    if not abs(attained - value) <= _CHECK_TOL * max(1.0, abs(value)):
         raise InternalCheckError(
             f"worst-case law fails to attain the value function: "
             f"{attained!r} vs {value!r} at alpha={a!r}, q={q!r}"
@@ -670,13 +692,8 @@ def _check_certificate(
         dual_value = s - r - t
         size = abs(s) + abs(r) + abs(t)
         tol = _CHECK_TOL * max(1.0, abs(value)) + _ROUNDING * size
-        if abs(dual_value - value) > tol:
+        if not abs(dual_value - value) <= tol:
             raise InternalCheckError(f"dual certificate mismatch: {dual_value!r} vs {value!r}")
-
-
-def _check_report(report: SolveReport, m: MomentSpec) -> None:
-    """The certificate check of a built report."""
-    _check_certificate(report.duals, report.value, m)
 
 
 # ---------------------------------------------------------------------------

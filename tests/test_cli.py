@@ -279,8 +279,14 @@ def test_version_flag(capsys):
         ["--out", "{tmp}/no-such-dir/out.json"] + SOLVE + ["--alpha", "4"],
         ["sweep", "--price", "10", "--cost", "3", "--axis", "alpha",
          "--mu", "4", "--sigma", "2", "--min", "0", "--max", "5"],
+        # mu^2 + sigma^2 overflows: a non-finite second moment is bad input
+        ["solve", "--price", "4", "--cost", "0.5", "--mu", "1e308", "--sigma", "2",
+         "--alpha", "4"],
+        ["solve", "--price", "4", "--cost", "0.5", "--mu", "1e160", "--sigma", "2",
+         "--alpha", "4"],
     ],
-    ids=["missing-train-file", "out-into-missing-directory", "alpha-axis-min-zero"],
+    ids=["missing-train-file", "out-into-missing-directory", "alpha-axis-min-zero",
+         "mu-1e308", "mu-1e160"],
 )
 def test_bad_files_and_axis_bounds_exit_2(argv, tmp_path, capsys):
     code, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
@@ -346,8 +352,9 @@ def test_solve_output_bytes_are_frozen(argv, expected, capsys):
 
 
 # the argv fuzz draws each flag value from its valid pool, or with probability
-# 0.15 from the bad values: non-finite, negative, zero, huge, malformed, empty
-FUZZ_BAD = ["0", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "abc", ""]
+# 0.15 from the bad values: non-finite, negative, zero, huge (1e160 overflows a
+# square), malformed, empty
+FUZZ_BAD = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e160", "5e-324", "abc", ""]
 FUZZ_BAD_GRIDS = ["", ",", "nan", "1,nan", "-1,2", "0", "0,0", "4,x", "inf,-inf"]
 
 

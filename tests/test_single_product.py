@@ -1,7 +1,6 @@
 """Closed-form single-product solvers: frozen values and model invariants."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +117,34 @@ def test_ell_continuity_at_branch_seams():
         below = ell(alpha, q, seam - 1e-9, cost)
         above = ell(alpha, q, seam + 1e-9, cost)
         assert abs(below - above) < 1e-6
+
+
+def test_array_ell_and_profit_are_bit_equal_to_the_scalar_forms():
+    # alpha log-uniform in [1e-3, 1e15] plus 10% INFINITY, demand scales 1e-2..1e4;
+    # q = 0 and the branch seam q = p*inv/4 are included, and v sits on every
+    # breakpoint of ell as well as at random points
+    rng = np.random.default_rng(6_000)
+    for k in range(20_000):
+        alpha = INF if rng.uniform() < 0.1 else float(10 ** rng.uniform(-3, 15))
+        inv = sp.as_misspec_index(alpha).inv
+        mu = float(10 ** rng.uniform(-2, 4))
+        p = float(10 ** rng.uniform(-1, 2))
+        cost = CostStructure(p, p * float(rng.uniform(0.01, 0.99)))
+        q = (0.0, p * inv / 4, mu * float(rng.uniform(0.0, 3.0)))[k % 3]
+        breaks = [0.0, math.sqrt(q * p * inv), p * inv / 2, q + p * inv / 4]
+        v = np.concatenate([breaks, mu * rng.uniform(0.0, 3.0, 6)])
+        for fn, args in ((ell, (alpha, q)), (profit, (q,))):
+            want = np.array([fn(*args, float(x), cost) for x in v])
+            assert fn(*args, v, cost).tobytes() == want.tobytes(), (fn, alpha, q, mu, p)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_array_demand_with_a_bad_entry_is_rejected(bad):
+    v = np.array([0.0, 2.0, bad, 5.0])
+    with pytest.raises(InputError):
+        ell(4.0, 2.0, v, COST)
+    with pytest.raises(InputError):
+        profit(2.0, v, COST)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +442,20 @@ def test_near_zero_variance_certificates_pass_their_check():
 @pytest.mark.parametrize("alpha", [4.0, INF])
 def test_perturbed_certificate_is_rejected(alpha):
     r = misspec_quantity(alpha, M42, COST)
-    sp._check_report(r, M42)
+    sp._check_certificate(r.duals, r.value, M42)
     bad = tuple((k, v * (1.0 + 1e-6) if k == "r_alpha" else v) for k, v in r.duals)
     with pytest.raises(InternalCheckError, match="dual certificate mismatch"):
-        sp._check_report(replace(r, duals=bad), M42)
+        sp._check_certificate(bad, r.value, M42)
+
+
+def test_nan_fails_each_solve_check():
+    nan = math.nan
+    with pytest.raises(InternalCheckError):
+        sp._check_moments(((nan, 5.0), (0.2, 0.8)), M42)
+    with pytest.raises(InternalCheckError):
+        sp._check_attainment((0.0, 5.0), (0.2, 0.8), MisspecIndex(4.0), 2.0, nan, COST)
+    with pytest.raises(InternalCheckError):
+        sp._check_certificate((("s_alpha", nan), ("r_alpha", 1.0), ("t_alpha", 0.0)), 1.0, M42)
 
 
 def test_footnote_two_point_law_example():
