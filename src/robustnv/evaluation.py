@@ -745,7 +745,7 @@ def oracle_check(
         q_grid = np.linspace(0.0, q_hi, int(q_points))
         q_step = q_grid[1] - q_grid[0]
         rows = np.array([ell(alpha, float(q), grid, cs) for q in [*q_grid, closed.quantity]])
-        values, _ = family.minimize_many(rows)
+        values = family._min_values(rows)
         best = int(np.argmax(values[:-1]))
         q_gap = abs(closed.quantity - q_grid[best])
         value_tol = cs.price * (hi / (grid.size - 1))

@@ -356,13 +356,35 @@ class MomentLawFamily:
         (first hit), which is deterministic; use :meth:`minimize` when the
         strict lexicographic tie rule matters.
         """
-        from scipy import sparse
+        obj = self._checked_objectives(objectives)
+        values = np.empty(obj.shape[0])
+        rows = np.empty(obj.shape[0], dtype=np.int64)
+        for span, block in self._expectation_blocks(obj):
+            r = np.argmin(block, axis=0)
+            rows[span] = r
+            values[span] = block[r, np.arange(block.shape[1])]
+        return values, rows
 
+    def _min_values(self, objectives: np.ndarray) -> np.ndarray:
+        """The minima of :meth:`minimize_many`, bit for bit, without the rows."""
+        obj = self._checked_objectives(objectives)
+        values = np.empty(obj.shape[0])
+        for span, block in self._expectation_blocks(obj):
+            values[span] = block.min(axis=0)
+        return values
+
+    def _checked_objectives(self, objectives) -> np.ndarray:
         obj = np.asarray(objectives, dtype=float)
         require(
             obj.ndim == 2 and obj.shape[1] == self.grid.size,
             "objectives must have shape (n_objectives, n_grid)",
         )
+        return obj
+
+    def _expectation_blocks(self, obj: np.ndarray):
+        """(row slice, (n_laws, rows) block of law expectations) per chunk."""
+        from scipy import sparse
+
         if self._law_matrix is None:
             n = self.n_laws
             indptr = np.arange(0, 3 * n + 1, 3)
@@ -374,15 +396,9 @@ class MomentLawFamily:
                 ),
                 shape=(n, self.grid.size),
             )
-        values = np.empty(obj.shape[0])
-        rows = np.empty(obj.shape[0], dtype=np.int64)
         chunk = max(1, int(2e7 // max(self.n_laws, 1)))
         for lo in range(0, obj.shape[0], chunk):
-            block = self._law_matrix @ obj[lo : lo + chunk].T  # (n_laws, chunk)
-            r = np.argmin(block, axis=0)
-            rows[lo : lo + chunk] = r
-            values[lo : lo + chunk] = block[r, np.arange(block.shape[1])]
-        return values, rows
+            yield slice(lo, lo + chunk), self._law_matrix @ obj[lo : lo + chunk].T
 
     def law(self, row: int) -> DiscreteDistribution:
         idx = self.atom_indices[row]

@@ -43,6 +43,7 @@ from .validation import (
 
 _BISECT_REL_TOL = 1e-10
 _MAX_BISECT_ITER = 300
+_ENVELOPE_BLOCK = 1 << 20  # intercepts held at once by dual_objective_curve
 
 
 @dataclass(frozen=True)
@@ -392,6 +393,13 @@ def dual_objective_curve(lambdas, portfolio: PortfolioSpec, grid) -> np.ndarray:
     quantity) - evaluated on the sorted grid.  Agrees with dual_objective
     pointwise; exists because a 10^4-point sweep through the oracle would be
     hopeless.
+
+    All quantity rows of a product share the slopes (the chords), so the
+    slope order is found once per product.  Before the hull, a line is
+    dropped when a line of smaller or equal slope matches or beats it at the
+    smallest multiplier lam0 = lambdas[0]: for every lam >= lam0 the dropped
+    line stays at or above that line, so the envelope on the swept range
+    cannot change.  Typically a few dozen of several thousand lines survive.
     """
     lams = np.asarray(lambdas, dtype=float)
     require(lams.ndim == 1 and lams.size >= 1, "lambdas must be 1-D, nonempty")
@@ -420,24 +428,43 @@ def dual_objective_curve(lambdas, portfolio: PortfolioSpec, grid) -> np.ndarray:
         # second-moment chords: one slope per candidate law
         slopes = (w * (va * va)[:, None] + (1.0 - w) * (vb * vb)[None, :]).ravel()
         best = np.full(lams.size, -np.inf)
-        for q in v:
-            row = ell(a, float(q), v, cost)
-            intercepts = (
-                w * row[ia][:, None] + (1.0 - w) * row[ib][None, :]
-            ).ravel()
-            np.maximum(best, _envelope_min(slopes, intercepts, lams), out=best)
+        step = max(1, _ENVELOPE_BLOCK // slopes.size)  # quantity rows per block
+        for lo in range(0, v.size, step):
+            rows = np.array([ell(a, float(q), v, cost) for q in v[lo : lo + step]])
+            intercepts = w * rows[:, ia, None] + (1.0 - w) * rows[:, None, ib]
+            env = _envelope_min(slopes, intercepts.reshape(len(rows), -1), lams)
+            np.maximum(best, env.max(axis=0), out=best)
         out = out + best
     return out
 
 
 def _envelope_min(slopes, intercepts, xs) -> np.ndarray:
-    """Pointwise minimum of the lines b + m*x on ascending query points xs."""
-    order = np.lexsort((intercepts, -slopes))  # slope desc, intercept asc
+    """Pointwise minimum of the lines b + m*x on ascending query points xs.
+
+    ``intercepts`` is one line family (1-D, returns one row of values) or
+    one family per row (2-D, returns one row per family), all sharing
+    ``slopes``.
+    """
+    bs = np.atleast_2d(intercepts)
+    order = np.argsort(-slopes, kind="stable")  # slope descending
     ms = slopes[order]
-    bs = intercepts[order]
-    keep = np.ones(ms.size, dtype=bool)
-    keep[1:] = np.diff(ms) < 0.0  # first (lowest) intercept per slope wins
-    ms, bs = ms[keep], bs[keep]
+    starts = np.flatnonzero(np.r_[True, np.diff(ms) < 0.0])
+    ms = ms[starts]
+    bs = np.minimum.reduceat(bs[:, order], starts, axis=1)  # lowest per slope
+    # a line that a later (flatter) line matches or beats at xs[0] stays at
+    # or above it on all of xs
+    at0 = bs + ms * xs[0]
+    rest = np.minimum.accumulate(at0[:, :0:-1], axis=1)[:, ::-1]
+    keep = np.ones(bs.shape, dtype=bool)
+    keep[:, :-1] = at0[:, :-1] < rest
+    env = np.empty((bs.shape[0], xs.size))
+    for r in range(bs.shape[0]):
+        env[r] = _chain(ms[keep[r]].tolist(), bs[r, keep[r]].tolist(), xs)
+    return env if np.ndim(intercepts) == 2 else env[0]
+
+
+def _chain(ms: list[float], bs: list[float], xs) -> np.ndarray:
+    """Lower envelope of lines with strictly descending slopes, at xs."""
     hull_m: list[float] = []
     hull_b: list[float] = []
     cuts: list[float] = []  # x past which the next hull line takes over

@@ -129,7 +129,8 @@ class MomentSpec:
 
     @property
     def second_moment(self) -> float:
-        return self.mean * self.mean + self.std * self.std
+        mean, std = float(self.mean), float(self.std)  # an int square may not fit a float
+        return mean * mean + std * std
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,14 @@ class MisspecIndex:
 
     INFINITY: ClassVar["MisspecIndex"]
 
-    def __post_init__(self) -> None:
-        a = float(self.alpha)
-        if not (math.isinf(a) and a > 0):
+    def __init__(self, alpha: float) -> None:
+        # by hand: every float alpha is coerced here, and the generated
+        # __init__ plus a __post_init__ cost twice as much
+        try:
+            a = float(alpha)
+        except OverflowError:  # an int beyond the float range is no index
+            a = require_finite("alpha", alpha)  # raises InputError
+        if not a >= 0.0:  # negative, NaN or -inf; +inf is the INFINITY index
             require_nonnegative("alpha", a)
         object.__setattr__(self, "alpha", a)
 
@@ -177,7 +183,7 @@ def as_misspec_index(alpha: AlphaLike) -> MisspecIndex:
     """Coerce a float (``math.inf`` allowed) or MisspecIndex to MisspecIndex."""
     if isinstance(alpha, MisspecIndex):
         return alpha
-    return MisspecIndex(float(alpha))
+    return MisspecIndex(alpha)
 
 
 def _merge_sorted(values, weights, rel_tol=1e-12):

@@ -44,7 +44,10 @@ def require(condition: bool, message: str, exc: type = InputError) -> None:
 
 
 def require_finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # a Python int beyond the float range
+        raise InputError(f"{name} must be finite, got an int beyond the float range") from None
     if not math.isfinite(value):
         raise InputError(f"{name} must be finite, got {value!r}")
     return value
@@ -58,7 +61,10 @@ def require_positive(name: str, value: float) -> float:
 
 
 def require_nonnegative(name: str, value: float, *, allow_inf: bool = False) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        return require_finite(name, value)  # raises InputError
     if allow_inf and math.isinf(value) and value > 0:
         return value
     value = require_finite(name, value)

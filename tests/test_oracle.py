@@ -191,6 +191,16 @@ def test_family_minimize_many_matches_single_calls():
         assert rows[k] == r_single
 
 
+def test_family_values_only_minimum_is_bit_equal_to_minimize_many():
+    grid = np.linspace(0, 16, 161)
+    family = MomentLawFamily(mean_second_set(grid, 4.0, 20.0))
+    rows = np.array([ell(2.5, float(q), grid, COST) for q in np.linspace(0, 9, 42)])
+    noise = np.random.default_rng(18).standard_normal((8, grid.size))
+    for objectives in (rows, noise, rows[:0]):
+        want = family.minimize_many(objectives)[0]
+        assert family._min_values(objectives).tobytes() == want.tobytes()
+
+
 def test_family_grid_cap():
     grid = np.linspace(0, 10, 401)
     cs = mean_second_set(grid, 4.0, 20.0)

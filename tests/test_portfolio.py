@@ -18,6 +18,7 @@ from robustnv import (
     ThetaForm,
     dual_objective,
     dual_objective_curve,
+    ell,
     lambda_breakpoints,
     misspec_quantity,
     product_quantities,
@@ -267,6 +268,134 @@ def test_envelope_min_matches_brute_force():
         got = _envelope_min(slopes, intercepts, xs)
         want = np.min(intercepts[None, :] + xs[:, None] * slopes[None, :], axis=1)
         assert np.allclose(got, want, atol=1e-9)
+
+
+def _per_row_envelope_min(slopes, intercepts, xs):
+    """The envelope as first written: one sort and one full chain per family."""
+    order = np.lexsort((intercepts, -slopes))  # slope desc, intercept asc
+    ms = slopes[order]
+    bs = intercepts[order]
+    keep = np.ones(ms.size, dtype=bool)
+    keep[1:] = np.diff(ms) < 0.0  # first (lowest) intercept per slope wins
+    ms, bs = ms[keep], bs[keep]
+    hull_m, hull_b, cuts = [], [], []
+    for m, b in zip(ms, bs):
+        while hull_m:
+            x = (b - hull_b[-1]) / (hull_m[-1] - m)
+            if cuts and x <= cuts[-1]:
+                hull_m.pop()
+                hull_b.pop()
+                cuts.pop()
+                continue
+            cuts.append(x)
+            break
+        hull_m.append(m)
+        hull_b.append(b)
+    idx = np.searchsorted(np.asarray(cuts), xs, side="left")
+    return np.asarray(hull_b)[idx] + np.asarray(hull_m)[idx] * xs
+
+
+def _per_row_curve(lams, pf, v):
+    """dual_objective_curve with one full per-row chain per quantity."""
+    out = -lams * pf.budget
+    for prod in pf.products:
+        mu = prod.mean
+        ia = np.where(v <= mu)[0]
+        ib = np.where(v >= mu)[0]
+        va, vb = v[ia], v[ib]
+        gap = vb[None, :] - va[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = np.where(gap == 0.0, 1.0, (vb[None, :] - mu) / gap)
+        slopes = (w * (va * va)[:, None] + (1.0 - w) * (vb * vb)[None, :]).ravel()
+        best = np.full(lams.size, -np.inf)
+        for q in v:
+            row = ell(pf.alpha, float(q), v, prod.cost_structure)
+            intercepts = (w * row[ia][:, None] + (1.0 - w) * row[ib][None, :]).ravel()
+            best = np.maximum(best, _per_row_envelope_min(slopes, intercepts, lams))
+        out = out + best
+    return out
+
+
+def test_envelope_min_merges_duplicate_slopes():
+    rng = np.random.default_rng(72)
+    for first in (0.0, 0.5):
+        slopes = rng.integers(0, 6, size=40).astype(float)  # every slope repeats
+        intercepts = rng.uniform(-20, 20, size=40)
+        intercepts[:3] = intercepts[3]  # and some (slope, intercept) pairs too
+        slopes[:3] = slopes[3]
+        xs = np.sort(np.append(rng.uniform(first, 8, size=30), first))
+        got = _envelope_min(slopes, intercepts, xs)
+        want = np.min(intercepts[None, :] + xs[:, None] * slopes[None, :], axis=1)
+        assert np.allclose(got, want, atol=1e-9)
+        assert got.tobytes() == _per_row_envelope_min(slopes, intercepts, xs).tobytes()
+
+
+def test_envelope_min_of_the_collinear_zero_quantity_family():
+    # at q = 0 every law scores 0: all intercepts vanish, so every line passes
+    # through the origin and the flattest slope is the envelope
+    v = np.linspace(0.0, 40.0, 151)
+    mu = 4.3
+    va, vb = v[v <= mu], v[v >= mu]
+    w = (vb[None, :] - mu) / (vb[None, :] - va[:, None])
+    slopes = (w * (va * va)[:, None] + (1.0 - w) * (vb * vb)[None, :]).ravel()
+    intercepts = np.zeros(slopes.size)
+    for xs in (np.linspace(0.0, 3.0, 501), np.linspace(0.1, 3.0, 501)):
+        got = _envelope_min(slopes, intercepts, xs)
+        assert got.tobytes() == (slopes.min() * xs).tobytes()
+        assert got.tobytes() == _per_row_envelope_min(slopes, intercepts, xs).tobytes()
+
+
+@pytest.mark.parametrize("first", [0.0, 0.7])
+def test_envelope_min_from_a_first_query_at_or_above_zero(first):
+    rng = np.random.default_rng(73)
+    for _ in range(25):
+        n = int(rng.integers(2, 400))
+        slopes = rng.uniform(0, 30, size=n)
+        intercepts = rng.uniform(-20, 20, size=n)
+        xs = np.sort(np.append(rng.uniform(first, 8, size=50), first))
+        got = _envelope_min(slopes, intercepts, xs)
+        want = np.min(intercepts[None, :] + xs[:, None] * slopes[None, :], axis=1)
+        assert np.allclose(got, want, atol=1e-9)
+        assert got.tobytes() == _per_row_envelope_min(slopes, intercepts, xs).tobytes()
+
+
+def test_envelope_min_takes_one_family_per_row():
+    rng = np.random.default_rng(74)
+    slopes = rng.uniform(0, 30, size=300)
+    intercepts = rng.uniform(-20, 20, size=(7, 300))
+    xs = np.sort(rng.uniform(0, 8, size=60))
+    got = _envelope_min(slopes, intercepts, xs)
+    assert got.shape == (7, 60)
+    for r in range(7):
+        assert got[r].tobytes() == _envelope_min(slopes, intercepts[r], xs).tobytes()
+        want = _per_row_envelope_min(slopes, intercepts[r], xs)
+        assert got[r].tobytes() == want.tobytes()
+
+
+def test_dual_objective_curve_is_bit_equal_to_the_per_row_chain():
+    # certify-shaped: 151-point support on [0, 40], 1-3 products, 501
+    # multipliers from p_max / 60 through 4 lambda*, lambda* included
+    rng = np.random.default_rng(75)
+    grid = np.linspace(0.0, 40.0, 151)
+    for n_products in (1, 2, 3):
+        products = tuple(
+            ProductSpec(
+                price=float(rng.uniform(4, 16)),
+                cost=float(rng.uniform(1, 3)),
+                mean=float(rng.uniform(2, 7)),
+            )
+            for _ in range(n_products)
+        )
+        base = sum(p.mean**2 for p in products)
+        pf = PortfolioSpec(
+            products, base * float(rng.uniform(1.05, 1.4)), float(rng.uniform(0.5, 8))
+        )
+        lam_star = solve_lambda(pf).lambda_star
+        lam_lo = max(p.price for p in products) / 60.0
+        lams = np.linspace(lam_lo, 4.0 * max(lam_star, lam_lo), 500)
+        lams = np.sort(np.append(lams, lam_star))
+        got = dual_objective_curve(lams, pf, grid)
+        assert got.tobytes() == _per_row_curve(lams, pf, grid).tobytes()
 
 
 def test_dual_objective_canonical_value():

@@ -75,6 +75,39 @@ def test_cost_structure_validation():
     assert CostStructure(10, 3).kappa == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("big", [10**200, 10**400], ids=["10**200", "10**400"])
+def test_moment_spec_rejects_ints_beyond_the_float_range(big):
+    # 10**200 fits a float but its square does not; 10**400 fits neither
+    with pytest.raises(InputError):
+        MomentSpec(big, 1)
+    with pytest.raises(InputError):
+        MomentSpec(1, big)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (-1.0, "alpha must be >= 0, got -1.0"),
+        (math.nan, "alpha must be finite, got nan"),
+        (-math.inf, "alpha must be finite, got -inf"),
+        (10**400, "alpha must be finite, got an int beyond the float range"),
+    ],
+    ids=["negative", "nan", "-inf", "10**400"],
+)
+def test_misspec_index_rejects_a_bad_alpha(bad, message):
+    for make in (MisspecIndex, sp.as_misspec_index):
+        with pytest.raises(InputError) as info:
+            make(bad)
+        assert str(info.value) == message
+
+
+def test_misspec_index_accepts_the_valid_range():
+    assert sp.as_misspec_index(math.inf) == INF
+    assert sp.as_misspec_index(0).alpha == 0.0
+    assert type(sp.as_misspec_index(4).alpha) is float
+    assert sp.as_misspec_index(INF) is INF
+
+
 def test_nominal_quantity_examples():
     u5 = DiscreteDistribution.from_pairs([1, 2, 3, 4, 5], [0.2] * 5)
     assert nominal_quantity(u5, COST) == 4.0
