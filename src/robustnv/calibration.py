@@ -6,8 +6,18 @@ optimal-transport cost between empirical laws is computed by the comonotone
 coupling on the common refinement of the two weight partitions (optimal for
 one-dimensional convex costs), and the stress construction shifts every
 observation toward the sample minimum so that the transport identity holds to
-floating-point accuracy.  Randomness (discount draw, fold shuffling) is always
-driven by an explicit seed.
+floating-point accuracy.
+
+The three calibrators share one protocol, driven by one
+``numpy.random.default_rng(seed)``.  The shift-aware rules (formula, stress)
+first draw ``beta ~ U[0.5, 1]`` once and anticipate the squared shift
+``beta * ot_quadratic_empirical(test, train)``.  The cross-validated rules
+(cv, formula) then split the training samples into ``folds`` parts by one
+permutation, solve each candidate on every fold complement's moments and
+score it by the mean over folds of the held-out mean profit.  Selection
+takes the highest score; exact ties go to the candidate with the largest
+index (the smallest budget for the formula rule), then to the first in grid
+order.  Results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -280,40 +290,64 @@ def guarantee(
 
 
 # ---------------------------------------------------------------------------
-# cross-validation machinery
+# the shared calibration steps
 # ---------------------------------------------------------------------------
 
 
-def _fold_partition(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    perm = rng.permutation(n)
-    return np.array_split(perm, folds)
-
-
-def _fold_moments(values: np.ndarray, parts: Sequence[np.ndarray]) -> list[MomentSpec]:
-    """Population moments of each fold complement (the training split)."""
-    out = []
-    for held in parts:
+def _folds(
+    samples: SampleSet, folds: int, rng: np.random.Generator
+) -> list[tuple[np.ndarray, MomentSpec]]:
+    """Seeded k-fold split: (held-out values, fold-complement moments) per fold."""
+    require(int(folds) >= 2, f"folds must be >= 2, got {folds!r}")
+    if samples.n < folds:
+        raise InputError(
+            f"need at least {folds} observations for {folds}-fold splits, "
+            f"got {samples.n}"
+        )
+    values = np.asarray(samples.values, dtype=float)
+    split = []
+    for held in np.array_split(rng.permutation(samples.n), int(folds)):
         mask = np.ones(values.size, dtype=bool)
         mask[held] = False
         train = values[mask]
         mean = float(train.mean())
         var = positive_part(float(np.mean(train * train)) - mean * mean)
-        out.append(MomentSpec(mean, math.sqrt(var)))
-    return out
+        split.append((values[held], MomentSpec(mean, math.sqrt(var))))
+    return split
 
 
-def _held_out_score(
-    values: np.ndarray,
-    parts: Sequence[np.ndarray],
-    quantities: Sequence[float],
+def _cv_score(
+    split: Sequence[tuple[np.ndarray, MomentSpec]],
     cost: CostStructure,
+    index_for: Callable[[MomentSpec], AlphaLike],
 ) -> float:
-    """Average over folds of the held-out mean selling profit."""
-    scores = [
-        float(np.mean(_profit(q, values[held], cost)))
-        for held, q in zip(parts, quantities)
-    ]
-    return float(np.mean(scores))
+    """Average over folds of the held-out mean selling profit of the quantity
+    solved on the fold-complement moments at the index ``index_for(moments)``."""
+    qs = [_solve(index_for(m), m, cost)[0] for _, m in split]
+    return float(
+        np.mean([float(np.mean(_profit(q, held, cost))) for (held, _), q in zip(split, qs)])
+    )
+
+
+def _shift(
+    train: SampleSet, test: SampleSet, seed: int
+) -> tuple[np.random.Generator, float]:
+    """The seeded generator after its one ``beta ~ U[0.5, 1]`` draw, and the
+    anticipated shift ``beta * ot_quadratic_empirical(test, train)``."""
+    rng = np.random.default_rng(seed)
+    beta = float(rng.uniform(0.5, 1.0))
+    return rng, beta * ot_quadratic_empirical(test.empirical, train.empirical)
+
+
+def _best(candidates: Sequence, score: Callable, key: Callable):
+    """The selection rule: highest score, then highest ``key`` among exact
+    ties, then the first candidate."""
+    best, best_score = candidates[0], score(candidates[0])
+    for c in candidates[1:]:
+        s = score(c)
+        if s > best_score or (s == best_score and key(c) > key(best)):
+            best, best_score = c, s
+    return best
 
 
 def cv_alpha(
@@ -325,36 +359,14 @@ def cv_alpha(
 ) -> MisspecIndex:
     """Select the index by k-fold cross-validation on held-out profit.
 
-    Folds come from a seeded shuffle; each candidate is solved on the fold
-    complement's moments and scored by the held-out mean profit, averaged
-    over folds.  Ties break toward the larger index (the less conservative
-    choice).  Deterministic for a fixed seed.
+    Each candidate is solved on every fold complement's moments and scored by
+    the held-out mean profit.  Ties break toward the larger index (the less
+    conservative choice).
     """
-    require(int(folds) >= 2, f"folds must be >= 2, got {folds!r}")
     grid = [as_misspec_index(a) for a in alpha_grid]
     require(len(grid) > 0, "alpha_grid must be non-empty")
-    if samples.n < folds:
-        raise InputError(
-            f"need at least {folds} observations for {folds}-fold splits, "
-            f"got {samples.n}"
-        )
-    rng = np.random.default_rng(seed)
-    parts = _fold_partition(samples.n, int(folds), rng)
-    values = np.asarray(samples.values, dtype=float)
-    fold_ms = _fold_moments(values, parts)
-    best: MisspecIndex | None = None
-    best_score = -math.inf
-    for a in grid:
-        qs = [_solve(a, m, cost)[0] for m in fold_ms]
-        score = _held_out_score(values, parts, qs, cost)
-        if (
-            best is None
-            or score > best_score
-            or (score == best_score and a.alpha > best.alpha)
-        ):
-            best, best_score = a, score
-    assert best is not None
-    return best
+    split = _folds(samples, folds, np.random.default_rng(seed))
+    return _best(grid, lambda a: _cv_score(split, cost, lambda m: a), lambda a: a.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -406,46 +418,24 @@ def formula_calibrate(
     """Shift-aware index from the radius formula with a cross-validated
     estimation budget.
 
-    The anticipated shift is ``beta * ot_quadratic_empirical(test, train)``
-    with ``beta ~ U[0.5, 1]`` drawn once from the seed.  Each candidate
-    ``eps`` is scored by k-fold cross-validation on the training samples —
-    the fold quantity uses the index ``alpha_for_radius(eps + shift, ...)``
-    on the fold-complement moments — and ties break toward the smaller
-    budget (the larger index).  Returns the index at the selected budget
-    plus the shift, on the full training moments.
+    Each candidate ``eps`` is scored by k-fold cross-validation on the
+    training samples, the fold quantity using the index
+    ``alpha_for_radius(eps + shift, ...)`` on the fold-complement moments.
+    Ties break toward the smaller budget (the larger index).  Returns the
+    index at the selected budget plus the shift, on the full training moments.
     """
     grid = [float(e) for e in eps_grid]
     require(len(grid) > 0, "eps_grid must be non-empty")
     for e in grid:
         require_nonnegative("eps_grid entry", e)
-    require(int(folds) >= 2, f"folds must be >= 2, got {folds!r}")
-    if train.n < folds:
-        raise InputError(
-            f"need at least {folds} observations for {folds}-fold splits, "
-            f"got {train.n}"
-        )
-    rng = np.random.default_rng(seed)
-    beta = float(rng.uniform(0.5, 1.0))
-    shift = beta * ot_quadratic_empirical(test.empirical, train.empirical)
-    parts = _fold_partition(train.n, int(folds), rng)
-    values = np.asarray(train.values, dtype=float)
-    fold_ms = _fold_moments(values, parts)
-    best_eps = None
-    best_score = -math.inf
-    for eps in grid:
-        qs = []
-        for m in fold_ms:
-            a = alpha_for_radius(eps + shift, m, cost)
-            qs.append(_solve(a, m, cost)[0])
-        score = _held_out_score(values, parts, qs, cost)
-        if (
-            best_eps is None
-            or score > best_score
-            or (score == best_score and eps < best_eps)
-        ):
-            best_eps, best_score = eps, score
-    assert best_eps is not None
-    return alpha_for_radius(best_eps + shift, train.moments, cost)
+    rng, shift = _shift(train, test, seed)
+    split = _folds(train, folds, rng)
+    eps = _best(
+        grid,
+        lambda e: _cv_score(split, cost, lambda m: alpha_for_radius(e + shift, m, cost)),
+        lambda e: -e,
+    )
+    return alpha_for_radius(eps + shift, train.moments, cost)
 
 
 def stress_calibrate(
@@ -457,19 +447,15 @@ def stress_calibrate(
 ) -> MisspecIndex:
     """Shift-aware index selection against a constructed stress law.
 
-    Builds the downward-shifted law matching ``beta`` times the empirical
-    shift (``beta ~ U[0.5, 1]`` drawn once from the seed; budgets beyond the
-    reachable maximum fall back to that maximum with a warning), then picks
-    the grid index whose training-moment quantity earns the most expected
-    profit under the stress law.  Ties break toward the larger index.
+    Builds the downward-shifted law at the anticipated shift (budgets beyond
+    the reachable maximum fall back to that maximum with a warning), then
+    scores each grid index by the expected profit of its training-moment
+    quantity under the stress law.  Ties break toward the larger index.
     """
     grid = [as_misspec_index(a) for a in alpha_grid]
     require(len(grid) > 0, "alpha_grid must be non-empty")
-    rng = np.random.default_rng(seed)
-    beta = float(rng.uniform(0.5, 1.0))
-    raw = ot_quadratic_empirical(test.empirical, train.empirical)
-    target = beta * raw
-    spread, max_target = _max_reachable_target(train)
+    _, target = _shift(train, test, seed)
+    _, max_target = _max_reachable_target(train)
     if target > max_target:
         warnings.warn(
             f"stress target {target:.6g} exceeds the largest reachable "
@@ -478,22 +464,10 @@ def stress_calibrate(
             stacklevel=2,
         )
         target = max_target
-    stress = StressSpec(
-        beta_discount=beta,
-        rho=min(math.sqrt(train.n * target / spread), 1.0),
-        target_distance=target,
-    )
-    f_stress = stress_distribution(train, stress.target_distance)
+    f_stress = stress_distribution(train, target)
     m_train = train.moments
-    best: MisspecIndex | None = None
-    best_score = -math.inf
-    for a in grid:
-        score = _expected_profit(f_stress, _solve(a, m_train, cost)[0], cost)
-        if (
-            best is None
-            or score > best_score
-            or (score == best_score and a.alpha > best.alpha)
-        ):
-            best, best_score = a, score
-    assert best is not None
-    return best
+    return _best(
+        grid,
+        lambda a: _expected_profit(f_stress, _solve(a, m_train, cost)[0], cost),
+        lambda a: a.alpha,
+    )

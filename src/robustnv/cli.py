@@ -11,13 +11,15 @@ validation failures.  All output is deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 
 from ._version import __version__
 from .calibration import cv_alpha, formula_calibrate, stress_calibrate
 from .evaluation import (
     _DEFAULT_EPS_GRID,
+    _fmt6,
+    _json_text,
     ExperimentConfig,
     Method,
     default_alpha_grid,
@@ -44,11 +46,45 @@ from .validation import (
 )
 
 
-def _float_list(text: str) -> list[float]:
+def _literal(text: str) -> str:
+    """A float literal, checked but kept as text for :func:`_index`."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    return text
+
+
+def _literals(text: str) -> list[str]:
+    """Comma-separated float literals, checked but kept as text."""
+    try:
+        return [_literal(tok) for tok in text.split(",") if tok.strip()]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated floats, got {text!r}"
+        ) from None
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in _literals(text)]
+
+
+def _index(text: str) -> float:
+    """The index a literal names.  ``inf``, ``+inf`` and ``infinity`` (any
+    case) name the infinite index; a finite literal beyond the float range is
+    an input error, not a silent switch to the ambiguity-only model."""
+    value = float(text)
+    if math.isinf(value) and text.strip().lstrip("+-").lower() not in ("inf", "infinity"):
+        raise InputError(
+            f"index literal {text.strip()!r} is beyond the float range; "
+            "spell the infinite index 'inf'"
+        )
+    return value
+
+
+def _alpha_grid(args, cost: CostStructure) -> tuple[float, ...]:
+    """--alpha-grid as indices, or the default grid when it is absent or empty."""
+    return tuple(map(_index, args.alpha_grid or ())) or default_alpha_grid(cost.price)
 
 
 def _seed(text: str) -> int:
@@ -56,10 +92,6 @@ def _seed(text: str) -> int:
     if not text.strip().isdigit():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _kv_csv(doc: dict) -> str:
@@ -94,7 +126,7 @@ def _emit_small(doc: dict, fmt: str) -> str:
 
 def _cmd_solve(args) -> str:
     cost = CostStructure(args.price, args.cost)
-    report = misspec_quantity(args.alpha, MomentSpec(args.mu, args.sigma), cost)
+    report = misspec_quantity(_index(args.alpha), MomentSpec(args.mu, args.sigma), cost)
     return _emit_small(solve_json_payload(report), args.format)
 
 
@@ -115,7 +147,7 @@ def _cmd_sweep(args) -> str:
     cost = CostStructure(args.price, args.cost)
     train = _train_samples(args)
     test = load_demand_csv(args.test) if args.test else None
-    grid = tuple(args.alpha_grid or default_alpha_grid(cost.price))
+    grid = _alpha_grid(args, cost)
     config = ExperimentConfig(
         train=train,
         cost=cost,
@@ -143,14 +175,15 @@ def _cmd_sweep(args) -> str:
             values = [float(v) for v in np.geomspace(args.min, args.max, count)]
         else:
             values = [float(v) for v in np.linspace(args.min, args.max, count)]
-    series = sweep(args.axis, config, values=values, alpha=args.alpha)
+    alpha = None if args.alpha is None else _index(args.alpha)
+    series = sweep(args.axis, config, values=values, alpha=alpha)
     return sweep_json_text(series) if args.format == "json" else sweep_csv_text(series)
 
 
 def _cmd_calibrate(args) -> str:
     cost = CostStructure(args.price, args.cost)
     train = load_demand_csv(args.train)
-    grid = tuple(args.alpha_grid or default_alpha_grid(cost.price))
+    grid = _alpha_grid(args, cost)
     if args.method == "cv":
         pick = cv_alpha(train, cost, grid, folds=args.folds, seed=args.seed)
     else:
@@ -164,8 +197,7 @@ def _cmd_calibrate(args) -> str:
             )
         else:
             pick = stress_calibrate(train, test, cost, grid, seed=args.seed)
-    alpha = "inf" if pick.is_infinite else round(pick.alpha, 6)
-    return _emit_small({"method": args.method, "alpha": alpha}, args.format)
+    return _emit_small({"method": args.method, "alpha": _fmt6(pick.alpha)}, args.format)
 
 
 def _cmd_evaluate(args) -> str:
@@ -184,7 +216,7 @@ def _cmd_experiment(args) -> str:
     cost = CostStructure(args.price, args.cost)
     train = load_demand_csv(args.train)
     test = load_demand_csv(args.test) if args.test else None
-    grid = tuple(args.alpha_grid or default_alpha_grid(cost.price))
+    grid = _alpha_grid(args, cost)
     methods = tuple(Method)
     if args.methods:
         names = [m.strip().upper() for m in args.methods.split(",")]
@@ -261,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True, help="demand deviation")
     p.add_argument(
         "--alpha",
-        type=float,
+        type=_literal,
         required=True,
         help="misspecification index ('inf' for the ambiguity-only model)",
     )
@@ -274,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", type=str, default=None, help="held-out demand CSV")
     p.add_argument("--mu", type=float, default=None, help="moments shortcut: mean")
     p.add_argument("--sigma", type=float, default=None, help="moments shortcut: deviation")
-    p.add_argument("--alpha", type=float, default=None, help="fixed index for price/sigma sweeps")
-    p.add_argument("--alpha-grid", type=_float_list, default=None, dest="alpha_grid")
+    p.add_argument("--alpha", type=_literal, default=None, help="fixed index for price/sigma sweeps")
+    p.add_argument("--alpha-grid", type=_literals, default=None, dest="alpha_grid")
     p.add_argument("--min", type=float, default=None, help="axis grid start")
     p.add_argument("--max", type=float, default=None, help="axis grid end")
     p.add_argument("--count", type=int, default=None, help="axis grid size")
@@ -286,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("cv", "formula", "stress"), required=True)
     p.add_argument("--train", type=str, required=True, help="training demand CSV")
     p.add_argument("--test", type=str, default=None, help="held-out demand CSV")
-    p.add_argument("--alpha-grid", type=_float_list, default=None, dest="alpha_grid")
+    p.add_argument("--alpha-grid", type=_literals, default=None, dest="alpha_grid")
     p.add_argument("--eps-grid", type=_float_list, default=None, dest="eps_grid")
     p.add_argument("--folds", type=int, default=5)
     p.set_defaults(handler=_cmd_calibrate)
@@ -301,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cost_flags(p)
     p.add_argument("--train", type=str, required=True, help="training demand CSV")
     p.add_argument("--test", type=str, default=None, help="held-out demand CSV")
-    p.add_argument("--alpha-grid", type=_float_list, default=None, dest="alpha_grid")
+    p.add_argument("--alpha-grid", type=_literals, default=None, dest="alpha_grid")
     p.add_argument("--eps-grid", type=_float_list, default=None, dest="eps_grid")
     p.add_argument("--methods", type=str, default=None, help="comma list of methods")
     p.add_argument("--theta", type=float, default=0.0, help="transport-ball radius")

@@ -135,7 +135,6 @@ class ExperimentConfig:
     theta: float = 0.0
     eps_grid: tuple[float, ...] = _DEFAULT_EPS_GRID
     folds: int = 5
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         require(len(self.alpha_grid) > 0, "alpha_grid must be non-empty")
@@ -246,42 +245,33 @@ def sweep(
     """
     if axis not in _SWEEP_AXES:
         raise InputError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
-    m = config.train.moments
-    base = config.cost
+    m, base = config.train.moments, config.cost
+    # per axis: the default grid's span, and the point map v -> (index,
+    # moments, cost); the fixed index is resolved once the grid is known
     if axis == "alpha":
-        vals = tuple(float(v) for v in (values if values is not None else config.alpha_grid))
+        span, point = None, lambda v: (v, m, base)
     elif axis == "price":
-        lo, hi = 1.05 * base.cost, 2.5 * base.price
-        vals = tuple(
-            float(v) for v in (values if values is not None else np.linspace(lo, hi, 200))
-        )
+        span = (1.05 * base.cost, 2.5 * base.price)
+        point = lambda v: (fixed, m, CostStructure(v, base.cost))
     else:
-        vals = tuple(
-            float(v)
-            for v in (values if values is not None else np.linspace(1e-3, 1.5 * m.mean, 200))
-        )
+        span, point = (1e-3, 1.5 * m.mean), lambda v: (fixed, MomentSpec(m.mean, v), base)
+    if values is None:
+        values = config.alpha_grid if span is None else np.linspace(*span, 200)
+    vals = tuple(float(v) for v in values)
     require(len(vals) > 0, "sweep axis grid must be non-empty")
+    fixed = None if span is None else _sole_alpha(config, alpha)
 
     quantities: list[float] = []
     in_sample: list[float] = []
     out_sample: list[float] = []
-    fixed_alpha = None if axis == "alpha" else _sole_alpha(config, alpha)
     for v in vals:
-        if axis == "alpha":
-            q, value = _solve(v, m, base)
-            cost_here = base
-        elif axis == "price":
-            cost_here = CostStructure(v, base.cost)
-            q, value = _solve(fixed_alpha, m, cost_here)
-        else:
-            cost_here = base
-            q, value = _solve(fixed_alpha, MomentSpec(m.mean, v), base)
+        a, moments, cost = point(v)
+        q, value = _solve(a, moments, cost)
         quantities.append(q)
         in_sample.append(value)
-        if config.test is not None:
-            out_sample.append(out_of_sample_profit(q, config.test, cost_here))
-        else:
-            out_sample.append(math.nan)
+        out_sample.append(
+            math.nan if config.test is None else out_of_sample_profit(q, config.test, cost)
+        )
     return SweepSeries(axis, vals, tuple(quantities), tuple(in_sample), tuple(out_sample))
 
 
@@ -322,67 +312,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     index (always) and the formula/stress shift-aware selections (only when
     test data is available).  Output is deterministic for a fixed config.
     """
-    emp = config.train.empirical
-    cost = config.cost
+    emp, cost, test = config.train.empirical, config.cost, config.test
     cells: list[MethodCell] = []
     for method in config.methods:
         for a in config.alpha_grid:
             q, worst = _method_solution(method, a, config)
-            cell = MethodCell(
-                method=method,
-                alpha=a,
-                quantity=q,
-                in_sample=_expected_profit(emp, q, cost),
-                out_of_sample=(
-                    out_of_sample_profit(q, config.test, cost)
-                    if config.test is not None
-                    else None
-                ),
-                worst_case=worst,
-            )
-            cells.append(cell)
+            in_sample = _expected_profit(emp, q, cost)
+            out = None if test is None else out_of_sample_profit(q, test, cost)
+            cells.append(MethodCell(method, a, q, in_sample, out, worst))
 
-    picks: list[tuple[str, float | None]] = []
-    picks.append(
-        (
-            "cv",
-            cv_alpha(
-                config.train, cost, config.alpha_grid, folds=config.folds, seed=config.seed
-            ).alpha,
-        )
+    train, seed, folds = config.train, config.seed, config.folds
+    picks = (
+        ("cv", cv_alpha(train, cost, config.alpha_grid, folds=folds, seed=seed).alpha),
+        ("formula", None if test is None else formula_calibrate(
+            train, test, cost, config.eps_grid, seed=seed, folds=folds).alpha),
+        ("stress", None if test is None else stress_calibrate(
+            train, test, cost, config.alpha_grid, seed=seed).alpha),
     )
-    if config.test is not None:
-        picks.append(
-            (
-                "formula",
-                formula_calibrate(
-                    config.train,
-                    config.test,
-                    cost,
-                    config.eps_grid,
-                    seed=config.seed,
-                    folds=config.folds,
-                ).alpha,
-            )
-        )
-        picks.append(
-            (
-                "stress",
-                stress_calibrate(
-                    config.train, config.test, cost, config.alpha_grid, seed=config.seed
-                ).alpha,
-            )
-        )
-    else:
-        picks.append(("formula", None))
-        picks.append(("stress", None))
-
     return ExperimentReport(
         seed=config.seed,
         config_digest=config_digest(config),
         version=__version__,
         cells=tuple(cells),
-        selections=tuple(picks),
+        selections=picks,
     )
 
 
@@ -594,8 +546,13 @@ def _fmt6(x: float | None):
     return round(x, 6)
 
 
+def _json_text(doc) -> str:
+    """Canonical JSON: sorted keys, no spaces, one trailing newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def sweep_json_text(series: SweepSeries) -> str:
-    doc = {
+    return _json_text({
         "axis": series.axis,
         "points": [
             {
@@ -608,12 +565,11 @@ def sweep_json_text(series: SweepSeries) -> str:
                 series.values, series.quantities, series.in_sample, series.out_of_sample
             )
         ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    })
 
 
 def report_json_text(report: ExperimentReport) -> str:
-    doc = {
+    return _json_text({
         "meta": {
             "seed": report.seed,
             "config_sha256": report.config_digest,
@@ -632,8 +588,7 @@ def report_json_text(report: ExperimentReport) -> str:
             }
             for c in report.cells
         ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    })
 
 
 def _cell_field(x: float | None) -> str:
@@ -651,16 +606,8 @@ def report_csv_text(report: ExperimentReport) -> str:
         ["method", "alpha", "quantity", "in_sample", "out_of_sample", "worst_case"]
     )
     for c in report.cells:
-        writer.writerow(
-            [
-                c.method.value,
-                _cell_field(c.alpha),
-                _cell_field(c.quantity),
-                _cell_field(c.in_sample),
-                _cell_field(c.out_of_sample),
-                _cell_field(c.worst_case),
-            ]
-        )
+        fields = (c.alpha, c.quantity, c.in_sample, c.out_of_sample, c.worst_case)
+        writer.writerow([c.method.value, *map(_cell_field, fields)])
     return buf.getvalue()
 
 

@@ -16,6 +16,7 @@ from robustnv import (
     MomentSpec,
     SampleSet,
     StressSpec,
+    alpha_for_radius,
     cv_alpha,
     empirical_moments,
     epsilon_N,
@@ -263,6 +264,40 @@ def test_cv_alpha_ties_break_toward_larger_index():
     pick = cv_alpha(lumpy, cheap, [0.9, 0.5], folds=5, seed=3)
     assert pick.alpha == 0.9
     pick = cv_alpha(lumpy, cheap, [0.5, 0.9, math.inf], folds=5, seed=3)
+    assert pick.is_infinite
+
+
+def test_formula_calibrate_ties_break_toward_smaller_budget(monkeypatch):
+    # the cv tie sample: every fold complement is degenerate at kappa = 0.2,
+    # so each budget orders zero on every fold and all scores tie exactly.
+    # The full sample is degenerate too and the index returned is zero for
+    # any pick, so the pick is read off the budget of the last radius-to-index
+    # call (test == train, so the anticipated shift is zero)
+    lumpy = SampleSet((1.0, 19.0) * 5)
+    cheap = CostStructure(10, 8)
+    budgets = []
+
+    def spy(eps, m, cost):
+        budgets.append(eps)
+        return alpha_for_radius(eps, m, cost)
+
+    monkeypatch.setattr("robustnv.calibration.alpha_for_radius", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the degenerate-moment notice
+        formula_calibrate(lumpy, lumpy, cheap, [0.5, 0.1, 0.3], folds=5, seed=3)
+    assert budgets[-1] == 0.1
+
+
+def test_stress_calibrate_ties_break_toward_larger_index_then_first():
+    # the full cv tie sample is degenerate at kappa = 0.2 as well, so every
+    # index orders zero and earns exactly zero under any stress law
+    lumpy = SampleSet((1.0, 19.0) * 5)
+    cheap = CostStructure(10, 8)
+    shifted = SampleSet(tuple(0.8 * v for v in lumpy.values))
+    first, repeat = MisspecIndex(0.9), MisspecIndex(0.9)
+    pick = stress_calibrate(lumpy, shifted, cheap, [0.5, first, repeat, 0.2], seed=3)
+    assert pick is first
+    pick = stress_calibrate(lumpy, shifted, cheap, [0.5, math.inf, 0.9], seed=3)
     assert pick.is_infinite
 
 

@@ -284,9 +284,14 @@ def test_version_flag(capsys):
          "--alpha", "4"],
         ["solve", "--price", "4", "--cost", "0.5", "--mu", "1e160", "--sigma", "2",
          "--alpha", "4"],
+        # an index literal beyond the float range is not the spelled 'inf'
+        ["solve", "--price", "10", "--cost", "3", "--mu", "4", "--sigma", "1",
+         "--alpha", "1e400"],
+        ["sweep", "--price", "10", "--cost", "3", "--axis", "alpha", "--mu", "4",
+         "--sigma", "2", "--alpha-grid", "2,1e400"],
     ],
     ids=["missing-train-file", "out-into-missing-directory", "alpha-axis-min-zero",
-         "mu-1e308", "mu-1e160"],
+         "mu-1e308", "mu-1e160", "alpha-1e400", "alpha-grid-1e400"],
 )
 def test_bad_files_and_axis_bounds_exit_2(argv, tmp_path, capsys):
     code, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)

@@ -1,0 +1,48 @@
+"""Every module-level private name in the package is used inside the package."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "robustnv"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _definitions(tree: ast.Module):
+    """(name, first line, last line) of each private module-level function,
+    class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in filter(_private, names):
+            yield name, node.lineno, node.end_lineno
+
+
+def _uses(tree: ast.Module):
+    """(name, line) of every read of a bare name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_no_private_module_level_name_is_dead():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    uses = [(name, file, line) for file, tree in trees.items() for name, line in _uses(tree)]
+    dead = [
+        f"{file}:{first} {name}"
+        for file, tree in trees.items()
+        for name, first, last in _definitions(tree)
+        # a read inside the definition itself (recursion) keeps nothing alive
+        if not any(n == name and (f != file or not first <= line <= last) for n, f, line in uses)
+    ]
+    assert not dead, f"private names with no use in the package: {dead}"
