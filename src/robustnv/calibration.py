@@ -77,10 +77,11 @@ class SampleSet:
     """Nonnegative demand observations with derived empirical law and moments.
 
     ``mean`` and ``std`` use the population (divide-by-N) convention.  At
-    least two observations are required, the mean must be positive, and the
-    observations must not all coincide — a zero sample deviation leaves every
-    moment-based model in this library degenerate, so it is rejected here
-    with a diagnostic rather than surfacing later as a division by zero.
+    least two observations are required, their squares must sum within the
+    float range, the mean must be positive, and the observations must not all
+    coincide — a zero sample deviation leaves every moment-based model in this
+    library degenerate, so it is rejected here with a diagnostic rather than
+    surfacing later as a division by zero.
     """
 
     values: tuple[float, ...]
@@ -93,8 +94,12 @@ class SampleSet:
         require(len(vals) >= 2, "need at least two observations for a deviation")
         for i, v in enumerate(vals):
             require_nonnegative(f"values[{i}]", v)
+        try:
+            second = math.fsum(v * v for v in vals) / len(vals)
+        except OverflowError:  # the partial sums leave the float range
+            second = math.inf
+        require(math.isfinite(second), "the squared observations sum beyond the float range")
         mean = math.fsum(vals) / len(vals)
-        second = math.fsum(v * v for v in vals) / len(vals)
         var = positive_part(second - mean * mean)
         if mean <= 0.0:
             raise DegenerateModelError(

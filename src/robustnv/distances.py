@@ -16,6 +16,7 @@ and the penalty *index*: :func:`alpha_for_radius`.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -45,6 +46,13 @@ _ATOM_TOL = 1e-12  # closed-interval tolerance, matches DiscreteDistribution.cdf
 # ---------------------------------------------------------------------------
 # reference summaries
 # ---------------------------------------------------------------------------
+
+
+def _below(dist: DiscreteDistribution, cut: float) -> tuple[float, float]:
+    """Second moment and mass of ``dist`` at or below ``cut``, closed at the
+    boundary atom: ``(fsum of w*v*v over atoms <= cut + _ATOM_TOL, cdf(cut))``."""
+    k = bisect.bisect_right(dist.support, cut + _ATOM_TOL)
+    return math.fsum(w * v * v for v, w in zip(dist.support[:k], dist.weights[:k])), dist.cdf(cut)
 
 
 @dataclass(frozen=True)
@@ -82,12 +90,8 @@ class ReferenceDistribution:
                 "the reference law's critical fractile is 0; the ball model "
                 "requires a strictly positive fractile quantity"
             )
-        beta = math.fsum(
-            w * v * v
-            for v, w in zip(demand.support, demand.weights)
-            if v <= q_star + _ATOM_TOL
-        )
-        beta_eff = beta + q_star * q_star * (cost.kappa - demand.cdf(q_star))
+        beta, below = _below(demand, q_star)
+        beta_eff = beta + q_star * q_star * (cost.kappa - below)
         return cls(demand, q_star, beta, beta_eff)
 
 
@@ -157,14 +161,8 @@ def _balance_residual(
     flat at ``theta`` for the infinite index, ``1/alpha = 0``).
     """
     cut = cost.price / (2.0 * x)
-    head = math.fsum(
-        w * v * v
-        for v, w in zip(ref.distribution.support, ref.distribution.weights)
-        if v <= cut + _ATOM_TOL
-    )
-    tail = (cost.price**2 / (4.0 * x * x)) * (
-        cost.kappa - ref.distribution.cdf(cut)
-    )
+    head, below = _below(ref.distribution, cut)
+    tail = (cost.price**2 / (4.0 * x * x)) * (cost.kappa - below)
     return head + tail - theta / (1.0 - x * alpha.inv) ** 2
 
 

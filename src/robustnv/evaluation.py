@@ -208,8 +208,13 @@ class ExperimentReport:
 
 
 def out_of_sample_profit(q: float, test: SampleSet, cost: CostStructure) -> float:
-    """Average selling profit of ordering ``q`` against held-out observations."""
-    return float(np.mean(profit(q, np.asarray(test.values, dtype=float), cost)))
+    """Average selling profit of ordering ``q`` against held-out observations;
+    a profit beyond the float range is bad input, not an infinite answer."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(profit(q, np.asarray(test.values, dtype=float), cost)))
+    if not math.isfinite(mean):
+        raise InputError(f"the out-of-sample profit of q={q!r} leaves the float range")
+    return mean
 
 
 _SWEEP_AXES = ("alpha", "price", "sigma")

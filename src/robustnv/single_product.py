@@ -186,53 +186,44 @@ def as_misspec_index(alpha: AlphaLike) -> MisspecIndex:
     return MisspecIndex(alpha)
 
 
-def _merge_sorted(values, weights, rel_tol=1e-12):
-    """Merge coincident support points of a value-sorted atom list."""
-    out_v: list[float] = []
-    out_w: list[float] = []
-    for v, w in zip(values, weights):
-        if out_v and abs(v - out_v[-1]) <= rel_tol * max(1.0, abs(out_v[-1])):
-            out_w[-1] += w
-        else:
-            out_v.append(v)
-            out_w.append(w)
-    return out_v, out_w
+def _checked_atoms(values, weights, v_slack=0.0, w_slack=0.0) -> tuple[list[float], list[float]]:
+    """Atoms as float lists, checked: non-empty, of equal length, finite,
+    every point >= ``-v_slack`` and every weight >= ``-w_slack``."""
+    vs = [float(v) for v in values]
+    ws = [float(w) for w in weights]
+    require(len(vs) > 0, "support must be non-empty")
+    require(len(vs) == len(ws), "support and weights must have equal length")
+    for name, xs, floor in (("support", vs, -v_slack), ("weights", ws, -w_slack)):
+        for x in xs:
+            if not floor <= x < math.inf:  # NaN and -inf fail here too
+                require_finite(name, x)
+                raise InputError(f"{name} must be >= 0, got {x!r}")
+    return vs, ws
 
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Finitely supported demand law with nonnegative, strictly sorted support.
 
-    Invariants enforced on construction: support strictly increasing and
-    >= 0, weights >= 0, weights summing to 1 within 1e-12.
+    The constructor checks the invariants exactly: support finite, >= 0 and
+    strictly increasing; weights finite and >= 0, summing to 1 within 1e-12.
+    :meth:`from_pairs` is the forgiving entry: it clamps dust (support above
+    -1e-9, weights above -1e-12) to 0, merges points within 1e-12 relative,
+    accepts a mass within 1e-9 of 1, drops zero weights and renormalizes.
     """
 
     support: tuple[float, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        require(len(self.support) > 0, "support must be non-empty")
-        require(
-            len(self.support) == len(self.weights),
-            "support and weights must have equal length",
-        )
-        sup = tuple(float(v) for v in self.support)
-        wts = tuple(float(w) for w in self.weights)
-        for v in sup:
-            require_finite("support point", v)
-            require(v >= 0.0, f"support must be >= 0, got {v!r}")
-        for w in wts:
-            require_finite("weight", w)
-            require(w >= 0.0, f"weights must be >= 0, got {w!r}")
-        for a, b in zip(sup, sup[1:]):
-            require(a < b, "support must be strictly increasing")
+        sup, wts = _checked_atoms(self.support, self.weights)
+        if not all(a < b for a, b in zip(sup, sup[1:])):
+            raise InputError("support must be strictly increasing")
         total = math.fsum(wts)
-        require(
-            abs(total - 1.0) <= 1e-12,
-            f"weights must sum to 1 within 1e-12, got {total!r}",
-        )
-        object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "weights", wts)
+        if not abs(total - 1.0) <= 1e-12:
+            raise InputError(f"weights must sum to 1 within 1e-12, got {total!r}")
+        object.__setattr__(self, "support", tuple(sup))
+        object.__setattr__(self, "weights", tuple(wts))
 
     # -- constructors -------------------------------------------------------
 
@@ -240,28 +231,24 @@ class DiscreteDistribution:
     def from_pairs(
         cls, values: Iterable[float], weights: Iterable[float]
     ) -> "DiscreteDistribution":
-        """Build from unsorted atoms: sorts, merges coincident points (rel tol
-        1e-12), clamps floating-point dust (weights above -1e-12, support above
-        -1e-9), drops zero-weight atoms, and renormalizes exactly.
+        """Build from unsorted atoms: clamps dust to 0, sorts stably by value,
+        merges coincident points, checks the mass, drops zero-weight atoms and
+        renormalizes exactly (tolerances in the class docstring).
         """
-        v = np.asarray(list(values), dtype=float)
-        w = np.asarray(list(weights), dtype=float)
-        require(v.size > 0, "need at least one atom")
-        require(v.size == w.size, "values and weights must have equal length")
-        require(bool(np.all(np.isfinite(v))), "support must be finite")
-        require(bool(np.all(np.isfinite(w))), "weights must be finite")
-        require(bool(np.all(w >= -1e-12)), f"weights must be >= 0, got min {w.min()!r}")
-        require(bool(np.all(v >= -1e-9)), f"support must be >= 0, got min {v.min()!r}")
-        w = np.maximum(w, 0.0)
-        v = np.maximum(v, 0.0)
-        order = np.argsort(v, kind="stable")
-        mv, mw = _merge_sorted(v[order], w[order])
-        total = math.fsum(mw)
-        require(abs(total - 1.0) <= 1e-9, f"weights must sum to ~1, got {total!r}")
-        keep = [(x, p / total) for x, p in zip(mv, mw) if p > 0.0]
-        if not keep:  # all mass merged into dust — cannot happen for valid input
-            raise InputError("no atom carries positive weight")
-        return cls(tuple(x for x, _ in keep), tuple(p for _, p in keep))
+        vs, ws = _checked_atoms(values, weights, v_slack=1e-9, w_slack=1e-12)
+        clamped = [(v if v > 0.0 else 0.0, w if w > 0.0 else 0.0) for v, w in zip(vs, ws)]
+        sup, mass = [], []
+        for v, w in sorted(clamped, key=lambda atom: atom[0]):
+            if sup and v - sup[-1] <= 1e-12 * max(1.0, sup[-1]):
+                mass[-1] += w
+            else:
+                sup.append(v)
+                mass.append(w)
+        total = math.fsum(mass)
+        if not abs(total - 1.0) <= 1e-9:
+            raise InputError(f"weights must sum to 1 within 1e-9, got {total!r}")
+        keep = [(v, w / total) for v, w in zip(sup, mass) if w > 0.0]
+        return cls(tuple(v for v, _ in keep), tuple(w for _, w in keep))
 
     @classmethod
     def from_samples(cls, values: Iterable[float]) -> "DiscreteDistribution":
@@ -615,18 +602,18 @@ def misspec_worst_case(
     q = require_nonnegative("q", q)
     if a.alpha == 0.0:
         raise DegenerateModelError("alpha = 0 has no attaining law; the model orders zero")
-    _, atoms, _ = _evaluate(a, q, m, cost)
-    return _laws(a, q, atoms, cost.price)
+    _, atoms, t, _ = _evaluate(a, q, m, cost)
+    return _laws(atoms, t)
 
 
 def _evaluate(
     a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
-) -> tuple[float, _Atoms, tuple[tuple[str, float], ...]]:
+) -> tuple[float, _Atoms, TransformSpec, tuple[tuple[str, float], ...]]:
     """The checked evaluation at ``(a, q)``, ``a`` nonzero: the value
-    L_alpha(q), the worst-case atoms and weights, and the dual certificate,
-    each computed once.  It checks the law's mass and moments, the transformed
-    atoms' attainment of the value and the dual identity, and builds no
-    :class:`DiscreteDistribution`."""
+    L_alpha(q), the worst-case atoms and weights, the attached transform and
+    the dual certificate, each computed once.  It checks the law's mass and
+    moments, the transformed atoms' attainment of the value and the dual
+    identity, and builds no :class:`DiscreteDistribution`."""
     p = cost.price
     value = worst_case_transformed_expectation(a, q, m, cost)
     atoms = _worst_case_law(a.inv, q, m, p)
@@ -636,15 +623,13 @@ def _evaluate(
     _check_attainment(images, atoms[1], a, q, value, cost)
     duals = _dual_certificate(a, q, m, cost)
     _check_certificate(duals, value, m)
-    return value, atoms, duals
+    return value, atoms, t, duals
 
 
-def _laws(
-    a: MisspecIndex, q: float, atoms: _Atoms, p: float
-) -> tuple[DiscreteDistribution, DiscreteDistribution]:
-    """The worst-case law built from checked atoms, and its transformed image."""
+def _laws(atoms: _Atoms, t: TransformSpec) -> tuple[DiscreteDistribution, DiscreteDistribution]:
+    """The worst-case law built from checked atoms, and its image under ``t``."""
     g_star = DiscreteDistribution.from_pairs(*atoms)
-    return g_star, push_forward(g_star, transform(a, p, q))
+    return g_star, push_forward(g_star, t)
 
 
 def _check_moments(atoms: _Atoms, m: MomentSpec) -> None:
@@ -757,8 +742,8 @@ def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> So
         g_star = ambiguity_worst_case(0.0, m)
         return SolveReport(0.0, 0.0, Regime.DEGENERATE, a, g_star, g_star)
     q, regime = _quantity(a, m, cost)
-    value, atoms, duals = _evaluate(a, q, m, cost)
-    return SolveReport(q, value, regime, a, *_laws(a, q, atoms, cost.price), duals)
+    value, atoms, t, duals = _evaluate(a, q, m, cost)
+    return SolveReport(q, value, regime, a, *_laws(atoms, t), duals)
 
 
 def _solve(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> tuple[float, float]:

@@ -59,6 +59,18 @@ def test_sample_set_rejects_bad_input():
         SampleSet((0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [(1.0, 1.3e154, 1.2e154), (1.0, 1e200, 3.0)],
+    ids=["squares-sum-overflows", "one-square-overflows"],
+)
+def test_sample_set_rejects_squares_beyond_the_float_range(values):
+    # the first overflows fsum's partial sums; the second has an infinite
+    # square, and inf - inf must not read as a zero deviation
+    with pytest.raises(InputError, match="float range"):
+        SampleSet(values)
+
+
 def test_empirical_moments_canonical():
     m = empirical_moments(SampleSet((2.0, 4.0, 6.0)))
     assert m.mean == pytest.approx(4.0, abs=1e-15)

@@ -300,6 +300,29 @@ def test_bad_files_and_axis_bounds_exit_2(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# a demand file whose squares overflow: fsum's partial sums, or one square alone
+OVERFLOWING_SQUARES = [(1.0, 1.3e154, 1.2e154), (1.0, 1e200, 3.0)]
+
+
+@pytest.mark.parametrize("rows", OVERFLOWING_SQUARES, ids=["squares-sum", "one-square"])
+def test_demand_file_whose_squares_overflow_exits_2(rows, tmp_path, capsys):
+    train = demand_file(tmp_path, "train.csv", rows)
+    code, out, err = run(["calibrate", "--method", "cv", "--price", "10", "--cost", "3",
+                          "--train", train, "--folds", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("robustnv: input error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("price, quantity", [("10", "1e308"), ("1e308", "1e300")],
+                         ids=["cost-overflows", "revenue-overflows"])
+def test_evaluate_profit_beyond_the_float_range_exits_2(price, quantity, tmp_path, capsys):
+    test = demand_file(tmp_path, "test.csv", (4.0, 5.0, 7.0))
+    code, out, err = run(["evaluate", "--price", price, "--cost", "3", "--quantity", quantity,
+                          "--test", test], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("robustnv: input error:") and len(err.splitlines()) == 1
+
+
 # stdout bytes of `solve` at a finite and the infinite index, at zero variance
 # and past the degeneracy gate; frozen, so the one solve path keeps them
 SOLVE_GOLDENS = [
@@ -399,7 +422,7 @@ def _fuzz_argv(rng, files):
         body += grid("--eps-grid", ["0.01,0.1", "0", "0.5"])
         body += flag("--folds", ["2", "3"], ["1", "0", "-2", "20", "x"])
     elif command == "evaluate":
-        body = cost + flag("--quantity", ["0", "4", "7.5"]) + test
+        body = cost + flag("--quantity", ["0", "4", "7.5", "1e308"]) + test
     elif command == "experiment":
         body = cost + train + (test if rng.uniform() < 0.6 else [])
         body += grid("--alpha-grid", ["0.5,2", "inf", "1,inf"])
@@ -437,7 +460,8 @@ def test_fuzzed_argvs_exit_with_documented_codes_and_no_traceback(tmp_path, caps
     empty.write_text("")
     bad = tmp_path / "bad.csv"
     bad.write_text("date,demand\n2020-01-01,-4\n2020-01-02,nan\nnot,a,row\n")
-    files = good + [constant, str(empty), str(bad), str(tmp_path / "missing.csv"),
+    overflowing = demand_file(tmp_path, "overflowing.csv", OVERFLOWING_SQUARES[0])
+    files = good + [constant, str(empty), str(bad), overflowing, str(tmp_path / "missing.csv"),
                     str(tmp_path)]
     codes = []
     for _ in range(300):

@@ -116,6 +116,156 @@ def test_nominal_quantity_examples():
     assert nominal_quantity(u2, CostStructure(2, 1)) == 1.0
 
 
+@pytest.mark.parametrize(
+    "values, weights",
+    [
+        ([1.0, math.nan], [0.5, 0.5]),
+        ([1.0, math.inf], [0.5, 0.5]),
+        ([-math.inf, 1.0], [0.5, 0.5]),
+        ([1.0, 2.0], [math.nan, 1.0]),
+        ([1.0, 2.0], [math.inf, 1.0]),
+        ([1.0, 2.0], [-math.inf, 1.0]),
+        ([-2e-9, 1.0], [0.5, 0.5]),
+        ([1.0, 2.0], [-2e-12, 1.0 + 2e-12]),
+        ([1.0, 2.0], [1.0]),
+        ([], []),
+        ([1.0, 2.0], [0.5, 0.5 + 2e-9]),
+        ([1.0, 2.0], [0.5, 0.5 - 2e-9]),
+    ],
+    ids=["nan-point", "inf-point", "minus-inf-point", "nan-weight", "inf-weight",
+         "minus-inf-weight", "point-below-dust", "weight-below-dust", "unequal-lengths",
+         "empty", "mass-above", "mass-below"],
+)
+def test_from_pairs_rejects_bad_atoms(values, weights):
+    with pytest.raises(InputError):
+        DiscreteDistribution.from_pairs(values, weights)
+
+
+@pytest.mark.parametrize(
+    "support, weights",
+    [
+        ((2.0, 1.0), (0.5, 0.5)),
+        ((1.0, 1.0), (0.5, 0.5)),
+        ((1.0, 2.0), (-0.5, 1.5)),
+        ((-1e-12, 1.0), (0.5, 0.5)),
+        ((1.0, 2.0), (0.5, 0.5 + 2e-12)),
+        ((1.0, 2.0), (1.0,)),
+        ((), ()),
+    ],
+    ids=["unsorted", "repeated", "negative-weight", "negative-point", "mass-off",
+         "unequal-lengths", "empty"],
+)
+def test_constructor_rejects_broken_invariants(support, weights):
+    with pytest.raises(InputError):
+        DiscreteDistribution(support, weights)
+
+
+def test_from_pairs_clamps_dust_merges_and_drops_zero_weights():
+    d = DiscreteDistribution.from_pairs([-5e-10, 2.0], [0.5, 0.5])
+    assert d.support == (0.0, 2.0) and math.copysign(1.0, d.support[0]) == 1.0
+    d = DiscreteDistribution.from_pairs([-0.0, 2.0, 3.0], [0.5, 0.5, -5e-13])
+    assert d.support == (0.0, 2.0) and math.copysign(1.0, d.support[0]) == 1.0
+    assert d.weights == (0.5, 0.5)
+    # within 1e-12 relative the first point of the cluster carries its mass
+    d = DiscreteDistribution.from_pairs([1e6 * (1 + 5e-13), 1e6, 1.0 + 1e-11], [0.25, 0.5, 0.25])
+    assert d.support == (1.0 + 1e-11, 1e6) and d.weights == (0.25, 0.75)
+    d = DiscreteDistribution.from_pairs([1.0, 2.0, 3.0], [0.5, 0.0, 0.5])
+    assert d.support == (1.0, 3.0) and d.weights == (0.5, 0.5)
+
+
+def test_from_pairs_sums_tied_weights_in_input_order():
+    def law(tied_mass):
+        total = math.fsum([tied_mass, 0.4])
+        return (1.0, 2.0), (tied_mass / total, 0.4 / total)
+
+    in_order = law((0.1 + 0.2) + 0.3)
+    assert in_order != law((0.3 + 0.2) + 0.1)  # the order shows in the bits
+    d = DiscreteDistribution.from_pairs([1.0, 2.0, 1.0, 1.0], [0.1, 0.4, 0.2, 0.3])
+    assert (d.support, d.weights) == in_order
+
+
+def _numpy_from_pairs(values, weights):
+    """The earlier numpy implementation of ``from_pairs``, kept as the parity
+    reference: its support and weights, or the class of its exception."""
+    v = np.asarray(list(values), dtype=float)
+    w = np.asarray(list(weights), dtype=float)
+    if not (v.size > 0 and v.size == w.size and np.all(np.isfinite(v))
+            and np.all(np.isfinite(w)) and np.all(w >= -1e-12) and np.all(v >= -1e-9)):
+        return InputError
+    w = np.maximum(w, 0.0)
+    v = np.maximum(v, 0.0)
+    order = np.argsort(v, kind="stable")
+    out_v, out_w = [], []
+    for x, p in zip(v[order], w[order]):
+        if out_v and abs(x - out_v[-1]) <= 1e-12 * max(1.0, abs(out_v[-1])):
+            out_w[-1] += p
+        else:
+            out_v.append(x)
+            out_w.append(p)
+    total = math.fsum(out_w)
+    if not abs(total - 1.0) <= 1e-9:
+        return InputError
+    keep = [(float(x), float(p / total)) for x, p in zip(out_v, out_w) if p > 0.0]
+    return tuple(x for x, _ in keep), tuple(p for _, p in keep)
+
+
+def _atoms_with_edge_cases(rng):
+    """Seeded atoms of 1 to 200 points with exact ties, near ties, -0.0, dust
+    within the bounds, zero weights, and (rarely) NaN, a mass off by ~1e-9 or
+    a point or weight just past its dust bound."""
+    n = int(rng.integers(1, 201))
+    scale = float(10 ** rng.uniform(-3, 3))
+    if rng.uniform() < 0.3:
+        v = (rng.integers(0, max(1, n // 3), n) * scale).tolist()
+    else:
+        v = (rng.gamma(2.0, 3.0, n) * scale).tolist()
+    w = rng.dirichlet(np.ones(n)).tolist()
+    for j in range(n):
+        u = rng.uniform()
+        if u < 0.05:
+            v[j] = -0.0
+        elif u < 0.08:
+            v[j] = -float(rng.uniform(0.0, 1e-9))
+        elif u < 0.1 and j > 0:
+            v[j] = v[j - 1] * (1.0 + float(rng.uniform(-2e-12, 2e-12)))
+        u = rng.uniform()
+        if u < 0.05:
+            w[j] = 0.0
+        elif u < 0.07:
+            w[j] = -float(rng.uniform(0.0, 1e-12))
+    positive = math.fsum(x for x in w if x > 0.0)
+    w = [x / positive if x > 0.0 else x for x in w]
+    u = rng.uniform()
+    if u < 0.03:
+        v[int(rng.integers(n))] = math.nan
+    elif u < 0.05:
+        w[int(rng.integers(n))] += float(rng.uniform(-3e-9, 3e-9))
+    elif u < 0.06:
+        v[int(rng.integers(n))] = -float(rng.uniform(1e-9, 2e-9))
+    elif u < 0.07:
+        w[int(rng.integers(n))] = -float(rng.uniform(1e-12, 2e-12))
+    return v, w
+
+
+def test_from_pairs_is_bit_equal_to_the_numpy_reference():
+    rng = np.random.default_rng(4_242)
+    outcomes = {"law": 0, "rejected": 0}
+    for _ in range(1_000):
+        v, w = _atoms_with_edge_cases(rng)
+        want = _numpy_from_pairs(v, w)
+        try:
+            d = DiscreteDistribution.from_pairs(v, w)
+            got = (d.support, d.weights)
+        except InputError:
+            got = InputError
+        outcomes["law" if got is not InputError else "rejected"] += 1
+        if got is InputError or want is InputError:
+            assert got is want, (v, w)
+        else:  # hex tells the sign of zero apart
+            assert [[x.hex() for x in xs] for xs in got] == [[x.hex() for x in xs] for xs in want]
+    assert min(outcomes.values()) >= 40, outcomes
+
+
 def test_ell_examples_match_inner_min_oracle():
     cases = [
         (1.0, 2.0, 3.0, 3.0),
@@ -369,6 +519,15 @@ def test_one_solve_builds_and_checks_the_report_once(alpha, monkeypatch):
     calls = _count_checked_evaluation(monkeypatch)
     misspec_quantity(alpha, M42, COST)
     assert calls == dict.fromkeys(calls, 1) and len(calls) == 6, calls
+
+
+@pytest.mark.parametrize("alpha", [0.5, 4.0, 1e6, INF])
+def test_one_report_builds_one_transform(alpha, monkeypatch):
+    built = []
+    inner = sp.transform
+    monkeypatch.setattr(sp, "transform", lambda *args: built.append(args) or inner(*args))
+    misspec_quantity(alpha, M42, COST)
+    assert len(built) == 1, built
 
 
 @pytest.mark.parametrize("alpha", [0.5, 4.0, 1e6, INF])
