@@ -135,41 +135,46 @@ def _breakpoint(prod: ProductSpec, a: MisspecIndex) -> float:
     return prod.cost / denom if denom > 0.0 else math.inf
 
 
-def _sorted_breakpoints(
-    products: Sequence[ProductSpec], a: MisspecIndex
-) -> list[tuple[float, int]]:
-    """(breakpoint, product index) pairs, ascending, stable in product order."""
-    pairs = [(_breakpoint(prod, a), idx) for idx, prod in enumerate(products)]
-    pairs.sort(key=lambda t: t[0])  # Python sort is stable
-    return pairs
+def _order(
+    products: Sequence[ProductSpec], alpha: AlphaLike
+) -> tuple[MisspecIndex, list[float], list[ProductSpec]]:
+    """The checked index, the ascending breakpoints with the 0 and +inf
+    sentinels attached, and the products in that order (stable in product
+    order, so equal breakpoints keep their input order)."""
+    a = _alpha_for_portfolio(alpha)
+    require(len(products) > 0, "need at least one product")
+    pairs = sorted(((_breakpoint(prod, a), prod) for prod in products), key=lambda t: t[0])
+    return a, [0.0] + [b for b, _ in pairs] + [math.inf], [prod for _, prod in pairs]
 
 
 def lambda_breakpoints(
     products: Sequence[ProductSpec], alpha: AlphaLike
 ) -> list[float]:
     """Sorted multiplier breakpoints with the 0 and +inf sentinels attached."""
-    a = _alpha_for_portfolio(alpha)
-    require(len(products) > 0, "need at least one product")
-    inner = [value for value, _ in _sorted_breakpoints(products, a)]
-    return [0.0] + inner + [math.inf]
+    return _order(products, alpha)[1]
 
 
-def _active_term(prod: ProductSpec, a: MisspecIndex, lam: float) -> float:
-    # implied second moment of a product whose breakpoint is not yet reached
-    mu2 = prod.mean * prod.mean
-    if math.isinf(lam):
-        return mu2
-    p, c = prod.price, prod.cost
-    den = p * lam * a.inv + c
-    return mu2 * (1.0 + c * (p - c) / (den * den))
-
-
-def _settled_term(prod: ProductSpec, lam: float, form: ThetaForm) -> float:
-    # implied second moment past the breakpoint; PRINTED drops the mean-square
-    tail = (prod.price - prod.cost) * prod.cost / (4.0 * lam * lam)
-    if form is ThetaForm.ENVELOPE:
-        return prod.mean * prod.mean + tail
-    return tail
+def _theta(
+    ordered: Sequence[ProductSpec], j: int, lam: float, inv: float, form: ThetaForm
+) -> float:
+    """theta on products already in breakpoint order, with no checks: the
+    first j - 1 are settled, the rest active."""
+    if lam == 0.0 and j >= 2:
+        return math.inf
+    total = 0.0
+    for prod in ordered[: j - 1]:
+        # past the breakpoint; PRINTED drops the mean-square
+        tail = (prod.price - prod.cost) * prod.cost / (4.0 * lam * lam)
+        total += prod.mean * prod.mean + tail if form is ThetaForm.ENVELOPE else tail
+    for prod in ordered[j - 1 :]:
+        mu2 = prod.mean * prod.mean
+        if math.isinf(lam):
+            total += mu2
+        else:
+            p, c = prod.price, prod.cost
+            den = p * lam * inv + c
+            total += mu2 * (1.0 + c * (p - c) / (den * den))
+    return total
 
 
 def theta(
@@ -186,25 +191,14 @@ def theta(
     what makes the bisection in solve_lambda safe.  lam = 0 with a nonempty
     settled sum returns +inf.
     """
-    a = _alpha_for_portfolio(alpha)
-    require(len(products) > 0, "need at least one product")
-    m = len(products)
+    a, _, ordered = _order(products, alpha)
+    m = len(ordered)
     require(
         isinstance(j, int) and 1 <= j <= m + 1,
         f"segment index must lie in 1..{m + 1}, got {j!r}",
     )
     require_nonnegative("lam", lam, allow_inf=True)
-    if lam == 0.0 and j >= 2:
-        return math.inf
-    pairs = _sorted_breakpoints(products, a)
-    total = 0.0
-    for position, (_, idx) in enumerate(pairs, start=1):
-        prod = products[idx]
-        if position >= j:
-            total += _active_term(prod, a, lam)
-        else:
-            total += _settled_term(prod, lam, form)
-    return total
+    return _theta(ordered, j, lam, a.inv, form)
 
 
 def product_quantities(
@@ -218,21 +212,16 @@ def product_quantities(
     ambiguity-only corollary says (p - c), but that contradicts the finite-
     index formula's limit and the single-product reduction, so the limit form
     is used (both branches then meet continuously at lambda = c/(2 mu)).
+
+    No quantity is negative.  On the first finite branch, 2 mu - c/lambda >=
+    p/alpha gives q >= mu/2 + (p - c)/(4 lambda) > 0, and every term of q is
+    at most mu in size, so rounding cannot cross 0; likewise mu - p/(4 alpha)
+    >= mu/2 on the first infinite-multiplier branch.  The other branches are
+    quotients of positive terms, or 0 at lambda = 0.
     """
     a = _alpha_for_portfolio(alpha)
     require_nonnegative("lambda_star", lambda_star, allow_inf=True)
-    out: list[float] = []
-    for prod in products:
-        q = _single_quantity(lambda_star, prod, a)
-        if q < 0.0:
-            warnings.warn(
-                f"clamping negative quantity {q!r} to 0 for product "
-                f"(p={prod.price}, c={prod.cost}, mu={prod.mean})",
-                stacklevel=2,
-            )
-            q = 0.0
-        out.append(q)
-    return out
+    return [_single_quantity(lambda_star, prod, a) for prod in products]
 
 
 def _single_quantity(lam: float, prod: ProductSpec, a: MisspecIndex) -> float:
@@ -267,10 +256,8 @@ def solve_lambda(
     DEGENERATE_BUDGET solution with the infinite-multiplier limit quantities
     and a diagnostic warning rather than an error.
     """
-    a = portfolio.alpha
-    products = portfolio.products
-    k = portfolio.budget
-    brk = lambda_breakpoints(products, a)
+    a, brk, ordered = _order(portfolio.products, portfolio.alpha)
+    inv, k, m = a.inv, portfolio.budget, len(ordered)
     if k <= portfolio.mean_squares:
         warnings.warn(
             f"budget K={k!r} does not exceed the sum of squared means "
@@ -278,64 +265,46 @@ def solve_lambda(
             "remain, reporting the infinite-multiplier limit",
             stacklevel=2,
         )
-        quantities = product_quantities(math.inf, products, a)
-        return DualSolution(
-            lambda_star=math.inf,
-            segment=len(products) + 1,
-            case=DualCase.DEGENERATE_BUDGET,
-            quantities=tuple(quantities),
-            breakpoints=tuple(brk),
-        )
-
-    i_star = None
-    for j in range(1, len(products) + 2):
-        if theta(j, brk[j], products, a, form) < k:
-            i_star = j
-            break
-    if i_star is None:
-        raise InternalCheckError(
-            "no segment admits the budget although K exceeds the sum of "
-            "squared means; the implied-moment curve is inconsistent"
-        )
-
-    lo = brk[i_star - 1]
-    if theta(i_star, lo, products, a, form) <= k:
-        lam = lo
-        case = DualCase.KINK
+        lam, i_star, case = math.inf, m + 1, DualCase.DEGENERATE_BUDGET
     else:
-        hi = brk[i_star]
-        if math.isinf(hi):
-            hi = max(1.0, 2.0 * lo)
-            while theta(i_star, hi, products, a, form) >= k:
-                hi *= 2.0
-                if hi > 1e18:
-                    raise InternalCheckError(
-                        "bracket expansion failed to cross the budget"
-                    )
-        for _ in range(_MAX_BISECT_ITER):
-            mid = 0.5 * (lo + hi)
-            if theta(i_star, mid, products, a, form) >= k:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _BISECT_REL_TOL * max(1.0, hi):
-                break
-        lam = 0.5 * (lo + hi)
-        case = DualCase.INTERIOR_ROOT
-
-    if not brk[i_star - 1] <= lam <= brk[i_star]:
-        raise InternalCheckError(
-            f"multiplier {lam!r} escaped its segment "
-            f"[{brk[i_star - 1]!r}, {brk[i_star]!r}]"
+        i_star = next(
+            (j for j in range(1, m + 2) if _theta(ordered, j, brk[j], inv, form) < k),
+            None,
         )
-    quantities = product_quantities(lam, products, a)
-    return DualSolution(
-        lambda_star=lam,
-        segment=i_star,
-        case=case,
-        quantities=tuple(quantities),
-        breakpoints=tuple(brk),
-    )
+        if i_star is None:
+            raise InternalCheckError(
+                "no segment admits the budget although K exceeds the sum of "
+                "squared means; the implied-moment curve is inconsistent"
+            )
+        lo = brk[i_star - 1]
+        if _theta(ordered, i_star, lo, inv, form) <= k:
+            lam, case = lo, DualCase.KINK
+        else:
+            hi = brk[i_star]
+            if math.isinf(hi):
+                hi = max(1.0, 2.0 * lo)
+                while _theta(ordered, i_star, hi, inv, form) >= k:
+                    hi *= 2.0
+                    if hi > 1e18:
+                        raise InternalCheckError(
+                            "bracket expansion failed to cross the budget"
+                        )
+            for _ in range(_MAX_BISECT_ITER):
+                mid = 0.5 * (lo + hi)
+                if _theta(ordered, i_star, mid, inv, form) >= k:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= _BISECT_REL_TOL * max(1.0, hi):
+                    break
+            lam, case = 0.5 * (lo + hi), DualCase.INTERIOR_ROOT
+        if not brk[i_star - 1] <= lam <= brk[i_star]:
+            raise InternalCheckError(
+                f"multiplier {lam!r} escaped its segment "
+                f"[{brk[i_star - 1]!r}, {brk[i_star]!r}]"
+            )
+    quantities = product_quantities(lam, portfolio.products, a)
+    return DualSolution(lam, i_star, case, tuple(quantities), tuple(brk))
 
 
 # ---------------------------------------------------------------------------
