@@ -194,8 +194,8 @@ def _implicit_gamma(
         if hi <= lo:
             return lo, False
 
-    for _ in range(_MAX_BISECT_ITER):
-        if hi - lo <= _BISECT_REL_TOL * max(1.0, lo):
+    for _ in range(_MAX_BISECT_ITER):  # lo >= p/(2 q*) > 0: a relative width
+        if hi - lo <= _BISECT_REL_TOL * lo:
             break
         mid = 0.5 * (lo + hi)
         if _balance_residual(mid, ref, theta, alpha, cost) >= 0.0:

@@ -295,7 +295,7 @@ def solve_lambda(
                     lo = mid
                 else:
                     hi = mid
-                if hi - lo <= _BISECT_REL_TOL * max(1.0, hi):
+                if hi - lo <= _BISECT_REL_TOL * hi:
                     break
             lam, case = 0.5 * (lo + hi), DualCase.INTERIOR_ROOT
         if not brk[i_star - 1] <= lam <= brk[i_star]:

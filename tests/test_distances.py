@@ -245,6 +245,43 @@ def test_solve_gamma_never_exceeds_index():
         assert not sol.step_crossing
 
 
+def _implicit_root_instances():
+    yield UNIFORM, K07, 1.5, 5.0
+    yield UNIFORM, K07, 1.5, math.inf
+    rng = np.random.default_rng(61)
+    found = 0
+    while found < 12:
+        ref = random_reference(rng, 3)
+        cost = CostStructure(10.0, float(rng.uniform(0.5, 8.5)))
+        try:
+            summary = ReferenceDistribution.summarize(ref, cost)
+        except DegenerateModelError:
+            continue
+        alpha = math.inf if found % 3 == 0 else float(rng.uniform(0.05, 30.0))
+        theta = float(rng.uniform(0.05, 0.95)) * summary.beta_effective
+        sol = wasserstein_misspec_solve(ref, RadiusSpec(theta, alpha), cost)
+        if sol.case is WassersteinCase.IMPLICIT_ROOT and not sol.step_crossing:
+            found += 1
+            yield ref, cost, theta, alpha
+
+
+@pytest.mark.parametrize("s", [1e-2, 1e2, 1e3])
+def test_solve_invariant_under_a_change_of_demand_units(s):
+    # support x s, price and cost x 1/s, radius x s^2 and index x 1/s^2 scale
+    # gamma* by 1/s^2 and psi* by s; the bisection's relative stopping width
+    # must not depend on the units
+    for ref, cost, theta, alpha in _implicit_root_instances():
+        base = wasserstein_misspec_solve(ref, RadiusSpec(theta, alpha), cost)
+        scaled = wasserstein_misspec_solve(
+            DiscreteDistribution(tuple(v * s for v in ref.support), ref.weights),
+            RadiusSpec(theta * s * s, alpha / (s * s)),
+            CostStructure(cost.price / s, cost.cost / s),
+        )
+        assert scaled.case is WassersteinCase.IMPLICIT_ROOT
+        assert scaled.gamma_star * s * s == pytest.approx(base.gamma_star, rel=1e-9)
+        assert scaled.psi_star / s == pytest.approx(base.psi_star, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # ball-only benchmark
 # ---------------------------------------------------------------------------

@@ -226,6 +226,40 @@ def test_single_product_reduction_random_sweep():
         checked += 1
 
 
+@pytest.mark.parametrize("s", [1e-2, 1e2, 1e3])
+def test_solve_lambda_invariant_under_a_change_of_demand_units(s):
+    # demand x s, price and cost x 1/s, alpha x 1/s^2 and budget x s^2 scale
+    # the multiplier by 1/s^2 and the quantities by s; the bisection's
+    # relative stopping width must not depend on the units
+    rng = np.random.default_rng(59)
+    for i in range(20):
+        products = [random_product(rng) for _ in range(int(rng.integers(1, 5)))]
+        alpha = math.inf if i % 4 == 0 else float(rng.uniform(0.3, 12))
+        budget = sum(p.mean**2 for p in products) * float(rng.uniform(1.05, 3.0))
+        base = solve_lambda(PortfolioSpec(tuple(products), budget, alpha))
+        scaled = solve_lambda(
+            PortfolioSpec(
+                tuple(ProductSpec(p.price / s, p.cost / s, p.mean * s) for p in products),
+                budget * s * s,
+                alpha / (s * s),
+            )
+        )
+        assert (scaled.segment, scaled.case) == (base.segment, base.case)
+        assert scaled.lambda_star * s * s == pytest.approx(base.lambda_star, rel=1e-9)
+        for q, q0 in zip(scaled.quantities, base.quantities):
+            assert q / s == pytest.approx(q0, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1e-7, 1e-6, INF])
+def test_single_product_reduction_at_a_small_price_and_a_large_mean(alpha):
+    # the multiplier is about 1e-6 here, far below 1
+    p, c, mu, sigma = 0.01, 0.003, 1e4, 3e3
+    m = MomentSpec(mu, sigma)
+    sol = solve_lambda(PortfolioSpec((ProductSpec(p, c, mu),), m.second_moment, alpha))
+    want = misspec_quantity(alpha, m, CostStructure(p, c)).quantity
+    assert sol.quantities[0] == pytest.approx(want, rel=1e-10)
+
+
 def test_product_quantities_branches():
     # infinite index, multiplier above c/(2 mu): mu + (p - 2c)/(4 lambda)
     assert product_quantities(1.0, [P1], INF)[0] == pytest.approx(4 + 4 / 4)
