@@ -48,6 +48,7 @@ from .validation import (
     require_nonnegative,
     require_positive,
     positive_part,
+    _fsum_or_inf,
 )
 
 __all__ = [
@@ -94,10 +95,7 @@ class SampleSet:
         require(len(vals) >= 2, "need at least two observations for a deviation")
         for i, v in enumerate(vals):
             require_nonnegative(f"values[{i}]", v)
-        try:
-            second = math.fsum(v * v for v in vals) / len(vals)
-        except OverflowError:  # the partial sums leave the float range
-            second = math.inf
+        second = _fsum_or_inf(v * v for v in vals) / len(vals)
         require(math.isfinite(second), "the squared observations sum beyond the float range")
         mean = math.fsum(vals) / len(vals)
         var = positive_part(second - mean * mean)

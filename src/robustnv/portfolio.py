@@ -39,6 +39,7 @@ from .validation import (
     require_finite,
     require_nonnegative,
     require_positive,
+    _fsum_or_inf,
 )
 
 _BISECT_REL_TOL = 1e-10
@@ -48,7 +49,7 @@ _ENVELOPE_BLOCK = 1 << 20  # intercepts held at once by dual_objective_curve
 
 @dataclass(frozen=True)
 class ProductSpec:
-    """One product: unit price, unit cost, and marginal mean demand."""
+    """One product: unit price, unit cost, and marginal mean demand, with ``mean^2`` finite."""
 
     price: float
     cost: float
@@ -56,7 +57,8 @@ class ProductSpec:
 
     def __post_init__(self):
         CostStructure(self.price, self.cost)  # validates 0 < cost < price
-        require_positive("mean", self.mean)
+        mean = require_positive("mean", self.mean)
+        require(math.isfinite(mean * mean), f"mean^2 must be finite, got {mean * mean!r}")
 
     @property
     def cost_structure(self) -> CostStructure:
@@ -83,10 +85,11 @@ class PortfolioSpec:
         require_finite("budget", self.budget)
         require_nonnegative("budget", self.budget)
         object.__setattr__(self, "alpha", as_misspec_index(self.alpha))
+        require(math.isfinite(self.mean_squares), "the squared means sum beyond the float range")
 
     @property
     def mean_squares(self) -> float:
-        return math.fsum(p.mean * p.mean for p in self.products)
+        return _fsum_or_inf(p.mean * p.mean for p in self.products)
 
 
 class ThetaForm(enum.Enum):

@@ -54,6 +54,7 @@ from .validation import (
     require_finite,
     require_nonnegative,
     require_positive,
+    _fsum_or_inf,
 )
 
 __all__ = [
@@ -219,7 +220,7 @@ class DiscreteDistribution:
         sup, wts = _checked_atoms(self.support, self.weights)
         if not all(a < b for a, b in zip(sup, sup[1:])):
             raise InputError("support must be strictly increasing")
-        total = math.fsum(wts)
+        total = _fsum_or_inf(wts)
         if not abs(total - 1.0) <= 1e-12:
             raise InputError(f"weights must sum to 1 within 1e-12, got {total!r}")
         object.__setattr__(self, "support", tuple(sup))
@@ -244,7 +245,7 @@ class DiscreteDistribution:
             else:
                 sup.append(v)
                 mass.append(w)
-        total = math.fsum(mass)
+        total = _fsum_or_inf(mass)
         if not abs(total - 1.0) <= 1e-9:
             raise InputError(f"weights must sum to 1 within 1e-9, got {total!r}")
         keep = [(v, w / total) for v, w in zip(sup, mass) if w > 0.0]

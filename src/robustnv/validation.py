@@ -73,6 +73,14 @@ def require_nonnegative(name: str, value: float, *, allow_inf: bool = False) -> 
     return value
 
 
+def _fsum_or_inf(xs) -> float:
+    """math.fsum of xs, or inf when its partial sums leave the float range."""
+    try:
+        return math.fsum(xs)
+    except OverflowError:
+        return math.inf
+
+
 def positive_part(x: float) -> float:
     """max(x, 0) — used for thresholds written with a positive-part."""
     return x if x > 0.0 else 0.0

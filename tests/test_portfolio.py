@@ -49,6 +49,11 @@ def test_product_spec_validation():
         PortfolioSpec(products=(), budget=1.0, alpha=1.0)
     with pytest.raises(InputError):
         PortfolioSpec(products=(P1,), budget=-1.0, alpha=1.0)
+    with pytest.raises(InputError, match="mean\\^2 must be finite"):
+        ProductSpec(price=10, cost=3, mean=1e200)
+    big = ProductSpec(price=10, cost=3, mean=1.3e154)  # its square is finite
+    with pytest.raises(InputError, match="squared means sum beyond"):
+        PortfolioSpec(products=(big, big), budget=1.0, alpha=1.0)
 
 
 def test_breakpoints_examples():

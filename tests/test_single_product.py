@@ -131,10 +131,11 @@ def test_nominal_quantity_examples():
         ([], []),
         ([1.0, 2.0], [0.5, 0.5 + 2e-9]),
         ([1.0, 2.0], [0.5, 0.5 - 2e-9]),
+        ([1.0, 2.0], [1e308, 1e308]),
     ],
     ids=["nan-point", "inf-point", "minus-inf-point", "nan-weight", "inf-weight",
          "minus-inf-weight", "point-below-dust", "weight-below-dust", "unequal-lengths",
-         "empty", "mass-above", "mass-below"],
+         "empty", "mass-above", "mass-below", "mass-overflow"],
 )
 def test_from_pairs_rejects_bad_atoms(values, weights):
     with pytest.raises(InputError):
@@ -151,9 +152,10 @@ def test_from_pairs_rejects_bad_atoms(values, weights):
         ((1.0, 2.0), (0.5, 0.5 + 2e-12)),
         ((1.0, 2.0), (1.0,)),
         ((), ()),
+        ((1.0, 2.0), (1e308, 1e308)),
     ],
     ids=["unsorted", "repeated", "negative-weight", "negative-point", "mass-off",
-         "unequal-lengths", "empty"],
+         "unequal-lengths", "empty", "mass-overflow"],
 )
 def test_constructor_rejects_broken_invariants(support, weights):
     with pytest.raises(InputError):
