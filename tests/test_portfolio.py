@@ -265,6 +265,78 @@ def test_single_product_reduction_at_a_small_price_and_a_large_mean(alpha):
     assert sol.quantities[0] == pytest.approx(want, rel=1e-10)
 
 
+def _per_call_solve_lambda(pf, form):
+    """solve_lambda through public one-product theta calls at every step, over
+    a breakpoint order this test sorts itself (stable: ties in input order).
+
+    A one-product theta is exactly its settled (j = 2) or active (j = 1) term,
+    so summing them in position order repeats the solver's sum bit for bit."""
+    a, k, m = pf.alpha, pf.budget, len(pf.products)
+    ranked = sorted(
+        ((lambda_breakpoints([prod], a)[1], prod) for prod in pf.products),
+        key=lambda t: t[0],
+    )
+    brk = [0.0] + [b for b, _ in ranked] + [math.inf]
+
+    def implied(j, lam):
+        total = 0.0
+        for position, (_, prod) in enumerate(ranked, start=1):
+            total += theta(2 if position < j else 1, lam, [prod], a, form)
+        return total
+
+    seg = next(j for j in range(1, m + 2) if implied(j, brk[j]) < k)
+    lo, hi = brk[seg - 1], brk[seg]
+    if implied(seg, lo) <= k:
+        lam, case = lo, DualCase.KINK
+    else:
+        if math.isinf(hi):
+            hi = max(1.0, 2.0 * lo)
+            while implied(seg, hi) >= k:
+                hi *= 2.0
+        for _ in range(300):
+            mid = 0.5 * (lo + hi)
+            if implied(seg, mid) >= k:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-10 * hi:
+                break
+        lam, case = 0.5 * (lo + hi), DualCase.INTERIOR_ROOT
+    return lam, seg, case, product_quantities(lam, pf.products, a), brk
+
+
+def _tie_prone_portfolio(rng):
+    """Products that often share a breakpoint: at alpha = inf it is c/(2 mu),
+    so equal c/mu ties whatever the price, and at finite alpha 2 mu <= p/alpha
+    makes the breakpoint +inf.  Tied products differ in mu, which PRINTED
+    reads at a tie, and in price."""
+    alpha = INF if rng.uniform() < 0.5 else float(rng.choice([0.3, 1.0, 4.0]))
+    products = []
+    for _ in range(int(rng.integers(2, 7))):
+        mu = float(rng.choice([0.5, 1.0, 3.0]))
+        c = mu * float(rng.choice([1.0, 2.0]))
+        products.append(ProductSpec(c * float(rng.choice([1.5, 2.5, 4.0, 9.0])), c, mu))
+    budget = sum(p.mean**2 for p in products) * (1.0 + 10.0 ** float(rng.uniform(-3, 1)))
+    form = ThetaForm.PRINTED if rng.uniform() < 0.4 else ThetaForm.ENVELOPE
+    return PortfolioSpec(tuple(products), budget, alpha), form
+
+
+def test_solve_lambda_is_bit_equal_to_the_public_per_call_path():
+    rng = np.random.default_rng(2026)
+    ties = infinite = 0
+    for _ in range(300):
+        pf, form = _tie_prone_portfolio(rng)
+        sol = solve_lambda(pf, form)
+        lam, seg, case, quantities, brk = _per_call_solve_lambda(pf, form)
+        assert (sol.segment, sol.case) == (seg, case)
+        assert sol.lambda_star.hex() == lam.hex()
+        assert [q.hex() for q in sol.quantities] == [q.hex() for q in quantities]
+        assert list(sol.breakpoints) == brk == lambda_breakpoints(pf.products, pf.alpha)
+        ties += len(set(brk[1:-1])) < len(brk) - 2
+        infinite += brk[-2] == math.inf
+    assert ties > 100 and infinite > 20  # the cases this test is for occur
+
+
 def test_product_quantities_branches():
     # infinite index, multiplier above c/(2 mu): mu + (p - 2c)/(4 lambda)
     assert product_quantities(1.0, [P1], INF)[0] == pytest.approx(4 + 4 / 4)
