@@ -10,6 +10,10 @@ Three siblings of the moment-set model live here:
 * a total-variation penalty, whose optimum caps the ambiguity-only
   quantity at ``2 alpha / p``.
 
+For an atomic reference the ball reduction is finite (Mohajerin Esfahani
+& Kuhn 2018): the effective index is the root of a continuous balance
+residual that is smooth between the atom breakpoints ``p/(2 v)``.
+
 The module also houses the bridge between a misspecification *radius*
 and the penalty *index*: :func:`alpha_for_radius`.
 """
@@ -19,8 +23,9 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .single_product import (
     AlphaLike,
@@ -32,11 +37,7 @@ from .single_product import (
     as_misspec_index,
     nominal_quantity,
 )
-from .validation import (
-    DegenerateModelError,
-    InternalCheckError,
-    require_nonnegative,
-)
+from .validation import DegenerateModelError, require_nonnegative
 
 _BISECT_REL_TOL = 1e-10
 _MAX_BISECT_ITER = 200
@@ -48,11 +49,12 @@ _ATOM_TOL = 1e-12  # closed-interval tolerance, matches DiscreteDistribution.cdf
 # ---------------------------------------------------------------------------
 
 
-def _below(dist: DiscreteDistribution, cut: float) -> tuple[float, float]:
-    """Second moment and mass of ``dist`` at or below ``cut``, closed at the
-    boundary atom: ``(fsum of w*v*v over atoms <= cut + _ATOM_TOL, cdf(cut))``."""
-    k = bisect.bisect_right(dist.support, cut + _ATOM_TOL)
-    return math.fsum(w * v * v for v, w in zip(dist.support[:k], dist.weights[:k])), dist.cdf(cut)
+def _prefix_sums(dist: DiscreteDistribution, k: int) -> tuple[list[float], list[float]]:
+    """Second-moment and mass prefix sums of the ``k`` smallest atoms from 0,
+    summed in order as ``DiscreteDistribution.cdf`` and ``quantile`` do."""
+    sup, wts = dist.support[:k], dist.weights[:k]
+    head = accumulate((w * v * v for v, w in zip(sup, wts)), initial=0.0)
+    return list(head), list(accumulate(wts, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,10 @@ class ReferenceDistribution:
                 "the reference law's critical fractile is 0; the ball model "
                 "requires a strictly positive fractile quantity"
             )
-        beta, below = _below(demand, q_star)
-        beta_eff = beta + q_star * q_star * (cost.kappa - below)
-        return cls(demand, q_star, beta, beta_eff)
+        closed = bisect.bisect_right(demand.support, q_star + _ATOM_TOL)
+        head, mass = _prefix_sums(demand, closed)
+        beta_eff = head[-1] + q_star * q_star * (cost.kappa - mass[-1])
+        return cls(demand, q_star, head[-1], beta_eff)
 
 
 def reference_beta(
@@ -123,15 +126,18 @@ class WassersteinCase(str, Enum):
     POINT_BALL = "POINT_BALL"  # theta = 0: the ball is the reference law
     DEGENERATE_RADIUS = "DEGENERATE_RADIUS"  # theta >= beta: order nothing
     CLOSED_FORM = "CLOSED_FORM"  # explicit formula below the fractile cutoff
-    IMPLICIT_ROOT = "IMPLICIT_ROOT"  # bisection on the balance equation
+    IMPLICIT_ROOT = "IMPLICIT_ROOT"  # root of the balance equation
 
 
 @dataclass(frozen=True)
 class WassersteinSolution:
+    """Effective index, order quantity and the branch that produced them; an
+    IMPLICIT_ROOT index is the unique zero of a continuous, strictly
+    decreasing balance residual (exact at ``alpha = inf``, else to 1e-10)."""
+
     gamma_star: float
     psi_star: float
     case: WassersteinCase
-    step_crossing: bool = field(default=False)
 
 
 # ---------------------------------------------------------------------------
@@ -146,70 +152,51 @@ def _psi_from_gamma(gamma: float, ref: ReferenceDistribution, price: float) -> f
     return ref.q_star - price / (4.0 * gamma)  # q_star at gamma = inf
 
 
-def _balance_residual(
-    x: float,
-    ref: ReferenceDistribution,
-    theta: float,
-    alpha: MisspecIndex,
-    cost: CostStructure,
-) -> float:
-    """Left side of the implicit equation for the effective index.
-
-    Decreasing in ``x`` on the bracket: the truncated-moment terms shrink
-    as the cutoff ``p/(2x)`` falls, while the penalty term
-    ``theta/(1 - x/alpha)^2`` grows toward the pole at ``alpha`` (or stays
-    flat at ``theta`` for the infinite index, ``1/alpha = 0``).
-    """
-    cut = cost.price / (2.0 * x)
-    head, below = _below(ref.distribution, cut)
-    tail = (cost.price**2 / (4.0 * x * x)) * (cost.kappa - below)
-    return head + tail - theta / (1.0 - x * alpha.inv) ** 2
-
-
 def _implicit_gamma(
-    ref: ReferenceDistribution,
-    theta: float,
-    alpha: MisspecIndex,
-    cost: CostStructure,
-) -> tuple[float, bool]:
-    lo = cost.price / (2.0 * ref.q_star)
-    g_lo = _balance_residual(lo, ref, theta, alpha, cost)
-    resid_scale = 1.0 + abs(g_lo)
-    if g_lo < 0.0:
-        # the equation already crossed zero at the left endpoint: with an
-        # atomic reference the left side is a step function and the exact
-        # root may not exist
-        return lo, True
+    ref: ReferenceDistribution, theta: float, alpha: MisspecIndex, cost: CostStructure
+) -> float:
+    """Root in ``x`` of the balance residual on ``[p/(2 q*), alpha)``.
 
-    if alpha.is_infinite:
-        hi = 2.0 * lo
-        while _balance_residual(hi, ref, theta, alpha, cost) >= 0.0:
-            hi *= 2.0
-            if hi > 1e18:
-                raise InternalCheckError(
-                    "no sign change found for the effective-index equation"
-                )
-    else:
-        hi = alpha.alpha * (1.0 - 1e-12)
-        if hi <= lo:
-            return lo, False
+    With the ``k`` smallest atoms inside the cutoff ``p/(2x)`` the residual
+    is ``H_k + p^2 (kappa - F_k)/(4 x^2) - theta/(1 - x inv)^2`` (prefix
+    moment ``H_k``, mass ``F_k``).  Atom ``v`` leaves at ``x = p/(2v)``: the
+    moment loses ``w v^2`` and the tail gains as much, so the residual is
+    continuous and strictly decreasing.  A bisection over these breakpoints
+    finds the root's segment; the root is closed-form there at ``inv = 0``
+    and bisected otherwise.
+    """
+    sup, p, kappa, inv = ref.distribution.support, cost.price, cost.kappa, alpha.inv
+    n = bisect.bisect_left(sup, ref.q_star)
+    head, mass = _prefix_sums(ref.distribution, n)
 
+    def residual(x: float, k: int) -> float:
+        tail = (p**2 / (4.0 * x * x)) * (kappa - mass[k])
+        return head[k] + tail - theta / (1.0 - x * inv) ** 2
+
+    lo, hi = p / (2.0 * ref.q_star), alpha.alpha * (1.0 - 1e-12)
+    if hi <= lo or residual(lo, n) < 0.0:
+        return lo  # rounding at the CLOSED_FORM boundary already crossed zero
+
+    # segment k ends where atom k - 1 leaves; an atom at 0 (q* > 0) never does
+    k, k_hi = int(sup[0] == 0.0), n  # the root's segment, in [k, k_hi]
+    while k < k_hi:
+        j = (k + k_hi + 1) // 2
+        x = p / (2.0 * sup[j - 1])
+        if x < hi and residual(x, j) >= 0.0:
+            k_hi, lo = j - 1, x
+        else:
+            k, hi = j, min(hi, x)
+    if inv == 0.0:
+        return 0.5 * p * math.sqrt((kappa - mass[k]) / (theta - head[k]))
     for _ in range(_MAX_BISECT_ITER):  # lo >= p/(2 q*) > 0: a relative width
         if hi - lo <= _BISECT_REL_TOL * lo:
             break
         mid = 0.5 * (lo + hi)
-        if _balance_residual(mid, ref, theta, alpha, cost) >= 0.0:
+        if residual(mid, k) >= 0.0:
             lo = mid
         else:
             hi = mid
-
-    r_lo = abs(_balance_residual(lo, ref, theta, alpha, cost))
-    r_hi = abs(_balance_residual(hi, ref, theta, alpha, cost))
-    gamma = lo if r_lo <= r_hi else hi
-    # a residual that refuses to vanish marks a jump of the step function
-    # across zero rather than a smooth root
-    step = min(r_lo, r_hi) > 1e-6 * resid_scale
-    return gamma, step
+    return min((lo, hi), key=lambda x: abs(residual(x, k)))
 
 
 def wasserstein_misspec_solve(
@@ -218,9 +205,7 @@ def wasserstein_misspec_solve(
     """Reduce the ball-with-misspecification model to a singleton reference.
 
     Returns the effective index ``gamma_star`` (never above the posed
-    index), the order quantity ``psi_star``, the branch taken, and a flag
-    marking implicit roots that land on a step of the empirical balance
-    equation instead of a smooth zero.
+    index), the order quantity ``psi_star`` and the branch taken.
 
     All radius comparisons use ``beta_effective``: checked against the
     grid dual-objective oracle, the closed form built on the raw
@@ -230,32 +215,19 @@ def wasserstein_misspec_solve(
     coincide for references whose CDF hits the fractile exactly.
     """
     ref = ReferenceDistribution.summarize(demand, cost)
-    a = spec.alpha
-    theta = spec.theta
-
-    if theta == 0.0:
-        return WassersteinSolution(
-            a.alpha, _psi_from_gamma(a.alpha, ref, cost.price), WassersteinCase.POINT_BALL
-        )
+    a, theta = spec.alpha, spec.theta
     if theta >= ref.beta_effective:
         return WassersteinSolution(0.0, 0.0, WassersteinCase.DEGENERATE_RADIUS)
 
-    cutoff = cost.price / (2.0 * ref.q_star)
     # at inv = 0 gamma2 is inf (NaN if the root factor is 0) and falls through
     gamma2 = a.alpha * (1.0 - math.sqrt(theta / ref.beta_effective))
-    if gamma2 < cutoff:
-        return WassersteinSolution(
-            gamma2,
-            _psi_from_gamma(gamma2, ref, cost.price),
-            WassersteinCase.CLOSED_FORM,
-        )
-    gamma, step = _implicit_gamma(ref, theta, a, cost)
-    return WassersteinSolution(
-        gamma,
-        _psi_from_gamma(gamma, ref, cost.price),
-        WassersteinCase.IMPLICIT_ROOT,
-        step,
-    )
+    if theta == 0.0:
+        gamma, case = a.alpha, WassersteinCase.POINT_BALL
+    elif gamma2 < cost.price / (2.0 * ref.q_star):
+        gamma, case = gamma2, WassersteinCase.CLOSED_FORM
+    else:
+        gamma, case = _implicit_gamma(ref, theta, a, cost), WassersteinCase.IMPLICIT_ROOT
+    return WassersteinSolution(gamma, _psi_from_gamma(gamma, ref, cost.price), case)
 
 
 def wasserstein_ambiguity_quantity(

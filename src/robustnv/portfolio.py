@@ -162,8 +162,8 @@ def _theta(
 ) -> float:
     """theta on products already in breakpoint order, with no checks: the
     first j - 1 are settled, the rest active."""
-    if lam == 0.0 and j >= 2:
-        return math.inf
+    if j >= 2 and 4.0 * lam * lam == 0.0:
+        return math.inf  # the settled term's lam -> 0 limit, also once 4 lam^2 underflows
     total = 0.0
     for prod in ordered[: j - 1]:
         # past the breakpoint; PRINTED drops the mean-square
@@ -191,8 +191,9 @@ def theta(
 
     Products at sorted positions >= j contribute their active term, the rest
     the settled term.  Strictly decreasing in lam on each segment, which is
-    what makes the bisection in solve_lambda safe.  lam = 0 with a nonempty
-    settled sum returns +inf.
+    what makes the bisection in solve_lambda safe.  With a nonempty settled
+    sum, lam = 0 returns +inf, the lam -> 0 limit, and so does any lam whose
+    4 lam^2 underflows to 0 (lam below about 1e-162).
     """
     a, _, ordered = _order(products, alpha)
     m = len(ordered)

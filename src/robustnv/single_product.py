@@ -39,9 +39,11 @@ build the laws.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 import numpy as np
@@ -285,15 +287,15 @@ class DiscreteDistribution:
         return math.sqrt(self.variance())
 
     def cdf(self, x: float) -> float:
-        """P(V <= x), closed at atoms (tolerance 1e-12 on the comparison)."""
-        s = self.support_array()
-        return float(self.weights_array()[s <= x + 1e-12].sum())
+        """P(V <= x), closed at atoms (tolerance 1e-12 on the comparison): the
+        same in-order prefix sum of the weights that :meth:`quantile` reads."""
+        k = bisect.bisect_right(self.support, x + 1e-12)
+        return list(accumulate(self.weights[:k], initial=0.0))[-1]
 
     def quantile(self, kappa: float) -> float:
         """Left-continuous generalized inverse inf{x : CDF(x) >= kappa}."""
         require(0.0 < kappa <= 1.0, f"kappa must lie in (0, 1], got {kappa!r}")
-        cum = np.cumsum(self.weights_array())
-        idx = int(np.searchsorted(cum, kappa - 1e-12, side="left"))
+        idx = bisect.bisect_left(list(accumulate(self.weights)), kappa - 1e-12)
         return self.support[min(idx, len(self.support) - 1)]
 
     def expectation(self, fn: Callable[[float], float]) -> float:

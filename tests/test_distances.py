@@ -161,7 +161,6 @@ def test_solve_implicit_root_instance():
     # cutoff p/(2 q*) = 1.25
     sol = wasserstein_misspec_solve(UNIFORM, RadiusSpec(1.5, 5.0), K07)
     assert sol.case is WassersteinCase.IMPLICIT_ROOT
-    assert not sol.step_crossing
     assert sol.gamma_star == pytest.approx(1.729788, abs=5e-6)
     assert sol.psi_star == pytest.approx(
         4.0 - 10.0 / (4.0 * sol.gamma_star), abs=1e-12
@@ -242,7 +241,6 @@ def test_solve_gamma_never_exceeds_index():
         theta = float(rng.uniform(0.0, 1.2)) * summary.beta_effective
         sol = wasserstein_misspec_solve(ref, RadiusSpec(theta, alpha), cost)
         assert 0.0 <= sol.gamma_star <= alpha + 1e-12
-        assert not sol.step_crossing
 
 
 def _implicit_root_instances():
@@ -260,7 +258,7 @@ def _implicit_root_instances():
         alpha = math.inf if found % 3 == 0 else float(rng.uniform(0.05, 30.0))
         theta = float(rng.uniform(0.05, 0.95)) * summary.beta_effective
         sol = wasserstein_misspec_solve(ref, RadiusSpec(theta, alpha), cost)
-        if sol.case is WassersteinCase.IMPLICIT_ROOT and not sol.step_crossing:
+        if sol.case is WassersteinCase.IMPLICIT_ROOT:
             found += 1
             yield ref, cost, theta, alpha
 
@@ -280,6 +278,103 @@ def test_solve_invariant_under_a_change_of_demand_units(s):
         assert scaled.case is WassersteinCase.IMPLICIT_ROOT
         assert scaled.gamma_star * s * s == pytest.approx(base.gamma_star, rel=1e-9)
         assert scaled.psi_star / s == pytest.approx(base.psi_star, rel=1e-9)
+
+
+def _full_residual(x, ref, theta, inv, cost):
+    """The balance residual with the atoms inside the cutoff p/(2x) summed
+    afresh, closed at the boundary atom."""
+    cut = cost.price / (2.0 * x)
+    inside = [(v, w) for v, w in zip(ref.support, ref.weights) if v <= cut + 1e-12]
+    head = math.fsum(w * v * v for v, w in inside)
+    mass = math.fsum(w for _, w in inside)
+    return head + cost.price**2 / (4.0 * x * x) * (cost.kappa - mass) - theta / (1.0 - x * inv) ** 2
+
+
+def _reference_gamma(ref, theta, inv, cost):
+    """Root of the full residual by plain bisection on [p/(2 q*), alpha),
+    the bracket doubled until it crosses zero when inv = 0."""
+    lo = cost.price / (2.0 * ref.quantile(cost.kappa))
+    hi = (1.0 - 1e-12) / inv if inv else 2.0 * lo
+    while _full_residual(hi, ref, theta, inv, cost) >= 0.0:
+        hi *= 2.0
+    while hi - lo > 1e-13 * lo:
+        mid = 0.5 * (lo + hi)
+        if _full_residual(mid, ref, theta, inv, cost) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _catalog_histories(rng, count):
+    """Gamma-distributed demand histories of 30-120 observations, every third
+    rounded to integers (ties, sometimes zeros), every fifth at alpha = inf."""
+    for i in range(count):
+        mu = float(rng.uniform(1.0, 60.0))
+        sigma = mu * float(rng.uniform(0.1, 1.5))
+        hist = rng.gamma((mu / sigma) ** 2, sigma**2 / mu, int(rng.integers(30, 121)))
+        if i % 3 == 0:
+            hist = np.round(hist)
+        price = float(rng.uniform(2.0, 30.0))
+        cost = CostStructure(price, price * float(rng.uniform(0.05, 0.9)))
+        alpha = math.inf if i % 5 == 0 else price / mu * 10.0 ** float(rng.uniform(-0.5, 2.0))
+        try:
+            ref = ReferenceDistribution.summarize(
+                DiscreteDistribution.from_samples(hist.tolist()), cost
+            )
+        except DegenerateModelError:
+            continue
+        yield ref, cost, alpha
+
+
+def test_solve_matches_the_full_residual_bisection_on_catalog_histories():
+    rng = np.random.default_rng(1018)
+    implicit = 0
+    for ref, cost, alpha in _catalog_histories(rng, 300):
+        dist, inv = ref.distribution, RadiusSpec(0.0, alpha).alpha.inv
+        theta = float(rng.uniform(0.05, 0.95)) * ref.beta_effective
+        sol = wasserstein_misspec_solve(dist, RadiusSpec(theta, alpha), cost)
+        if sol.case is WassersteinCase.IMPLICIT_ROOT:
+            implicit += 1
+            want = _reference_gamma(dist, theta, inv, cost)
+            assert sol.gamma_star == pytest.approx(want, rel=1e-9)
+    assert implicit >= 150
+
+
+def test_solve_is_continuous_across_atom_breakpoints():
+    # theta solving the balance equation at x_j = p/(2 v_j) for an atom v_j
+    # strictly below q* puts the root on that breakpoint; theta (1 +- 1e-9)
+    # moves it by at most (1e-9/2) kappa/(kappa - F_j) relative to either side
+    rng = np.random.default_rng(2024)
+    placed = 0
+    for ref, cost, alpha in _catalog_histories(rng, 300):
+        dist, p, kappa = ref.distribution, cost.price, cost.kappa
+        below = [v for v in dist.support if 0.0 < v < ref.q_star]
+        if not below:
+            continue
+        v_j = below[int(rng.integers(len(below)))]
+        x_j = p / (2.0 * v_j)
+        if not math.isinf(alpha):
+            alpha = x_j * float(rng.uniform(1.5, 20.0))
+        inv = RadiusSpec(0.0, alpha).alpha.inv
+        inside = [(v, w) for v, w in zip(dist.support, dist.weights) if v <= v_j]
+        head = math.fsum(w * v * v for v, w in inside)
+        mass = math.fsum(w for _, w in inside)
+        theta_j = (1.0 - x_j * inv) ** 2 * (head + v_j * v_j * (kappa - mass))
+        slack = kappa / (kappa - mass)
+        at = wasserstein_misspec_solve(dist, RadiusSpec(theta_j, alpha), cost)
+        assert at.case is WassersteinCase.IMPLICIT_ROOT
+        assert abs(at.gamma_star - x_j) <= (2e-10 + 1e-14 * slack) * x_j
+        for sign in (1.0, -1.0):
+            theta = theta_j * (1.0 + sign * 1e-9)
+            sol = wasserstein_misspec_solve(dist, RadiusSpec(theta, alpha), cost)
+            assert sol.case is WassersteinCase.IMPLICIT_ROOT
+            assert sign * (x_j - sol.gamma_star) >= -2e-10 * x_j  # a larger radius, a smaller index
+            assert abs(sol.gamma_star - x_j) <= (2e-10 + 1e-9 * slack) * x_j
+            want = _reference_gamma(dist, theta, inv, cost)
+            assert sol.gamma_star == pytest.approx(want, rel=1e-9)
+        placed += 1
+    assert placed >= 250
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,18 @@ def test_theta_limits():
     )
 
 
+def test_settled_term_is_infinite_once_four_lambda_squared_underflows():
+    # 4 lam^2 is 0 in floating point below lam ~ 1e-162: the lam -> 0 limit
+    assert theta(2, 1e-170, [P1], 4.0) == math.inf
+    assert theta(2, 1e-150, [P1], 4.0) == pytest.approx(16.0 + 21.0 / 4e-300)
+    # the kink test at the breakpoint 5e-163 used to divide by zero
+    big = ProductSpec(2e-12, 1e-12, 1e150)
+    sol = solve_lambda(PortfolioSpec((big,), 1.5e300, INF))
+    assert (sol.segment, sol.case) == (2, DualCase.INTERIOR_ROOT)
+    assert sol.breakpoints[1] == 5e-163 < sol.lambda_star
+    assert sol.quantities == (1e150,)
+
+
 def test_solve_lambda_canonical_instance():
     pf = PortfolioSpec(products=(P1,), budget=20.0, alpha=4.0)
     sol = solve_lambda(pf)

@@ -116,6 +116,33 @@ def test_nominal_quantity_examples():
     assert nominal_quantity(u2, CostStructure(2, 1)) == 1.0
 
 
+def test_quantile_and_cdf_read_one_sequential_prefix():
+    # quantile keeps the bits of np.cumsum + np.searchsorted; cdf moves from
+    # numpy's pairwise sum of the weights at or below x to the sequential
+    # prefix sum, within n eps of it
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        n = int(rng.integers(1, 200))
+        values = rng.gamma(2.0, 5.0, n)
+        if i % 3 == 0:
+            values = np.round(values)  # ties, merged into heavier atoms
+        if i % 2:
+            law = DiscreteDistribution.from_samples(values.tolist())
+        else:
+            law = DiscreteDistribution.from_pairs(values.tolist(), rng.dirichlet(np.ones(n)).tolist())
+        s, w = law.support_array(), law.weights_array()
+        cum = np.cumsum(w)
+        edges = [min(float(cum[j]), 1.0) for j in rng.integers(0, len(cum), 4)]
+        for kappa in [*rng.uniform(1e-9, 1.0, 6).tolist(), *edges, 1.0]:
+            idx = int(np.searchsorted(cum, kappa - 1e-12, side="left"))
+            q = law.quantile(kappa)
+            assert q == law.support[min(idx, len(law.support) - 1)]
+            assert law.cdf(q) >= kappa - 1e-12
+        for x in [*law.support, *rng.uniform(-1.0, s[-1] + 1.0, 4).tolist()]:
+            pairwise = float(w[s <= x + 1e-12].sum())
+            assert abs(law.cdf(x) - pairwise) <= len(w) * np.finfo(float).eps
+
+
 @pytest.mark.parametrize(
     "values, weights",
     [
