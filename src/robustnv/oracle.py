@@ -8,6 +8,14 @@ the weights, keep the feasible nonnegative solutions, and take the minimum
 expected objective.  No linear-programming dependency, no cleverness shared
 with the closed forms being validated.
 
+Candidates come singletons first, then pairs (one pass per solved constraint
+row), then triples, each family in lexicographic index order; the tie rules of
+both consumers depend on that order.  Pairs and triples are tested in blocks of
+``_BLOCK`` candidates per numpy pass, so memory stays bounded whatever the
+grid size.  Triples are formed row by row, a row being a (low, middle) atom
+pair; a row whose third weight is provably negative for every high atom is
+dropped before it is expanded (the proof is in :func:`_iter_triples`).
+
 Two consumption styles:
 
 * :func:`worst_case_expectation_oracle` — one-shot: streams candidate chunks
@@ -48,6 +56,7 @@ __all__ = [
 _FEAS_TOL = 1e-8  # constraint feasibility, per contract
 _W_TOL = 1e-12  # weight nonnegativity slack
 _PIVOT_TOL = 1e-12  # near-singular subset systems are skipped
+_BLOCK = 1 << 14  # candidates (or triple rows) tested per numpy pass
 
 
 class Moment(str, Enum):
@@ -129,14 +138,42 @@ def _iter_singletons(grid: np.ndarray, constraints) -> Iterator[tuple[np.ndarray
         yield hits[:, None].astype(np.int64), np.ones((hits.size, 1))
 
 
+def _ragged_blocks(counts: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Consecutive runs of rows holding about ``_BLOCK`` elements in all.
+
+    Row ``r`` owns ``counts[r]`` elements, taken in row order.  Each run is
+    yielded as ``(rows, sizes, off)``: the slice of its rows, their counts,
+    and every element's offset within its row, so ``np.repeat(x[rows],
+    sizes)`` spreads a per-row array over the elements.  A row larger than
+    ``_BLOCK`` forms a run of its own; runs without elements are skipped.
+    """
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < counts.size:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _BLOCK, side="right")))
+        sizes = counts[lo:hi]
+        total = int(ends[hi - 1]) - base
+        if total:
+            starts = ends[lo:hi] - sizes - base
+            yield slice(lo, hi), sizes, np.arange(total) - np.repeat(starts, sizes)
+        lo = hi
+
+
 def _iter_pairs(grid: np.ndarray, constraints) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Pairs pinned by one active constraint row; remaining constraints checked."""
+    """Pairs pinned by one active constraint row; remaining constraints checked.
+
+    One pass per solved row over the upper triangle ``i < j`` in
+    lexicographic order, ``_BLOCK`` pairs per numpy pass.
+    """
     n = grid.size
     for solve_c in constraints:
         g = _moment_map(grid, solve_c.moment)
         t = solve_c.bound
-        for i in range(n - 1):
-            j = np.arange(i + 1, n)
+        # row i holds the pairs (i, j) for j = i + 1 .. n - 1
+        for rows, sizes, off in _ragged_blocks(np.arange(n - 1, 0, -1)):
+            i = np.repeat(np.arange(rows.start, rows.stop), sizes)
+            j = i + 1 + off
             den = g[i] - g[j]
             valid = np.abs(den) > _PIVOT_TOL
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -150,9 +187,10 @@ def _iter_pairs(grid: np.ndarray, constraints) -> Iterator[tuple[np.ndarray, np.
                 feas &= ~_violates(wi * gc[i] + wj * gc[j], c)
             hits = np.nonzero(feas)[0]
             if hits.size:
-                idx = np.column_stack([np.full(hits.size, i, dtype=np.int64), j[hits]])
-                wgt = np.column_stack([wi[hits], wj[hits]])
-                yield idx, wgt
+                yield (
+                    np.column_stack([i[hits], j[hits]]),
+                    np.column_stack([wi[hits], wj[hits]]),
+                )
 
 
 def _iter_triples(grid: np.ndarray, constraints) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -161,50 +199,90 @@ def _iter_triples(grid: np.ndarray, constraints) -> Iterator[tuple[np.ndarray, n
     Uses the closed Lagrange/Cramer solution of the 3x3 Vandermonde system;
     strictly increasing grids keep the denominators away from zero, and the
     pivot-tolerance skip guards the degenerate remainder.
+
+    Candidates come in lexicographic ``(i, j, k)`` order, in two blocked
+    levels.  First the rows ``(i, j)`` -- a low atom ``i`` that passes the
+    hull prefilter and a middle atom ``j`` with an admissible high atom above
+    it -- are formed ``_BLOCK`` at a time.  Each kept row is then expanded
+    into its high atoms: the ``k > j`` with ``hi_ok[k]``, a suffix of the
+    sorted ``hi_ok`` indices found by ``searchsorted``.  The candidates are
+    tested ``_BLOCK`` at a time.
+
+    The weights keep the bits of the textbook formulas
+    ``wa = (t2 - (b+c)*t1 + b*c) / ((a-b)*(a-c))`` and its cyclic
+    companions.  Rounding is sign-symmetric, so ``a - b == -(b - a)`` and
+    ``x / -y == -(x / y)`` bit for bit.  With ``d_ba = b - a``,
+    ``d_ca = c - a`` and ``d_cb = c - b`` (all positive), the denominators
+    are ``d_ba*d_ca``, ``-(d_ba*d_cb)`` and ``d_ca*d_cb``, and ``wb`` is
+    formed as ``-(num_b / (d_ba*d_cb))``.  Rounding is also monotone, and
+    ``d_cb <= d_ca`` and ``d_ba <= d_ca``.  So ``d_ba*d_cb`` is the smallest
+    of the three denominator magnitudes, and the pivot test needs only that
+    one.
+
+    Row pruning is exact.  In a row, the numerator ``t2 - (a+b)*t1 + a*b``
+    of ``wc`` does not depend on ``c``.  The denominator ``d_ca*d_cb`` is a
+    correctly rounded product of nonnegative factors that do not decrease as
+    ``c`` grows, so it does not decrease along the row.  A negative
+    numerator over a larger denominator gives a larger quotient, and the
+    rounded quotient keeps that order.  So the computed ``wc`` does not
+    decrease along the row, and a nonnegative numerator never makes it
+    negative.  If ``wc`` at the largest admissible ``c`` (the last high atom
+    of every row) is below ``-_W_TOL``, every candidate of the row fails the
+    ``wc`` test, and the row is dropped before it is expanded.  The argument
+    uses only this function's own weight formula and shares nothing with
+    the closed forms.
     """
     by_id = {c.moment: c for c in constraints}
     if Moment.MEAN not in by_id or Moment.SECOND_MOMENT not in by_id:
         return
     t1 = by_id[Moment.MEAN].bound
     t2 = by_id[Moment.SECOND_MOMENT].bound
-    n = grid.size
     g2 = grid * grid
     # hull prefilters: nonnegative weights put each target moment inside the
     # atom hull, so the low atom sits below both targets and the high above
     low_ok = (grid <= t1 + _FEAS_TOL) & (g2 <= t2 + _FEAS_TOL)
-    hi_ok = (grid >= t1 - _FEAS_TOL) & (g2 >= t2 - _FEAS_TOL)
-    for i in np.nonzero(low_ok)[0]:
-        m = n - i - 1
-        if m < 2:
-            break
-        jj, kk = np.triu_indices(m, k=1)
-        jj = jj + i + 1
-        kk = kk + i + 1
-        keep = hi_ok[kk]
-        jj, kk = jj[keep], kk[keep]
-        if jj.size == 0:
-            continue
-        a, b, c_ = grid[i], grid[jj], grid[kk]
-        den_a = (a - b) * (a - c_)
-        den_b = (b - a) * (b - c_)
-        den_c = (c_ - a) * (c_ - b)
-        valid = (
-            (np.abs(den_a) > _PIVOT_TOL)
-            & (np.abs(den_b) > _PIVOT_TOL)
-            & (np.abs(den_c) > _PIVOT_TOL)
-        )
+    hi = np.nonzero((grid >= t1 - _FEAS_TOL) & (g2 >= t2 - _FEAS_TOL))[0]
+    if hi.size == 0:
+        return
+    top = int(hi[-1])  # every row's last high atom
+    low = np.nonzero(low_ok[: max(top - 1, 0)])[0]
+    grid_hi = grid[hi]
+    # row (i, j) for j = i + 1 .. top - 1; its high atoms are hi[above[j]:]
+    for rows, sizes, off in _ragged_blocks(top - 1 - low):
+        i = np.repeat(low[rows], sizes)
+        j = i + 1 + off
+        a, b = grid[i], grid[j]
         with np.errstate(divide="ignore", invalid="ignore"):
-            wa = (t2 - (b + c_) * t1 + b * c_) / den_a
-            wb = (t2 - (a + c_) * t1 + a * c_) / den_b
-            wc = (t2 - (a + b) * t1 + a * b) / den_c
-        feas = valid & (wa >= -_W_TOL) & (wb >= -_W_TOL) & (wc >= -_W_TOL)
-        hits = np.nonzero(feas)[0]
-        if hits.size:
-            idx = np.column_stack(
-                [np.full(hits.size, i, dtype=np.int64), jj[hits], kk[hits]]
+            num_c = t2 - (a + b) * t1 + a * b
+            wc_top = num_c / ((grid[top] - a) * (grid[top] - b))
+        keep = np.nonzero(~(wc_top < -_W_TOL))[0]
+        i, j, a, b, num_c = i[keep], j[keep], a[keep], b[keep], num_c[keep]
+        above = np.searchsorted(hi, j, side="right")
+        d_ba = b - a
+        for rows2, sizes2, off2 in _ragged_blocks(hi.size - above):
+            def spread(x):
+                return np.repeat(x[rows2], sizes2)
+
+            pos = spread(above) + off2
+            ar, br, c_, d_ba_r = spread(a), spread(b), grid_hi[pos], spread(d_ba)
+            d_ca, d_cb = c_ - ar, c_ - br
+            p_b = d_ba_r * d_cb
+            with np.errstate(divide="ignore", invalid="ignore"):
+                wa = (t2 - (br + c_) * t1 + br * c_) / (d_ba_r * d_ca)
+                neg_wb = (t2 - (ar + c_) * t1 + ar * c_) / p_b
+                wc = spread(num_c) / (d_ca * d_cb)
+            feas = (
+                (p_b > _PIVOT_TOL)
+                & (wa >= -_W_TOL)
+                & (neg_wb <= _W_TOL)
+                & (wc >= -_W_TOL)
             )
-            wgt = np.column_stack([wa[hits], wb[hits], wc[hits]])
-            yield idx, wgt
+            hits = np.nonzero(feas)[0]
+            if hits.size:
+                yield (
+                    np.column_stack([spread(i)[hits], spread(j)[hits], hi[pos[hits]]]),
+                    np.column_stack([wa[hits], -neg_wb[hits], wc[hits]]),
+                )
 
 
 def _iter_candidates(cs: MomentConstraintSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:

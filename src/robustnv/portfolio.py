@@ -43,7 +43,11 @@ from .validation import (
 )
 
 _BISECT_REL_TOL = 1e-10
-_MAX_BISECT_ITER = 300
+# Halvings that bring any bracket to the relative width: a bracket spans at
+# most 2^1024 (a finite breakpoint; an expanded one stays below 1e18 < 2^60),
+# a root that a relative width can resolve is a normal float, at least
+# 2^-1022, and 1e-10 of it takes 34 more halvings: 1024 + 1022 + 34 = 2080.
+_MAX_BISECT_ITER = 2080
 _ENVELOPE_BLOCK = 1 << 20  # intercepts held at once by dual_objective_curve
 
 
@@ -301,6 +305,10 @@ def solve_lambda(
                     hi = mid
                 if hi - lo <= _BISECT_REL_TOL * hi:
                     break
+            else:
+                raise InternalCheckError(
+                    f"multiplier bisection did not converge: bracket [{lo!r}, {hi!r}]"
+                )
             lam, case = 0.5 * (lo + hi), DualCase.INTERIOR_ROOT
         if not brk[i_star - 1] <= lam <= brk[i_star]:
             raise InternalCheckError(

@@ -1,5 +1,7 @@
 """Grid oracle: feasibility, tie-breaking, and agreement with closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from robustnv import (
     scarf_quantity,
     worst_case_transformed_expectation,
 )
+from robustnv import oracle
 from robustnv.oracle import (
     Moment,
     MomentConstraint,
@@ -228,3 +231,204 @@ def test_streaming_oracle_matches_value_function_on_modest_instances():
             alpha, q, MomentSpec(mu, sigma), cost
         )
         assert abs(res.value - closed) <= res.grid_error_bound + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# blocked enumeration against a per-index reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_pairs(grid, constraints):
+    """One numpy pass per low index, the enumeration the blocked one replaced."""
+    n = grid.size
+    for solve_c in constraints:
+        g = oracle._moment_map(grid, solve_c.moment)
+        t = solve_c.bound
+        for i in range(n - 1):
+            j = np.arange(i + 1, n)
+            den = g[i] - g[j]
+            valid = np.abs(den) > oracle._PIVOT_TOL
+            with np.errstate(divide="ignore", invalid="ignore"):
+                wi = (t - g[j]) / den
+            wj = 1.0 - wi
+            feas = valid & (wi >= -oracle._W_TOL) & (wj >= -oracle._W_TOL)
+            for c in constraints:
+                if c is not solve_c:
+                    gc = oracle._moment_map(grid, c.moment)
+                    feas &= ~oracle._violates(wi * gc[i] + wj * gc[j], c)
+            hits = np.nonzero(feas)[0]
+            if hits.size:
+                idx = np.column_stack([np.full(hits.size, i, dtype=np.int64), j[hits]])
+                yield idx, np.column_stack([wi[hits], wj[hits]])
+
+
+def _reference_triples(grid, constraints):
+    by_id = {c.moment: c for c in constraints}
+    if Moment.MEAN not in by_id or Moment.SECOND_MOMENT not in by_id:
+        return
+    t1, t2 = by_id[Moment.MEAN].bound, by_id[Moment.SECOND_MOMENT].bound
+    n, g2, tol = grid.size, grid * grid, oracle._FEAS_TOL
+    low_ok = (grid <= t1 + tol) & (g2 <= t2 + tol)
+    hi_ok = (grid >= t1 - tol) & (g2 >= t2 - tol)
+    for i in np.nonzero(low_ok)[0]:
+        m = n - i - 1
+        if m < 2:
+            break
+        jj, kk = np.triu_indices(m, k=1)
+        jj, kk = jj + i + 1, kk + i + 1
+        keep = hi_ok[kk]
+        jj, kk = jj[keep], kk[keep]
+        a, b, c_ = grid[i], grid[jj], grid[kk]
+        den_a, den_b, den_c = (a - b) * (a - c_), (b - a) * (b - c_), (c_ - a) * (c_ - b)
+        valid = (
+            (np.abs(den_a) > oracle._PIVOT_TOL)
+            & (np.abs(den_b) > oracle._PIVOT_TOL)
+            & (np.abs(den_c) > oracle._PIVOT_TOL)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wa = (t2 - (b + c_) * t1 + b * c_) / den_a
+            wb = (t2 - (a + c_) * t1 + a * c_) / den_b
+            wc = (t2 - (a + b) * t1 + a * b) / den_c
+        w = -oracle._W_TOL
+        hits = np.nonzero(valid & (wa >= w) & (wb >= w) & (wc >= w))[0]
+        if hits.size:
+            idx = np.column_stack([np.full(hits.size, i, dtype=np.int64), jj[hits], kk[hits]])
+            yield idx, np.column_stack([wa[hits], wb[hits], wc[hits]])
+
+
+def _reference_family(cs):
+    """(atom_indices, atom_weights) built from the reference enumeration, or
+    None when no law is feasible."""
+    grid = np.asarray(cs.grid, dtype=float)
+    blocks = list(oracle._iter_singletons(grid, cs.constraints))
+    k_max = min(len(cs.constraints) + 1, 3, grid.size)
+    if k_max >= 2:
+        blocks += _reference_pairs(grid, cs.constraints)
+    if k_max >= 3:
+        blocks += _reference_triples(grid, cs.constraints)
+    idx = [np.hstack([i, np.repeat(i[:, -1:], 3 - i.shape[1], axis=1)]) for i, _ in blocks]
+    wgt = [np.hstack([w, np.zeros((w.shape[0], 3 - w.shape[1]))]) for _, w in blocks]
+    if not blocks:
+        return None
+    return np.vstack(idx).astype(np.int32), np.vstack(wgt)
+
+
+def _assert_family_parity(cs):
+    family = MomentLawFamily(cs)
+    want_idx, want_wgt = _reference_family(cs)
+    assert family.atom_indices.dtype == want_idx.dtype
+    assert family.atom_indices.tobytes() == want_idx.tobytes()
+    assert family.atom_weights.tobytes() == want_wgt.tobytes()
+    return family.n_laws
+
+
+def _constraint_set(grid, mu, m2, relations, reverse=False):
+    cons = (
+        MomentConstraint(Moment.MEAN, relations[0], mu),
+        MomentConstraint(Moment.SECOND_MOMENT, relations[1], m2),
+    )
+    return MomentConstraintSet(grid=grid, constraints=cons[::-1] if reverse else cons)
+
+
+def test_blocked_family_is_byte_identical_to_per_index_enumeration():
+    rng = np.random.default_rng(1212)
+    rels = (Relation.EQ, Relation.LE)
+    checked = 0
+    for case in range(24):
+        n = int(rng.integers(20, 401))
+        top = float(rng.uniform(5, 40))
+        grid = np.linspace(0, top, n)
+        if case % 3 == 0:
+            grid = np.unique(np.round(rng.uniform(0, top, n), 6))
+        mu = float(rng.uniform(0.1, 0.6)) * top
+        cv = 10.0 ** float(rng.uniform(-3, 0))  # sigma / mu down to 1e-3
+        relations = (rels[case % 2], rels[(case // 2) % 2])
+        cs = _constraint_set(grid, mu, mu * mu * (1 + cv * cv), relations, case % 5 == 0)
+        if case % 7 == 0:  # a single constraint: singletons and pairs only
+            cs = MomentConstraintSet(grid=grid, constraints=cs.constraints[:1])
+        if _reference_family(cs) is None:  # nothing feasible: both sides agree
+            with pytest.raises(InfeasibleError):
+                MomentLawFamily(cs)
+            continue
+        _assert_family_parity(cs)
+        checked += 1
+    assert checked >= 18
+
+
+def test_blocked_family_parity_on_exact_zero_numerators_and_tiny_spreads():
+    eq = (Relation.EQ, Relation.EQ)
+    grid = np.linspace(0, 12, 121)
+    # atoms {0, 5} satisfy both moments exactly: wc's numerator is exactly 0
+    assert 20.0 - (grid[0] + grid[50]) * 4.0 + grid[0] * grid[50] == 0.0
+    assert _assert_family_parity(_constraint_set(grid, 4.0, 20.0, eq)) > 0
+    for cv in (1e-3, 3e-3, 1e-2):
+        mu = 4.0
+        for relations in (eq, (Relation.LE, Relation.EQ), (Relation.EQ, Relation.LE)):
+            _assert_family_parity(_constraint_set(grid, mu, mu * mu * (1 + cv * cv), relations))
+
+
+def _wc_top(t1, t2, a, b, c):
+    return (t2 - (a + b) * t1 + a * b) / ((c - a) * (c - b))
+
+
+def test_blocked_family_parity_when_the_top_point_sits_at_the_pruning_threshold():
+    base = np.linspace(0, 12, 121)
+    t1 = 4.0
+    a, b = base[30], base[60]  # a < t1 < b
+    t2 = (a + b) * t1 - a * b - 1e-10  # row (a, b) has a numerator near -1e-10
+    num = t2 - (a + b) * t1 + a * b
+    assert num < 0.0
+    # (c - a)(c - b) = -num / W_TOL puts wc at the top point on -W_TOL
+    mid = 0.5 * (a + b)
+    c = mid + np.sqrt((0.5 * (b - a)) ** 2 - num / oracle._W_TOL)
+    while _wc_top(t1, t2, a, b, c) >= -oracle._W_TOL:
+        c = np.nextafter(c, 0.0)
+    below = c
+    while _wc_top(t1, t2, a, b, c) < -oracle._W_TOL:
+        c = np.nextafter(c, np.inf)
+    above = c
+    assert _wc_top(t1, t2, a, b, below) < -oracle._W_TOL <= _wc_top(t1, t2, a, b, above)
+    for top in (below, above, np.nextafter(below, 0.0), np.nextafter(above, np.inf)):
+        grid = np.append(base, top)
+        for relations in ((Relation.EQ, Relation.EQ), (Relation.LE, Relation.EQ)):
+            _assert_family_parity(_constraint_set(grid, t1, t2, relations))
+
+
+@pytest.mark.parametrize(
+    "n, top, mu, sigma",
+    [(50, 12.0, 4.0, 2.0), (201, 15.0, 3.0, 1.5), (801, 40.0, 1.5, 1.0)],
+)
+def test_blocked_streaming_oracle_is_bit_equal_to_per_index_enumeration(
+    monkeypatch, n, top, mu, sigma
+):
+    grid = np.linspace(0, top, n)
+    cs = mean_second_set(grid, mu, mu * mu + sigma * sigma)
+    objectives = (
+        lambda v: ell(3.0, mu, v, COST),
+        lambda v: profit(mu + 0.5 * sigma, v, COST),
+        lambda v: 0.0,  # every law ties: the tie rule alone picks the support
+    )
+    got = [worst_case_expectation_oracle(f, cs) for f in objectives]
+    monkeypatch.setattr(oracle, "_iter_pairs", _reference_pairs)
+    monkeypatch.setattr(oracle, "_iter_triples", _reference_triples)
+    for f, res in zip(objectives, got):
+        want = worst_case_expectation_oracle(f, cs)
+        assert res.value.hex() == want.value.hex()
+        assert res.argmin.support == want.argmin.support
+        assert res.argmin.weights == want.argmin.weights
+
+
+def test_streaming_pair_enumeration_stays_within_its_block_memory():
+    # 5,000 points hold 12.5 M pairs; the whole triangle would take about 1 GB
+    grid = np.linspace(0, 20, 5000)
+    cs = MomentConstraintSet(
+        grid=grid, constraints=(MomentConstraint(Moment.MEAN, Relation.EQ, 7.3),)
+    )
+    tracemalloc.start()
+    try:
+        res = worst_case_expectation_oracle(lambda v: min(v, 5.0), cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    assert res.argmin.mean() == pytest.approx(7.3, abs=1e-9)

@@ -10,6 +10,7 @@ from robustnv import (
     DegenerateModelError,
     DualCase,
     InputError,
+    InternalCheckError,
     MisspecIndex,
     MomentSpec,
     CostStructure,
@@ -26,6 +27,7 @@ from robustnv import (
     solve_lambda,
     theta,
 )
+from robustnv import portfolio
 from robustnv.portfolio import _envelope_min
 
 INF = MisspecIndex.INFINITY
@@ -151,6 +153,26 @@ def test_settled_term_is_infinite_once_four_lambda_squared_underflows():
     assert (sol.segment, sol.case) == (2, DualCase.INTERIOR_ROOT)
     assert sol.breakpoints[1] == 5e-163 < sol.lambda_star
     assert sol.quantities == (1e150,)
+
+
+def test_solve_lambda_converges_on_a_root_far_below_the_bracket():
+    # the unbounded segment's bracket starts at 1; the root, where 4 lam^2
+    # stops underflowing (4 lam^2 > 2^-1075), lies near 2^-538.5 = 7.86e-163
+    big = ProductSpec(2e-12, 1e-12, 1e150)
+    pf = PortfolioSpec((big,), 1.5e300, INF)
+    sol = solve_lambda(pf)
+    root = 2.0 ** -538.5
+    assert sol.case is DualCase.INTERIOR_ROOT
+    assert abs(sol.lambda_star - root) <= 1e-10 * root
+    lam, j = sol.lambda_star, sol.segment
+    assert theta(j, lam * (1 - 1e-10), pf.products, INF) >= pf.budget
+    assert theta(j, lam * (1 + 1e-10), pf.products, INF) <= pf.budget
+
+
+def test_solve_lambda_raises_when_the_bisection_runs_out(monkeypatch):
+    monkeypatch.setattr(portfolio, "_MAX_BISECT_ITER", 5)
+    with pytest.raises(InternalCheckError, match="did not converge"):
+        solve_lambda(PortfolioSpec(products=(P1,), budget=20.0, alpha=4.0))
 
 
 def test_solve_lambda_canonical_instance():
