@@ -44,10 +44,10 @@ from .single_product import (
     DiscreteDistribution,
     MisspecIndex,
     MomentSpec,
+    _ell_rows,
     _expected_profit,
     _solve,
     as_misspec_index,
-    ell,
     misspec_quantity,
     nominal_quantity,
     profit,
@@ -696,7 +696,7 @@ def oracle_check(
         q_hi = max(_solve(MisspecIndex.INFINITY, m, cs)[0] * 1.2, 1e-6)
         q_grid = np.linspace(0.0, q_hi, int(q_points))
         q_step = q_grid[1] - q_grid[0]
-        rows = np.array([ell(alpha, float(q), grid, cs) for q in [*q_grid, closed.quantity]])
+        rows = _ell_rows(alpha, [*q_grid, closed.quantity], grid, cs)
         values = family._min_values(rows)
         best = int(np.argmax(values[:-1]))
         q_gap = abs(closed.quantity - q_grid[best])

@@ -25,7 +25,9 @@ Two consumption styles:
 * :class:`MomentLawFamily` — materializes the feasible family once for reuse
   against many objectives (e.g. scanning order quantities); this is the
   expensive-to-build, cheap-to-query path and therefore enforces the 400-point
-  cubic budget strictly.
+  cubic budget strictly.  Objectives are scored in consecutive blocks of laws
+  holding about ``_LAW_BLOCK`` expectations each (1 MB), folded into running
+  minima, so scoring adds a fixed amount of memory however large the family.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ _FEAS_TOL = 1e-8  # constraint feasibility, per contract
 _W_TOL = 1e-12  # weight nonnegativity slack
 _PIVOT_TOL = 1e-12  # near-singular subset systems are skipped
 _BLOCK = 1 << 14  # candidates (or triple rows) tested per numpy pass
+_LAW_BLOCK = 1 << 17  # law expectations per scored family block (1 MB)
 
 
 class Moment(str, Enum):
@@ -318,6 +321,10 @@ def _grid_error_bound(grid: np.ndarray, fv: np.ndarray) -> float:
     return lip * float(np.max(steps))
 
 
+def _require_finite_objective(fv: np.ndarray) -> None:
+    require(bool(np.all(np.isfinite(fv))), "objective must be finite on the grid")
+
+
 def worst_case_expectation_oracle(
     objective: Callable[[float], float], cs: MomentConstraintSet
 ) -> OracleResult:
@@ -338,7 +345,7 @@ def worst_case_expectation_oracle(
     if grid.size > 20000:
         raise InputError(f"grid of {grid.size} points exceeds the pair cap 20000")
     fv = np.array([float(objective(v)) for v in cs.grid])
-    require(bool(np.all(np.isfinite(fv))), "objective must be finite on the grid")
+    _require_finite_objective(fv)
 
     best_val = math.inf
     best_idx: np.ndarray | None = None
@@ -373,10 +380,13 @@ class MomentLawFamily:
     ``atom_indices`` is an (n_laws, 3) int array of grid indices (rows for
     smaller supports padded by repeating the last index with zero weight) and
     ``atom_weights`` the matching weights.  Building the family costs the full
-    enumeration once; :meth:`minimize` is then a single gather-and-reduce per
-    objective.  Because every feasible law is stored, the cubic case enforces
-    the recommended 400-point budget strictly — use the streaming one-shot
-    oracle for finer grids.
+    enumeration once; :meth:`minimize_many` then scores the laws in
+    consecutive blocks, each a small sparse product whose (laws, objectives)
+    block of expectations holds about ``_LAW_BLOCK`` doubles and stays in
+    cache, and folds the per-block minima.  Scoring thus needs about 1 MB
+    beyond the family itself, whatever its size.  Because every feasible law
+    is stored, the cubic case enforces the recommended 400-point budget
+    strictly — use the streaming one-shot oracle for finer grids.
     """
 
     def __init__(self, cs: MomentConstraintSet):
@@ -406,7 +416,6 @@ class MomentLawFamily:
             )
         self.atom_indices = np.vstack(idx_blocks)
         self.atom_weights = np.vstack(wgt_blocks)
-        self._law_matrix = None  # lazy sparse form for minimize_many
 
     @property
     def n_laws(self) -> int:
@@ -419,6 +428,7 @@ class MomentLawFamily:
         """
         fv = np.asarray(objective_on_grid, dtype=float)
         require(fv.shape == self.grid.shape, "objective values must match the grid")
+        _require_finite_objective(fv)
         exp = np.einsum("ij,ij->i", self.atom_weights, fv[self.atom_indices])
         row = int(np.argmin(exp))
         ties = np.nonzero(exp == exp[row])[0]
@@ -435,20 +445,35 @@ class MomentLawFamily:
         strict lexicographic tie rule matters.
         """
         obj = self._checked_objectives(objectives)
-        values = np.empty(obj.shape[0])
-        rows = np.empty(obj.shape[0], dtype=np.int64)
-        for span, block in self._expectation_blocks(obj):
+        values = np.full(obj.shape[0], np.inf)
+        rows = np.zeros(obj.shape[0], dtype=np.int64)
+        cols = np.arange(obj.shape[0])
+        for lo, block in self._expectation_blocks(obj):
             r = np.argmin(block, axis=0)
-            rows[span] = r
-            values[span] = block[r, np.arange(block.shape[1])]
+            v = block[r, cols]
+            # strict: an equal value in a later block is not the first hit
+            better = v < values
+            values[better] = v[better]
+            rows[better] = lo + r[better]
         return values, rows
 
     def _min_values(self, objectives: np.ndarray) -> np.ndarray:
-        """The minima of :meth:`minimize_many`, bit for bit, without the rows."""
+        """The minima of :meth:`minimize_many`, bit for bit, without the rows.
+
+        A full block of ``b`` laws is reduced as ``b/8`` rows of ``8k``
+        columns, then its 8 partial rows are folded: the same minima as the
+        plain axis-0 reduction, which runs a ``k``-wide inner loop per law.
+        The minimum of NaN-free values does not depend on the order, and no
+        expectation is ``-0.0`` (each is a sum that starts at ``+0.0``), so
+        the regrouping is exact.
+        """
         obj = self._checked_objectives(objectives)
-        values = np.empty(obj.shape[0])
-        for span, block in self._expectation_blocks(obj):
-            values[span] = block.min(axis=0)
+        values = np.full(obj.shape[0], np.inf)
+        for _, block in self._expectation_blocks(obj):
+            b, k = block.shape
+            if b % 8 == 0:
+                block = block.reshape(b // 8, 8 * k).min(axis=0).reshape(8, k)
+            np.minimum(values, block.min(axis=0), out=values)
         return values
 
     def _checked_objectives(self, objectives) -> np.ndarray:
@@ -457,26 +482,36 @@ class MomentLawFamily:
             obj.ndim == 2 and obj.shape[1] == self.grid.size,
             "objectives must have shape (n_objectives, n_grid)",
         )
+        _require_finite_objective(obj)
         return obj
 
     def _expectation_blocks(self, obj: np.ndarray):
-        """(row slice, (n_laws, rows) block of law expectations) per chunk."""
+        """(first law row, (laws, objectives) block of expectations) per block.
+
+        Laws come in enumeration order, a multiple of 8 per block (all but
+        the last block are full), so that a block holds about ``_LAW_BLOCK``
+        expectations.  Each block is a CSR matrix over views of the family's
+        own rows: three entries per law, so one ``indptr`` serves every block.
+        """
         from scipy import sparse
 
-        if self._law_matrix is None:
-            n = self.n_laws
-            indptr = np.arange(0, 3 * n + 1, 3)
-            self._law_matrix = sparse.csr_matrix(
+        k = obj.shape[0]
+        if k == 0:
+            return
+        size = max(8, _LAW_BLOCK // k // 8 * 8)
+        obj_t = np.ascontiguousarray(obj.T)
+        indptr = np.arange(0, 3 * size + 1, 3, dtype=np.int32)
+        for lo in range(0, self.n_laws, size):
+            wgt = self.atom_weights[lo : lo + size]
+            laws = sparse.csr_matrix(
                 (
-                    self.atom_weights.ravel(),
-                    self.atom_indices.ravel().astype(np.int64),
-                    indptr,
+                    wgt.ravel(),
+                    self.atom_indices[lo : lo + size].ravel(),
+                    indptr[: wgt.shape[0] + 1],
                 ),
-                shape=(n, self.grid.size),
+                shape=(wgt.shape[0], self.grid.size),
             )
-        chunk = max(1, int(2e7 // max(self.n_laws, 1)))
-        for lo in range(0, obj.shape[0], chunk):
-            yield slice(lo, lo + chunk), self._law_matrix @ obj[lo : lo + chunk].T
+            yield lo, laws @ obj_t
 
     def law(self, row: int) -> DiscreteDistribution:
         idx = self.atom_indices[row]

@@ -29,6 +29,7 @@ from .single_product import (
     AlphaLike,
     CostStructure,
     MisspecIndex,
+    _ell_rows,
     as_misspec_index,
     ell,
 )
@@ -411,7 +412,7 @@ def dual_objective_curve(lambdas, portfolio: PortfolioSpec, grid) -> np.ndarray:
         best = np.full(lams.size, -np.inf)
         step = max(1, _ENVELOPE_BLOCK // slopes.size)  # quantity rows per block
         for lo in range(0, v.size, step):
-            rows = np.array([ell(a, float(q), v, cost) for q in v[lo : lo + step]])
+            rows = _ell_rows(a, v[lo : lo + step], v, cost)
             intercepts = w * rows[:, ia, None] + (1.0 - w) * rows[:, None, ib]
             env = _envelope_min(slopes, intercepts.reshape(len(rows), -1), lams)
             np.maximum(best, env.max(axis=0), out=best)
@@ -426,20 +427,24 @@ def _envelope_min(slopes, intercepts, xs) -> np.ndarray:
     one family per row (2-D, returns one row per family), all sharing
     ``slopes``.
     """
-    bs = np.atleast_2d(intercepts)
     order = np.argsort(-slopes, kind="stable")  # slope descending
     ms = slopes[order]
+    bs = np.atleast_2d(intercepts)[:, order]
     starts = np.flatnonzero(np.r_[True, np.diff(ms) < 0.0])
-    ms = ms[starts]
-    bs = np.minimum.reduceat(bs[:, order], starts, axis=1)  # lowest per slope
+    if starts.size < ms.size:
+        ms = ms[starts]
+        bs = np.minimum.reduceat(bs, starts, axis=1)  # lowest per slope
     # a line that a later (flatter) line matches or beats at xs[0] stays at
     # or above it on all of xs
     at0 = bs + ms * xs[0]
     rest = np.minimum.accumulate(at0[:, :0:-1], axis=1)[:, ::-1]
     keep = np.ones(bs.shape, dtype=bool)
     keep[:, :-1] = at0[:, :-1] < rest
+    # the flattest line always survives; where it is alone it is the envelope
+    alone = keep.sum(axis=1) == 1
     env = np.empty((bs.shape[0], xs.size))
-    for r in range(bs.shape[0]):
+    env[alone] = bs[alone, -1:] + ms[-1] * xs
+    for r in np.flatnonzero(~alone):
         env[r] = _chain(ms[keep[r]].tolist(), bs[r, keep[r]].tolist(), xs)
     return env if np.ndim(intercepts) == 2 else env[0]
 

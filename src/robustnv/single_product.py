@@ -418,6 +418,16 @@ def _expected_profit(dist: DiscreteDistribution, q: float, cost: CostStructure) 
     return math.fsum(terms.tolist())
 
 
+def _envelope_index(alpha: AlphaLike) -> MisspecIndex:
+    a = as_misspec_index(alpha)
+    if a.alpha == 0.0:
+        raise DegenerateModelError(
+            "alpha = 0 (strongest misspecification aversion): the envelope "
+            "degenerates; use the robust limit q = 0"
+        )
+    return a
+
+
 def ell(alpha: AlphaLike, q: float, v: _Demand, cost: CostStructure) -> _Demand:
     """Pointwise envelope min_u { pi(q, u) + alpha*(u - v)^2 }.
 
@@ -427,29 +437,36 @@ def ell(alpha: AlphaLike, q: float, v: _Demand, cost: CostStructure) -> _Demand:
     ``inv = 1/alpha = 0`` only the last piece is reached and ``ell`` is
     ``pi`` itself.  ``v`` may be a float or an array: per point, bit for bit.
     """
-    a = as_misspec_index(alpha)
-    if a.alpha == 0.0:
-        raise DegenerateModelError(
-            "alpha = 0 (strongest misspecification aversion): the envelope "
-            "degenerates; use the robust limit q = 0"
-        )
+    if isinstance(v, np.ndarray):
+        return _ell_rows(alpha, (q,), v, cost)[0]
+    a = _envelope_index(alpha)
     q = require_nonnegative("q", q)
+    v = require_nonnegative("v", v)
     p, c = cost.price, cost.cost
     pinv = p * a.inv
-    if not isinstance(v, np.ndarray):
-        v = require_nonnegative("v", v)
-        if 4.0 * q <= pinv:  # only q = 0 when inv = 0
-            return (a.alpha * v * v if v * v < q * pinv else p * q) - c * q
-        if 2.0 * v < pinv:
-            return a.alpha * v * v - c * q
-        return _profit(q, v - 0.25 * pinv, cost)
+    if 4.0 * q <= pinv:  # only q = 0 when inv = 0
+        return (a.alpha * v * v if v * v < q * pinv else p * q) - c * q
+    if 2.0 * v < pinv:
+        return a.alpha * v * v - c * q
+    return _profit(q, v - 0.25 * pinv, cost)
+
+
+def _ell_rows(alpha: AlphaLike, qs, v: np.ndarray, cost: CostStructure) -> np.ndarray:
+    """``ell`` at every quantity of ``qs`` on one array of demands, stacked
+    along a new first axis: ``np.array([ell(alpha, q, v, cost) for q in
+    qs])``, bit for bit, with ``alpha``, each ``q`` and ``v`` checked once."""
+    a = _envelope_index(alpha)
+    q = np.array([require_nonnegative("q", x) for x in qs], dtype=float)
     v = _require_demands(v)
-    # np.where forms both sides: the unused alpha*v^2 may be inf*0 or overflow
+    q = q.reshape(q.shape + (1,) * v.ndim)
+    p, c = cost.price, cost.cost
+    pinv = p * a.inv
+    # np.where forms every piece: an unused alpha*v^2 may be inf*0 or overflow
     with np.errstate(invalid="ignore", over="ignore"):
         quad = a.alpha * v * v
-        if 4.0 * q <= pinv:
-            return np.where(v * v < q * pinv, quad, p * q) - c * q
-        return np.where(2.0 * v < pinv, quad - c * q, _profit(q, v - 0.25 * pinv, cost))
+        low = np.where(v * v < q * pinv, quad, p * q) - c * q
+        high = np.where(2.0 * v < pinv, quad - c * q, _profit(q, v - 0.25 * pinv, cost))
+    return np.where(4.0 * q <= pinv, low, high)
 
 
 def fractile_factor(x: float) -> float:

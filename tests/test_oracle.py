@@ -1,5 +1,6 @@
 """Grid oracle: feasibility, tie-breaking, and agreement with closed forms."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -432,3 +433,156 @@ def test_streaming_pair_enumeration_stays_within_its_block_memory():
         tracemalloc.stop()
     assert peak < 64e6
     assert res.argmin.mean() == pytest.approx(7.3, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# blocked family scoring against the whole-family sparse product
+# ---------------------------------------------------------------------------
+
+
+def _whole_family_blocks(family, obj):
+    """The scorer as first written: one CSR over every law, objectives in
+    chunks of ``2e7 // n_laws``."""
+    from scipy import sparse
+
+    n = family.n_laws
+    law_matrix = sparse.csr_matrix(
+        (
+            family.atom_weights.ravel(),
+            family.atom_indices.ravel().astype(np.int64),
+            np.arange(0, 3 * n + 1, 3),
+        ),
+        shape=(n, family.grid.size),
+    )
+    chunk = max(1, int(2e7 // max(n, 1)))
+    for lo in range(0, obj.shape[0], chunk):
+        yield slice(lo, lo + chunk), law_matrix @ obj[lo : lo + chunk].T
+
+
+def _reference_minimize_many(family, obj):
+    values = np.empty(obj.shape[0])
+    rows = np.empty(obj.shape[0], dtype=np.int64)
+    for span, block in _whole_family_blocks(family, obj):
+        r = np.argmin(block, axis=0)
+        rows[span] = r
+        values[span] = block[r, np.arange(block.shape[1])]
+    return values, rows
+
+
+def _reference_min_values(family, obj):
+    values = np.empty(obj.shape[0])
+    for span, block in _whole_family_blocks(family, obj):
+        values[span] = block.min(axis=0)
+    return values
+
+
+def _assert_scoring_parity(family, obj):
+    want_values, want_rows = _reference_minimize_many(family, obj)
+    values, rows = family.minimize_many(obj)
+    assert values.tobytes() == want_values.tobytes()
+    assert rows.tobytes() == want_rows.tobytes()
+    assert family._min_values(obj).tobytes() == _reference_min_values(family, obj).tobytes()
+    return rows
+
+
+def _with_laws(family, rows):
+    """A copy of ``family`` holding only the laws ``rows``, in that order."""
+    sub = copy.copy(family)
+    sub.atom_indices = family.atom_indices[rows]
+    sub.atom_weights = family.atom_weights[rows]
+    return sub
+
+
+def _law_block(family, k):
+    """Laws per scored block for ``k`` objectives."""
+    return next(family._expectation_blocks(np.zeros((k, family.grid.size))))[1].shape[0]
+
+
+@pytest.fixture(scope="module")
+def family_300():
+    # 660,790 laws: more than one block for any objective count
+    return MomentLawFamily(mean_second_set(np.linspace(0, 16, 300), 4.0, 20.0))
+
+
+def _ell_objectives(grid, k):
+    return np.array([ell(2.5, float(q), grid, COST) for q in np.linspace(0, 9, k)])
+
+
+@pytest.mark.parametrize("k", [1, 42, 1000])
+def test_blocked_scoring_is_byte_identical_around_block_boundaries(family_300, k):
+    size = _law_block(family_300, k)
+    assert size < family_300.n_laws
+    rng = np.random.default_rng(k)
+    noise = rng.standard_normal((k, family_300.grid.size))
+    objectives = (_ell_objectives(family_300.grid, k), noise, np.round(noise, 1))
+    for n in (size - 1, size, size + 1, min(5 * size + 3, family_300.n_laws)):
+        sub = _with_laws(family_300, np.arange(n))
+        for obj in objectives:
+            _assert_scoring_parity(sub, obj)
+
+
+def test_blocked_scoring_of_no_objectives_on_a_multi_block_family(family_300):
+    obj = np.zeros((0, family_300.grid.size))
+    values, rows = family_300.minimize_many(obj)
+    assert values.shape == rows.shape == (0,)
+    _assert_scoring_parity(family_300, obj)
+
+
+def test_blocked_scoring_of_a_family_below_one_block(family_300):
+    family = MomentLawFamily(mean_second_set(np.linspace(0, 12, 41), 4.0, 20.0))
+    assert family.n_laws < _law_block(family_300, 42)
+    for k in (1, 42):
+        _assert_scoring_parity(family, _ell_objectives(family.grid, k))
+
+
+def test_blocked_scoring_keeps_the_first_of_a_tie_across_a_block_boundary(family_300):
+    k = 42
+    size = _law_block(family_300, k)
+    obj = np.random.default_rng(19).standard_normal((k, family_300.grid.size))
+    exp = np.einsum("ij,ij->i", family_300.atom_weights, obj[0][family_300.atom_indices])
+    best = int(np.argmin(exp))
+    # the best law of objective 0 sits last in the first block and first in
+    # the second; every other law comes from the rest of the family
+    others = np.delete(np.arange(family_300.n_laws), best)[: size + 6]
+    rows = np.concatenate([others[: size - 1], [best, best], others[size - 1 :]])
+    sub = _with_laws(family_300, rows)
+    got = _assert_scoring_parity(sub, obj)
+    assert got[0] == size - 1
+    assert sub.minimize(obj[0])[1] == size - 1
+
+
+def test_blocked_scoring_memory_is_bounded(family_300):
+    obj = _ell_objectives(family_300.grid, 42)
+    family_300._min_values(obj)  # scipy's lazy imports stay out of the peak
+    tracemalloc.start()
+    try:
+        family_300._min_values(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-family (660,790 x 42) expectation matrix alone takes 222 MB
+    assert peak < 8e6
+
+
+def test_family_rejects_an_objective_that_is_not_finite():
+    grid = np.linspace(0, 12, 49)
+    cs = MomentConstraintSet(
+        grid=grid,
+        constraints=(
+            MomentConstraint(Moment.MEAN, Relation.EQ, 4.0),
+            MomentConstraint(Moment.SECOND_MOMENT, Relation.LE, 20.0),
+        ),
+    )
+    family = MomentLawFamily(cs)
+    obj = (grid - 4.0) ** 2
+    obj[-1] = np.inf
+    message = "objective must be finite on the grid"
+    with pytest.raises(InputError, match=message):
+        worst_case_expectation_oracle(lambda v: obj[np.searchsorted(grid, v)], cs)
+    with pytest.raises(InputError, match=message):
+        family.minimize(obj)
+    for bad in (obj, np.where(np.isinf(obj), np.nan, obj)):
+        with pytest.raises(InputError, match=message):
+            family.minimize_many(bad[None, :])
+        with pytest.raises(InputError, match=message):
+            family._min_values(bad[None, :])

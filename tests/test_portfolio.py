@@ -475,6 +475,25 @@ def test_envelope_min_merges_duplicate_slopes():
         assert got.tobytes() == _per_row_envelope_min(slopes, intercepts, xs).tobytes()
 
 
+def test_envelope_min_rows_with_tied_slopes_match_the_per_row_chain():
+    # tied slopes take the per-slope minimum; rows whose intercepts rise with
+    # the slope keep only the flattest line, the others keep several
+    rng = np.random.default_rng(76)
+    for first in (0.0, 0.5):
+        for slopes in (
+            rng.integers(0, 8, size=60).astype(float),
+            rng.permutation(np.arange(60.0)),
+        ):
+            intercepts = rng.uniform(-20, 20, size=(9, 60))
+            intercepts[:4] = 3.0 * slopes + rng.uniform(0, 1, size=(4, 60))
+            intercepts[4, :] = 1.5  # every line through one intercept
+            xs = np.sort(np.append(rng.uniform(first, 8, size=40), first))
+            got = _envelope_min(slopes, intercepts, xs)
+            for r in range(intercepts.shape[0]):
+                want = _per_row_envelope_min(slopes, intercepts[r], xs)
+                assert got[r].tobytes() == want.tobytes()
+
+
 def test_envelope_min_of_the_collinear_zero_quantity_family():
     # at q = 0 every law scores 0: all intercepts vanish, so every line passes
     # through the origin and the flattest slope is the envelope

@@ -359,6 +359,40 @@ def test_array_demand_with_a_bad_entry_is_rejected(bad):
         profit(2.0, v, COST)
 
 
+@pytest.mark.parametrize("alpha", [1e-3, 4.0, 1e6, math.inf])
+def test_ell_rows_are_bit_equal_to_stacked_ell_rows(alpha):
+    # q = 0, below the seam q = p/(4 alpha) (none at alpha = inf), on it, above it
+    seam = COST.price / (4.0 * alpha)
+    qs = [0.0, 0.5 * seam, seam, seam + 0.7, 3.0, 25.0]
+    v = np.concatenate([np.linspace(0.0, 20.0, 161), [seam, 2.0 * seam, 1e-9]])
+    want = np.array([ell(alpha, q, v, COST) for q in qs])
+    got = sp._ell_rows(alpha, qs, v, COST)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    grid = v.reshape(4, 41)  # an n-d demand array keeps its shape per row
+    want = np.array([ell(alpha, q, grid, COST) for q in qs])
+    assert sp._ell_rows(alpha, qs, grid, COST).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "alpha, q, v, error, message",
+    [
+        (0.0, 1.0, [0.0, 5.0], DegenerateModelError, "alpha = 0 (strongest"),
+        (4.0, -1.0, [0.0, 5.0], InputError, "q must be >= 0, got -1.0"),
+        (4.0, math.nan, [0.0, 5.0], InputError, "q must be finite, got nan"),
+        (4.0, 1.0, [0.0, -2.0], InputError, "v entries must be finite and >= 0"),
+        (4.0, 1.0, [0.0, math.nan], InputError, "v entries must be finite and >= 0"),
+        (4.0, -1.0, [0.0, -2.0], InputError, "q must be >= 0, got -1.0"),  # q before v
+    ],
+)
+def test_ell_rows_raise_what_ell_raises(alpha, q, v, error, message):
+    v = np.array(v)
+    for call in (lambda: ell(alpha, q, v, COST), lambda: sp._ell_rows(alpha, [2.0, q], v, COST)):
+        with pytest.raises(error) as got:
+            call()
+        assert str(got.value).startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # transform machinery
 # ---------------------------------------------------------------------------
