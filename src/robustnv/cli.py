@@ -11,6 +11,7 @@ validation failures.  All output is deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -363,9 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on first use and kept for the
+    process: parsing leaves no state in it, and building one (about 1.5 ms)
+    takes several times as long as a whole ``solve`` request."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload = args.handler(args)
         if args.out:

@@ -46,11 +46,12 @@ from .single_product import (
     MomentSpec,
     _ell_rows,
     _expected_profit,
+    _profit,
+    _require_demands,
     _solve,
     as_misspec_index,
     misspec_quantity,
     nominal_quantity,
-    profit,
 )
 from .validation import (
     InputError,
@@ -210,8 +211,16 @@ class ExperimentReport:
 def out_of_sample_profit(q: float, test: SampleSet, cost: CostStructure) -> float:
     """Average selling profit of ordering ``q`` against held-out observations;
     a profit beyond the float range is bad input, not an infinite answer."""
+    return _test_profit(q, _require_demands(test.values), cost)
+
+
+def _test_profit(q: float, demands: np.ndarray, cost: CostStructure) -> float:
+    """:func:`out_of_sample_profit` of ``q`` on the held-out observations
+    ``demands``, converted and checked once (``_require_demands``) by the
+    caller, so that a sweep or an experiment forms them once, not per point."""
+    q = require_nonnegative("q", q)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(profit(q, np.asarray(test.values, dtype=float), cost)))
+        mean = float(np.mean(_profit(q, demands, cost)))
     if not math.isfinite(mean):
         raise InputError(f"the out-of-sample profit of q={q!r} leaves the float range")
     return mean
@@ -265,6 +274,7 @@ def sweep(
     vals = tuple(float(v) for v in values)
     require(len(vals) > 0, "sweep axis grid must be non-empty")
     fixed = None if span is None else _sole_alpha(config, alpha)
+    demands = None if config.test is None else _require_demands(config.test.values)
 
     quantities: list[float] = []
     in_sample: list[float] = []
@@ -274,9 +284,7 @@ def sweep(
         q, value = _solve(a, moments, cost)
         quantities.append(q)
         in_sample.append(value)
-        out_sample.append(
-            math.nan if config.test is None else out_of_sample_profit(q, config.test, cost)
-        )
+        out_sample.append(math.nan if demands is None else _test_profit(q, demands, cost))
     return SweepSeries(axis, vals, tuple(quantities), tuple(in_sample), tuple(out_sample))
 
 
@@ -318,12 +326,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     test data is available).  Output is deterministic for a fixed config.
     """
     emp, cost, test = config.train.empirical, config.cost, config.test
+    demands = None if test is None else _require_demands(test.values)
     cells: list[MethodCell] = []
     for method in config.methods:
         for a in config.alpha_grid:
             q, worst = _method_solution(method, a, config)
             in_sample = _expected_profit(emp, q, cost)
-            out = None if test is None else out_of_sample_profit(q, test, cost)
+            out = None if demands is None else _test_profit(q, demands, cost)
             cells.append(MethodCell(method, a, q, in_sample, out, worst))
 
     train, seed, folds = config.train, config.seed, config.folds

@@ -29,11 +29,14 @@ Every solve returns a :class:`SolveReport` carrying the quantity, the model
 value, the attaining worst-case law and its transformed image, and (where
 available) the dual certificate ``(s_alpha, r_alpha, t_alpha)`` for the mean,
 second-moment and normalization constraints.  Every solve is evaluated and
-checked once, for every index including INFINITY, on the worst-case atoms
-before any law object exists: the law's mass and moments, its attainment of
-the value, and the identity ``s*mu - r*(mu^2 + sigma^2) - t == value``.
-Callers that read only the quantity and the value (the scans, the
-calibrators, the sweeps) run the same checks through ``_solve`` and never
+checked once, for every index including INFINITY, by ``_evaluate``: one
+``_region`` fixes the branch and the terms that the value, the worst-case
+atoms and the certificate all read; the atoms' images come from the kernel
+behind :meth:`TransformSpec.apply`; and three checks run on the atoms before
+any transform or law object exists: the law's mass and moments, its
+attainment of the value, and the identity ``s*mu - r*(mu^2 + sigma^2) - t ==
+value``.  Callers that read only the quantity and the value (the scans, the
+calibrators, the sweeps) run the same evaluation through ``_solve`` and never
 build the laws.
 """
 
@@ -44,6 +47,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
+from operator import mul
 from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 import numpy as np
@@ -105,11 +109,11 @@ class CostStructure:
     def __post_init__(self) -> None:
         require_positive("price", self.price)
         require_finite("cost", self.cost)
-        require(
-            0.0 < self.cost < self.price,
-            f"cost must satisfy 0 < cost < price, got cost={self.cost!r}, "
-            f"price={self.price!r}",
-        )
+        if not 0.0 < self.cost < self.price:
+            raise InputError(
+                f"cost must satisfy 0 < cost < price, got cost={self.cost!r}, "
+                f"price={self.price!r}"
+            )
 
     @property
     def kappa(self) -> float:
@@ -123,17 +127,16 @@ class MomentSpec:
 
     mean: float
     std: float
+    #: ``mu^2 + sigma^2``, formed once here
+    second_moment: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        require_positive("mean", self.mean)
-        require_nonnegative("std", self.std)
-        second = self.second_moment
-        require(math.isfinite(second), f"mean^2 + std^2 must be finite, got {second!r}")
-
-    @property
-    def second_moment(self) -> float:
-        mean, std = float(self.mean), float(self.std)  # an int square may not fit a float
-        return mean * mean + std * std
+        mean = require_positive("mean", self.mean)
+        std = require_nonnegative("std", self.std)  # as floats: an int's square may not fit one
+        second = mean * mean + std * std
+        if not math.isfinite(second):
+            raise InputError(f"mean^2 + std^2 must be finite, got {second!r}")
+        object.__setattr__(self, "second_moment", second)
 
 
 @dataclass(frozen=True)
@@ -324,13 +327,19 @@ class TransformSpec:
     regime: TransformRegime
 
     def apply(self, v: float) -> float:
-        v = float(v)
-        require(v >= -0.0 and math.isfinite(v), f"v must be >= 0, got {v!r}")
-        if self.regime is TransformRegime.MIXED:
-            pinv = self.price / self.alpha  # p * inv: 0 at the infinite index
-            if 2.0 * v >= pinv:
-                return v - 0.25 * pinv
-        return (self.alpha / self.price) * v * v
+        return _image(float(v), self.alpha, self.price, self.regime is TransformRegime.MIXED)
+
+
+def _image(v: float, alpha: float, price: float, mixed: bool) -> float:
+    """The transform of :class:`TransformSpec` at one demand ``v``, checked
+    finite and >= 0; ``mixed`` is the MIXED regime."""
+    if not 0.0 <= v < math.inf:  # NaN too
+        raise InputError(f"v must be >= 0, got {v!r}")
+    if mixed:
+        pinv = price / alpha  # p * inv: 0 at the infinite index
+        if 2.0 * v >= pinv:
+            return v - 0.25 * pinv
+    return (alpha / price) * v * v
 
 
 def transform(alpha: AlphaLike, price: float, q: float) -> TransformSpec:
@@ -471,7 +480,8 @@ def _ell_rows(alpha: AlphaLike, qs, v: np.ndarray, cost: CostStructure) -> np.nd
 
 def fractile_factor(x: float) -> float:
     """The map f(x) = (1 - 2x) / (2 sqrt(x (1 - x))) on (0, 1)."""
-    require(0.0 < x < 1.0, f"fractile_factor needs x in (0, 1), got {x!r}")
+    if not 0.0 < x < 1.0:
+        raise InputError(f"fractile_factor needs x in (0, 1), got {x!r}")
     return (1.0 - 2.0 * x) / (2.0 * math.sqrt(x * (1.0 - x)))
 
 
@@ -496,12 +506,14 @@ def ambiguity_worst_case(q: float, m: MomentSpec) -> DiscreteDistribution:
     ``inv = 0``, where the price drops out.
     """
     q = require_nonnegative("q", q)
-    return DiscreteDistribution.from_pairs(*_worst_case_law(0.0, q, m, 1.0))
+    return DiscreteDistribution.from_pairs(*_worst_case_law(_region(0.0, q, m, 1.0), m))
 
 
-def _region(
-    inv: float, q: float, m: MomentSpec, p: float
-) -> tuple[bool, bool, float, float, float, float]:
+#: ``(in_q, point_mass, x, h, z, pqi)``; see :func:`_region`
+_Region = tuple[bool, bool, float, float, float, float]
+
+
+def _region(inv: float, q: float, m: MomentSpec, p: float) -> _Region:
     """Branch of the value function at ``(inv = 1/alpha, q)`` and the terms
     that the value, the worst-case law and the certificate read, as
     ``(in_q, point_mass, x, h, z, pqi)``.  In region Q (see
@@ -538,11 +550,11 @@ def _two_point(lo: float, hi: float, x: float, y: float, h: float) -> _Atoms:
     return (max(lo, 0.0), hi), ((big, small) if x >= 0.0 else (small, big))
 
 
-def _worst_case_law(inv: float, q: float, m: MomentSpec, p: float) -> _Atoms:
-    """Atoms and weights of the worst-case law at ``(inv = 1/alpha, q)``; see
-    :func:`misspec_worst_case`."""
+def _worst_case_law(region: _Region, m: MomentSpec) -> _Atoms:
+    """Atoms and weights of the worst-case law in ``region`` (of
+    :func:`_region`); see :func:`misspec_worst_case`."""
+    in_q, point_mass, x, h, z, pqi = region
     mu, sig = m.mean, m.std
-    in_q, point_mass, x, h, z, pqi = _region(inv, q, m, p)
     if point_mass:
         return (mu if in_q else 0.5 * z / mu,), (1.0,)
     if in_q:
@@ -552,7 +564,12 @@ def _worst_case_law(inv: float, q: float, m: MomentSpec, p: float) -> _Atoms:
 
 
 def worst_case_transformed_expectation(
-    alpha: AlphaLike, q: float, m: MomentSpec, cost: CostStructure
+    alpha: AlphaLike,
+    q: float,
+    m: MomentSpec,
+    cost: CostStructure,
+    *,
+    _terms: _Region | None = None,
 ) -> float:
     """Value function L_alpha(q): the worst-case expected transformed profit
     (equivalently, the worst-case expectation of ``ell(alpha, q, .)``) over the
@@ -563,7 +580,9 @@ def worst_case_transformed_expectation(
     formula; elsewhere ``2 mu^2 p q/(w + rad) - c q`` with ``w = p q/alpha +
     mu^2 + sigma^2`` and ``rad = sqrt(w^2 - 4 mu^2 p q/alpha)``.  At
     ``inv = 1/alpha = 0`` Q becomes {q >= (mu^2+sigma^2)/(2 mu)} and the other
-    branch the linear ``p q mu^2/(mu^2 + sigma^2) - c q``.
+    branch the linear ``p q mu^2/(mu^2 + sigma^2) - c q``.  (``_terms`` is
+    private: the checked evaluation passes the :func:`_region` of ``(alpha,
+    q)`` that it has already formed.)
     """
     a = as_misspec_index(alpha)
     q = require_nonnegative("q", q)
@@ -576,19 +595,20 @@ def worst_case_transformed_expectation(
         )
     mu = m.mean
     p, c = cost.price, cost.cost
-    in_q, _, _, h, z, _ = _region(a.inv, q, m, p)
+    in_q, _, _, h, z, _ = _region(a.inv, q, m, p) if _terms is None else _terms
     if in_q:
         return 0.5 * p * (mu - z - h) + (p - c) * q
     return 2.0 * mu * mu * p * q / (z + h) - c * q
 
 
 def _dual_certificate(
-    a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
+    region: _Region, q: float, m: MomentSpec, cost: CostStructure
 ) -> tuple[tuple[str, float], ...]:
-    """Dual variables (s, r, t) certifying L_alpha(q); empty when degenerate."""
+    """Dual variables (s, r, t) certifying L_alpha(q) in ``region`` (of
+    :func:`_region`); empty when degenerate."""
     mu = m.mean
     p, c = cost.price, cost.cost
-    in_q, point_mass, _, h, z, pqi = _region(a.inv, q, m, p)
+    in_q, point_mass, _, h, z, pqi = region
     if point_mass:
         return ()
     if in_q:  # z = u, h = hypot(u - mu, sigma)
@@ -622,34 +642,38 @@ def misspec_worst_case(
     q = require_nonnegative("q", q)
     if a.alpha == 0.0:
         raise DegenerateModelError("alpha = 0 has no attaining law; the model orders zero")
-    _, atoms, t, _ = _evaluate(a, q, m, cost)
-    return _laws(atoms, t)
+    _, atoms, _ = _evaluate(a, q, m, cost)
+    return _laws(atoms, a, q, cost)
 
 
 def _evaluate(
     a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
-) -> tuple[float, _Atoms, TransformSpec, tuple[tuple[str, float], ...]]:
+) -> tuple[float, _Atoms, tuple[tuple[str, float], ...]]:
     """The checked evaluation at ``(a, q)``, ``a`` nonzero: the value
-    L_alpha(q), the worst-case atoms and weights, the attached transform and
-    the dual certificate, each computed once.  It checks the law's mass and
-    moments, the transformed atoms' attainment of the value and the dual
-    identity, and builds no :class:`DiscreteDistribution`."""
-    p = cost.price
-    value = worst_case_transformed_expectation(a, q, m, cost)
-    atoms = _worst_case_law(a.inv, q, m, p)
-    t = transform(a, p, q)
-    images = tuple(t.apply(v) for v in atoms[0])
+    L_alpha(q), the worst-case atoms and weights and the dual certificate,
+    all read from one :func:`_region`.  It checks the law's mass and moments,
+    the transformed atoms' attainment of the value and the dual identity, and
+    builds no :class:`TransformSpec` and no :class:`DiscreteDistribution`."""
+    p, inv = cost.price, a.inv
+    region = _region(inv, q, m, p)
+    value = worst_case_transformed_expectation(a, q, m, cost, _terms=region)
+    atoms = _worst_case_law(region, m)
+    mixed = not 4.0 * q < p * inv  # the regime rule of :func:`transform`
+    images = [_image(v, a.alpha, p, mixed) for v in atoms[0]]
     _check_moments(atoms, m)
     _check_attainment(images, atoms[1], a, q, value, cost)
-    duals = _dual_certificate(a, q, m, cost)
+    duals = _dual_certificate(region, q, m, cost)
     _check_certificate(duals, value, m)
-    return value, atoms, t, duals
+    return value, atoms, duals
 
 
-def _laws(atoms: _Atoms, t: TransformSpec) -> tuple[DiscreteDistribution, DiscreteDistribution]:
-    """The worst-case law built from checked atoms, and its image under ``t``."""
+def _laws(
+    atoms: _Atoms, a: MisspecIndex, q: float, cost: CostStructure
+) -> tuple[DiscreteDistribution, DiscreteDistribution]:
+    """The worst-case law built from checked atoms, and its image under the
+    transform attached to ``(a, q)``."""
     g_star = DiscreteDistribution.from_pairs(*atoms)
-    return g_star, push_forward(g_star, t)
+    return g_star, push_forward(g_star, transform(a, cost.price, q))
 
 
 def _check_moments(atoms: _Atoms, m: MomentSpec) -> None:
@@ -657,8 +681,8 @@ def _check_moments(atoms: _Atoms, m: MomentSpec) -> None:
     1e-9 (relative to the second moment above 1)."""
     support, weights = atoms
     mass = math.fsum(weights)
-    mean = math.fsum(v * w for v, w in zip(support, weights))
-    second = math.fsum(v * v * w for v, w in zip(support, weights))
+    mean = math.fsum(map(mul, support, weights))
+    second = math.fsum(map(mul, map(mul, support, support), weights))
     tol = _CHECK_TOL * max(1.0, m.second_moment)
     if not (
         abs(mass - 1.0) <= _CHECK_TOL
@@ -681,7 +705,7 @@ def _check_attainment(
 ) -> None:
     """The expected profit of the transformed atoms at ``q`` equals the value,
     within 1e-9 (relative above 1)."""
-    attained = math.fsum(w * _profit(q, v, cost) for v, w in zip(images, weights))
+    attained = math.fsum([w * _profit(q, v, cost) for v, w in zip(images, weights)])
     if not abs(attained - value) <= _CHECK_TOL * max(1.0, abs(value)):
         raise InternalCheckError(
             f"worst-case law fails to attain the value function: "
@@ -694,12 +718,13 @@ def _check_certificate(
 ) -> None:
     """The dual identity ``s*mu - r*(mu^2 + sigma^2) - t == value``, within
     1e-9 (relative above 1) plus the rounding bound of evaluating the three
-    terms: near sigma = 0 they grow like mu/sigma and cancel to the value."""
+    terms: near sigma = 0 they grow like mu/sigma and cancel to the value.
+    ``duals`` lists s, r and t in that order, as :func:`_dual_certificate`
+    gives them."""
     if duals:
-        d = dict(duals)
-        s = d["s_alpha"] * m.mean
-        r = d["r_alpha"] * m.second_moment
-        t = d["t_alpha"]
+        (_, s), (_, r), (_, t) = duals
+        s *= m.mean
+        r *= m.second_moment
         dual_value = s - r - t
         size = abs(s) + abs(r) + abs(t)
         tol = _CHECK_TOL * max(1.0, abs(value)) + _ROUNDING * size
@@ -723,6 +748,15 @@ def scarf_quantity(m: MomentSpec, cost: CostStructure) -> SolveReport:
     return misspec_quantity(MisspecIndex.INFINITY, m, cost)
 
 
+def _fractile_rounds_to_one(cost: CostStructure) -> InputError:
+    """The error for a cost so small against the price that the critical
+    fractile (p - c)/p rounds to 1, where the closed forms divide by 1 - kappa."""
+    return InputError(
+        f"the critical fractile (p - c)/p rounds to 1 at price={cost.price!r}, "
+        f"cost={cost.cost!r}: the cost must exceed about 1.1e-16 of the price"
+    )
+
+
 def _quantity(a: MisspecIndex, m: MomentSpec, cost: CostStructure) -> tuple[float, Regime]:
     """The closed-form quantity and its regime at a nonzero index; see
     :func:`misspec_quantity`."""
@@ -731,6 +765,8 @@ def _quantity(a: MisspecIndex, m: MomentSpec, cost: CostStructure) -> tuple[floa
     p = cost.price
     if kappa < sig * sig / m.second_moment:
         return 0.0, Regime.DEGENERATE
+    if not kappa < 1.0:
+        raise _fractile_rounds_to_one(cost)
     margin = mu - sig * math.sqrt((1.0 - kappa) / kappa)
     threshold = p / (2.0 * margin) if margin > 0.0 else math.inf
     f = fractile_factor(1.0 - kappa)
@@ -754,7 +790,8 @@ def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> So
     ``(mu^2 - sigma^2 + 2 mu sigma f(1-kappa)) * alpha/p`` below it.  The
     quantity is continuous and non-decreasing in alpha and capped by the
     ambiguity-only quantity, which is the HIGH_ALPHA branch at the infinite
-    index (labelled AMBIGUITY_ONLY there).
+    index (labelled AMBIGUITY_ONLY there).  A cost below about 1.1e-16 of
+    the price, where (p - c)/p rounds to 1, raises :class:`InputError`.
     """
     a = as_misspec_index(alpha)
     if a.alpha == 0.0:
@@ -762,8 +799,8 @@ def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> So
         g_star = ambiguity_worst_case(0.0, m)
         return SolveReport(0.0, 0.0, Regime.DEGENERATE, a, g_star, g_star)
     q, regime = _quantity(a, m, cost)
-    value, atoms, t, duals = _evaluate(a, q, m, cost)
-    return SolveReport(q, value, regime, a, *_laws(atoms, t), duals)
+    value, atoms, duals = _evaluate(a, q, m, cost)
+    return SolveReport(q, value, regime, a, *_laws(atoms, a, q, cost), duals)
 
 
 def _solve(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> tuple[float, float]:
@@ -833,6 +870,8 @@ def variance_threshold_scan(
     """
     kappa = cost.kappa
     require(kappa >= 0.5, f"scan requires kappa >= 1/2, got {kappa!r}")
+    if not kappa < 1.0:
+        raise _fractile_rounds_to_one(cost)
     require_positive("mu", mu)
     grid = [require_nonnegative("sigma_grid point", s) for s in sigma_grid]
     require(len(grid) > 0, "sigma_grid must be non-empty")

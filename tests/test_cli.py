@@ -271,6 +271,15 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("robustnv ")
 
 
+def test_solve_with_a_fractile_that_rounds_to_one_exits_2(capsys):
+    # (p - c)/p rounds to 1: the error names the price and the cost, not f(0)
+    code, out, err = run(["solve", "--price", "1e17", "--cost", "3", "--mu", "5",
+                          "--sigma", "2", "--alpha", "4"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("robustnv: input error: the critical fractile (p - c)/p rounds to 1 at "
+                   "price=1e+17, cost=3.0: the cost must exceed about 1.1e-16 of the price\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -475,6 +484,57 @@ def test_fuzzed_argvs_exit_with_documented_codes_and_no_traceback(tmp_path, caps
         assert "Traceback" not in err, argv
         codes.append(code)
     assert {0, 2, 3} <= set(codes), codes
+
+
+def test_one_parser_per_process_gives_the_same_bytes_every_call(tmp_path, capsys):
+    from robustnv.cli import build_parser
+
+    train = demand_file(tmp_path, "train.csv", tuple(3.0 + 0.37 * k for k in range(20)))
+    test = demand_file(tmp_path, "test.csv", tuple(2.5 + 0.41 * k for k in range(15)))
+    out = str(tmp_path / "out.txt")
+    argvs = {
+        "solve": SOLVE + ["--alpha", "4"],
+        "solve-csv": ["--format", "csv"] + SOLVE + ["--alpha", "inf"],
+        "sweep": ["--out", out, "--format", "csv", "sweep", "--price", "10", "--cost", "3",
+                  "--axis", "price", "--train", train, "--test", test, "--alpha", "2",
+                  "--min", "4", "--max", "30", "--count", "7"],
+        "calibrate": ["--seed", "5", "--out", out, "calibrate", "--method", "stress",
+                      "--price", "10", "--cost", "3", "--train", train, "--test", test,
+                      "--alpha-grid", "0.5,2,8"],
+        "experiment": ["--seed", "7", "--out", out, "experiment", "--price", "10",
+                       "--cost", "3", "--train", train, "--test", test,
+                       "--alpha-grid", "0.5,2", "--methods", "NOMINAL,MISSPEC"],
+        "usage-error": ["solve", "--price", "10", "--frobnicate"],
+        "version": ["--version"],
+        "input-error": ["solve", "--price", "3", "--cost", "10", "--mu", "4", "--sigma", "2",
+                        "--alpha", "4"],
+    }
+
+    def outcome(name):
+        if os.path.exists(out):
+            os.remove(out)
+        try:
+            code = main(argvs[name])
+        except SystemExit as exc:  # argparse usage errors and --version
+            code = exc.code
+        captured = capsys.readouterr()
+        written = open(out, "rb").read() if os.path.exists(out) else None
+        return code, captured.out, captured.err, written
+
+    first = {name: outcome(name) for name in argvs}
+    assert first["usage-error"][0] == 2 and first["version"][0] == 0
+    assert first["sweep"][3].count(b"\n") == 8 and first["solve"][1]
+    # again, each after an argparse error, after --version and after every
+    # other subcommand, in a different order
+    for name in reversed(list(argvs)):
+        for before in ("usage-error", "version", "experiment", "solve-csv"):
+            outcome(before)
+            assert outcome(name) == first[name], (before, name)
+    # the parser main keeps parses as a fresh one does; build_parser still builds
+    assert build_parser() is not build_parser()
+    for name in ("solve", "sweep", "calibrate", "experiment"):
+        assert vars(build_parser().parse_args(argvs[name])) == vars(
+            robustnv.cli._parser().parse_args(argvs[name]))
 
 
 def test_import_does_not_load_scipy_stats():

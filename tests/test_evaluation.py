@@ -13,15 +13,18 @@ from robustnv import (
     ExperimentConfig,
     InputError,
     Method,
+    MomentSpec,
     SampleSet,
     SweepSeries,
     draw_demand,
     generate_demand,
     load_demand_csv,
     misspec_quantity,
+    nominal_quantity,
     oracle_check,
     out_of_sample_profit,
     price_threshold_scan,
+    profit,
     run_experiment,
     scarf_quantity,
     sweep,
@@ -156,6 +159,93 @@ def test_sweep_validation():
 # ---------------------------------------------------------------------------
 # experiment protocol
 # ---------------------------------------------------------------------------
+
+
+# reference: the per-point out-of-sample profit as it stood before the test
+# observations were converted and checked once per protocol
+
+
+def _per_point_profit(q, test, cost):
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(profit(q, np.asarray(test.values, dtype=float), cost)))
+    if not math.isfinite(mean):
+        raise InputError(f"the out-of-sample profit of q={q!r} leaves the float range")
+    return mean
+
+
+def _per_point_sweep(axis, config, values, alpha=None):
+    m, base = config.train.moments, config.cost
+    rows = []
+    for v in values:
+        v = float(v)
+        if axis == "alpha":
+            a, moments, cost = v, m, base
+        elif axis == "price":
+            a, moments, cost = alpha, m, CostStructure(v, base.cost)
+        else:
+            a, moments, cost = alpha, MomentSpec(m.mean, v), base
+        r = misspec_quantity(a, moments, cost)
+        out = math.nan if config.test is None else _per_point_profit(r.quantity, config.test, cost)
+        rows.append((v, r.quantity, r.value, out))
+    return SweepSeries(axis, *(tuple(col) for col in zip(*rows)))
+
+
+def _either(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def _sample(rng, scale, n):
+    return SampleSet(tuple(float(v) for v in scale * rng.gamma(4.0, 0.5, n)))
+
+
+def test_sweep_bytes_match_the_per_point_reference_on_every_axis():
+    rng = np.random.default_rng(1414)
+    for k in range(36):
+        scale = float(10 ** rng.uniform(-2, 4))
+        p = float(10 ** rng.uniform(-1, 2))
+        cost = CostStructure(p, p * float(rng.uniform(0.05, 0.6)))
+        test = None if k % 6 == 0 else _sample(rng, scale, int(rng.integers(2, 300)))
+        config = ExperimentConfig(train=_sample(rng, scale, int(rng.integers(2, 300))),
+                                  cost=cost, alpha_grid=(1.0,), methods=(Method.MISSPEC,),
+                                  seed=k, test=test)
+        alpha = math.inf if k % 4 == 0 else float(10 ** rng.uniform(-3, 6)) * p / 10
+        n = int(rng.integers(1, 60))
+        grids = {
+            "alpha": [float(10 ** e) * p / 10 for e in np.sort(rng.uniform(-3, 15, n))]
+            + [math.inf],
+            "price": np.linspace(1.05 * cost.cost, 3 * p, n),
+            "sigma": np.linspace(1e-3 * scale, 4 * scale, n),  # past the degeneracy gate
+        }
+        for axis, values in grids.items():
+            got = sweep(axis, config, values=values, alpha=alpha)
+            want = _per_point_sweep(axis, config, values, alpha)
+            assert sweep_csv_text(got) == sweep_csv_text(want), (k, axis)
+            assert sweep_json_text(got) == sweep_json_text(want), (k, axis)
+
+
+def test_overflowing_test_profit_fails_where_the_per_point_reference_fails():
+    rng = np.random.default_rng(3)
+    train, test = _sample(rng, 1e151, 40), _sample(rng, 1e151, 400)
+    config = ExperimentConfig(train=train, cost=CostStructure(1e153, 3e152), alpha_grid=(1.0,),
+                              methods=(Method.MISSPEC,), seed=0, test=test)
+    values = np.geomspace(4e152, 1e156, 40)
+    want = _either(_per_point_sweep, "price", config, values, math.inf)
+    assert want.startswith("InputError: the out-of-sample profit of q=")
+    # the profit fails at a point inside the grid, not at its first point
+    first = _either(_per_point_sweep, "price", config, values[:1], math.inf)
+    assert not isinstance(first, str)
+    assert _either(sweep, "price", config, values=values, alpha=math.inf) == want
+    # an experiment fails at the same cell: the first, whose quantity the message names
+    at = float(values[-1])
+    rich = ExperimentConfig(train=train, cost=CostStructure(at, 3e152), alpha_grid=(1.0, 2.0),
+                            methods=(Method.NOMINAL, Method.MISSPEC), seed=0, test=test)
+    q = nominal_quantity(train.empirical, rich.cost)
+    want = _either(_per_point_profit, q, test, rich.cost)
+    assert want.startswith("InputError: the out-of-sample profit of q=")
+    assert _either(run_experiment, rich) == want
 
 
 def test_run_experiment_shape_and_determinism():

@@ -1,6 +1,7 @@
 """Closed-form single-product solvers: frozen values and model invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,40 @@ def test_moment_spec_rejects_ints_beyond_the_float_range(big):
         MomentSpec(big, 1)
     with pytest.raises(InputError):
         MomentSpec(1, big)
+
+
+def test_moment_spec_second_moment_is_a_hidden_field():
+    m = MomentSpec(4, 2.5)
+    assert m.second_moment == 22.25 and type(m.second_moment) is float
+    assert repr(m) == "MomentSpec(mean=4, std=2.5)"
+    assert m == MomentSpec(4, 2.5) and m != MomentSpec(4, 2.0)
+    assert hash(m) == hash((4, 2.5)) == hash(MomentSpec(4.0, 2.5))
+    with pytest.raises(AttributeError):
+        m.second_moment = 1.0  # frozen, like the two fields
+
+
+# c/p below about 1.1e-16: (p - c)/p rounds to 1, and 1 - kappa to 0
+TINY_COST = CostStructure(1e17, 3.0)
+
+
+def test_a_fractile_that_rounds_to_one_is_an_input_error():
+    from robustnv.distances import tv_misspec_quantity
+
+    assert TINY_COST.kappa == 1.0
+    message = "critical fractile (p - c)/p rounds to 1 at price=1e+17, cost=3.0"
+    calls = [
+        lambda: variance_threshold_scan(4.0, TINY_COST, 5.0, [0.1, 1.0]),
+        lambda: misspec_quantity(4.0, MomentSpec(5, 2), TINY_COST),
+        lambda: scarf_quantity(MomentSpec(5, 2), TINY_COST),
+        lambda: sp._solve(4.0, MomentSpec(5, 2), TINY_COST),
+        lambda: tv_misspec_quantity(4.0, MomentSpec(5, 2), TINY_COST),
+        lambda: price_threshold_scan(4.0, MomentSpec(5, 2), 3.0, [1e17, 2e17]),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match=re.escape(message)):
+            call()
+    # alpha = 0 orders nothing and never reads the fractile
+    assert misspec_quantity(0.0, MomentSpec(5, 2), TINY_COST).quantity == 0.0
 
 
 @pytest.mark.parametrize(
@@ -673,6 +708,233 @@ def test_perturbed_atom_weight_fails_the_quantity_only_solve(monkeypatch):
         with pytest.raises(InternalCheckError):
             sp._solve(alpha, m, cost)
         solved += 1
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the three-pass checked evaluation
+# ---------------------------------------------------------------------------
+# A copy of the checked evaluation as it stood before the region was formed
+# once per evaluation: the value function, the worst-case law and the
+# certificate each form their own region, the images come from a
+# TransformSpec-style apply, and the checks sum with generator fsums.  It calls
+# no stage of the package's evaluation (only the law constructors, and
+# ambiguity_worst_case for the alpha = 0 report), so a drift in any stage
+# shows as a difference against it.
+
+
+def _ref_second(m):
+    mean, std = float(m.mean), float(m.std)
+    return mean * mean + std * std
+
+
+def _ref_region(inv, q, m, p):
+    mu, sig = m.mean, m.std
+    pinv = p * inv
+    pqi = p * (q * inv)
+    if q >= 0.25 * pinv and (2.0 * mu - pinv) * q >= _ref_second(m) - 0.5 * pinv * mu:
+        u = q + 0.25 * pinv
+        x = u - mu
+        h = math.hypot(x, sig)
+        return True, h <= 1e-12 * u, x, h, u, pqi
+    x = pqi + sig * sig - mu * mu
+    h = math.hypot(x, 2.0 * mu * sig)
+    w = pqi + _ref_second(m)
+    return False, h <= 1e-12 * w, x, h, w, pqi
+
+
+def _ref_two_point(lo, hi, x, y, h):
+    big = (h + abs(x)) / (2.0 * h)
+    small = y * y / (2.0 * h * (h + abs(x)))
+    return (max(lo, 0.0), hi), ((big, small) if x >= 0.0 else (small, big))
+
+
+def _ref_law(inv, q, m, p):
+    mu, sig = m.mean, m.std
+    in_q, point_mass, x, h, z, pqi = _ref_region(inv, q, m, p)
+    if point_mass:
+        return (mu if in_q else 0.5 * z / mu,), (1.0,)
+    if in_q:
+        lo = mu - sig * sig / (h + x) if x > 0.0 else z - h
+        return _ref_two_point(lo, z + h, x, sig, h)
+    return _ref_two_point(2.0 * mu * pqi / (z + h), (z + h) / (2.0 * mu), x, 2.0 * mu * sig, h)
+
+
+def _ref_value(a, q, m, cost):
+    if q == 0.0:
+        return 0.0
+    mu = m.mean
+    p, c = cost.price, cost.cost
+    in_q, _, _, h, z, _ = _ref_region(a.inv, q, m, p)
+    if in_q:
+        return 0.5 * p * (mu - z - h) + (p - c) * q
+    return 2.0 * mu * mu * p * q / (z + h) - c * q
+
+
+def _ref_duals(a, q, m, cost):
+    mu = m.mean
+    p, c = cost.price, cost.cost
+    in_q, point_mass, _, h, z, pqi = _ref_region(a.inv, q, m, p)
+    if point_mass:
+        return ()
+    if in_q:
+        r = p / (4.0 * h)
+        s = 0.5 * p + 2.0 * r * z
+        t = p * p / (16.0 * r) + r * z * z + 0.5 * p * z - (p - c) * q
+    else:
+        s = 2.0 * mu * p * q / h
+        r = 2.0 * mu * mu * p * q / ((z + h) * h)
+        t = r * pqi + c * q
+    return (("s_alpha", s), ("r_alpha", r), ("t_alpha", t))
+
+
+def _ref_apply(a, p, q, v):
+    v = float(v)
+    if not (v >= -0.0 and math.isfinite(v)):
+        raise InputError(f"v must be >= 0, got {v!r}")
+    if not 4.0 * q < p * a.inv:  # MIXED
+        pinv = float(p) / a.alpha
+        if 2.0 * v >= pinv:
+            return v - 0.25 * pinv
+    return (a.alpha / float(p)) * v * v
+
+
+def _ref_evaluate(a, q, m, cost):
+    """(value, atoms, duals) of the three-pass evaluation, or its exception."""
+    p, c = cost.price, cost.cost
+    value = _ref_value(a, q, m, cost)
+    atoms = _ref_law(a.inv, q, m, p)
+    images = tuple(_ref_apply(a, p, q, v) for v in atoms[0])
+    support, weights = atoms
+    second_m = _ref_second(m)
+    mass = math.fsum(weights)
+    mean = math.fsum(v * w for v, w in zip(support, weights))
+    second = math.fsum(v * v * w for v, w in zip(support, weights))
+    tol = 1e-9 * max(1.0, second_m)
+    if not (abs(mass - 1.0) <= 1e-9 and abs(mean - m.mean) <= tol and abs(second - second_m) <= tol):
+        raise InternalCheckError(
+            f"constructed law violates its moment constraints: mass {mass!r}, mean "
+            f"{mean!r} vs {m.mean!r}, second moment {second!r} vs {second_m!r}"
+        )
+    attained = math.fsum(w * (p * min(q, v) - c * q) for v, w in zip(images, weights))
+    if not abs(attained - value) <= 1e-9 * max(1.0, abs(value)):
+        raise InternalCheckError(
+            f"worst-case law fails to attain the value function: "
+            f"{attained!r} vs {value!r} at alpha={a!r}, q={q!r}"
+        )
+    duals = _ref_duals(a, q, m, cost)
+    if duals:
+        d = dict(duals)
+        s, r, t = d["s_alpha"] * m.mean, d["r_alpha"] * second_m, d["t_alpha"]
+        dual_value = s - r - t
+        tol = 1e-9 * max(1.0, abs(value)) + 16.0 * 2.0**-52 * (abs(s) + abs(r) + abs(t))
+        if not abs(dual_value - value) <= tol:
+            raise InternalCheckError(f"dual certificate mismatch: {dual_value!r} vs {value!r}")
+    return value, atoms, duals
+
+
+def _ref_quantity(a, m, cost):
+    kappa = cost.kappa
+    mu, sig = m.mean, m.std
+    p = cost.price
+    if kappa < sig * sig / _ref_second(m):
+        return 0.0, Regime.DEGENERATE
+    margin = mu - sig * math.sqrt((1.0 - kappa) / kappa)
+    threshold = p / (2.0 * margin) if margin > 0.0 else math.inf
+    x = 1.0 - kappa
+    f = (1.0 - 2.0 * x) / (2.0 * math.sqrt(x * (1.0 - x)))
+    if a.alpha >= threshold:
+        q = mu + sig * f - p / (4.0 * a.alpha)
+        regime = Regime.AMBIGUITY_ONLY if a.is_infinite else Regime.HIGH_ALPHA
+    else:
+        q = (mu * mu - sig * sig + 2.0 * mu * sig * f) * a.alpha / p
+        regime = Regime.LOW_ALPHA
+    return max(q, 0.0), regime
+
+
+def _ref_laws(a, q, atoms, cost):
+    """The worst-case law and its image, the image formed by the frozen apply."""
+    g_star = DiscreteDistribution.from_pairs(*atoms)
+    image = tuple(_ref_apply(a, cost.price, q, v) for v in g_star.support)
+    if image == g_star.support:
+        return g_star, g_star
+    return g_star, DiscreteDistribution.from_pairs(image, g_star.weights)
+
+
+def _ref_report(a, m, cost):
+    if a.alpha == 0.0:
+        g_star = ambiguity_worst_case(0.0, m)
+        return sp.SolveReport(0.0, 0.0, Regime.DEGENERATE, a, g_star, g_star)
+    q, regime = _ref_quantity(a, m, cost)
+    value, atoms, duals = _ref_evaluate(a, q, m, cost)
+    return sp.SolveReport(q, value, regime, a, *_ref_laws(a, q, atoms, cost), duals)
+
+
+def _ref_solve(a, m, cost):
+    if a.alpha == 0.0:
+        return 0.0, 0.0
+    q, _ = _ref_quantity(a, m, cost)
+    return q, _ref_evaluate(a, q, m, cost)[0]
+
+
+def _exact(fn, *args):
+    """``repr`` of the result, or the exception's class and message: equal
+    outcomes agree to the last bit, in the sign of a zero and in every word
+    of an error."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the exception is the outcome to compare
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _parity_instance(rng):
+    """alpha log-uniform over 1e-3..1e15 * p/10 (5% INFINITY, 1% zero), mu over
+    1e-2..1e4, sigma/mu over 1e-10..3 (5% sigma = 0), p over 0.1..100, and
+    an off-form quantity: a multiple 1e-3..1e3 of the closed form, 0, or an
+    order of 1e305..1e308, whose atoms or moments leave the float range."""
+    mu = float(10 ** rng.uniform(-2, 4))
+    sigma = 0.0 if rng.uniform() < 0.05 else mu * float(10 ** rng.uniform(-10, math.log10(3)))
+    p = float(10 ** rng.uniform(-1, 2))
+    cost = CostStructure(p, p * float(rng.uniform(0.01, 0.99)))
+    u = rng.uniform()
+    if u < 0.05:
+        alpha = INF
+    elif u < 0.06:
+        alpha = MisspecIndex(0.0)
+    else:
+        alpha = MisspecIndex(float(10 ** rng.uniform(-3, 15)) * p / 10)
+    v = rng.uniform()
+    if v < 0.05:
+        off = 0.0
+    elif v < 0.1:
+        off = float(10 ** rng.uniform(305, 308))
+    else:
+        off = float(10 ** rng.uniform(-3, 3))  # times the closed form, below
+    return alpha, MomentSpec(mu, sigma), cost, off
+
+
+def test_checked_evaluation_matches_the_frozen_three_pass_reference():
+    rng = np.random.default_rng(14_014)
+    seen = {}
+    for _ in range(20_000):
+        a, m, cost, off = _parity_instance(rng)
+        want = _exact(_ref_report, a, m, cost)
+        assert _exact(misspec_quantity, a, m, cost) == want, (a, m, cost)
+        assert _exact(sp._solve, a, m, cost) == _exact(_ref_solve, a, m, cost), (a, m, cost)
+        if a.alpha == 0.0:
+            continue
+        q_star = _ref_quantity(a, m, cost)[0]
+        q = off if off == 0.0 or off > 1e100 else q_star * off
+        # the closed form, then off it with the same model: a region kept
+        # from the first evaluation would be stale in the second
+        for at in (q_star, q):
+            want = _exact(_ref_evaluate, a, at, m, cost)
+            assert _exact(sp._evaluate, a, at, m, cost) == want, (a, at, m, cost)
+            kind = want.split(":")[0] if not want.startswith("(") else "ok"
+            seen[kind] = seen.get(kind, 0) + 1
+        laws = _exact(lambda: _ref_laws(a, q, _ref_evaluate(a, q, m, cost)[1], cost))
+        assert _exact(misspec_worst_case, a, q, m, cost) == laws, (a, q, m, cost)
+    # the set reaches the image check and the moment check, not only clean solves
+    assert seen["ok"] > 30_000 and seen["InputError"] > 100 and seen["InternalCheckError"] > 100, seen
 
 
 def test_near_zero_variance_certificate_found_instance_certifies():
