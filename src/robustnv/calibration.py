@@ -18,6 +18,9 @@ score it by the mean over folds of the held-out mean profit.  Selection
 takes the highest score; exact ties go to the candidate with the largest
 index (the smallest budget for the formula rule), then to the first in grid
 order.  Results are deterministic for a fixed seed.
+
+A :class:`SampleSet` derives its empirical law and its moments on first read:
+callers that read no law (the cv rule, a sweep) never sort the observations.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,8 +41,8 @@ from .single_product import (
     MisspecIndex,
     MomentSpec,
     _expected_profit,
-    _profit,
     _solve,
+    _test_profit,
     as_misspec_index,
 )
 from .validation import (
@@ -82,19 +86,20 @@ class SampleSet:
     float range, the mean must be positive, and the observations must not all
     coincide — a zero sample deviation leaves every moment-based model in this
     library degenerate, so it is rejected here with a diagnostic rather than
-    surfacing later as a division by zero.
+    surfacing later as a division by zero.  ``empirical`` and ``moments`` are
+    derived on first read and kept.
     """
 
     values: tuple[float, ...]
     mean: float = field(init=False, repr=False, compare=False)
     std: float = field(init=False, repr=False, compare=False)
-    empirical: DiscreteDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
         require(len(vals) >= 2, "need at least two observations for a deviation")
         for i, v in enumerate(vals):
-            require_nonnegative(f"values[{i}]", v)
+            if not 0.0 <= v < math.inf:  # NaN too; the message is formed only here
+                require_nonnegative(f"values[{i}]", v)
         second = _fsum_or_inf(v * v for v in vals) / len(vals)
         require(math.isfinite(second), "the squared observations sum beyond the float range")
         mean = math.fsum(vals) / len(vals)
@@ -111,15 +116,16 @@ class SampleSet:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", math.sqrt(var))
-        object.__setattr__(
-            self, "empirical", DiscreteDistribution.from_samples(vals)
-        )
 
     @property
     def n(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
+    def empirical(self) -> DiscreteDistribution:
+        return DiscreteDistribution.from_samples(self.values)
+
+    @cached_property
     def moments(self) -> MomentSpec:
         return MomentSpec(self.mean, self.std)
 
@@ -327,9 +333,7 @@ def _cv_score(
     """Average over folds of the held-out mean selling profit of the quantity
     solved on the fold-complement moments at the index ``index_for(moments)``."""
     qs = [_solve(index_for(m), m, cost)[0] for _, m in split]
-    return float(
-        np.mean([float(np.mean(_profit(q, held, cost))) for (held, _), q in zip(split, qs)])
-    )
+    return float(np.mean([_test_profit(q, held, cost) for (held, _), q in zip(split, qs)]))
 
 
 def _shift(

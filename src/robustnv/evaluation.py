@@ -41,14 +41,13 @@ from .oracle import (
 from .single_product import (
     AlphaLike,
     CostStructure,
-    DiscreteDistribution,
     MisspecIndex,
     MomentSpec,
     _ell_rows,
     _expected_profit,
-    _profit,
     _require_demands,
     _solve,
+    _test_profit,
     as_misspec_index,
     misspec_quantity,
     nominal_quantity,
@@ -212,18 +211,6 @@ def out_of_sample_profit(q: float, test: SampleSet, cost: CostStructure) -> floa
     """Average selling profit of ordering ``q`` against held-out observations;
     a profit beyond the float range is bad input, not an infinite answer."""
     return _test_profit(q, _require_demands(test.values), cost)
-
-
-def _test_profit(q: float, demands: np.ndarray, cost: CostStructure) -> float:
-    """:func:`out_of_sample_profit` of ``q`` on the held-out observations
-    ``demands``, converted and checked once (``_require_demands``) by the
-    caller, so that a sweep or an experiment forms them once, not per point."""
-    q = require_nonnegative("q", q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(_profit(q, demands, cost)))
-    if not math.isfinite(mean):
-        raise InputError(f"the out-of-sample profit of q={q!r} leaves the float range")
-    return mean
 
 
 _SWEEP_AXES = ("alpha", "price", "sigma")

@@ -413,6 +413,18 @@ def _profit(q: float, v: _Demand, cost: CostStructure) -> _Demand:
     return cost.price * sold - cost.cost * q
 
 
+def _test_profit(q: float, demands: np.ndarray, cost: CostStructure) -> float:
+    """Mean selling profit of ordering ``q`` against held-out ``demands``,
+    which the caller has converted and checked once (``_require_demands``); a
+    mean beyond the float range is bad input, not an infinite answer."""
+    q = require_nonnegative("q", q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(_profit(q, demands, cost)))
+    if not math.isfinite(mean):
+        raise InputError(f"the out-of-sample profit of q={q!r} leaves the float range")
+    return mean
+
+
 def profit(q: float, v: _Demand, cost: CostStructure) -> _Demand:
     """Selling profit p*min(q, v) - c*q, for a float ``v`` or an array of demands."""
     q = require_nonnegative("q", q)
@@ -422,8 +434,9 @@ def profit(q: float, v: _Demand, cost: CostStructure) -> _Demand:
 
 def _expected_profit(dist: DiscreteDistribution, q: float, cost: CostStructure) -> float:
     """``dist.expectation(lambda v: profit(q, v, cost))``, bit for bit: the
-    same terms, evaluated in numpy, summed by ``math.fsum``."""
-    terms = dist.weights_array() * profit(q, dist.support_array(), cost)
+    same terms, evaluated in numpy, summed by ``math.fsum``.  The law's atoms
+    were checked when it was built, so they are not checked again."""
+    terms = dist.weights_array() * _profit(q, dist.support_array(), cost)
     return math.fsum(terms.tolist())
 
 
@@ -654,17 +667,56 @@ def _evaluate(
     all read from one :func:`_region`.  It checks the law's mass and moments,
     the transformed atoms' attainment of the value and the dual identity, and
     builds no :class:`TransformSpec` and no :class:`DiscreteDistribution`."""
-    p, inv = cost.price, a.inv
-    region = _region(inv, q, m, p)
-    value = worst_case_transformed_expectation(a, q, m, cost, _terms=region)
-    atoms = _worst_case_law(region, m)
-    mixed = not 4.0 * q < p * inv  # the regime rule of :func:`transform`
-    images = [_image(v, a.alpha, p, mixed) for v in atoms[0]]
+    region, value, atoms, images = _stages(a, q, m, cost)
     _check_moments(atoms, m)
     _check_attainment(images, atoms[1], a, q, value, cost)
     duals = _dual_certificate(region, q, m, cost)
     _check_certificate(duals, value, m)
     return value, atoms, duals
+
+
+def _stages(a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure) -> tuple:
+    """The region, value, atoms and images that :func:`_evaluate` checks."""
+    p, inv = cost.price, a.inv
+    region = _region(inv, q, m, p)
+    value = worst_case_transformed_expectation(a, q, m, cost, _terms=region)
+    atoms = _worst_case_law(region, m)
+    mixed = not 4.0 * q < p * inv  # the regime rule of :func:`transform`
+    return region, value, atoms, [_image(v, a.alpha, p, mixed) for v in atoms[0]]
+
+
+def _in_float_range(a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure) -> bool:
+    """Whether the value at ``(a, q)``, each term that the checks of
+    :func:`_evaluate` sum and the sum of their sizes lie in the float range,
+    with no divisor of the stages or the certificate underflowed to 0."""
+    try:
+        region, value, (support, weights), images = _stages(a, q, m, cost)
+        duals = _dual_certificate(region, q, m, cost)
+    except ZeroDivisionError:  # a divisor underflowed to 0
+        return False
+    terms = [value, *(v * v * w for v, w in zip(support, weights))]  # and v*w <= v
+    terms += [w * _profit(q, v, cost) for v, w in zip(images, weights)]
+    terms += [x * y for (_, x), y in zip(duals, (m.mean, m.second_moment, 1.0))]
+    return math.isfinite(_fsum_or_inf(map(abs, terms)))
+
+
+def _evaluate_optimum(
+    a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
+) -> tuple[float, _Atoms, tuple[tuple[str, float], ...]]:
+    """:func:`_evaluate` at the closed-form quantity ``q``.  A check that fails
+    because the value or a term it sums leaves the float range, or a divisor
+    that underflows to 0, means that the price and the demand scale are beyond
+    what floats can evaluate: bad input.  A finite mismatch stays an
+    :class:`InternalCheckError`."""
+    try:
+        return _evaluate(a, q, m, cost)
+    except (InternalCheckError, OverflowError, ZeroDivisionError):
+        if _in_float_range(a, q, m, cost):
+            raise
+    raise InputError(
+        f"the worst-case value or a term of its checks leaves the float range at "
+        f"price={cost.price!r}, demand mean={m.mean!r}, std={m.std!r}"
+    )
 
 
 def _laws(
@@ -799,7 +851,7 @@ def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> So
         g_star = ambiguity_worst_case(0.0, m)
         return SolveReport(0.0, 0.0, Regime.DEGENERATE, a, g_star, g_star)
     q, regime = _quantity(a, m, cost)
-    value, atoms, duals = _evaluate(a, q, m, cost)
+    value, atoms, duals = _evaluate_optimum(a, q, m, cost)
     return SolveReport(q, value, regime, a, *_laws(atoms, a, q, cost), duals)
 
 
@@ -811,7 +863,7 @@ def _solve(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> tuple[float,
     if a.alpha == 0.0:
         return 0.0, 0.0
     q, _ = _quantity(a, m, cost)
-    return q, _evaluate(a, q, m, cost)[0]
+    return q, _evaluate_optimum(a, q, m, cost)[0]
 
 
 # ---------------------------------------------------------------------------

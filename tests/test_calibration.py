@@ -1,6 +1,7 @@
 """Sample statistics, transport distances, and the calibration strategies."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -51,8 +52,11 @@ def random_samples(rng, n=None, lo=1.0, hi=12.0):
 def test_sample_set_rejects_bad_input():
     with pytest.raises(InputError):
         SampleSet((3.0,))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^values\[1\] must be >= 0, got -1.0$"):
         SampleSet((2.0, -1.0, 4.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match=rf"^values\[2\] must be finite, got {bad!r}$"):
+            SampleSet((2.0, 1.0, bad))
     with pytest.raises(DegenerateModelError):
         SampleSet((5.0, 5.0, 5.0))
     with pytest.raises(DegenerateModelError):
@@ -84,6 +88,28 @@ def test_sample_set_empirical_law_merges_duplicates():
     assert emp.support == (2.0, 6.0)
     assert emp.weights == (0.5, 0.5)
     assert emp.mean() == pytest.approx(4.0, abs=1e-15)
+
+
+def test_sample_set_builds_its_law_on_first_read_and_keeps_it(monkeypatch):
+    values = (2.0, 6.0, 2.0, 6.0, 3.5)
+    calls = []
+    build = DiscreteDistribution.from_samples.__func__
+    monkeypatch.setattr(DiscreteDistribution, "from_samples",
+                        classmethod(lambda cls, v: calls.append(v) or build(cls, v)))
+    s = SampleSet(values)
+    assert calls == []
+    law = s.empirical
+    assert s.empirical is law and s.moments is s.moments and len(calls) == 1
+    assert law == DiscreteDistribution.from_pairs(values, [0.2] * 5)
+    assert s.moments == MomentSpec(s.mean, s.std)
+    # the derived values take no part in equality, hashing, repr or pickling
+    fresh = SampleSet(values)
+    assert fresh == s and hash(fresh) == hash(s)
+    assert repr(s) == repr(fresh) == "SampleSet(values=(2.0, 6.0, 2.0, 6.0, 3.5))"
+    for t in (fresh, s):
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t) and repr(back) == repr(t)
+        assert back.empirical == law and back.moments == s.moments
 
 
 def test_empirical_moments_affine_property():

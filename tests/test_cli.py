@@ -298,9 +298,19 @@ def test_solve_with_a_fractile_that_rounds_to_one_exits_2(capsys):
          "--alpha", "1e400"],
         ["sweep", "--price", "10", "--cost", "3", "--axis", "alpha", "--mu", "4",
          "--sigma", "2", "--alpha-grid", "2,1e400"],
+        # p*mu overflows: the value is -inf + inf, which no check can compare
+        ["solve", "--price", "1e156", "--cost", "3e152", "--mu", "2e152",
+         "--sigma", "1e152", "--alpha", "inf"],
+        # r = p/(4h) underflows to 0, and the certificate divides by it
+        ["solve", "--price", "1e-300", "--cost", "3e-301", "--mu", "1e24",
+         "--sigma", "5e23", "--alpha", "inf"],
+        # the worst-case law's weight divides by 2h(h + |x|), which underflows to 0
+        ["solve", "--price", "10", "--cost", "3", "--mu", "1e-160", "--sigma", "5e-161",
+         "--alpha", "4"],
     ],
     ids=["missing-train-file", "out-into-missing-directory", "alpha-axis-min-zero",
-         "mu-1e308", "mu-1e160", "alpha-1e400", "alpha-grid-1e400"],
+         "mu-1e308", "mu-1e160", "alpha-1e400", "alpha-grid-1e400", "value-overflows",
+         "certificate-underflows", "law-weight-underflows"],
 )
 def test_bad_files_and_axis_bounds_exit_2(argv, tmp_path, capsys):
     code, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)
@@ -545,3 +555,37 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_the_empirical_law_is_built_only_by_commands_that_read_it(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = robustnv.DiscreteDistribution.from_samples.__func__
+
+    def counted(cls, values):
+        calls.append(len(values))
+        return build(cls, values)
+
+    monkeypatch.setattr(robustnv.DiscreteDistribution, "from_samples", classmethod(counted))
+    train = demand_file(tmp_path, "train.csv", tuple(3.0 + 0.37 * k for k in range(20)))
+    test = demand_file(tmp_path, "test.csv", tuple(2.5 + 0.41 * k for k in range(15)))
+    cost = ["--price", "10", "--cost", "3"]
+    data = ["--train", train, "--test", test]
+    calibrate = ["calibrate", *cost, *data, "--alpha-grid", "0.5,2,8", "--method"]
+    sweep = ["sweep", *cost, *data, "--alpha", "2", "--alpha-grid", "0.5,2", "--axis"]
+    experiment = ["experiment", *cost, *data, "--alpha-grid", "0.5,2"]
+    # argv, and whether the command reads the training law
+    argvs = {
+        "calibrate-cv": (calibrate + ["cv"], False),
+        "sweep-alpha": (sweep + ["alpha"], False),
+        "sweep-price": (sweep + ["price"], False),
+        "sweep-sigma": (sweep + ["sigma"], False),
+        "evaluate": (["evaluate", *cost, "--quantity", "4", "--test", test], False),
+        "calibrate-formula": (calibrate + ["formula"], True),
+        "calibrate-stress": (calibrate + ["stress"], True),
+        "experiment": (experiment, True),
+        "experiment-theta": (experiment + ["--theta", "1.5"], True),
+    }
+    for name, (argv, reads) in argvs.items():
+        calls.clear()
+        assert run(argv, capsys)[0] == 0, name
+        assert bool(calls) == reads, (name, calls)

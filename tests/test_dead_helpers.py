@@ -1,4 +1,5 @@
-"""Every module-level private name in the package is used inside the package."""
+"""Every module-level private name in the package is used inside the package,
+and every module-level import is read in the module that makes it."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,26 @@ def test_no_private_module_level_name_is_dead():
         if not any(n == name and (f != file or not first <= line <= last) for n, f, line in uses)
     ]
     assert not dead, f"private names with no use in the package: {dead}"
+
+
+def _imports(tree: ast.Module):
+    """(name bound, line) of each module-level import, ``__future__`` aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def test_no_module_level_import_is_unread():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = ast.parse(path.read_text())
+        reads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.name}:{line} {name}"
+                   for name, line in _imports(tree) if name not in reads]
+    assert not unread, f"imports never read in their module: {unread}"

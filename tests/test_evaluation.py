@@ -270,6 +270,9 @@ def test_run_experiment_shape_and_determinism():
     sel = dict(report.selections)
     assert set(sel) == {"cv", "formula", "stress"}
     assert sel["cv"] in set(config.alpha_grid)
+    assert all(report.selection(name) == pick for name, pick in sel.items())
+    with pytest.raises(KeyError):
+        report.selection("delage_ye")
 
 
 def test_run_experiment_without_test_data():
@@ -424,6 +427,9 @@ def test_demand_csv_round_trip(tmp_path):
         ("date,demand\n2020-01-01,4\n2020-01-02,-1\n", "line 3"),
         ("date,demand\n2020-01-01,4,9\n", "line 2"),
         ("date,demand\n2020-01-01,4\n", "at least 2"),
+        # a blank row is skipped, and the line count runs on past it
+        ("date,demand\n2020-01-01,4\n\n2020-01-02,abc\n", "line 4"),
+        ("date,demand\n2020-01-01,4\n\n", "got 1"),
     ],
 )
 def test_demand_csv_schema_errors_carry_line_numbers(tmp_path, body, fragment):
@@ -439,8 +445,18 @@ def test_sweep_csv_round_trip_exact():
     series = sweep("alpha", config, values=[1 / 3, 2 / 7, 5.0, math.inf])
     text = sweep_csv_text(series)
     assert parse_sweep_csv(text) == series
+    head, *rows = text.splitlines(keepends=True)
+    assert parse_sweep_csv(head + "\n" + "".join(rows) + "\n") == series  # blank lines skipped
     with pytest.raises(InputError):
         parse_sweep_csv("alpha,value\n")
+    for body, fragment in [
+        ("alpha,1.0,2.0,3.0\n", "line 2: expected 5 fields, got 4"),
+        ("\nalpha,1.0,two,3.0,nan\n", "line 3: bad numeric field"),
+        ("", "no data rows"),
+        ("\n\n", "no data rows"),
+    ]:
+        with pytest.raises(InputError, match=fragment):
+            parse_sweep_csv(head + body)
     mixed = text.splitlines()
     mixed[2] = mixed[2].replace("alpha", "price", 1)
     with pytest.raises(InputError):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -687,6 +688,31 @@ def test_expected_profit_is_bit_equal_to_the_expectation():
         q = scale * float(rng.uniform(0.0, 3.0))
         want = dist.expectation(lambda v: profit(q, v, cost))
         assert sp._expected_profit(dist, q, cost) == want
+
+
+def test_a_model_beyond_the_float_range_is_bad_input_not_an_internal_failure():
+    # mu near sqrt(DBL_MAX): the upper atom's square, p*q or p*mu leave the
+    # float range while the model itself is finite; every solve either
+    # succeeds or rejects the price and the demand scale as bad input
+    rng = np.random.default_rng(19_748)
+    root = math.sqrt(sys.float_info.max)
+    outcomes = {}
+    for _ in range(4_000):
+        mu = root * float(rng.uniform(0.5, 1.0))
+        sigma = mu * float(10 ** rng.uniform(-12, 0))
+        alpha, _, cost = _random_instance(rng)
+        if not math.isfinite(mu * mu + sigma * sigma):
+            continue  # MomentSpec rejects it
+        m = MomentSpec(mu, sigma)
+        for solve in (sp._solve, misspec_quantity):
+            outcome = _outcome(solve, alpha, m, cost)
+            assert outcome is not InternalCheckError, (alpha, m, cost)
+            key = outcome.__name__ if isinstance(outcome, type) else "ok"
+            outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes["ok"] > 6_000 and outcomes["InputError"] > 100, outcomes
+    with pytest.raises(InputError, match=r"float range at price=1e\+156, demand mean=2e\+152"):
+        misspec_quantity(INF, MomentSpec(2e152, 1e152), CostStructure(1e156, 3e152))
+    # a finite mismatch stays an internal failure: see the perturbed-weight test below
 
 
 def test_perturbed_atom_weight_fails_the_quantity_only_solve(monkeypatch):
