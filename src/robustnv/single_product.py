@@ -35,9 +35,9 @@ atoms and the certificate all read; the atoms' images come from the kernel
 behind :meth:`TransformSpec.apply`; and three checks run on the atoms before
 any transform or law object exists: the law's mass and moments, its
 attainment of the value, and the identity ``s*mu - r*(mu^2 + sigma^2) - t ==
-value``.  Callers that read only the quantity and the value (the scans, the
-calibrators, the sweeps) run the same evaluation through ``_solve`` and never
-build the laws.
+value``.  Callers that read only the quantity and the value (the calibrators,
+the sweeps) run the same evaluation through ``_solve`` and never build the
+laws; the threshold scans run it only on the grid points that their turn reads.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ __all__ = [
 _CHECK_TOL = 1e-9
 #: rounding bound of the dual identity, per unit of its summed term sizes
 _ROUNDING = 16.0 * 2.0**-52
+#: the smallest normal float, ``sys.float_info.min``
+_MIN_NORMAL = 2.0**-1022
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +125,9 @@ class CostStructure:
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """Demand mean ``mu > 0`` and std ``sigma >= 0``, with ``mu^2 + sigma^2`` finite."""
+    """Demand mean ``mu > 0`` and std ``sigma >= 0``, with ``mu^2 + sigma^2``
+    finite and at least the smallest normal float (below it the closed forms
+    divide by a second moment that has lost its precision or is 0)."""
 
     mean: float
     std: float
@@ -134,8 +138,10 @@ class MomentSpec:
         mean = require_positive("mean", self.mean)
         std = require_nonnegative("std", self.std)  # as floats: an int's square may not fit one
         second = mean * mean + std * std
-        if not math.isfinite(second):
-            raise InputError(f"mean^2 + std^2 must be finite, got {second!r}")
+        if not _MIN_NORMAL <= second < math.inf:
+            raise InputError(
+                f"mean^2 + std^2 must be finite and at least {_MIN_NORMAL!r}, got {second!r}"
+            )
         object.__setattr__(self, "second_moment", second)
 
 
@@ -627,7 +633,9 @@ def _dual_certificate(
     if in_q:  # z = u, h = hypot(u - mu, sigma)
         r = p / (4.0 * h)
         s = 0.5 * p + 2.0 * r * z
-        t = p * p / (16.0 * r) + r * z * z + 0.5 * p * z - (p - c) * q
+        # p^2/(16 r) with the power of two folded into the square: the same
+        # bits while p^2/16 is a normal float, finite up to 4*sqrt(DBL_MAX)
+        t = (0.25 * p) * (0.25 * p) / r + r * z * z + 0.5 * p * z - (p - c) * q
     else:  # z = w, h = rad
         s = 2.0 * mu * p * q / h
         r = 2.0 * mu * mu * p * q / ((z + h) * h)
@@ -771,8 +779,9 @@ def _check_certificate(
     """The dual identity ``s*mu - r*(mu^2 + sigma^2) - t == value``, within
     1e-9 (relative above 1) plus the rounding bound of evaluating the three
     terms: near sigma = 0 they grow like mu/sigma and cancel to the value.
-    ``duals`` lists s, r and t in that order, as :func:`_dual_certificate`
-    gives them."""
+    Terms whose summed size is not finite fail, since that bound would then
+    pass any value.  ``duals`` lists s, r and t in that order, as
+    :func:`_dual_certificate` gives them."""
     if duals:
         (_, s), (_, r), (_, t) = duals
         s *= m.mean
@@ -780,7 +789,7 @@ def _check_certificate(
         dual_value = s - r - t
         size = abs(s) + abs(r) + abs(t)
         tol = _CHECK_TOL * max(1.0, abs(value)) + _ROUNDING * size
-        if not abs(dual_value - value) <= tol:
+        if not (abs(dual_value - value) <= tol and size < math.inf):
             raise InternalCheckError(f"dual certificate mismatch: {dual_value!r} vs {value!r}")
 
 
@@ -871,17 +880,26 @@ def _solve(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
-def _tail_turn(
-    grid: Sequence[float], quantities: Sequence[float], tol: float = 1e-12
+def _scan_turn(
+    a: MisspecIndex, grid: Sequence[float], models: Iterable[tuple[MomentSpec, CostStructure]]
 ) -> float | None:
-    """Grid point at the smallest index j such that the quantities are
-    non-increasing from j to the end, requiring at least one comparison
-    (j <= len-2); None when only the vacuous single-point suffix qualifies.
-    """
-    n = len(quantities)
+    """Grid point at the smallest index j <= len-2 from which the closed-form
+    quantities at ``models`` (one per grid point, built and solved in grid
+    order) are non-increasing within 1e-12; None if there is none.  The
+    checked evaluation then runs, in ascending order, on the points the rule
+    compared, ``max(j-1, 0)`` to the end; at alpha = 0 every quantity is 0, as
+    in :func:`_solve`, and none is evaluated."""
+    pairs, qs = [], []
+    for m, cost in models:
+        pairs.append((m, cost))
+        qs.append(0.0 if a.alpha == 0.0 else _quantity(a, m, cost)[0])
+    n = len(qs)
     j = n - 1
-    while j > 0 and quantities[j] <= quantities[j - 1] + tol:
+    while j > 0 and qs[j] <= qs[j - 1] + 1e-12:
         j -= 1
+    if a.alpha != 0.0:
+        for i in range(max(j - 1, 0), n):
+            _evaluate_optimum(a, qs[i], *pairs[i])
     return grid[j] if j <= n - 2 else None
 
 
@@ -896,6 +914,13 @@ def price_threshold_scan(
     non-increasing for the rest of the grid, or None if the series keeps
     rising (the ambiguity-only quantity always does).  Single-point grids
     return None by convention (no comparison is possible).
+
+    The closed-form quantity is taken at every grid price, in grid order, so
+    the first bad price raises.  The checked evaluation of
+    :func:`misspec_quantity` runs only on the prices the tail rule compares:
+    from the one before the returned price (the last two when None is
+    returned, the one point of a single-point grid) to the end of the grid.
+    At alpha = 0 every quantity is 0 and no price is evaluated.
     """
     require_positive("c", c)
     grid = [require_finite("p_grid point", p) for p in p_grid]
@@ -904,8 +929,7 @@ def price_threshold_scan(
         require(a_ < b_, "p_grid must be strictly increasing")
     require(grid[0] > c, f"all grid prices must exceed c={c!r}")
     a = as_misspec_index(alpha)
-    quantities = [_solve(a, m, CostStructure(price=p, cost=c))[0] for p in grid]
-    return _tail_turn(grid, quantities)
+    return _scan_turn(a, grid, ((m, CostStructure(price=p, cost=c)) for p in grid))
 
 
 def variance_threshold_scan(
@@ -918,7 +942,10 @@ def variance_threshold_scan(
     stops increasing.  Scope: kappa >= 1/2 and the grid inside
     ``[0, mu*sqrt(kappa/(1-kappa))]`` (beyond it the model is degenerate).
     Same tail convention as :func:`price_threshold_scan`; single-point grids
-    return None (documented choice between the two conventions offered).
+    return None (documented choice between the two conventions offered).  As
+    there, the quantity is taken at every std in grid order and the checked
+    evaluation runs only on the stds from the one before the returned turn
+    (the last two when None is returned) to the end; none at alpha = 0.
     """
     kappa = cost.kappa
     require(kappa >= 0.5, f"scan requires kappa >= 1/2, got {kappa!r}")
@@ -935,5 +962,4 @@ def variance_threshold_scan(
         f"sigma_grid must stay within [0, {hi!r}] (non-degenerate region)",
     )
     a = as_misspec_index(alpha)
-    quantities = [_solve(a, MomentSpec(mean=mu, std=s), cost)[0] for s in grid]
-    return _tail_turn(grid, quantities)
+    return _scan_turn(a, grid, ((MomentSpec(mean=mu, std=s), cost) for s in grid))

@@ -307,10 +307,19 @@ def test_solve_with_a_fractile_that_rounds_to_one_exits_2(capsys):
         # the worst-case law's weight divides by 2h(h + |x|), which underflows to 0
         ["solve", "--price", "10", "--cost", "3", "--mu", "1e-160", "--sigma", "5e-161",
          "--alpha", "4"],
+        # mu^2 + sigma^2 underflows to 0, or to a subnormal float
+        ["solve", "--price", "10", "--cost", "3", "--mu", "1e-170", "--sigma", "1e-171",
+         "--alpha", "4"],
+        ["solve", "--price", "10", "--cost", "3", "--mu", "1e-160", "--sigma", "5e-161",
+         "--alpha", "inf"],
+        # t_alpha overflows to inf, which no rounding allowance may pass
+        ["solve", "--price", "1e200", "--cost", "3e199", "--mu", "1e-10", "--sigma", "5e-11",
+         "--alpha", "inf"],
     ],
     ids=["missing-train-file", "out-into-missing-directory", "alpha-axis-min-zero",
          "mu-1e308", "mu-1e160", "alpha-1e400", "alpha-grid-1e400", "value-overflows",
-         "certificate-underflows", "law-weight-underflows"],
+         "certificate-underflows", "law-weight-underflows", "second-moment-underflows",
+         "second-moment-subnormal", "certificate-overflows"],
 )
 def test_bad_files_and_axis_bounds_exit_2(argv, tmp_path, capsys):
     code, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv], capsys)

@@ -86,6 +86,18 @@ def test_moment_spec_rejects_ints_beyond_the_float_range(big):
         MomentSpec(1, big)
 
 
+def test_moment_spec_rejects_a_second_moment_below_the_normal_range():
+    # mu^2 + sigma^2 underflows to 0 (or to a subnormal) and the closed forms
+    # would divide by it
+    for mu, sigma in [(1e-170, 1e-171), (1e-160, 5e-161), (5e-324, 0.0)]:
+        with pytest.raises(InputError, match=r"mean\^2 \+ std\^2 must be finite and at least"):
+            MomentSpec(mu, sigma)
+    low = 2.0**-511  # its square is the smallest normal float
+    assert MomentSpec(low, 0.0).second_moment == sys.float_info.min
+    with pytest.raises(InputError):
+        MomentSpec(math.nextafter(low, 0.0), 0.0)
+
+
 def test_moment_spec_second_moment_is_a_hidden_field():
     m = MomentSpec(4, 2.5)
     assert m.second_moment == 22.25 and type(m.second_moment) is float
@@ -991,6 +1003,19 @@ def test_perturbed_certificate_is_rejected(alpha):
         sp._check_certificate(bad, r.value, M42)
 
 
+def test_a_certificate_term_beyond_the_float_range_fails_its_check():
+    # an infinite term made the rounding allowance infinite, so any value passed
+    inf = math.inf
+    with pytest.raises(InternalCheckError, match="dual certificate mismatch"):
+        sp._check_certificate((("s_alpha", 1.0), ("r_alpha", 0.0), ("t_alpha", inf)), 1.0, M42)
+    # t = p^2/(16 r) + ... overflows at this price: bad input, not an infinite dual
+    with pytest.raises(InputError, match=r"float range at price=1e\+200, demand mean=1e-10"):
+        misspec_quantity(INF, MomentSpec(1e-10, 5e-11), CostStructure(1e200, 3e199))
+    # below 4*sqrt(DBL_MAX) the price's square overflows, but p^2/16 does not
+    r = misspec_quantity(INF, MomentSpec(2e151, 1e151), CostStructure(2e154, 6e153))
+    assert r.duals and all(math.isfinite(v) for _, v in r.duals)
+
+
 def test_nan_fails_each_solve_check():
     nan = math.nan
     with pytest.raises(InternalCheckError):
@@ -1370,3 +1395,115 @@ def test_variance_scan_scope_and_conventions():
     with pytest.raises(InputError):
         variance_threshold_scan(1.5, COST, 4.0, [0.5, 20.0])  # outside scope
     assert variance_threshold_scan(1.5, COST, 4.0, [1.0]) is None  # documented
+
+
+def _recorded_evaluations(monkeypatch):
+    """Patch the checked evaluation to record its ``(q, m, cost)`` calls."""
+    calls, evaluate = [], sp._evaluate_optimum
+
+    def record(a, q, m, cost):
+        calls.append((q, m, cost))
+        return evaluate(a, q, m, cost)
+
+    monkeypatch.setattr(sp, "_evaluate_optimum", record)
+    return calls
+
+
+def test_scan_edges_keep_their_behaviour(monkeypatch):
+    at_price = CostStructure(12.0, 3.0)
+    at_std = MomentSpec(4.0, 1.0)
+    single = [(misspec_quantity(4.0, M42, at_price).quantity, M42, at_price),
+              (misspec_quantity(1.5, at_std, COST).quantity, at_std, COST)]
+    calls = _recorded_evaluations(monkeypatch)
+    # alpha = 0 orders nothing at every price and never reads the fractile
+    assert price_threshold_scan(0.0, MomentSpec(5, 2), 3.0, [1e17, 2e17]) == 1e17
+    assert variance_threshold_scan(0.0, COST, 4.0, [0.0, 1.0, 2.0]) == 0.0
+    assert calls == []
+    # the closed form runs in grid order, so the first bad price is the one named
+    with pytest.raises(InputError, match=re.escape("rounds to 1 at price=1e+17, cost=3.0")):
+        price_threshold_scan(4.0, MomentSpec(5, 2), 3.0, [4.0, 1e17, 2e17])
+    assert calls == []
+    # a single-point grid returns None once its one point is checked
+    assert price_threshold_scan(4.0, M42, 3.0, [12.0]) is None
+    assert variance_threshold_scan(1.5, COST, 4.0, [1.0]) is None
+    assert calls == single
+    # a check that fails on a point the turn reads fails the scan
+    def fail(*_):
+        raise InternalCheckError("perturbed")
+
+    monkeypatch.setattr(sp, "_evaluate_optimum", fail)
+    with pytest.raises(InternalCheckError, match="perturbed"):
+        price_threshold_scan(4.0, M42, 3.0, [12.0, 13.0])
+
+
+def _forward_turn(alpha, grid, models):
+    """The turn as the scans found it before they checked only its tail:
+    ``_solve`` at every grid point, then the tail rule.  Returns the
+    quantities, the index j and the turn."""
+    qs = [sp._solve(alpha, m, cost)[0] for m, cost in models]
+    j = len(qs) - 1
+    while j > 0 and qs[j] <= qs[j - 1] + 1e-12:
+        j -= 1
+    return qs, j, grid[j] if j <= len(qs) - 2 else None
+
+
+def _scan_alpha(rng, scale):
+    """0 (15%), INFINITY (15%), or ``scale`` times 10^-1.5..10^1.5."""
+    u = rng.uniform()
+    if u < 0.15:
+        return 0.0
+    if u < 0.3:
+        return math.inf
+    return scale * float(10 ** rng.uniform(-1.5, 1.5))
+
+
+def _scan_grid(rng, lo, hi):
+    """1 (10%) or 2..40 distinct sorted draws from [lo, hi]."""
+    n = 1 if rng.uniform() < 0.1 else int(rng.integers(2, 41))
+    return sorted({float(x) for x in rng.uniform(lo, hi, n)})
+
+
+def _price_scan_case(rng):
+    mu = float(10 ** rng.uniform(-1, 3))
+    m = MomentSpec(mu, mu * float(10 ** rng.uniform(-2, 0.3)))
+    c = float(10 ** rng.uniform(-1, 1))
+    lo = c * (1.0 + float(10 ** rng.uniform(-2, 0.5)))
+    grid = _scan_grid(rng, lo, lo * float(10 ** rng.uniform(0.05, 1.5)))
+    alpha = _scan_alpha(rng, 2.0 * lo / mu)
+    models = [(m, CostStructure(p, c)) for p in grid]
+    return alpha, grid, models, lambda: price_threshold_scan(alpha, m, c, grid)
+
+
+def _variance_scan_case(rng):
+    p = float(10 ** rng.uniform(-1, 2))
+    cost = CostStructure(p, p * float(rng.uniform(0.02, 0.5)))
+    mu = float(10 ** rng.uniform(-1, 3))
+    hi = mu * math.sqrt(cost.kappa / (1.0 - cost.kappa))
+    lo = 0.0 if rng.uniform() < 0.2 else hi * float(rng.uniform(0.0, 0.9))
+    grid = _scan_grid(rng, lo, lo + (hi - lo) * float(rng.uniform(0.05, 1.0)))
+    alpha = _scan_alpha(rng, p / mu)
+    models = [(MomentSpec(mu, s), cost) for s in grid]
+    return alpha, grid, models, lambda: variance_threshold_scan(alpha, cost, mu, grid)
+
+
+@pytest.mark.parametrize("case", [_price_scan_case, _variance_scan_case], ids=["price", "variance"])
+def test_scans_match_the_full_forward_reference(case, monkeypatch):
+    rng = np.random.default_rng(16_016)
+    calls = _recorded_evaluations(monkeypatch)
+    seen = {}
+    for _ in range(2_000):
+        alpha, grid, models, scan = case(rng)
+        qs, j, want = _forward_turn(alpha, grid, models)
+        del calls[:]
+        assert scan() == want, (alpha, grid)
+        # the checked evaluation ran on exactly the compared points, in order
+        n = len(grid)
+        read = range(max(j - 1, 0), n) if alpha != 0.0 else range(0)
+        assert calls == [(qs[i], *models[i]) for i in read], (alpha, grid)
+        at = "none" if want is None else "first" if j == 0 else "last" if j == n - 2 else "interior"
+        kind = "zero" if alpha == 0.0 else "inf" if alpha == math.inf else "finite"
+        seen[kind, at] = seen.get((kind, at), 0) + 1
+    for key in [("finite", at) for at in ("first", "interior", "last", "none")] + [
+        ("zero", "first"), ("zero", "none"), ("inf", "none")
+    ]:
+        assert seen.get(key, 0) >= 10, seen
