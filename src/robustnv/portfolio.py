@@ -143,16 +143,23 @@ def _breakpoint(prod: ProductSpec, a: MisspecIndex) -> float:
     return prod.cost / denom if denom > 0.0 else math.inf
 
 
+_Terms = list[tuple[float, float, float, float]]  # (mu^2, p, c, (p - c) c) per product
+
+
 def _order(
     products: Sequence[ProductSpec], alpha: AlphaLike
-) -> tuple[MisspecIndex, list[float], list[ProductSpec]]:
+) -> tuple[MisspecIndex, list[float], _Terms]:
     """The checked index, the ascending breakpoints with the 0 and +inf
-    sentinels attached, and the products in that order (stable in product
-    order, so equal breakpoints keep their input order)."""
+    sentinels attached, and the products' :func:`_theta` terms in that order
+    (stable in product order, so equal breakpoints keep their input order)."""
     a = _alpha_for_portfolio(alpha)
     require(len(products) > 0, "need at least one product")
     pairs = sorted(((_breakpoint(prod, a), prod) for prod in products), key=lambda t: t[0])
-    return a, [0.0] + [b for b, _ in pairs] + [math.inf], [prod for _, prod in pairs]
+    terms = [
+        (prod.mean * prod.mean, prod.price, prod.cost, (prod.price - prod.cost) * prod.cost)
+        for _, prod in pairs
+    ]
+    return a, [0.0] + [b for b, _ in pairs] + [math.inf], terms
 
 
 def lambda_breakpoints(
@@ -162,26 +169,25 @@ def lambda_breakpoints(
     return _order(products, alpha)[1]
 
 
-def _theta(
-    ordered: Sequence[ProductSpec], j: int, lam: float, inv: float, form: ThetaForm
-) -> float:
-    """theta on products already in breakpoint order, with no checks: the
-    first j - 1 are settled, the rest active."""
-    if j >= 2 and 4.0 * lam * lam == 0.0:
+def _theta(terms: _Terms, j: int, lam: float, inv: float, form: ThetaForm) -> float:
+    """theta on the terms of :func:`_order`, with no checks: the first j - 1
+    products are settled, the rest active."""
+    lam4 = 4.0 * lam * lam
+    if j >= 2 and lam4 == 0.0:
         return math.inf  # the settled term's lam -> 0 limit, also once 4 lam^2 underflows
     total = 0.0
-    for prod in ordered[: j - 1]:
+    envelope = form is ThetaForm.ENVELOPE
+    for mu2, _, _, margin in terms[: j - 1]:
         # past the breakpoint; PRINTED drops the mean-square
-        tail = (prod.price - prod.cost) * prod.cost / (4.0 * lam * lam)
-        total += prod.mean * prod.mean + tail if form is ThetaForm.ENVELOPE else tail
-    for prod in ordered[j - 1 :]:
-        mu2 = prod.mean * prod.mean
-        if math.isinf(lam):
+        tail = margin / lam4
+        total += mu2 + tail if envelope else tail
+    if math.isinf(lam):
+        for mu2, _, _, _ in terms[j - 1 :]:
             total += mu2
-        else:
-            p, c = prod.price, prod.cost
-            den = p * lam * inv + c
-            total += mu2 * (1.0 + c * (p - c) / (den * den))
+        return total
+    for mu2, p, c, margin in terms[j - 1 :]:
+        den = p * lam * inv + c
+        total += mu2 * (1.0 + margin / (den * den))
     return total
 
 
@@ -200,14 +206,14 @@ def theta(
     sum, lam = 0 returns +inf, the lam -> 0 limit, and so does any lam whose
     4 lam^2 underflows to 0 (lam below about 1e-162).
     """
-    a, _, ordered = _order(products, alpha)
-    m = len(ordered)
+    a, _, terms = _order(products, alpha)
+    m = len(terms)
     require(
         isinstance(j, int) and 1 <= j <= m + 1,
         f"segment index must lie in 1..{m + 1}, got {j!r}",
     )
     require_nonnegative("lam", lam, allow_inf=True)
-    return _theta(ordered, j, lam, a.inv, form)
+    return _theta(terms, j, lam, a.inv, form)
 
 
 def product_quantities(
@@ -265,8 +271,8 @@ def solve_lambda(
     DEGENERATE_BUDGET solution with the infinite-multiplier limit quantities
     and a diagnostic warning rather than an error.
     """
-    a, brk, ordered = _order(portfolio.products, portfolio.alpha)
-    inv, k, m = a.inv, portfolio.budget, len(ordered)
+    a, brk, terms = _order(portfolio.products, portfolio.alpha)
+    inv, k, m = a.inv, portfolio.budget, len(terms)
     if k <= portfolio.mean_squares:
         warnings.warn(
             f"budget K={k!r} does not exceed the sum of squared means "
@@ -277,7 +283,7 @@ def solve_lambda(
         lam, i_star, case = math.inf, m + 1, DualCase.DEGENERATE_BUDGET
     else:
         i_star = next(
-            (j for j in range(1, m + 2) if _theta(ordered, j, brk[j], inv, form) < k),
+            (j for j in range(1, m + 2) if _theta(terms, j, brk[j], inv, form) < k),
             None,
         )
         if i_star is None:
@@ -286,13 +292,13 @@ def solve_lambda(
                 "squared means; the implied-moment curve is inconsistent"
             )
         lo = brk[i_star - 1]
-        if _theta(ordered, i_star, lo, inv, form) <= k:
+        if _theta(terms, i_star, lo, inv, form) <= k:
             lam, case = lo, DualCase.KINK
         else:
             hi = brk[i_star]
             if math.isinf(hi):
                 hi = max(1.0, 2.0 * lo)
-                while _theta(ordered, i_star, hi, inv, form) >= k:
+                while _theta(terms, i_star, hi, inv, form) >= k:
                     hi *= 2.0
                     if hi > 1e18:
                         raise InternalCheckError(
@@ -300,7 +306,7 @@ def solve_lambda(
                         )
             for _ in range(_MAX_BISECT_ITER):
                 mid = 0.5 * (lo + hi)
-                if _theta(ordered, i_star, mid, inv, form) >= k:
+                if _theta(terms, i_star, mid, inv, form) >= k:
                     lo = mid
                 else:
                     hi = mid

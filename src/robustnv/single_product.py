@@ -46,8 +46,8 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, repeat
+from operator import le, lt, mul, sub, truediv
 from typing import Callable, ClassVar, Iterable, Sequence, Union
 
 import numpy as np
@@ -198,11 +198,19 @@ def as_misspec_index(alpha: AlphaLike) -> MisspecIndex:
     return MisspecIndex(alpha)
 
 
-def _checked_atoms(values, weights, v_slack=0.0, w_slack=0.0) -> tuple[list[float], list[float]]:
-    """Atoms as float lists, checked: non-empty, of equal length, finite,
-    every point >= ``-v_slack`` and every weight >= ``-w_slack``."""
-    vs = [float(v) for v in values]
-    ws = [float(w) for w in weights]
+def _floats(xs) -> list[float]:
+    """``xs`` as a list of floats: one ``tolist`` call for a 1-D float64,
+    float32 or float16 array, ``float()`` per element for every other input
+    (so its errors are float()'s)."""
+    if type(xs) is np.ndarray and xs.ndim == 1 and xs.dtype.kind == "f" and xs.itemsize <= 8:
+        return xs.tolist()
+    return list(map(float, xs))
+
+
+def _check_atoms(vs: list[float], ws: list[float], v_slack=0.0, w_slack=0.0) -> None:
+    """Raise InputError on the first bad atom: the atoms must be non-empty, of
+    equal length, finite, every point >= ``-v_slack`` and every weight >=
+    ``-w_slack`` (all points are checked before any weight)."""
     require(len(vs) > 0, "support must be non-empty")
     require(len(vs) == len(ws), "support and weights must have equal length")
     for name, xs, floor in (("support", vs, -v_slack), ("weights", ws, -w_slack)):
@@ -210,7 +218,6 @@ def _checked_atoms(values, weights, v_slack=0.0, w_slack=0.0) -> tuple[list[floa
             if not floor <= x < math.inf:  # NaN and -inf fail here too
                 require_finite(name, x)
                 raise InputError(f"{name} must be >= 0, got {x!r}")
-    return vs, ws
 
 
 @dataclass(frozen=True)
@@ -222,18 +229,30 @@ class DiscreteDistribution:
     :meth:`from_pairs` is the forgiving entry: it clamps dust (support above
     -1e-9, weights above -1e-12) to 0, merges points within 1e-12 relative,
     accepts a mass within 1e-9 of 1, drops zero weights and renormalizes.
+
+    Both check a law in a few passes over its atom lists (``min``, ``sum``,
+    ``fsum``, a pairwise ``<``).  That fast test only decides whether the
+    per-atom loops of :func:`_check_atoms` run, to name the first bad value
+    in atom order; a law that passes them fails on its order or its mass.
     """
 
     support: tuple[float, ...]
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        sup, wts = _checked_atoms(self.support, self.weights)
-        if not all(a < b for a, b in zip(sup, sup[1:])):
-            raise InputError("support must be strictly increasing")
-        total = _fsum_or_inf(wts)
-        if not abs(total - 1.0) <= 1e-12:
-            raise InputError(f"weights must sum to 1 within 1e-12, got {total!r}")
+        sup, wts = _floats(self.support), _floats(self.weights)
+        if not (
+            sup
+            and len(sup) == len(wts)
+            and sup[0] >= 0.0
+            and sup[-1] < math.inf
+            and all(map(lt, sup, sup[1:]))  # NaN fails here or at the ends
+            and min(wts) >= 0.0
+            and abs(_fsum_or_inf(wts) - 1.0) <= 1e-12  # NaN and inf fail here
+        ):
+            _check_atoms(sup, wts)  # the fast test failed: one of these three raises
+            require(all(map(lt, sup, sup[1:])), "support must be strictly increasing")
+            raise InputError(f"weights must sum to 1 within 1e-12, got {_fsum_or_inf(wts)!r}")
         object.__setattr__(self, "support", tuple(sup))
         object.__setattr__(self, "weights", tuple(wts))
 
@@ -247,25 +266,51 @@ class DiscreteDistribution:
         merges coincident points, checks the mass, drops zero-weight atoms and
         renormalizes exactly (tolerances in the class docstring).
         """
-        vs, ws = _checked_atoms(values, weights, v_slack=1e-9, w_slack=1e-12)
-        clamped = [(v if v > 0.0 else 0.0, w if w > 0.0 else 0.0) for v, w in zip(vs, ws)]
-        sup, mass = [], []
-        for v, w in sorted(clamped, key=lambda atom: atom[0]):
-            if sup and v - sup[-1] <= 1e-12 * max(1.0, sup[-1]):
-                mass[-1] += w
-            else:
-                sup.append(v)
-                mass.append(w)
+        vs, ws = _floats(values), _floats(weights)
+        n = len(vs)
+        # sum() is NaN or infinite when any atom is (min may skip a NaN); the
+        # loops raise unless only a finite sum left the float range
+        if not (
+            n
+            and n == len(ws)
+            and (low_v := min(vs)) >= -1e-9
+            and (low_w := min(ws)) >= -1e-12
+            and math.isfinite(sum(vs))
+            and math.isfinite(sum(ws))
+        ):
+            _check_atoms(vs, ws, v_slack=1e-9, w_slack=1e-12)
+        # clamp before sorting, so tied zeros (-0.0, dust) keep input order
+        if not low_v > 0.0:
+            vs = [v if v > 0.0 else 0.0 for v in vs]
+        if not low_w > 0.0:
+            ws = [w if w > 0.0 else 0.0 for w in ws]
+        if all(map(le, vs, vs[1:])):  # already in order: the stable sort is the identity
+            sup, mass = vs, ws
+        else:
+            order = sorted(range(n), key=vs.__getitem__)
+            sup, mass = list(map(vs.__getitem__, order)), list(map(ws.__getitem__, order))
+        # no pair can merge when every gap exceeds the largest tolerance
+        if n > 1 and not min(map(sub, sup[1:], sup)) > 1e-12 * max(1.0, sup[-1]):
+            pairs, sup, mass = zip(sup, mass), [], []
+            for v, w in pairs:
+                if sup and v - sup[-1] <= 1e-12 * max(1.0, sup[-1]):
+                    mass[-1] += w
+                else:
+                    sup.append(v)
+                    mass.append(w)
         total = _fsum_or_inf(mass)
         if not abs(total - 1.0) <= 1e-9:
             raise InputError(f"weights must sum to 1 within 1e-9, got {total!r}")
-        keep = [(v, w / total) for v, w in zip(sup, mass) if w > 0.0]
-        return cls(tuple(v for v, _ in keep), tuple(w for _, w in keep))
+        if not min(mass) > 0.0:
+            sup = [v for v, w in zip(sup, mass) if w > 0.0]
+            mass = [w for w in mass if w > 0.0]
+        return cls(tuple(sup), tuple(map(truediv, mass, repeat(total))))
 
     @classmethod
     def from_samples(cls, values: Iterable[float]) -> "DiscreteDistribution":
         """Empirical law: equal weight 1/N per observation, duplicates merged."""
-        v = list(values)
+        # an array reaches from_pairs whole, for its one-call conversion
+        v = values if type(values) is np.ndarray and values.ndim else list(values)
         require(len(v) > 0, "need at least one sample")
         return cls.from_pairs(v, [1.0 / len(v)] * len(v))
 

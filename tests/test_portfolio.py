@@ -371,6 +371,72 @@ def test_solve_lambda_is_bit_equal_to_the_public_per_call_path():
     assert ties > 100 and infinite > 20  # the cases this test is for occur
 
 
+def _frozen_order(products, alpha):
+    """``portfolio._order`` as it stood before the per-product terms: the
+    products themselves, in breakpoint order."""
+    a = portfolio._alpha_for_portfolio(alpha)
+    pairs = sorted(((portfolio._breakpoint(prod, a), prod) for prod in products), key=lambda t: t[0])
+    return a, [0.0] + [b for b, _ in pairs] + [math.inf], [prod for _, prod in pairs]
+
+
+def _frozen_theta(ordered, j, lam, inv, form):
+    """``portfolio._theta`` as it stood before the per-product terms: it reads
+    each product's price, cost and mean and forms (p - c) c on every call."""
+    if j >= 2 and 4.0 * lam * lam == 0.0:
+        return math.inf
+    total = 0.0
+    for prod in ordered[: j - 1]:
+        tail = (prod.price - prod.cost) * prod.cost / (4.0 * lam * lam)
+        total += prod.mean * prod.mean + tail if form is ThetaForm.ENVELOPE else tail
+    for prod in ordered[j - 1 :]:
+        mu2 = prod.mean * prod.mean
+        if math.isinf(lam):
+            total += mu2
+        else:
+            p, c = prod.price, prod.cost
+            den = p * lam * inv + c
+            total += mu2 * (1.0 + c * (p - c) / (den * den))
+    return total
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 40, 300])
+def test_theta_terms_are_bit_equal_to_the_per_product_reads(m):
+    rng = np.random.default_rng(90_000 + m)
+    for trial in range(max(1, 120 // m)):
+        products = [random_product(rng) for _ in range(m)]
+        alpha = INF if trial % 3 == 0 else float(10 ** rng.uniform(-1, 2))
+        a, brk, terms = portfolio._order(products, alpha)
+        assert _frozen_order(products, alpha)[1] == brk
+        ordered = _frozen_order(products, alpha)[2]
+        for j in range(1, m + 2):
+            lo, hi = brk[j - 1], brk[j]
+            inside = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo + 1.0
+            lams = [lo, hi, inside, brk[int(rng.integers(m + 2))], math.inf, 1e-163, 1e-162, 0.0]
+            for lam in lams:
+                for form in ThetaForm:
+                    got = portfolio._theta(terms, j, lam, a.inv, form)
+                    assert got.hex() == _frozen_theta(ordered, j, lam, a.inv, form).hex(), (j, lam)
+
+
+def test_solve_lambda_is_bit_equal_with_the_per_product_reads(monkeypatch):
+    rng = np.random.default_rng(90_001)
+    plans = [_tie_prone_portfolio(rng) for _ in range(40)]
+    for m in [1, 2, 5, 30, 300]:
+        for _ in range(4):
+            products = tuple(random_product(rng) for _ in range(m))
+            budget = sum(p.mean**2 for p in products) * (1.0 + 10.0 ** float(rng.uniform(-3, 1)))
+            alpha = INF if rng.uniform() < 0.3 else float(10 ** rng.uniform(-1, 2))
+            form = ThetaForm.PRINTED if rng.uniform() < 0.3 else ThetaForm.ENVELOPE
+            plans.append((PortfolioSpec(products, budget, alpha), form))
+    solutions = [solve_lambda(pf, form) for pf, form in plans]
+    monkeypatch.setattr(portfolio, "_order", _frozen_order)
+    monkeypatch.setattr(portfolio, "_theta", _frozen_theta)
+    for (pf, form), sol in zip(plans, solutions):
+        want = solve_lambda(pf, form)
+        assert sol == want and sol.lambda_star.hex() == want.lambda_star.hex()
+    assert {sol.case for sol in solutions} == {DualCase.KINK, DualCase.INTERIOR_ROOT}
+
+
 def test_product_quantities_branches():
     # infinite index, multiplier above c/(2 mu): mu + (p - 2c)/(4 lambda)
     assert product_quantities(1.0, [P1], INF)[0] == pytest.approx(4 + 4 / 4)

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from robustnv import (
     worst_case_transformed_expectation,
 )
 from robustnv.oracle import inner_min_oracle
+from robustnv.validation import _fsum_or_inf, require, require_finite
 
 COST = CostStructure(price=10.0, cost=3.0)
 M42 = MomentSpec(mean=4.0, std=2.0)
@@ -192,48 +194,74 @@ def test_quantile_and_cdf_read_one_sequential_prefix():
 
 
 @pytest.mark.parametrize(
-    "values, weights",
+    "values, weights, message",
     [
-        ([1.0, math.nan], [0.5, 0.5]),
-        ([1.0, math.inf], [0.5, 0.5]),
-        ([-math.inf, 1.0], [0.5, 0.5]),
-        ([1.0, 2.0], [math.nan, 1.0]),
-        ([1.0, 2.0], [math.inf, 1.0]),
-        ([1.0, 2.0], [-math.inf, 1.0]),
-        ([-2e-9, 1.0], [0.5, 0.5]),
-        ([1.0, 2.0], [-2e-12, 1.0 + 2e-12]),
-        ([1.0, 2.0], [1.0]),
-        ([], []),
-        ([1.0, 2.0], [0.5, 0.5 + 2e-9]),
-        ([1.0, 2.0], [0.5, 0.5 - 2e-9]),
-        ([1.0, 2.0], [1e308, 1e308]),
+        ([1.0, math.nan], [0.5, 0.5], "support must be finite, got nan"),
+        ([1.0, math.inf], [0.5, 0.5], "support must be finite, got inf"),
+        ([-math.inf, 1.0], [0.5, 0.5], "support must be finite, got -inf"),
+        ([1.0, 2.0], [math.nan, 1.0], "weights must be finite, got nan"),
+        ([1.0, 2.0], [math.inf, 1.0], "weights must be finite, got inf"),
+        ([1.0, 2.0], [-math.inf, 1.0], "weights must be finite, got -inf"),
+        ([-2e-9, 1.0], [0.5, 0.5], "support must be >= 0, got -2e-09"),
+        ([1.0, 2.0], [-2e-12, 1.0 + 2e-12], "weights must be >= 0, got -2e-12"),
+        ([1.0, 2.0], [1.0], "support and weights must have equal length"),
+        ([], [], "support must be non-empty"),
+        ([1.0, 2.0], [0.5, 0.5 + 2e-9], "weights must sum to 1 within 1e-9, got 1.0000000020000002"),
+        ([1.0, 2.0], [0.5, 0.5 - 2e-9], "weights must sum to 1 within 1e-9, got 0.9999999980000001"),
+        ([1.0, 2.0], [1e308, 1e308], "weights must sum to 1 within 1e-9, got inf"),
+        # several defects: every point is checked before any weight, in input
+        # order, and the mass last
+        ([math.nan, 1.0], [-0.5, 1.5], "support must be finite, got nan"),
+        ([1.0, 2.0, math.inf], [math.nan, 0.5, 0.5], "support must be finite, got inf"),
+        ([-1.0, math.nan], [0.5, 0.5], "support must be >= 0, got -1.0"),
+        ([2.0, 1.0, -5.0], [0.2, 0.2, 0.2], "support must be >= 0, got -5.0"),
+        ([1.0, 2.0], [0.5, -1.0, 0.5], "support and weights must have equal length"),
+        ([], [1.0], "support must be non-empty"),
+        ([1.0, math.nan], [0.5, 0.5 + 2e-9], "support must be finite, got nan"),
+        ([3.0, 1.0], [1.0, math.inf], "weights must be finite, got inf"),
     ],
     ids=["nan-point", "inf-point", "minus-inf-point", "nan-weight", "inf-weight",
          "minus-inf-weight", "point-below-dust", "weight-below-dust", "unequal-lengths",
-         "empty", "mass-above", "mass-below", "mass-overflow"],
+         "empty", "mass-above", "mass-below", "mass-overflow", "nan-point-and-negative-weight",
+         "inf-point-and-nan-weight", "negative-point-before-nan", "unsorted-with-negative-point",
+         "unequal-lengths-with-negative-weight", "empty-with-a-weight", "nan-point-and-bad-mass",
+         "unsorted-with-inf-weight"],
 )
-def test_from_pairs_rejects_bad_atoms(values, weights):
-    with pytest.raises(InputError):
+def test_from_pairs_rejects_bad_atoms(values, weights, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         DiscreteDistribution.from_pairs(values, weights)
 
 
 @pytest.mark.parametrize(
-    "support, weights",
+    "support, weights, message",
     [
-        ((2.0, 1.0), (0.5, 0.5)),
-        ((1.0, 1.0), (0.5, 0.5)),
-        ((1.0, 2.0), (-0.5, 1.5)),
-        ((-1e-12, 1.0), (0.5, 0.5)),
-        ((1.0, 2.0), (0.5, 0.5 + 2e-12)),
-        ((1.0, 2.0), (1.0,)),
-        ((), ()),
-        ((1.0, 2.0), (1e308, 1e308)),
+        ((2.0, 1.0), (0.5, 0.5), "support must be strictly increasing"),
+        ((1.0, 1.0), (0.5, 0.5), "support must be strictly increasing"),
+        ((1.0, 2.0), (-0.5, 1.5), "weights must be >= 0, got -0.5"),
+        ((-1e-12, 1.0), (0.5, 0.5), "support must be >= 0, got -1e-12"),
+        ((1.0, 2.0), (0.5, 0.5 + 2e-12), "weights must sum to 1 within 1e-12, got 1.000000000002"),
+        ((1.0, 2.0), (1.0,), "support and weights must have equal length"),
+        ((), (), "support must be non-empty"),
+        ((1.0, 2.0), (1e308, 1e308), "weights must sum to 1 within 1e-12, got inf"),
+        # several defects: the per-atom checks, then the order, then the mass
+        ((2.0, 1.0), (0.5, 0.6), "support must be strictly increasing"),
+        ((2.0, 1.0), (-0.5, 1.5), "weights must be >= 0, got -0.5"),
+        ((2.0, math.nan), (0.5, 0.5), "support must be finite, got nan"),
+        ((math.nan,), (1.0,), "support must be finite, got nan"),
+        ((1.0, 2.0), (math.nan, 1.0), "weights must be finite, got nan"),
+        ((1.0, 2.0), (1.0, math.nan), "weights must be finite, got nan"),
+        ((1.0, -1.0), (-0.5, 1.5), "support must be >= 0, got -1.0"),
+        ((3.0, 2.0, 1.0), (0.5, 0.5), "support and weights must have equal length"),
+        ((1.0, math.inf), (0.5, 0.5 + 2e-12), "support must be finite, got inf"),
     ],
     ids=["unsorted", "repeated", "negative-weight", "negative-point", "mass-off",
-         "unequal-lengths", "empty", "mass-overflow"],
+         "unequal-lengths", "empty", "mass-overflow", "unsorted-and-mass-off",
+         "unsorted-and-negative-weight", "unsorted-nan", "lone-nan", "nan-weight-first",
+         "nan-weight-last", "negative-point-and-weight", "unequal-lengths-and-unsorted",
+         "inf-point-and-mass-off"],
 )
-def test_constructor_rejects_broken_invariants(support, weights):
-    with pytest.raises(InputError):
+def test_constructor_rejects_broken_invariants(support, weights, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         DiscreteDistribution(support, weights)
 
 
@@ -341,6 +369,218 @@ def test_from_pairs_is_bit_equal_to_the_numpy_reference():
         else:  # hex tells the sign of zero apart
             assert [[x.hex() for x in xs] for xs in got] == [[x.hex() for x in xs] for xs in want]
     assert min(outcomes.values()) >= 40, outcomes
+
+
+def _frozen_checked_atoms(values, weights, v_slack=0.0, w_slack=0.0):
+    """``_checked_atoms`` as it stood before the one-pass law checks."""
+    vs = [float(v) for v in values]
+    ws = [float(w) for w in weights]
+    require(len(vs) > 0, "support must be non-empty")
+    require(len(vs) == len(ws), "support and weights must have equal length")
+    for name, xs, floor in (("support", vs, -v_slack), ("weights", ws, -w_slack)):
+        for x in xs:
+            if not floor <= x < math.inf:
+                require_finite(name, x)
+                raise InputError(f"{name} must be >= 0, got {x!r}")
+    return vs, ws
+
+
+def _frozen_law(support, weights):
+    """The constructor's checks (``__post_init__``) as they stood before the
+    one-pass law checks: the fields it stores."""
+    sup, wts = _frozen_checked_atoms(support, weights)
+    if not all(a < b for a, b in zip(sup, sup[1:])):
+        raise InputError("support must be strictly increasing")
+    total = _fsum_or_inf(wts)
+    if not abs(total - 1.0) <= 1e-12:
+        raise InputError(f"weights must sum to 1 within 1e-12, got {total!r}")
+    return tuple(sup), tuple(wts)
+
+
+def _frozen_from_pairs(values, weights):
+    """``from_pairs`` as it stood before the one-pass law checks."""
+    vs, ws = _frozen_checked_atoms(values, weights, v_slack=1e-9, w_slack=1e-12)
+    clamped = [(v if v > 0.0 else 0.0, w if w > 0.0 else 0.0) for v, w in zip(vs, ws)]
+    sup, mass = [], []
+    for v, w in sorted(clamped, key=lambda atom: atom[0]):
+        if sup and v - sup[-1] <= 1e-12 * max(1.0, sup[-1]):
+            mass[-1] += w
+        else:
+            sup.append(v)
+            mass.append(w)
+    total = _fsum_or_inf(mass)
+    if not abs(total - 1.0) <= 1e-9:
+        raise InputError(f"weights must sum to 1 within 1e-9, got {total!r}")
+    keep = [(v, w / total) for v, w in zip(sup, mass) if w > 0.0]
+    return _frozen_law(tuple(v for v, _ in keep), tuple(w for _, w in keep))
+
+
+def _frozen_from_samples(values):
+    """``from_samples`` as it stood before the one-pass law checks."""
+    v = list(values)
+    require(len(v) > 0, "need at least one sample")
+    return _frozen_from_pairs(v, [1.0 / len(v)] * len(v))
+
+
+def _law_bits(build, *args):
+    """The ``float.hex`` of a law's support and weights (and that they are
+    plain floats), or the class and message of what building it raised."""
+    try:
+        law = build(*(make() for make in args))
+    except Exception as exc:
+        return type(exc), str(exc)
+    support, weights = law if isinstance(law, tuple) else (law.support, law.weights)
+    return [[type(x) is float and x.hex() for x in xs] for xs in (support, weights)]
+
+
+_ARG_KINDS = ("list", "tuple", "generator", "np.float64 list", "float64", "float32",
+              "int64", "object", "2-D")
+
+
+def _as_arg(xs, kind):
+    """A factory of ``xs`` as one input type (a fresh generator on every call)."""
+    arr = np.array(xs, dtype=float)
+    if kind == "int64" and np.isfinite(arr).all():
+        arr = np.trunc(4.0 * arr).astype(np.int64)  # ints: ties, and masses far off
+    elif kind == "float32":
+        arr = arr.astype(np.float32)
+    elif kind == "object":
+        arr = np.array(xs, dtype=object)
+    elif kind == "2-D":
+        arr = arr.reshape((-1, 1) if len(xs) % 2 else (1, -1))
+    return {
+        "list": lambda: list(xs),
+        "tuple": lambda: tuple(xs),
+        "generator": lambda: (x for x in xs),
+        "np.float64 list": lambda: [np.float64(x) for x in xs],
+    }.get(kind, lambda: arr)
+
+
+def _parity_atoms(rng):
+    """Seeded atoms, 1 to 40 of them: -0.0, dust and exact zeros, exact ties,
+    ties within and just past 1e-12 relative (chained when consecutive), zero
+    and dust weights, and in a quarter of the draws up to three defects: NaN,
+    +-inf, a mass off by about 1e-9, a point or weight past its dust bound, a
+    missing or extra weight."""
+    n = int(rng.integers(1, 41))
+    scale = float(10 ** rng.uniform(-3, 3))
+    if rng.uniform() < 0.3:
+        v = (rng.integers(0, max(1, n // 3), n) * scale).tolist()
+    else:
+        v = (rng.gamma(2.0, 3.0, n) * scale).tolist()
+    w = rng.dirichlet(np.ones(n)).tolist()
+    u, dust, rel, u_w, dust_w = rng.uniform(size=(5, n)).tolist()
+    for j in range(n):
+        if u[j] < 0.06:
+            v[j] = -0.0
+        elif u[j] < 0.1:
+            v[j] = -1e-9 * dust[j]
+        elif u[j] < 0.13:
+            v[j] = 0.0
+        elif u[j] < 0.25 and j > 0:
+            v[j] = v[j - 1] * (1.0 + 4e-12 * (rel[j] - 0.5))
+        if u_w[j] < 0.06:
+            w[j] = 0.0
+        elif u_w[j] < 0.09:
+            w[j] = -1e-12 * dust_w[j]
+    positive = math.fsum(x for x in w if x > 0.0)
+    w = [x / positive if x > 0.0 else x for x in w]
+    for _ in range(int(rng.integers(1, 4)) if rng.uniform() < 0.25 else 0):
+        j, kind = int(rng.integers(n)), int(rng.integers(6))
+        if kind == 0:
+            v[j] = math.nan
+        elif kind == 1:
+            v[j] = float(rng.choice([math.inf, -math.inf]))
+        elif kind == 2:
+            w[j] = float(rng.choice([math.nan, math.inf, -math.inf]))
+        elif kind == 3:
+            w[j] += float(rng.uniform(-3e-9, 3e-9))
+        elif kind == 4:
+            v[j] = -float(rng.uniform(1e-9, 2e-9))
+        else:
+            w[j] = -float(rng.uniform(1e-12, 2e-12))
+    u = rng.uniform()
+    if u < 0.01:
+        w.pop()
+    elif u < 0.02:
+        w.append(0.0)
+    return v, w
+
+
+def _constructor_atoms(rng):
+    """Seeded strictly increasing atoms, 0 to 40 of them, some starting at
+    -0.0 or 0.0, and in half of the draws up to three defects: a swapped or
+    repeated point, a negative, NaN or infinite point or weight, a mass off by
+    up to 1e-11, a missing weight."""
+    n = int(rng.integers(1, 41)) if rng.uniform() < 0.99 else 0
+    v = np.cumsum(rng.gamma(1.0, 2.0, n) * float(10 ** rng.uniform(-3, 3))).tolist()
+    if n and rng.uniform() < 0.2:
+        v[0] = float(rng.choice([0.0, -0.0]))
+    w = (rng.dirichlet(np.ones(n)) if n else np.zeros(0)).tolist()
+    for _ in range(int(rng.integers(1, 4)) if n and rng.uniform() < 0.5 else 0):
+        j, kind = int(rng.integers(n)), int(rng.integers(7))
+        if kind == 0 and j > 0:
+            v[j - 1], v[j] = v[j], v[j - 1]
+        elif kind == 1 and j > 0:
+            v[j] = v[j - 1]
+        elif kind == 2:
+            v[j] = -float(10 ** rng.uniform(-13, 1))
+        elif kind == 3:
+            v[j] = float(rng.choice([math.nan, math.inf]))
+        elif kind == 4:
+            w[j] = -float(10 ** rng.uniform(-13, -1))
+        elif kind == 5:
+            w[j] = float(rng.choice([math.nan, math.inf, -math.inf]))
+        else:
+            w[j] += float(rng.uniform(-1e-11, 1e-11))
+    if n and rng.uniform() < 0.02:
+        w.pop()
+    return v, w
+
+
+def test_law_building_is_bit_equal_to_the_per_atom_reference():
+    # the one-pass checks and transforms give the same laws, bit for bit, and
+    # the same exception class and message as the per-atom loops they replace
+    rng = np.random.default_rng(8_128)
+    cases = [
+        (DiscreteDistribution.from_pairs, _frozen_from_pairs, _parity_atoms, 8_000),
+        (DiscreteDistribution, _frozen_law, _constructor_atoms, 8_000),
+        (DiscreteDistribution.from_samples, _frozen_from_samples, _parity_atoms, 4_000),
+    ]
+    seen = Counter()
+    for build, frozen, draw, n_cases in cases:
+        n_args = 1 if frozen is _frozen_from_samples else 2
+        for _ in range(n_cases):
+            atoms = draw(rng)[:n_args]
+            # half the arguments are lists, a sixteenth each of the other kinds
+            kinds = [_ARG_KINDS[max(0, k - 7)] for k in rng.integers(0, 16, n_args).tolist()]
+            args = [_as_arg(xs, kind) for xs, kind in zip(atoms, kinds)]
+            want = _law_bits(frozen, *args)
+            assert _law_bits(build, *args) == want, (build, atoms, kinds)
+            if isinstance(want, list):
+                seen[frozen.__name__, "law"] += 1
+            else:  # an InputError by its message, another error by its class
+                seen[frozen.__name__, want[1].split(",")[0] if want[0] is InputError else want[0]] += 1
+    for name in ("_frozen_from_pairs", "_frozen_law", "_frozen_from_samples"):
+        assert seen[name, "law"] >= 500, seen
+    for key in [
+        ("_frozen_from_pairs", "support must be finite"),
+        ("_frozen_from_pairs", "weights must be finite"),
+        ("_frozen_from_pairs", "support must be >= 0"),
+        ("_frozen_from_pairs", "weights must be >= 0"),
+        ("_frozen_from_pairs", "weights must sum to 1 within 1e-9"),
+        ("_frozen_from_pairs", "support and weights must have equal length"),
+        ("_frozen_from_pairs", TypeError),  # float() of a 2-D array's row
+        ("_frozen_law", "support must be strictly increasing"),
+        ("_frozen_law", "support must be finite"),
+        ("_frozen_law", "weights must be finite"),
+        ("_frozen_law", "support must be >= 0"),
+        ("_frozen_law", "weights must be >= 0"),
+        ("_frozen_law", "weights must sum to 1 within 1e-12"),
+        ("_frozen_law", "support must be non-empty"),
+        ("_frozen_from_samples", "support must be finite"),
+    ]:
+        assert seen[key] >= 20, (key, seen)
 
 
 def test_ell_examples_match_inner_min_oracle():
