@@ -37,10 +37,14 @@ from .single_product import (
     as_misspec_index,
     nominal_quantity,
 )
-from .validation import DegenerateModelError, require_nonnegative
+from .validation import (
+    DegenerateModelError,
+    InternalCheckError,
+    require_nonnegative,
+    _BISECT_REL_TOL,
+    _MAX_BISECT_ITER,
+)
 
-_BISECT_REL_TOL = 1e-10
-_MAX_BISECT_ITER = 200
 _ATOM_TOL = 1e-12  # closed-interval tolerance, matches DiscreteDistribution.cdf
 
 
@@ -162,8 +166,10 @@ def _implicit_gamma(
     moment ``H_k``, mass ``F_k``).  Atom ``v`` leaves at ``x = p/(2v)``: the
     moment loses ``w v^2`` and the tail gains as much, so the residual is
     continuous and strictly decreasing.  A bisection over these breakpoints
-    finds the root's segment; the root is closed-form there at ``inv = 0``
-    and bisected otherwise.
+    finds the root's segment; the root is closed-form there at ``inv = 0``,
+    else bisected until the bracket is within 1e-10 of its lower end, which a
+    normal lower end reaches in ``_MAX_BISECT_ITER`` halvings whatever
+    ``alpha``; a bisection that does not converge raises InternalCheckError.
     """
     sup, p, kappa, inv = ref.distribution.support, cost.price, cost.kappa, alpha.inv
     n = bisect.bisect_left(sup, ref.q_star)
@@ -190,13 +196,13 @@ def _implicit_gamma(
         return 0.5 * p * math.sqrt((kappa - mass[k]) / (theta - head[k]))
     for _ in range(_MAX_BISECT_ITER):  # lo >= p/(2 q*) > 0: a relative width
         if hi - lo <= _BISECT_REL_TOL * lo:
-            break
+            return min((lo, hi), key=lambda x: abs(residual(x, k)))
         mid = 0.5 * (lo + hi)
         if residual(mid, k) >= 0.0:
             lo = mid
         else:
             hi = mid
-    return min((lo, hi), key=lambda x: abs(residual(x, k)))
+    raise InternalCheckError(f"effective-index bisection did not converge: [{lo!r}, {hi!r}]")
 
 
 def wasserstein_misspec_solve(
@@ -205,7 +211,8 @@ def wasserstein_misspec_solve(
     """Reduce the ball-with-misspecification model to a singleton reference.
 
     Returns the effective index ``gamma_star`` (never above the posed
-    index), the order quantity ``psi_star`` and the branch taken.
+    index), the order quantity ``psi_star`` and the branch taken; a root
+    bisection that does not converge raises :class:`InternalCheckError`.
 
     All radius comparisons use ``beta_effective``: checked against the
     grid dual-objective oracle, the closed form built on the raw

@@ -40,15 +40,11 @@ from .validation import (
     require_finite,
     require_nonnegative,
     require_positive,
+    _BISECT_REL_TOL,
+    _MAX_BISECT_ITER,
     _fsum_or_inf,
 )
 
-_BISECT_REL_TOL = 1e-10
-# Halvings that bring any bracket to the relative width: a bracket spans at
-# most 2^1024 (a finite breakpoint; an expanded one stays below 1e18 < 2^60),
-# a root that a relative width can resolve is a normal float, at least
-# 2^-1022, and 1e-10 of it takes 34 more halvings: 1024 + 1022 + 34 = 2080.
-_MAX_BISECT_ITER = 2080
 _ENVELOPE_BLOCK = 1 << 20  # intercepts held at once by dual_objective_curve
 
 

@@ -38,6 +38,7 @@ attainment of the value, and the identity ``s*mu - r*(mu^2 + sigma^2) - t ==
 value``.  Callers that read only the quantity and the value (the calibrators,
 the sweeps) run the same evaluation through ``_solve`` and never build the
 laws; the threshold scans run it only on the grid points that their turn reads.
+A failed check whose terms leave the float range is bad input, at any quantity.
 """
 
 from __future__ import annotations
@@ -603,6 +604,7 @@ def _region(inv: float, q: float, m: MomentSpec, p: float) -> _Region:
 
 
 _Atoms = tuple[tuple[float, ...], tuple[float, ...]]
+_Duals = tuple[tuple[str, float], ...]
 
 
 def _two_point(lo: float, hi: float, x: float, y: float, h: float) -> _Atoms:
@@ -628,12 +630,7 @@ def _worst_case_law(region: _Region, m: MomentSpec) -> _Atoms:
 
 
 def worst_case_transformed_expectation(
-    alpha: AlphaLike,
-    q: float,
-    m: MomentSpec,
-    cost: CostStructure,
-    *,
-    _terms: _Region | None = None,
+    alpha: AlphaLike, q: float, m: MomentSpec, cost: CostStructure
 ) -> float:
     """Value function L_alpha(q): the worst-case expected transformed profit
     (equivalently, the worst-case expectation of ``ell(alpha, q, .)``) over the
@@ -644,9 +641,7 @@ def worst_case_transformed_expectation(
     formula; elsewhere ``2 mu^2 p q/(w + rad) - c q`` with ``w = p q/alpha +
     mu^2 + sigma^2`` and ``rad = sqrt(w^2 - 4 mu^2 p q/alpha)``.  At
     ``inv = 1/alpha = 0`` Q becomes {q >= (mu^2+sigma^2)/(2 mu)} and the other
-    branch the linear ``p q mu^2/(mu^2 + sigma^2) - c q``.  (``_terms`` is
-    private: the checked evaluation passes the :func:`_region` of ``(alpha,
-    q)`` that it has already formed.)
+    branch the linear ``p q mu^2/(mu^2 + sigma^2) - c q``.
     """
     a = as_misspec_index(alpha)
     q = require_nonnegative("q", q)
@@ -657,17 +652,24 @@ def worst_case_transformed_expectation(
             "alpha = 0: every order loses its full cost in the worst case; "
             "the model orders zero"
         )
+    return _value(_region(a.inv, q, m, cost.price), q, m, cost)
+
+
+def _value(region: _Region, q: float, m: MomentSpec, cost: CostStructure) -> float:
+    """L_alpha(q) in ``region`` (of :func:`_region`): the formula of
+    :func:`worst_case_transformed_expectation`, and 0 at ``q = 0`` (where a
+    product with 0 could be ``inf * 0``)."""
+    if q == 0.0:
+        return 0.0
     mu = m.mean
     p, c = cost.price, cost.cost
-    in_q, _, _, h, z, _ = _region(a.inv, q, m, p) if _terms is None else _terms
+    in_q, _, _, h, z, _ = region
     if in_q:
         return 0.5 * p * (mu - z - h) + (p - c) * q
     return 2.0 * mu * mu * p * q / (z + h) - c * q
 
 
-def _dual_certificate(
-    region: _Region, q: float, m: MomentSpec, cost: CostStructure
-) -> tuple[tuple[str, float], ...]:
+def _dual_certificate(region: _Region, q: float, m: MomentSpec, cost: CostStructure) -> _Duals:
     """Dual variables (s, r, t) certifying L_alpha(q) in ``region`` (of
     :func:`_region`); empty when degenerate."""
     mu = m.mean
@@ -702,7 +704,7 @@ def misspec_worst_case(
     expected profit of the transformed image at ``q`` reproduces
     ``worst_case_transformed_expectation`` within 1e-9 (checked, with the
     law's moments and the dual certificate; violation raises
-    :class:`InternalCheckError`).
+    :class:`InternalCheckError`; :class:`InputError` beyond the float range).
     """
     a = as_misspec_index(alpha)
     q = require_nonnegative("q", q)
@@ -714,62 +716,50 @@ def misspec_worst_case(
 
 def _evaluate(
     a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
-) -> tuple[float, _Atoms, tuple[tuple[str, float], ...]]:
+) -> tuple[float, _Atoms, _Duals]:
     """The checked evaluation at ``(a, q)``, ``a`` nonzero: the value
-    L_alpha(q), the worst-case atoms and weights and the dual certificate,
-    all read from one :func:`_region`.  It checks the law's mass and moments,
-    the transformed atoms' attainment of the value and the dual identity, and
-    builds no :class:`TransformSpec` and no :class:`DiscreteDistribution`."""
-    region, value, atoms, images = _stages(a, q, m, cost)
-    _check_moments(atoms, m)
-    _check_attainment(images, atoms[1], a, q, value, cost)
-    duals = _dual_certificate(region, q, m, cost)
-    _check_certificate(duals, value, m)
-    return value, atoms, duals
-
-
-def _stages(a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure) -> tuple:
-    """The region, value, atoms and images that :func:`_evaluate` checks."""
+    L_alpha(q), the worst-case atoms and weights, the profits of their images
+    and the dual certificate, all formed once from one :func:`_region`, then
+    the checks of the law's mass and moments, its attainment of the value and
+    the dual identity.  A check that fails on terms beyond the float range (see
+    :func:`_in_float_range`), or a divisor that underflows to 0, means that the
+    price, the demand scale or ``q`` are beyond what floats can evaluate: bad
+    input, an :class:`InputError`."""
     p, inv = cost.price, a.inv
-    region = _region(inv, q, m, p)
-    value = worst_case_transformed_expectation(a, q, m, cost, _terms=region)
-    atoms = _worst_case_law(region, m)
-    mixed = not 4.0 * q < p * inv  # the regime rule of :func:`transform`
-    return region, value, atoms, [_image(v, a.alpha, p, mixed) for v in atoms[0]]
-
-
-def _in_float_range(a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure) -> bool:
-    """Whether the value at ``(a, q)``, each term that the checks of
-    :func:`_evaluate` sum and the sum of their sizes lie in the float range,
-    with no divisor of the stages or the certificate underflowed to 0."""
     try:
-        region, value, (support, weights), images = _stages(a, q, m, cost)
+        region = _region(inv, q, m, p)
+        value = _value(region, q, m, cost)
+        atoms = _worst_case_law(region, m)
+        mixed = not 4.0 * q < p * inv  # the regime rule of :func:`transform`
+        profits = [_profit(q, _image(v, a.alpha, p, mixed), cost) for v in atoms[0]]
         duals = _dual_certificate(region, q, m, cost)
     except ZeroDivisionError:  # a divisor underflowed to 0
-        return False
-    terms = [value, *(v * v * w for v, w in zip(support, weights))]  # and v*w <= v
-    terms += [w * _profit(q, v, cost) for v, w in zip(images, weights)]
-    terms += [x * y for (_, x), y in zip(duals, (m.mean, m.second_moment, 1.0))]
-    return math.isfinite(_fsum_or_inf(map(abs, terms)))
-
-
-def _evaluate_optimum(
-    a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
-) -> tuple[float, _Atoms, tuple[tuple[str, float], ...]]:
-    """:func:`_evaluate` at the closed-form quantity ``q``.  A check that fails
-    because the value or a term it sums leaves the float range, or a divisor
-    that underflows to 0, means that the price and the demand scale are beyond
-    what floats can evaluate: bad input.  A finite mismatch stays an
-    :class:`InternalCheckError`."""
-    try:
-        return _evaluate(a, q, m, cost)
-    except (InternalCheckError, OverflowError, ZeroDivisionError):
-        if _in_float_range(a, q, m, cost):
-            raise
+        pass
+    else:
+        try:
+            _check_moments(atoms, m)
+            _check_attainment(profits, atoms[1], a, q, value)
+            _check_certificate(duals, value, m)
+            return value, atoms, duals
+        except (InternalCheckError, OverflowError):  # OverflowError: an fsum overflowed
+            if _in_float_range(value, atoms, profits, duals, m):
+                raise
     raise InputError(
         f"the worst-case value or a term of its checks leaves the float range at "
         f"price={cost.price!r}, demand mean={m.mean!r}, std={m.std!r}"
     )
+
+
+def _in_float_range(
+    value: float, atoms: _Atoms, profits: list[float], duals: _Duals, m: MomentSpec
+) -> bool:
+    """Whether ``value``, each term that the checks of :func:`_evaluate` sum
+    and the sum of their sizes lie in the float range."""
+    support, weights = atoms
+    terms = [value, *(v * v * w for v, w in zip(support, weights))]  # and v*w <= v
+    terms += map(mul, weights, profits)
+    terms += [x * y for (_, x), y in zip(duals, (m.mean, m.second_moment, 1.0))]
+    return math.isfinite(_fsum_or_inf(map(abs, terms)))
 
 
 def _laws(
@@ -801,16 +791,11 @@ def _check_moments(atoms: _Atoms, m: MomentSpec) -> None:
 
 
 def _check_attainment(
-    images: Sequence[float],
-    weights: Sequence[float],
-    a: MisspecIndex,
-    q: float,
-    value: float,
-    cost: CostStructure,
+    profits: list[float], weights: Sequence[float], a: MisspecIndex, q: float, value: float
 ) -> None:
-    """The expected profit of the transformed atoms at ``q`` equals the value,
-    within 1e-9 (relative above 1)."""
-    attained = math.fsum([w * _profit(q, v, cost) for v, w in zip(images, weights)])
+    """The ``weights``-weighted sum of ``profits``, the transformed atoms'
+    profits at ``q``, equals the value, within 1e-9 (relative above 1)."""
+    attained = math.fsum(map(mul, weights, profits))
     if not abs(attained - value) <= _CHECK_TOL * max(1.0, abs(value)):
         raise InternalCheckError(
             f"worst-case law fails to attain the value function: "
@@ -818,9 +803,7 @@ def _check_attainment(
         )
 
 
-def _check_certificate(
-    duals: tuple[tuple[str, float], ...], value: float, m: MomentSpec
-) -> None:
+def _check_certificate(duals: _Duals, value: float, m: MomentSpec) -> None:
     """The dual identity ``s*mu - r*(mu^2 + sigma^2) - t == value``, within
     1e-9 (relative above 1) plus the rounding bound of evaluating the three
     terms: near sigma = 0 they grow like mu/sigma and cancel to the value.
@@ -905,7 +888,7 @@ def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> So
         g_star = ambiguity_worst_case(0.0, m)
         return SolveReport(0.0, 0.0, Regime.DEGENERATE, a, g_star, g_star)
     q, regime = _quantity(a, m, cost)
-    value, atoms, duals = _evaluate_optimum(a, q, m, cost)
+    value, atoms, duals = _evaluate(a, q, m, cost)
     return SolveReport(q, value, regime, a, *_laws(atoms, a, q, cost), duals)
 
 
@@ -917,7 +900,7 @@ def _solve(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> tuple[float,
     if a.alpha == 0.0:
         return 0.0, 0.0
     q, _ = _quantity(a, m, cost)
-    return q, _evaluate_optimum(a, q, m, cost)[0]
+    return q, _evaluate(a, q, m, cost)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -944,8 +927,16 @@ def _scan_turn(
         j -= 1
     if a.alpha != 0.0:
         for i in range(max(j - 1, 0), n):
-            _evaluate_optimum(a, qs[i], *pairs[i])
+            _evaluate(a, qs[i], *pairs[i])
     return grid[j] if j <= n - 2 else None
+
+
+def _scan_grid(name: str, points: Iterable[float], check: Callable) -> list[float]:
+    """The grid ``name`` as floats, each point checked; non-empty, strictly increasing."""
+    grid = [check(f"{name} point", x) for x in points]
+    require(len(grid) > 0, f"{name} must be non-empty")
+    require(all(map(lt, grid, grid[1:])), f"{name} must be strictly increasing")
+    return grid
 
 
 def price_threshold_scan(
@@ -968,10 +959,7 @@ def price_threshold_scan(
     At alpha = 0 every quantity is 0 and no price is evaluated.
     """
     require_positive("c", c)
-    grid = [require_finite("p_grid point", p) for p in p_grid]
-    require(len(grid) > 0, "p_grid must be non-empty")
-    for a_, b_ in zip(grid, grid[1:]):
-        require(a_ < b_, "p_grid must be strictly increasing")
+    grid = _scan_grid("p_grid", p_grid, require_finite)
     require(grid[0] > c, f"all grid prices must exceed c={c!r}")
     a = as_misspec_index(alpha)
     return _scan_turn(a, grid, ((m, CostStructure(price=p, cost=c)) for p in grid))
@@ -997,10 +985,7 @@ def variance_threshold_scan(
     if not kappa < 1.0:
         raise _fractile_rounds_to_one(cost)
     require_positive("mu", mu)
-    grid = [require_nonnegative("sigma_grid point", s) for s in sigma_grid]
-    require(len(grid) > 0, "sigma_grid must be non-empty")
-    for a_, b_ in zip(grid, grid[1:]):
-        require(a_ < b_, "sigma_grid must be strictly increasing")
+    grid = _scan_grid("sigma_grid", sigma_grid, require_nonnegative)
     hi = mu * math.sqrt(kappa / (1.0 - kappa))
     require(
         grid[-1] <= hi + 1e-9,

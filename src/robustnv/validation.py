@@ -73,6 +73,14 @@ def require_nonnegative(name: str, value: float, *, allow_inf: bool = False) -> 
     return value
 
 
+# The relative bracket width at which the solvers' bisections stop, and the
+# halvings that reach it: a bracket of finite floats spans less than 2^1024, a
+# root that a relative width can resolve is a normal float, at least 2^-1022,
+# and 1e-10 of it takes 34 more halvings: 1024 + 1022 + 34 = 2080.
+_BISECT_REL_TOL = 1e-10
+_MAX_BISECT_ITER = 2080
+
+
 def _fsum_or_inf(xs) -> float:
     """math.fsum of xs, or inf when its partial sums leave the float range."""
     try:

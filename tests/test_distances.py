@@ -11,6 +11,7 @@ from robustnv import (
     DegenerateModelError,
     DiscreteDistribution,
     InputError,
+    InternalCheckError,
     MisspecIndex,
     MomentSpec,
     RadiusSpec,
@@ -23,6 +24,7 @@ from robustnv import (
     wasserstein_ambiguity_quantity,
     wasserstein_misspec_solve,
 )
+from robustnv import distances
 from robustnv.distances import ReferenceDistribution
 from robustnv.oracle import (
     Moment,
@@ -339,6 +341,42 @@ def test_solve_matches_the_full_residual_bisection_on_catalog_histories():
             want = _reference_gamma(dist, theta, inv, cost)
             assert sol.gamma_star == pytest.approx(want, rel=1e-9)
     assert implicit >= 150
+
+
+HUGE_ALPHAS = (1e30, 1e60, 1e100, 1e200, 1e300)
+SEVEN = DiscreteDistribution.from_samples([1, 2, 3, 5, 8, 9, 12])
+
+
+@pytest.mark.parametrize("alpha", HUGE_ALPHAS)
+def test_solve_at_a_huge_finite_index_agrees_with_the_infinite_index(alpha):
+    limit = wasserstein_misspec_solve(SEVEN, RadiusSpec(0.5, math.inf), K07)
+    sol = wasserstein_misspec_solve(SEVEN, RadiusSpec(0.5, alpha), K07)
+    assert sol.case is limit.case is WassersteinCase.IMPLICIT_ROOT
+    assert sol.gamma_star == pytest.approx(limit.gamma_star, rel=1e-9)
+    assert sol.psi_star == pytest.approx(limit.psi_star, rel=1e-9)
+
+
+def test_huge_finite_indices_agree_with_the_infinite_index_on_catalog_histories():
+    # a bracket [p/(2 q*), alpha) this wide needs hundreds of halvings
+    rng = np.random.default_rng(18_018)
+    implicit = 0
+    for ref, cost, _ in _catalog_histories(rng, 200):
+        dist = ref.distribution
+        theta = float(rng.uniform(0.05, 0.95)) * ref.beta_effective
+        limit = wasserstein_misspec_solve(dist, RadiusSpec(theta, math.inf), cost)
+        for alpha in HUGE_ALPHAS:
+            sol = wasserstein_misspec_solve(dist, RadiusSpec(theta, alpha), cost)
+            assert sol.case is limit.case, (alpha, theta, cost)
+            assert sol.gamma_star == pytest.approx(limit.gamma_star, rel=1e-9), (alpha, theta)
+            assert sol.psi_star == pytest.approx(limit.psi_star, rel=1e-9), (alpha, theta)
+            implicit += sol.case is WassersteinCase.IMPLICIT_ROOT
+    assert implicit >= 900, implicit
+
+
+def test_solve_raises_when_the_root_bisection_runs_out(monkeypatch):
+    monkeypatch.setattr(distances, "_MAX_BISECT_ITER", 5)
+    with pytest.raises(InternalCheckError, match="did not converge"):
+        wasserstein_misspec_solve(SEVEN, RadiusSpec(0.5, 1e6), K07)
 
 
 def test_solve_is_continuous_across_atom_breakpoints():

@@ -856,7 +856,7 @@ def _count_checked_evaluation(monkeypatch):
 
         monkeypatch.setattr(obj, name, wrapper)
 
-    counted(sp, "worst_case_transformed_expectation")  # the value function
+    counted(sp, "_value")  # the value function
     counted(sp, "_worst_case_law")
     counted(sp, "_check_moments")
     counted(sp, "_check_attainment")
@@ -965,6 +965,24 @@ def test_a_model_beyond_the_float_range_is_bad_input_not_an_internal_failure():
     with pytest.raises(InputError, match=r"float range at price=1e\+156, demand mean=2e\+152"):
         misspec_quantity(INF, MomentSpec(2e152, 1e152), CostStructure(1e156, 3e152))
     # a finite mismatch stays an internal failure: see the perturbed-weight test below
+
+
+@pytest.mark.parametrize(
+    "alpha, q, m, cost, checks",
+    [
+        # the upper atom's square overflows: the moment check fails on it
+        (4.0, 1e306, M42, COST, 1),
+        # p/(4h) underflows to 0 in the certificate: no check runs
+        (INF, 2e24, MomentSpec(1e24, 5e23), CostStructure(1e-300, 3e-301), 0),
+    ],
+)
+def test_worst_case_law_beyond_the_float_range_is_bad_input(alpha, q, m, cost, checks, monkeypatch):
+    calls = _count_checked_evaluation(monkeypatch)
+    with pytest.raises(InputError, match="leaves the float range at price="):
+        misspec_worst_case(alpha, q, m, cost)
+    # the failure is classified from the numbers at hand: every stage ran once
+    stages = ("_value", "_worst_case_law", "_dual_certificate")
+    assert calls == {**dict.fromkeys(stages, 1), **({"_check_moments": 1} if checks else {})}
 
 
 def test_perturbed_atom_weight_fails_the_quantity_only_solve(monkeypatch):
@@ -1110,6 +1128,38 @@ def _ref_evaluate(a, q, m, cost):
     return value, atoms, duals
 
 
+def _ref_in_float_range(a, q, m, cost):
+    """The float-range predicate as it stood when it re-ran every stage: the
+    value, each term that the checks sum and the sum of their sizes are
+    finite, and no divisor of the stages underflowed to 0."""
+    p, c = cost.price, cost.cost
+    try:
+        value = _ref_value(a, q, m, cost)
+        support, weights = _ref_law(a.inv, q, m, p)
+        images = [_ref_apply(a, p, q, v) for v in support]
+        duals = _ref_duals(a, q, m, cost)
+    except ZeroDivisionError:
+        return False
+    terms = [value, *(v * v * w for v, w in zip(support, weights))]
+    terms += [w * (p * min(q, v) - c * q) for v, w in zip(images, weights)]
+    terms += [x * y for (_, x), y in zip(duals, (m.mean, _ref_second(m), 1.0))]
+    return math.isfinite(_fsum_or_inf(map(abs, terms)))
+
+
+def _ref_checked(a, q, m, cost):
+    """:func:`_ref_evaluate`, with a failed check whose terms leave the float
+    range (by the frozen predicate) reported as bad input."""
+    try:
+        return _ref_evaluate(a, q, m, cost)
+    except (InternalCheckError, OverflowError, ZeroDivisionError):
+        if _ref_in_float_range(a, q, m, cost):
+            raise
+    raise InputError(
+        f"the worst-case value or a term of its checks leaves the float range at "
+        f"price={cost.price!r}, demand mean={m.mean!r}, std={m.std!r}"
+    )
+
+
 def _ref_quantity(a, m, cost):
     kappa = cost.kappa
     mu, sig = m.mean, m.std
@@ -1143,7 +1193,7 @@ def _ref_report(a, m, cost):
         g_star = ambiguity_worst_case(0.0, m)
         return sp.SolveReport(0.0, 0.0, Regime.DEGENERATE, a, g_star, g_star)
     q, regime = _ref_quantity(a, m, cost)
-    value, atoms, duals = _ref_evaluate(a, q, m, cost)
+    value, atoms, duals = _ref_checked(a, q, m, cost)
     return sp.SolveReport(q, value, regime, a, *_ref_laws(a, q, atoms, cost), duals)
 
 
@@ -1151,7 +1201,7 @@ def _ref_solve(a, m, cost):
     if a.alpha == 0.0:
         return 0.0, 0.0
     q, _ = _ref_quantity(a, m, cost)
-    return q, _ref_evaluate(a, q, m, cost)[0]
+    return q, _ref_checked(a, q, m, cost)[0]
 
 
 def _exact(fn, *args):
@@ -1192,7 +1242,7 @@ def _parity_instance(rng):
 
 def test_checked_evaluation_matches_the_frozen_three_pass_reference():
     rng = np.random.default_rng(14_014)
-    seen = {}
+    seen, reclassified = {}, 0
     for _ in range(20_000):
         a, m, cost, off = _parity_instance(rng)
         want = _exact(_ref_report, a, m, cost)
@@ -1205,14 +1255,18 @@ def test_checked_evaluation_matches_the_frozen_three_pass_reference():
         # the closed form, then off it with the same model: a region kept
         # from the first evaluation would be stale in the second
         for at in (q_star, q):
-            want = _exact(_ref_evaluate, a, at, m, cost)
+            three_pass = _exact(_ref_evaluate, a, at, m, cost)
+            want = _exact(_ref_checked, a, at, m, cost)
             assert _exact(sp._evaluate, a, at, m, cost) == want, (a, at, m, cost)
-            kind = want.split(":")[0] if not want.startswith("(") else "ok"
+            kind = three_pass.split(":")[0] if not three_pass.startswith("(") else "ok"
             seen[kind] = seen.get(kind, 0) + 1
-        laws = _exact(lambda: _ref_laws(a, q, _ref_evaluate(a, q, m, cost)[1], cost))
+            reclassified += want != three_pass
+        laws = _exact(lambda: _ref_laws(a, q, _ref_checked(a, q, m, cost)[1], cost))
         assert _exact(misspec_worst_case, a, q, m, cost) == laws, (a, q, m, cost)
     # the set reaches the image check and the moment check, not only clean solves
     assert seen["ok"] > 30_000 and seen["InputError"] > 100 and seen["InternalCheckError"] > 100, seen
+    # every failed check at an order of 1e305..1e308 leaves the float range
+    assert reclassified == 867, reclassified
 
 
 def test_near_zero_variance_certificate_found_instance_certifies():
@@ -1260,8 +1314,9 @@ def test_nan_fails_each_solve_check():
     nan = math.nan
     with pytest.raises(InternalCheckError):
         sp._check_moments(((nan, 5.0), (0.2, 0.8)), M42)
+    profits = [profit(2.0, v, COST) for v in (0.0, 5.0)]  # of the images 0 and 5
     with pytest.raises(InternalCheckError):
-        sp._check_attainment((0.0, 5.0), (0.2, 0.8), MisspecIndex(4.0), 2.0, nan, COST)
+        sp._check_attainment(profits, (0.2, 0.8), MisspecIndex(4.0), 2.0, nan)
     with pytest.raises(InternalCheckError):
         sp._check_certificate((("s_alpha", nan), ("r_alpha", 1.0), ("t_alpha", 0.0)), 1.0, M42)
 
@@ -1639,13 +1694,13 @@ def test_variance_scan_scope_and_conventions():
 
 def _recorded_evaluations(monkeypatch):
     """Patch the checked evaluation to record its ``(q, m, cost)`` calls."""
-    calls, evaluate = [], sp._evaluate_optimum
+    calls, evaluate = [], sp._evaluate
 
     def record(a, q, m, cost):
         calls.append((q, m, cost))
         return evaluate(a, q, m, cost)
 
-    monkeypatch.setattr(sp, "_evaluate_optimum", record)
+    monkeypatch.setattr(sp, "_evaluate", record)
     return calls
 
 
@@ -1671,7 +1726,7 @@ def test_scan_edges_keep_their_behaviour(monkeypatch):
     def fail(*_):
         raise InternalCheckError("perturbed")
 
-    monkeypatch.setattr(sp, "_evaluate_optimum", fail)
+    monkeypatch.setattr(sp, "_evaluate", fail)
     with pytest.raises(InternalCheckError, match="perturbed"):
         price_threshold_scan(4.0, M42, 3.0, [12.0, 13.0])
 
