@@ -4,172 +4,25 @@ Closed-form single- and multi-product solvers, Wasserstein- and
 total-variation-based variants, finite-sample calibration helpers, an
 independent brute-force validation oracle, and an out-of-sample evaluation
 harness with a command-line front end (``robustnv``).
+
+Each module's ``__all__`` is the one list of the names it exports; the
+package exports them all, in the order below.
 """
 
 from ._version import __version__
-from .single_product import (
-    CostStructure,
-    DiscreteDistribution,
-    MisspecIndex,
-    MomentSpec,
-    Regime,
-    SolveReport,
-    TransformRegime,
-    TransformSpec,
-    ambiguity_worst_case,
-    as_misspec_index,
-    ell,
-    fractile_factor,
-    misspec_quantity,
-    misspec_worst_case,
-    nominal_quantity,
-    price_threshold_scan,
-    profit,
-    push_forward,
-    scarf_quantity,
-    transform,
-    variance_threshold_scan,
-    worst_case_transformed_expectation,
-)
-from .distances import (
-    RadiusSpec,
-    ReferenceDistribution,
-    WassersteinCase,
-    WassersteinSolution,
-    alpha_for_radius,
-    reference_beta,
-    tv_misspec_quantity,
-    wasserstein_ambiguity_quantity,
-    wasserstein_misspec_solve,
-)
-from .calibration import (
-    GuaranteeReport,
-    SampleSet,
-    StressSpec,
-    cv_alpha,
-    empirical_moments,
-    epsilon_N,
-    formula_calibrate,
-    gelbrich_sq,
-    guarantee,
-    moment_set_distance,
-    ot_quadratic_empirical,
-    stress_calibrate,
-    stress_distribution,
-)
-from .portfolio import (
-    DualCase,
-    DualSolution,
-    PortfolioSpec,
-    ProductSpec,
-    ThetaForm,
-    dual_objective,
-    dual_objective_curve,
-    lambda_breakpoints,
-    product_quantities,
-    solve_lambda,
-    theta,
-)
-from .evaluation import (
-    DemandKind,
-    ExperimentConfig,
-    ExperimentReport,
-    Method,
-    MethodCell,
-    SweepSeries,
-    default_alpha_grid,
-    draw_demand,
-    generate_demand,
-    load_demand_csv,
-    oracle_check,
-    out_of_sample_profit,
-    run_experiment,
-    sweep,
-    write_demand_csv,
-)
-from .validation import (
-    DegenerateModelError,
-    InfeasibleError,
-    InputError,
-    InternalCheckError,
-    ModelError,
-)
+from .single_product import *
+from .portfolio import *
+from .distances import *
+from .calibration import *
+from .evaluation import *
+from .validation import *
 
 __all__ = [
-    "CostStructure",
-    "MomentSpec",
-    "MisspecIndex",
-    "as_misspec_index",
-    "DiscreteDistribution",
-    "TransformRegime",
-    "TransformSpec",
-    "Regime",
-    "SolveReport",
-    "profit",
-    "ell",
-    "fractile_factor",
-    "nominal_quantity",
-    "transform",
-    "push_forward",
-    "ambiguity_worst_case",
-    "worst_case_transformed_expectation",
-    "scarf_quantity",
-    "misspec_quantity",
-    "misspec_worst_case",
-    "price_threshold_scan",
-    "variance_threshold_scan",
-    "ProductSpec",
-    "PortfolioSpec",
-    "ThetaForm",
-    "DualCase",
-    "DualSolution",
-    "lambda_breakpoints",
-    "theta",
-    "solve_lambda",
-    "product_quantities",
-    "dual_objective",
-    "dual_objective_curve",
-    "ReferenceDistribution",
-    "RadiusSpec",
-    "WassersteinCase",
-    "WassersteinSolution",
-    "reference_beta",
-    "wasserstein_misspec_solve",
-    "wasserstein_ambiguity_quantity",
-    "tv_misspec_quantity",
-    "alpha_for_radius",
-    "SampleSet",
-    "GuaranteeReport",
-    "StressSpec",
-    "empirical_moments",
-    "gelbrich_sq",
-    "moment_set_distance",
-    "ot_quadratic_empirical",
-    "epsilon_N",
-    "guarantee",
-    "cv_alpha",
-    "stress_distribution",
-    "formula_calibrate",
-    "stress_calibrate",
-    "Method",
-    "DemandKind",
-    "ExperimentConfig",
-    "MethodCell",
-    "ExperimentReport",
-    "SweepSeries",
-    "out_of_sample_profit",
-    "sweep",
-    "run_experiment",
-    "draw_demand",
-    "generate_demand",
-    "write_demand_csv",
-    "load_demand_csv",
-    "default_alpha_grid",
-    "oracle_check",
-    "ModelError",
-    "InputError",
-    "DegenerateModelError",
-    "InfeasibleError",
-    "InternalCheckError",
+    *single_product.__all__,
+    *portfolio.__all__,
+    *distances.__all__,
+    *calibration.__all__,
+    *evaluation.__all__,
+    *validation.__all__,
     "__version__",
 ]

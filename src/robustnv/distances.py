@@ -33,6 +33,7 @@ from .single_product import (
     DiscreteDistribution,
     MisspecIndex,
     MomentSpec,
+    _ATOM_TOL,
     _solve,
     as_misspec_index,
     nominal_quantity,
@@ -45,7 +46,17 @@ from .validation import (
     _MAX_BISECT_ITER,
 )
 
-_ATOM_TOL = 1e-12  # closed-interval tolerance, matches DiscreteDistribution.cdf
+__all__ = [
+    "ReferenceDistribution",
+    "RadiusSpec",
+    "WassersteinCase",
+    "WassersteinSolution",
+    "reference_beta",
+    "wasserstein_misspec_solve",
+    "wasserstein_ambiguity_quantity",
+    "tv_misspec_quantity",
+    "alpha_for_radius",
+]
 
 
 # ---------------------------------------------------------------------------

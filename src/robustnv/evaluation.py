@@ -72,15 +72,8 @@ __all__ = [
     "run_experiment",
     "draw_demand",
     "generate_demand",
-    "demand_csv_text",
     "write_demand_csv",
     "load_demand_csv",
-    "sweep_csv_text",
-    "parse_sweep_csv",
-    "sweep_json_text",
-    "report_json_text",
-    "report_csv_text",
-    "solve_json_payload",
     "default_alpha_grid",
     "oracle_check",
 ]
@@ -479,15 +472,16 @@ def load_demand_csv(path: str) -> SampleSet:
             if not raw:
                 raise InputError(f"{path}: line {lineno}: missing demand value")
             try:
-                vals.append(float(raw))
+                value = float(raw)
             except ValueError:
                 raise InputError(
                     f"{path}: line {lineno}: bad demand value {row[1]!r}"
                 ) from None
-            if vals[-1] < 0:
+            if not 0.0 <= value < math.inf:  # also catches nan
                 raise InputError(
-                    f"{path}: line {lineno}: demand must be >= 0, got {row[1]!r}"
+                    f"{path}: line {lineno}: demand must be finite and >= 0, got {row[1]!r}"
                 )
+            vals.append(value)
     if len(vals) < 2:
         raise InputError(f"{path}: need at least 2 demand rows, got {len(vals)}")
     return SampleSet(tuple(vals))

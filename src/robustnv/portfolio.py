@@ -45,12 +45,26 @@ from .validation import (
     _fsum_or_inf,
 )
 
+__all__ = [
+    "ProductSpec",
+    "PortfolioSpec",
+    "ThetaForm",
+    "DualCase",
+    "DualSolution",
+    "lambda_breakpoints",
+    "theta",
+    "solve_lambda",
+    "product_quantities",
+    "dual_objective",
+    "dual_objective_curve",
+]
+
 _ENVELOPE_BLOCK = 1 << 20  # intercepts held at once by dual_objective_curve
 
 
 @dataclass(frozen=True)
 class ProductSpec:
-    """One product: unit price, unit cost, and marginal mean demand, with ``mean^2`` finite."""
+    """One product: unit price, unit cost and mean demand, with mean^2 and (p - c) * c finite."""
 
     price: float
     cost: float
@@ -60,6 +74,8 @@ class ProductSpec:
         CostStructure(self.price, self.cost)  # validates 0 < cost < price
         mean = require_positive("mean", self.mean)
         require(math.isfinite(mean * mean), f"mean^2 must be finite, got {mean * mean!r}")
+        margin = (self.price - self.cost) * self.cost
+        require(math.isfinite(margin), f"(price - cost) * cost must be finite, got {margin!r}")
 
     @property
     def cost_structure(self) -> CostStructure:
@@ -259,34 +275,46 @@ def solve_lambda(
     Finds the first segment whose implied second moment drops below the
     budget; the multiplier is the segment's left kink when the budget is
     already slack there, otherwise the unique root of theta = K on the
-    segment (bisection to 1e-10 relative, expanding the bracket geometrically
-    when the segment is unbounded).
+    segment (bisection to 1e-10 relative).  On an unbounded segment the
+    bracket doubles from max(1, 2 * left end) until theta drops below K; it
+    crosses K before the float range ends, where theta's variance terms round
+    away to the limit form's sum, so a bracket that overflows means the two
+    forms disagree and raises InternalCheckError.
 
     A budget at or below the sum of squared means leaves no room for any
     variance: the moment family degenerates (or empties), reported as a
     DEGENERATE_BUDGET solution with the infinite-multiplier limit quantities
-    and a diagnostic warning rather than an error.
+    and a diagnostic warning rather than an error.  "The sum" is both
+    ``PortfolioSpec.mean_squares`` (an fsum) and the sum theta forms: under
+    ENVELOPE, theta at the infinite multiplier adds the squared means one by
+    one in breakpoint order, which can round above the fsum, so a budget that
+    no segment's theta drops below is degenerate too.
     """
     a, brk, terms = _order(portfolio.products, portfolio.alpha)
     inv, k, m = a.inv, portfolio.budget, len(terms)
-    if k <= portfolio.mean_squares:
-        warnings.warn(
-            f"budget K={k!r} does not exceed the sum of squared means "
-            f"{portfolio.mean_squares!r}; only (sub)degenerate moment laws "
-            "remain, reporting the infinite-multiplier limit",
-            stacklevel=2,
-        )
-        lam, i_star, case = math.inf, m + 1, DualCase.DEGENERATE_BUDGET
-    else:
+    i_star = None
+    if k > portfolio.mean_squares:
         i_star = next(
             (j for j in range(1, m + 2) if _theta(terms, j, brk[j], inv, form) < k),
             None,
         )
-        if i_star is None:
-            raise InternalCheckError(
-                "no segment admits the budget although K exceeds the sum of "
-                "squared means; the implied-moment curve is inconsistent"
-            )
+    if i_star is None:
+        squares = portfolio.mean_squares
+        if k > squares:
+            # the sum as theta forms it; the scan read it as not below K
+            squares = _theta(terms, m + 1, math.inf, inv, form)
+            if not squares >= k:
+                raise InternalCheckError(
+                    f"theta at the infinite multiplier is {squares!r}, "
+                    f"yet no segment admits the budget K={k!r}"
+                )
+        warnings.warn(
+            f"budget K={k!r} does not exceed the sum of squared means {squares!r}; only "
+            "(sub)degenerate moment laws remain, reporting the infinite-multiplier limit",
+            stacklevel=2,
+        )
+        lam, i_star, case = math.inf, m + 1, DualCase.DEGENERATE_BUDGET
+    else:
         lo = brk[i_star - 1]
         if _theta(terms, i_star, lo, inv, form) <= k:
             lam, case = lo, DualCase.KINK
@@ -294,12 +322,13 @@ def solve_lambda(
             hi = brk[i_star]
             if math.isinf(hi):
                 hi = max(1.0, 2.0 * lo)
-                while _theta(terms, i_star, hi, inv, form) >= k:
+                while math.isfinite(hi) and _theta(terms, i_star, hi, inv, form) >= k:
                     hi *= 2.0
-                    if hi > 1e18:
-                        raise InternalCheckError(
-                            "bracket expansion failed to cross the budget"
-                        )
+                if math.isinf(hi):
+                    raise InternalCheckError(
+                        "bracket expansion overflowed before crossing the budget: "
+                        "the finite and the limit forms of theta disagree"
+                    )
             for _ in range(_MAX_BISECT_ITER):
                 mid = 0.5 * (lo + hi)
                 if _theta(terms, i_star, mid, inv, form) >= k:

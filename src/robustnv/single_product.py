@@ -93,6 +93,8 @@ __all__ = [
 _CHECK_TOL = 1e-9
 #: rounding bound of the dual identity, per unit of its summed term sizes
 _ROUNDING = 16.0 * 2.0**-52
+#: closure of an atom: ``DiscreteDistribution.cdf`` counts the atoms up to x + _ATOM_TOL
+_ATOM_TOL = 1e-12
 #: the smallest normal float, ``sys.float_info.min``
 _MIN_NORMAL = 2.0**-1022
 
@@ -342,9 +344,9 @@ class DiscreteDistribution:
         return math.sqrt(self.variance())
 
     def cdf(self, x: float) -> float:
-        """P(V <= x), closed at atoms (tolerance 1e-12 on the comparison): the
-        same in-order prefix sum of the weights that :meth:`quantile` reads."""
-        k = bisect.bisect_right(self.support, x + 1e-12)
+        """P(V <= x), closed at atoms (tolerance ``_ATOM_TOL`` on the comparison):
+        the same in-order prefix sum of the weights that :meth:`quantile` reads."""
+        k = bisect.bisect_right(self.support, x + _ATOM_TOL)
         return list(accumulate(self.weights[:k], initial=0.0))[-1]
 
     def quantile(self, kappa: float) -> float:

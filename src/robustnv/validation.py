@@ -12,6 +12,14 @@ from __future__ import annotations
 
 import math
 
+__all__ = [
+    "ModelError",
+    "InputError",
+    "DegenerateModelError",
+    "InfeasibleError",
+    "InternalCheckError",
+]
+
 
 class ModelError(Exception):
     """Base class for every error raised by this package."""
@@ -38,9 +46,9 @@ class InternalCheckError(ModelError):
     """An internal cross-check failed; indicates a bug (CLI exit code 4)."""
 
 
-def require(condition: bool, message: str, exc: type = InputError) -> None:
+def require(condition: bool, message: str) -> None:
     if not condition:
-        raise exc(message)
+        raise InputError(message)
 
 
 def require_finite(name: str, value: float) -> float:

@@ -425,6 +425,9 @@ def test_demand_csv_round_trip(tmp_path):
         ("date,demand\n2020-01-01,4\n2020-01-02,\n", "line 3"),
         ("date,demand\n2020-01-01,4\n2020-01-02,abc\n", "line 3"),
         ("date,demand\n2020-01-01,4\n2020-01-02,-1\n", "line 3"),
+        ("date,demand\n2020-01-01,4\n2020-01-02,nan\n", "bad.csv: line 3: demand must be finite"),
+        ("date,demand\n2020-01-01,4\n2020-01-02,inf\n", "bad.csv: line 3: demand must be finite"),
+        ("date,demand\n2020-01-01,1e400\n2020-01-02,4\n", "bad.csv: line 2: demand must be finite"),
         ("date,demand\n2020-01-01,4,9\n", "line 2"),
         ("date,demand\n2020-01-01,4\n", "at least 2"),
         # a blank row is skipped, and the line count runs on past it

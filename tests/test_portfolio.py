@@ -1,5 +1,6 @@
 """Multi-product dual solver: breakpoints, theta curve, multiplier, quantities."""
 
+import collections
 import math
 import warnings
 
@@ -54,6 +55,8 @@ def test_product_spec_validation():
     with pytest.raises(InputError, match="mean\\^2 must be finite"):
         ProductSpec(price=10, cost=3, mean=1e200)
     big = ProductSpec(price=10, cost=3, mean=1.3e154)  # its square is finite
+    with pytest.raises(InputError, match="\\(price - cost\\) \\* cost must be finite"):
+        ProductSpec(price=1e308, cost=5e307, mean=1.0)  # theta would read inf/inf
     with pytest.raises(InputError, match="squared means sum beyond"):
         PortfolioSpec(products=(big, big), budget=1.0, alpha=1.0)
 
@@ -238,6 +241,142 @@ def test_solve_lambda_degenerate_budget():
         # low alpha falls on the other limit branch: alpha mu^2 / p
         low = solve_lambda(PortfolioSpec((P1,), 16.0, 1.0))
         assert low.quantities[0] == pytest.approx(1.0 * 16.0 / 10.0)
+
+
+def test_budget_within_rounding_above_the_squared_means_is_degenerate():
+    # theta at lam = inf sums the squared means one by one in breakpoint
+    # order, one ulp above their fsum: no segment's theta drops below K
+    tiny = math.sqrt(0.6 * math.ulp(1.0))
+    products = (ProductSpec(10, 3, 1.0), ProductSpec(10, 3, tiny), ProductSpec(10, 3, tiny))
+    budget = math.nextafter(PortfolioSpec(products, 1.0, 4.0).mean_squares, math.inf)
+    for alpha in (4.0, INF):
+        pf = PortfolioSpec(products, budget, alpha)
+        assert budget > pf.mean_squares
+        assert theta(4, math.inf, products, alpha) == budget
+        # the warning names the sum theta forms, which K does not exceed
+        with pytest.warns(UserWarning, match=f"does not exceed the sum of squared means {budget!r};"):
+            sol = solve_lambda(pf)
+        assert (sol.lambda_star, sol.segment, sol.case) == (math.inf, 4, DualCase.DEGENERATE_BUDGET)
+        assert sol.quantities == tuple(product_quantities(math.inf, products, alpha))
+
+
+def test_unbounded_bracket_expands_past_1e18():
+    prod = ProductSpec(10, 3, 1e-10)  # 2 mu < p/alpha: the breakpoint is +inf
+    pf = PortfolioSpec((prod,), math.nextafter(1e-10 * 1e-10, math.inf), 2.5e10)
+    sol = solve_lambda(pf)
+    assert (sol.segment, sol.case) == (1, DualCase.INTERIOR_ROOT)
+    lam = sol.lambda_star
+    assert lam == pytest.approx(1.087e18, rel=1e-3)
+    assert theta(1, lam * (1 - 1e-10), pf.products, pf.alpha) >= pf.budget
+    assert theta(1, lam * (1 + 1e-10), pf.products, pf.alpha) < pf.budget
+
+
+def test_bracket_that_leaves_the_float_range_is_an_internal_error(monkeypatch):
+    # a curve that stays above K at every finite multiplier but not at +inf:
+    # the finite and the limit forms of theta disagree
+    monkeypatch.setattr(
+        portfolio, "_theta", lambda terms, j, lam, inv, form: 0.0 if math.isinf(lam) else math.inf
+    )
+    pf = PortfolioSpec((ProductSpec(10, 3, 1.0),), 2.0, 1.0)  # breakpoint +inf
+    with pytest.raises(InternalCheckError, match="bracket expansion overflowed"):
+        solve_lambda(pf)
+
+
+def test_nan_theta_at_the_infinite_multiplier_is_not_a_degenerate_budget(monkeypatch):
+    monkeypatch.setattr(portfolio, "_theta", lambda terms, j, lam, inv, form: math.nan)
+    pf = PortfolioSpec((ProductSpec(10, 3, 1.0),), 10.0, INF)
+    with pytest.raises(InternalCheckError, match="theta at the infinite multiplier is nan"):
+        solve_lambda(pf)
+
+
+def _frozen_solve_lambda(pf, form):
+    """``solve_lambda`` as it stood with the fsum-only degeneracy test and the
+    1e18 bracket cap: (lambda*, segment, case, quantities), or the message of
+    the InternalCheckError it raised."""
+    a, brk, terms = portfolio._order(pf.products, pf.alpha)
+    inv, k, m = a.inv, pf.budget, len(terms)
+    if k <= pf.mean_squares:
+        return math.inf, m + 1, DualCase.DEGENERATE_BUDGET, product_quantities(math.inf, pf.products, a)
+    curve = portfolio._theta
+    i_star = next((j for j in range(1, m + 2) if curve(terms, j, brk[j], inv, form) < k), None)
+    if i_star is None:
+        return "no segment admits the budget"
+    lo = brk[i_star - 1]
+    if curve(terms, i_star, lo, inv, form) <= k:
+        lam, case = lo, DualCase.KINK
+    else:
+        hi = brk[i_star]
+        if math.isinf(hi):
+            hi = max(1.0, 2.0 * lo)
+            while curve(terms, i_star, hi, inv, form) >= k:
+                hi *= 2.0
+                if hi > 1e18:
+                    return "bracket expansion failed"
+        for _ in range(2080):
+            mid = 0.5 * (lo + hi)
+            if curve(terms, i_star, mid, inv, form) >= k:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-10 * hi:
+                break
+        lam, case = 0.5 * (lo + hi), DualCase.INTERIOR_ROOT
+    return lam, i_star, case, product_quantities(lam, pf.products, a)
+
+
+def _adversarial_plans(seed, count):
+    """1..300 products (log-uniform count) with means down to 1e-12, budgets
+    at the fsum of squared means, one ulp or 1e-15 relative above it, or
+    further, and one plan in seven PRINTED."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        products = []
+        for _ in range(max(1, round(300.0 ** rng.uniform()))):
+            price = float(rng.uniform(2.0, 30.0))
+            products.append(ProductSpec(price, price * float(rng.uniform(0.1, 0.9)), 10.0 ** float(rng.uniform(-12, 1))))
+        alpha = INF if rng.uniform() < 0.3 else 10.0 ** float(rng.uniform(-1, 11))
+        squares = math.fsum(p.mean * p.mean for p in products)
+        r = rng.uniform()
+        if r < 0.05:
+            budget = squares
+        elif r < 0.35:
+            budget = math.nextafter(squares, math.inf)
+        elif r < 0.6:
+            budget = squares * (1.0 + 1e-15)
+        else:
+            budget = squares * (1.0 + 10.0 ** float(rng.uniform(-15, 1)))
+        form = ThetaForm.PRINTED if i % 7 == 0 else ThetaForm.ENVELOPE
+        yield PortfolioSpec(tuple(products), budget, alpha), form
+
+
+def test_solve_lambda_matches_the_frozen_solver_and_never_raises_on_adversarial_plans():
+    outcomes = collections.Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for pf, form in _adversarial_plans(19_019, 1500):
+            sol = solve_lambda(pf, form)  # raises nothing
+            want = _frozen_solve_lambda(pf, form)
+            if isinstance(want, str):
+                outcomes[want, sol.case] += 1
+                if sol.case is DualCase.INTERIOR_ROOT:
+                    lam, j = sol.lambda_star, sol.segment
+                    assert theta(j, lam * (1 - 1e-10), pf.products, pf.alpha, form) >= pf.budget
+                    assert theta(j, lam * (1 + 1e-10), pf.products, pf.alpha, form) < pf.budget
+                continue
+            lam, seg, case, quantities = want
+            assert (sol.segment, sol.case) == (seg, case)
+            assert sol.lambda_star.hex() == lam.hex()
+            assert [q.hex() for q in sol.quantities] == [q.hex() for q in quantities]
+            outcomes["same", sol.case] += 1
+    # each kind of plan this test is for occurs
+    assert outcomes["no segment admits the budget", DualCase.DEGENERATE_BUDGET] > 20
+    assert outcomes["bracket expansion failed", DualCase.INTERIOR_ROOT] > 2
+    assert set(outcomes) <= {
+        ("no segment admits the budget", DualCase.DEGENERATE_BUDGET),
+        ("bracket expansion failed", DualCase.INTERIOR_ROOT),
+        *(("same", case) for case in DualCase),
+    }
+    assert all(outcomes["same", case] > 20 for case in DualCase), outcomes
 
 
 def test_single_product_reduction_random_sweep():
