@@ -3,9 +3,10 @@
 Subcommands: ``solve``, ``sweep``, ``calibrate``, ``evaluate``,
 ``experiment``, ``oracle-check``, ``generate``.  Global flags ``--seed``,
 ``--out`` and ``--format`` come before the subcommand.  Exit codes: 0 on
-success, 2 for input or schema errors (unreadable input or unwritable output
-files included), 3 for infeasible or degenerate models, 4 for internal
-validation failures.  All output is deterministic for fixed inputs and seed.
+success, 2 for input or schema errors (input files that are unreadable or not
+UTF-8 CSV, and unwritable output files, included), 3 for infeasible or
+degenerate models, 4 for internal validation failures.  All output is
+deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from ._version import __version__
 from .calibration import cv_alpha, formula_calibrate, stress_calibrate
 from .evaluation import (
     _DEFAULT_EPS_GRID,
+    _csv_text,
     _fmt6,
     _json_text,
     ExperimentConfig,
@@ -98,9 +100,7 @@ def _seed(text: str) -> int:
 def _kv_csv(doc: dict) -> str:
     """One-row CSV twin for small flat JSON payloads."""
     keys = sorted(doc)
-    head = ",".join(keys)
-    row = ",".join("" if doc[k] is None else str(doc[k]) for k in keys)
-    return f"{head}\n{row}\n"
+    return _csv_text(keys, [[doc[k] for k in keys]])
 
 
 def _flatten(doc: dict, prefix: str = "") -> dict:
@@ -219,14 +219,8 @@ def _cmd_experiment(args) -> str:
     test = load_demand_csv(args.test) if args.test else None
     grid = _alpha_grid(args, cost)
     methods = tuple(Method)
-    if args.methods:
-        names = [m.strip().upper() for m in args.methods.split(",")]
-        require(
-            all(name in Method.__members__ for name in names),
-            f"--methods takes a comma list of {', '.join(Method.__members__)}, "
-            f"got {args.methods!r}",
-        )
-        methods = tuple(Method[name] for name in names)
+    if args.methods:  # ExperimentConfig rejects a name that is not a Method
+        methods = tuple(m.strip() for m in args.methods.upper().split(","))
     config = ExperimentConfig(
         train=train,
         cost=cost,

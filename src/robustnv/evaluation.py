@@ -102,6 +102,15 @@ class DemandKind(str, Enum):
     REGIME_SHIFT = "REGIME_SHIFT"
 
 
+def _member(kind: type[Enum], value):
+    """``kind(value)``, or InputError naming the values ``kind`` allows."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(m.value for m in kind)
+        raise InputError(f"{kind.__name__} must be one of {allowed}, got {value!r}") from None
+
+
 def default_alpha_grid(price: float, count: int = 25) -> tuple[float, ...]:
     """Log-spaced index grid spanning [1e-2, 1e2] scaled by price/10."""
     require_positive("price", price)
@@ -135,12 +144,8 @@ class ExperimentConfig:
         require(len(self.eps_grid) > 0, "eps_grid must be non-empty")
         require_nonnegative("theta", self.theta)
         require(int(self.folds) >= 2, f"folds must be >= 2, got {self.folds!r}")
-        object.__setattr__(
-            self, "alpha_grid", tuple(float(a) for a in self.alpha_grid)
-        )
-        object.__setattr__(
-            self, "methods", tuple(Method(m) for m in self.methods)
-        )
+        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
+        object.__setattr__(self, "methods", tuple(_member(Method, m) for m in self.methods))
         object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -381,7 +386,7 @@ def draw_demand(
     optional ``split`` fraction (default 0.5) and concatenates two truncated
     normal segments.  Identical seeds reproduce identical samples.
     """
-    kind = DemandKind(kind)
+    kind = _member(DemandKind, kind)
     require(int(n) >= 1, f"n must be >= 1, got {n!r}")
     n = int(n)
     require("mu" in params and "sigma" in params, "params need 'mu' and 'sigma'")
@@ -429,17 +434,53 @@ def generate_demand(
 # file formats
 # ---------------------------------------------------------------------------
 
+_DEMAND_HEADER = ("date", "demand")
+_SWEEP_HEADER = ("axis", "value", "quantity", "in_sample", "out_of_sample")
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    """The CSV text of ``header`` and then ``rows``, one ``\\n``-ended line
+    each: the one writer of every CSV format here and in the CLI."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _csv_rows(lines, header: Sequence[str], where: str = "") -> list[tuple[int, list[str]]]:
+    """The non-blank rows after ``header`` in ``lines``, each with the line it
+    starts on; every error is InputError prefixed by ``where``, and bytes that
+    are not UTF-8 have no line (the text layer decodes ahead in chunks)."""
+    reader = csv.reader(lines)
+    rows = []
+    try:
+        found = next(reader, None)
+        if found != list(header):
+            raise InputError(f"{where}line 1: expected header {','.join(header)!r}, got {found!r}")
+        end = reader.line_num
+        for row in reader:
+            start, end = end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InputError(
+                    f"{where}line {start}: expected {len(header)} fields, got {len(row)}"
+                )
+            rows.append((start, row))
+    except csv.Error as exc:
+        raise InputError(f"{where}line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{where}not UTF-8 text ({exc.reason})") from None
+    return rows
+
 
 def demand_csv_text(values: Sequence[float]) -> str:
     """``date,demand`` rows: ISO-8601 daily dates from 2020-01-01, 6 decimals."""
     require(len(values) > 0, "need at least one demand value")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", "demand"])
-    for i, v in enumerate(values):
-        require_nonnegative(f"values[{i}]", float(v))
-        writer.writerow([(_EPOCH + timedelta(days=i)).isoformat(), f"{float(v):.6f}"])
-    return buf.getvalue()
+    vals = [require_nonnegative(f"values[{i}]", v) for i, v in enumerate(values)]
+    rows = (((_EPOCH + timedelta(days=i)).isoformat(), f"{v:.6f}") for i, v in enumerate(vals))
+    return _csv_text(_DEMAND_HEADER, rows)
 
 
 def write_demand_csv(path: str, values: Sequence[float]) -> None:
@@ -448,73 +489,50 @@ def write_demand_csv(path: str, values: Sequence[float]) -> None:
 
 
 def load_demand_csv(path: str) -> SampleSet:
-    """Read a ``date,demand`` file; schema violations carry line numbers."""
+    """Read a ``date,demand`` file of at least 2 rows.  Every error is
+    :class:`InputError` naming the file, and the line where there is one: a
+    file that is not UTF-8 text, malformed CSV, a header other than
+    ``date,demand``, a row without 2 fields, a bad ISO-8601 date, a missing or
+    non-numeric demand, or one that is not finite and >= 0."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["date", "demand"]:
+        rows = _csv_rows(fh, _DEMAND_HEADER, f"{path}: ")
+    vals: list[float] = []
+    for lineno, (stamp, raw) in rows:
+        try:
+            date.fromisoformat(stamp.strip())
+        except ValueError:
+            raise InputError(f"{path}: line {lineno}: bad ISO-8601 date {stamp!r}") from None
+        if not raw.strip():
+            raise InputError(f"{path}: line {lineno}: missing demand value")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise InputError(f"{path}: line {lineno}: bad demand value {raw!r}") from None
+        if not 0.0 <= value < math.inf:  # also catches nan
             raise InputError(
-                f"{path}: line 1: expected header 'date,demand', got {header!r}"
+                f"{path}: line {lineno}: demand must be finite and >= 0, got {raw!r}"
             )
-        vals: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise InputError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            stamp, raw = row[0].strip(), row[1].strip()
-            try:
-                date.fromisoformat(stamp)
-            except ValueError:
-                raise InputError(
-                    f"{path}: line {lineno}: bad ISO-8601 date {row[0]!r}"
-                ) from None
-            if not raw:
-                raise InputError(f"{path}: line {lineno}: missing demand value")
-            try:
-                value = float(raw)
-            except ValueError:
-                raise InputError(
-                    f"{path}: line {lineno}: bad demand value {row[1]!r}"
-                ) from None
-            if not 0.0 <= value < math.inf:  # also catches nan
-                raise InputError(
-                    f"{path}: line {lineno}: demand must be finite and >= 0, got {row[1]!r}"
-                )
-            vals.append(value)
+        vals.append(value)
     if len(vals) < 2:
         raise InputError(f"{path}: need at least 2 demand rows, got {len(vals)}")
     return SampleSet(tuple(vals))
 
 
-def _full(x: float) -> str:
-    # repr round-trips doubles exactly, which the sweep CSV contract needs
-    return repr(float(x))
-
-
 def sweep_csv_text(series: SweepSeries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["axis", "value", "quantity", "in_sample", "out_of_sample"])
-    for v, q, ins, outs in zip(
-        series.values, series.quantities, series.in_sample, series.out_of_sample
-    ):
-        writer.writerow([series.axis, _full(v), _full(q), _full(ins), _full(outs)])
-    return buf.getvalue()
+    # repr round-trips doubles exactly, which the sweep CSV contract needs
+    columns = (series.values, series.quantities, series.in_sample, series.out_of_sample)
+    axis = [series.axis] * len(series.values)
+    return _csv_text(_SWEEP_HEADER, zip(axis, *(map(repr, map(float, c)) for c in columns)))
 
 
 def parse_sweep_csv(text: str) -> SweepSeries:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["axis", "value", "quantity", "in_sample", "out_of_sample"]:
-        raise InputError(f"line 1: unexpected sweep header {header!r}")
+    """Read :func:`sweep_csv_text` output back.  Every error is
+    :class:`InputError`: malformed CSV, a header other than the sweep header,
+    a row without 5 fields, a non-numeric field or mixed axes, each with its
+    line, or no data rows."""
     axis = None
     cols: tuple[list[float], ...] = ([], [], [], [])
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise InputError(f"line {lineno}: expected 5 fields, got {len(row)}")
+    for lineno, row in _csv_rows(io.StringIO(text), _SWEEP_HEADER):
         if axis is None:
             axis = row[0]
         elif row[0] != axis:
@@ -595,15 +613,10 @@ def _cell_field(x: float | None) -> str:
 
 
 def report_csv_text(report: ExperimentReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["method", "alpha", "quantity", "in_sample", "out_of_sample", "worst_case"]
-    )
-    for c in report.cells:
-        fields = (c.alpha, c.quantity, c.in_sample, c.out_of_sample, c.worst_case)
-        writer.writerow([c.method.value, *map(_cell_field, fields)])
-    return buf.getvalue()
+    header = ("method", "alpha", "quantity", "in_sample", "out_of_sample", "worst_case")
+    rows = ((c.method.value, *(_cell_field(getattr(c, name)) for name in header[1:]))
+            for c in report.cells)
+    return _csv_text(header, rows)
 
 
 def solve_json_payload(report) -> dict:

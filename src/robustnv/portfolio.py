@@ -30,11 +30,11 @@ from .single_product import (
     CostStructure,
     MisspecIndex,
     _ell_rows,
+    _nonzero_index as _alpha_for_portfolio,
     as_misspec_index,
     ell,
 )
 from .validation import (
-    DegenerateModelError,
     InternalCheckError,
     require,
     require_finite,
@@ -137,16 +137,6 @@ class DualSolution:
     case: DualCase
     quantities: tuple[float, ...]
     breakpoints: tuple[float, ...]
-
-
-def _alpha_for_portfolio(alpha: AlphaLike) -> MisspecIndex:
-    a = as_misspec_index(alpha)
-    if a.alpha == 0.0:
-        raise DegenerateModelError(
-            "alpha = 0 admits arbitrary misspecification; the portfolio dual "
-            "is defined for alpha > 0 or the infinite index"
-        )
-    return a
 
 
 def _breakpoint(prod: ProductSpec, a: MisspecIndex) -> float:

@@ -201,6 +201,19 @@ def as_misspec_index(alpha: AlphaLike) -> MisspecIndex:
     return MisspecIndex(alpha)
 
 
+def _nonzero_index(alpha: AlphaLike) -> MisspecIndex:
+    """``alpha`` as an index other than 0, at which the transform, the
+    envelope, the value function, the worst-case law and the portfolio dual
+    all degenerate."""
+    a = as_misspec_index(alpha)
+    if a.alpha == 0.0:
+        raise DegenerateModelError(
+            "alpha = 0 (strongest misspecification aversion): the model "
+            "degenerates; use the robust limit q = 0"
+        )
+    return a
+
+
 def _floats(xs) -> list[float]:
     """``xs`` as a list of floats: one ``tolist`` call for a 1-D float64,
     float32 or float16 array, ``float()`` per element for every other input
@@ -401,8 +414,7 @@ def transform(alpha: AlphaLike, price: float, q: float) -> TransformSpec:
     a = as_misspec_index(alpha)
     require_positive("price", price)
     require_nonnegative("q", q)
-    if a.alpha == 0.0:
-        raise DegenerateModelError("alpha = 0 admits no transform; the model orders zero")
+    _nonzero_index(a)
     if 4.0 * q < price * a.inv:
         regime = TransformRegime.QUADRATIC
     else:
@@ -494,16 +506,6 @@ def _expected_profit(dist: DiscreteDistribution, q: float, cost: CostStructure) 
     return math.fsum(terms.tolist())
 
 
-def _envelope_index(alpha: AlphaLike) -> MisspecIndex:
-    a = as_misspec_index(alpha)
-    if a.alpha == 0.0:
-        raise DegenerateModelError(
-            "alpha = 0 (strongest misspecification aversion): the envelope "
-            "degenerates; use the robust limit q = 0"
-        )
-    return a
-
-
 def ell(alpha: AlphaLike, q: float, v: _Demand, cost: CostStructure) -> _Demand:
     """Pointwise envelope min_u { pi(q, u) + alpha*(u - v)^2 }.
 
@@ -515,7 +517,7 @@ def ell(alpha: AlphaLike, q: float, v: _Demand, cost: CostStructure) -> _Demand:
     """
     if isinstance(v, np.ndarray):
         return _ell_rows(alpha, (q,), v, cost)[0]
-    a = _envelope_index(alpha)
+    a = _nonzero_index(alpha)
     q = require_nonnegative("q", q)
     v = require_nonnegative("v", v)
     p, c = cost.price, cost.cost
@@ -531,7 +533,7 @@ def _ell_rows(alpha: AlphaLike, qs, v: np.ndarray, cost: CostStructure) -> np.nd
     """``ell`` at every quantity of ``qs`` on one array of demands, stacked
     along a new first axis: ``np.array([ell(alpha, q, v, cost) for q in
     qs])``, bit for bit, with ``alpha``, each ``q`` and ``v`` checked once."""
-    a = _envelope_index(alpha)
+    a = _nonzero_index(alpha)
     q = np.array([require_nonnegative("q", x) for x in qs], dtype=float)
     v = _require_demands(v)
     q = q.reshape(q.shape + (1,) * v.ndim)
@@ -649,12 +651,7 @@ def worst_case_transformed_expectation(
     q = require_nonnegative("q", q)
     if q == 0.0:
         return 0.0
-    if a.alpha == 0.0:
-        raise DegenerateModelError(
-            "alpha = 0: every order loses its full cost in the worst case; "
-            "the model orders zero"
-        )
-    return _value(_region(a.inv, q, m, cost.price), q, m, cost)
+    return _value(_region(_nonzero_index(a).inv, q, m, cost.price), q, m, cost)
 
 
 def _value(region: _Region, q: float, m: MomentSpec, cost: CostStructure) -> float:
@@ -710,9 +707,7 @@ def misspec_worst_case(
     """
     a = as_misspec_index(alpha)
     q = require_nonnegative("q", q)
-    if a.alpha == 0.0:
-        raise DegenerateModelError("alpha = 0 has no attaining law; the model orders zero")
-    _, atoms, _ = _evaluate(a, q, m, cost)
+    _, atoms, _ = _evaluate(_nonzero_index(a), q, m, cost)
     return _laws(atoms, a, q, cost)
 
 

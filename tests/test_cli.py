@@ -407,6 +407,105 @@ def test_solve_output_bytes_are_frozen(argv, expected, capsys):
     assert out == expected
 
 
+# stdout bytes of the one-row CSV twins and of the experiment report CSV
+# (empty fields, 'inf' cells); frozen, so the one CSV writer keeps them
+CSV_GOLDENS = [
+    (
+        ["--seed", "11", "calibrate", "--method", "cv", "--price", "10", "--cost", "3",
+         "--train", "{train}", "--alpha-grid", "0.5,2,8", "--folds", "4"],
+        "alpha,method\n8.0,cv\n",
+    ),
+    (
+        ["--seed", "11", "calibrate", "--method", "stress", "--price", "10", "--cost", "3",
+         "--train", "{train}", "--test", "{test}", "--alpha-grid", "0.5,2,inf"],
+        "alpha,method\ninf,stress\n",
+    ),
+    (
+        ["evaluate", "--price", "10", "--cost", "3", "--quantity", "4.25", "--test", "{test}"],
+        "n_test,out_of_sample_profit,quantity\n15,26.65,4.25\n",
+    ),
+    (
+        ["--seed", "5", "oracle-check", "--instances", "2", "--grid-points", "41",
+         "--q-points", "21"],
+        "grid_points,instances,max_quantity_gap_steps,max_value_gap_fraction_of_budget,"
+        "passed,q_points\n41,2,0.221259,0.005262,True,21\n",
+    ),
+    (
+        ["--seed", "7", "experiment", "--price", "10", "--cost", "3", "--train", "{train}",
+         "--test", "{test}", "--alpha-grid", "0.5,inf", "--methods", "NOMINAL,MISSPEC,TV"],
+        "method,alpha,quantity,in_sample,out_of_sample,worst_case\n"
+        "NOMINAL,0.500000,7.810000,37.835000,29.970000,\n"
+        "NOMINAL,inf,7.810000,37.835000,29.970000,\n"
+        "MISSPEC,0.500000,2.501307,17.509147,17.508276,9.168879\n"
+        "MISSPEC,inf,7.446146,37.653073,30.576423,35.827964\n"
+        "TV,0.500000,0.100000,0.700000,0.700000,\n"
+        "TV,inf,7.446146,37.653073,30.576423,\n",
+    ),
+    (
+        ["--seed", "7", "experiment", "--price", "10", "--cost", "3", "--train", "{train}",
+         "--alpha-grid", "2", "--methods", "AMBIGUITY,WASSERSTEIN"],
+        "method,alpha,quantity,in_sample,out_of_sample,worst_case\n"
+        "AMBIGUITY,2.000000,7.446146,37.653073,,35.827964\n"
+        "WASSERSTEIN,2.000000,6.560000,36.445000,,\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    CSV_GOLDENS,
+    ids=["calibrate-cv", "calibrate-stress-inf", "evaluate", "oracle-check",
+         "experiment-with-test", "experiment-without-test"],
+)
+def test_csv_output_bytes_are_frozen(argv, expected, tmp_path, capsys):
+    files = {
+        "{train}": demand_file(tmp_path, "train.csv", tuple(3.0 + 0.37 * k for k in range(20))),
+        "{test}": demand_file(tmp_path, "test.csv", tuple(2.5 + 0.41 * k for k in range(15))),
+    }
+    code, out, err = run(["--format", "csv"] + [files.get(a, a) for a in argv], capsys)
+    assert code == 0 and err == ""
+    assert out == expected
+
+
+# a demand file that is not UTF-8 text, and one whose field passes csv's
+# field size limit: each is bad input for every command that reads one
+MALFORMED_DEMAND_FILES = {
+    "not-utf8.csv": b"date,demand\n2020-01-01,4\n2020-01-02,\xff5\n",
+    "huge-field.csv": b"date,demand\n2020-01-01," + b"1" * 200_000 + b"\n2020-01-02,5\n",
+}
+
+
+def malformed_demand_files(tmp_path):
+    for name, body in MALFORMED_DEMAND_FILES.items():
+        (tmp_path / name).write_bytes(body)
+    return [str(tmp_path / name) for name in MALFORMED_DEMAND_FILES]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=list(MALFORMED_DEMAND_FILES))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--quantity", "4", "--test", "{bad}"],
+        ["calibrate", "--method", "cv", "--train", "{bad}"],
+        ["calibrate", "--method", "stress", "--train", "{good}", "--test", "{bad}"],
+        ["sweep", "--axis", "alpha", "--train", "{bad}"],
+        ["sweep", "--axis", "alpha", "--mu", "4", "--sigma", "2", "--test", "{bad}"],
+        ["experiment", "--train", "{bad}"],
+        ["experiment", "--train", "{good}", "--test", "{bad}"],
+    ],
+    ids=["evaluate", "calibrate-train", "calibrate-test", "sweep-train", "sweep-test",
+         "experiment-train", "experiment-test"],
+)
+def test_malformed_demand_files_exit_2_naming_the_file(argv, which, tmp_path, capsys):
+    bad = malformed_demand_files(tmp_path)[which]
+    good = demand_file(tmp_path, "good.csv", (3.0, 5.0, 4.0, 7.0, 6.0))
+    argv = [{"{bad}": bad, "{good}": good}.get(a, a) for a in argv]
+    code, out, err = run(argv[:1] + ["--price", "10", "--cost", "3"] + argv[1:], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"robustnv: input error: {bad}: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # the argv fuzz draws each flag value from its valid pool, or with probability
 # 0.15 from the bad values: non-finite, negative, zero, huge (1e160 overflows a
 # square), malformed, empty
@@ -489,8 +588,8 @@ def test_fuzzed_argvs_exit_with_documented_codes_and_no_traceback(tmp_path, caps
     bad = tmp_path / "bad.csv"
     bad.write_text("date,demand\n2020-01-01,-4\n2020-01-02,nan\nnot,a,row\n")
     overflowing = demand_file(tmp_path, "overflowing.csv", OVERFLOWING_SQUARES[0])
-    files = good + [constant, str(empty), str(bad), overflowing, str(tmp_path / "missing.csv"),
-                    str(tmp_path)]
+    files = good + [*malformed_demand_files(tmp_path), constant, str(empty), str(bad),
+                    overflowing, str(tmp_path / "missing.csv"), str(tmp_path)]
     codes = []
     for _ in range(300):
         argv = _fuzz_argv(rng, files)

@@ -395,6 +395,19 @@ def test_regime_shift_concatenates_two_segments():
         draw_demand("CAUCHY", {"mu": 4.0, "sigma": 2.0}, 5, seed=0)
 
 
+def test_enum_inputs_raise_input_error_naming_the_allowed_values():
+    train = SampleSet((3.0, 5.0, 4.0))
+    with pytest.raises(InputError, match="NOMINAL, AMBIGUITY, MISSPEC, WASSERSTEIN, TV, got 'FOO'"):
+        ExperimentConfig(train=train, cost=COST, alpha_grid=(1.0,), methods=("FOO",), seed=0)
+    with pytest.raises(InputError, match="TRUNC_NORMAL, LOGNORMAL, REGIME_SHIFT, got 'gamma'"):
+        draw_demand("gamma", {"mu": 1, "sigma": 1}, 3, 0)
+    # members and their values still pass
+    config = ExperimentConfig(train=train, cost=COST, alpha_grid=(1.0,),
+                              methods=("TV", Method.NOMINAL), seed=0)
+    assert config.methods == (Method.TV, Method.NOMINAL)
+    assert len(draw_demand(DemandKind.LOGNORMAL, {"mu": 1, "sigma": 1}, 3, 0)) == 3
+
+
 def test_generate_demand_needs_two_draws():
     with pytest.raises(InputError):
         generate_demand("TRUNC_NORMAL", {"mu": 4.0, "sigma": 2.0}, 1, seed=0)
@@ -441,6 +454,35 @@ def test_demand_csv_schema_errors_carry_line_numbers(tmp_path, body, fragment):
     with pytest.raises(InputError) as err:
         load_demand_csv(str(path))
     assert fragment in str(err.value)
+
+
+# a demand file that is not UTF-8 text, and one whose field passes csv's
+# field size limit (131,072 characters)
+MALFORMED_DEMAND_FILES = {
+    "not-utf8": (b"date,demand\n2020-01-01,4\n2020-01-02,\xff5\n",
+                 "not UTF-8 text (invalid start byte)"),
+    "huge-field": (b"date,demand\n2020-01-01," + b"1" * 200_000 + b"\n2020-01-02,5\n",
+                   "line 2: field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_DEMAND_FILES)
+def test_malformed_demand_files_raise_input_error_naming_the_file(tmp_path, name):
+    body, fragment = MALFORMED_DEMAND_FILES[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(body)
+    with pytest.raises(InputError) as err:
+        load_demand_csv(str(path))
+    assert str(err.value).startswith(f"{path}: {fragment}")
+
+
+def test_sweep_csv_field_beyond_the_size_limit_is_input_error():
+    head = "axis,value,quantity,in_sample,out_of_sample\n"
+    with pytest.raises(InputError, match="^line 3: field larger than field limit"):
+        parse_sweep_csv(head + "alpha,1.0,2.0,3.0,4.0\nalpha," + "1" * 200_000 + ",2,3,4\n")
+    # a quoted field that spans lines is one row, reported at the line it starts on
+    with pytest.raises(InputError, match="^line 2: expected 5 fields, got 2"):
+        parse_sweep_csv(head + '"alpha\n1.0",2.0\n')
 
 
 def test_sweep_csv_round_trip_exact():

@@ -17,11 +17,13 @@ from robustnv import (
     InternalCheckError,
     MisspecIndex,
     MomentSpec,
+    ProductSpec,
     Regime,
     TransformRegime,
     ambiguity_worst_case,
     ell,
     fractile_factor,
+    lambda_breakpoints,
     misspec_quantity,
     misspec_worst_case,
     nominal_quantity,
@@ -595,6 +597,27 @@ def test_ell_examples_match_inner_min_oracle():
         hi = v + COST.price / (2 * alpha) + 1
         grid_val = inner_min_oracle(alpha, q, v, COST, np.linspace(0, hi, 6001))
         assert abs(closed - grid_val) <= 5e-3
+
+
+def test_zero_index_is_degenerate_at_every_entry_after_its_own_checks():
+    m = MomentSpec(4.0, 2.0)
+    calls = [
+        lambda: transform(0.0, 10.0, 1.0),
+        lambda: ell(0.0, 1.0, 1.0, COST),
+        lambda: ell(0.0, 1.0, np.array([1.0, 2.0]), COST),
+        lambda: worst_case_transformed_expectation(0.0, 1.0, m, COST),
+        lambda: misspec_worst_case(0.0, 1.0, m, COST),
+        lambda: lambda_breakpoints([ProductSpec(10.0, 3.0, 4.0)], 0.0),
+    ]
+    for call in calls:
+        with pytest.raises(DegenerateModelError, match=r"^alpha = 0 \(strongest"):
+            call()
+    # each entry's own input checks come first, and L_alpha(0) is 0 at any index
+    with pytest.raises(InputError, match="price"):
+        transform(0.0, -1.0, 1.0)
+    with pytest.raises(InputError, match="q must be >= 0"):
+        misspec_worst_case(0.0, -1.0, m, COST)
+    assert worst_case_transformed_expectation(0.0, 0.0, m, COST) == 0.0
 
 
 def test_ell_limits():
