@@ -87,6 +87,9 @@ _EPOCH = date(2020, 1, 1)
 #: estimation-budget grid of the formula-based calibration when none is given
 _DEFAULT_EPS_GRID = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
 
+#: points of the default index grid of the calibrators
+_ALPHA_GRID_POINTS = 25
+
 
 class Method(str, Enum):
     NOMINAL = "NOMINAL"
@@ -111,11 +114,10 @@ def _member(kind: type[Enum], value):
         raise InputError(f"{kind.__name__} must be one of {allowed}, got {value!r}") from None
 
 
-def default_alpha_grid(price: float, count: int = 25) -> tuple[float, ...]:
+def default_alpha_grid(price: float) -> tuple[float, ...]:
     """Log-spaced index grid spanning [1e-2, 1e2] scaled by price/10."""
     require_positive("price", price)
-    require(int(count) >= 1, f"count must be >= 1, got {count!r}")
-    return tuple(float(a) * price / 10.0 for a in np.logspace(-2.0, 2.0, int(count)))
+    return tuple(float(a) * price / 10.0 for a in np.logspace(-2.0, 2.0, _ALPHA_GRID_POINTS))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .single_product import DiscreteDistribution
-from .validation import InfeasibleError, InputError, require
+from .validation import InfeasibleError, InputError, require, require_nonnegative
 
 __all__ = [
     "Moment",
@@ -325,6 +325,10 @@ def _require_finite_objective(fv: np.ndarray) -> None:
     require(bool(np.all(np.isfinite(fv))), "objective must be finite on the grid")
 
 
+def _require_finite_grid(name: str, grid: np.ndarray) -> None:
+    require(bool(np.all(np.isfinite(grid))), f"every {name} point must be finite")
+
+
 def worst_case_expectation_oracle(
     objective: Callable[[float], float], cs: MomentConstraintSet
 ) -> OracleResult:
@@ -528,8 +532,11 @@ def inner_min_oracle(
     """Grid version of the envelope: min over u of pi(q, u) + alpha (u - v)^2."""
     alpha = float(alpha)
     require(math.isfinite(alpha) and alpha > 0.0, "alpha must be finite and > 0")
+    q = require_nonnegative("q", q)
+    v = require_nonnegative("v", v)
     u = np.asarray(list(u_grid), dtype=float)
     require(u.size > 0, "u_grid must be non-empty")
+    _require_finite_grid("u_grid", u)
     pi = cost.price * np.minimum(q, u) - cost.cost * q
     return float(np.min(pi + alpha * (u - v) ** 2))
 
@@ -537,13 +544,14 @@ def inner_min_oracle(
 def grid_argmax(
     value_fn: Callable[[float], float], q_grid: Iterable[float]
 ) -> tuple[float, float]:
-    """Exhaustive scan for the maximizer; ties break toward the smaller q."""
+    """Exhaustive scan for the maximizer of finite values; ties break toward the smaller q."""
     best_q = None
     best_v = -math.inf
     count = 0
     for q in q_grid:
         count += 1
         val = float(value_fn(float(q)))
+        require(math.isfinite(val), f"value must be finite on the grid, got {val!r} at q={q!r}")
         if val > best_v:
             best_v = val
             best_q = float(q)
@@ -581,6 +589,8 @@ def wasserstein_dual_oracle(
     psis = np.asarray(list(psi_grid), dtype=float)
     us = np.asarray(list(u_grid), dtype=float)
     require(gammas.size > 0 and psis.size > 0 and us.size > 0, "empty grid")
+    _require_finite_grid("psi_grid", psis)
+    _require_finite_grid("u_grid", us)
     require(
         bool(np.all((gammas >= 0.0) & (gammas < alpha))),
         "every gamma must lie in [0, alpha)",

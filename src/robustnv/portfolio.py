@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +89,8 @@ class PortfolioSpec:
     products: tuple[ProductSpec, ...]
     budget: float
     alpha: MisspecIndex
+    #: the fsum of the squared means, formed once here
+    mean_squares: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         products = tuple(self.products)
@@ -102,11 +104,9 @@ class PortfolioSpec:
         require_finite("budget", self.budget)
         require_nonnegative("budget", self.budget)
         object.__setattr__(self, "alpha", as_misspec_index(self.alpha))
-        require(math.isfinite(self.mean_squares), "the squared means sum beyond the float range")
-
-    @property
-    def mean_squares(self) -> float:
-        return _fsum_or_inf(p.mean * p.mean for p in self.products)
+        squares = _fsum_or_inf(p.mean * p.mean for p in products)
+        require(math.isfinite(squares), "the squared means sum beyond the float range")
+        object.__setattr__(self, "mean_squares", squares)
 
 
 class ThetaForm(enum.Enum):

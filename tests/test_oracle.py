@@ -26,6 +26,7 @@ from robustnv.oracle import (
     Relation,
     grid_argmax,
     inner_min_oracle,
+    wasserstein_dual_oracle,
     worst_case_expectation_oracle,
 )
 
@@ -151,6 +152,51 @@ def test_grid_argmax_conventions():
     # ties resolve to the smaller abscissa
     q_tie, _ = grid_argmax(lambda x: 1.0, grid)
     assert q_tie == 0.0
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[-np.inf, -np.inf], [np.nan, np.nan], [1.0, np.nan], [np.inf, 1.0]],
+    ids=["all-minus-inf", "all-nan", "one-nan", "one-inf"],
+)
+def test_grid_argmax_rejects_a_non_finite_value(values):
+    with pytest.raises(InputError, match="value must be finite on the grid"):
+        grid_argmax(lambda q: values[int(q)], [0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "q, v, u_grid, message",
+    [
+        (3.0, 2.0, [0.0, np.nan, 4.0], "every u_grid point must be finite"),
+        (3.0, 2.0, [0.0, np.inf], "every u_grid point must be finite"),
+        (3.0, 2.0, [-np.inf, 4.0], "every u_grid point must be finite"),
+        (-1.0, 2.0, [0.0, 4.0], "q must be >= 0"),
+        (np.nan, 2.0, [0.0, 4.0], "q must be finite"),
+        (3.0, -0.5, [0.0, 4.0], "v must be >= 0"),
+        (3.0, np.inf, [0.0, 4.0], "v must be finite"),
+    ],
+    ids=["nan-u", "inf-u", "minus-inf-u", "negative-q", "nan-q", "negative-v", "inf-v"],
+)
+def test_inner_min_oracle_rejects_points_outside_its_domain(q, v, u_grid, message):
+    with pytest.raises(InputError, match=message):
+        inner_min_oracle(1.0, q, v, COST, u_grid)
+
+
+@pytest.mark.parametrize(
+    "gammas, psis, us, message",
+    [
+        ([0.5], [np.nan], [0.0, 4.0], "every psi_grid point must be finite"),
+        ([0.5], [1.0, np.inf], [0.0, 4.0], "every psi_grid point must be finite"),
+        ([0.5], [1.0], [0.0, np.nan], "every u_grid point must be finite"),
+        ([0.0], [1.0], [0.0, np.inf], "every u_grid point must be finite"),
+        ([0.0], [1.0], [-np.inf, 4.0], "every u_grid point must be finite"),
+    ],
+    ids=["nan-psi", "inf-psi", "nan-u", "inf-u-at-gamma-0", "minus-inf-u-at-gamma-0"],
+)
+def test_wasserstein_dual_oracle_rejects_a_non_finite_grid_point(gammas, psis, us, message):
+    demand = DiscreteDistribution.from_samples([1.0, 2.0, 4.0])
+    with pytest.raises(InputError, match=message):
+        wasserstein_dual_oracle(demand, 0.5, 2.0, COST, gammas, psis, us)
 
 
 def test_grid_argmax_locates_scarf_optimum():

@@ -557,6 +557,18 @@ def test_theta_terms_are_bit_equal_to_the_per_product_reads(m):
                     assert got.hex() == _frozen_theta(ordered, j, lam, a.inv, form).hex(), (j, lam)
 
 
+def _seeded_300_product_plan():
+    """300 products and K = 1.5 sum mu^2 at alpha 4, drawn on seed 17 after the
+    gamma draws of ``test_from_samples_merges_100_000_rounded_draws``."""
+    rng = np.random.default_rng(17)
+    rng.gamma(3.0, 2.0, 100_000)
+    price = rng.uniform(2.0, 30.0, 300).tolist()
+    margin = rng.uniform(0.1, 0.9, 300).tolist()
+    mean = rng.uniform(0.5, 10.0, 300).tolist()
+    products = tuple(ProductSpec(p, p * f, mu) for p, f, mu in zip(price, margin, mean))
+    return PortfolioSpec(products, 1.5 * sum(p.mean**2 for p in products), 4.0)
+
+
 def test_solve_lambda_is_bit_equal_with_the_per_product_reads(monkeypatch):
     rng = np.random.default_rng(90_001)
     plans = [_tie_prone_portfolio(rng) for _ in range(40)]
@@ -567,6 +579,7 @@ def test_solve_lambda_is_bit_equal_with_the_per_product_reads(monkeypatch):
             alpha = INF if rng.uniform() < 0.3 else float(10 ** rng.uniform(-1, 2))
             form = ThetaForm.PRINTED if rng.uniform() < 0.3 else ThetaForm.ENVELOPE
             plans.append((PortfolioSpec(products, budget, alpha), form))
+    plans.append((_seeded_300_product_plan(), ThetaForm.ENVELOPE))
     solutions = [solve_lambda(pf, form) for pf, form in plans]
     monkeypatch.setattr(portfolio, "_order", _frozen_order)
     monkeypatch.setattr(portfolio, "_theta", _frozen_theta)

@@ -280,6 +280,14 @@ def test_from_pairs_clamps_dust_merges_and_drops_zero_weights():
     assert d.support == (1.0, 3.0) and d.weights == (0.5, 0.5)
 
 
+def test_from_samples_merges_100_000_rounded_draws():
+    draws = np.round(np.random.default_rng(17).gamma(3.0, 2.0, 100_000), 2)
+    d = DiscreteDistribution.from_samples(draws)
+    values, counts = np.unique(draws, return_counts=True)
+    assert d.support == tuple(values.tolist()) and len(d.support) == 2_171
+    np.testing.assert_allclose(d.weights, counts / draws.size, rtol=1e-12, atol=0.0)
+
+
 def test_from_pairs_sums_tied_weights_in_input_order():
     def law(tied_mass):
         total = math.fsum([tied_mass, 0.4])
@@ -1669,6 +1677,10 @@ def test_price_scan_finds_the_regime_switch_peak():
     for _ in range(60):
         p_star = 2 * 4.0 * (4 - 2.5 * math.sqrt(3 / (p_star - 3)))
     assert abs(turn - p_star) <= 0.1001
+    # a 5,000-point grid finds the same switch
+    fine = np.linspace(3.5, 40.0, 5000)
+    turn = price_threshold_scan(4.0, MomentSpec(4, 2.5), 3.0, fine)
+    assert turn in fine and abs(turn - p_star) <= 0.2
 
 
 def test_price_scan_ambiguity_only_never_turns():
@@ -1696,10 +1708,10 @@ def test_price_scan_input_validation():
 
 
 def test_variance_scan_reproduces_the_turn():
-    grid = np.round(np.arange(0.0, 6.1001, 0.01), 10)
-    turn = variance_threshold_scan(1.5, COST, 4.0, grid)
-    assert turn is not None
-    assert abs(turn - 8 / math.sqrt(21)) <= 0.02
+    for grid in (np.round(np.arange(0.0, 6.1001, 0.01), 10), np.linspace(0.0, 6.0, 5000)):
+        turn = variance_threshold_scan(1.5, COST, 4.0, grid)
+        assert turn in grid
+        assert abs(turn - 8 / math.sqrt(21)) <= 0.02
 
 
 def test_variance_scan_ambiguity_only_never_turns():
