@@ -206,9 +206,9 @@ def _cmd_evaluate(args) -> str:
     test = load_demand_csv(args.test)
     value = out_of_sample_profit(args.quantity, test, cost)
     doc = {
-        "quantity": round(args.quantity, 6),
+        "quantity": _fmt6(args.quantity),
         "n_test": test.n,
-        "out_of_sample_profit": round(value, 6),
+        "out_of_sample_profit": _fmt6(value),
     }
     return _emit_small(doc, args.format)
 

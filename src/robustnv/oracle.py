@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .single_product import DiscreteDistribution
+from .single_product import DiscreteDistribution, _grid
 from .validation import InfeasibleError, InputError, require, require_nonnegative
 
 __all__ = [
@@ -86,20 +86,15 @@ class MomentConstraint:
 class MomentConstraintSet:
     """A support grid plus mean / second-moment constraints.
 
-    At most one constraint per moment id (the enumeration solves subset
-    systems whose rows are the distinct moment maps).
+    The grid obeys :func:`_grid`; at most one constraint per moment id (the
+    enumeration solves subset systems whose rows are the distinct moment maps).
     """
 
     grid: tuple[float, ...]
     constraints: tuple[MomentConstraint, ...]
 
     def __post_init__(self) -> None:
-        require(len(self.grid) > 0, "grid must be non-empty")
-        g = tuple(float(v) for v in self.grid)
-        require(all(math.isfinite(v) and v >= 0.0 for v in g), "grid must be finite and >= 0")
-        require(
-            all(a < b for a, b in zip(g, g[1:])), "grid must be strictly increasing"
-        )
+        g = tuple(_grid("grid", self.grid))
         ids = [c.moment for c in self.constraints]
         require(len(ids) == len(set(ids)), "at most one constraint per moment id")
         object.__setattr__(self, "grid", g)
@@ -325,10 +320,6 @@ def _require_finite_objective(fv: np.ndarray) -> None:
     require(bool(np.all(np.isfinite(fv))), "objective must be finite on the grid")
 
 
-def _require_finite_grid(name: str, grid: np.ndarray) -> None:
-    require(bool(np.all(np.isfinite(grid))), f"every {name} point must be finite")
-
-
 def worst_case_expectation_oracle(
     objective: Callable[[float], float], cs: MomentConstraintSet
 ) -> OracleResult:
@@ -526,36 +517,34 @@ class MomentLawFamily:
         return _grid_error_bound(self.grid, np.asarray(objective_on_grid, dtype=float))
 
 
+def _profit(cost, psi, u):
+    """pi(psi, u) = p*min(psi, u) - c*psi, broadcast over ``psi`` and ``u``."""
+    return cost.price * np.minimum(psi, u) - cost.cost * psi
+
+
 def inner_min_oracle(
     alpha: float, q: float, v: float, cost, u_grid: Sequence[float]
 ) -> float:
-    """Grid version of the envelope: min over u of pi(q, u) + alpha (u - v)^2."""
+    """Grid envelope: min over u of pi(q, u) + alpha (u - v)^2; see :func:`_grid`."""
     alpha = float(alpha)
     require(math.isfinite(alpha) and alpha > 0.0, "alpha must be finite and > 0")
     q = require_nonnegative("q", q)
     v = require_nonnegative("v", v)
-    u = np.asarray(list(u_grid), dtype=float)
-    require(u.size > 0, "u_grid must be non-empty")
-    _require_finite_grid("u_grid", u)
-    pi = cost.price * np.minimum(q, u) - cost.cost * q
-    return float(np.min(pi + alpha * (u - v) ** 2))
+    u = np.array(_grid("u_grid", u_grid))
+    return float(np.min(_profit(cost, q, u) + alpha * (u - v) ** 2))
 
 
 def grid_argmax(
     value_fn: Callable[[float], float], q_grid: Iterable[float]
 ) -> tuple[float, float]:
-    """Exhaustive scan for the maximizer of finite values; ties break toward the smaller q."""
-    best_q = None
-    best_v = -math.inf
-    count = 0
-    for q in q_grid:
-        count += 1
-        val = float(value_fn(float(q)))
+    """Exhaustive scan for the maximizer of finite values; ``q_grid`` obeys
+    :func:`_grid`, so ties, which keep the first, go to the smaller q."""
+    best_q = best_v = -math.inf
+    for q in _grid("q_grid", q_grid):
+        val = float(value_fn(q))
         require(math.isfinite(val), f"value must be finite on the grid, got {val!r} at q={q!r}")
         if val > best_v:
-            best_v = val
-            best_q = float(q)
-    require(count > 0, "q_grid must be non-empty")
+            best_q, best_v = q, val
     return best_q, best_v
 
 
@@ -579,27 +568,23 @@ def wasserstein_dual_oracle(
     atom by atom on the empirical law ``demand`` (``math.inf`` for alpha
     turns the penalty into ``-gamma*theta``).  Returns the pair
     ``(dual_values, inner_argmax_psi)``, one entry per gamma.  Pure grid
-    arithmetic: nothing is shared with the closed-form reduction.
+    arithmetic: nothing is shared with the closed-form reduction.  The psi
+    and u grids obey :func:`_grid`; the gammas may come in any order.
     """
-    theta = float(theta)
+    theta = require_nonnegative("theta", theta)
     alpha = float(alpha)
-    require(theta >= 0.0, "theta must be >= 0")
     require(alpha > 0.0, "alpha must be > 0 (math.inf allowed)")
     gammas = np.asarray(list(gamma_grid), dtype=float)
-    psis = np.asarray(list(psi_grid), dtype=float)
-    us = np.asarray(list(u_grid), dtype=float)
-    require(gammas.size > 0 and psis.size > 0 and us.size > 0, "empty grid")
-    _require_finite_grid("psi_grid", psis)
-    _require_finite_grid("u_grid", us)
+    require(gammas.size > 0, "gamma_grid must be non-empty")
+    psis = np.array(_grid("psi_grid", psi_grid))
+    us = np.array(_grid("u_grid", u_grid))
     require(
         bool(np.all((gammas >= 0.0) & (gammas < alpha))),
         "every gamma must lie in [0, alpha)",
     )
 
     # pi(psi, u) on the (psi, u) lattice, shared across atoms and gammas
-    pi = cost.price * np.minimum(psis[:, None], us[None, :]) - cost.cost * psis[
-        :, None
-    ]
+    pi = _profit(cost, psis[:, None], us[None, :])
     sq = (us[None, :] - demand.support_array()[:, None]) ** 2  # (atom, u)
     weights = demand.weights_array()
 

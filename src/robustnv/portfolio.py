@@ -30,6 +30,7 @@ from .single_product import (
     CostStructure,
     MisspecIndex,
     _ell_rows,
+    _grid,
     _nonzero_index as _alpha_for_portfolio,
     as_misspec_index,
     ell,
@@ -347,12 +348,10 @@ def solve_lambda(
 
 
 def _validated_grid(grid) -> np.ndarray:
-    v = np.asarray(grid, dtype=float)
-    require(v.ndim == 1 and v.size >= 2, "grid must be 1-D with >= 2 points")
-    require(bool(np.all(np.isfinite(v))), "grid must be finite")
-    require(bool(np.all(np.diff(v) > 0)), "grid must be strictly increasing")
-    require(v[0] >= 0.0, "grid must be nonnegative")
-    return v
+    """``grid`` under :func:`_grid`, with >= 2 points."""
+    v = _grid("grid", grid)
+    require(len(v) >= 2, "grid must have >= 2 points")
+    return np.array(v)
 
 
 def dual_objective(lam: float, portfolio: PortfolioSpec, grid) -> float:
@@ -362,6 +361,7 @@ def dual_objective(lam: float, portfolio: PortfolioSpec, grid) -> float:
     against the worst mean-constrained law on the grid, with the
     second-moment penalty lam * v^2 added to the transformed profit.  Used
     exclusively to validate solve_lambda; the closed forms never call this.
+    ``grid`` obeys :func:`_grid`, with >= 2 points.
     """
     require_finite("lam", lam)
     require_nonnegative("lam", lam)
@@ -403,6 +403,7 @@ def dual_objective_curve(lambdas, portfolio: PortfolioSpec, grid) -> np.ndarray:
     smallest multiplier lam0 = lambdas[0]: for every lam >= lam0 the dropped
     line stays at or above that line, so the envelope on the swept range
     cannot change.  Typically a few dozen of several thousand lines survive.
+    ``grid`` is checked as in :func:`dual_objective`.
     """
     lams = np.asarray(lambdas, dtype=float)
     require(lams.ndim == 1 and lams.size >= 1, "lambdas must be 1-D, nonempty")

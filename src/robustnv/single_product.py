@@ -223,6 +223,25 @@ def _floats(xs) -> list[float]:
     return list(map(float, xs))
 
 
+def _grid(name: str, points) -> list[float]:
+    """The oracle or scan grid ``name`` as floats: non-empty, finite, >= 0 and
+    strictly increasing.  A one-pass test (a NaN fails its ``<`` chain) decides
+    whether the loop runs that names the first bad point; what ``float()``
+    rejects, a 2-D grid included, is an input error too."""
+    try:
+        grid = _floats(points)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be a 1-D sequence of finite numbers: {exc}") from None
+    if not (grid and grid[0] >= 0.0 and grid[-1] < math.inf and all(map(lt, grid, grid[1:]))):
+        require(len(grid) > 0, f"{name} must be non-empty")
+        for x in grid:
+            if not 0.0 <= x < math.inf:  # NaN and -inf fail here too
+                require_finite(f"every {name} point", x)
+                raise InputError(f"every {name} point must be >= 0, got {x!r}")
+        raise InputError(f"{name} must be strictly increasing")
+    return grid
+
+
 def _check_atoms(vs: list[float], ws: list[float], v_slack=0.0, w_slack=0.0) -> None:
     """Raise InputError on the first bad atom: the atoms must be non-empty, of
     equal length, finite, every point >= ``-v_slack`` and every weight >=
@@ -928,14 +947,6 @@ def _scan_turn(
     return grid[j] if j <= n - 2 else None
 
 
-def _scan_grid(name: str, points: Iterable[float], check: Callable) -> list[float]:
-    """The grid ``name`` as floats, each point checked; non-empty, strictly increasing."""
-    grid = [check(f"{name} point", x) for x in points]
-    require(len(grid) > 0, f"{name} must be non-empty")
-    require(all(map(lt, grid, grid[1:])), f"{name} must be strictly increasing")
-    return grid
-
-
 def price_threshold_scan(
     alpha: AlphaLike,
     m: MomentSpec,
@@ -946,7 +957,7 @@ def price_threshold_scan(
     increasing: returns the smallest grid price after which q*(p) is
     non-increasing for the rest of the grid, or None if the series keeps
     rising (the ambiguity-only quantity always does).  Single-point grids
-    return None by convention (no comparison is possible).
+    return None by convention (no comparison is possible).  ``p_grid`` obeys :func:`_grid`.
 
     The closed-form quantity is taken at every grid price, in grid order, so
     the first bad price raises.  The checked evaluation of
@@ -956,7 +967,7 @@ def price_threshold_scan(
     At alpha = 0 every quantity is 0 and no price is evaluated.
     """
     require_positive("c", c)
-    grid = _scan_grid("p_grid", p_grid, require_finite)
+    grid = _grid("p_grid", p_grid)
     require(grid[0] > c, f"all grid prices must exceed c={c!r}")
     a = as_misspec_index(alpha)
     return _scan_turn(a, grid, ((m, CostStructure(price=p, cost=c)) for p in grid))
@@ -970,19 +981,20 @@ def variance_threshold_scan(
 ) -> float | None:
     """Scan demand-std values for the point past which the optimal quantity
     stops increasing.  Scope: kappa >= 1/2 and the grid inside
-    ``[0, mu*sqrt(kappa/(1-kappa))]`` (beyond it the model is degenerate).
-    Same tail convention as :func:`price_threshold_scan`; single-point grids
-    return None (documented choice between the two conventions offered).  As
-    there, the quantity is taken at every std in grid order and the checked
-    evaluation runs only on the stds from the one before the returned turn
-    (the last two when None is returned) to the end; none at alpha = 0.
+    ``[0, mu*sqrt(kappa/(1-kappa))]`` (beyond it the model is degenerate),
+    under :func:`_grid`.  Same tail convention as :func:`price_threshold_scan`;
+    single-point grids return None (documented choice between the two
+    conventions offered).  As there, the quantity is taken at every std in
+    grid order and the checked evaluation runs only on the stds from the one
+    before the returned turn (the last two when None is returned) to the end;
+    none at alpha = 0.
     """
     kappa = cost.kappa
     require(kappa >= 0.5, f"scan requires kappa >= 1/2, got {kappa!r}")
     if not kappa < 1.0:
         raise _fractile_rounds_to_one(cost)
     require_positive("mu", mu)
-    grid = _scan_grid("sigma_grid", sigma_grid, require_nonnegative)
+    grid = _grid("sigma_grid", sigma_grid)
     hi = mu * math.sqrt(kappa / (1.0 - kappa))
     require(
         grid[-1] <= hi + 1e-9,

@@ -12,9 +12,15 @@ from robustnv import (
     InfeasibleError,
     InputError,
     MomentSpec,
+    PortfolioSpec,
+    ProductSpec,
+    dual_objective,
+    dual_objective_curve,
     ell,
+    price_threshold_scan,
     profit,
     scarf_quantity,
+    variance_threshold_scan,
     worst_case_transformed_expectation,
 )
 from robustnv import oracle
@@ -197,6 +203,54 @@ def test_wasserstein_dual_oracle_rejects_a_non_finite_grid_point(gammas, psis, u
     demand = DiscreteDistribution.from_samples([1.0, 2.0, 4.0])
     with pytest.raises(InputError, match=message):
         wasserstein_dual_oracle(demand, 0.5, 2.0, COST, gammas, psis, us)
+
+
+_DEMAND = DiscreteDistribution.from_samples([1.0, 2.0, 4.0])
+_PLAN = PortfolioSpec((ProductSpec(10.0, 3.0, 4.0),), 40.0, 2.0)
+
+# every oracle and scan grid, as (entry point, the name its errors give, call)
+_GRID_ENTRIES = [
+    ("MomentConstraintSet", "grid", lambda g: MomentConstraintSet(grid=g, constraints=())),
+    ("inner_min_oracle", "u_grid", lambda g: inner_min_oracle(1.0, 3.0, 2.0, COST, g)),
+    ("wasserstein_psi", "psi_grid",
+     lambda g: wasserstein_dual_oracle(_DEMAND, 0.5, 2.0, COST, [0.5], g, [0.0, 4.0])),
+    ("wasserstein_u", "u_grid",
+     lambda g: wasserstein_dual_oracle(_DEMAND, 0.5, 2.0, COST, [0.5], [1.0, 2.0], g)),
+    ("grid_argmax", "q_grid", lambda g: grid_argmax(lambda q: 1.0, g)),
+    ("dual_objective", "grid", lambda g: dual_objective(0.5, _PLAN, g)),
+    ("dual_objective_curve", "grid", lambda g: dual_objective_curve([0.5, 1.0], _PLAN, g)),
+    ("price_scan", "p_grid", lambda g: price_threshold_scan(4.0, M42, 3.0, g)),
+    ("variance_scan", "sigma_grid", lambda g: variance_threshold_scan(1.5, COST, 4.0, g)),
+]
+_BAD_GRIDS = [
+    ("empty", [], "must be non-empty"),
+    ("nan", [1.0, np.nan], "point must be finite, got nan"),
+    ("inf", [1.0, np.inf], "point must be finite, got inf"),
+    ("minus-inf", [-np.inf, 1.0], "point must be finite, got -inf"),
+    ("negative", [-1.0, 2.0], "point must be >= 0, got -1.0"),
+    ("unsorted", [2.0, 1.0], "must be strictly increasing"),
+    ("duplicate", [1.0, 1.0], "must be strictly increasing"),
+    ("2-D", np.array([[0.0, 1.0], [2.0, 3.0]]), "must be a 1-D sequence of finite numbers"),
+    ("string", "grid", "must be a 1-D sequence of finite numbers"),
+]
+_GRID_CASES = [
+    pytest.param(call, grid, rf"\b{name} {text}", id=f"{entry}-{bad}")
+    for entry, name, call in _GRID_ENTRIES
+    for bad, grid, text in _BAD_GRIDS
+]
+# at gamma = 0 an infinite radius made the penalty 0 * inf = nan
+_INFINITE_THETA = pytest.param(
+    lambda g: wasserstein_dual_oracle(_DEMAND, np.inf, 2.0, COST, [0.0, 0.5], [1.0, 2.0], g),
+    [0.0, 2.0, 4.0],
+    "theta must be finite, got inf",
+    id="wasserstein-infinite-theta",
+)
+
+
+@pytest.mark.parametrize("call, grid, message", _GRID_CASES + [_INFINITE_THETA])
+def test_every_grid_entry_point_rejects_a_bad_grid_by_name(call, grid, message):
+    with pytest.raises(InputError, match=message):
+        call(grid)
 
 
 def test_grid_argmax_locates_scarf_optimum():
