@@ -40,9 +40,11 @@ from .single_product import (
     DiscreteDistribution,
     MisspecIndex,
     MomentSpec,
-    _expected_profit,
+    _checked_test_profits,
+    _expected_profits,
     _solve,
-    _test_profit,
+    _test_profits,
+    _until_error,
     as_misspec_index,
 )
 from .validation import (
@@ -328,12 +330,25 @@ def _folds(
 def _cv_score(
     split: Sequence[tuple[np.ndarray, MomentSpec]],
     cost: CostStructure,
-    index_for: Callable[[MomentSpec], AlphaLike],
-) -> float:
-    """Average over folds of the held-out mean selling profit of the quantity
-    solved on the fold-complement moments at the index ``index_for(moments)``."""
-    qs = [_solve(index_for(m), m, cost)[0] for _, m in split]
-    return float(np.mean([_test_profit(q, held, cost) for (held, _), q in zip(split, qs)]))
+    candidates: Sequence,
+    index_for: Callable[[object, MomentSpec], AlphaLike],
+) -> list[float]:
+    """Per candidate, the average over folds of the held-out mean selling
+    profit of the quantity solved on each fold complement's moments at the
+    index ``index_for(candidate, moments)``.  All candidates are solved
+    first; then each fold scores every candidate in one numpy pass.  Errors
+    come in the per-candidate order: the first candidate whose solves or
+    fold profits fail decides, its solves first, then its folds in order."""
+    qs, error = _until_error(
+        lambda c: [_solve(index_for(c, m), m, cost)[0] for _, m in split], candidates
+    )
+    by_fold = [_test_profits(col, held, cost) for (held, _), col in zip(split, zip(*qs))]
+    scores = np.array(by_fold).T.copy()  # (candidate, fold), rows contiguous for the mean
+    # read every checked mean: the first bad (candidate, fold) raises
+    list(_checked_test_profits([q for row in qs for q in row], scores.ravel()))
+    if error is not None:
+        raise error
+    return scores.mean(axis=1).tolist()
 
 
 def _shift(
@@ -346,12 +361,12 @@ def _shift(
     return rng, beta * ot_quadratic_empirical(test.empirical, train.empirical)
 
 
-def _best(candidates: Sequence, score: Callable, key: Callable):
-    """The selection rule: highest score, then highest ``key`` among exact
+def _best(candidates: Sequence, scores: Sequence[float], key: Callable):
+    """The selection rule over scores formed in one pass, which raised any
+    scoring error first: highest score, then highest ``key`` among exact
     ties, then the first candidate."""
-    best, best_score = candidates[0], score(candidates[0])
-    for c in candidates[1:]:
-        s = score(c)
+    best, best_score = candidates[0], scores[0]
+    for c, s in zip(candidates[1:], scores[1:]):
         if s > best_score or (s == best_score and key(c) > key(best)):
             best, best_score = c, s
     return best
@@ -373,7 +388,7 @@ def cv_alpha(
     grid = [as_misspec_index(a) for a in alpha_grid]
     require(len(grid) > 0, "alpha_grid must be non-empty")
     split = _folds(samples, folds, np.random.default_rng(seed))
-    return _best(grid, lambda a: _cv_score(split, cost, lambda m: a), lambda a: a.alpha)
+    return _best(grid, _cv_score(split, cost, grid, lambda a, m: a), lambda a: a.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +454,7 @@ def formula_calibrate(
     split = _folds(train, folds, rng)
     eps = _best(
         grid,
-        lambda e: _cv_score(split, cost, lambda m: alpha_for_radius(e + shift, m, cost)),
+        _cv_score(split, cost, grid, lambda e, m: alpha_for_radius(e + shift, m, cost)),
         lambda e: -e,
     )
     return alpha_for_radius(eps + shift, train.moments, cost)
@@ -473,8 +488,9 @@ def stress_calibrate(
         target = max_target
     f_stress = stress_distribution(train, target)
     m_train = train.moments
-    return _best(
-        grid,
-        lambda a: _expected_profit(f_stress, _solve(a, m_train, cost)[0], cost),
-        lambda a: a.alpha,
-    )
+    # a solve error waits for the indices before it to be scored
+    qs, error = _until_error(lambda a: _solve(a, m_train, cost)[0], grid)
+    scores = list(_expected_profits(f_stress, qs, cost))
+    if error is not None:
+        raise error
+    return _best(grid, scores, lambda a: a.alpha)

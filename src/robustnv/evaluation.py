@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,11 +44,13 @@ from .single_product import (
     CostStructure,
     MisspecIndex,
     MomentSpec,
+    _checked_test_profits,
     _ell_rows,
-    _expected_profit,
+    _expected_profits,
     _require_demands,
     _solve,
-    _test_profit,
+    _test_profits,
+    _until_error,
     as_misspec_index,
     misspec_quantity,
     nominal_quantity,
@@ -210,7 +213,9 @@ class ExperimentReport:
 def out_of_sample_profit(q: float, test: SampleSet, cost: CostStructure) -> float:
     """Average selling profit of ordering ``q`` against held-out observations;
     a profit beyond the float range is bad input, not an infinite answer."""
-    return _test_profit(q, _require_demands(test.values), cost)
+    demands = _require_demands(test.values)
+    q = require_nonnegative("q", q)
+    return next(_checked_test_profits((q,), _test_profits((q,), demands, cost)))
 
 
 _SWEEP_AXES = ("alpha", "price", "sigma")
@@ -243,6 +248,10 @@ def sweep(
     and the out-of-sample profit when the config carries test data (NaN
     otherwise; for the price axis the profit is computed at that point's
     price).
+
+    All points are solved first, then scored in one numpy pass.  Errors
+    come in the per-point order: the first point whose solve or profit
+    fails decides, its solve before its profit.
     """
     if axis not in _SWEEP_AXES:
         raise InputError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
@@ -263,16 +272,20 @@ def sweep(
     fixed = None if span is None else _sole_alpha(config, alpha)
     demands = None if config.test is None else _require_demands(config.test.values)
 
-    quantities: list[float] = []
-    in_sample: list[float] = []
-    out_sample: list[float] = []
-    for v in vals:
+    def solve(v: float) -> tuple[float, float, float]:
         a, moments, cost = point(v)
-        q, value = _solve(a, moments, cost)
-        quantities.append(q)
-        in_sample.append(value)
-        out_sample.append(math.nan if demands is None else _test_profit(q, demands, cost))
-    return SweepSeries(axis, vals, tuple(quantities), tuple(in_sample), tuple(out_sample))
+        return (*_solve(a, moments, cost), cost.price)
+
+    rows, error = _until_error(solve, vals)
+    quantities, in_sample, prices = (tuple(col) for col in zip(*rows)) if rows else ((),) * 3
+    if demands is None:
+        out_sample = (math.nan,) * len(rows)
+    else:
+        means = _test_profits(quantities, demands, base, prices if axis == "price" else None)
+        out_sample = tuple(_checked_test_profits(quantities, means))
+    if error is not None:
+        raise error
+    return SweepSeries(axis, vals, quantities, in_sample, out_sample)
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +324,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     where one exists.  The ``selections`` block carries the cross-validated
     index (always) and the formula/stress shift-aware selections (only when
     test data is available).  Output is deterministic for a fixed config.
+
+    All cells are solved first, then each profit is formed in one numpy
+    pass.  Errors come in the per-cell order: the first cell whose solve or
+    profits fail decides, its solve, in-sample and out-of-sample profit in turn.
     """
     emp, cost, test = config.train.empirical, config.cost, config.test
     demands = None if test is None else _require_demands(test.values)
-    cells: list[MethodCell] = []
-    for method in config.methods:
-        for a in config.alpha_grid:
-            q, worst = _method_solution(method, a, config)
-            in_sample = _expected_profit(emp, q, cost)
-            out = None if demands is None else _test_profit(q, demands, cost)
-            cells.append(MethodCell(method, a, q, in_sample, out, worst))
+    keys = [(method, a) for method in config.methods for a in config.alpha_grid]
+    solved, error = _until_error(lambda key: _method_solution(*key, config), keys)
+    qs = [q for q, _ in solved]
+    outs = (repeat(None) if demands is None
+            else _checked_test_profits(qs, _test_profits(qs, demands, cost)))
+    # zip reads the lazy sums and checks cell by cell, in-sample first
+    cells = [
+        MethodCell(method, a, q, in_sample, out, worst)
+        for (method, a), (q, worst), in_sample, out
+        in zip(keys, solved, _expected_profits(emp, qs, cost), outs)
+    ]
+    if error is not None:
+        raise error
 
     train, seed, folds = config.train, config.seed, config.folds
     picks = (

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .single_product import DiscreteDistribution, _grid
+from .single_product import DiscreteDistribution, _grid, _grid_floats
 from .validation import InfeasibleError, InputError, require, require_nonnegative
 
 __all__ = [
@@ -569,12 +569,13 @@ def wasserstein_dual_oracle(
     turns the penalty into ``-gamma*theta``).  Returns the pair
     ``(dual_values, inner_argmax_psi)``, one entry per gamma.  Pure grid
     arithmetic: nothing is shared with the closed-form reduction.  The psi
-    and u grids obey :func:`_grid`; the gammas may come in any order.
+    and u grids obey :func:`_grid`; the gammas may come in any order, each a
+    number in [0, alpha).
     """
     theta = require_nonnegative("theta", theta)
     alpha = float(alpha)
     require(alpha > 0.0, "alpha must be > 0 (math.inf allowed)")
-    gammas = np.asarray(list(gamma_grid), dtype=float)
+    gammas = np.array(_grid_floats("gamma_grid", gamma_grid))
     require(gammas.size > 0, "gamma_grid must be non-empty")
     psis = np.array(_grid("psi_grid", psi_grid))
     us = np.array(_grid("u_grid", u_grid))

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, repeat
 from operator import le, lt, mul, sub, truediv
-from typing import Callable, ClassVar, Iterable, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -223,15 +223,21 @@ def _floats(xs) -> list[float]:
     return list(map(float, xs))
 
 
-def _grid(name: str, points) -> list[float]:
-    """The oracle or scan grid ``name`` as floats: non-empty, finite, >= 0 and
-    strictly increasing.  A one-pass test (a NaN fails its ``<`` chain) decides
-    whether the loop runs that names the first bad point; what ``float()``
-    rejects, a 2-D grid included, is an input error too."""
+def _grid_floats(name: str, points) -> list[float]:
+    """The grid ``name`` as floats (:func:`_floats`); what ``float()`` rejects,
+    a 2-D grid or a non-iterable included, is an input error naming it."""
     try:
-        grid = _floats(points)
+        return _floats(points)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name} must be a 1-D sequence of finite numbers: {exc}") from None
+
+
+def _grid(name: str, points) -> list[float]:
+    """The oracle or scan grid ``name`` as floats (:func:`_grid_floats`):
+    non-empty, finite, >= 0 and strictly increasing.  A one-pass test (a NaN
+    fails its ``<`` chain) decides whether the loop runs that names the first
+    bad point."""
+    grid = _grid_floats(name, points)
     if not (grid and grid[0] >= 0.0 and grid[-1] < math.inf and all(map(lt, grid, grid[1:]))):
         require(len(grid) > 0, f"{name} must be non-empty")
         for x in grid:
@@ -498,16 +504,62 @@ def _profit(q: float, v: _Demand, cost: CostStructure) -> _Demand:
     return cost.price * sold - cost.cost * q
 
 
-def _test_profit(q: float, demands: np.ndarray, cost: CostStructure) -> float:
-    """Mean selling profit of ordering ``q`` against held-out ``demands``,
-    which the caller has converted and checked once (``_require_demands``); a
-    mean beyond the float range is bad input, not an infinite answer."""
-    q = require_nonnegative("q", q)
+def _test_profits(
+    qs: Sequence[float], demands: np.ndarray, cost: CostStructure, prices=None
+) -> np.ndarray:
+    """Mean selling profit of ordering each of ``qs`` against held-out
+    ``demands`` (converted and checked once by ``_require_demands``), in one
+    numpy pass: row i is ``np.mean(_profit(qs[i], demands, cost))`` bit for
+    bit (a contiguous row's mean takes the 1-D pairwise sum).  ``prices``,
+    one per quantity, replaces ``cost.price``.  :func:`_checked_test_profits`
+    checks the means."""
+    q = np.array(qs, dtype=float)[:, None]
+    price = cost.price if prices is None else np.array(prices, dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(_profit(q, demands, cost)))
-    if not math.isfinite(mean):
-        raise InputError(f"the out-of-sample profit of q={q!r} leaves the float range")
-    return mean
+        return (price * np.minimum(q, demands) - cost.cost * q).mean(axis=1)
+
+
+def _checked_test_profits(qs: Sequence[float], means: np.ndarray) -> Iterator[float]:
+    """``means`` as floats, checked row by row as they are read: each row's
+    ``q`` must be a finite number >= 0, and a mean beyond the float range is
+    bad input, not an infinite answer.  One vector test passes every row at
+    once; only when it fails is each row checked in turn."""
+    values = means.tolist()
+    if min(qs, default=0.0) >= 0.0 and np.isfinite(means).all():
+        yield from values
+        return
+    for q, mean in zip(qs, values):
+        q = require_nonnegative("q", q)
+        if not math.isfinite(mean):
+            raise InputError(f"the out-of-sample profit of q={q!r} leaves the float range")
+        yield mean
+
+
+def _expected_profits(
+    dist: DiscreteDistribution, qs: Sequence[float], cost: CostStructure
+) -> Iterator[float]:
+    """``dist.expectation(lambda v: profit(q, v, cost))`` for each of ``qs``,
+    bit for bit: the same terms, formed for every quantity in one numpy pass
+    and summed row by row by ``math.fsum`` as the rows are read, so that an
+    ``fsum`` error comes in row order.  The law's atoms were checked when it
+    was built, so they are not checked again."""
+    q = np.array(qs, dtype=float)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = dist.weights_array() * _profit(q, dist.support_array(), cost)
+    return map(math.fsum, terms.tolist())
+
+
+def _until_error(fn: Callable, items: Iterable) -> tuple[list, Exception | None]:
+    """``fn`` of each item in order, up to the first that raises: the results
+    before it, and its error (None when none raised).  A batch scores those
+    results before it raises the error, so an earlier item's scoring error wins."""
+    done: list = []
+    try:
+        for item in items:
+            done.append(fn(item))
+    except Exception as exc:  # re-raised by the caller once the prefix is scored
+        return done, exc
+    return done, None
 
 
 def profit(q: float, v: _Demand, cost: CostStructure) -> _Demand:
@@ -515,14 +567,6 @@ def profit(q: float, v: _Demand, cost: CostStructure) -> _Demand:
     q = require_nonnegative("q", q)
     v = _require_demands(v) if isinstance(v, np.ndarray) else require_nonnegative("v", v)
     return _profit(q, v, cost)
-
-
-def _expected_profit(dist: DiscreteDistribution, q: float, cost: CostStructure) -> float:
-    """``dist.expectation(lambda v: profit(q, v, cost))``, bit for bit: the
-    same terms, evaluated in numpy, summed by ``math.fsum``.  The law's atoms
-    were checked when it was built, so they are not checked again."""
-    terms = dist.weights_array() * _profit(q, dist.support_array(), cost)
-    return math.fsum(terms.tolist())
 
 
 def ell(alpha: AlphaLike, q: float, v: _Demand, cost: CostStructure) -> _Demand:

@@ -32,6 +32,10 @@ from robustnv import (
     stress_calibrate,
     stress_distribution,
 )
+from robustnv import calibration as cal
+from robustnv import single_product as sp
+from robustnv.single_product import as_misspec_index
+from robustnv.validation import require_nonnegative
 
 COST = CostStructure(10, 3)
 # mean 4, population std exactly 2 — matches the canonical moment pair
@@ -463,3 +467,147 @@ def test_stress_calibrate_downward_shift_never_raises_index():
         if a_shift.alpha <= a_zero.alpha:
             no_higher += 1
     assert no_higher > len(seeds) // 2, f"index rose under shift on {31 - no_higher}/31 seeds"
+
+
+# ---------------------------------------------------------------------------
+# batched scoring against the per-candidate protocol
+# ---------------------------------------------------------------------------
+
+# reference: the calibrators as they stood when each candidate was scored
+# right after its own solves, one quantity at a time
+
+
+def _ref_test_profit(q, held, cost):
+    q = require_nonnegative("q", q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(cost.price * np.minimum(q, held) - cost.cost * q))
+    if not math.isfinite(mean):
+        raise InputError(f"the out-of-sample profit of q={q!r} leaves the float range")
+    return mean
+
+
+def _ref_best(candidates, score, key):
+    best, best_score = candidates[0], score(candidates[0])
+    for c in candidates[1:]:
+        s = score(c)
+        if s > best_score or (s == best_score and key(c) > key(best)):
+            best, best_score = c, s
+    return best
+
+
+def _ref_cv_score(split, cost, index_for):
+    qs = [sp._solve(index_for(m), m, cost)[0] for _, m in split]
+    return float(np.mean([_ref_test_profit(q, held, cost) for (held, _), q in zip(split, qs)]))
+
+
+def _ref_cv_alpha(samples, cost, alpha_grid, folds=5, seed=0):
+    grid = [as_misspec_index(a) for a in alpha_grid]
+    split = cal._folds(samples, folds, np.random.default_rng(seed))
+    return _ref_best(grid, lambda a: _ref_cv_score(split, cost, lambda m: a), lambda a: a.alpha)
+
+
+def _ref_formula_calibrate(train, test, cost, eps_grid, seed=0, folds=5):
+    grid = [float(e) for e in eps_grid]
+    rng, shift = cal._shift(train, test, seed)
+    split = cal._folds(train, folds, rng)
+    eps = _ref_best(
+        grid,
+        lambda e: _ref_cv_score(split, cost, lambda m: alpha_for_radius(e + shift, m, cost)),
+        lambda e: -e,
+    )
+    return alpha_for_radius(eps + shift, train.moments, cost)
+
+
+def _ref_stress_calibrate(train, test, cost, alpha_grid, seed=0):
+    grid = [as_misspec_index(a) for a in alpha_grid]
+    _, target = cal._shift(train, test, seed)
+    law = stress_distribution(train, min(target, cal._max_reachable_target(train)[1]))
+
+    def score(a):
+        q = sp._solve(a, train.moments, cost)[0]
+        return law.expectation(lambda v: profit(q, v, cost))
+
+    return _ref_best(grid, score, lambda a: a.alpha)
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the result, or the exception's class and message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # fallbacks and degenerate moments
+        try:
+            return repr(fn(*args, **kwargs))
+        except Exception as exc:  # the exception is the outcome to compare
+            return f"{type(exc).__name__}: {exc}"
+
+
+def _gamma_sample(rng, scale, n):
+    return SampleSet(tuple(float(v) for v in scale * rng.gamma(4.0, 0.5, n)))
+
+
+def test_batched_calibrators_match_the_per_candidate_protocol():
+    rng = np.random.default_rng(2_323)
+    for k in range(30):
+        scale = float(10 ** rng.uniform(-2, 4))
+        p = float(10 ** rng.uniform(-1, 2))
+        cost = CostStructure(p, p * float(rng.uniform(0.05, 0.9)))
+        train = _gamma_sample(rng, scale, int(rng.integers(10, 300)))
+        test = _gamma_sample(rng, scale * float(rng.uniform(0.5, 1.2)), int(rng.integers(2, 300)))
+        n = int(rng.integers(1, 12))
+        # unsorted grids, with repeats, so the order and the tie rule both count
+        alphas = [float(10 ** e) * p / scale for e in rng.uniform(-3, 3, n)]
+        alphas += [math.inf] * int(k % 3 == 0) + alphas[: k % 2]
+        eps = [float(e) * scale * scale for e in 10 ** rng.uniform(-4, 0.5, n)] + [0.0] * (k % 2)
+        folds, seed = int(rng.integers(2, 8)), int(rng.integers(0, 1_000))
+        assert _outcome(cv_alpha, train, cost, alphas, folds=folds, seed=seed) == _outcome(
+            _ref_cv_alpha, train, cost, alphas, folds=folds, seed=seed), k
+        assert _outcome(formula_calibrate, train, test, cost, eps, seed=seed, folds=folds) == (
+            _outcome(_ref_formula_calibrate, train, test, cost, eps, seed=seed, folds=folds)), k
+        assert _outcome(stress_calibrate, train, test, cost, alphas, seed=seed) == _outcome(
+            _ref_stress_calibrate, train, test, cost, alphas, seed=seed), k
+
+
+def test_calibrators_fail_where_the_per_candidate_protocol_fails():
+    # demands near 1e152 and prices near 1e154: a held-out fold mean leaves
+    # the float range for some quantities, some indices fail to solve, and
+    # budgets past kappa * v^2 give the zero index, which does not solve
+    rng = np.random.default_rng(3)
+    train, test = _gamma_sample(rng, 5e151, 2_000), _gamma_sample(rng, 4e151, 400)
+    seen = {"inner profit": 0, "solve after scored": 0, "selected": 0}
+    for k in range(40):
+        p = float(rng.uniform(8.3e153, 9.6e153))
+        cost = CostStructure(p, 0.3 * p)
+        n = int(rng.integers(2, 6))
+        ladder = [float(a) * p / 5e151 for a in np.logspace(-3, 1, 13)] + [math.inf]
+        alphas = [ladder[i] for i in rng.choice(len(ladder), n, replace=False)]
+        eps = [float(e) * 2.5e303 for e in rng.choice(np.geomspace(1e-2, 1e2, 13), n)]
+        seed = int(rng.integers(0, 1_000))
+        calls = (
+            (cv_alpha, _ref_cv_alpha, (train, cost), alphas, {"seed": seed}),
+            (formula_calibrate, _ref_formula_calibrate, (train, test, cost), eps, {"seed": seed}),
+            (stress_calibrate, _ref_stress_calibrate, (train, test, cost), alphas, {"seed": seed}),
+        )
+        for fn, ref, args, grid, kw in calls:
+            want = _outcome(ref, *args, grid, **kw)
+            assert _outcome(fn, *args, grid, **kw) == want, (k, fn.__name__)
+            first = _outcome(ref, *args, grid[:1], **kw)
+            if not want.startswith(("MisspecIndex", "InputError", "DegenerateModelError")):
+                continue
+            if "out-of-sample profit" in want:
+                seen["inner profit"] += "out-of-sample profit" not in first
+            elif want.startswith(("InputError", "DegenerateModelError")):
+                seen["solve after scored"] += first.startswith("MisspecIndex")
+            else:
+                seen["selected"] += 1
+    assert all(count >= 3 for count in seen.values()), seen
+
+    # the second candidate fails on its second fold only, the third on its
+    # first fold: the error names the former, as candidate-by-candidate
+    # scoring met it first
+    p = 8.5e153
+    cost = CostStructure(p, 0.3 * p)
+    grid = [float(a) * p / 5e151 for a in np.logspace(-3, 1, 13)[8:11]]
+    split = cal._folds(train, 5, np.random.default_rng(0))
+    q = sp._solve(grid[1], split[1][1], cost)[0]
+    want = f"InputError: the out-of-sample profit of q={q!r} leaves the float range"
+    assert _outcome(_ref_cv_alpha, train, cost, grid) == want
+    assert _outcome(cv_alpha, train, cost, grid) == want

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from robustnv import (
     MomentSpec,
     SampleSet,
     SweepSeries,
+    cv_alpha,
     draw_demand,
+    formula_calibrate,
     generate_demand,
     load_demand_csv,
     misspec_quantity,
@@ -27,11 +31,15 @@ from robustnv import (
     profit,
     run_experiment,
     scarf_quantity,
+    stress_calibrate,
     sweep,
     variance_threshold_scan,
     write_demand_csv,
 )
+from robustnv import evaluation as ev
 from robustnv.evaluation import (
+    ExperimentReport,
+    MethodCell,
     config_digest,
     demand_csv_text,
     parse_sweep_csv,
@@ -246,6 +254,77 @@ def test_overflowing_test_profit_fails_where_the_per_point_reference_fails():
     want = _either(_per_point_profit, q, test, rich.cost)
     assert want.startswith("InputError: the out-of-sample profit of q=")
     assert _either(run_experiment, rich) == want
+
+
+def _per_cell_experiment(config):
+    emp, cost, test = config.train.empirical, config.cost, config.test
+    cells = []
+    for method in config.methods:
+        for a in config.alpha_grid:
+            q, worst = ev._method_solution(method, a, config)
+            in_sample = emp.expectation(lambda v: profit(q, v, cost))
+            out = None if test is None else _per_point_profit(q, test, cost)
+            cells.append(MethodCell(method, a, q, in_sample, out, worst))
+    seed, folds = config.seed, config.folds
+    picks = (
+        ("cv", cv_alpha(config.train, cost, config.alpha_grid, folds=folds, seed=seed).alpha),
+        ("formula", None if test is None else formula_calibrate(
+            config.train, test, cost, config.eps_grid, seed=seed, folds=folds).alpha),
+        ("stress", None if test is None else stress_calibrate(
+            config.train, test, cost, config.alpha_grid, seed=seed).alpha),
+    )
+    return ExperimentReport(seed, config_digest(config), ev.__version__, tuple(cells), picks)
+
+
+def _report_outcome(fn, config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # stress fallbacks, degenerate moments
+        try:
+            return repr(fn(config))
+        except Exception as exc:  # the exception is the outcome to compare
+            return f"{type(exc).__name__}: {exc}"
+
+
+def test_run_experiment_matches_the_per_cell_reference():
+    rng = np.random.default_rng(2_324)
+    outcomes = set()
+    for k in range(16):
+        # the last configs sit near the float range, where profits and solves fail
+        edge = k >= 10
+        scale = 5e151 if edge else float(10 ** rng.uniform(-2, 4))
+        p = float(rng.uniform(8.3e153, 9.6e153)) if edge else float(10 ** rng.uniform(-1, 2))
+        cost = CostStructure(p, p * (0.3 if edge else float(rng.uniform(0.05, 0.9))))
+        test = None if k % 5 == 0 else _sample(rng, scale * float(rng.uniform(0.5, 1.2)), 400)
+        n = int(rng.integers(1, 6))
+        grid = tuple(float(10 ** e) * p / scale for e in rng.uniform(-3, 2, n)) + (math.inf,) * (k % 2)
+        methods = tuple(list(Method)[i] for i in rng.permutation(5)[: int(rng.integers(1, 6))])
+        config = ExperimentConfig(
+            train=_sample(rng, scale, 2_000 if edge else int(rng.integers(10, 300))),
+            cost=cost, alpha_grid=grid, methods=methods, seed=k, test=test,
+            theta=float(rng.uniform(0.0, 0.5)) * scale * (k % 3 != 0),
+            eps_grid=tuple(float(e) * scale * scale for e in 10 ** rng.uniform(-4, 0.5, 3)),
+            folds=int(rng.integers(2, 6)))
+        want = _report_outcome(_per_cell_experiment, config)
+        assert _report_outcome(run_experiment, config) == want, k
+        outcomes.add("report" if want.startswith("ExperimentReport(")
+                     else "profit" if "out-of-sample profit" in want else "solve")
+    assert outcomes == {"report", "profit", "solve"}, outcomes
+
+
+def test_in_sample_profit_beyond_the_float_range_warns_nothing():
+    # the nominal quantity's in-sample profit overflows (and, at the higher
+    # price, reads inf - inf) before the experiment's cv solve fails
+    rng = np.random.default_rng(3)
+    train = _sample(rng, 1e151, 40)
+    for price in (1e157, 1e158):
+        config = ExperimentConfig(train=train, cost=CostStructure(price, 3e156),
+                                  alpha_grid=(1e12,), methods=(Method.NOMINAL,), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^" + re.escape(
+                    f"the worst-case value or a term of its checks leaves the float range "
+                    f"at price={price!r}, ")):
+                run_experiment(config)
 
 
 def test_run_experiment_shape_and_determinism():

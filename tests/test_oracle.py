@@ -253,6 +253,48 @@ def test_every_grid_entry_point_rejects_a_bad_grid_by_name(call, grid, message):
         call(grid)
 
 
+def _dual_at_gammas(gammas):
+    return wasserstein_dual_oracle(_DEMAND, 0.5, 2.0, COST, gammas, [1.0, 2.0], [0.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize(
+    "gammas, message",
+    [
+        ([[0.1, 0.2]], "not 'list'"),  # a bare broadcast error before
+        (np.array([[0.1, 0.2]]), ""),  # float()'s wording varies with numpy
+        (["a"], "could not convert string to float: 'a'"),
+        (5.0, "'float' object is not iterable"),
+        ([10**400], "int too large to convert to float"),
+        ([], None),
+        ([0.5, np.nan], None),
+        ([0.5, 2.0], None),
+        ([-0.1], None),
+    ],
+    ids=["list-row", "2-D-array", "string", "scalar", "huge-int", "empty", "nan", "alpha",
+         "negative"],
+)
+def test_wasserstein_dual_oracle_rejects_a_bad_gamma_grid_by_name(gammas, message):
+    if message is None:  # the gamma rules that held before keep their messages
+        message = ("gamma_grid must be non-empty" if len(gammas) == 0
+                   else r"every gamma must lie in \[0, alpha\)")
+    else:
+        message = r"^gamma_grid must be a 1-D sequence of finite numbers: .*" + message
+    with pytest.raises(InputError, match=message):
+        _dual_at_gammas(gammas)
+
+
+def test_wasserstein_dual_oracle_takes_gammas_in_any_order_as_floats():
+    values, psis = _dual_at_gammas([0.5, 0.0, 1.5])
+    for k, gamma in enumerate((0.5, 0.0, 1.5)):
+        one = _dual_at_gammas([gamma])
+        assert (values[k], psis[k]) == (one[0][0], one[1][0])
+    # integers, a tuple and a float32 array are the same grid as the floats
+    for gammas in ((0, 1), np.array([0.0, 1.0], dtype=np.float32)):
+        got = _dual_at_gammas(gammas)
+        want = _dual_at_gammas([0.0, 1.0])
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
 def test_grid_argmax_locates_scarf_optimum():
     grid = np.arange(0.0, 8.0, 0.001)
     q, val = grid_argmax(

@@ -36,7 +36,7 @@ from robustnv import (
     worst_case_transformed_expectation,
 )
 from robustnv.oracle import inner_min_oracle
-from robustnv.validation import _fsum_or_inf, require, require_finite
+from robustnv.validation import _fsum_or_inf, require, require_finite, require_nonnegative
 
 COST = CostStructure(price=10.0, cost=3.0)
 M42 = MomentSpec(mean=4.0, std=2.0)
@@ -960,7 +960,7 @@ def test_quantity_only_solve_is_bit_equal_to_the_report():
         assert _outcome(sp._solve, alpha, m, cost) == want, (alpha, m, cost)
 
 
-def test_expected_profit_is_bit_equal_to_the_expectation():
+def test_expected_profits_are_bit_equal_to_the_expectation():
     rng = np.random.default_rng(3_000)
     for _ in range(3_000):
         scale = float(10 ** rng.uniform(-2, 4))
@@ -970,7 +970,83 @@ def test_expected_profit_is_bit_equal_to_the_expectation():
         cost = CostStructure(p, p * float(rng.uniform(0.01, 0.99)))
         q = scale * float(rng.uniform(0.0, 3.0))
         want = dist.expectation(lambda v: profit(q, v, cost))
-        assert sp._expected_profit(dist, q, cost) == want
+        assert list(sp._expected_profits(dist, (q,), cost)) == [want]
+
+
+# frozen copies of the per-quantity scorers that the array cores replaced
+
+
+def _ref_test_profit(q, demands, cost):
+    q = require_nonnegative("q", q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(cost.price * np.minimum(q, demands) - cost.cost * q))
+    if not math.isfinite(mean):
+        raise InputError(f"the out-of-sample profit of q={q!r} leaves the float range")
+    return mean
+
+
+def _ref_expected_profit(dist, q, cost):
+    terms = dist.weights_array() * (cost.price * np.minimum(q, dist.support_array()) - cost.cost * q)
+    return math.fsum(terms.tolist())
+
+
+def _core_shapes(rng):
+    """(quantities, demands): every demand count around the edges of numpy's
+    pairwise-sum blocks (8 accumulators, 128-element blocks), then random
+    shapes up to 400 x 400."""
+    for n in [*range(1, 18), 127, 128, 129, 255, 256, 257]:
+        yield int(rng.integers(1, 401)), n
+    for _ in range(60):
+        yield int(rng.integers(1, 401)), int(rng.integers(1, 401))
+
+
+def test_profit_cores_are_bit_equal_to_the_per_quantity_scorers():
+    rng = np.random.default_rng(2_300)
+    for k, n in _core_shapes(rng):
+        scale = float(10 ** rng.uniform(-2, 4))
+        demands = scale * rng.gamma(2.0, 0.5, size=n)
+        p = float(10 ** rng.uniform(-1, 2))
+        cost = CostStructure(p, p * float(rng.uniform(0.01, 0.99)))
+        qs = (scale * rng.uniform(0.0, 3.0, size=k)).tolist()
+        qs[0] = 0.0
+        qs[-1] = 2.0 * float(demands.max()) + 1.0  # above every demand
+        if k > 2:
+            qs[1] = float(demands[0])  # on a demand
+        prices = (p * rng.uniform(1.0, 3.0, size=k)).tolist()
+
+        means = sp._test_profits(qs, demands, cost)
+        want = [_ref_test_profit(q, demands, cost) for q in qs]
+        assert np.array(list(sp._checked_test_profits(qs, means))).tobytes() == (
+            np.array(want).tobytes()), (k, n)
+        means = sp._test_profits(qs, demands, cost, prices)
+        want = [_ref_test_profit(q, demands, CostStructure(pr, cost.cost))
+                for q, pr in zip(qs, prices)]
+        assert np.array(means).tobytes() == np.array(want).tobytes(), (k, n)
+
+        dist = DiscreteDistribution.from_samples(demands)
+        got = list(sp._expected_profits(dist, qs, cost))
+        want = [_ref_expected_profit(dist, q, cost) for q in qs]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (k, n)
+
+
+def test_held_out_check_raises_at_the_first_bad_row_in_order():
+    demands = np.array([1.0, 2.0, 4.0])
+    cost = CostStructure(1e308, 1.0)
+    # row 1's mean overflows; row 2's q is negative; row 0 reads fine
+    qs = [0.5, 400.0, -1.0]
+    means = sp._test_profits(qs, demands, cost)
+    with pytest.raises(InputError, match=r"^the out-of-sample profit of q=400.0 leaves"):
+        list(sp._checked_test_profits(qs, means))
+    # a negative q whose mean is finite still fails
+    with pytest.raises(InputError, match=r"^q must be >= 0, got -1.0$"):
+        list(sp._checked_test_profits(qs[::2], sp._test_profits(qs[::2], demands, COST)))
+    with pytest.raises(InputError, match=r"^q must be finite, got nan$"):
+        list(sp._checked_test_profits([0.5, math.nan], sp._test_profits([0.5, math.nan], demands, cost)))
+    # rows are checked as they are read: the first row comes out before the failure
+    rows = sp._checked_test_profits(qs, means)
+    assert next(rows) == _ref_test_profit(0.5, demands, cost)
+    with pytest.raises(InputError):
+        next(rows)
 
 
 def test_a_model_beyond_the_float_range_is_bad_input_not_an_internal_failure():
