@@ -64,14 +64,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _prefix_sums(dist: DiscreteDistribution, k: int) -> tuple[list[float], list[float]]:
-    """Second-moment and mass prefix sums of the ``k`` smallest atoms from 0,
-    summed in order as ``DiscreteDistribution.cdf`` and ``quantile`` do."""
-    sup, wts = dist.support[:k], dist.weights[:k]
-    head = accumulate((w * v * v for v, w in zip(sup, wts)), initial=0.0)
-    return list(head), list(accumulate(wts, initial=0.0))
-
-
 @dataclass(frozen=True)
 class ReferenceDistribution:
     """An empirical reference law with its fractile summary.
@@ -101,16 +93,27 @@ class ReferenceDistribution:
     def summarize(
         cls, demand: DiscreteDistribution, cost: CostStructure
     ) -> "ReferenceDistribution":
-        q_star = nominal_quantity(demand, cost)
-        if q_star <= 0.0:
-            raise DegenerateModelError(
-                "the reference law's critical fractile is 0; the ball model "
-                "requires a strictly positive fractile quantity"
-            )
-        closed = bisect.bisect_right(demand.support, q_star + _ATOM_TOL)
-        head, mass = _prefix_sums(demand, closed)
-        beta_eff = head[-1] + q_star * q_star * (cost.kappa - mass[-1])
-        return cls(demand, q_star, head[-1], beta_eff)
+        return _summarize(demand, cost)[0]
+
+
+def _summarize(
+    demand: DiscreteDistribution, cost: CostStructure
+) -> tuple[ReferenceDistribution, list[float], list[float]]:
+    """:meth:`ReferenceDistribution.summarize`, with its second-moment and
+    mass prefix sums of the atoms up to the closed fractile atom, from 0 and
+    summed in order as ``DiscreteDistribution.cdf`` and ``quantile`` do."""
+    q_star = nominal_quantity(demand, cost)
+    if q_star <= 0.0:
+        raise DegenerateModelError(
+            "the reference law's critical fractile is 0; the ball model "
+            "requires a strictly positive fractile quantity"
+        )
+    closed = bisect.bisect_right(demand.support, q_star + _ATOM_TOL)
+    sup, wts = demand.support[:closed], demand.weights[:closed]
+    head = list(accumulate((w * v * v for v, w in zip(sup, wts)), initial=0.0))
+    mass = list(accumulate(wts, initial=0.0))
+    beta_eff = head[-1] + q_star * q_star * (cost.kappa - mass[-1])
+    return ReferenceDistribution(demand, q_star, head[-1], beta_eff), head, mass
 
 
 def reference_beta(
@@ -168,7 +171,12 @@ def _psi_from_gamma(gamma: float, ref: ReferenceDistribution, price: float) -> f
 
 
 def _implicit_gamma(
-    ref: ReferenceDistribution, theta: float, alpha: MisspecIndex, cost: CostStructure
+    ref: ReferenceDistribution,
+    theta: float,
+    alpha: MisspecIndex,
+    cost: CostStructure,
+    head: list[float],
+    mass: list[float],
 ) -> float:
     """Root in ``x`` of the balance residual on ``[p/(2 q*), alpha)``.
 
@@ -181,13 +189,19 @@ def _implicit_gamma(
     else bisected until the bracket is within 1e-10 of its lower end, which a
     normal lower end reaches in ``_MAX_BISECT_ITER`` halvings whatever
     ``alpha``; a bisection that does not converge raises InternalCheckError.
+
+    ``head`` and ``mass`` are the prefix sums of :func:`_summarize`, which
+    run to the closed fractile atom.  Only ``H_0 .. H_n`` and ``F_0 .. F_n``
+    are read, with ``n`` the atoms strictly below ``q*`` (at most the closed
+    count), and ``accumulate`` sums in atom order, so these are the floats
+    that sums over the first ``n`` atoms alone would give.
     """
     sup, p, kappa, inv = ref.distribution.support, cost.price, cost.kappa, alpha.inv
     n = bisect.bisect_left(sup, ref.q_star)
-    head, mass = _prefix_sums(ref.distribution, n)
+    p2 = p**2
 
     def residual(x: float, k: int) -> float:
-        tail = (p**2 / (4.0 * x * x)) * (kappa - mass[k])
+        tail = (p2 / (4.0 * x * x)) * (kappa - mass[k])
         return head[k] + tail - theta / (1.0 - x * inv) ** 2
 
     lo, hi = p / (2.0 * ref.q_star), alpha.alpha * (1.0 - 1e-12)
@@ -205,11 +219,12 @@ def _implicit_gamma(
             k, hi = j, min(hi, x)
     if inv == 0.0:
         return 0.5 * p * math.sqrt((kappa - mass[k]) / (theta - head[k]))
+    h_k, room = head[k], kappa - mass[k]  # residual(mid, k), inline below
     for _ in range(_MAX_BISECT_ITER):  # lo >= p/(2 q*) > 0: a relative width
         if hi - lo <= _BISECT_REL_TOL * lo:
             return min((lo, hi), key=lambda x: abs(residual(x, k)))
         mid = 0.5 * (lo + hi)
-        if residual(mid, k) >= 0.0:
+        if h_k + (p2 / (4.0 * mid * mid)) * room - theta / (1.0 - mid * inv) ** 2 >= 0.0:
             lo = mid
         else:
             hi = mid
@@ -232,7 +247,7 @@ def wasserstein_misspec_solve(
     (and with the primal optimum) by a finite margin.  The two budgets
     coincide for references whose CDF hits the fractile exactly.
     """
-    ref = ReferenceDistribution.summarize(demand, cost)
+    ref, head, mass = _summarize(demand, cost)
     a, theta = spec.alpha, spec.theta
     if theta >= ref.beta_effective:
         return WassersteinSolution(0.0, 0.0, WassersteinCase.DEGENERATE_RADIUS)
@@ -244,7 +259,8 @@ def wasserstein_misspec_solve(
     elif gamma2 < cost.price / (2.0 * ref.q_star):
         gamma, case = gamma2, WassersteinCase.CLOSED_FORM
     else:
-        gamma, case = _implicit_gamma(ref, theta, a, cost), WassersteinCase.IMPLICIT_ROOT
+        gamma = _implicit_gamma(ref, theta, a, cost, head, mass)
+        case = WassersteinCase.IMPLICIT_ROOT
     return WassersteinSolution(gamma, _psi_from_gamma(gamma, ref, cost.price), case)
 
 
@@ -292,7 +308,9 @@ def alpha_for_radius(
     alpha)``: with no budget the ambiguity-only model is best (INFINITY);
     with a budget below ``kappa * v_hat^2`` the interior stationary point
     ``sqrt(p (p - c) / epsilon) / 2`` wins; past that, robustness is not
-    worth buying and the index collapses to zero.
+    worth buying and the index collapses to zero.  Where ``p (p - c) /
+    epsilon`` leaves the float range (p above about 1.3e154, or a tiny
+    epsilon), the stationary point is formed from the three roots apart.
     """
     eps = require_nonnegative("epsilon_total", epsilon_total)
     if eps == 0.0:
@@ -309,7 +327,9 @@ def alpha_for_radius(
         return MisspecIndex(0.0)
     v_hat = m_hat.mean - m_hat.std * math.sqrt((1.0 - kappa) / kappa)
     if eps < kappa * v_hat * v_hat:
-        return MisspecIndex(
-            0.5 * math.sqrt(cost.price * (cost.price - cost.cost) / eps)
-        )
+        p, c = cost.price, cost.cost
+        alpha = 0.5 * math.sqrt(p * (p - c) / eps)
+        if alpha == math.inf:
+            alpha = 0.5 * math.sqrt(p) * math.sqrt(p - c) / math.sqrt(eps)
+        return MisspecIndex(alpha)
     return MisspecIndex(0.0)

@@ -349,11 +349,27 @@ class DiscreteDistribution:
 
     @classmethod
     def from_samples(cls, values: Iterable[float]) -> "DiscreteDistribution":
-        """Empirical law: equal weight 1/N per observation, duplicates merged."""
-        # an array reaches from_pairs whole, for its one-call conversion
-        v = values if type(values) is np.ndarray and values.ndim else list(values)
-        require(len(v) > 0, "need at least one sample")
-        return cls.from_pairs(v, [1.0 / len(v)] * len(v))
+        """Empirical law: equal weight 1/N per observation, duplicates merged.
+
+        Samples that are finite and > 0, and that once sorted lie further
+        apart than the merge tolerance ``1e-12 * max(1.0, largest)`` of
+        :meth:`from_pairs`, are built by the constructor: the sorted samples,
+        each of weight ``(1/N) / fsum([1/N] * N)``.  That is the law
+        :meth:`from_pairs` returns for them, bit for bit: nothing is clamped, a
+        stable sort of equal weights is a sort of the values, nothing merges,
+        no weight is 0, and the total and the quotients are the same floats.
+        Every other input (NaN, +-inf, zeros, dust, ties) goes to
+        :meth:`from_pairs`.
+        """
+        vs = _floats(values)  # converted once, with float()'s errors
+        n = len(vs)
+        require(n > 0, "need at least one sample")
+        w = 1.0 / n
+        if math.isfinite(sum(vs)):  # no NaN or inf: sorted() orders every sample
+            sup = sorted(vs)
+            if sup[0] > 0.0 and (n == 1 or min(map(sub, sup[1:], sup)) > 1e-12 * max(1.0, sup[-1])):
+                return cls(tuple(sup), (w / math.fsum([w] * n),) * n)
+        return cls.from_pairs(vs, [w] * n)
 
     @classmethod
     def point_mass(cls, value: float) -> "DiscreteDistribution":
@@ -784,18 +800,21 @@ def _evaluate(
     the dual identity.  A check that fails on terms beyond the float range (see
     :func:`_in_float_range`), or a divisor that underflows to 0, means that the
     price, the demand scale or ``q`` are beyond what floats can evaluate: bad
-    input, an :class:`InputError`."""
+    input, an :class:`InputError`.  So is a worst-case atom that overflowed to
+    inf (or NaN)."""
     p, inv = cost.price, a.inv
     try:
         region = _region(inv, q, m, p)
         value = _value(region, q, m, cost)
         atoms = _worst_case_law(region, m)
-        mixed = not 4.0 * q < p * inv  # the regime rule of :func:`transform`
-        profits = [_profit(q, _image(v, a.alpha, p, mixed), cost) for v in atoms[0]]
-        duals = _dual_certificate(region, q, m, cost)
+        finite = all(map(math.isfinite, atoms[0]))  # else an atom overflowed
+        if finite:
+            mixed = not 4.0 * q < p * inv  # the regime rule of :func:`transform`
+            profits = [_profit(q, _image(v, a.alpha, p, mixed), cost) for v in atoms[0]]
+            duals = _dual_certificate(region, q, m, cost)
     except ZeroDivisionError:  # a divisor underflowed to 0
-        pass
-    else:
+        finite = False
+    if finite:
         try:
             _check_moments(atoms, m)
             _check_attainment(profits, atoms[1], a, q, value)

@@ -1,7 +1,10 @@
 """Transport-ball and total-variation variants, and the radius->index bridge."""
 
+import bisect
+import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from robustnv import (
     MomentSpec,
     RadiusSpec,
     WassersteinCase,
+    WassersteinSolution,
     alpha_for_radius,
     misspec_quantity,
     reference_beta,
@@ -373,6 +377,124 @@ def test_huge_finite_indices_agree_with_the_infinite_index_on_catalog_histories(
     assert implicit >= 900, implicit
 
 
+def _frozen_prefix_sums(dist, k):
+    sup, wts = dist.support[:k], dist.weights[:k]
+    head = itertools.accumulate((w * v * v for v, w in zip(sup, wts)), initial=0.0)
+    return list(head), list(itertools.accumulate(wts, initial=0.0))
+
+
+def _frozen_ball_solve(demand, spec, cost):
+    """``wasserstein_misspec_solve`` as it stood with a second prefix-sum pass
+    for the root and the residual called in every halving."""
+    p, kappa, alpha, theta = cost.price, cost.kappa, spec.alpha, spec.theta
+    q_star = demand.quantile(kappa)
+    if q_star <= 0.0:
+        raise DegenerateModelError(
+            "the reference law's critical fractile is 0; the ball model "
+            "requires a strictly positive fractile quantity"
+        )
+    head, mass = _frozen_prefix_sums(demand, bisect.bisect_right(demand.support, q_star + 1e-12))
+    beta_eff = head[-1] + q_star * q_star * (kappa - mass[-1])
+    if theta >= beta_eff:
+        return WassersteinSolution(0.0, 0.0, WassersteinCase.DEGENERATE_RADIUS)
+    gamma2 = alpha.alpha * (1.0 - math.sqrt(theta / beta_eff))
+    if theta == 0.0:
+        gamma, case = alpha.alpha, WassersteinCase.POINT_BALL
+    elif gamma2 < p / (2.0 * q_star):
+        gamma, case = gamma2, WassersteinCase.CLOSED_FORM
+    else:
+        gamma = _frozen_root(demand, q_star, theta, alpha, cost)
+        case = WassersteinCase.IMPLICIT_ROOT
+    if gamma < p / (2.0 * q_star):
+        return WassersteinSolution(gamma, q_star * (gamma * q_star / p), case)
+    return WassersteinSolution(gamma, q_star - p / (4.0 * gamma), case)
+
+
+def _frozen_root(demand, q_star, theta, alpha, cost):
+    sup, p, kappa, inv = demand.support, cost.price, cost.kappa, alpha.inv
+    n = bisect.bisect_left(sup, q_star)
+    head, mass = _frozen_prefix_sums(demand, n)
+
+    def residual(x, k):
+        tail = (p**2 / (4.0 * x * x)) * (kappa - mass[k])
+        return head[k] + tail - theta / (1.0 - x * inv) ** 2
+
+    lo, hi = p / (2.0 * q_star), alpha.alpha * (1.0 - 1e-12)
+    if hi <= lo or residual(lo, n) < 0.0:
+        return lo
+    k, k_hi = int(sup[0] == 0.0), n
+    while k < k_hi:
+        j = (k + k_hi + 1) // 2
+        x = p / (2.0 * sup[j - 1])
+        if x < hi and residual(x, j) >= 0.0:
+            k_hi, lo = j - 1, x
+        else:
+            k, hi = j, min(hi, x)
+    if inv == 0.0:
+        return 0.5 * p * math.sqrt((kappa - mass[k]) / (theta - head[k]))
+    for _ in range(2080):
+        if hi - lo <= 1e-10 * lo:
+            return min((lo, hi), key=lambda x: abs(residual(x, k)))
+        mid = 0.5 * (lo + hi)
+        if residual(mid, k) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise InternalCheckError(f"effective-index bisection did not converge: [{lo!r}, {hi!r}]")
+
+
+def _hex_outcome(solve, *args):
+    """``(gamma*.hex(), psi*.hex(), case)`` of a ball solve, or the class and
+    message of what it raised."""
+    try:
+        out = solve(*args)
+    except Exception as exc:  # the exception is the outcome to compare
+        return type(exc), str(exc)
+    return out.gamma_star.hex(), out.psi_star.hex(), out.case
+
+
+def test_ball_solve_is_bit_equal_to_the_two_pass_reference():
+    # catalog-style histories (an eighth with zeros) at theta = 0, past
+    # beta_eff and inside the ball, at finite, infinite and huge finite
+    # indices: the same bits, branch and error as a solve that sums the
+    # prefixes twice and calls the residual in every halving
+    rng = np.random.default_rng(24_024)
+    seen = Counter()
+    for i in range(2_400):
+        mu = float(rng.uniform(1.0, 60.0))
+        sigma = mu * float(rng.uniform(0.1, 1.5))
+        hist = rng.gamma((mu / sigma) ** 2, sigma**2 / mu, int(rng.integers(30, 121)))
+        if i % 3 == 0:
+            hist = np.round(hist)
+        if i % 8 == 0:  # an atom at 0, at the fractile in some draws (q* = 0)
+            hist[rng.uniform(size=hist.size) < rng.uniform(0.2, 0.9)] = 0.0
+        price = float(rng.uniform(2.0, 30.0))
+        cost = CostStructure(price, price * float(rng.uniform(0.05, 0.9)))
+        kind = ("inf", "huge", "finite", "finite", "finite")[i % 5]
+        alpha = {
+            "inf": math.inf,
+            "huge": HUGE_ALPHAS[int(rng.integers(len(HUGE_ALPHAS)))],
+            "finite": price / mu * 10.0 ** float(rng.uniform(-1.0, 2.0)),
+        }[kind]
+        dist = DiscreteDistribution.from_samples(hist)
+        try:
+            beff = ReferenceDistribution.summarize(dist, cost).beta_effective
+        except DegenerateModelError:
+            beff = 1.0
+        u = float(rng.uniform())
+        theta = 0.0 if u < 0.15 else beff * (1.0 + 2.0 * (u - 0.15) if u < 0.3 else u)
+        spec = RadiusSpec(theta, alpha)
+        want = _hex_outcome(_frozen_ball_solve, dist, spec, cost)
+        assert _hex_outcome(wasserstein_misspec_solve, dist, spec, cost) == want, (i, theta, alpha)
+        seen[want[2] if len(want) == 3 else want[0]] += 1
+        seen[kind, want[2] if len(want) == 3 else want[0]] += 1
+    for case in WassersteinCase:
+        assert seen[case] >= 50, seen
+    for kind in ("inf", "huge", "finite"):
+        assert seen[kind, WassersteinCase.IMPLICIT_ROOT] >= 50, seen
+    assert seen[DegenerateModelError] >= 20, seen
+
+
 def test_solve_raises_when_the_root_bisection_runs_out(monkeypatch):
     monkeypatch.setattr(distances, "_MAX_BISECT_ITER", 5)
     with pytest.raises(InternalCheckError, match="did not converge"):
@@ -524,6 +646,39 @@ def test_alpha_for_radius_degenerate_moments_warn():
 def test_alpha_for_radius_negative_budget_rejected():
     with pytest.raises(InputError):
         alpha_for_radius(-0.5, MomentSpec(4, 2), K07)
+
+
+def test_alpha_for_radius_past_a_price_of_1e154():
+    # p (p - c) overflows here, although the budget is below kappa v_hat^2
+    a = alpha_for_radius(1e300, MomentSpec(1e151, 5e150), CostStructure(2.26e154, 3e152))
+    assert a.alpha == 11_224.749440410687
+
+
+def test_alpha_for_radius_in_the_float_range_is_bit_equal_to_the_one_root_form():
+    # where 0.5 sqrt(p (p - c) / eps) is finite it is the answer, bit for bit;
+    # where it overflows, the roots formed apart give a finite index
+    rng = np.random.default_rng(15_415)
+    interior = overflowed = 0
+    for _ in range(4_000):
+        mu = float(10 ** rng.uniform(-2, 100))
+        m = MomentSpec(mu, mu * float(rng.uniform(0.05, 0.6)))
+        p = float(10 ** rng.uniform(-1, 200))
+        cost = CostStructure(p, p * float(rng.uniform(0.05, 0.6)))
+        v_hat = m.mean - m.std * math.sqrt((1.0 - cost.kappa) / cost.kappa)
+        eps = cost.kappa * v_hat * v_hat * float(10 ** rng.uniform(-30, 0.2))
+        got = alpha_for_radius(eps, m, cost).alpha
+        if not eps < cost.kappa * v_hat * v_hat:
+            assert got == 0.0
+            continue
+        one_root = 0.5 * math.sqrt(p * (p - cost.cost) / eps)
+        if one_root < math.inf:
+            interior += 1
+            assert got.hex() == one_root.hex(), (eps, m, cost)
+        else:
+            overflowed += 1
+            assert got == 0.5 * math.sqrt(p) * math.sqrt(p - cost.cost) / math.sqrt(eps)
+            assert got < math.inf, (eps, m, cost)
+    assert interior >= 2_000 and overflowed >= 200, (interior, overflowed)
 
 
 def test_alpha_for_radius_is_the_envelope_argmax():

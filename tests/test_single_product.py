@@ -548,7 +548,24 @@ def _constructor_atoms(rng):
     return v, w
 
 
-def test_law_building_is_bit_equal_to_the_per_atom_reference():
+def _history_samples(rng):
+    """Demand histories like the catalog's: 30 to 400 gamma draws, a third of
+    them rounded to 6 decimals as in the demand CSVs, and a fifth with a
+    defect: a tie, a zero, -0.0, dust or a NaN."""
+    n = int(rng.integers(30, 401))
+    mu = float(10 ** rng.uniform(-2, 4))
+    sigma = mu * float(rng.uniform(0.1, 1.5))
+    v = rng.gamma((mu / sigma) ** 2, sigma**2 / mu, n)
+    if rng.uniform() < 1 / 3:
+        v = np.round(v, 6)
+    v = v.tolist()
+    if rng.uniform() < 0.2:
+        j = int(rng.integers(1, n))
+        v[j] = [v[j - 1], 0.0, -0.0, -1e-9 * float(rng.uniform()), math.nan][int(rng.integers(5))]
+    return (v,)
+
+
+def test_law_building_is_bit_equal_to_the_per_atom_reference(monkeypatch):
     # the one-pass checks and transforms give the same laws, bit for bit, and
     # the same exception class and message as the per-atom loops they replace
     rng = np.random.default_rng(8_128)
@@ -556,7 +573,16 @@ def test_law_building_is_bit_equal_to_the_per_atom_reference():
         (DiscreteDistribution.from_pairs, _frozen_from_pairs, _parity_atoms, 8_000),
         (DiscreteDistribution, _frozen_law, _constructor_atoms, 8_000),
         (DiscreteDistribution.from_samples, _frozen_from_samples, _parity_atoms, 4_000),
+        (DiscreteDistribution.from_samples, _frozen_from_samples, _history_samples, 1_500),
     ]
+    # a history law that never reaches from_pairs took from_samples' sorted path
+    from_pairs, routed = DiscreteDistribution.from_pairs.__func__, Counter()
+
+    def counted(cls, values, weights):
+        routed["from_pairs"] += 1
+        return from_pairs(cls, values, weights)
+
+    monkeypatch.setattr(DiscreteDistribution, "from_pairs", classmethod(counted))
     seen = Counter()
     for build, frozen, draw, n_cases in cases:
         n_args = 1 if frozen is _frozen_from_samples else 2
@@ -566,13 +592,20 @@ def test_law_building_is_bit_equal_to_the_per_atom_reference():
             kinds = [_ARG_KINDS[max(0, k - 7)] for k in rng.integers(0, 16, n_args).tolist()]
             args = [_as_arg(xs, kind) for xs, kind in zip(atoms, kinds)]
             want = _law_bits(frozen, *args)
+            reached = routed["from_pairs"]
             assert _law_bits(build, *args) == want, (build, atoms, kinds)
+            if draw is _history_samples:
+                if routed["from_pairs"] > reached:
+                    seen["history", "from_pairs"] += 1
+                elif isinstance(want, list):
+                    seen["history", "sorted"] += 1
             if isinstance(want, list):
                 seen[frozen.__name__, "law"] += 1
             else:  # an InputError by its message, another error by its class
                 seen[frozen.__name__, want[1].split(",")[0] if want[0] is InputError else want[0]] += 1
     for name in ("_frozen_from_pairs", "_frozen_law", "_frozen_from_samples"):
         assert seen[name, "law"] >= 500, seen
+    assert seen["history", "sorted"] >= 500 and seen["history", "from_pairs"] >= 100, seen
     for key in [
         ("_frozen_from_pairs", "support must be finite"),
         ("_frozen_from_pairs", "weights must be finite"),
@@ -1074,6 +1107,13 @@ def test_a_model_beyond_the_float_range_is_bad_input_not_an_internal_failure():
     # a finite mismatch stays an internal failure: see the perturbed-weight test below
 
 
+def test_an_overflowing_worst_case_atom_is_a_float_range_error():
+    # the upper atom is inf: the error names the price and moments, not a v
+    m, cost = MomentSpec(1.9660094589254924e151, 1.010112630803899e151), CostStructure(1e153, 3e152)
+    with pytest.raises(InputError, match=r"float range at price=1e\+153, demand mean=1\.966"):
+        misspec_quantity(1.0, m, cost)
+
+
 @pytest.mark.parametrize(
     "alpha, q, m, cost, checks",
     [
@@ -1255,11 +1295,15 @@ def _ref_in_float_range(a, q, m, cost):
 
 def _ref_checked(a, q, m, cost):
     """:func:`_ref_evaluate`, with a failed check whose terms leave the float
-    range (by the frozen predicate) reported as bad input."""
+    range (by the frozen predicate), or a worst-case atom that overflowed to
+    inf or NaN, reported as bad input."""
     try:
         return _ref_evaluate(a, q, m, cost)
     except (InternalCheckError, OverflowError, ZeroDivisionError):
         if _ref_in_float_range(a, q, m, cost):
+            raise
+    except InputError:  # _ref_apply names a bad atom as a v
+        if all(map(math.isfinite, _ref_law(a.inv, q, m, cost.price)[0])):
             raise
     raise InputError(
         f"the worst-case value or a term of its checks leaves the float range at "
@@ -1372,8 +1416,9 @@ def test_checked_evaluation_matches_the_frozen_three_pass_reference():
         assert _exact(misspec_worst_case, a, q, m, cost) == laws, (a, q, m, cost)
     # the set reaches the image check and the moment check, not only clean solves
     assert seen["ok"] > 30_000 and seen["InputError"] > 100 and seen["InternalCheckError"] > 100, seen
-    # every failed check at an order of 1e305..1e308 leaves the float range
-    assert reclassified == 867, reclassified
+    # every failed check at an order of 1e305..1e308 leaves the float range, and
+    # so does every worst-case atom that overflowed (127 of these)
+    assert reclassified == 994, reclassified
 
 
 def test_near_zero_variance_certificate_found_instance_certifies():
