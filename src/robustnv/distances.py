@@ -219,12 +219,11 @@ def _implicit_gamma(
             k, hi = j, min(hi, x)
     if inv == 0.0:
         return 0.5 * p * math.sqrt((kappa - mass[k]) / (theta - head[k]))
-    h_k, room = head[k], kappa - mass[k]  # residual(mid, k), inline below
     for _ in range(_MAX_BISECT_ITER):  # lo >= p/(2 q*) > 0: a relative width
         if hi - lo <= _BISECT_REL_TOL * lo:
             return min((lo, hi), key=lambda x: abs(residual(x, k)))
         mid = 0.5 * (lo + hi)
-        if h_k + (p2 / (4.0 * mid * mid)) * room - theta / (1.0 - mid * inv) ** 2 >= 0.0:
+        if residual(mid, k) >= 0.0:
             lo = mid
         else:
             hi = mid

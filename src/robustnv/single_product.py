@@ -326,12 +326,19 @@ class DiscreteDistribution:
         if not low_w > 0.0:
             ws = [w if w > 0.0 else 0.0 for w in ws]
         if all(map(le, vs, vs[1:])):  # already in order: the stable sort is the identity
-            sup, mass = vs, ws
-        else:
-            order = sorted(range(n), key=vs.__getitem__)
-            sup, mass = list(map(vs.__getitem__, order)), list(map(ws.__getitem__, order))
+            return cls._from_sorted(vs, ws)
+        order = sorted(range(n), key=vs.__getitem__)
+        return cls._from_sorted(list(map(vs.__getitem__, order)), list(map(ws.__getitem__, order)))
+
+    @classmethod
+    def _from_sorted(cls, sup: list[float], mass: list[float]) -> "DiscreteDistribution":
+        """The end of :meth:`from_pairs`, for finite atoms >= 0 with finite
+        weights >= 0, sorted stably by value: merges coincident points, checks
+        the mass, drops zero-weight atoms and renormalizes.  Equal weights
+        (an empirical law's) are none of them 0 once the mass checks, and
+        each quotient is the same float, so it is formed once."""
         # no pair can merge when every gap exceeds the largest tolerance
-        if n > 1 and not min(map(sub, sup[1:], sup)) > 1e-12 * max(1.0, sup[-1]):
+        if len(sup) > 1 and not min(map(sub, sup[1:], sup)) > 1e-12 * max(1.0, sup[-1]):
             pairs, sup, mass = zip(sup, mass), [], []
             for v, w in pairs:
                 if sup and v - sup[-1] <= 1e-12 * max(1.0, sup[-1]):
@@ -342,6 +349,8 @@ class DiscreteDistribution:
         total = _fsum_or_inf(mass)
         if not abs(total - 1.0) <= 1e-9:
             raise InputError(f"weights must sum to 1 within 1e-9, got {total!r}")
+        if mass.count(mass[0]) == len(mass):
+            return cls(tuple(sup), (mass[0] / total,) * len(mass))
         if not min(mass) > 0.0:
             sup = [v for v, w in zip(sup, mass) if w > 0.0]
             mass = [w for w in mass if w > 0.0]
@@ -351,25 +360,26 @@ class DiscreteDistribution:
     def from_samples(cls, values: Iterable[float]) -> "DiscreteDistribution":
         """Empirical law: equal weight 1/N per observation, duplicates merged.
 
-        Samples that are finite and > 0, and that once sorted lie further
-        apart than the merge tolerance ``1e-12 * max(1.0, largest)`` of
-        :meth:`from_pairs`, are built by the constructor: the sorted samples,
-        each of weight ``(1/N) / fsum([1/N] * N)``.  That is the law
-        :meth:`from_pairs` returns for them, bit for bit: nothing is clamped, a
-        stable sort of equal weights is a sort of the values, nothing merges,
-        no weight is 0, and the total and the quotients are the same floats.
-        Every other input (NaN, +-inf, zeros, dust, ties) goes to
-        :meth:`from_pairs`.
+        Samples that are all finite and >= -1e-9 are sorted before dust is
+        clamped to 0, and go on to the merge, mass check and normalization of
+        :meth:`from_pairs`.  That is the law :meth:`from_pairs` returns, bit
+        for bit: clamping is monotone, so the clamped sorted samples are the
+        clamped samples sorted (-0.0 and dust become 0.0), and with equal
+        weights a stable sort of the atoms is a sort of the values, so the
+        atom and weight lists it merges are the same floats.  Any other input
+        goes to :meth:`from_pairs` unsorted, so its errors name the first bad
+        sample in input order.
         """
-        vs = _floats(values)  # converted once, with float()'s errors
+        vs = _floats(values)
         n = len(vs)
         require(n > 0, "need at least one sample")
-        w = 1.0 / n
         if math.isfinite(sum(vs)):  # no NaN or inf: sorted() orders every sample
             sup = sorted(vs)
-            if sup[0] > 0.0 and (n == 1 or min(map(sub, sup[1:], sup)) > 1e-12 * max(1.0, sup[-1])):
-                return cls(tuple(sup), (w / math.fsum([w] * n),) * n)
-        return cls.from_pairs(vs, [w] * n)
+            if sup[0] >= -1e-9:
+                if not sup[0] > 0.0:
+                    sup = [v if v > 0.0 else 0.0 for v in sup]
+                return cls._from_sorted(sup, [1.0 / n] * n)
+        return cls.from_pairs(vs, [1.0 / n] * n)
 
     @classmethod
     def point_mass(cls, value: float) -> "DiscreteDistribution":
