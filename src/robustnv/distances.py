@@ -34,9 +34,9 @@ from .single_product import (
     MisspecIndex,
     MomentSpec,
     _ATOM_TOL,
+    _quantile_atom,
     _solve,
     as_misspec_index,
-    nominal_quantity,
 )
 from .validation import (
     DegenerateModelError,
@@ -99,20 +99,20 @@ class ReferenceDistribution:
 def _summarize(
     demand: DiscreteDistribution, cost: CostStructure
 ) -> tuple[ReferenceDistribution, list[float], list[float]]:
-    """:meth:`ReferenceDistribution.summarize`, with its second-moment and
-    mass prefix sums of the atoms up to the closed fractile atom, from 0 and
-    summed in order as ``DiscreteDistribution.cdf`` and ``quantile`` do."""
-    q_star = nominal_quantity(demand, cost)
+    """:meth:`ReferenceDistribution.summarize`, with the second-moment prefix
+    sums of its atoms to the closed fractile atom and the mass prefix sums of
+    all of them that ``q*`` is read from, from 0 and summed in atom order."""
+    sup, wts = demand.support, demand.weights
+    mass = list(accumulate(wts, initial=0.0))
+    q_star = sup[_quantile_atom(mass, cost.kappa)]
     if q_star <= 0.0:
         raise DegenerateModelError(
             "the reference law's critical fractile is 0; the ball model "
             "requires a strictly positive fractile quantity"
         )
-    closed = bisect.bisect_right(demand.support, q_star + _ATOM_TOL)
-    sup, wts = demand.support[:closed], demand.weights[:closed]
-    head = list(accumulate((w * v * v for v, w in zip(sup, wts)), initial=0.0))
-    mass = list(accumulate(wts, initial=0.0))
-    beta_eff = head[-1] + q_star * q_star * (cost.kappa - mass[-1])
+    closed = bisect.bisect_right(sup, q_star + _ATOM_TOL)
+    head = list(accumulate((w * v * v for v, w in zip(sup[:closed], wts)), initial=0.0))
+    beta_eff = head[-1] + q_star * q_star * (cost.kappa - mass[closed])
     return ReferenceDistribution(demand, q_star, head[-1], beta_eff), head, mass
 
 
@@ -190,11 +190,11 @@ def _implicit_gamma(
     normal lower end reaches in ``_MAX_BISECT_ITER`` halvings whatever
     ``alpha``; a bisection that does not converge raises InternalCheckError.
 
-    ``head`` and ``mass`` are the prefix sums of :func:`_summarize`, which
-    run to the closed fractile atom.  Only ``H_0 .. H_n`` and ``F_0 .. F_n``
-    are read, with ``n`` the atoms strictly below ``q*`` (at most the closed
-    count), and ``accumulate`` sums in atom order, so these are the floats
-    that sums over the first ``n`` atoms alone would give.
+    ``head`` and ``mass`` are the prefix sums of :func:`_summarize`, to the
+    closed fractile atom and over all atoms.  Only ``H_0..H_n`` and
+    ``F_0..F_n`` are read, with ``n`` the atoms strictly below ``q*`` (at most the
+    closed count), and ``accumulate`` sums in atom order, so these are the
+    floats that sums over the first ``n`` atoms alone would give.
     """
     sup, p, kappa, inv = ref.distribution.support, cost.price, cost.kappa, alpha.inv
     n = bisect.bisect_left(sup, ref.q_star)

@@ -52,7 +52,6 @@ from .single_product import (
     _test_profits,
     _until_error,
     as_misspec_index,
-    misspec_quantity,
     nominal_quantity,
 )
 from .validation import (
@@ -461,6 +460,7 @@ def generate_demand(
 
 _DEMAND_HEADER = ("date", "demand")
 _SWEEP_HEADER = ("axis", "value", "quantity", "in_sample", "out_of_sample")
+_REPORT_HEADER = ("method", "alpha", "quantity", "in_sample", "out_of_sample", "worst_case")
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -543,11 +543,16 @@ def load_demand_csv(path: str) -> SampleSet:
     return SampleSet(tuple(vals))
 
 
+def _sweep_columns(series: SweepSeries) -> tuple[tuple[float, ...], ...]:
+    """The columns named by ``_SWEEP_HEADER[1:]``, in that order."""
+    return series.values, series.quantities, series.in_sample, series.out_of_sample
+
+
 def sweep_csv_text(series: SweepSeries) -> str:
     # repr round-trips doubles exactly, which the sweep CSV contract needs
-    columns = (series.values, series.quantities, series.in_sample, series.out_of_sample)
     axis = [series.axis] * len(series.values)
-    return _csv_text(_SWEEP_HEADER, zip(axis, *(map(repr, map(float, c)) for c in columns)))
+    columns = (map(repr, map(float, c)) for c in _sweep_columns(series))
+    return _csv_text(_SWEEP_HEADER, zip(axis, *columns))
 
 
 def parse_sweep_csv(text: str) -> SweepSeries:
@@ -590,19 +595,10 @@ def _json_text(doc) -> str:
 
 
 def sweep_json_text(series: SweepSeries) -> str:
+    points = zip(*_sweep_columns(series))
     return _json_text({
         "axis": series.axis,
-        "points": [
-            {
-                "value": _fmt6(v),
-                "quantity": _fmt6(q),
-                "in_sample": _fmt6(ins),
-                "out_of_sample": _fmt6(outs),
-            }
-            for v, q, ins, outs in zip(
-                series.values, series.quantities, series.in_sample, series.out_of_sample
-            )
-        ],
+        "points": [dict(zip(_SWEEP_HEADER[1:], map(_fmt6, point))) for point in points],
     })
 
 
@@ -616,14 +612,7 @@ def report_json_text(report: ExperimentReport) -> str:
         "reserved_methods": list(RESERVED_METHOD_TAGS),
         "selections": {k: _fmt6(v) for k, v in report.selections},
         "cells": [
-            {
-                "method": c.method.value,
-                "alpha": _fmt6(c.alpha),
-                "quantity": _fmt6(c.quantity),
-                "in_sample": _fmt6(c.in_sample),
-                "out_of_sample": _fmt6(c.out_of_sample),
-                "worst_case": _fmt6(c.worst_case),
-            }
+            {"method": c.method.value, **{k: _fmt6(getattr(c, k)) for k in _REPORT_HEADER[1:]}}
             for c in report.cells
         ],
     })
@@ -638,10 +627,9 @@ def _cell_field(x: float | None) -> str:
 
 
 def report_csv_text(report: ExperimentReport) -> str:
-    header = ("method", "alpha", "quantity", "in_sample", "out_of_sample", "worst_case")
-    rows = ((c.method.value, *(_cell_field(getattr(c, name)) for name in header[1:]))
+    rows = ((c.method.value, *(_cell_field(getattr(c, k)) for k in _REPORT_HEADER[1:]))
             for c in report.cells)
-    return _csv_text(header, rows)
+    return _csv_text(_REPORT_HEADER, rows)
 
 
 def solve_json_payload(report) -> dict:
@@ -708,7 +696,7 @@ def oracle_check(
             alpha = MisspecIndex.INFINITY
         else:
             alpha = float(cs.price / 10.0 * 10.0 ** rng.uniform(-1.0, 1.6))
-        closed = misspec_quantity(alpha, m, cs)
+        closed_q, closed_value = _solve(alpha, m, cs)
 
         hi = m.mean + 6.0 * m.std
         grid = np.linspace(0.0, hi, int(grid_points))
@@ -724,25 +712,25 @@ def oracle_check(
         q_hi = max(_solve(MisspecIndex.INFINITY, m, cs)[0] * 1.2, 1e-6)
         q_grid = np.linspace(0.0, q_hi, int(q_points))
         q_step = q_grid[1] - q_grid[0]
-        rows = _ell_rows(alpha, [*q_grid, closed.quantity], grid, cs)
+        rows = _ell_rows(alpha, [*q_grid, closed_q], grid, cs)
         values = family._min_values(rows)
         best = int(np.argmax(values[:-1]))
-        q_gap = abs(closed.quantity - q_grid[best])
+        q_gap = abs(closed_q - q_grid[best])
         value_tol = cs.price * (hi / (grid.size - 1))
-        value_gap = abs(closed.value - values[-1])
+        value_gap = abs(closed_value - values[-1])
         worst_q_gap_steps = max(worst_q_gap_steps, q_gap / q_step)
         worst_value_gap = max(worst_value_gap, value_gap / value_tol)
         if q_gap > q_step + 1e-12:
             raise InternalCheckError(
-                f"instance {k}: closed quantity {closed.quantity:.6f} is "
+                f"instance {k}: closed quantity {closed_q:.6f} is "
                 f"{q_gap / q_step:.2f} steps from the oracle argmax {q_grid[best]:.6f}"
             )
         if value_gap > value_tol:
             raise InternalCheckError(
-                f"instance {k}: closed value {closed.value:.6f} differs from the "
+                f"instance {k}: closed value {closed_value:.6f} differs from the "
                 f"oracle by {value_gap:.3e} (budget {value_tol:.3e})"
             )
-        if float(np.max(values[:-1])) > closed.value + value_tol:
+        if float(np.max(values[:-1])) > closed_value + value_tol:
             raise InternalCheckError(
                 f"instance {k}: oracle found a quantity beating the closed value "
                 f"by more than the grid budget"

@@ -284,27 +284,49 @@ def _iter_triples(grid: np.ndarray, constraints) -> Iterator[tuple[np.ndarray, n
 
 
 def _iter_candidates(cs: MomentConstraintSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every candidate block, in order; :class:`InfeasibleError` after the
+    last one when there was none."""
     grid = np.asarray(cs.grid, dtype=float)
     k_max = min(len(cs.constraints) + 1, 3, grid.size)
-    yield from _iter_singletons(grid, cs.constraints)
-    if k_max >= 2:
-        yield from _iter_pairs(grid, cs.constraints)
-    if k_max >= 3:
-        yield from _iter_triples(grid, cs.constraints)
+    found = False
+    for family in (_iter_singletons, _iter_pairs, _iter_triples)[:k_max]:
+        for block in family(grid, cs.constraints):
+            found = True
+            yield block
+    if not found:
+        raise InfeasibleError(
+            "no grid-supported law satisfies the constraint set (is the mean "
+            "inside the grid hull?)"
+        )
 
 
-def _lex_smallest(idx: np.ndarray, rows: np.ndarray) -> int:
-    """Row (among ``rows``) whose padded index triple is lexicographically
-    smallest; repeating-last-index padding preserves the true support order."""
-    if rows.size == 1:
-        return int(rows[0])
-    sub = idx[rows]
-    cols = [sub[:, k] for k in range(sub.shape[1] - 1, -1, -1)]
-    return int(rows[np.lexsort(cols)[0]])
+def _lex_min(
+    fv: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> tuple[float, list[int], np.ndarray, int]:
+    """``(value, index row, weight row, position in the stream)`` of the law
+    of smallest ``E[fv]`` in a non-empty stream of (index rows, weight rows).
 
-
-def _support_key(grid: np.ndarray, idx_row: np.ndarray) -> tuple:
-    return tuple(grid[idx_row])
+    Exact ties go to the lexicographically smallest index row, then to the
+    first.  Index rows compare as the supports they index do: the grid is
+    strictly increasing, and a shorter row, or one padded by repeating its
+    last index, sorts before every longer row it begins.  A block resolves
+    its tie among all rows equal to its minimum (a stable ``lexsort``): a
+    family block may cross the pair/triple boundary, so its first tied row
+    need not be the smallest.  A later block wins by a smaller value or row.
+    """
+    best, pos = None, 0
+    for idx, wgt in blocks:
+        exp = np.einsum("ij,ij->i", wgt, fv[idx])
+        r = int(np.argmin(exp))
+        ties = np.nonzero(exp == exp[r])[0]
+        if ties.size > 1:
+            r = int(ties[np.lexsort(idx[ties].T[::-1])[0]])
+        key = (float(exp[r]), idx[r].tolist())
+        if best is None or key < best[0]:
+            best = key, wgt[r], pos + r
+        pos += idx.shape[0]
+    (value, row), wgt, at = best
+    return value, row, wgt, at
 
 
 def _grid_error_bound(grid: np.ndarray, fv: np.ndarray) -> float:
@@ -342,29 +364,10 @@ def worst_case_expectation_oracle(
     fv = np.array([float(objective(v)) for v in cs.grid])
     _require_finite_objective(fv)
 
-    best_val = math.inf
-    best_idx: np.ndarray | None = None
-    best_wgt: np.ndarray | None = None
-    for idx, wgt in _iter_candidates(cs):
-        exp = np.einsum("ij,ij->i", wgt, fv[idx])
-        row = int(np.argmin(exp))
-        val = float(exp[row])
-        if val < best_val:
-            best_val, best_idx, best_wgt = val, idx[row], wgt[row]
-        elif val == best_val and best_idx is not None:
-            # resolve exact ties toward the lexicographically smaller support
-            r = _lex_smallest(idx, np.nonzero(exp == val)[0])
-            if _support_key(grid, idx[r]) < _support_key(grid, best_idx):
-                best_idx, best_wgt = idx[r], wgt[r]
-    if best_idx is None:
-        raise InfeasibleError(
-            "no grid-supported law satisfies the constraint set (is the mean "
-            "inside the grid hull?)"
-        )
-    argmin = DiscreteDistribution.from_pairs(grid[best_idx], best_wgt)
+    value, idx, wgt, _ = _lex_min(fv, _iter_candidates(cs))
     return OracleResult(
-        value=best_val,
-        argmin=argmin,
+        value=value,
+        argmin=DiscreteDistribution.from_pairs(grid[idx], wgt),
         grid_error_bound=_grid_error_bound(grid, fv),
     )
 
@@ -404,11 +407,6 @@ class MomentLawFamily:
                 wgt = np.hstack([wgt, np.zeros((m, 3 - k))])
             idx_blocks.append(idx.astype(np.int32))
             wgt_blocks.append(wgt)
-        if not idx_blocks:
-            raise InfeasibleError(
-                "no grid-supported law satisfies the constraint set (is the mean "
-                "inside the grid hull?)"
-            )
         self.atom_indices = np.vstack(idx_blocks)
         self.atom_weights = np.vstack(wgt_blocks)
 
@@ -420,16 +418,15 @@ class MomentLawFamily:
         """Minimum of E[objective] over the family; returns (value, law row).
 
         Exact value ties resolve toward the lexicographically smallest support.
+        The laws are scored ``_BLOCK`` at a time.
         """
         fv = np.asarray(objective_on_grid, dtype=float)
         require(fv.shape == self.grid.shape, "objective values must match the grid")
         _require_finite_objective(fv)
-        exp = np.einsum("ij,ij->i", self.atom_weights, fv[self.atom_indices])
-        row = int(np.argmin(exp))
-        ties = np.nonzero(exp == exp[row])[0]
-        if ties.size > 1:
-            row = _lex_smallest(self.atom_indices, ties)
-        return float(exp[row]), row
+        cuts = range(_BLOCK, self.n_laws, _BLOCK)
+        blocks = zip(np.split(self.atom_indices, cuts), np.split(self.atom_weights, cuts))
+        value, _, _, row = _lex_min(fv, blocks)
+        return value, row
 
     def minimize_many(self, objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`minimize` over many objectives at once.

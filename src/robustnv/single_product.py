@@ -95,6 +95,8 @@ _CHECK_TOL = 1e-9
 _ROUNDING = 16.0 * 2.0**-52
 #: closure of an atom: ``DiscreteDistribution.cdf`` counts the atoms up to x + _ATOM_TOL
 _ATOM_TOL = 1e-12
+_SUPPORT_DUST = 1e-9  # ``from_pairs`` clamps support points down to -_SUPPORT_DUST to 0,
+_WEIGHT_DUST = 1e-12  # and weights down to -_WEIGHT_DUST
 #: the smallest normal float, ``sys.float_info.min``
 _MIN_NORMAL = 2.0**-1022
 
@@ -314,12 +316,12 @@ class DiscreteDistribution:
         if not (
             n
             and n == len(ws)
-            and (low_v := min(vs)) >= -1e-9
-            and (low_w := min(ws)) >= -1e-12
+            and (low_v := min(vs)) >= -_SUPPORT_DUST
+            and (low_w := min(ws)) >= -_WEIGHT_DUST
             and math.isfinite(sum(vs))
             and math.isfinite(sum(ws))
         ):
-            _check_atoms(vs, ws, v_slack=1e-9, w_slack=1e-12)
+            _check_atoms(vs, ws, v_slack=_SUPPORT_DUST, w_slack=_WEIGHT_DUST)
         # clamp before sorting, so tied zeros (-0.0, dust) keep input order
         if not low_v > 0.0:
             vs = [v if v > 0.0 else 0.0 for v in vs]
@@ -338,10 +340,10 @@ class DiscreteDistribution:
         (an empirical law's) are none of them 0 once the mass checks, and
         each quotient is the same float, so it is formed once."""
         # no pair can merge when every gap exceeds the largest tolerance
-        if len(sup) > 1 and not min(map(sub, sup[1:], sup)) > 1e-12 * max(1.0, sup[-1]):
+        if len(sup) > 1 and not min(map(sub, sup[1:], sup)) > _merge_tol(sup[-1]):
             pairs, sup, mass = zip(sup, mass), [], []
             for v, w in pairs:
-                if sup and v - sup[-1] <= 1e-12 * max(1.0, sup[-1]):
+                if sup and v - sup[-1] <= _merge_tol(sup[-1]):
                     mass[-1] += w
                 else:
                     sup.append(v)
@@ -375,7 +377,7 @@ class DiscreteDistribution:
         require(n > 0, "need at least one sample")
         if math.isfinite(sum(vs)):  # no NaN or inf: sorted() orders every sample
             sup = sorted(vs)
-            if sup[0] >= -1e-9:
+            if sup[0] >= -_SUPPORT_DUST:
                 if not sup[0] > 0.0:
                     sup = [v if v > 0.0 else 0.0 for v in sup]
                 return cls._from_sorted(sup, [1.0 / n] * n)
@@ -415,12 +417,22 @@ class DiscreteDistribution:
 
     def quantile(self, kappa: float) -> float:
         """Left-continuous generalized inverse inf{x : CDF(x) >= kappa}."""
-        require(0.0 < kappa <= 1.0, f"kappa must lie in (0, 1], got {kappa!r}")
-        idx = bisect.bisect_left(list(accumulate(self.weights)), kappa - 1e-12)
-        return self.support[min(idx, len(self.support) - 1)]
+        return self.support[_quantile_atom(list(accumulate(self.weights, initial=0.0)), kappa)]
 
     def expectation(self, fn: Callable[[float], float]) -> float:
         return math.fsum(w * fn(v) for v, w in zip(self.support, self.weights))
+
+
+def _merge_tol(v: float) -> float:
+    """How near ``v`` :meth:`DiscreteDistribution.from_pairs` merges the next point."""
+    return 1e-12 * max(1.0, v)
+
+
+def _quantile_atom(mass: list[float], kappa: float) -> int:
+    """The atom of :meth:`DiscreteDistribution.quantile`, read from the prefix sums
+    ``mass`` of its weights from 0 (``mass[k]`` holds the first ``k`` atoms)."""
+    require(0.0 < kappa <= 1.0, f"kappa must lie in (0, 1], got {kappa!r}")
+    return min(bisect.bisect_left(mass, kappa - 1e-12, 1), len(mass) - 1) - 1
 
 
 class TransformRegime(str, Enum):
@@ -460,16 +472,18 @@ def _image(v: float, alpha: float, price: float, mixed: bool) -> float:
     return (alpha / price) * v * v
 
 
+def _quadratic(q: float, pinv: float) -> bool:
+    """The regime rule of :func:`transform`, ``4q < p/alpha``; ``pinv`` is ``p * inv``."""
+    return 4.0 * q < pinv
+
+
 def transform(alpha: AlphaLike, price: float, q: float) -> TransformSpec:
     """Build the transform attached to order quantity ``q``."""
     a = as_misspec_index(alpha)
     require_positive("price", price)
     require_nonnegative("q", q)
     _nonzero_index(a)
-    if 4.0 * q < price * a.inv:
-        regime = TransformRegime.QUADRATIC
-    else:
-        regime = TransformRegime.MIXED
+    regime = TransformRegime.QUADRATIC if _quadratic(q, price * a.inv) else TransformRegime.MIXED
     return TransformSpec(a.alpha, float(price), float(q), regime)
 
 
@@ -819,7 +833,7 @@ def _evaluate(
         atoms = _worst_case_law(region, m)
         finite = all(map(math.isfinite, atoms[0]))  # else an atom overflowed
         if finite:
-            mixed = not 4.0 * q < p * inv  # the regime rule of :func:`transform`
+            mixed = not _quadratic(q, p * inv)
             profits = [_profit(q, _image(v, a.alpha, p, mixed), cost) for v in atoms[0]]
             duals = _dual_certificate(region, q, m, cost)
     except ZeroDivisionError:  # a divisor underflowed to 0

@@ -691,3 +691,51 @@ def test_alpha_for_radius_is_the_envelope_argmax():
         k = int(np.argmax(vals))
         at_star = misspec_quantity(a_star, m, K07).value - eps * a_star
         assert at_star >= vals[k] - 1e-6
+
+
+def _frozen_quantile(dist, kappa):
+    """``DiscreteDistribution.quantile`` as a bisection of its own prefix sums."""
+    idx = bisect.bisect_left(list(itertools.accumulate(dist.weights)), kappa - 1e-12)
+    return dist.support[min(idx, len(dist.support) - 1)]
+
+
+def test_reference_summary_is_bit_equal_to_the_two_pass_reference():
+    # the summary reads q* from one mass prefix over all atoms; the reference
+    # sums every weight for the quantile, then the weights up to the fractile
+    rng = np.random.default_rng(25_025)
+    seen = Counter()
+    for i in range(1_500):
+        mu = float(rng.uniform(1.0, 60.0))
+        sigma = mu * float(rng.uniform(0.1, 1.5))
+        hist = rng.gamma((mu / sigma) ** 2, sigma**2 / mu, int(rng.integers(1, 121)))
+        if i % 3 == 0:
+            hist = np.round(hist)
+        if i % 8 == 0:
+            hist[rng.uniform(size=hist.size) < rng.uniform(0.2, 0.9)] = 0.0
+        dist = DiscreteDistribution.from_samples(hist)
+        price = float(rng.uniform(2.0, 30.0))
+        cost = CostStructure(price, price * float(rng.uniform(0.05, 0.9)))
+        # the fractile at a prefix of the mass exactly and one ulp either side
+        prefix = float(np.cumsum(dist.weights)[int(rng.integers(len(dist.weights)))])
+        for kappa in (cost.kappa, prefix, np.nextafter(prefix, 0.0), np.nextafter(prefix, 2.0)):
+            if 0.0 < kappa <= 1.0:
+                assert dist.quantile(kappa).hex() == _frozen_quantile(dist, kappa).hex()
+        q_star = _frozen_quantile(dist, cost.kappa)
+        if q_star <= 0.0:
+            with pytest.raises(DegenerateModelError):
+                ReferenceDistribution.summarize(dist, cost)
+            seen["degenerate"] += 1
+            continue
+        closed = bisect.bisect_right(dist.support, q_star + 1e-12)
+        head, mass = _frozen_prefix_sums(dist, closed)
+        beta_eff = head[-1] + q_star * q_star * (cost.kappa - mass[-1])
+        ref, got_head, got_mass = distances._summarize(dist, cost)
+        assert ref == ReferenceDistribution.summarize(dist, cost)
+        assert ref.distribution is dist
+        assert [ref.q_star.hex(), ref.beta.hex(), ref.beta_effective.hex()] == [
+            q_star.hex(), head[-1].hex(), beta_eff.hex()
+        ]
+        assert [x.hex() for x in got_head] == [x.hex() for x in head]
+        assert [x.hex() for x in got_mass[: closed + 1]] == [x.hex() for x in mass]
+        seen[closed == len(dist.support)] += 1
+    assert seen["degenerate"] >= 20 and seen[True] >= 20 and seen[False] >= 500, seen

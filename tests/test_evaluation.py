@@ -12,6 +12,7 @@ from scipy import stats
 from robustnv import (
     CostStructure,
     DemandKind,
+    DiscreteDistribution,
     ExperimentConfig,
     InputError,
     Method,
@@ -632,3 +633,22 @@ def test_oracle_check_small_batch_passes():
         oracle_check(seed=0, instances=0)
     with pytest.raises(InputError):
         oracle_check(seed=0, instances=1, grid_points=500)
+
+
+def test_oracle_check_solves_quantity_only_and_builds_no_law(monkeypatch):
+    def reported(alpha, m, cost):
+        report = misspec_quantity(alpha, m, cost)
+        return report.quantity, report.value
+
+    # nine instances: the eighth runs the infinite index
+    args = dict(seed=25, instances=9, grid_points=41, q_points=12)
+    with monkeypatch.context() as patch:
+        patch.setattr(ev, "_solve", reported)
+        want = oracle_check(**args)
+    laws = []
+    post_init = DiscreteDistribution.__post_init__
+    monkeypatch.setattr(
+        DiscreteDistribution, "__post_init__", lambda d: laws.append(d) or post_init(d)
+    )
+    assert oracle_check(**args) == want
+    assert laws == []

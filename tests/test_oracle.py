@@ -728,3 +728,138 @@ def test_family_rejects_an_objective_that_is_not_finite():
             family.minimize_many(bad[None, :])
         with pytest.raises(InputError, match=message):
             family._min_values(bad[None, :])
+
+
+# ---------------------------------------------------------------------------
+# one lexicographic minimum against frozen copies of the two tie rules
+# ---------------------------------------------------------------------------
+
+
+def _frozen_lex_smallest(idx, rows):
+    """The row among ``rows`` whose index row sorts first; the first on a tie."""
+    if rows.size == 1:
+        return int(rows[0])
+    sub = idx[rows]
+    return int(rows[np.lexsort([sub[:, k] for k in range(sub.shape[1] - 1, -1, -1)])[0]])
+
+
+def _frozen_minimize(family, fv):
+    """``MomentLawFamily.minimize`` as a whole-family gather and einsum."""
+    exp = np.einsum("ij,ij->i", family.atom_weights, fv[family.atom_indices])
+    row = int(np.argmin(exp))
+    ties = np.nonzero(exp == exp[row])[0]
+    if ties.size > 1:
+        row = _frozen_lex_smallest(family.atom_indices, ties)
+    return float(exp[row]), row
+
+
+def _frozen_streaming_oracle(fv, cs):
+    """The streaming oracle's running minimum, ties compared as value tuples."""
+    grid = np.asarray(cs.grid, dtype=float)
+    best_val, best_idx, best_wgt = np.inf, None, None
+    for idx, wgt in oracle._iter_candidates(cs):
+        exp = np.einsum("ij,ij->i", wgt, fv[idx])
+        row = int(np.argmin(exp))
+        val = float(exp[row])
+        if val < best_val:
+            best_val, best_idx, best_wgt = val, idx[row], wgt[row]
+        elif val == best_val and best_idx is not None:
+            r = _frozen_lex_smallest(idx, np.nonzero(exp == val)[0])
+            if tuple(grid[idx[r]]) < tuple(grid[best_idx]):
+                best_idx, best_wgt = idx[r], wgt[r]
+    return best_val, DiscreteDistribution.from_pairs(grid[best_idx], best_wgt)
+
+
+def _shaped_sets(n, two):
+    """Mean-only sets, or mean and second-moment sets (EQ/EQ, and EQ/LE
+    given in reverse order), on ``n`` points."""
+    grid = np.linspace(0, 16, n)
+    if two:
+        return (
+            mean_second_set(grid, 4.0, 20.0),
+            _constraint_set(grid, 4.0, 20.0, (Relation.EQ, Relation.LE), reverse=True),
+        )
+    return (
+        MomentConstraintSet(
+            grid=grid, constraints=(MomentConstraint(Moment.MEAN, Relation.EQ, 4.0),)
+        ),
+    )
+
+
+def _tie_objectives(grid, seed):
+    noise = np.random.default_rng(seed).standard_normal((2, grid.size))
+    return (noise[0], np.round(noise[1], 1), np.round(noise[1]), np.zeros(grid.size))
+
+
+def _assert_minimize_parity(family, fv):
+    want_val, want_row = _frozen_minimize(family, fv)
+    val, row = family.minimize(fv)
+    assert (val.hex(), row) == (want_val.hex(), want_row)
+    return row
+
+
+@pytest.mark.parametrize("n", [41, 97, 160, 300])
+@pytest.mark.parametrize("two", [False, True])
+def test_minimize_is_bit_equal_to_the_whole_family_tie_rule(n, two):
+    for k, cs in enumerate(_shaped_sets(n, two)):
+        family = MomentLawFamily(cs)
+        for fv in _tie_objectives(family.grid, 1000 * n + k):
+            _assert_minimize_parity(family, fv)
+
+
+def test_minimize_resolves_ties_across_blocks_in_reverse_lexicographic_order(family_300):
+    block = oracle._BLOCK
+    rev = _with_laws(family_300, np.arange(family_300.n_laws)[::-1])
+    zero = np.zeros(family_300.grid.size)
+    assert _assert_minimize_parity(rev, zero) == family_300.n_laws - 1
+    # the tied rows of each objective, latest first, one per block
+    rng = np.random.default_rng(25)
+    spread = 0
+    for fv in (zero, np.round(rng.standard_normal(family_300.grid.size))):
+        exp = np.einsum("ij,ij->i", family_300.atom_weights, fv[family_300.atom_indices])
+        ties = np.nonzero(exp == exp.min())[0][::-1][:4]
+        filler = np.nonzero(exp > exp.min())[0][: block * ties.size]
+        parts = zip(ties, np.array_split(filler, ties.size))
+        rows = np.concatenate([np.concatenate([[t], f]) for t, f in parts])
+        spread += ties.size > 1
+        _assert_minimize_parity(_with_laws(family_300, rows), fv)
+    assert spread == 2
+    # one law twice, in two blocks: the first copy wins
+    best = int(np.argmin(exp))
+    others = np.nonzero(exp > exp.min())[0][: block - 1]
+    twice = _with_laws(family_300, np.concatenate([[best], others, [best]]))
+    assert _assert_minimize_parity(twice, fv) == 0
+    # one block that crosses from the pairs into the triples: every row ties,
+    # and the first rows, pairs, sort after the triple that follows them
+    family = MomentLawFamily(_shaped_sets(120, True)[1])
+    idx = family.atom_indices
+    pairs = np.nonzero((idx[:, 0] < idx[:, 1]) & (idx[:, 1] == idx[:, 2]))[0][-3:]
+    triples = np.nonzero(idx[:, 1] < idx[:, 2])[0][:3]
+    assert min(idx[pairs].tolist()) > idx[triples[0]].tolist()
+    mixed = _with_laws(family, np.concatenate([pairs, triples]))
+    assert _assert_minimize_parity(mixed, np.zeros(family.grid.size)) == 3
+
+
+@pytest.mark.parametrize("n", [41, 160, 300])
+@pytest.mark.parametrize("two", [False, True])
+def test_streaming_oracle_is_bit_equal_to_its_value_tuple_tie_rule(n, two):
+    for k, cs in enumerate(_shaped_sets(n, two)):
+        for fv in _tie_objectives(np.asarray(cs.grid), 7 * n + k):
+            want_val, want_law = _frozen_streaming_oracle(fv, cs)
+            res = worst_case_expectation_oracle(dict(zip(cs.grid, fv)).__getitem__, cs)
+            assert res.value.hex() == want_val.hex()
+            assert res.argmin.support == want_law.support
+            assert res.argmin.weights == want_law.weights
+
+
+def test_minimize_memory_is_bounded(family_300):
+    fv = _ell_objectives(family_300.grid, 1)[0]
+    family_300.minimize(fv)
+    tracemalloc.start()
+    try:
+        family_300.minimize(fv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-family gather of 660,790 index triples alone takes 16 MB
+    assert peak < 8e6
