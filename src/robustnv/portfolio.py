@@ -10,6 +10,7 @@ per-product quantities follow in closed form.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 import warnings
@@ -258,19 +259,56 @@ def _single_quantity(lam: float, prod: ProductSpec, a: MisspecIndex) -> float:
     return lam * mu * mu * (1.0 + (p - c) / den) / den
 
 
+def _first_segment(
+    terms: _Terms, brk: list[float], inv: float, form: ThetaForm, k: float
+) -> int | None:
+    """The first j in 1..m+1 with ``theta(j, brk[j]) < k``, or None: what a
+    scan over j finds, with O(log m) theta evaluations plus two one-term
+    evaluations per j before it.
+
+    From j to j + 1 the multiplier moves up from ``brk[j]`` to ``brk[j + 1]``
+    and product j settles.  Each term of theta is non-increasing in the
+    multiplier in floats, and so is their sum in a fixed order, so
+    theta(j + 1, brk[j + 1]) <= theta(j, brk[j]) unless product j's settled
+    term at ``brk[j + 1]`` exceeds its active term at ``brk[j]`` (the two
+    agree at its breakpoint only up to rounding: where breakpoints tie or
+    nearly tie).  Such a j ends a run on which the values fall.  Bisection
+    over all j finds a j below k whose j - 1 is not; the first j below k is
+    in an earlier run only if that run's last value is below k, and then
+    bisection within the run finds it.
+    """
+    m = len(terms)
+
+    def below(j: int) -> bool:
+        return _theta(terms, j, brk[j], inv, form) < k
+
+    def first(lo: int, hi: int) -> int:  # the first j in lo..hi below k, on a falling run
+        return lo + bisect.bisect_left(range(lo, hi + 1), True, key=below)
+
+    j = first(1, m + 1)
+    start = 1
+    for i in range(1, j - 1):
+        one = terms[i - 1 : i]
+        if _theta(one, 2, brk[i + 1], inv, form) > _theta(one, 1, brk[i], inv, form):
+            if below(i):
+                return first(start, i)
+            start = i + 1
+    return j if j <= m + 1 else None
+
+
 def solve_lambda(
     portfolio: PortfolioSpec, form: ThetaForm = ThetaForm.ENVELOPE
 ) -> DualSolution:
     """Locate the optimal budget multiplier and the product quantities.
 
     Finds the first segment whose implied second moment drops below the
-    budget; the multiplier is the segment's left kink when the budget is
-    already slack there, otherwise the unique root of theta = K on the
-    segment (bisection to 1e-10 relative).  On an unbounded segment the
-    bracket doubles from max(1, 2 * left end) until theta drops below K; it
-    crosses K before the float range ends, where theta's variance terms round
-    away to the limit form's sum, so a bracket that overflows means the two
-    forms disagree and raises InternalCheckError.
+    budget (:func:`_first_segment`); the multiplier is the segment's left
+    kink when the budget is already slack there, otherwise the unique root
+    of theta = K on the segment (bisection to 1e-10 relative).  On an
+    unbounded segment the bracket doubles from max(1, 2 * left end) until
+    theta drops below K; it crosses K before the float range ends, where
+    theta's variance terms round away to the limit form's sum, so a bracket
+    that overflows means the two forms disagree and raises InternalCheckError.
 
     A budget at or below the sum of squared means leaves no room for any
     variance: the moment family degenerates (or empties), reported as a
@@ -285,14 +323,11 @@ def solve_lambda(
     inv, k, m = a.inv, portfolio.budget, len(terms)
     i_star = None
     if k > portfolio.mean_squares:
-        i_star = next(
-            (j for j in range(1, m + 2) if _theta(terms, j, brk[j], inv, form) < k),
-            None,
-        )
+        i_star = _first_segment(terms, brk, inv, form, k)
     if i_star is None:
         squares = portfolio.mean_squares
         if k > squares:
-            # the sum as theta forms it; the scan read it as not below K
+            # the sum as theta forms it; the bisection read it as not below K
             squares = _theta(terms, m + 1, math.inf, inv, form)
             if not squares >= k:
                 raise InternalCheckError(

@@ -31,13 +31,15 @@ available) the dual certificate ``(s_alpha, r_alpha, t_alpha)`` for the mean,
 second-moment and normalization constraints.  Every solve is evaluated and
 checked once, for every index including INFINITY, by ``_evaluate``: one
 ``_region`` fixes the branch and the terms that the value, the worst-case
-atoms and the certificate all read; the atoms' images come from the kernel
-behind :meth:`TransformSpec.apply`; and three checks run on the atoms before
-any transform or law object exists: the law's mass and moments, its
+atoms and the certificate all read; the atoms' images come from ``_image``,
+the transform of :meth:`TransformSpec.apply`; and three checks run on the
+atoms before any law object exists: the law's mass and moments, its
 attainment of the value, and the identity ``s*mu - r*(mu^2 + sigma^2) - t ==
-value``.  Callers that read only the quantity and the value (the calibrators,
-the sweeps) run the same evaluation through ``_solve`` and never build the
-laws; the threshold scans run it only on the grid points that their turn reads.
+value``.  A report then builds each law once: G* from the checked atoms, and
+its image from the same images, with no TransformSpec.  Callers that read
+only the quantity and the value (the calibrators, the sweeps) run the same
+evaluation through ``_solve`` and never build the laws; the threshold scans
+run it only on the grid points that their turn reads.
 A failed check whose terms leave the float range is bad input, at any quantity.
 """
 
@@ -338,7 +340,8 @@ class DiscreteDistribution:
         weights >= 0, sorted stably by value: merges coincident points, checks
         the mass, drops zero-weight atoms and renormalizes.  Equal weights
         (an empirical law's) are none of them 0 once the mass checks, and
-        each quotient is the same float, so it is formed once."""
+        each quotient is the same float, so it is formed once; a mass that
+        sums to 1.0 is its own quotient (``x / 1.0 == x``)."""
         # no pair can merge when every gap exceeds the largest tolerance
         if len(sup) > 1 and not min(map(sub, sup[1:], sup)) > _merge_tol(sup[-1]):
             pairs, sup, mass = zip(sup, mass), [], []
@@ -356,6 +359,8 @@ class DiscreteDistribution:
         if not min(mass) > 0.0:
             sup = [v for v, w in zip(sup, mass) if w > 0.0]
             mass = [w for w in mass if w > 0.0]
+        if total == 1.0:
+            return cls(tuple(sup), tuple(mass))
         return cls(tuple(sup), tuple(map(truediv, mass, repeat(total))))
 
     @classmethod
@@ -810,18 +815,27 @@ def misspec_worst_case(
     """
     a = as_misspec_index(alpha)
     q = require_nonnegative("q", q)
-    _, atoms, _ = _evaluate(_nonzero_index(a), q, m, cost)
-    return _laws(atoms, a, q, cost)
+    _, atoms, images, _ = _checked_evaluation(_nonzero_index(a), q, m, cost)
+    return _laws(atoms, images)
 
 
 def _evaluate(
     a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
 ) -> tuple[float, _Atoms, _Duals]:
+    """The value, atoms and certificate of :func:`_checked_evaluation`."""
+    value, atoms, _, duals = _checked_evaluation(a, q, m, cost)
+    return value, atoms, duals
+
+
+def _checked_evaluation(
+    a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
+) -> tuple[float, _Atoms, list[float], _Duals]:
     """The checked evaluation at ``(a, q)``, ``a`` nonzero: the value
-    L_alpha(q), the worst-case atoms and weights, the profits of their images
-    and the dual certificate, all formed once from one :func:`_region`, then
-    the checks of the law's mass and moments, its attainment of the value and
-    the dual identity.  A check that fails on terms beyond the float range (see
+    L_alpha(q), the worst-case atoms and weights, their images under the
+    transform attached to ``(a, q)``, the images' profits and the dual
+    certificate, all formed once from one :func:`_region`, then the checks of
+    the law's mass and moments, its attainment of the value and the dual
+    identity.  A check that fails on terms beyond the float range (see
     :func:`_in_float_range`), or a divisor that underflows to 0, means that the
     price, the demand scale or ``q`` are beyond what floats can evaluate: bad
     input, an :class:`InputError`.  So is a worst-case atom that overflowed to
@@ -834,7 +848,8 @@ def _evaluate(
         finite = all(map(math.isfinite, atoms[0]))  # else an atom overflowed
         if finite:
             mixed = not _quadratic(q, p * inv)
-            profits = [_profit(q, _image(v, a.alpha, p, mixed), cost) for v in atoms[0]]
+            images = [_image(v, a.alpha, p, mixed) for v in atoms[0]]
+            profits = [_profit(q, x, cost) for x in images]
             duals = _dual_certificate(region, q, m, cost)
     except ZeroDivisionError:  # a divisor underflowed to 0
         finite = False
@@ -843,7 +858,7 @@ def _evaluate(
             _check_moments(atoms, m)
             _check_attainment(profits, atoms[1], a, q, value)
             _check_certificate(duals, value, m)
-            return value, atoms, duals
+            return value, atoms, images, duals
         except (InternalCheckError, OverflowError):  # OverflowError: an fsum overflowed
             if _in_float_range(value, atoms, profits, duals, m):
                 raise
@@ -866,12 +881,44 @@ def _in_float_range(
 
 
 def _laws(
-    atoms: _Atoms, a: MisspecIndex, q: float, cost: CostStructure
+    atoms: _Atoms, images: list[float]
 ) -> tuple[DiscreteDistribution, DiscreteDistribution]:
-    """The worst-case law built from checked atoms, and its image under the
-    transform attached to ``(a, q)``."""
-    g_star = DiscreteDistribution.from_pairs(*atoms)
-    return g_star, push_forward(g_star, transform(a, cost.price, q))
+    """The worst-case law G* built from checked atoms, and its image law, from
+    ``images``, the atoms' images under the attached transform as
+    :func:`_checked_evaluation` formed them.
+
+    These are the laws ``from_pairs(*atoms)`` and ``push_forward(G*,
+    transform(a, p, q))`` return, bit for bit.  The atoms (at most two) come
+    finite and in order, with weights >= 0, so from_pairs' stable sort is the
+    identity, and its clamp and :meth:`DiscreteDistribution._from_sorted` are
+    all it does (:func:`_sorted_law`).  The transform is monotone, so the same
+    holds for the images of an in-order support.  Each point of G* is one of
+    the atoms (a merge keeps the lower one, and a zero weight drops its atom),
+    so its image is read from ``images``.  A clamped ``-0.0`` atom and ``0.0``
+    have images that differ only in the sign of a zero, and only at ``p/alpha
+    = 0``, where every image equals its atom and the image law is G* itself.
+    """
+    support = atoms[0]
+    g_star = _sorted_law(support, atoms[1])
+    if g_star.support != support:  # merged, dropped or reordered
+        images = [images[support.index(v)] for v in g_star.support]
+    image = tuple(images)
+    if image == g_star.support:
+        return g_star, g_star
+    return g_star, _sorted_law(image, g_star.weights)
+
+
+def _sorted_law(support: Sequence[float], weights: Sequence[float]) -> DiscreteDistribution:
+    """``DiscreteDistribution.from_pairs(support, weights)``, bit for bit, for
+    at most two atoms with finite weights >= 0 (none of them ``-0.0``): when
+    the support is finite, >= 0 and in order, that is the clamp of a ``-0.0``
+    or ``0.0`` point to ``0.0`` and :meth:`DiscreteDistribution._from_sorted`;
+    any other support (out of order, NaN or inf) goes to ``from_pairs``."""
+    if not 0.0 <= support[0] <= support[-1] < math.inf:
+        return DiscreteDistribution.from_pairs(support, weights)
+    if not support[0] > 0.0:
+        support = [v if v > 0.0 else 0.0 for v in support]
+    return DiscreteDistribution._from_sorted(support, weights)
 
 
 def _check_moments(atoms: _Atoms, m: MomentSpec) -> None:
@@ -991,8 +1038,8 @@ def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> So
         g_star = ambiguity_worst_case(0.0, m)
         return SolveReport(0.0, 0.0, Regime.DEGENERATE, a, g_star, g_star)
     q, regime = _quantity(a, m, cost)
-    value, atoms, duals = _evaluate(a, q, m, cost)
-    return SolveReport(q, value, regime, a, *_laws(atoms, a, q, cost), duals)
+    value, atoms, images, duals = _checked_evaluation(a, q, m, cost)
+    return SolveReport(q, value, regime, a, *_laws(atoms, images), duals)
 
 
 def _solve(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> tuple[float, float]:
@@ -1003,7 +1050,7 @@ def _solve(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> tuple[float,
     if a.alpha == 0.0:
         return 0.0, 0.0
     q, _ = _quantity(a, m, cost)
-    return q, _evaluate(a, q, m, cost)[0]
+    return q, _checked_evaluation(a, q, m, cost)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,77 @@ def test_solve_lambda_matches_the_frozen_solver_and_never_raises_on_adversarial_
     assert all(outcomes["same", case] > 20 for case in DualCase), outcomes
 
 
+def _linear_scan(terms, brk, inv, form, k):
+    """The segment search as it stood: a scan over j = 1, 2, ... for the
+    first theta(j, brk[j]) below K."""
+    return next((j for j in range(1, len(brk)) if portfolio._theta(terms, j, brk[j], inv, form) < k), None)
+
+
+def _tied_breakpoint_plans(seed, count):
+    """Plans whose breakpoints tie or nearly tie: 1..12 product specs, each
+    repeated 1..5 times, every repeat equal to the last or with its cost one
+    ulp away (breakpoints one ulp or so apart), a third of the specs with
+    2 mu <= p/alpha (an infinite breakpoint).  The budget sits at one of the
+    plan's breakpoint values theta(j, brk[j]), one ulp either side of it, or
+    up to 1.5 times it; one plan in four is PRINTED.  Yields the plan, its
+    form, and whether a breakpoint tie, a near tie and a rise of the
+    breakpoint values occur in it."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        alpha = INF if rng.uniform() < 0.2 else 10.0 ** float(rng.uniform(-1, 3))
+        products = []
+        for _ in range(int(rng.integers(1, 13))):
+            price = float(rng.uniform(2.0, 30.0))
+            if rng.uniform() < 0.3 and alpha is not INF:
+                mean = 0.5 * price / alpha * float(rng.uniform(0.1, 1.0))
+            else:
+                mean = 10.0 ** float(rng.uniform(-2, 2))
+            cost = price * float(rng.uniform(0.1, 0.9))
+            for _ in range(int(rng.integers(1, 6))):
+                products.append(ProductSpec(price, cost, mean))
+                if rng.uniform() < 0.5:
+                    cost = math.nextafter(cost, math.inf if rng.uniform() < 0.5 else 0.0)
+        form = ThetaForm.PRINTED if i % 4 == 0 else ThetaForm.ENVELOPE
+        a, brk, terms = portfolio._order(products, alpha)
+        values = [portfolio._theta(terms, j, brk[j], a.inv, form) for j in range(1, len(brk))]
+        finite = [v for v in values if math.isfinite(v)] or [1.0]
+        budget = finite[int(rng.integers(len(finite)))]
+        r = rng.uniform()
+        if r < 0.3:
+            budget = math.nextafter(budget, math.inf)
+        elif r < 0.6:
+            budget = math.nextafter(budget, 0.0)
+        elif r < 0.8:
+            budget *= float(rng.uniform(1.0, 1.5))
+        gaps = list(zip(brk[1:-1], brk[2:]))
+        kinds = {
+            "tie": any(x == y for x, y in gaps),
+            "near tie": any(x < y <= x * (1.0 + 1e-15) for x, y in gaps),
+            "rise": any(x < y for x, y in zip(values, values[1:])),
+        }
+        yield PortfolioSpec(tuple(products), budget, alpha), form, kinds
+
+
+def test_solve_lambda_bisection_finds_the_linear_scan_segment(monkeypatch):
+    seen = collections.Counter()
+    plans = []
+    for pf, form, kinds in _tied_breakpoint_plans(26_026, 1500):
+        plans.append((pf, form))
+        seen.update(kind for kind, occurs in kinds.items() if occurs)
+    plans += _adversarial_plans(19_019, 1500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with monkeypatch.context() as patched:
+            patched.setattr(portfolio, "_first_segment", _linear_scan)
+            wants = [solve_lambda(pf, form) for pf, form in plans]
+        for (pf, form), want in zip(plans, wants):
+            got = solve_lambda(pf, form)
+            assert got == want and got.lambda_star.hex() == want.lambda_star.hex(), pf
+            seen[got.case] += 1
+    assert seen["tie"] > 500 and seen["near tie"] > 300 and seen["rise"] > 50, seen
+    assert all(seen[case] > 100 for case in DualCase), seen
+
+
 def test_single_product_reduction_random_sweep():
     # M = 1 with budget mu^2 + sigma^2 must reproduce the closed-form solver
     rng = np.random.default_rng(20240816)

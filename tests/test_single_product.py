@@ -940,11 +940,15 @@ def test_one_solve_builds_and_checks_the_report_once(alpha, monkeypatch):
 
 @pytest.mark.parametrize("alpha", [0.5, 4.0, 1e6, INF])
 def test_one_report_builds_one_transform(alpha, monkeypatch):
+    # the image law is built from the checked evaluation's own images: a
+    # report builds no TransformSpec at all
     built = []
-    inner = sp.transform
-    monkeypatch.setattr(sp, "transform", lambda *args: built.append(args) or inner(*args))
+    inner = sp.TransformSpec.__init__
+    monkeypatch.setattr(
+        sp.TransformSpec, "__init__", lambda self, *args: built.append(args) or inner(self, *args)
+    )
     misspec_quantity(alpha, M42, COST)
-    assert len(built) == 1, built
+    assert built == [], built
 
 
 @pytest.mark.parametrize("alpha", [0.5, 4.0, 1e6, INF])
@@ -1421,6 +1425,98 @@ def test_checked_evaluation_matches_the_frozen_three_pass_reference():
     # every failed check at an order of 1e305..1e308 leaves the float range, and
     # so does every worst-case atom that overflowed (127 of these)
     assert reclassified == 994, reclassified
+
+
+def _frozen_laws(atoms, a, q, cost):
+    """The report's two laws as they were built before the checked
+    evaluation's images were reused: ``from_pairs``, then a TransformSpec
+    and ``push_forward``."""
+    g_star = DiscreteDistribution.from_pairs(*atoms)
+    return g_star, push_forward(g_star, transform(a, cost.price, q))
+
+
+def _frozen_report(a, m, cost):
+    if a.alpha == 0.0:
+        g_star = ambiguity_worst_case(0.0, m)
+        return sp.SolveReport(0.0, 0.0, Regime.DEGENERATE, a, g_star, g_star)
+    q, regime = sp._quantity(a, m, cost)
+    value, atoms, duals = sp._evaluate(a, q, m, cost)
+    return sp.SolveReport(q, value, regime, a, *_frozen_laws(atoms, a, q, cost), duals)
+
+
+def _law_edge_instance(rng):
+    """``(alpha, m, cost, q)``, ``q`` a caller's quantity for the worst case.
+    15%: MIXED transforms whose quadratic piece overflows below the junction
+    p/(2 alpha) (alpha near the float limit, a small price, q below
+    (mu^2 + sigma^2)/(2 mu)).  The rest: demand scales 1e-14..1e4 with
+    sigma/mu down to 1e-200 (atoms that merge, a small weight that
+    underflows to 0), alpha up to 1e20 * p (10% INFINITY), and q = 0.0,
+    -0.0, the closed form or a multiple 1e-3..1e3 of it."""
+    if rng.uniform() < 0.15:
+        mu = float(10 ** rng.uniform(-2, 4))
+        m = MomentSpec(mu, mu * float(10 ** rng.uniform(-12, -2)))
+        p = float(10 ** rng.uniform(-6, -0.5))
+        cost = CostStructure(p, p * float(rng.uniform(0.01, 0.99)))
+        a = MisspecIndex(float(10 ** rng.uniform(306, 308.2)))
+        q = m.second_moment / (2.0 * mu) * float(rng.uniform(0.01, 0.99))
+        return a, m, cost, q
+    mu = float(10 ** rng.uniform(-14, 4))
+    r = rng.uniform()
+    sigma = 0.0 if r < 0.05 else mu * float(10 ** rng.uniform(-200 if r < 0.3 else -14, 0.5))
+    p = float(10 ** rng.uniform(-3, 3))
+    cost = CostStructure(p, p * float(rng.uniform(0.01, 0.99)))
+    u = rng.uniform()
+    a = INF if u < 0.1 else MisspecIndex(float(10 ** rng.uniform(-3, 20)) * p)
+    m = MomentSpec(mu, sigma)
+    q = sp._quantity(a, m, cost)[0]
+    v = rng.uniform()
+    q = -0.0 if v < 0.05 else 0.0 if v < 0.1 else q if v < 0.5 else q * float(10 ** rng.uniform(-3, 3))
+    return a, m, cost, q
+
+
+def test_report_laws_are_bit_equal_to_from_pairs_and_push_forward():
+    rng = np.random.default_rng(26_026)
+    seen = Counter()
+    for _ in range(6_000):
+        a, m, cost, q = _law_edge_instance(rng)
+        report = _exact(misspec_quantity, a, m, cost)
+        assert report == _exact(_frozen_report, a, m, cost), (a, m, cost)
+        if not report.startswith("SolveReport"):
+            continue
+        assert misspec_quantity(a, m, cost) == _frozen_report(a, m, cost), (a, m, cost)
+        laws = _exact(lambda: _frozen_laws(sp._evaluate(a, q, m, cost)[1], a, q, cost))
+        assert _exact(misspec_worst_case, a, q, m, cost) == laws, (a, q, m, cost)
+        try:
+            support, weights = sp._evaluate(a, q, m, cost)[1]
+        except (InputError, InternalCheckError):  # compared above
+            continue
+        # the edges, read from the frozen side
+        images = [transform(a, cost.price, q).apply(v) for v in support]
+        seen["weights sum to 1.0" if math.fsum(weights) == 1.0 else "weights sum off 1.0"] += 1
+        if support[0] == 0.0:
+            seen["-0.0 low atom" if math.copysign(1.0, support[0]) < 0 else "0.0 low atom"] += 1
+        if len(support) == 2 and not images[0] <= images[1]:
+            seen["images out of order"] += 1
+            continue  # the image law raises: the support is not finite
+        g_star, image = _frozen_laws((support, weights), a, q, cost)
+        if len(g_star.support) < len(support):
+            seen["merged" if min(weights) > 0.0 else "zero weight dropped"] += 1
+        seen["image is G*" if image is g_star else "image law built"] += 1
+    assert min(seen.values()) >= 100 and len(seen) == 9, seen
+
+
+def test_report_laws_follow_from_pairs_on_atoms_out_of_order():
+    # the model's atoms and images come in order, or an image overflows (an
+    # instance of the test above): the order guard is reached here directly
+    atoms = ((1.0, 2.0), (0.25, 0.75))
+    g_star = DiscreteDistribution.from_pairs(*atoms)
+    for images in ([3.0, 2.5], [2.5, 2.5], [math.inf, 2.0], [math.nan, 2.0]):
+        want = _exact(lambda: (g_star, DiscreteDistribution.from_pairs(images, g_star.weights)))
+        assert _exact(sp._laws, atoms, images) == want, images
+    backwards = ((2.0, 1.0), (0.25, 0.75))
+    g_star = DiscreteDistribution.from_pairs(*backwards)
+    want = (g_star, DiscreteDistribution.from_pairs([1.0, 4.0], g_star.weights))
+    assert repr(sp._laws(backwards, [4.0, 1.0])) == repr(want)
 
 
 def test_near_zero_variance_certificate_found_instance_certifies():
