@@ -99,9 +99,22 @@ class ReferenceDistribution:
 def _summarize(
     demand: DiscreteDistribution, cost: CostStructure
 ) -> tuple[ReferenceDistribution, list[float], list[float]]:
-    """:meth:`ReferenceDistribution.summarize`, with the second-moment prefix
-    sums of its atoms to the closed fractile atom and the mass prefix sums of
-    all of them that ``q*`` is read from, from 0 and summed in atom order."""
+    """:meth:`ReferenceDistribution.summarize`, with the prefix sums of
+    :func:`_reference_sums`."""
+    q_star, beta_eff, head, mass = _reference_sums(demand, cost)
+    return ReferenceDistribution(demand, q_star, head[-1], beta_eff), head, mass
+
+
+def _reference_sums(
+    demand: DiscreteDistribution, cost: CostStructure
+) -> tuple[float, float, list[float], list[float]]:
+    """The reference summary as plain numbers: ``q*``, the effective budget,
+    the second-moment prefix sums of the atoms to the closed fractile atom
+    (the last is ``beta``) and the mass prefix sums of all of them that ``q*``
+    is read from, each from 0 and summed in atom order: each moment term is
+    the product ``(w * v) * v``, formed in atom order into a list that
+    ``accumulate`` sums, so every prefix is the float that a loop over the
+    atoms would give."""
     sup, wts = demand.support, demand.weights
     mass = list(accumulate(wts, initial=0.0))
     q_star = sup[_quantile_atom(mass, cost.kappa)]
@@ -110,10 +123,9 @@ def _summarize(
             "the reference law's critical fractile is 0; the ball model "
             "requires a strictly positive fractile quantity"
         )
-    closed = bisect.bisect_right(sup, q_star + _ATOM_TOL)
-    head = list(accumulate((w * v * v for v, w in zip(sup[:closed], wts)), initial=0.0))
-    beta_eff = head[-1] + q_star * q_star * (cost.kappa - mass[closed])
-    return ReferenceDistribution(demand, q_star, head[-1], beta_eff), head, mass
+    low = sup[: bisect.bisect_right(sup, q_star + _ATOM_TOL)]
+    head = list(accumulate([w * v * v for v, w in zip(low, wts)], initial=0.0))
+    return q_star, head[-1] + q_star * q_star * (cost.kappa - mass[len(low)]), head, mass
 
 
 def reference_beta(
@@ -163,22 +175,24 @@ class WassersteinSolution:
 # ---------------------------------------------------------------------------
 
 
-def _psi_from_gamma(gamma: float, ref: ReferenceDistribution, price: float) -> float:
-    """Order quantity for a singleton reference at effective index gamma."""
-    if gamma < price / (2.0 * ref.q_star):
-        return ref.q_star * (gamma * ref.q_star / price)
-    return ref.q_star - price / (4.0 * gamma)  # q_star at gamma = inf
+def _psi_from_gamma(gamma: float, q_star: float, price: float) -> float:
+    """Order quantity for a singleton reference at ``q_star``, effective index gamma."""
+    if gamma < price / (2.0 * q_star):
+        return q_star * (gamma * q_star / price)
+    return q_star - price / (4.0 * gamma)  # q_star at gamma = inf
 
 
 def _implicit_gamma(
-    ref: ReferenceDistribution,
+    sup: tuple[float, ...],
+    q_star: float,
     theta: float,
     alpha: MisspecIndex,
     cost: CostStructure,
     head: list[float],
     mass: list[float],
 ) -> float:
-    """Root in ``x`` of the balance residual on ``[p/(2 q*), alpha)``.
+    """Root in ``x`` of the balance residual on ``[p/(2 q*), alpha)``, for the
+    reference law on support ``sup`` with fractile quantity ``q_star``.
 
     With the ``k`` smallest atoms inside the cutoff ``p/(2x)`` the residual
     is ``H_k + p^2 (kappa - F_k)/(4 x^2) - theta/(1 - x inv)^2`` (prefix
@@ -189,23 +203,25 @@ def _implicit_gamma(
     else bisected until the bracket is within 1e-10 of its lower end, which a
     normal lower end reaches in ``_MAX_BISECT_ITER`` halvings whatever
     ``alpha``; a bisection that does not converge raises InternalCheckError.
+    ``residual`` takes a segment's ``H_k`` and ``kappa - F_k``, which the
+    halving loop reads once before it: hoisting changes no float operation,
+    so the midpoints are the same.
 
-    ``head`` and ``mass`` are the prefix sums of :func:`_summarize`, to the
-    closed fractile atom and over all atoms.  Only ``H_0..H_n`` and
+    ``head`` and ``mass`` are the prefix sums of :func:`_reference_sums`, to
+    the closed fractile atom and over all atoms.  Only ``H_0..H_n`` and
     ``F_0..F_n`` are read, with ``n`` the atoms strictly below ``q*`` (at most the
     closed count), and ``accumulate`` sums in atom order, so these are the
     floats that sums over the first ``n`` atoms alone would give.
     """
-    sup, p, kappa, inv = ref.distribution.support, cost.price, cost.kappa, alpha.inv
-    n = bisect.bisect_left(sup, ref.q_star)
+    p, kappa, inv = cost.price, cost.kappa, alpha.inv
+    n = bisect.bisect_left(sup, q_star)
     p2 = p**2
 
-    def residual(x: float, k: int) -> float:
-        tail = (p2 / (4.0 * x * x)) * (kappa - mass[k])
-        return head[k] + tail - theta / (1.0 - x * inv) ** 2
+    def residual(x: float, h: float, rest: float) -> float:
+        return h + (p2 / (4.0 * x * x)) * rest - theta / (1.0 - x * inv) ** 2
 
-    lo, hi = p / (2.0 * ref.q_star), alpha.alpha * (1.0 - 1e-12)
-    if hi <= lo or residual(lo, n) < 0.0:
+    lo, hi = p / (2.0 * q_star), alpha.alpha * (1.0 - 1e-12)
+    if hi <= lo or residual(lo, head[n], kappa - mass[n]) < 0.0:
         return lo  # rounding at the CLOSED_FORM boundary already crossed zero
 
     # segment k ends where atom k - 1 leaves; an atom at 0 (q* > 0) never does
@@ -213,17 +229,18 @@ def _implicit_gamma(
     while k < k_hi:
         j = (k + k_hi + 1) // 2
         x = p / (2.0 * sup[j - 1])
-        if x < hi and residual(x, j) >= 0.0:
+        if x < hi and residual(x, head[j], kappa - mass[j]) >= 0.0:
             k_hi, lo = j - 1, x
         else:
             k, hi = j, min(hi, x)
+    h_k, rest = head[k], kappa - mass[k]
     if inv == 0.0:
-        return 0.5 * p * math.sqrt((kappa - mass[k]) / (theta - head[k]))
+        return 0.5 * p * math.sqrt(rest / (theta - h_k))
     for _ in range(_MAX_BISECT_ITER):  # lo >= p/(2 q*) > 0: a relative width
         if hi - lo <= _BISECT_REL_TOL * lo:
-            return min((lo, hi), key=lambda x: abs(residual(x, k)))
+            return min((lo, hi), key=lambda x: abs(residual(x, h_k, rest)))
         mid = 0.5 * (lo + hi)
-        if residual(mid, k) >= 0.0:
+        if residual(mid, h_k, rest) >= 0.0:
             lo = mid
         else:
             hi = mid
@@ -246,21 +263,21 @@ def wasserstein_misspec_solve(
     (and with the primal optimum) by a finite margin.  The two budgets
     coincide for references whose CDF hits the fractile exactly.
     """
-    ref, head, mass = _summarize(demand, cost)
+    q_star, beta_eff, head, mass = _reference_sums(demand, cost)
     a, theta = spec.alpha, spec.theta
-    if theta >= ref.beta_effective:
+    if theta >= beta_eff:
         return WassersteinSolution(0.0, 0.0, WassersteinCase.DEGENERATE_RADIUS)
 
     # at inv = 0 gamma2 is inf (NaN if the root factor is 0) and falls through
-    gamma2 = a.alpha * (1.0 - math.sqrt(theta / ref.beta_effective))
+    gamma2 = a.alpha * (1.0 - math.sqrt(theta / beta_eff))
     if theta == 0.0:
         gamma, case = a.alpha, WassersteinCase.POINT_BALL
-    elif gamma2 < cost.price / (2.0 * ref.q_star):
+    elif gamma2 < cost.price / (2.0 * q_star):
         gamma, case = gamma2, WassersteinCase.CLOSED_FORM
     else:
-        gamma = _implicit_gamma(ref, theta, a, cost, head, mass)
+        gamma = _implicit_gamma(demand.support, q_star, theta, a, cost, head, mass)
         case = WassersteinCase.IMPLICIT_ROOT
-    return WassersteinSolution(gamma, _psi_from_gamma(gamma, ref, cost.price), case)
+    return WassersteinSolution(gamma, _psi_from_gamma(gamma, q_star, cost.price), case)
 
 
 def wasserstein_ambiguity_quantity(

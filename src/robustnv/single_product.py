@@ -218,13 +218,17 @@ def _nonzero_index(alpha: AlphaLike) -> MisspecIndex:
     return a
 
 
+def _float_vector(xs) -> bool:
+    """Whether ``xs`` is a 1-D float64, float32 or float16 array, whose
+    ``tolist`` gives its elements as the floats ``float()`` would."""
+    return type(xs) is np.ndarray and xs.ndim == 1 and xs.dtype.kind == "f" and xs.itemsize <= 8
+
+
 def _floats(xs) -> list[float]:
-    """``xs`` as a list of floats: one ``tolist`` call for a 1-D float64,
-    float32 or float16 array, ``float()`` per element for every other input
-    (so its errors are float()'s)."""
-    if type(xs) is np.ndarray and xs.ndim == 1 and xs.dtype.kind == "f" and xs.itemsize <= 8:
-        return xs.tolist()
-    return list(map(float, xs))
+    """``xs`` as a list of floats: one ``tolist`` call for a
+    :func:`_float_vector`, ``float()`` per element for every other input (so
+    its errors are float()'s)."""
+    return xs.tolist() if _float_vector(xs) else list(map(float, xs))
 
 
 def _grid_floats(name: str, points) -> list[float]:
@@ -284,8 +288,12 @@ class DiscreteDistribution:
     support: tuple[float, ...]
     weights: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        sup, wts = _floats(self.support), _floats(self.weights)
+    def __init__(self, support: Iterable[float], weights: Iterable[float]) -> None:
+        """The only constructor, running every check of the class docstring.
+        Written by hand, as :class:`MisspecIndex`'s is, so that each field's
+        tuple of floats (:func:`_floats`) is formed, checked and stored once;
+        the dataclass still generates ``==``, ``hash`` and ``repr``."""
+        sup, wts = tuple(_floats(support)), tuple(_floats(weights))
         if not (
             sup
             and len(sup) == len(wts)
@@ -298,8 +306,8 @@ class DiscreteDistribution:
             _check_atoms(sup, wts)  # the fast test failed: one of these three raises
             require(all(map(lt, sup, sup[1:])), "support must be strictly increasing")
             raise InputError(f"weights must sum to 1 within 1e-12, got {_fsum_or_inf(wts)!r}")
-        object.__setattr__(self, "support", tuple(sup))
-        object.__setattr__(self, "weights", tuple(wts))
+        object.__setattr__(self, "support", sup)
+        object.__setattr__(self, "weights", wts)
 
     # -- constructors -------------------------------------------------------
 
@@ -355,13 +363,13 @@ class DiscreteDistribution:
         if not abs(total - 1.0) <= 1e-9:
             raise InputError(f"weights must sum to 1 within 1e-9, got {total!r}")
         if mass.count(mass[0]) == len(mass):
-            return cls(tuple(sup), (mass[0] / total,) * len(mass))
+            return cls(sup, (mass[0] / total,) * len(mass))
         if not min(mass) > 0.0:
             sup = [v for v, w in zip(sup, mass) if w > 0.0]
             mass = [w for w in mass if w > 0.0]
         if total == 1.0:
-            return cls(tuple(sup), tuple(mass))
-        return cls(tuple(sup), tuple(map(truediv, mass, repeat(total))))
+            return cls(sup, mass)
+        return cls(sup, map(truediv, mass, repeat(total)))
 
     @classmethod
     def from_samples(cls, values: Iterable[float]) -> "DiscreteDistribution":
@@ -376,7 +384,23 @@ class DiscreteDistribution:
         atom and weight lists it merges are the same floats.  Any other input
         goes to :meth:`from_pairs` unsorted, so its errors name the first bad
         sample in input order.
+
+        A non-empty :func:`_float_vector` is sorted as float64 by numpy, and
+        takes this path when its ends are finite and the lowest is >= -1e-9
+        (NaN sorts last): exactly when its samples pass the test below, but
+        for a finite sum that overflows, where :meth:`from_pairs` gives the
+        same law.  Its clamp is the same, and the support is the same floats:
+        the float64 values are the floats of ``tolist``, and a sort of them is
+        that of ``sorted`` up to the order of equal values, which are the same
+        float but for ``-0.0 == 0.0``, which the clamp makes ``0.0``.
         """
+        if _float_vector(values) and values.size:
+            arr = values.astype(np.float64)
+            arr.sort()
+            if -_SUPPORT_DUST <= arr[0] and arr[-1] < math.inf:
+                if not arr[0] > 0.0:
+                    arr[arr <= 0.0] = 0.0
+                return cls._from_sorted(arr.tolist(), [1.0 / arr.size] * arr.size)
         vs = _floats(values)
         n = len(vs)
         require(n > 0, "need at least one sample")
@@ -816,7 +840,7 @@ def misspec_worst_case(
     a = as_misspec_index(alpha)
     q = require_nonnegative("q", q)
     _, atoms, images, _ = _checked_evaluation(_nonzero_index(a), q, m, cost)
-    return _laws(atoms, images)
+    return _laws(atoms, images, cost, m)
 
 
 def _evaluate(
@@ -862,8 +886,14 @@ def _checked_evaluation(
         except (InternalCheckError, OverflowError):  # OverflowError: an fsum overflowed
             if _in_float_range(value, atoms, profits, duals, m):
                 raise
-    raise InputError(
-        f"the worst-case value or a term of its checks leaves the float range at "
+    raise _float_range_error("the worst-case value or a term of its checks", cost, m)
+
+
+def _float_range_error(what: str, cost: CostStructure, m: MomentSpec) -> InputError:
+    """The error for ``what`` leaving the float range: the price or the demand
+    scale are beyond what floats can evaluate."""
+    return InputError(
+        f"{what} leaves the float range at "
         f"price={cost.price!r}, demand mean={m.mean!r}, std={m.std!r}"
     )
 
@@ -881,7 +911,7 @@ def _in_float_range(
 
 
 def _laws(
-    atoms: _Atoms, images: list[float]
+    atoms: _Atoms, images: list[float], cost: CostStructure, m: MomentSpec
 ) -> tuple[DiscreteDistribution, DiscreteDistribution]:
     """The worst-case law G* built from checked atoms, and its image law, from
     ``images``, the atoms' images under the attached transform as
@@ -897,6 +927,13 @@ def _laws(
     so its image is read from ``images``.  A clamped ``-0.0`` atom and ``0.0``
     have images that differ only in the sign of a zero, and only at ``p/alpha
     = 0``, where every image equals its atom and the image law is G* itself.
+
+    An image of a kept atom that is not finite (``alpha / p`` overflowed, so
+    ``(alpha / p) v^2`` is inf, or NaN at ``v = 0``) raises the float-range
+    :class:`InputError` that names the price and the demand scale of ``cost``
+    and ``m``.  The checks passed, since the atom's profit at ``q`` is finite,
+    so only the image law finds it; finiteness is tested only when the
+    range test of :func:`_sorted_law` fails.
     """
     support = atoms[0]
     g_star = _sorted_law(support, atoms[1])
@@ -905,6 +942,8 @@ def _laws(
     image = tuple(images)
     if image == g_star.support:
         return g_star, g_star
+    if not (0.0 <= image[0] <= image[-1] < math.inf) and not all(map(math.isfinite, image)):
+        raise _float_range_error("the worst-case law's image under the transform", cost, m)
     return g_star, _sorted_law(image, g_star.weights)
 
 
@@ -1039,7 +1078,7 @@ def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> So
         return SolveReport(0.0, 0.0, Regime.DEGENERATE, a, g_star, g_star)
     q, regime = _quantity(a, m, cost)
     value, atoms, images, duals = _checked_evaluation(a, q, m, cost)
-    return SolveReport(q, value, regime, a, *_laws(atoms, images), duals)
+    return SolveReport(q, value, regime, a, *_laws(atoms, images, cost, m), duals)
 
 
 def _solve(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> tuple[float, float]:

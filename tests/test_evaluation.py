@@ -646,9 +646,9 @@ def test_oracle_check_solves_quantity_only_and_builds_no_law(monkeypatch):
         patch.setattr(ev, "_solve", reported)
         want = oracle_check(**args)
     laws = []
-    post_init = DiscreteDistribution.__post_init__
+    init = DiscreteDistribution.__init__
     monkeypatch.setattr(
-        DiscreteDistribution, "__post_init__", lambda d: laws.append(d) or post_init(d)
+        DiscreteDistribution, "__init__", lambda d, *args: laws.append(args) or init(d, *args)
     )
     assert oracle_check(**args) == want
     assert laws == []

@@ -1,6 +1,9 @@
 """Closed-form single-product solvers: frozen values and model invariants."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import re
 import sys
 from collections import Counter
@@ -234,28 +237,31 @@ def test_from_pairs_rejects_bad_atoms(values, weights, message):
         DiscreteDistribution.from_pairs(values, weights)
 
 
+_CONSTRUCTOR_REJECTS = [
+    ((2.0, 1.0), (0.5, 0.5), "support must be strictly increasing"),
+    ((1.0, 1.0), (0.5, 0.5), "support must be strictly increasing"),
+    ((1.0, 2.0), (-0.5, 1.5), "weights must be >= 0, got -0.5"),
+    ((-1e-12, 1.0), (0.5, 0.5), "support must be >= 0, got -1e-12"),
+    ((1.0, 2.0), (0.5, 0.5 + 2e-12), "weights must sum to 1 within 1e-12, got 1.000000000002"),
+    ((1.0, 2.0), (1.0,), "support and weights must have equal length"),
+    ((), (), "support must be non-empty"),
+    ((1.0, 2.0), (1e308, 1e308), "weights must sum to 1 within 1e-12, got inf"),
+    # several defects: the per-atom checks, then the order, then the mass
+    ((2.0, 1.0), (0.5, 0.6), "support must be strictly increasing"),
+    ((2.0, 1.0), (-0.5, 1.5), "weights must be >= 0, got -0.5"),
+    ((2.0, math.nan), (0.5, 0.5), "support must be finite, got nan"),
+    ((math.nan,), (1.0,), "support must be finite, got nan"),
+    ((1.0, 2.0), (math.nan, 1.0), "weights must be finite, got nan"),
+    ((1.0, 2.0), (1.0, math.nan), "weights must be finite, got nan"),
+    ((1.0, -1.0), (-0.5, 1.5), "support must be >= 0, got -1.0"),
+    ((3.0, 2.0, 1.0), (0.5, 0.5), "support and weights must have equal length"),
+    ((1.0, math.inf), (0.5, 0.5 + 2e-12), "support must be finite, got inf"),
+]
+
+
 @pytest.mark.parametrize(
     "support, weights, message",
-    [
-        ((2.0, 1.0), (0.5, 0.5), "support must be strictly increasing"),
-        ((1.0, 1.0), (0.5, 0.5), "support must be strictly increasing"),
-        ((1.0, 2.0), (-0.5, 1.5), "weights must be >= 0, got -0.5"),
-        ((-1e-12, 1.0), (0.5, 0.5), "support must be >= 0, got -1e-12"),
-        ((1.0, 2.0), (0.5, 0.5 + 2e-12), "weights must sum to 1 within 1e-12, got 1.000000000002"),
-        ((1.0, 2.0), (1.0,), "support and weights must have equal length"),
-        ((), (), "support must be non-empty"),
-        ((1.0, 2.0), (1e308, 1e308), "weights must sum to 1 within 1e-12, got inf"),
-        # several defects: the per-atom checks, then the order, then the mass
-        ((2.0, 1.0), (0.5, 0.6), "support must be strictly increasing"),
-        ((2.0, 1.0), (-0.5, 1.5), "weights must be >= 0, got -0.5"),
-        ((2.0, math.nan), (0.5, 0.5), "support must be finite, got nan"),
-        ((math.nan,), (1.0,), "support must be finite, got nan"),
-        ((1.0, 2.0), (math.nan, 1.0), "weights must be finite, got nan"),
-        ((1.0, 2.0), (1.0, math.nan), "weights must be finite, got nan"),
-        ((1.0, -1.0), (-0.5, 1.5), "support must be >= 0, got -1.0"),
-        ((3.0, 2.0, 1.0), (0.5, 0.5), "support and weights must have equal length"),
-        ((1.0, math.inf), (0.5, 0.5 + 2e-12), "support must be finite, got inf"),
-    ],
+    _CONSTRUCTOR_REJECTS,
     ids=["unsorted", "repeated", "negative-weight", "negative-point", "mass-off",
          "unequal-lengths", "empty", "mass-overflow", "unsorted-and-mass-off",
          "unsorted-and-negative-weight", "unsorted-nan", "lone-nan", "nan-weight-first",
@@ -265,6 +271,73 @@ def test_from_pairs_rejects_bad_atoms(values, weights, message):
 def test_constructor_rejects_broken_invariants(support, weights, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         DiscreteDistribution(support, weights)
+
+
+@dataclasses.dataclass(frozen=True)
+class _GeneratedLaw:
+    """``DiscreteDistribution`` with the generated ``__init__`` and the
+    ``__post_init__`` it had before its constructor was written by hand."""
+
+    support: tuple
+    weights: tuple
+
+    def __post_init__(self):
+        sup, wts = sp._floats(self.support), sp._floats(self.weights)
+        if not (
+            sup
+            and len(sup) == len(wts)
+            and sup[0] >= 0.0
+            and sup[-1] < math.inf
+            and all(a < b for a, b in zip(sup, sup[1:]))
+            and min(wts) >= 0.0
+            and abs(_fsum_or_inf(wts) - 1.0) <= 1e-12
+        ):
+            sp._check_atoms(sup, wts)
+            require(all(a < b for a, b in zip(sup, sup[1:])), "support must be strictly increasing")
+            raise InputError(f"weights must sum to 1 within 1e-12, got {_fsum_or_inf(wts)!r}")
+        object.__setattr__(self, "support", tuple(sup))
+        object.__setattr__(self, "weights", tuple(wts))
+
+
+def test_constructor_keeps_the_dataclass_behaviour():
+    law = DiscreteDistribution([1.0, 2.5], np.array([0.25, 0.75]))
+    assert [f.name for f in dataclasses.fields(law)] == ["support", "weights"]
+    assert law == DiscreteDistribution(support=(1.0, 2.5), weights=(0.25, 0.75))
+    assert hash(law) == hash(DiscreteDistribution((1, 2.5), (0.25, 0.75)))
+    assert law != DiscreteDistribution((1.0, 2.5), (0.75, 0.25)) and law != (law.support, law.weights)
+    assert repr(law) == "DiscreteDistribution(support=(1.0, 2.5), weights=(0.25, 0.75))"
+    assert pickle.loads(pickle.dumps(law)) == law
+    assert copy.deepcopy(law) == law
+    moved = dataclasses.replace(law, support=[0.5, 2.5])
+    assert moved == DiscreteDistribution((0.5, 2.5), (0.25, 0.75)) and type(moved.support) is tuple
+    with pytest.raises(InputError, match="^support must be strictly increasing$"):
+        dataclasses.replace(law, support=(2.5, 1.0))  # replace runs the checks
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        law.support = (1.0, 3.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del law.weights
+    with pytest.raises(TypeError):
+        DiscreteDistribution((1.0,))
+
+
+def test_constructor_raises_as_the_generated_one_did():
+    # the constructor table, then seeded atoms in every argument kind: the
+    # same fields, bit for bit, or the same exception class and message
+    cases = [(sup, wts) for sup, wts, _ in _CONSTRUCTOR_REJECTS]
+    cases += [((1.0, 2.0), ("0.25", b"0.75")), ((1.0, None), (0.5, 0.5)), ((1.0,), 1.0)]
+    for sup, wts in cases:
+        args = (lambda: sup, lambda: wts)
+        assert _law_bits(DiscreteDistribution, *args) == _law_bits(_GeneratedLaw, *args), (sup, wts)
+    rng = np.random.default_rng(27_270)
+    outcomes = Counter()
+    for _ in range(3_000):
+        atoms = _constructor_atoms(rng)
+        kinds = [_ARG_KINDS[k] for k in rng.integers(0, len(_ARG_KINDS), 2).tolist()]
+        args = [_as_arg(xs, kind) for xs, kind in zip(atoms, kinds)]
+        want = _law_bits(_GeneratedLaw, *args)
+        assert _law_bits(DiscreteDistribution, *args) == want, (atoms, kinds)
+        outcomes["law" if isinstance(want, list) else want[0].__name__] += 1
+    assert outcomes["law"] >= 300 and outcomes["InputError"] >= 300 and outcomes["TypeError"] >= 30, outcomes
 
 
 def test_from_pairs_clamps_dust_merges_and_drops_zero_weights():
@@ -628,6 +701,65 @@ def test_law_building_is_bit_equal_to_the_per_atom_reference(monkeypatch):
         assert seen[key] >= 20, (key, seen)
 
 
+def _tolerance_neighbours(rng, dtype):
+    """A history of 30 to 120 points below 1 with neighbours planted at the
+    1e-12 merge tolerance.  float32: pairs ``x`` and ``x + k u``, ``u`` the
+    float32 spacing at ``x`` ~ 1e-7..3e-6, with ``k u`` the last step within
+    the tolerance or the first past it.  float64: ``0.0`` (or ``-0.0``, dust)
+    and ``1e-12`` exactly at the tolerance, or one ulp past it."""
+    n = int(rng.integers(30, 121))
+    if dtype is np.float32:
+        v = (rng.gamma(2.0, 1.0, n) * float(10 ** rng.uniform(-7, -6))).astype(np.float32)
+        for j in rng.choice(n - 1, size=int(rng.integers(1, 6)), replace=False).tolist():
+            x = float(v[j])
+            u = float(np.spacing(v[j]))
+            v[j + 1] = x + (math.floor(1e-12 / u) + int(rng.integers(0, 2))) * u
+        return v
+    v = rng.uniform(0.1, 0.9, n)
+    v[0] = [0.0, -0.0, -1e-9 * float(rng.uniform())][int(rng.integers(3))]
+    v[1] = 1e-12 if rng.uniform() < 0.5 else float(np.nextafter(1e-12, 1.0))
+    return rng.permutation(v)
+
+
+def test_array_histories_are_bit_equal_to_the_per_atom_reference():
+    # a 1-D float array is sorted as float64 by numpy: the laws and errors are
+    # the reference's, for float64, float32 and float16 histories with ties,
+    # -0.0, dust and NaN, for neighbours planted at the 1e-12 merge tolerance,
+    # and at the ends of the array path's test
+    edges = [[], [-0.0], [-0.0, 0.0, -1e-9], [2.0, -1e-9 - 1e-18, 1.0], [1.0, -math.inf],
+             [math.nan, 1.0], [math.nan, math.inf, 1.0], [1e308, 1.5e308, 0.5], [math.inf, 1.0],
+             [3.0, 3.0, 1.0]]
+    for values in edges:
+        for dtype in (np.float64, np.float32, np.float16):
+            with np.errstate(over="ignore"):
+                arr = np.array(values, dtype=dtype)
+            want = _law_bits(_frozen_from_samples, lambda: arr)
+            assert _law_bits(DiscreteDistribution.from_samples, lambda: arr) == want, arr
+    rng = np.random.default_rng(27_272)
+    seen = Counter()
+    draws = [(np.float64, 2_000), (np.float32, 2_000), (np.float16, 2_000)]
+    draws += [(np.float32, -500), (np.float64, -500)]  # planted at the tolerance
+    for dtype, n_cases in draws:
+        for _ in range(abs(n_cases)):
+            if n_cases > 0:
+                with np.errstate(over="ignore"):  # float16 overflows to inf
+                    arr = np.array(_history_samples(rng)[0]).astype(dtype)
+            else:
+                arr = _tolerance_neighbours(rng, dtype)
+            want = _law_bits(_frozen_from_samples, lambda: arr)
+            assert _law_bits(DiscreteDistribution.from_samples, lambda: arr) == want, (dtype, arr)
+            kind = ("planted " if n_cases < 0 else "") + np.dtype(dtype).name
+            if isinstance(want, list):
+                seen[kind, "merged" if len(want[0]) < arr.size else "law"] += 1
+            else:
+                seen[kind, want[1].split(",")[0]] += 1
+    for dtype in ("float64", "float32", "float16"):
+        assert seen[dtype, "law"] >= 200 and seen[dtype, "merged"] >= 100, seen
+        assert seen[dtype, "support must be finite"] >= 50, seen
+    for kind in ("planted float32", "planted float64"):
+        assert seen[kind, "merged"] >= 100 and seen[kind, "law"] >= 50, seen
+
+
 def test_ell_examples_match_inner_min_oracle():
     cases = [
         (1.0, 2.0, 3.0, 3.0),
@@ -956,9 +1088,9 @@ def test_quantity_only_solve_checks_once_and_builds_no_law(alpha, monkeypatch):
     report = misspec_quantity(alpha, M42, COST)
     calls = _count_checked_evaluation(monkeypatch)
     laws = []
-    post_init = DiscreteDistribution.__post_init__
+    init = DiscreteDistribution.__init__
     monkeypatch.setattr(
-        DiscreteDistribution, "__post_init__", lambda d: laws.append(d) or post_init(d)
+        DiscreteDistribution, "__init__", lambda d, *args: laws.append(args) or init(d, *args)
     )
     assert sp._solve(alpha, M42, COST) == (report.quantity, report.value)
     assert calls == dict.fromkeys(calls, 1) and len(calls) == 6, calls
@@ -1474,18 +1606,30 @@ def _law_edge_instance(rng):
     return a, m, cost, q
 
 
+def _image_overflow(outcome, m, cost):
+    """A frozen law build's ``outcome`` (of :func:`_exact`), where an image
+    law whose support is not finite (an image overflowed) is read as the
+    float-range error that the report's laws raise for it."""
+    if outcome.startswith("InputError: support must be finite"):
+        return (
+            "InputError: the worst-case law's image under the transform leaves the float "
+            f"range at price={cost.price!r}, demand mean={m.mean!r}, std={m.std!r}"
+        )
+    return outcome
+
+
 def test_report_laws_are_bit_equal_to_from_pairs_and_push_forward():
     rng = np.random.default_rng(26_026)
     seen = Counter()
     for _ in range(6_000):
         a, m, cost, q = _law_edge_instance(rng)
         report = _exact(misspec_quantity, a, m, cost)
-        assert report == _exact(_frozen_report, a, m, cost), (a, m, cost)
+        assert report == _image_overflow(_exact(_frozen_report, a, m, cost), m, cost), (a, m, cost)
         if not report.startswith("SolveReport"):
             continue
         assert misspec_quantity(a, m, cost) == _frozen_report(a, m, cost), (a, m, cost)
         laws = _exact(lambda: _frozen_laws(sp._evaluate(a, q, m, cost)[1], a, q, cost))
-        assert _exact(misspec_worst_case, a, q, m, cost) == laws, (a, q, m, cost)
+        assert _exact(misspec_worst_case, a, q, m, cost) == _image_overflow(laws, m, cost), (a, q, m, cost)
         try:
             support, weights = sp._evaluate(a, q, m, cost)[1]
         except (InputError, InternalCheckError):  # compared above
@@ -1507,16 +1651,69 @@ def test_report_laws_are_bit_equal_to_from_pairs_and_push_forward():
 
 def test_report_laws_follow_from_pairs_on_atoms_out_of_order():
     # the model's atoms and images come in order, or an image overflows (an
-    # instance of the test above): the order guard is reached here directly
+    # instance of the test above): the order guard is reached here directly,
+    # and an image that is not finite is the float-range error
     atoms = ((1.0, 2.0), (0.25, 0.75))
     g_star = DiscreteDistribution.from_pairs(*atoms)
     for images in ([3.0, 2.5], [2.5, 2.5], [math.inf, 2.0], [math.nan, 2.0]):
         want = _exact(lambda: (g_star, DiscreteDistribution.from_pairs(images, g_star.weights)))
-        assert _exact(sp._laws, atoms, images) == want, images
+        assert _exact(sp._laws, atoms, images, COST, M42) == _image_overflow(want, M42, COST), images
     backwards = ((2.0, 1.0), (0.25, 0.75))
     g_star = DiscreteDistribution.from_pairs(*backwards)
     want = (g_star, DiscreteDistribution.from_pairs([1.0, 4.0], g_star.weights))
-    assert repr(sp._laws(backwards, [4.0, 1.0])) == repr(want)
+    assert repr(sp._laws(backwards, [4.0, 1.0], COST, M42)) == repr(want)
+
+
+def _overflow_instance(rng):
+    """``(alpha, q, m, cost)`` with ``alpha / p`` beyond the float range (alpha
+    1e305..1.6e308, p 1e-3..1) and sigma/mu 1e-13..1e-8, so that the low
+    worst-case atom is tiny and its image ``(alpha / p) v^2`` may be inf."""
+    alpha = float(10 ** rng.uniform(305, 308.2))
+    p = float(10 ** rng.uniform(-3, 0))
+    cost = CostStructure(p, p * float(rng.uniform(0.05, 0.95)))
+    mu = float(10 ** rng.uniform(-1, 2))
+    m = MomentSpec(mu, mu * float(10 ** rng.uniform(-13, -8)))
+    return alpha, mu * float(rng.uniform(0.05, 2.0)), m, cost
+
+
+def test_an_overflowed_image_is_the_float_range_error():
+    # alpha / p overflows, so an atom's image is inf while its profit at q,
+    # and so every check, is finite: the error names the price and the
+    # demand scale, not a support the caller never passed
+    alpha, q = 7.256079278435172e306, 1.9331633390543232
+    m = MomentSpec(7.486999236584675, 2.9627631556833844e-10)
+    cost = CostStructure(0.010969184283792411, 0.0013316433905781442)
+    want = (
+        "the worst-case law's image under the transform leaves the float range at "
+        "price=0.010969184283792411, demand mean=7.486999236584675, std=2.9627631556833844e-10"
+    )
+    with pytest.raises(InputError) as err:
+        misspec_worst_case(alpha, q, m, cost)
+    assert str(err.value) == want
+    assert worst_case_transformed_expectation(alpha, q, m, cost) == 0.01863094073339868
+    assert sp._solve(alpha, m, cost) == (7.486999236928136, 0.07215626130898742)
+    rng = np.random.default_rng(27_027)
+    seen = Counter()
+    for _ in range(2_000):
+        alpha, q, m, cost = _overflow_instance(rng)
+        value = worst_case_transformed_expectation(alpha, q, m, cost)
+        assert math.isfinite(value) and all(map(math.isfinite, sp._solve(alpha, m, cost)))
+        support, weights = sp._evaluate(MisspecIndex(alpha), q, m, cost)[1]
+        images = [transform(alpha, cost.price, q).apply(v) for v, w in zip(support, weights) if w > 0.0]
+        try:
+            laws = misspec_worst_case(alpha, q, m, cost)
+        except InputError as exc:
+            assert not all(map(math.isfinite, images)), (alpha, q, m, cost)
+            assert str(exc) == (
+                "the worst-case law's image under the transform leaves the float range at "
+                f"price={cost.price!r}, demand mean={m.mean!r}, std={m.std!r}"
+            )
+            seen["image overflowed"] += 1
+        else:
+            assert all(map(math.isfinite, images)), (alpha, q, m, cost)
+            assert all(map(math.isfinite, laws[1].support))
+            seen["laws built"] += 1
+    assert seen["image overflowed"] >= 100 and seen["laws built"] >= 1_000, seen
 
 
 def test_near_zero_variance_certificate_found_instance_certifies():
