@@ -60,7 +60,6 @@ from .validation import (
 __all__ = [
     "SampleSet",
     "GuaranteeReport",
-    "StressSpec",
     "empirical_moments",
     "gelbrich_sq",
     "moment_set_distance",
@@ -151,32 +150,6 @@ class GuaranteeReport:
         require_nonnegative("epsilon_n", self.epsilon_n)
         require_nonnegative("shift_estimate", self.shift_estimate)
         require_nonnegative("lower_bound", self.lower_bound)
-
-
-@dataclass(frozen=True)
-class StressSpec:
-    """Parameters of a downward stress construction.
-
-    ``beta_discount`` scales the raw empirical shift estimate (drawn from
-    U[0.5, 1] by the calibration routines); ``rho`` is the fraction of the
-    way each observation moves toward the sample minimum; ``target_distance``
-    is the squared transport budget the construction realizes exactly.
-    """
-
-    beta_discount: float
-    rho: float
-    target_distance: float
-
-    def __post_init__(self) -> None:
-        require(
-            0.5 <= self.beta_discount <= 1.0,
-            f"beta_discount must lie in [0.5, 1], got {self.beta_discount!r}",
-        )
-        require(
-            0.0 <= self.rho <= 1.0,
-            f"rho must lie in [0, 1] for a valid downward shift, got {self.rho!r}",
-        )
-        require_nonnegative("target_distance", self.target_distance)
 
 
 # ---------------------------------------------------------------------------

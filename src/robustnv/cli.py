@@ -17,7 +17,7 @@ import math
 import sys
 
 from ._version import __version__
-from .calibration import cv_alpha, formula_calibrate, stress_calibrate
+from .calibration import SampleSet, cv_alpha, formula_calibrate, stress_calibrate
 from .evaluation import (
     _DEFAULT_EPS_GRID,
     _csv_text,
@@ -138,8 +138,6 @@ def _train_samples(args):
         # two symmetric observations reproduce (mu, sigma) exactly
         if args.mu - args.sigma < 0:
             raise InputError("--mu/--sigma shortcut needs mu >= sigma for nonnegative demand")
-        from .calibration import SampleSet
-
         return SampleSet((args.mu - args.sigma, args.mu + args.sigma))
     raise InputError("provide --train CSV or both --mu and --sigma")
 

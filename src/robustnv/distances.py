@@ -93,16 +93,8 @@ class ReferenceDistribution:
     def summarize(
         cls, demand: DiscreteDistribution, cost: CostStructure
     ) -> "ReferenceDistribution":
-        return _summarize(demand, cost)[0]
-
-
-def _summarize(
-    demand: DiscreteDistribution, cost: CostStructure
-) -> tuple[ReferenceDistribution, list[float], list[float]]:
-    """:meth:`ReferenceDistribution.summarize`, with the prefix sums of
-    :func:`_reference_sums`."""
-    q_star, beta_eff, head, mass = _reference_sums(demand, cost)
-    return ReferenceDistribution(demand, q_star, head[-1], beta_eff), head, mass
+        q_star, beta_eff, head, _ = _reference_sums(demand, cost)
+        return cls(demand, q_star, head[-1], beta_eff)
 
 
 def _reference_sums(

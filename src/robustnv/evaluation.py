@@ -309,9 +309,7 @@ def _method_solution(
             config.train.empirical, RadiusSpec(config.theta, alpha), cost
         )
         return sol.psi_star, None
-    if method is Method.TV:
-        return tv_misspec_quantity(alpha, m, cost), None
-    raise InputError(f"unknown method {method!r}")
+    return tv_misspec_quantity(alpha, m, cost), None  # Method.TV, the last member
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

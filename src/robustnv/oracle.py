@@ -5,8 +5,10 @@ slow, honest way: restrict the candidate laws to a finite support grid,
 enumerate every subset of at most (#constraints + 1) support points (the
 extreme-point bound for moment polytopes), solve the tiny linear system for
 the weights, keep the feasible nonnegative solutions, and take the minimum
-expected objective.  No linear-programming dependency, no cleverness shared
-with the closed forms being validated.
+expected objective.  No linear-programming dependency.  Beyond the law type,
+the oracles share two rules with the closed forms they validate, and nothing
+else: the profit ``pi(q, v) = p*min(q, v) - c*q`` of
+``single_product._profit`` and the grid rule of ``single_product._grid``.
 
 Candidates come singletons first, then pairs (one pass per solved constraint
 row), then triples, each family in lexicographic index order; the tie rules of
@@ -39,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .single_product import DiscreteDistribution, _grid, _grid_floats
+from .single_product import DiscreteDistribution, _grid, _grid_floats, _profit
 from .validation import InfeasibleError, InputError, require, require_nonnegative
 
 __all__ = [
@@ -510,14 +512,6 @@ class MomentLawFamily:
         wgt = self.atom_weights[row]
         return DiscreteDistribution.from_pairs(self.grid[idx], wgt)
 
-    def grid_error_bound(self, objective_on_grid: np.ndarray) -> float:
-        return _grid_error_bound(self.grid, np.asarray(objective_on_grid, dtype=float))
-
-
-def _profit(cost, psi, u):
-    """pi(psi, u) = p*min(psi, u) - c*psi, broadcast over ``psi`` and ``u``."""
-    return cost.price * np.minimum(psi, u) - cost.cost * psi
-
 
 def inner_min_oracle(
     alpha: float, q: float, v: float, cost, u_grid: Sequence[float]
@@ -528,7 +522,7 @@ def inner_min_oracle(
     q = require_nonnegative("q", q)
     v = require_nonnegative("v", v)
     u = np.array(_grid("u_grid", u_grid))
-    return float(np.min(_profit(cost, q, u) + alpha * (u - v) ** 2))
+    return float(np.min(_profit(q, u, cost) + alpha * (u - v) ** 2))
 
 
 def grid_argmax(
@@ -565,9 +559,9 @@ def wasserstein_dual_oracle(
     atom by atom on the empirical law ``demand`` (``math.inf`` for alpha
     turns the penalty into ``-gamma*theta``).  Returns the pair
     ``(dual_values, inner_argmax_psi)``, one entry per gamma.  Pure grid
-    arithmetic: nothing is shared with the closed-form reduction.  The psi
-    and u grids obey :func:`_grid`; the gammas may come in any order, each a
-    number in [0, alpha).
+    arithmetic: only the profit is shared with the closed-form reduction.
+    The psi and u grids obey :func:`_grid`; the gammas may come in any order,
+    each a number in [0, alpha).
     """
     theta = require_nonnegative("theta", theta)
     alpha = float(alpha)
@@ -582,7 +576,7 @@ def wasserstein_dual_oracle(
     )
 
     # pi(psi, u) on the (psi, u) lattice, shared across atoms and gammas
-    pi = _profit(cost, psis[:, None], us[None, :])
+    pi = _profit(psis[:, None], us[None, :], cost)
     sq = (us[None, :] - demand.support_array()[:, None]) ** 2  # (atom, u)
     weights = demand.weights_array()
 

@@ -29,17 +29,17 @@ Every solve returns a :class:`SolveReport` carrying the quantity, the model
 value, the attaining worst-case law and its transformed image, and (where
 available) the dual certificate ``(s_alpha, r_alpha, t_alpha)`` for the mean,
 second-moment and normalization constraints.  Every solve is evaluated and
-checked once, for every index including INFINITY, by ``_evaluate``: one
-``_region`` fixes the branch and the terms that the value, the worst-case
+checked once, for every index including INFINITY, by ``_checked_evaluation``:
+one ``_region`` fixes the branch and the terms that the value, the worst-case
 atoms and the certificate all read; the atoms' images come from ``_image``,
 the transform of :meth:`TransformSpec.apply`; and three checks run on the
-atoms before any law object exists: the law's mass and moments, its
-attainment of the value, and the identity ``s*mu - r*(mu^2 + sigma^2) - t ==
-value``.  A report then builds each law once: G* from the checked atoms, and
-its image from the same images, with no TransformSpec.  Callers that read
-only the quantity and the value (the calibrators, the sweeps) run the same
-evaluation through ``_solve`` and never build the laws; the threshold scans
-run it only on the grid points that their turn reads.
+atoms before any law object exists: the law's mass and moments, its attainment
+of the value, and the identity ``s*mu - r*(mu^2 + sigma^2) - t == value``.  A
+report then builds each law once: G* from the checked atoms, and its image
+from the same images, with no TransformSpec.  Callers that read only the
+quantity and the value (the calibrators, the sweeps) run the same evaluation
+through ``_solve`` and never build the laws; the threshold scans run it only
+on the grid points that their turn reads.
 A failed check whose terms leave the float range is bad input, at any quantity.
 """
 
@@ -348,8 +348,9 @@ class DiscreteDistribution:
         weights >= 0, sorted stably by value: merges coincident points, checks
         the mass, drops zero-weight atoms and renormalizes.  Equal weights
         (an empirical law's) are none of them 0 once the mass checks, and
-        each quotient is the same float, so it is formed once; a mass that
-        sums to 1.0 is its own quotient (``x / 1.0 == x``)."""
+        each quotient is the same float, so it is formed once; their total is
+        ``x * n``, which is their fsum (both round ``n x`` correctly).  A mass
+        that sums to 1.0 is its own quotient (``x / 1.0 == x``)."""
         # no pair can merge when every gap exceeds the largest tolerance
         if len(sup) > 1 and not min(map(sub, sup[1:], sup)) > _merge_tol(sup[-1]):
             pairs, sup, mass = zip(sup, mass), [], []
@@ -359,10 +360,11 @@ class DiscreteDistribution:
                 else:
                     sup.append(v)
                     mass.append(w)
-        total = _fsum_or_inf(mass)
+        equal = mass.count(mass[0]) == len(mass)
+        total = mass[0] * len(mass) if equal else _fsum_or_inf(mass)
         if not abs(total - 1.0) <= 1e-9:
             raise InputError(f"weights must sum to 1 within 1e-9, got {total!r}")
-        if mass.count(mass[0]) == len(mass):
+        if equal:
             return cls(sup, (mass[0] / total,) * len(mass))
         if not min(mass) > 0.0:
             sup = [v for v, w in zip(sup, mass) if w > 0.0]
@@ -843,14 +845,6 @@ def misspec_worst_case(
     return _laws(atoms, images, cost, m)
 
 
-def _evaluate(
-    a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
-) -> tuple[float, _Atoms, _Duals]:
-    """The value, atoms and certificate of :func:`_checked_evaluation`."""
-    value, atoms, _, duals = _checked_evaluation(a, q, m, cost)
-    return value, atoms, duals
-
-
 def _checked_evaluation(
     a: MisspecIndex, q: float, m: MomentSpec, cost: CostStructure
 ) -> tuple[float, _Atoms, list[float], _Duals]:
@@ -901,8 +895,9 @@ def _float_range_error(what: str, cost: CostStructure, m: MomentSpec) -> InputEr
 def _in_float_range(
     value: float, atoms: _Atoms, profits: list[float], duals: _Duals, m: MomentSpec
 ) -> bool:
-    """Whether ``value``, each term that the checks of :func:`_evaluate` sum
-    and the sum of their sizes lie in the float range."""
+    """Whether ``value``, each term that the checks of
+    :func:`_checked_evaluation` sum and the sum of their sizes lie in the
+    float range."""
     support, weights = atoms
     terms = [value, *(v * v * w for v, w in zip(support, weights))]  # and v*w <= v
     terms += map(mul, weights, profits)
@@ -1116,7 +1111,7 @@ def _scan_turn(
         j -= 1
     if a.alpha != 0.0:
         for i in range(max(j - 1, 0), n):
-            _evaluate(a, qs[i], *pairs[i])
+            _checked_evaluation(a, qs[i], *pairs[i])
     return grid[j] if j <= n - 2 else None
 
 

@@ -16,7 +16,6 @@ from robustnv import (
     MisspecIndex,
     MomentSpec,
     SampleSet,
-    StressSpec,
     alpha_for_radius,
     cv_alpha,
     empirical_moments,
@@ -269,13 +268,9 @@ def test_guarantee_bound_non_increasing_in_shift():
         guarantee(SQUARE, -0.1, COST, 0.0)
 
 
-def test_report_and_stress_spec_validation():
+def test_report_validation():
     with pytest.raises(InputError):
         GuaranteeReport(0.1, 0.0, MisspecIndex(2.0), 5.0, -0.5)
-    with pytest.raises(InputError):
-        StressSpec(beta_discount=0.2, rho=0.5, target_distance=1.0)
-    with pytest.raises(InputError):
-        StressSpec(beta_discount=0.7, rho=1.5, target_distance=1.0)
 
 
 # ---------------------------------------------------------------------------

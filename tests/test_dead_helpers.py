@@ -1,5 +1,6 @@
-"""Every module-level private name in the package is used inside the package,
-and every module-level import is read in the module that makes it."""
+"""Every private name in the package, at module level or in a class body, is
+used inside the package, and every module-level import is read in the module
+that makes it."""
 
 import ast
 from pathlib import Path
@@ -11,10 +12,10 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _definitions(tree: ast.Module):
-    """(name, first line, last line) of each private module-level function,
-    class and constant."""
-    for node in tree.body:
+def _definitions(body: list[ast.stmt]):
+    """(name, first line, last line) of each private function, class and
+    constant (or class attribute) defined directly in ``body``."""
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -36,17 +37,34 @@ def _uses(tree: ast.Module):
             yield node.attr, node.lineno
 
 
-def test_no_private_module_level_name_is_dead():
+def _class_bodies(tree: ast.Module):
+    """The body of every class in the module, nested ones included."""
+    return [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+
+
+def _dead(bodies_of) -> list[str]:
+    """``file:line name`` of each private name that ``bodies_of(tree)`` define
+    and nothing in the package reads."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     uses = [(name, file, line) for file, tree in trees.items() for name, line in _uses(tree)]
-    dead = [
+    return [
         f"{file}:{first} {name}"
         for file, tree in trees.items()
-        for name, first, last in _definitions(tree)
+        for body in bodies_of(tree)
+        for name, first, last in _definitions(body)
         # a read inside the definition itself (recursion) keeps nothing alive
         if not any(n == name and (f != file or not first <= line <= last) for n, f, line in uses)
     ]
+
+
+def test_no_private_module_level_name_is_dead():
+    dead = _dead(lambda tree: [tree.body])
     assert not dead, f"private names with no use in the package: {dead}"
+
+
+def test_no_private_class_member_is_dead():
+    dead = _dead(_class_bodies)
+    assert not dead, f"private methods and class attributes with no use in the package: {dead}"
 
 
 def _imports(tree: ast.Module):

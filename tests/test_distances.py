@@ -200,6 +200,16 @@ def test_solve_case_boundary_continuous():
     assert abs(above.psi_star - below.psi_star) <= 1e-9
 
 
+def test_implicit_root_at_its_lower_end():
+    # alpha within 1e-12 of the cutoff p/(2 q*) = 2, so the bracket is empty,
+    # yet the explicit index alpha (1 - sqrt(theta/beta_eff)) is above it
+    demand, cost = DiscreteDistribution.from_samples([1.0, 2.0, 3.0, 4.0]), CostStructure(8.0, 4.0)
+    ref = ReferenceDistribution.summarize(demand, cost)
+    assert (ref.q_star, ref.beta_effective) == (2.0, 1.25)
+    sol = wasserstein_misspec_solve(demand, RadiusSpec(1e-30 * 1.25, 2.0 * (1.0 + 1e-13)), cost)
+    assert sol == WassersteinSolution(2.0, 1.0, WassersteinCase.IMPLICIT_ROOT)
+
+
 def test_solve_vanishing_budget_boundary():
     beff = ReferenceDistribution.summarize(UNIFORM, K07).beta_effective
     sol = wasserstein_misspec_solve(UNIFORM, RadiusSpec(beff * (1 - 1e-12), 0.1), K07)
@@ -729,8 +739,9 @@ def test_reference_summary_is_bit_equal_to_the_two_pass_reference():
         closed = bisect.bisect_right(dist.support, q_star + 1e-12)
         head, mass = _frozen_prefix_sums(dist, closed)
         beta_eff = head[-1] + q_star * q_star * (cost.kappa - mass[-1])
-        ref, got_head, got_mass = distances._summarize(dist, cost)
-        assert ref == ReferenceDistribution.summarize(dist, cost)
+        got_q, got_beta_eff, got_head, got_mass = distances._reference_sums(dist, cost)
+        ref = ReferenceDistribution.summarize(dist, cost)
+        assert (got_q, got_head[-1], got_beta_eff) == (ref.q_star, ref.beta, ref.beta_effective)
         assert ref.distribution is dist
         assert [ref.q_star.hex(), ref.beta.hex(), ref.beta_effective.hex()] == [
             q_star.hex(), head[-1].hex(), beta_eff.hex()

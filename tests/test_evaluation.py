@@ -15,6 +15,7 @@ from robustnv import (
     DiscreteDistribution,
     ExperimentConfig,
     InputError,
+    InternalCheckError,
     Method,
     MomentSpec,
     SampleSet,
@@ -633,6 +634,30 @@ def test_oracle_check_small_batch_passes():
         oracle_check(seed=0, instances=0)
     with pytest.raises(InputError):
         oracle_check(seed=0, instances=1, grid_points=500)
+
+
+def test_oracle_check_value_rules_fail_a_shifted_closed_form(monkeypatch):
+    # the quantity rule passes on both mutants: only the values move
+    args = dict(seed=101, instances=2, grid_points=41, q_points=12)
+    solve, ell_rows = ev._solve, ev._ell_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(ev, "_solve", lambda *a: (solve(*a)[0], solve(*a)[1] + 100.0))
+        with pytest.raises(InternalCheckError, match=(
+            r"^instance 0: closed value \d+\.\d{6} differs from the oracle by "
+            r"\d\.\d{3}e\+\d\d \(budget \d\.\d{3}e[+-]\d\d\)$"
+        )):
+            oracle_check(**args)
+
+    def raised(*a):  # every quantity of the grid, but not the closed one
+        rows = ell_rows(*a)
+        rows[:-1] += 100.0
+        return rows
+
+    monkeypatch.setattr(ev, "_ell_rows", raised)
+    with pytest.raises(InternalCheckError, match=re.escape(
+        "instance 0: oracle found a quantity beating the closed value by more than the grid budget"
+    )):
+        oracle_check(**args)
 
 
 def test_oracle_check_solves_quantity_only_and_builds_no_law(monkeypatch):

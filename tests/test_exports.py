@@ -26,7 +26,7 @@ EXPORTS = [
     "ReferenceDistribution", "RadiusSpec", "WassersteinCase",
     "WassersteinSolution", "reference_beta", "wasserstein_misspec_solve",
     "wasserstein_ambiguity_quantity", "tv_misspec_quantity", "alpha_for_radius",
-    "SampleSet", "GuaranteeReport", "StressSpec", "empirical_moments",
+    "SampleSet", "GuaranteeReport", "empirical_moments",
     "gelbrich_sq", "moment_set_distance", "ot_quadratic_empirical", "epsilon_N",
     "guarantee", "cv_alpha", "stress_distribution", "formula_calibrate",
     "stress_calibrate",

@@ -1,6 +1,7 @@
 """Grid oracle: feasibility, tie-breaking, and agreement with closed forms."""
 
 import copy
+import re
 import tracemalloc
 
 import numpy as np
@@ -352,6 +353,24 @@ def test_family_grid_cap():
     cs = mean_second_set(grid, 4.0, 20.0)
     with pytest.raises(InputError):
         MomentLawFamily(cs)
+
+
+def test_streaming_and_pair_grid_caps():
+    # each cap raises before any objective is read or candidate formed
+    def unread(v):
+        raise AssertionError("the objective was read")
+
+    cubic = mean_second_set(np.linspace(0, 10, 1501), 4.0, 20.0)
+    with pytest.raises(InputError, match=re.escape(
+        "grid of 1501 points is too large for cubic enumeration (cap 1500; recommended <= 400)"
+    )):
+        worst_case_expectation_oracle(unread, cubic)
+    pairs = MomentConstraintSet(
+        grid=np.linspace(0, 10, 20001), constraints=(MomentConstraint(Moment.MEAN, Relation.EQ, 4.0),)
+    )
+    for build in (lambda cs: worst_case_expectation_oracle(unread, cs), MomentLawFamily):
+        with pytest.raises(InputError, match="^grid of 20001 points exceeds the pair cap 20000$"):
+            build(pairs)
 
 
 def test_streaming_oracle_matches_value_function_on_modest_instances():

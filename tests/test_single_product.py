@@ -701,6 +701,27 @@ def test_law_building_is_bit_equal_to_the_per_atom_reference(monkeypatch):
         assert seen[key] >= 20, (key, seen)
 
 
+def test_equal_masses_total_as_their_fsum():
+    # n equal masses x total x * n: fsum and the product both round n x once,
+    # so the law, its weights and the mass error keep every bit
+    rng = np.random.default_rng(28_028)
+    big, seen = sys.float_info.max, Counter()
+    for i in range(6_000):
+        n = int(10 ** rng.uniform(0, 5))
+        x = [1.0 / n, float(rng.uniform(0.0, 2.0)) / n, (1.0 + float(rng.uniform(-2e-9, 2e-9))) / n,
+             float(2.0 ** rng.uniform(-1074, 1023)), math.nextafter(big / max(n, 2), math.inf)][i % 5]
+        total = _fsum_or_inf([x] * n)
+        assert (x * n).hex() == total.hex(), (x, n)
+        seen["overflow" if total == math.inf else "within 1e-9" if abs(total - 1.0) <= 1e-9 else "off"] += 1
+        if n <= 300:
+            args = [_as_arg(xs, "list") for xs in (list(map(float, range(n))), [x] * n)]
+            want = _law_bits(_frozen_from_pairs, *args)
+            assert _law_bits(DiscreteDistribution.from_pairs, *args) == want, (x, n)
+    assert min(seen.values()) >= 200 and len(seen) == 3, seen
+    with pytest.raises(InputError, match=re.escape("weights must sum to 1 within 1e-9, got 0.6")):
+        DiscreteDistribution.from_pairs([1, 2], [0.3, 0.3])
+
+
 def _tolerance_neighbours(rng, dtype):
     """A history of 30 to 120 points below 1 with neighbours planted at the
     1e-12 merge tolerance.  float32: pairs ``x`` and ``x + k u``, ``u`` the
@@ -896,6 +917,8 @@ def test_transform_examples():
 
     for spec in (t, t2, transform(INF, 10.0, 1.0)):
         assert spec.apply(0.0) == 0.0
+    with pytest.raises(InputError, match=re.escape("v must be >= 0, got -1.0")):
+        transform(1.0, 10.0, 1.0).apply(-1.0)
 
 
 def test_transform_regime_boundary_consistency():
@@ -969,6 +992,13 @@ def test_transform_identity_pointwise_and_in_expectation():
 # ---------------------------------------------------------------------------
 # ambiguity-only solver
 # ---------------------------------------------------------------------------
+
+
+def test_fractile_factor_is_posed_on_the_open_unit_interval():
+    assert fractile_factor(0.5) == 0.0
+    for x in (0.0, 1.0):
+        with pytest.raises(InputError, match=re.escape(f"fractile_factor needs x in (0, 1), got {x!r}")):
+            fractile_factor(x)
 
 
 def test_scarf_frozen_example():
@@ -1546,7 +1576,7 @@ def test_checked_evaluation_matches_the_frozen_three_pass_reference():
         for at in (q_star, q):
             three_pass = _exact(_ref_evaluate, a, at, m, cost)
             want = _exact(_ref_checked, a, at, m, cost)
-            assert _exact(sp._evaluate, a, at, m, cost) == want, (a, at, m, cost)
+            assert _exact(_without_images, a, at, m, cost) == want, (a, at, m, cost)
             kind = three_pass.split(":")[0] if not three_pass.startswith("(") else "ok"
             seen[kind] = seen.get(kind, 0) + 1
             reclassified += want != three_pass
@@ -1557,6 +1587,12 @@ def test_checked_evaluation_matches_the_frozen_three_pass_reference():
     # every failed check at an order of 1e305..1e308 leaves the float range, and
     # so does every worst-case atom that overflowed (127 of these)
     assert reclassified == 994, reclassified
+
+
+def _without_images(a, q, m, cost):
+    """The checked evaluation's value, atoms and certificate: its images dropped."""
+    value, atoms, _, duals = sp._checked_evaluation(a, q, m, cost)
+    return value, atoms, duals
 
 
 def _frozen_laws(atoms, a, q, cost):
@@ -1572,7 +1608,7 @@ def _frozen_report(a, m, cost):
         g_star = ambiguity_worst_case(0.0, m)
         return sp.SolveReport(0.0, 0.0, Regime.DEGENERATE, a, g_star, g_star)
     q, regime = sp._quantity(a, m, cost)
-    value, atoms, duals = sp._evaluate(a, q, m, cost)
+    value, atoms, _, duals = sp._checked_evaluation(a, q, m, cost)
     return sp.SolveReport(q, value, regime, a, *_frozen_laws(atoms, a, q, cost), duals)
 
 
@@ -1628,10 +1664,10 @@ def test_report_laws_are_bit_equal_to_from_pairs_and_push_forward():
         if not report.startswith("SolveReport"):
             continue
         assert misspec_quantity(a, m, cost) == _frozen_report(a, m, cost), (a, m, cost)
-        laws = _exact(lambda: _frozen_laws(sp._evaluate(a, q, m, cost)[1], a, q, cost))
+        laws = _exact(lambda: _frozen_laws(sp._checked_evaluation(a, q, m, cost)[1], a, q, cost))
         assert _exact(misspec_worst_case, a, q, m, cost) == _image_overflow(laws, m, cost), (a, q, m, cost)
         try:
-            support, weights = sp._evaluate(a, q, m, cost)[1]
+            support, weights = sp._checked_evaluation(a, q, m, cost)[1]
         except (InputError, InternalCheckError):  # compared above
             continue
         # the edges, read from the frozen side
@@ -1698,7 +1734,7 @@ def test_an_overflowed_image_is_the_float_range_error():
         alpha, q, m, cost = _overflow_instance(rng)
         value = worst_case_transformed_expectation(alpha, q, m, cost)
         assert math.isfinite(value) and all(map(math.isfinite, sp._solve(alpha, m, cost)))
-        support, weights = sp._evaluate(MisspecIndex(alpha), q, m, cost)[1]
+        support, weights = sp._checked_evaluation(MisspecIndex(alpha), q, m, cost)[1]
         images = [transform(alpha, cost.price, q).apply(v) for v, w in zip(support, weights) if w > 0.0]
         try:
             laws = misspec_worst_case(alpha, q, m, cost)
@@ -2145,13 +2181,13 @@ def test_variance_scan_scope_and_conventions():
 
 def _recorded_evaluations(monkeypatch):
     """Patch the checked evaluation to record its ``(q, m, cost)`` calls."""
-    calls, evaluate = [], sp._evaluate
+    calls, evaluate = [], sp._checked_evaluation
 
     def record(a, q, m, cost):
         calls.append((q, m, cost))
         return evaluate(a, q, m, cost)
 
-    monkeypatch.setattr(sp, "_evaluate", record)
+    monkeypatch.setattr(sp, "_checked_evaluation", record)
     return calls
 
 
@@ -2177,7 +2213,7 @@ def test_scan_edges_keep_their_behaviour(monkeypatch):
     def fail(*_):
         raise InternalCheckError("perturbed")
 
-    monkeypatch.setattr(sp, "_evaluate", fail)
+    monkeypatch.setattr(sp, "_checked_evaluation", fail)
     with pytest.raises(InternalCheckError, match="perturbed"):
         price_threshold_scan(4.0, M42, 3.0, [12.0, 13.0])
 
