@@ -57,6 +57,7 @@ from .single_product import (
 from .validation import (
     InputError,
     InternalCheckError,
+    _member,
     require,
     require_nonnegative,
     require_positive,
@@ -105,15 +106,6 @@ class DemandKind(str, Enum):
     TRUNC_NORMAL = "TRUNC_NORMAL"
     LOGNORMAL = "LOGNORMAL"
     REGIME_SHIFT = "REGIME_SHIFT"
-
-
-def _member(kind: type[Enum], value):
-    """``kind(value)``, or InputError naming the values ``kind`` allows."""
-    try:
-        return kind(value)
-    except ValueError:
-        allowed = ", ".join(m.value for m in kind)
-        raise InputError(f"{kind.__name__} must be one of {allowed}, got {value!r}") from None
 
 
 def default_alpha_grid(price: float) -> tuple[float, ...]:

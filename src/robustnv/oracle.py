@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .single_product import DiscreteDistribution, _grid, _grid_floats, _profit
-from .validation import InfeasibleError, InputError, require, require_nonnegative
+from .validation import InfeasibleError, InputError, _member, require, require_nonnegative
 
 __all__ = [
     "Moment",
@@ -81,6 +81,8 @@ class MomentConstraint:
     bound: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "moment", _member(Moment, self.moment))
+        object.__setattr__(self, "relation", _member(Relation, self.relation))
         require(math.isfinite(self.bound), f"bound must be finite, got {self.bound!r}")
 
 
@@ -232,9 +234,9 @@ def _iter_triples(grid: np.ndarray, constraints) -> Iterator[tuple[np.ndarray, n
     uses only this function's own weight formula and shares nothing with
     the closed forms.
     """
+    # triples are asked for only with >= 2 constraints, at most one per
+    # moment id and two ids: both bounds are present
     by_id = {c.moment: c for c in constraints}
-    if Moment.MEAN not in by_id or Moment.SECOND_MOMENT not in by_id:
-        return
     t1 = by_id[Moment.MEAN].bound
     t2 = by_id[Moment.SECOND_MOMENT].bound
     g2 = grid * grid

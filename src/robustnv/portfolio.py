@@ -50,7 +50,6 @@ from .validation import (
 __all__ = [
     "ProductSpec",
     "PortfolioSpec",
-    "ThetaForm",
     "DualCase",
     "DualSolution",
     "lambda_breakpoints",
@@ -111,19 +110,6 @@ class PortfolioSpec:
         object.__setattr__(self, "mean_squares", squares)
 
 
-class ThetaForm(enum.Enum):
-    """Which display of the implied-budget curve to evaluate.
-
-    ENVELOPE carries the mean-square of each settled product in the second
-    sum and is the form the solver trusts; PRINTED omits those mean-squares.
-    Both ship because the validation suite demonstrates PRINTED breaks the
-    single-product reduction (see tests).
-    """
-
-    PRINTED = "printed"
-    ENVELOPE = "envelope"
-
-
 class DualCase(enum.Enum):
     KINK = "kink"
     INTERIOR_ROOT = "interior_root"
@@ -173,18 +159,15 @@ def lambda_breakpoints(
     return _order(products, alpha)[1]
 
 
-def _theta(terms: _Terms, j: int, lam: float, inv: float, form: ThetaForm) -> float:
+def _theta(terms: _Terms, j: int, lam: float, inv: float) -> float:
     """theta on the terms of :func:`_order`, with no checks: the first j - 1
     products are settled, the rest active."""
     lam4 = 4.0 * lam * lam
     if j >= 2 and lam4 == 0.0:
         return math.inf  # the settled term's lam -> 0 limit, also once 4 lam^2 underflows
     total = 0.0
-    envelope = form is ThetaForm.ENVELOPE
-    for mu2, _, _, margin in terms[: j - 1]:
-        # past the breakpoint; PRINTED drops the mean-square
-        tail = margin / lam4
-        total += mu2 + tail if envelope else tail
+    for mu2, _, _, margin in terms[: j - 1]:  # past the breakpoint
+        total += mu2 + margin / lam4
     if math.isinf(lam):
         for mu2, _, _, _ in terms[j - 1 :]:
             total += mu2
@@ -195,13 +178,7 @@ def _theta(terms: _Terms, j: int, lam: float, inv: float, form: ThetaForm) -> fl
     return total
 
 
-def theta(
-    j: int,
-    lam: float,
-    products: Sequence[ProductSpec],
-    alpha: AlphaLike,
-    form: ThetaForm = ThetaForm.ENVELOPE,
-) -> float:
+def theta(j: int, lam: float, products: Sequence[ProductSpec], alpha: AlphaLike) -> float:
     """Implied total second moment on segment j of the breakpoint ordering.
 
     Products at sorted positions >= j contribute their active term, the rest
@@ -209,6 +186,12 @@ def theta(
     what makes the bisection in solve_lambda safe.  With a nonempty settled
     sum, lam = 0 returns +inf, the lam -> 0 limit, and so does any lam whose
     4 lam^2 underflows to 0 (lam below about 1e-162).
+
+    A settled product contributes mu^2 + (p - c) c / (4 lam^2).  The paper's
+    printed display of the curve omits the settled mean-squares mu^2, and so
+    does not reduce to the single-product model: with one product it reaches
+    the budget at the kink and parks the multiplier there, while this curve
+    does not.  ``test_criterion_05_single_product_reduction`` checks both.
     """
     a, _, terms = _order(products, alpha)
     m = len(terms)
@@ -217,7 +200,7 @@ def theta(
         f"segment index must lie in 1..{m + 1}, got {j!r}",
     )
     require_nonnegative("lam", lam, allow_inf=True)
-    return _theta(terms, j, lam, a.inv, form)
+    return _theta(terms, j, lam, a.inv)
 
 
 def product_quantities(
@@ -259,9 +242,7 @@ def _single_quantity(lam: float, prod: ProductSpec, a: MisspecIndex) -> float:
     return lam * mu * mu * (1.0 + (p - c) / den) / den
 
 
-def _first_segment(
-    terms: _Terms, brk: list[float], inv: float, form: ThetaForm, k: float
-) -> int | None:
+def _first_segment(terms: _Terms, brk: list[float], inv: float, k: float) -> int | None:
     """The first j in 1..m+1 with ``theta(j, brk[j]) < k``, or None: what a
     scan over j finds, with O(log m) theta evaluations plus two one-term
     evaluations per j before it.
@@ -280,7 +261,7 @@ def _first_segment(
     m = len(terms)
 
     def below(j: int) -> bool:
-        return _theta(terms, j, brk[j], inv, form) < k
+        return _theta(terms, j, brk[j], inv) < k
 
     def first(lo: int, hi: int) -> int:  # the first j in lo..hi below k, on a falling run
         return lo + bisect.bisect_left(range(lo, hi + 1), True, key=below)
@@ -289,16 +270,14 @@ def _first_segment(
     start = 1
     for i in range(1, j - 1):
         one = terms[i - 1 : i]
-        if _theta(one, 2, brk[i + 1], inv, form) > _theta(one, 1, brk[i], inv, form):
+        if _theta(one, 2, brk[i + 1], inv) > _theta(one, 1, brk[i], inv):
             if below(i):
                 return first(start, i)
             start = i + 1
     return j if j <= m + 1 else None
 
 
-def solve_lambda(
-    portfolio: PortfolioSpec, form: ThetaForm = ThetaForm.ENVELOPE
-) -> DualSolution:
+def solve_lambda(portfolio: PortfolioSpec) -> DualSolution:
     """Locate the optimal budget multiplier and the product quantities.
 
     Finds the first segment whose implied second moment drops below the
@@ -314,21 +293,21 @@ def solve_lambda(
     variance: the moment family degenerates (or empties), reported as a
     DEGENERATE_BUDGET solution with the infinite-multiplier limit quantities
     and a diagnostic warning rather than an error.  "The sum" is both
-    ``PortfolioSpec.mean_squares`` (an fsum) and the sum theta forms: under
-    ENVELOPE, theta at the infinite multiplier adds the squared means one by
-    one in breakpoint order, which can round above the fsum, so a budget that
-    no segment's theta drops below is degenerate too.
+    ``PortfolioSpec.mean_squares`` (an fsum) and the sum theta forms: theta
+    at the infinite multiplier adds the squared means one by one in
+    breakpoint order, which can round above the fsum, so a budget that no
+    segment's theta drops below is degenerate too.
     """
     a, brk, terms = _order(portfolio.products, portfolio.alpha)
     inv, k, m = a.inv, portfolio.budget, len(terms)
     i_star = None
     if k > portfolio.mean_squares:
-        i_star = _first_segment(terms, brk, inv, form, k)
+        i_star = _first_segment(terms, brk, inv, k)
     if i_star is None:
         squares = portfolio.mean_squares
         if k > squares:
             # the sum as theta forms it; the bisection read it as not below K
-            squares = _theta(terms, m + 1, math.inf, inv, form)
+            squares = _theta(terms, m + 1, math.inf, inv)
             if not squares >= k:
                 raise InternalCheckError(
                     f"theta at the infinite multiplier is {squares!r}, "
@@ -342,13 +321,13 @@ def solve_lambda(
         lam, i_star, case = math.inf, m + 1, DualCase.DEGENERATE_BUDGET
     else:
         lo = brk[i_star - 1]
-        if _theta(terms, i_star, lo, inv, form) <= k:
+        if _theta(terms, i_star, lo, inv) <= k:
             lam, case = lo, DualCase.KINK
         else:
             hi = brk[i_star]
             if math.isinf(hi):
                 hi = max(1.0, 2.0 * lo)
-                while math.isfinite(hi) and _theta(terms, i_star, hi, inv, form) >= k:
+                while math.isfinite(hi) and _theta(terms, i_star, hi, inv) >= k:
                     hi *= 2.0
                 if math.isinf(hi):
                     raise InternalCheckError(
@@ -357,7 +336,7 @@ def solve_lambda(
                     )
             for _ in range(_MAX_BISECT_ITER):
                 mid = 0.5 * (lo + hi)
-                if _theta(terms, i_star, mid, inv, form) >= k:
+                if _theta(terms, i_star, mid, inv) >= k:
                     lo = mid
                 else:
                     hi = mid

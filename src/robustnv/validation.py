@@ -11,6 +11,7 @@ cross-check failed".
 from __future__ import annotations
 
 import math
+from enum import Enum
 
 __all__ = [
     "ModelError",
@@ -49,6 +50,15 @@ class InternalCheckError(ModelError):
 def require(condition: bool, message: str) -> None:
     if not condition:
         raise InputError(message)
+
+
+def _member(kind: type[Enum], value):
+    """``kind(value)``, or InputError naming the values ``kind`` allows."""
+    try:
+        return kind(value)
+    except ValueError:
+        allowed = ", ".join(m.value for m in kind)
+        raise InputError(f"{kind.__name__} must be one of {allowed}, got {value!r}") from None
 
 
 def require_finite(name: str, value: float) -> float:

@@ -28,24 +28,26 @@ from robustnv import (
     ProductSpec,
     RadiusSpec,
     SampleSet,
-    ThetaForm,
     dual_objective_curve,
     ell,
     epsilon_N,
     gelbrich_sq,
     generate_demand,
     guarantee,
+    lambda_breakpoints,
     misspec_quantity,
     moment_set_distance,
     oracle_check,
     ot_quadratic_empirical,
     price_threshold_scan,
+    product_quantities,
     profit,
     push_forward,
     run_experiment,
     scarf_quantity,
     solve_lambda,
     stress_distribution,
+    theta,
     transform,
     tv_misspec_quantity,
     variance_threshold_scan,
@@ -174,7 +176,8 @@ def test_criterion_04_transform_identity():
 
 # ---------------------------------------------------------------------------
 # 5. one-product portfolio with the implied second-moment budget reduces
-#    to the single-product closed form; the PRINTED curve form does not
+#    to the single-product closed form; the paper's printed curve, which
+#    omits the settled mean-squares, does not
 # ---------------------------------------------------------------------------
 
 
@@ -187,13 +190,20 @@ def test_criterion_05_single_product_reduction():
         pf = PortfolioSpec(
             (ProductSpec(cs.price, cs.cost, m.mean),), m.second_moment, alpha
         )
-        got = solve_lambda(pf, ThetaForm.ENVELOPE).quantities[0]
+        got = solve_lambda(pf).quantities[0]
         assert got == pytest.approx(want, abs=1e-6 * max(1.0, want))
 
-    # the PRINTED form settles on the wrong kink for the canonical instance
-    pf = PortfolioSpec((ProductSpec(10, 3, 4),), 20.0, 4.0)
-    broken = solve_lambda(pf, ThetaForm.PRINTED).quantities[0]
-    correct = solve_lambda(pf, ThetaForm.ENVELOPE).quantities[0]
+    # the printed curve is theta less the settled mu^2 = 16: on the canonical
+    # instance it admits the budget at the kink and parks the multiplier
+    # there, while theta crosses K = 20 further right
+    products, alpha = [ProductSpec(10, 3, 4)], 4.0
+    pf = PortfolioSpec(tuple(products), 20.0, alpha)
+    kink = lambda_breakpoints(products, alpha)[1]
+    assert kink == 6 / 11
+    assert theta(1, kink, products, alpha) > 20.0  # neither admits K on segment 1
+    assert theta(2, kink, products, alpha) - 16.0 <= 20.0 < theta(2, kink, products, alpha)
+    broken = product_quantities(kink, products, alpha)[0]
+    correct = solve_lambda(pf).quantities[0]
     assert broken == pytest.approx(5.2083333, abs=1e-4)
     assert correct == pytest.approx(4.2478716, abs=1e-4)
     assert abs(broken - correct) > 0.5

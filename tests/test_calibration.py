@@ -196,9 +196,12 @@ def test_ot_common_refinement_of_unequal_weights():
 
 def test_ot_symmetric_and_dominates_gelbrich():
     rng = np.random.default_rng(21)
-    for _ in range(200):
-        f = random_samples(rng).empirical
-        d = random_samples(rng).empirical
+    pairs = [(random_samples(rng).empirical, random_samples(rng).empirical) for _ in range(200)]
+    # f's last weight runs 1e-13 past d's: the walk ends on d's support
+    f_long = DiscreteDistribution((1.0, 2.0), (0.5, 0.5 + 1e-13))
+    pairs.append((f_long, DiscreteDistribution((1.5,), (1.0,))))
+    assert ot_quadratic_empirical(*pairs[-1]) == 0.25
+    for f, d in pairs:
         cost_fd = ot_quadratic_empirical(f, d)
         assert cost_fd == ot_quadratic_empirical(d, f)
         mf = MomentSpec(f.mean(), f.std())

@@ -20,7 +20,7 @@ EXPORTS = [
     "transform", "push_forward", "ambiguity_worst_case",
     "worst_case_transformed_expectation", "scarf_quantity", "misspec_quantity",
     "misspec_worst_case", "price_threshold_scan", "variance_threshold_scan",
-    "ProductSpec", "PortfolioSpec", "ThetaForm", "DualCase", "DualSolution",
+    "ProductSpec", "PortfolioSpec", "DualCase", "DualSolution",
     "lambda_breakpoints", "theta", "solve_lambda", "product_quantities",
     "dual_objective", "dual_objective_curve",
     "ReferenceDistribution", "RadiusSpec", "WassersteinCase",

@@ -59,6 +59,12 @@ def test_identity_objective_recovers_the_mean():
     res = worst_case_expectation_oracle(lambda v: v, cs)
     assert res.value == pytest.approx(4.0, abs=1e-12)
     assert res.argmin.mean() == pytest.approx(4.0, abs=1e-12)
+    # a one-point grid has no spacing, so no grid error
+    one = MomentConstraintSet(
+        grid=(4.0,), constraints=(MomentConstraint(Moment.MEAN, Relation.EQ, 4.0),)
+    )
+    res = worst_case_expectation_oracle(lambda v: v, one)
+    assert (res.value, res.grid_error_bound) == (4.0, 0.0)
 
 
 def test_profit_objective_on_fine_grid_matches_two_point_law():
@@ -122,6 +128,24 @@ def test_oracle_infeasible_targets_raise():
     with pytest.raises(InfeasibleError):
         # second moment too small for the mean (Jensen violation)
         worst_case_expectation_oracle(lambda v: v, mean_second_set(grid, 4.0, 10.0))
+    with pytest.raises(InfeasibleError):
+        # both targets above the grid: no atom can sit on their high side
+        worst_case_expectation_oracle(
+            lambda v: v, mean_second_set(np.linspace(0, 3, 31), 4.0, 20.0)
+        )
+
+
+def test_constraint_names_given_as_strings_are_the_enum_members():
+    grid = np.linspace(0, 10, 41)
+    values = []
+    for moment, relation in ((Moment.MEAN, Relation.EQ), ("MEAN", "EQ")):
+        c = MomentConstraint(moment, relation, 4.0)
+        assert c.moment is Moment.MEAN and c.relation is Relation.EQ
+        cs = MomentConstraintSet(grid=grid, constraints=(c,))
+        values.append(worst_case_expectation_oracle(lambda v: min(v, 5.0), cs).value)
+    assert values == [2.0, 2.0]  # left a string, MEAN read as a second-moment bound: 0.0
+    with pytest.raises(InputError, match="Moment must be one of MEAN, SECOND_MOMENT, got 'mean'"):
+        MomentConstraint("mean", "EQ", 4.0)
 
 
 def test_oracle_validation():

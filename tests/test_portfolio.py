@@ -17,7 +17,6 @@ from robustnv import (
     CostStructure,
     PortfolioSpec,
     ProductSpec,
-    ThetaForm,
     dual_objective,
     dual_objective_curve,
     ell,
@@ -88,32 +87,11 @@ def test_breakpoints_reject_zero_alpha():
 def test_theta_frozen_examples():
     assert theta(2, LAMBDA_STAR, [P1], 4.0) == pytest.approx(20.0, abs=1e-12)
     assert theta(1, 1e-6, [P1], 4.0) == pytest.approx(10 * 16 / 3, abs=1e-3)
-    assert theta(2, 1.0, [P1], 4.0, ThetaForm.PRINTED) == pytest.approx(
-        theta(2, 1.0, [P1], 4.0) - 16.0, abs=1e-12
-    )
     assert theta(2, 0.0, [P1], 4.0) == math.inf
 
 
-def test_theta_forms_differ_by_settled_mean_squares():
-    rng = np.random.default_rng(23)
-    for _ in range(30):
-        products = [random_product(rng) for _ in range(int(rng.integers(1, 5)))]
-        alpha = float(rng.uniform(0.2, 15))
-        j = int(rng.integers(1, len(products) + 2))
-        lam = float(rng.uniform(0.05, 5))
-        diff = theta(j, lam, products, alpha) - theta(
-            j, lam, products, alpha, ThetaForm.PRINTED
-        )
-        per = [lambda_breakpoints([prod], alpha)[1] for prod in products]
-        order = np.argsort(per, kind="stable")
-        settled = [products[i] for i in order[: j - 1]]
-        assert diff == pytest.approx(
-            sum(p.mean**2 for p in settled), rel=1e-12, abs=1e-12
-        )
-
-
 def test_theta_continuous_across_segment_boundary():
-    # the active term equals the settled envelope term at the breakpoint
+    # the active term equals the settled term at the breakpoint
     rng = np.random.default_rng(37)
     for _ in range(40):
         prod = random_product(rng)
@@ -199,18 +177,6 @@ def test_solve_lambda_infinite_index_recovers_ambiguity_quantity():
     assert sol.quantities[0] == pytest.approx(scarf.quantity, abs=1e-8)
 
 
-def test_solve_lambda_printed_form_breaks_the_reduction():
-    # the PRINTED theta hits the budget on the settled side too early, parks
-    # the multiplier at the kink, and overshoots the single-product answer
-    pf = PortfolioSpec(products=(P1,), budget=20.0, alpha=4.0)
-    sol = solve_lambda(pf, ThetaForm.PRINTED)
-    assert sol.case is DualCase.KINK
-    assert sol.lambda_star == pytest.approx(6 / 11, abs=1e-12)
-    assert sol.quantities[0] == pytest.approx(5.208333, abs=5e-6)
-    want = misspec_quantity(4.0, MomentSpec(4, 2), CostStructure(10, 3)).quantity
-    assert abs(sol.quantities[0] - want) > 0.9  # documented failure, not noise
-
-
 def test_solve_lambda_monotone_in_budget():
     rng = np.random.default_rng(53)
     for _ in range(15):
@@ -275,7 +241,7 @@ def test_bracket_that_leaves_the_float_range_is_an_internal_error(monkeypatch):
     # a curve that stays above K at every finite multiplier but not at +inf:
     # the finite and the limit forms of theta disagree
     monkeypatch.setattr(
-        portfolio, "_theta", lambda terms, j, lam, inv, form: 0.0 if math.isinf(lam) else math.inf
+        portfolio, "_theta", lambda terms, j, lam, inv: 0.0 if math.isinf(lam) else math.inf
     )
     pf = PortfolioSpec((ProductSpec(10, 3, 1.0),), 2.0, 1.0)  # breakpoint +inf
     with pytest.raises(InternalCheckError, match="bracket expansion overflowed"):
@@ -283,13 +249,13 @@ def test_bracket_that_leaves_the_float_range_is_an_internal_error(monkeypatch):
 
 
 def test_nan_theta_at_the_infinite_multiplier_is_not_a_degenerate_budget(monkeypatch):
-    monkeypatch.setattr(portfolio, "_theta", lambda terms, j, lam, inv, form: math.nan)
+    monkeypatch.setattr(portfolio, "_theta", lambda terms, j, lam, inv: math.nan)
     pf = PortfolioSpec((ProductSpec(10, 3, 1.0),), 10.0, INF)
     with pytest.raises(InternalCheckError, match="theta at the infinite multiplier is nan"):
         solve_lambda(pf)
 
 
-def _frozen_solve_lambda(pf, form):
+def _frozen_solve_lambda(pf):
     """``solve_lambda`` as it stood with the fsum-only degeneracy test and the
     1e18 bracket cap: (lambda*, segment, case, quantities), or the message of
     the InternalCheckError it raised."""
@@ -298,23 +264,23 @@ def _frozen_solve_lambda(pf, form):
     if k <= pf.mean_squares:
         return math.inf, m + 1, DualCase.DEGENERATE_BUDGET, product_quantities(math.inf, pf.products, a)
     curve = portfolio._theta
-    i_star = next((j for j in range(1, m + 2) if curve(terms, j, brk[j], inv, form) < k), None)
+    i_star = next((j for j in range(1, m + 2) if curve(terms, j, brk[j], inv) < k), None)
     if i_star is None:
         return "no segment admits the budget"
     lo = brk[i_star - 1]
-    if curve(terms, i_star, lo, inv, form) <= k:
+    if curve(terms, i_star, lo, inv) <= k:
         lam, case = lo, DualCase.KINK
     else:
         hi = brk[i_star]
         if math.isinf(hi):
             hi = max(1.0, 2.0 * lo)
-            while curve(terms, i_star, hi, inv, form) >= k:
+            while curve(terms, i_star, hi, inv) >= k:
                 hi *= 2.0
                 if hi > 1e18:
                     return "bracket expansion failed"
         for _ in range(2080):
             mid = 0.5 * (lo + hi)
-            if curve(terms, i_star, mid, inv, form) >= k:
+            if curve(terms, i_star, mid, inv) >= k:
                 lo = mid
             else:
                 hi = mid
@@ -327,9 +293,9 @@ def _frozen_solve_lambda(pf, form):
 def _adversarial_plans(seed, count):
     """1..300 products (log-uniform count) with means down to 1e-12, budgets
     at the fsum of squared means, one ulp or 1e-15 relative above it, or
-    further, and one plan in seven PRINTED."""
+    further."""
     rng = np.random.default_rng(seed)
-    for i in range(count):
+    for _ in range(count):
         products = []
         for _ in range(max(1, round(300.0 ** rng.uniform()))):
             price = float(rng.uniform(2.0, 30.0))
@@ -345,23 +311,22 @@ def _adversarial_plans(seed, count):
             budget = squares * (1.0 + 1e-15)
         else:
             budget = squares * (1.0 + 10.0 ** float(rng.uniform(-15, 1)))
-        form = ThetaForm.PRINTED if i % 7 == 0 else ThetaForm.ENVELOPE
-        yield PortfolioSpec(tuple(products), budget, alpha), form
+        yield PortfolioSpec(tuple(products), budget, alpha)
 
 
 def test_solve_lambda_matches_the_frozen_solver_and_never_raises_on_adversarial_plans():
     outcomes = collections.Counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for pf, form in _adversarial_plans(19_019, 1500):
-            sol = solve_lambda(pf, form)  # raises nothing
-            want = _frozen_solve_lambda(pf, form)
+        for pf in _adversarial_plans(19_019, 1500):
+            sol = solve_lambda(pf)  # raises nothing
+            want = _frozen_solve_lambda(pf)
             if isinstance(want, str):
                 outcomes[want, sol.case] += 1
                 if sol.case is DualCase.INTERIOR_ROOT:
                     lam, j = sol.lambda_star, sol.segment
-                    assert theta(j, lam * (1 - 1e-10), pf.products, pf.alpha, form) >= pf.budget
-                    assert theta(j, lam * (1 + 1e-10), pf.products, pf.alpha, form) < pf.budget
+                    assert theta(j, lam * (1 - 1e-10), pf.products, pf.alpha) >= pf.budget
+                    assert theta(j, lam * (1 + 1e-10), pf.products, pf.alpha) < pf.budget
                 continue
             lam, seg, case, quantities = want
             assert (sol.segment, sol.case) == (seg, case)
@@ -379,10 +344,10 @@ def test_solve_lambda_matches_the_frozen_solver_and_never_raises_on_adversarial_
     assert all(outcomes["same", case] > 20 for case in DualCase), outcomes
 
 
-def _linear_scan(terms, brk, inv, form, k):
+def _linear_scan(terms, brk, inv, k):
     """The segment search as it stood: a scan over j = 1, 2, ... for the
     first theta(j, brk[j]) below K."""
-    return next((j for j in range(1, len(brk)) if portfolio._theta(terms, j, brk[j], inv, form) < k), None)
+    return next((j for j in range(1, len(brk)) if portfolio._theta(terms, j, brk[j], inv) < k), None)
 
 
 def _tied_breakpoint_plans(seed, count):
@@ -391,11 +356,10 @@ def _tied_breakpoint_plans(seed, count):
     ulp away (breakpoints one ulp or so apart), a third of the specs with
     2 mu <= p/alpha (an infinite breakpoint).  The budget sits at one of the
     plan's breakpoint values theta(j, brk[j]), one ulp either side of it, or
-    up to 1.5 times it; one plan in four is PRINTED.  Yields the plan, its
-    form, and whether a breakpoint tie, a near tie and a rise of the
-    breakpoint values occur in it."""
+    up to 1.5 times it.  Yields the plan and whether a breakpoint tie, a near
+    tie and a rise of the breakpoint values occur in it."""
     rng = np.random.default_rng(seed)
-    for i in range(count):
+    for _ in range(count):
         alpha = INF if rng.uniform() < 0.2 else 10.0 ** float(rng.uniform(-1, 3))
         products = []
         for _ in range(int(rng.integers(1, 13))):
@@ -409,9 +373,8 @@ def _tied_breakpoint_plans(seed, count):
                 products.append(ProductSpec(price, cost, mean))
                 if rng.uniform() < 0.5:
                     cost = math.nextafter(cost, math.inf if rng.uniform() < 0.5 else 0.0)
-        form = ThetaForm.PRINTED if i % 4 == 0 else ThetaForm.ENVELOPE
         a, brk, terms = portfolio._order(products, alpha)
-        values = [portfolio._theta(terms, j, brk[j], a.inv, form) for j in range(1, len(brk))]
+        values = [portfolio._theta(terms, j, brk[j], a.inv) for j in range(1, len(brk))]
         finite = [v for v in values if math.isfinite(v)] or [1.0]
         budget = finite[int(rng.integers(len(finite)))]
         r = rng.uniform()
@@ -427,23 +390,23 @@ def _tied_breakpoint_plans(seed, count):
             "near tie": any(x < y <= x * (1.0 + 1e-15) for x, y in gaps),
             "rise": any(x < y for x, y in zip(values, values[1:])),
         }
-        yield PortfolioSpec(tuple(products), budget, alpha), form, kinds
+        yield PortfolioSpec(tuple(products), budget, alpha), kinds
 
 
 def test_solve_lambda_bisection_finds_the_linear_scan_segment(monkeypatch):
     seen = collections.Counter()
     plans = []
-    for pf, form, kinds in _tied_breakpoint_plans(26_026, 1500):
-        plans.append((pf, form))
+    for pf, kinds in _tied_breakpoint_plans(26_026, 1500):
+        plans.append(pf)
         seen.update(kind for kind, occurs in kinds.items() if occurs)
     plans += _adversarial_plans(19_019, 1500)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with monkeypatch.context() as patched:
             patched.setattr(portfolio, "_first_segment", _linear_scan)
-            wants = [solve_lambda(pf, form) for pf, form in plans]
-        for (pf, form), want in zip(plans, wants):
-            got = solve_lambda(pf, form)
+            wants = [solve_lambda(pf) for pf in plans]
+        for pf, want in zip(plans, wants):
+            got = solve_lambda(pf)
             assert got == want and got.lambda_star.hex() == want.lambda_star.hex(), pf
             seen[got.case] += 1
     assert seen["tie"] > 500 and seen["near tie"] > 300 and seen["rise"] > 50, seen
@@ -509,7 +472,7 @@ def test_single_product_reduction_at_a_small_price_and_a_large_mean(alpha):
     assert sol.quantities[0] == pytest.approx(want, rel=1e-10)
 
 
-def _per_call_solve_lambda(pf, form):
+def _per_call_solve_lambda(pf):
     """solve_lambda through public one-product theta calls at every step, over
     a breakpoint order this test sorts itself (stable: ties in input order).
 
@@ -525,7 +488,7 @@ def _per_call_solve_lambda(pf, form):
     def implied(j, lam):
         total = 0.0
         for position, (_, prod) in enumerate(ranked, start=1):
-            total += theta(2 if position < j else 1, lam, [prod], a, form)
+            total += theta(2 if position < j else 1, lam, [prod], a)
         return total
 
     seg = next(j for j in range(1, m + 2) if implied(j, brk[j]) < k)
@@ -552,8 +515,7 @@ def _per_call_solve_lambda(pf, form):
 def _tie_prone_portfolio(rng):
     """Products that often share a breakpoint: at alpha = inf it is c/(2 mu),
     so equal c/mu ties whatever the price, and at finite alpha 2 mu <= p/alpha
-    makes the breakpoint +inf.  Tied products differ in mu, which PRINTED
-    reads at a tie, and in price."""
+    makes the breakpoint +inf.  Tied products differ in mu and in price."""
     alpha = INF if rng.uniform() < 0.5 else float(rng.choice([0.3, 1.0, 4.0]))
     products = []
     for _ in range(int(rng.integers(2, 7))):
@@ -561,17 +523,17 @@ def _tie_prone_portfolio(rng):
         c = mu * float(rng.choice([1.0, 2.0]))
         products.append(ProductSpec(c * float(rng.choice([1.5, 2.5, 4.0, 9.0])), c, mu))
     budget = sum(p.mean**2 for p in products) * (1.0 + 10.0 ** float(rng.uniform(-3, 1)))
-    form = ThetaForm.PRINTED if rng.uniform() < 0.4 else ThetaForm.ENVELOPE
-    return PortfolioSpec(tuple(products), budget, alpha), form
+    rng.uniform()  # unused; keeps the seeded plan stream
+    return PortfolioSpec(tuple(products), budget, alpha)
 
 
 def test_solve_lambda_is_bit_equal_to_the_public_per_call_path():
     rng = np.random.default_rng(2026)
     ties = infinite = 0
     for _ in range(300):
-        pf, form = _tie_prone_portfolio(rng)
-        sol = solve_lambda(pf, form)
-        lam, seg, case, quantities, brk = _per_call_solve_lambda(pf, form)
+        pf = _tie_prone_portfolio(rng)
+        sol = solve_lambda(pf)
+        lam, seg, case, quantities, brk = _per_call_solve_lambda(pf)
         assert (sol.segment, sol.case) == (seg, case)
         assert sol.lambda_star.hex() == lam.hex()
         assert [q.hex() for q in sol.quantities] == [q.hex() for q in quantities]
@@ -589,7 +551,7 @@ def _frozen_order(products, alpha):
     return a, [0.0] + [b for b, _ in pairs] + [math.inf], [prod for _, prod in pairs]
 
 
-def _frozen_theta(ordered, j, lam, inv, form):
+def _frozen_theta(ordered, j, lam, inv):
     """``portfolio._theta`` as it stood before the per-product terms: it reads
     each product's price, cost and mean and forms (p - c) c on every call."""
     if j >= 2 and 4.0 * lam * lam == 0.0:
@@ -597,7 +559,7 @@ def _frozen_theta(ordered, j, lam, inv, form):
     total = 0.0
     for prod in ordered[: j - 1]:
         tail = (prod.price - prod.cost) * prod.cost / (4.0 * lam * lam)
-        total += prod.mean * prod.mean + tail if form is ThetaForm.ENVELOPE else tail
+        total += prod.mean * prod.mean + tail
     for prod in ordered[j - 1 :]:
         mu2 = prod.mean * prod.mean
         if math.isinf(lam):
@@ -623,9 +585,8 @@ def test_theta_terms_are_bit_equal_to_the_per_product_reads(m):
             inside = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo + 1.0
             lams = [lo, hi, inside, brk[int(rng.integers(m + 2))], math.inf, 1e-163, 1e-162, 0.0]
             for lam in lams:
-                for form in ThetaForm:
-                    got = portfolio._theta(terms, j, lam, a.inv, form)
-                    assert got.hex() == _frozen_theta(ordered, j, lam, a.inv, form).hex(), (j, lam)
+                got = portfolio._theta(terms, j, lam, a.inv)
+                assert got.hex() == _frozen_theta(ordered, j, lam, a.inv).hex(), (j, lam)
 
 
 def _seeded_300_product_plan():
@@ -648,14 +609,14 @@ def test_solve_lambda_is_bit_equal_with_the_per_product_reads(monkeypatch):
             products = tuple(random_product(rng) for _ in range(m))
             budget = sum(p.mean**2 for p in products) * (1.0 + 10.0 ** float(rng.uniform(-3, 1)))
             alpha = INF if rng.uniform() < 0.3 else float(10 ** rng.uniform(-1, 2))
-            form = ThetaForm.PRINTED if rng.uniform() < 0.3 else ThetaForm.ENVELOPE
-            plans.append((PortfolioSpec(products, budget, alpha), form))
-    plans.append((_seeded_300_product_plan(), ThetaForm.ENVELOPE))
-    solutions = [solve_lambda(pf, form) for pf, form in plans]
+            rng.uniform()  # unused; keeps the seeded plan stream
+            plans.append(PortfolioSpec(products, budget, alpha))
+    plans.append(_seeded_300_product_plan())
+    solutions = [solve_lambda(pf) for pf in plans]
     monkeypatch.setattr(portfolio, "_order", _frozen_order)
     monkeypatch.setattr(portfolio, "_theta", _frozen_theta)
-    for (pf, form), sol in zip(plans, solutions):
-        want = solve_lambda(pf, form)
+    for pf, sol in zip(plans, solutions):
+        want = solve_lambda(pf)
         assert sol == want and sol.lambda_star.hex() == want.lambda_star.hex()
     assert {sol.case for sol in solutions} == {DualCase.KINK, DualCase.INTERIOR_ROOT}
 
