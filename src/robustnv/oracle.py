@@ -42,7 +42,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .single_product import DiscreteDistribution, _grid, _grid_floats, _profit
-from .validation import InfeasibleError, InputError, _member, require, require_nonnegative
+from .validation import (
+    InfeasibleError,
+    InputError,
+    _member,
+    require,
+    require_finite,
+    require_nonnegative,
+)
 
 __all__ = [
     "Moment",
@@ -83,7 +90,7 @@ class MomentConstraint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "moment", _member(Moment, self.moment))
         object.__setattr__(self, "relation", _member(Relation, self.relation))
-        require(math.isfinite(self.bound), f"bound must be finite, got {self.bound!r}")
+        object.__setattr__(self, "bound", require_finite("bound", self.bound))
 
 
 @dataclass(frozen=True)
@@ -99,10 +106,22 @@ class MomentConstraintSet:
 
     def __post_init__(self) -> None:
         g = tuple(_grid("grid", self.grid))
-        ids = [c.moment for c in self.constraints]
+        try:
+            constraints = tuple(self.constraints)
+        except TypeError:  # not iterable: a bare MomentConstraint, say
+            raise InputError(
+                "constraints must be an iterable of MomentConstraint, "
+                f"got {type(self.constraints).__name__}"
+            ) from None
+        for c in constraints:
+            require(
+                isinstance(c, MomentConstraint),
+                f"constraints must hold MomentConstraint, got {type(c).__name__}",
+            )
+        ids = [c.moment for c in constraints]
         require(len(ids) == len(set(ids)), "at most one constraint per moment id")
         object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        object.__setattr__(self, "constraints", constraints)
 
     @property
     def needs_cubic(self) -> bool:

@@ -66,6 +66,8 @@ def require_finite(name: str, value: float) -> float:
         value = float(value)
     except OverflowError:  # a Python int beyond the float range
         raise InputError(f"{name} must be finite, got an int beyond the float range") from None
+    except (TypeError, ValueError) as exc:  # not a number: None, a string, a list
+        raise InputError(f"{name} must be a finite number: {exc}") from None
     if not math.isfinite(value):
         raise InputError(f"{name} must be finite, got {value!r}")
     return value
@@ -81,7 +83,7 @@ def require_positive(name: str, value: float) -> float:
 def require_nonnegative(name: str, value: float, *, allow_inf: bool = False) -> float:
     try:
         value = float(value)
-    except OverflowError:
+    except (OverflowError, TypeError, ValueError):
         return require_finite(name, value)  # raises InputError
     if allow_inf and math.isinf(value) and value > 0:
         return value

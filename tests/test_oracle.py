@@ -19,6 +19,7 @@ from robustnv import (
     dual_objective_curve,
     ell,
     price_threshold_scan,
+    product_quantities,
     profit,
     scarf_quantity,
     variance_threshold_scan,
@@ -276,6 +277,54 @@ _INFINITE_THETA = pytest.param(
 def test_every_grid_entry_point_rejects_a_bad_grid_by_name(call, grid, message):
     with pytest.raises(InputError, match=message):
         call(grid)
+
+
+_NOT_A_NUMBER = "float\\(\\) argument must be a string or a real number"
+_EQ_MEAN = MomentConstraint(Moment.MEAN, Relation.EQ, 0.5)
+# arguments that float() rejects, as (call, the message's start)
+_NON_NUMERIC_ARGUMENTS = [
+    pytest.param(lambda: dual_objective_curve(["a"], _PLAN, [0.0, 4.0, 8.0]),
+                 "lambdas must be a 1-D sequence of finite numbers: could not convert string",
+                 id="curve-string-lambda"),
+    pytest.param(lambda: dual_objective_curve([10**400], _PLAN, [0.0, 4.0, 8.0]),
+                 "lambdas must be a 1-D sequence of finite numbers: int too large",
+                 id="curve-huge-int-lambda"),
+    pytest.param(lambda: dual_objective_curve(None, _PLAN, [0.0, 4.0, 8.0]),
+                 "lambdas must be a 1-D sequence of finite numbers: 'NoneType'",
+                 id="curve-none-lambdas"),
+    pytest.param(lambda: dual_objective(None, _PLAN, [0.0, 4.0, 8.0]),
+                 "lam must be a finite number: " + _NOT_A_NUMBER, id="dual-none-lambda"),
+    pytest.param(lambda: dual_objective("x", _PLAN, [0.0, 4.0, 8.0]),
+                 "lam must be a finite number: could not convert string", id="dual-string-lambda"),
+    pytest.param(lambda: product_quantities("x", _PLAN.products, 2.0),
+                 "lambda_star must be a finite number: could not convert string",
+                 id="quantities-string-multiplier"),
+    pytest.param(lambda: MomentConstraint(Moment.MEAN, Relation.EQ, "abc"),
+                 "bound must be a finite number: could not convert string", id="string-bound"),
+    pytest.param(lambda: MomentConstraint(Moment.MEAN, Relation.EQ, None),
+                 "bound must be a finite number: " + _NOT_A_NUMBER, id="none-bound"),
+    pytest.param(lambda: MomentConstraintSet(grid=[0.0, 1.0], constraints=(("MEAN", "EQ", 0.5),)),
+                 "constraints must hold MomentConstraint, got tuple", id="constraint-as-tuple"),
+    pytest.param(lambda: MomentConstraintSet(grid=[0.0, 1.0], constraints=_EQ_MEAN),
+                 "constraints must be an iterable of MomentConstraint, got MomentConstraint",
+                 id="bare-constraint"),
+    pytest.param(lambda: MomentConstraintSet(grid=[0.0, 1.0], constraints=0.5),
+                 "constraints must be an iterable of MomentConstraint, got float",
+                 id="number-as-constraints"),
+]
+
+
+@pytest.mark.parametrize("call, message", _NON_NUMERIC_ARGUMENTS)
+def test_a_non_numeric_argument_is_an_input_error_naming_it(call, message):
+    with pytest.raises(InputError, match="^" + message):
+        call()
+
+
+def test_a_constraint_bound_is_stored_as_a_float():
+    c = MomentConstraint(Moment.MEAN, Relation.EQ, 1)
+    assert type(c.bound) is float and c.bound == 1.0
+    cs = MomentConstraintSet(grid=[0.0, 1.0, 2.0], constraints=[c])
+    assert cs.constraints == (c,)
 
 
 def _dual_at_gammas(gammas):

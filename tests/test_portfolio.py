@@ -2,6 +2,7 @@
 
 import collections
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -810,6 +811,71 @@ def test_dual_objective_curve_is_bit_equal_to_the_per_row_chain():
         lams = np.sort(np.append(lams, lam_star))
         got = dual_objective_curve(lams, pf, grid)
         assert got.tobytes() == _per_row_curve(lams, pf, grid).tobytes()
+
+
+def _seeded_curves(count):
+    """(portfolio, multipliers, grid) for ``count`` small curves, and the
+    coarse-row stride to run each at: the default and some finer ones, so
+    that coarse rows also land near the maximum on these short grids."""
+    rng = np.random.default_rng(101)
+    for k in range(count):
+        top = float(rng.choice([10.0, 20.0, 40.0]))
+        grid = np.linspace(0.0, top, int(rng.integers(13, 36)))
+        if k % 4 == 1:  # a rounded grid
+            grid = np.unique(np.round(grid, 0 if top > 10.0 else 1))
+        products = [
+            ProductSpec(
+                price=float(rng.uniform(4, 16)),
+                cost=float(rng.uniform(1, 3)),
+                mean=float(rng.uniform(0.08, 0.35)) * top,
+            )
+            for _ in range(1 + k % 3)
+        ]
+        if k % 5 == 2:  # a mean on a grid point: a singleton law
+            on_grid = float(grid[int(rng.integers(1, grid.size // 2))])
+            products[0] = ProductSpec(products[0].price, products[0].cost, on_grid)
+        if k % 6 == 3:  # identical products
+            products = [products[0]] * len(products)
+        alpha = INF if k % 7 == 4 else float(rng.uniform(0.5, 8))
+        pf = PortfolioSpec(tuple(products), 1.3 * sum(p.mean**2 for p in products), alpha)
+        lo = 0.0 if k % 3 == 0 else max(p.price for p in products) / (1.5 * top)
+        hi = float(rng.uniform(1.0, 4.0)) * max(solve_lambda(pf).lambda_star, lo, 0.05)
+        lams = np.linspace(lo, hi, int(rng.integers(1, 40)))
+        if k % 4 == 0:  # repeated multipliers
+            lams = np.sort(np.append(lams, lams[: 1 + lams.size // 3]))
+        yield pf, lams, grid, (20, 2, 3, 5, 8)[k % 5]
+
+
+def test_skipping_rows_below_the_maximum_keeps_every_bit(monkeypatch):
+    rows = {"enveloped": 0, "all": 0}
+
+    def counting_envelope_min(slopes, intercepts, xs):
+        rows["enveloped"] += len(intercepts)
+        return _envelope_min(slopes, intercepts, xs)
+
+    monkeypatch.setattr(portfolio, "_envelope_min", counting_envelope_min)
+    for pf, lams, grid, stride in _seeded_curves(400):
+        monkeypatch.setattr(portfolio, "_COARSE_STRIDE", stride)
+        got = dual_objective_curve(lams, pf, grid)
+        assert got.tobytes() == _per_row_curve(lams, pf, grid).tobytes()
+        rows["all"] += grid.size * len(pf.products)
+    assert rows["enveloped"] < 0.6 * rows["all"]  # the skip is taken, not only allowed
+
+
+def test_dual_objective_curve_memory_stays_within_its_blocks():
+    # 10^4 multipliers, 3 products on a 301-point grid: the peak is 43.5 MB,
+    # 69.0 MB before rows were skipped; a bound formed on every row, probe
+    # law and multiplier at once would take more than 500 MB
+    products = (ProductSpec(10.0, 3.0, 5.0), ProductSpec(8.0, 2.0, 4.0), ProductSpec(14.0, 2.5, 6.5))
+    pf = PortfolioSpec(products, 1.3 * sum(p.mean**2 for p in products), 4.0)
+    lams = np.linspace(0.25, 3.0, 10**4)
+    tracemalloc.start()
+    try:
+        dual_objective_curve(lams, pf, np.linspace(0.0, 40.0, 301))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 69e6
 
 
 def test_dual_objective_canonical_value():
