@@ -51,6 +51,7 @@ from .validation import (
     DegenerateModelError,
     InputError,
     require,
+    require_finite,
     require_nonnegative,
     require_positive,
     positive_part,
@@ -147,9 +148,8 @@ class GuaranteeReport:
     lower_bound: float
 
     def __post_init__(self) -> None:
-        require_nonnegative("epsilon_n", self.epsilon_n)
-        require_nonnegative("shift_estimate", self.shift_estimate)
-        require_nonnegative("lower_bound", self.lower_bound)
+        for name in ("epsilon_n", "shift_estimate", "lower_bound"):
+            object.__setattr__(self, name, require_nonnegative(name, getattr(self, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +278,19 @@ def guarantee(
 # ---------------------------------------------------------------------------
 
 
+def _fold_count(folds: int) -> int:
+    """``folds`` as the int it names, a whole number >= 2."""
+    f = require_finite("folds", folds)
+    require(f == int(f), f"folds must be a whole number, got {folds!r}")
+    require(f >= 2, f"folds must be >= 2, got {folds!r}")
+    return int(f)
+
+
 def _folds(
     samples: SampleSet, folds: int, rng: np.random.Generator
 ) -> list[tuple[np.ndarray, MomentSpec]]:
     """Seeded k-fold split: (held-out values, fold-complement moments) per fold."""
-    require(int(folds) >= 2, f"folds must be >= 2, got {folds!r}")
+    folds = _fold_count(folds)
     if samples.n < folds:
         raise InputError(
             f"need at least {folds} observations for {folds}-fold splits, "
@@ -290,7 +298,7 @@ def _folds(
         )
     values = np.asarray(samples.values, dtype=float)
     split = []
-    for held in np.array_split(rng.permutation(samples.n), int(folds)):
+    for held in np.array_split(rng.permutation(samples.n), folds):
         mask = np.ones(values.size, dtype=bool)
         mask[held] = False
         train = values[mask]

@@ -135,11 +135,9 @@ class RadiusSpec:
     theta: float
     alpha: MisspecIndex
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "theta", require_nonnegative("theta", self.theta)
-        )
-        object.__setattr__(self, "alpha", as_misspec_index(self.alpha))
+    def __init__(self, theta: float, alpha: AlphaLike) -> None:
+        object.__setattr__(self, "theta", require_nonnegative("theta", theta))
+        object.__setattr__(self, "alpha", as_misspec_index(alpha))
 
 
 class WassersteinCase(str, Enum):

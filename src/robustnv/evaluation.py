@@ -27,6 +27,7 @@ import numpy as np
 from ._version import __version__
 from .calibration import (
     SampleSet,
+    _fold_count,
     cv_alpha,
     formula_calibrate,
     stress_calibrate,
@@ -138,8 +139,8 @@ class ExperimentConfig:
         require(len(self.alpha_grid) > 0, "alpha_grid must be non-empty")
         require(len(self.methods) > 0, "methods must be non-empty")
         require(len(self.eps_grid) > 0, "eps_grid must be non-empty")
-        require_nonnegative("theta", self.theta)
-        require(int(self.folds) >= 2, f"folds must be >= 2, got {self.folds!r}")
+        object.__setattr__(self, "theta", require_nonnegative("theta", self.theta))
+        object.__setattr__(self, "folds", _fold_count(self.folds))
         object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
         object.__setattr__(self, "methods", tuple(_member(Method, m) for m in self.methods))
         object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))

@@ -30,7 +30,7 @@ from .single_product import (
     AlphaLike,
     CostStructure,
     MisspecIndex,
-    _ell_rows,
+    _ell_core,
     _grid,
     _grid_floats,
     _nonzero_index as _alpha_for_portfolio,
@@ -38,6 +38,7 @@ from .single_product import (
     ell,
 )
 from .validation import (
+    InputError,
     InternalCheckError,
     require,
     require_finite,
@@ -73,17 +74,21 @@ class ProductSpec:
     price: float
     cost: float
     mean: float
+    #: the product's one CostStructure, which checks 0 < cost < price
+    cost_structure: CostStructure = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        CostStructure(self.price, self.cost)  # validates 0 < cost < price
-        mean = require_positive("mean", self.mean)
-        require(math.isfinite(mean * mean), f"mean^2 must be finite, got {mean * mean!r}")
-        margin = (self.price - self.cost) * self.cost
-        require(math.isfinite(margin), f"(price - cost) * cost must be finite, got {margin!r}")
-
-    @property
-    def cost_structure(self) -> CostStructure:
-        return CostStructure(self.price, self.cost)
+    def __init__(self, price: float, cost: float, mean: float) -> None:
+        cs = CostStructure(price, cost)
+        mean = require_positive("mean", mean)
+        if not math.isfinite(mean * mean):
+            raise InputError(f"mean^2 must be finite, got {mean * mean!r}")
+        margin = (cs.price - cs.cost) * cs.cost
+        if not math.isfinite(margin):
+            raise InputError(f"(price - cost) * cost must be finite, got {margin!r}")
+        object.__setattr__(self, "price", cs.price)
+        object.__setattr__(self, "cost", cs.cost)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cost_structure", cs)
 
 
 @dataclass(frozen=True)
@@ -96,18 +101,15 @@ class PortfolioSpec:
     #: the fsum of the squared means, formed once here
     mean_squares: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        products = tuple(self.products)
+    def __init__(self, products: Sequence[ProductSpec], budget: float, alpha: AlphaLike) -> None:
+        products = tuple(products)
         require(len(products) > 0, "portfolio needs at least one product")
         for prod in products:
-            require(
-                isinstance(prod, ProductSpec),
-                f"products must be ProductSpec, got {type(prod).__name__}",
-            )
+            if not isinstance(prod, ProductSpec):
+                raise InputError(f"products must be ProductSpec, got {type(prod).__name__}")
         object.__setattr__(self, "products", products)
-        require_finite("budget", self.budget)
-        require_nonnegative("budget", self.budget)
-        object.__setattr__(self, "alpha", as_misspec_index(self.alpha))
+        object.__setattr__(self, "budget", require_nonnegative("budget", budget))
+        object.__setattr__(self, "alpha", as_misspec_index(alpha))
         squares = _fsum_or_inf(p.mean * p.mean for p in products)
         require(math.isfinite(squares), "the squared means sum beyond the float range")
         object.__setattr__(self, "mean_squares", squares)
@@ -490,7 +492,9 @@ def dual_objective_curve(lambdas, portfolio: PortfolioSpec, grid) -> np.ndarray:
 
 def _product_curve(a: MisspecIndex, cost: CostStructure, mu: float, v, lams) -> np.ndarray:
     """One product's maximum over the quantity rows of their envelopes, for
-    :func:`dual_objective_curve`, which states how rows are skipped."""
+    :func:`dual_objective_curve`, which states how rows are skipped; the
+    quantities are points of the checked grid ``v``."""
+    a = _alpha_for_portfolio(a)
     ia = np.flatnonzero(v <= mu)
     ib = np.flatnonzero(v >= mu)
     va, vb = v[ia], v[ib]
@@ -504,7 +508,7 @@ def _product_curve(a: MisspecIndex, cost: CostStructure, mu: float, v, lams) -> 
     n_rows, n_lams = v.size, lams.size
 
     def intercepts(qs):  # one row of intercepts per quantity
-        rows = _ell_rows(a, v[qs], v, cost)
+        rows = _ell_core(a, v[qs, None], v, cost)
         return (w * rows[:, ia, None] + (1.0 - w) * rows[:, None, ib]).reshape(len(rows), -1)
 
     step = max(1, _ENVELOPE_BLOCK // slopes.size)  # quantity rows per block
@@ -528,7 +532,7 @@ def _product_curve(a: MisspecIndex, cost: CostStructure, mu: float, v, lams) -> 
     keep[coarse] = True
     block = max(1, _ENVELOPE_BLOCK // lines.size)  # rows per block of probe values
     for lo in range(0, n_rows, block):
-        rows = _ell_rows(a, v[lo : lo + block], v, cost)
+        rows = _ell_core(a, v[lo : lo + block, None], v, cost)
         b = pw * rows[:, ia[pa]] + (1.0 - pw) * rows[:, ib[pb]]
         bound = (b[:, :, None] + lines).min(axis=1)
         size = np.abs(rows).max(axis=1) + top  # V per row

@@ -110,19 +110,23 @@ _MIN_NORMAL = 2.0**-1022
 
 @dataclass(frozen=True)
 class CostStructure:
-    """Unit price and unit cost; requires ``0 < cost < price``."""
+    """Unit price and unit cost; requires ``0 < cost < price``.
+
+    Like every model spec, its one hand-written ``__init__`` stores each number
+    as the ``float()`` of what it is given (``True`` is 1.0), formed and checked
+    once, so the closed forms see only doubles; what ``float()`` rejects is an
+    :class:`InputError` naming the field."""
 
     price: float
     cost: float
 
-    def __post_init__(self) -> None:
-        require_positive("price", self.price)
-        require_finite("cost", self.cost)
-        if not 0.0 < self.cost < self.price:
-            raise InputError(
-                f"cost must satisfy 0 < cost < price, got cost={self.cost!r}, "
-                f"price={self.price!r}"
-            )
+    def __init__(self, price: float, cost: float) -> None:
+        p = require_positive("price", price)
+        c = require_finite("cost", cost)
+        if not 0.0 < c < p:
+            raise InputError(f"cost must satisfy 0 < cost < price, got cost={c!r}, price={p!r}")
+        object.__setattr__(self, "price", p)
+        object.__setattr__(self, "cost", c)
 
     @property
     def kappa(self) -> float:
@@ -141,14 +145,16 @@ class MomentSpec:
     #: ``mu^2 + sigma^2``, formed once here
     second_moment: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        mean = require_positive("mean", self.mean)
-        std = require_nonnegative("std", self.std)  # as floats: an int's square may not fit one
+    def __init__(self, mean: float, std: float) -> None:
+        mean = require_positive("mean", mean)
+        std = require_nonnegative("std", std)  # as floats: an int's square may not fit one
         second = mean * mean + std * std
         if not _MIN_NORMAL <= second < math.inf:
             raise InputError(
                 f"mean^2 + std^2 must be finite and at least {_MIN_NORMAL!r}, got {second!r}"
             )
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", std)
         object.__setattr__(self, "second_moment", second)
 
 
@@ -173,7 +179,7 @@ class MisspecIndex:
         # __init__ plus a __post_init__ cost twice as much
         try:
             a = float(alpha)
-        except OverflowError:  # an int beyond the float range is no index
+        except (OverflowError, TypeError, ValueError):  # no index: a huge int, None, "ten"
             a = require_finite("alpha", alpha)  # raises InputError
         if not a >= 0.0:  # negative, NaN or -inf; +inf is the INFINITY index
             require_nonnegative("alpha", a)
@@ -670,7 +676,12 @@ def _ell_rows(alpha: AlphaLike, qs, v: np.ndarray, cost: CostStructure) -> np.nd
     a = _nonzero_index(alpha)
     q = np.array([require_nonnegative("q", x) for x in qs], dtype=float)
     v = _require_demands(v)
-    q = q.reshape(q.shape + (1,) * v.ndim)
+    return _ell_core(a, q.reshape(q.shape + (1,) * v.ndim), v, cost)
+
+
+def _ell_core(a: MisspecIndex, q: np.ndarray, v: np.ndarray, cost: CostStructure) -> np.ndarray:
+    """:func:`_ell_rows` on inputs it has checked: an index other than 0 and
+    float arrays of quantities and demands >= 0, broadcast against each other."""
     p, c = cost.price, cost.cost
     pinv = p * a.inv
     # np.where forms every piece: an unused alpha*v^2 may be inf*0 or overflow

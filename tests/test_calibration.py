@@ -276,6 +276,14 @@ def test_report_validation():
         GuaranteeReport(0.1, 0.0, MisspecIndex(2.0), 5.0, -0.5)
 
 
+def test_report_stores_the_floats_it_checked():
+    g = GuaranteeReport("0.1", np.float32(0.25), MisspecIndex(2.0), 5.0, "1.0")
+    checked = (g.epsilon_n, g.shift_estimate, g.lower_bound)
+    assert checked == (0.1, 0.25, 1.0) and all(type(x) is float for x in checked)
+    with pytest.raises(InputError, match="lower_bound must be a finite number"):
+        GuaranteeReport(0.1, 0.0, MisspecIndex(2.0), 5.0, "one")
+
+
 # ---------------------------------------------------------------------------
 # cross-validated index selection
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -385,6 +386,26 @@ def test_config_digest_tracks_inputs():
     )
     assert config_digest(base) != config_digest(other)
     assert config_digest(base) == config_digest(stationary_config(5))
+
+
+def test_experiment_config_stores_the_theta_and_folds_it_checked():
+    base = stationary_config(5, n_train=30, n_test=30, grid=(0.5, 4.0))
+    fields = {"train": base.train, "cost": base.cost, "alpha_grid": base.alpha_grid,
+              "methods": (Method.MISSPEC, Method.WASSERSTEIN), "seed": 5, "test": base.test}
+    want = ExperimentConfig(**fields, theta=0.5, folds=3)
+    for theta, folds in ((np.float32(0.5), "3"), (Fraction(1, 2), np.int64(3)), ("0.5", 3.0)):
+        got = ExperimentConfig(**fields, theta=theta, folds=folds)
+        assert type(got.theta) is float and type(got.folds) is int
+        assert got == want and config_digest(got) == config_digest(want)
+    assert report_json_text(run_experiment(got)) == report_json_text(run_experiment(want))
+    cv = cv_alpha(base.train, COST, (0.5, 4.0), folds="3", seed=5)  # the same rule
+    assert cv == cv_alpha(base.train, COST, (0.5, 4.0), folds=3, seed=5)
+    for folds, message in ((2.7, "whole number, got 2.7"), ("2.5", "whole number"),
+                           (None, "folds must be a finite number"), (1, ">= 2, got 1")):
+        with pytest.raises(InputError, match=message):
+            ExperimentConfig(**fields, folds=folds)
+        with pytest.raises(InputError, match=message):
+            cv_alpha(base.train, COST, (0.5, 4.0), folds=folds)
 
 
 def test_stationary_data_favors_the_nominal_method():

@@ -862,6 +862,45 @@ def test_skipping_rows_below_the_maximum_keeps_every_bit(monkeypatch):
     assert rows["enveloped"] < 0.6 * rows["all"]  # the skip is taken, not only allowed
 
 
+def test_row_skip_margin_covers_the_envelope_rounding(monkeypatch):
+    # Every envelope comes out d above its lowest line, d the most that
+    # dual_objective_curve's docstring allows, and a non-coarse row r repeats
+    # the coarse row c lifted by eps = d/2 (every other row sits 1 lower):
+    # r's probe bound then lies below the floor, but by less than the margin.
+    # r holds the maximum, so a rule that skipped it (a zero margin does)
+    # would lose it.  Three multipliers: each is a probe multiplier.
+    grid, lams, mu = np.linspace(0.0, 10.0, 41), np.array([0.0, 50.0, 100.0]), 4.0
+    pf = PortfolioSpec((ProductSpec(10.0, 3.0, mu),), 20.0, 4.0)
+    c, r = 10, 17  # coarse rows are 10 and 30
+    ia, ib = np.flatnonzero(grid <= mu), np.flatnonzero(grid >= mu)
+    n, u = ia.size * ib.size, 2.0**-53
+    top_slope = mu * (grid[0] + grid[-1]) - grid[0] * grid[-1]  # the widest law's chord
+    eps = (3 * n + 8) * u * top_slope * lams[-1]  # half of d's lower bound
+    core, envelope_min = portfolio._ell_core, portfolio._envelope_min
+
+    def planted(a, q, v, cost):
+        rows = core(a, np.full_like(q, v[c]), v, cost)
+        return rows + np.where(q == v[r], eps, np.where(q == v[c], 0.0, -1.0))
+
+    def lifted(slopes, intercepts, xs):
+        size = np.abs(intercepts).max(axis=1) + slopes.max() * xs[-1]  # V, per row
+        return envelope_min(slopes, intercepts, xs) + ((6 * slopes.size + 16) * u * size)[:, None]
+
+    monkeypatch.setattr(portfolio, "_ell_core", planted)
+    monkeypatch.setattr(portfolio, "_envelope_min", lifted)
+    gap = grid[ib][None, :] - grid[ia][:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = np.where(gap == 0.0, 1.0, (grid[ib][None, :] - mu) / gap)
+    slopes = (w * (grid[ia] ** 2)[:, None] + (1.0 - w) * (grid[ib] ** 2)[None, :]).ravel()
+    best = np.full(lams.size, -np.inf)
+    for i in range(grid.size):  # the full row-order fold
+        rows = planted(pf.alpha, grid[i : i + 1, None], grid, pf.products[0].cost_structure)
+        b = (w * rows[:, ia, None] + (1.0 - w) * rows[:, None, ib]).reshape(1, -1)
+        best = np.maximum(best, lifted(slopes, b, lams).max(axis=0))
+    got = dual_objective_curve(lams, pf, grid)
+    assert got.tobytes() == (-lams * pf.budget + best).tobytes()
+
+
 def test_dual_objective_curve_memory_stays_within_its_blocks():
     # 10^4 multipliers, 3 products on a 301-point grid: the peak is 43.5 MB,
     # 69.0 MB before rows were skipped; a bound formed on every row, probe

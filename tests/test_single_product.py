@@ -6,7 +6,10 @@ import math
 import pickle
 import re
 import sys
+import warnings
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +22,11 @@ from robustnv import (
     InputError,
     InternalCheckError,
     MisspecIndex,
+    ModelError,
     MomentSpec,
+    PortfolioSpec,
     ProductSpec,
+    RadiusSpec,
     Regime,
     TransformRegime,
     ambiguity_worst_case,
@@ -34,8 +40,10 @@ from robustnv import (
     profit,
     push_forward,
     scarf_quantity,
+    solve_lambda,
     transform,
     variance_threshold_scan,
+    wasserstein_misspec_solve,
     worst_case_transformed_expectation,
 )
 from robustnv.oracle import inner_min_oracle
@@ -108,11 +116,115 @@ def test_moment_spec_rejects_a_second_moment_below_the_normal_range():
 def test_moment_spec_second_moment_is_a_hidden_field():
     m = MomentSpec(4, 2.5)
     assert m.second_moment == 22.25 and type(m.second_moment) is float
-    assert repr(m) == "MomentSpec(mean=4, std=2.5)"
+    assert repr(m) == "MomentSpec(mean=4.0, std=2.5)"
     assert m == MomentSpec(4, 2.5) and m != MomentSpec(4, 2.0)
     assert hash(m) == hash((4, 2.5)) == hash(MomentSpec(4.0, 2.5))
     with pytest.raises(AttributeError):
         m.second_moment = 1.0  # frozen, like the two fields
+
+
+def _hexes(x):
+    """Every float of a solver's answer as ``float.hex``, in field order."""
+    if isinstance(x, float):
+        return [x.hex()]
+    if isinstance(x, (tuple, list)):
+        return [h for y in x for h in _hexes(y)]
+    if dataclasses.is_dataclass(x):
+        return [h for f in dataclasses.fields(x) for h in _hexes(getattr(x, f.name))]
+    return [repr(x)]
+
+
+def _solve_bits(solve, spec):
+    """``_hexes`` of the answer, or the error, and every warning on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = _hexes(solve(spec))
+        except ModelError as exc:
+            out = [type(exc).__name__, str(exc)]
+    return out + [str(w.message) for w in caught]
+
+
+_BALL_LAW = DiscreteDistribution.from_samples([1.0, 2.0, 4.0, 5.0, 7.0, 9.0])
+_SECOND = ProductSpec(8.0, 2.0, 3.0)
+# each spec: its field values, the fields the table varies, and the solves that read it
+_SPEC_TABLE = {
+    CostStructure: (
+        {"price": 10.5, "cost": 3.25},
+        ("price", "cost"),
+        lambda cs: (
+            misspec_quantity(4.0, M42, cs),
+            wasserstein_misspec_solve(_BALL_LAW, RadiusSpec(0.75, 2.5), cs),
+        ),
+    ),
+    MomentSpec: ({"mean": 4.5, "std": 2.5}, ("mean", "std"), lambda m: misspec_quantity(4.0, m, COST)),
+    ProductSpec: (
+        {"price": 10.5, "cost": 3.25, "mean": 4.5},
+        ("price", "cost", "mean"),
+        lambda p: solve_lambda(PortfolioSpec((p, _SECOND), 30.5, 2.5)),
+    ),
+    PortfolioSpec: (
+        {"products": (ProductSpec(10.5, 3.25, 4.5), _SECOND), "budget": 30.5, "alpha": 2.5},
+        ("budget", "alpha"),
+        solve_lambda,
+    ),
+    RadiusSpec: (
+        {"theta": 0.75, "alpha": 2.5},
+        ("theta", "alpha"),
+        lambda r: wasserstein_misspec_solve(_BALL_LAW, r, COST),
+    ),
+}
+_INPUT_KINDS = {
+    "int": int,
+    "float": float,
+    "np.float64": np.float64,
+    "np.float32": np.float32,
+    "np.float32 inexact": lambda b: np.float32(b + 0.1),
+    "np.int64": np.int64,
+    "Fraction": Fraction,
+    "Decimal": lambda b: Decimal(repr(b)),
+    "numeric str": repr,
+    "non-numeric str": lambda b: "ten",
+    "None": lambda b: None,
+    "True": lambda b: True,
+    "int beyond the float range": lambda b: 10**400,
+}
+
+
+@pytest.mark.parametrize("kind", _INPUT_KINDS)
+def test_every_spec_stores_and_solves_the_float_of_its_input(kind):
+    # a spec given x is the spec given float(x): the same stored floats (so
+    # ==, hash and every solve bit), or, where float(x) is rejected, an
+    # InputError naming the field
+    for cls, (base, varied, solve) in _SPEC_TABLE.items():
+        for name in varied:
+            x = _INPUT_KINDS[kind](base[name])
+            try:
+                fx = float(x)
+            except (TypeError, ValueError, OverflowError):
+                with pytest.raises(InputError, match=name):
+                    cls(**{**base, name: x})
+                continue
+            try:
+                want = cls(**{**base, name: fx})
+            except InputError as exc:
+                with pytest.raises(InputError, match=re.escape(str(exc))):
+                    cls(**{**base, name: x})
+                assert name in str(exc)
+                continue
+            got = cls(**{**base, name: x})
+            stored = getattr(got, name)
+            stored = stored.alpha if isinstance(stored, MisspecIndex) else stored
+            assert type(stored) is float and stored == fx, (cls.__name__, name)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+            assert _solve_bits(solve, got) == _solve_bits(solve, want), (cls.__name__, name)
+
+
+def test_product_spec_keeps_its_one_cost_structure():
+    prod = ProductSpec("10", np.float32(3.0), 4)
+    assert prod.cost_structure is prod.cost_structure == CostStructure(10.0, 3.0)
+    assert repr(prod) == "ProductSpec(price=10.0, cost=3.0, mean=4.0)"
+    assert dataclasses.replace(prod, mean=5.0).cost_structure == prod.cost_structure
 
 
 # c/p below about 1.1e-16: (p - c)/p rounds to 1, and 1 - kappa to 0
