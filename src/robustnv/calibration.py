@@ -42,6 +42,7 @@ from .single_product import (
     MomentSpec,
     _checked_test_profits,
     _expected_profits,
+    _floats,
     _solve,
     _test_profits,
     _until_error,
@@ -51,11 +52,11 @@ from .validation import (
     DegenerateModelError,
     InputError,
     require,
-    require_finite,
     require_nonnegative,
     require_positive,
     positive_part,
     _fsum_or_inf,
+    _whole_number,
 )
 
 __all__ = [
@@ -88,8 +89,10 @@ class SampleSet:
     float range, the mean must be positive, and the observations must not all
     coincide — a zero sample deviation leaves every moment-based model in this
     library degenerate, so it is rejected here with a diagnostic rather than
-    surfacing later as a division by zero.  ``empirical`` and ``moments`` are
-    derived on first read and kept.
+    surfacing later as a division by zero.  A value that ``float()`` rejects,
+    or one that is negative, NaN or infinite, is an :class:`InputError` naming
+    the first such ``values[i]``.  ``empirical`` and ``moments`` are derived on
+    first read and kept.
     """
 
     values: tuple[float, ...]
@@ -97,7 +100,14 @@ class SampleSet:
     std: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        # one pass converts every value (one tolist for a float array); only a
+        # value float() rejects (a string, None, an int beyond the float range)
+        # runs the loop that names the first of them
+        values = self.values if isinstance(self.values, np.ndarray) else tuple(self.values)
+        try:
+            vals = tuple(_floats(values))
+        except (TypeError, ValueError, OverflowError):
+            vals = tuple(require_nonnegative(f"values[{i}]", v) for i, v in enumerate(values))
         require(len(vals) >= 2, "need at least two observations for a deviation")
         for i, v in enumerate(vals):
             if not 0.0 <= v < math.inf:  # NaN too; the message is formed only here
@@ -278,19 +288,11 @@ def guarantee(
 # ---------------------------------------------------------------------------
 
 
-def _fold_count(folds: int) -> int:
-    """``folds`` as the int it names, a whole number >= 2."""
-    f = require_finite("folds", folds)
-    require(f == int(f), f"folds must be a whole number, got {folds!r}")
-    require(f >= 2, f"folds must be >= 2, got {folds!r}")
-    return int(f)
-
-
 def _folds(
     samples: SampleSet, folds: int, rng: np.random.Generator
 ) -> list[tuple[np.ndarray, MomentSpec]]:
     """Seeded k-fold split: (held-out values, fold-complement moments) per fold."""
-    folds = _fold_count(folds)
+    folds = _whole_number("folds", folds, 2)
     if samples.n < folds:
         raise InputError(
             f"need at least {folds} observations for {folds}-fold splits, "

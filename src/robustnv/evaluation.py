@@ -27,7 +27,6 @@ import numpy as np
 from ._version import __version__
 from .calibration import (
     SampleSet,
-    _fold_count,
     cv_alpha,
     formula_calibrate,
     stress_calibrate,
@@ -62,6 +61,7 @@ from .validation import (
     require,
     require_nonnegative,
     require_positive,
+    _whole_number,
 )
 
 __all__ = [
@@ -123,6 +123,16 @@ class ExperimentConfig:
     (0 keeps the ball a singleton at the training empirical law);
     ``eps_grid`` is the estimation-budget grid for the formula-based
     calibration; ``folds`` drives every cross-validation split.
+
+    Every number is checked once here and stored as it was checked, an error
+    being an :class:`InputError` naming the field: each ``alpha_grid`` entry
+    as :class:`MisspecIndex` checks an index (a float >= 0, ``inf`` the
+    ambiguity-only index), each ``eps_grid`` entry as
+    :func:`formula_calibrate` checks a budget (finite and >= 0), ``folds`` a
+    whole number >= 2 and ``seed`` a whole number >= 0 (numpy's generators
+    reject negative seeds).  A seed with a fraction, such as 1.7, is rejected
+    rather than truncated: it names no generator, and the report's digest
+    would record a seed that was not used.
     """
 
     train: SampleSet
@@ -140,11 +150,16 @@ class ExperimentConfig:
         require(len(self.methods) > 0, "methods must be non-empty")
         require(len(self.eps_grid) > 0, "eps_grid must be non-empty")
         object.__setattr__(self, "theta", require_nonnegative("theta", self.theta))
-        object.__setattr__(self, "folds", _fold_count(self.folds))
-        object.__setattr__(self, "alpha_grid", tuple(float(a) for a in self.alpha_grid))
+        object.__setattr__(self, "folds", _whole_number("folds", self.folds, 2))
+        alphas = (
+            require_nonnegative(f"alpha_grid[{i}]", a, allow_inf=True)
+            for i, a in enumerate(self.alpha_grid)
+        )
+        object.__setattr__(self, "alpha_grid", tuple(alphas))
         object.__setattr__(self, "methods", tuple(_member(Method, m) for m in self.methods))
-        object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
-        object.__setattr__(self, "seed", int(self.seed))
+        eps = (require_nonnegative(f"eps_grid[{i}]", e) for i, e in enumerate(self.eps_grid))
+        object.__setattr__(self, "eps_grid", tuple(eps))
+        object.__setattr__(self, "seed", _whole_number("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)

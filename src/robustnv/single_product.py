@@ -38,8 +38,9 @@ of the value, and the identity ``s*mu - r*(mu^2 + sigma^2) - t == value``.  A
 report then builds each law once: G* from the checked atoms, and its image
 from the same images, with no TransformSpec.  Callers that read only the
 quantity and the value (the calibrators, the sweeps) run the same evaluation
-through ``_solve`` and never build the laws; the threshold scans run it only
-on the grid points that their turn reads.
+through ``_solve`` and never build the laws; the threshold scans take their
+quantities in one array pass (``_quantities``, the same bits as ``_quantity``)
+and run the evaluation only on the grid points that their turn reads.
 A failed check whose terms leave the float range is bad input, at any quantity.
 """
 
@@ -49,6 +50,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import accumulate, repeat
 from operator import le, lt, mul, sub, truediv
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, Union
@@ -1063,6 +1065,23 @@ def _quantity(a: MisspecIndex, m: MomentSpec, cost: CostStructure) -> tuple[floa
     return max(q, 0.0), regime
 
 
+def _quantities(alpha: float, mu, sig, second, p, kappa) -> np.ndarray:
+    """The array arm of :func:`_quantity`: its quantities, bit for bit, at a
+    nonzero index on broadcast float arrays (``second = mu^2 + sig^2``, and
+    ``kappa < 1`` checked by the caller).  Each term is formed as the float
+    arm forms it, by the same correctly rounded ``+ - * /`` and ``sqrt``;
+    ``np.where(0.0 > q, 0.0, q)`` is ``max(q, 0.0)``, NaN and -0.0 included."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = 1.0 - kappa
+        margin = mu - sig * np.sqrt(x / kappa)
+        threshold = np.where(margin > 0.0, p / (2.0 * margin), math.inf)
+        f = (1.0 - 2.0 * x) / (2.0 * np.sqrt(x * (1.0 - x)))  # fractile_factor(x)
+        high = mu + sig * f - p / (4.0 * alpha)
+        low = (mu * mu - sig * sig + 2.0 * mu * sig * f) * alpha / p
+        q = np.where(kappa < sig * sig / second, 0.0, np.where(alpha >= threshold, high, low))
+    return np.where(0.0 > q, 0.0, q)
+
+
 def misspec_quantity(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> SolveReport:
     """Optimal order quantity under the misspecification-penalized model.
 
@@ -1104,25 +1123,25 @@ def _solve(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> tuple[float,
 
 
 def _scan_turn(
-    a: MisspecIndex, grid: Sequence[float], models: Iterable[tuple[MomentSpec, CostStructure]]
+    a: MisspecIndex,
+    grid: list[float],
+    quantities: Callable[[], np.ndarray],
+    model: Callable[[float], tuple[MomentSpec, CostStructure]],
 ) -> float | None:
     """Grid point at the smallest index j <= len-2 from which the closed-form
-    quantities at ``models`` (one per grid point, built and solved in grid
-    order) are non-increasing within 1e-12; None if there is none.  The
-    checked evaluation then runs, in ascending order, on the points the rule
-    compared, ``max(j-1, 0)`` to the end; at alpha = 0 every quantity is 0, as
-    in :func:`_solve`, and none is evaluated."""
-    pairs, qs = [], []
-    for m, cost in models:
-        pairs.append((m, cost))
-        qs.append(0.0 if a.alpha == 0.0 else _quantity(a, m, cost)[0])
-    n = len(qs)
+    quantities (``quantities()``, an array over the grid) are non-increasing
+    within 1e-12; None if there is none.  The checked evaluation then runs,
+    in ascending order, on the points the rule compared, ``max(j-1, 0)`` to
+    the end, on specs built for them alone by ``model``; at alpha = 0 every
+    quantity is 0, as in :func:`_solve`, and none is taken or evaluated."""
+    n = len(grid)
+    qs = [0.0] * n if a.alpha == 0.0 else quantities().tolist()
     j = n - 1
     while j > 0 and qs[j] <= qs[j - 1] + 1e-12:
         j -= 1
     if a.alpha != 0.0:
         for i in range(max(j - 1, 0), n):
-            _checked_evaluation(a, qs[i], *pairs[i])
+            _checked_evaluation(a, qs[i], *model(grid[i]))
     return grid[j] if j <= n - 2 else None
 
 
@@ -1138,18 +1157,28 @@ def price_threshold_scan(
     rising (the ambiguity-only quantity always does).  Single-point grids
     return None by convention (no comparison is possible).  ``p_grid`` obeys :func:`_grid`.
 
-    The closed-form quantity is taken at every grid price, in grid order, so
-    the first bad price raises.  The checked evaluation of
-    :func:`misspec_quantity` runs only on the prices the tail rule compares:
-    from the one before the returned price (the last two when None is
-    returned, the one point of a single-point grid) to the end of the grid.
-    At alpha = 0 every quantity is 0 and no price is evaluated.
+    The closed-form quantities at all grid prices are taken in one array
+    pass; its one error, the fractile (p - c)/p rounding to 1, is raised at
+    the first such price, as a price-by-price loop would.  The checked
+    evaluation of :func:`misspec_quantity` runs only on the prices the tail
+    rule compares: from the one before the returned price (the last two when
+    None is returned, the one point of a single-point grid) to the end of the
+    grid.  At alpha = 0 every quantity is 0 and no price is evaluated.
     """
-    require_positive("c", c)
+    unit_cost = require_positive("c", c)
     grid = _grid("p_grid", p_grid)
-    require(grid[0] > c, f"all grid prices must exceed c={c!r}")
+    require(grid[0] > unit_cost, f"all grid prices must exceed c={c!r}")
     a = as_misspec_index(alpha)
-    return _scan_turn(a, grid, ((m, CostStructure(price=p, cost=c)) for p in grid))
+
+    def quantities() -> np.ndarray:
+        p = np.array(grid)
+        kappa = (p - unit_cost) / p
+        rounded = np.flatnonzero(~(kappa < 1.0))
+        if rounded.size:  # never degenerate: kappa = 1 >= sigma^2/(mu^2 + sigma^2)
+            raise _fractile_rounds_to_one(CostStructure(grid[rounded[0]], unit_cost))
+        return _quantities(a.alpha, m.mean, m.std, m.second_moment, p, kappa)
+
+    return _scan_turn(a, grid, quantities, lambda p: (m, CostStructure(p, unit_cost)))
 
 
 def variance_threshold_scan(
@@ -1163,16 +1192,17 @@ def variance_threshold_scan(
     ``[0, mu*sqrt(kappa/(1-kappa))]`` (beyond it the model is degenerate),
     under :func:`_grid`.  Same tail convention as :func:`price_threshold_scan`;
     single-point grids return None (documented choice between the two
-    conventions offered).  As there, the quantity is taken at every std in
-    grid order and the checked evaluation runs only on the stds from the one
-    before the returned turn (the last two when None is returned) to the end;
-    none at alpha = 0.
+    conventions offered).  As there, the quantities are taken in one array
+    pass and the checked evaluation runs only on the stds from the one before
+    the returned turn (the last two when None is returned) to the end; none
+    at alpha = 0.  A std's one error, ``mu^2 + s^2`` outside the range of
+    :class:`MomentSpec`, is raised at the first such std, at any alpha.
     """
     kappa = cost.kappa
     require(kappa >= 0.5, f"scan requires kappa >= 1/2, got {kappa!r}")
     if not kappa < 1.0:
         raise _fractile_rounds_to_one(cost)
-    require_positive("mu", mu)
+    mu = require_positive("mu", mu)
     grid = _grid("sigma_grid", sigma_grid)
     hi = mu * math.sqrt(kappa / (1.0 - kappa))
     require(
@@ -1180,4 +1210,11 @@ def variance_threshold_scan(
         f"sigma_grid must stay within [0, {hi!r}] (non-degenerate region)",
     )
     a = as_misspec_index(alpha)
-    return _scan_turn(a, grid, ((MomentSpec(mean=mu, std=s), cost) for s in grid))
+    sig = np.array(grid)
+    with np.errstate(over="ignore"):
+        second = mu * mu + sig * sig  # MomentSpec's second moment, bit for bit
+    out = np.flatnonzero(~((_MIN_NORMAL <= second) & (second < math.inf)))
+    if out.size:
+        MomentSpec(mu, grid[out[0]])  # raises InputError
+    quantities = partial(_quantities, a.alpha, mu, sig, second, cost.price, kappa)
+    return _scan_turn(a, grid, quantities, lambda s: (MomentSpec(mu, s), cost))

@@ -11,6 +11,7 @@ cross-check failed".
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 
 __all__ = [
@@ -71,6 +72,20 @@ def require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise InputError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _whole_number(name: str, value, low: int) -> int:
+    """``value`` as the int it names, a whole number >= ``low``: an int (or
+    an integer numpy scalar) is taken exactly, anything else through
+    ``float()``, which must leave no fraction."""
+    try:
+        n = operator.index(value)
+    except TypeError:  # not an int: a float, a numeric string, None
+        f = require_finite(name, value)
+        require(f == int(f), f"{name} must be a whole number, got {value!r}")
+        n = int(f)
+    require(n >= low, f"{name} must be >= {low}, got {value!r}")
+    return n
 
 
 def require_positive(name: str, value: float) -> float:

@@ -67,6 +67,31 @@ def test_sample_set_rejects_bad_input():
 
 
 @pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1.0, "ten"], r"values\[1\] must be a finite number: could not convert"),
+        ([1.0, None], r"values\[1\] must be a finite number: float\(\) argument"),
+        ([1.0, 10**400], r"values\[1\] must be finite, got an int beyond the float range"),
+        ((2.0, -1.0, "ten"), r"values\[1\] must be >= 0, got -1.0"),  # the first bad value
+        (np.array([1.0, 2.0, -3.0], dtype=np.float32), r"values\[2\] must be >= 0, got -3.0"),
+    ],
+    ids=["string", "none", "huge-int", "first-bad-value", "float32-array"],
+)
+def test_sample_set_names_every_value_float_rejects(values, message):
+    with pytest.raises(InputError, match=f"^{message}"):
+        SampleSet(values)
+
+
+def test_sample_set_converts_every_input_to_the_same_floats():
+    want = SampleSet((1.0, 2.5, 4.0))
+    for values in ([1, 2.5, 4], ["1", "2.5", "4.0"], np.array([1.0, 2.5, 4.0]),
+                   np.array([1.0, 2.5, 4.0], dtype=np.float32), iter([1.0, 2.5, 4.0])):
+        got = SampleSet(values)
+        assert got == want and all(type(v) is float for v in got.values)
+        assert (got.mean, got.std) == (want.mean, want.std)
+
+
+@pytest.mark.parametrize(
     "values",
     [(1.0, 1.3e154, 1.2e154), (1.0, 1e200, 3.0)],
     ids=["squares-sum-overflows", "one-square-overflows"],

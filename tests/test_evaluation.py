@@ -408,6 +408,44 @@ def test_experiment_config_stores_the_theta_and_folds_it_checked():
             cv_alpha(base.train, COST, (0.5, 4.0), folds=folds)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("alpha_grid", ("x",), r"alpha_grid\[0\] must be a finite number"),
+        ("alpha_grid", (1.0, math.nan), r"alpha_grid\[1\] must be finite, got nan"),
+        ("alpha_grid", (-1.0,), r"alpha_grid\[0\] must be >= 0, got -1.0"),
+        ("alpha_grid", (-math.inf,), r"alpha_grid\[0\] must be finite, got -inf"),
+        ("alpha_grid", (10**400,), r"alpha_grid\[0\] must be finite, got an int beyond"),
+        ("eps_grid", (None,), r"eps_grid\[0\] must be a finite number"),
+        ("eps_grid", (0.1, -0.5), r"eps_grid\[1\] must be >= 0, got -0.5"),
+        ("eps_grid", (math.inf,), r"eps_grid\[0\] must be finite, got inf"),
+        ("seed", "a", r"seed must be a finite number"),
+        ("seed", 1.7, r"seed must be a whole number, got 1.7"),
+        ("seed", None, r"seed must be a finite number"),
+        ("seed", -1, r"seed must be >= 0, got -1"),
+    ],
+)
+def test_experiment_config_rejects_each_bad_entry_by_name(field, value, message):
+    fields = {"train": SampleSet((1.0, 2.0, 4.0)), "cost": COST, "alpha_grid": (1.0,),
+              "methods": (Method.MISSPEC,), "seed": 0}
+    with pytest.raises(InputError, match=f"^{message}"):
+        ExperimentConfig(**{**fields, field: value})
+
+
+def test_experiment_config_stores_the_indices_budgets_and_seed_it_checked():
+    fields = {"train": SampleSet((1.0, 2.0, 4.0)), "cost": COST, "methods": (Method.MISSPEC,)}
+    want = ExperimentConfig(**fields, alpha_grid=(0.0, 2.0, math.inf), eps_grid=(0.0, 0.5),
+                            seed=7)
+    for alphas, eps, seed in (((0, 2, "inf"), (0, "0.5"), np.int64(7)),
+                              ((np.float32(0.0), Fraction(2), math.inf), (0.0, 0.5), 7.0)):
+        got = ExperimentConfig(**fields, alpha_grid=alphas, eps_grid=eps, seed=seed)
+        assert got == want and config_digest(got) == config_digest(want)
+        assert all(type(x) is float for x in got.alpha_grid + got.eps_grid)
+        assert type(got.seed) is int
+    big = ExperimentConfig(**fields, alpha_grid=(1.0,), seed=2**64 - 1)
+    assert big.seed == 2**64 - 1  # an int seed is kept exactly, not through a float
+
+
 def test_stationary_data_favors_the_nominal_method():
     # with no shift between train and test, the sample-quantile order should
     # win (up to sampling noise) against the robust alternatives

@@ -10,6 +10,7 @@ import warnings
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -2378,6 +2379,151 @@ def _variance_scan_case(rng):
     alpha = _scan_alpha(rng, p / mu)
     models = [(MomentSpec(mu, s), cost) for s in grid]
     return alpha, grid, models, lambda: variance_threshold_scan(alpha, cost, mu, grid)
+
+
+def _threshold(mu, sig, p, c):
+    """The index at which ``_quantity`` switches to its HIGH_ALPHA branch,
+    formed as it forms it (None where that threshold is infinite)."""
+    kappa = (p - c) / p
+    margin = mu - sig * math.sqrt((1.0 - kappa) / kappa)
+    return p / (2.0 * margin) if margin > 0.0 else None
+
+
+def _quantity_groups(rng):
+    """300 groups of 48 points, each as a scan takes it: ``(alpha, mu, sig, p,
+    c)`` with one of ``sig`` (a variance group) or ``p`` (a price group) an
+    array.  Between them: alpha = INFINITY, tiny alphas and an alpha at one
+    point's threshold; fractiles equal to sigma^2/(mu^2 + sigma^2) (where
+    ``margin`` is 0) and one float either side; fractiles within a few ulps
+    of it, where rounding makes the low branch negative and ``max`` clamps
+    it (to -0.0 where it underflows); and prices near 1e154."""
+    for g in range(300):
+        kind = g % 6
+        big = 1e150 if kind == 4 else 1.0
+        mu = big * float(10 ** rng.uniform(-2, 2.5))
+        c = big * float(10 ** rng.uniform(-2, 2))
+        sig = mu * float(10 ** rng.uniform(-3, 0.7))
+        p = c * (1.0 + float(10 ** rng.uniform(-3, 2)))
+        if kind == 1:  # kappa = sigma^2/second exactly: 1/2, or 16/25 on a power-of-two scale
+            t, u = 2.0 ** int(rng.integers(-20, 20)), 2.0 ** int(rng.integers(-20, 20))
+            mu, sig, p, c = ((t, t, 2.0 * u, u), (3.0 * t, 4.0 * t, 25.0 * u, 9.0 * u))[g % 2]
+        ulps = 1.0 + 2.0**-52 * np.arange(-8.0, 40.0)
+        if kind == 5 and g % 2:  # stds within ulps of the degenerate boundary
+            sig = mu * math.sqrt((p - c) / c) / ulps
+        elif kind == 5:  # prices within ulps of the degenerate boundary
+            p = c * (1.0 + (sig / mu) ** 2) * ulps
+        elif g % 2:  # a variance group: the stds vary, around sig
+            spread = sig * np.array([1.0, *(10 ** rng.uniform(-2, 0.5, 47))])
+            sig = np.unique(np.concatenate([spread, np.nextafter(spread[:1], [0.0, math.inf])]))
+            sig = sig[:48]
+        else:  # a price group: the prices vary, around p
+            spread = p * np.array([1.0, *(10 ** rng.uniform(0.0, 1.5, 47))])
+            low = np.nextafter(spread[:1], [0.0, math.inf])
+            p = np.unique(np.concatenate([spread, low[low > c]]))[:48]
+        at = int(rng.integers(0, 48))
+        point = [float(x[at]) if isinstance(x, np.ndarray) else x for x in (mu, sig, p, c)]
+        alphas = (math.inf, 5e-324, 1e-300, big * float(10 ** rng.uniform(-3, 3)),
+                  _threshold(*point) or math.inf)
+        yield alphas[int(rng.integers(kind == 5, 5))], mu, sig, p, c  # no INFINITY at the boundary
+
+
+def test_the_array_arm_gives_the_scalar_quantities_bit_for_bit():
+    rng = np.random.default_rng(32_032)
+    seen = Counter()
+    for alpha, mu, sig, p, c in _quantity_groups(rng):
+        a = MisspecIndex(alpha)
+        points = np.broadcast_arrays(np.float64(mu), sig, p, np.float64(c))
+        want = []
+        for m_, s_, p_, c_ in zip(*(x.tolist() for x in points)):
+            m, cost = MomentSpec(m_, s_), CostStructure(p_, c_)
+            want.append(sp._quantity(a, m, cost)[0])  # no fractile here rounds to 1
+            degenerate = cost.kappa < s_ * s_ / m.second_moment
+            threshold = _threshold(m_, s_, p_, c_)
+            f = fractile_factor(1.0 - cost.kappa)
+            low = not degenerate and (threshold is None or alpha < threshold)
+            seen["degenerate"] += degenerate
+            seen["margin <= 0"] += not degenerate and threshold is None
+            seen["at threshold"] += alpha == threshold
+            seen["clamped to 0"] += low and m_ * m_ - s_ * s_ + 2.0 * m_ * s_ * f < 0.0
+            seen["-0.0"] += math.copysign(1.0, want[-1]) < 0.0
+            seen["alpha inf"] += alpha == math.inf
+            seen["alpha tiny"] += alpha < 1e-299
+            seen["price ~1e154"] += p_ > 1e151
+            seen["point"] += 1
+        # the arguments as the scans form them: the array is the varying one
+        second = mu * mu + sig * sig
+        kappa = (p - c) / p
+        got = sp._quantities(alpha, mu, sig, second, p, kappa)
+        assert got.tobytes() == np.array(want).tobytes(), (alpha, mu, sig, p, c)
+    assert seen["point"] >= 10_000
+    assert min(seen.values()) >= 20, seen
+
+
+def _ordered_quantities(alpha, grid, model):
+    """The models built and the closed-form quantity taken point by point in
+    grid order, as the scans once took them: the first error raised, or None."""
+    try:
+        for x in grid:
+            m, cost = model(x)
+            if alpha != 0.0:
+                sp._quantity(MisspecIndex(alpha), m, cost)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def _bad_point_cases():
+    """``(alpha, grid, model, scan)`` on grids of 1,000 points with a bad point
+    first, in the middle or last: prices where the fractile rounds to 1, and
+    stds where ``mu^2 + s^2`` overflows at mu near 1e154; and with none."""
+    m, c = MomentSpec(4.0, 2.5), 3.0
+    cost = CostStructure(10.0, 3.0)
+    prices = {
+        "none": np.linspace(3.5, 40.0, 1000),
+        "first": np.geomspace(c * 1e17, c * 1e19, 1000),
+        "middle": np.geomspace(c * 1.5, c * 1e20, 1000),
+        "last": np.append(np.geomspace(c * 1.5, c * 1e14, 999), c * 1e17),
+    }
+    mu = 1e154
+    over = math.sqrt(sys.float_info.max - mu * mu)  # about where mu^2 + s^2 overflows
+    stds = {
+        "none": np.linspace(0.0, 6.0, 1000),
+        "first": np.linspace(over * 1.001, over * 1.2, 1000),
+        "middle": np.linspace(0.0, over * 1.2, 1000),
+        "last": np.append(np.linspace(0.0, over * 0.999, 999), over * 1.001),
+    }
+    for alpha in (0.0, 4.0, math.inf):
+        for where in ("none", "first", "middle", "last"):
+            grid = prices[where]
+            yield (alpha, grid, lambda p: (m, CostStructure(p, c)),
+                   partial(price_threshold_scan, alpha, m, c, grid))
+            grid, mean = stds[where], 4.0 if where == "none" else mu
+            yield (alpha, grid, lambda s, mean=mean: (MomentSpec(mean, s), cost),
+                   partial(variance_threshold_scan, alpha, cost, mean, grid))
+
+
+def test_scans_raise_at_the_first_bad_point_as_the_forward_reference_does(monkeypatch):
+    calls = _recorded_evaluations(monkeypatch)
+    outcomes = Counter()
+    for alpha, grid, model, scan in _bad_point_cases():
+        error = _ordered_quantities(alpha, grid, model)
+        del calls[:]
+        if error is not None:  # the scan raises the same error, before any evaluation
+            with pytest.raises(InputError) as raised:
+                scan()
+            assert str(raised.value) == error and calls == [], (alpha, grid[:2])
+            outcomes["error"] += 1
+            continue
+        # alpha = 0 takes no quantity: the same grid then runs as the reference runs it
+        models = [model(x) for x in grid]
+        qs, j, want = _forward_turn(alpha, grid, models)
+        del calls[:]
+        assert scan() == want
+        read = range(max(j - 1, 0), len(grid)) if alpha != 0.0 else range(0)
+        assert calls == [(qs[i], *models[i]) for i in read]
+        outcomes["turn"] += 1
+    # a bad price at alpha = 0 is never read; a bad std is built at every alpha
+    assert outcomes == {"error": 15, "turn": 9}, outcomes
 
 
 @pytest.mark.parametrize("case", [_price_scan_case, _variance_scan_case], ids=["price", "variance"])
