@@ -17,7 +17,7 @@ permutation, solve each candidate on every fold complement's moments and
 score it by the mean over folds of the held-out mean profit.  Selection
 takes the highest score; exact ties go to the candidate with the largest
 index (the smallest budget for the formula rule), then to the first in grid
-order.  Results are deterministic for a fixed seed.
+order.  Results are deterministic for a fixed seed, a whole number >= 0.
 
 A :class:`SampleSet` derives its empirical law and its moments on first read:
 callers that read no law (the cv rule, a sweep) never sort the observations.
@@ -238,15 +238,17 @@ def ot_quadratic_empirical(
 
 
 def epsilon_N(n: int, eta: float, c1: float, c2: float) -> float:
-    """Concentration radius (c1 + c2 log(1/eta))^2 / sqrt(n).
+    """Concentration radius (c1 + c2 log(1/eta))^2 / sqrt(n), for a whole
+    number ``n >= 1`` (``3.0`` is 3, ``2.5`` an :class:`InputError`).
 
     ``c1`` and ``c2`` are user-supplied tuning constants; the module makes
     no attempt to derive them from first principles.
     """
-    require(int(n) >= 1, f"sample size must be >= 1, got {n!r}")
-    require(0.0 < eta <= 1.0, f"eta must lie in (0, 1], got {eta!r}")
-    require_positive("c1", c1)
-    require_positive("c2", c2)
+    n = _whole_number("n", n, 1)
+    eta = require_positive("eta", eta)
+    require(eta <= 1.0, f"eta must lie in (0, 1], got {eta!r}")
+    c1 = require_positive("c1", c1)
+    c2 = require_positive("c2", c2)
     base = c1 + c2 * math.log(1.0 / eta)
     return base * base / math.sqrt(n)
 
@@ -267,8 +269,8 @@ def guarantee(
     the in-sample optimal value and clips at zero.  With both budgets zero
     the index is infinite and the bound equals the ambiguity-only value.
     """
-    require_nonnegative("shift", shift)
-    require_nonnegative("eps", eps)
+    shift = require_nonnegative("shift", shift)
+    eps = require_nonnegative("eps", eps)
     m_hat = samples.moments
     total = eps + shift
     alpha_n = alpha_for_radius(total, m_hat, cost)
@@ -339,7 +341,7 @@ def _shift(
 ) -> tuple[np.random.Generator, float]:
     """The seeded generator after its one ``beta ~ U[0.5, 1]`` draw, and the
     anticipated shift ``beta * ot_quadratic_empirical(test, train)``."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole_number("seed", seed, 0))
     beta = float(rng.uniform(0.5, 1.0))
     return rng, beta * ot_quadratic_empirical(test.empirical, train.empirical)
 
@@ -370,7 +372,7 @@ def cv_alpha(
     """
     grid = [as_misspec_index(a) for a in alpha_grid]
     require(len(grid) > 0, "alpha_grid must be non-empty")
-    split = _folds(samples, folds, np.random.default_rng(seed))
+    split = _folds(samples, folds, np.random.default_rng(_whole_number("seed", seed, 0)))
     return _best(grid, _cv_score(split, cost, grid, lambda a, m: a), lambda a: a.alpha)
 
 
@@ -397,7 +399,7 @@ def stress_distribution(train: SampleSet, target: float) -> DiscreteDistribution
     beyond ``rho = 1`` are unreachable by this construction and rejected
     with the largest reachable budget in the message.
     """
-    require_nonnegative("target", target)
+    target = require_nonnegative("target", target)
     spread, max_target = _max_reachable_target(train)
     rho = math.sqrt(train.n * target / spread)
     if rho > 1.0 + 1e-12:
@@ -429,10 +431,8 @@ def formula_calibrate(
     Ties break toward the smaller budget (the larger index).  Returns the
     index at the selected budget plus the shift, on the full training moments.
     """
-    grid = [float(e) for e in eps_grid]
+    grid = [require_nonnegative(f"eps_grid[{i}]", e) for i, e in enumerate(eps_grid)]
     require(len(grid) > 0, "eps_grid must be non-empty")
-    for e in grid:
-        require_nonnegative("eps_grid entry", e)
     rng, shift = _shift(train, test, seed)
     split = _folds(train, folds, rng)
     eps = _best(

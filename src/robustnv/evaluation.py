@@ -47,6 +47,7 @@ from .single_product import (
     _checked_test_profits,
     _ell_rows,
     _expected_profits,
+    _grid_floats,
     _require_demands,
     _solve,
     _test_profits,
@@ -59,6 +60,7 @@ from .validation import (
     InternalCheckError,
     _member,
     require,
+    require_finite,
     require_nonnegative,
     require_positive,
     _whole_number,
@@ -111,7 +113,7 @@ class DemandKind(str, Enum):
 
 def default_alpha_grid(price: float) -> tuple[float, ...]:
     """Log-spaced index grid spanning [1e-2, 1e2] scaled by price/10."""
-    require_positive("price", price)
+    price = require_positive("price", price)
     return tuple(float(a) * price / 10.0 for a in np.logspace(-2.0, 2.0, _ALPHA_GRID_POINTS))
 
 
@@ -274,7 +276,7 @@ def sweep(
         span, point = (1e-3, 1.5 * m.mean), lambda v: (fixed, MomentSpec(m.mean, v), base)
     if values is None:
         values = config.alpha_grid if span is None else np.linspace(*span, 200)
-    vals = tuple(float(v) for v in values)
+    vals = tuple(_grid_floats("values", values))
     require(len(vals) > 0, "sweep axis grid must be non-empty")
     fixed = None if span is None else _sole_alpha(config, alpha)
     demands = None if config.test is None else _require_demands(config.test.values)
@@ -409,31 +411,29 @@ def draw_demand(
     n: int,
     seed: int,
 ) -> tuple[float, ...]:
-    """Seeded synthetic demand draws as a raw tuple (``n >= 1``).
+    """Seeded synthetic demand draws as a raw tuple (``n >= 1`` and
+    ``seed >= 0``, whole numbers: ``3.0`` is 3, ``2.5`` an :class:`InputError`).
 
     TRUNC_NORMAL and LOGNORMAL take ``mu`` and ``sigma`` (log-space for the
-    lognormal); REGIME_SHIFT additionally takes ``mu2``, ``sigma2`` and an
-    optional ``split`` fraction (default 0.5) and concatenates two truncated
-    normal segments.  Identical seeds reproduce identical samples.
+    lognormal, whose ``mu`` need only be finite); REGIME_SHIFT additionally
+    takes ``mu2``, ``sigma2`` and an optional ``split`` fraction (default
+    0.5) and concatenates two truncated normal segments.  Identical seeds
+    reproduce identical samples.
     """
     kind = _member(DemandKind, kind)
-    require(int(n) >= 1, f"n must be >= 1, got {n!r}")
-    n = int(n)
+    n = _whole_number("n", n, 1)
     require("mu" in params and "sigma" in params, "params need 'mu' and 'sigma'")
-    mu, sigma = float(params["mu"]), float(params["sigma"])
-    require_positive("sigma", sigma)
-    if kind is not DemandKind.LOGNORMAL:
-        require_positive("mu", mu)
-    rng = np.random.default_rng(int(seed))
+    sigma = require_positive("sigma", params["sigma"])
+    mu = (require_finite if kind is DemandKind.LOGNORMAL else require_positive)("mu", params["mu"])
+    rng = np.random.default_rng(_whole_number("seed", seed, 0))
     if kind is DemandKind.REGIME_SHIFT:
         require(
             "mu2" in params and "sigma2" in params,
             "REGIME_SHIFT params need 'mu2' and 'sigma2'",
         )
-        mu2, sigma2 = float(params["mu2"]), float(params["sigma2"])
-        require_positive("mu2", mu2)
-        require_positive("sigma2", sigma2)
-        split = float(params.get("split", 0.5))
+        mu2 = require_positive("mu2", params["mu2"])
+        sigma2 = require_positive("sigma2", params["sigma2"])
+        split = require_finite("split", params.get("split", 0.5))
         require(0.0 <= split <= 1.0, f"split must lie in [0, 1], got {split!r}")
         n1 = int(round(split * n))
         head = _draw_segment(DemandKind.TRUNC_NORMAL, mu, sigma, n1, rng)
@@ -450,13 +450,13 @@ def generate_demand(
     n: int,
     seed: int,
 ) -> SampleSet:
-    """Seeded synthetic demand as a :class:`SampleSet` (``n >= 2``).
+    """Seeded synthetic demand as a :class:`SampleSet` (a whole ``n >= 2``).
 
     Single draws cannot carry a deviation, so they are available only
     through :func:`draw_demand` (and the ``generate`` CLI path, which writes
     raw rows).
     """
-    require(int(n) >= 2, f"a sample set needs n >= 2, got {n!r}")
+    n = _whole_number("n", n, 2)
     return SampleSet(draw_demand(kind, params, n, seed))
 
 
@@ -686,16 +686,16 @@ def oracle_check(
     rounding of the extremal atoms).  Every eighth instance runs the
     infinite index (the ambiguity-only model).  Violations raise
     :class:`InternalCheckError`; the returned summary reports the worst
-    gaps actually observed.
+    gaps actually observed.  The seed and the counts are whole numbers.
     """
-    require(int(instances) >= 1, f"instances must be >= 1, got {instances!r}")
-    require(int(grid_points) >= 20, "grid_points must be >= 20")
-    require(int(grid_points) <= 400, "grid_points above 400 exceed the family budget")
-    require(int(q_points) >= 10, "q_points must be >= 10")
-    rng = np.random.default_rng(int(seed))
+    instances = _whole_number("instances", instances, 1)
+    grid_points = _whole_number("grid_points", grid_points, 20)
+    require(grid_points <= 400, "grid_points above 400 exceed the family budget")
+    q_points = _whole_number("q_points", q_points, 10)
+    rng = np.random.default_rng(_whole_number("seed", seed, 0))
     worst_q_gap_steps = 0.0
     worst_value_gap = 0.0
-    for k in range(int(instances)):
+    for k in range(instances):
         m, cs = _random_instance(rng)
         alpha: AlphaLike
         if k % 8 == 7:
@@ -705,7 +705,7 @@ def oracle_check(
         closed_q, closed_value = _solve(alpha, m, cs)
 
         hi = m.mean + 6.0 * m.std
-        grid = np.linspace(0.0, hi, int(grid_points))
+        grid = np.linspace(0.0, hi, grid_points)
         family = MomentLawFamily(
             MomentConstraintSet(
                 grid=tuple(grid),
@@ -716,7 +716,7 @@ def oracle_check(
             )
         )
         q_hi = max(_solve(MisspecIndex.INFINITY, m, cs)[0] * 1.2, 1e-6)
-        q_grid = np.linspace(0.0, q_hi, int(q_points))
+        q_grid = np.linspace(0.0, q_hi, q_points)
         q_step = q_grid[1] - q_grid[0]
         rows = _ell_rows(alpha, [*q_grid, closed_q], grid, cs)
         values = family._min_values(rows)
@@ -742,9 +742,9 @@ def oracle_check(
                 f"by more than the grid budget"
             )
     return {
-        "instances": int(instances),
-        "grid_points": int(grid_points),
-        "q_points": int(q_points),
+        "instances": instances,
+        "grid_points": grid_points,
+        "q_points": q_points,
         "max_quantity_gap_steps": round(float(worst_q_gap_steps), 6),
         "max_value_gap_fraction_of_budget": round(float(worst_value_gap), 6),
         "passed": True,

@@ -49,6 +49,7 @@ from .validation import (
     require,
     require_finite,
     require_nonnegative,
+    require_positive,
 )
 
 __all__ = [
@@ -538,8 +539,7 @@ def inner_min_oracle(
     alpha: float, q: float, v: float, cost, u_grid: Sequence[float]
 ) -> float:
     """Grid envelope: min over u of pi(q, u) + alpha (u - v)^2; see :func:`_grid`."""
-    alpha = float(alpha)
-    require(math.isfinite(alpha) and alpha > 0.0, "alpha must be finite and > 0")
+    alpha = require_positive("alpha", alpha)
     q = require_nonnegative("q", q)
     v = require_nonnegative("v", v)
     u = np.array(_grid("u_grid", u_grid))
@@ -585,7 +585,7 @@ def wasserstein_dual_oracle(
     each a number in [0, alpha).
     """
     theta = require_nonnegative("theta", theta)
-    alpha = float(alpha)
+    alpha = require_nonnegative("alpha", alpha, allow_inf=True)
     require(alpha > 0.0, "alpha must be > 0 (math.inf allowed)")
     gammas = np.array(_grid_floats("gamma_grid", gamma_grid))
     require(gammas.size > 0, "gamma_grid must be non-empty")

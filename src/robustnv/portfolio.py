@@ -41,7 +41,6 @@ from .validation import (
     InputError,
     InternalCheckError,
     require,
-    require_finite,
     require_nonnegative,
     require_positive,
     _BISECT_REL_TOL,
@@ -204,7 +203,7 @@ def theta(j: int, lam: float, products: Sequence[ProductSpec], alpha: AlphaLike)
         isinstance(j, int) and 1 <= j <= m + 1,
         f"segment index must lie in 1..{m + 1}, got {j!r}",
     )
-    require_nonnegative("lam", lam, allow_inf=True)
+    lam = require_nonnegative("lam", lam, allow_inf=True)
     return _theta(terms, j, lam, a.inv)
 
 
@@ -227,7 +226,7 @@ def product_quantities(
     quotients of positive terms, or 0 at lambda = 0.
     """
     a = _alpha_for_portfolio(alpha)
-    require_nonnegative("lambda_star", lambda_star, allow_inf=True)
+    lambda_star = require_nonnegative("lambda_star", lambda_star, allow_inf=True)
     return [_single_quantity(lambda_star, prod, a) for prod in products]
 
 
@@ -382,8 +381,7 @@ def dual_objective(lam: float, portfolio: PortfolioSpec, grid) -> float:
     exclusively to validate solve_lambda; the closed forms never call this.
     ``grid`` obeys :func:`_grid`, with >= 2 points.
     """
-    require_finite("lam", lam)
-    require_nonnegative("lam", lam)
+    lam = require_nonnegative("lam", lam)
     v = _validated_grid(grid)
     a = portfolio.alpha
     total = -lam * portfolio.budget

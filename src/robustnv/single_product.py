@@ -257,9 +257,7 @@ def _grid(name: str, points) -> list[float]:
     if not (grid and grid[0] >= 0.0 and grid[-1] < math.inf and all(map(lt, grid, grid[1:]))):
         require(len(grid) > 0, f"{name} must be non-empty")
         for x in grid:
-            if not 0.0 <= x < math.inf:  # NaN and -inf fail here too
-                require_finite(f"every {name} point", x)
-                raise InputError(f"every {name} point must be >= 0, got {x!r}")
+            require_nonnegative(f"every {name} point", x)
         raise InputError(f"{name} must be strictly increasing")
     return grid
 
@@ -424,7 +422,7 @@ class DiscreteDistribution:
 
     @classmethod
     def point_mass(cls, value: float) -> "DiscreteDistribution":
-        return cls((float(value),), (1.0,))
+        return cls((require_nonnegative("value", value),), (1.0,))
 
     # -- queries ------------------------------------------------------------
 
@@ -451,11 +449,12 @@ class DiscreteDistribution:
     def cdf(self, x: float) -> float:
         """P(V <= x), closed at atoms (tolerance ``_ATOM_TOL`` on the comparison):
         the same in-order prefix sum of the weights that :meth:`quantile` reads."""
-        k = bisect.bisect_right(self.support, x + _ATOM_TOL)
+        k = bisect.bisect_right(self.support, require_finite("x", x) + _ATOM_TOL)
         return list(accumulate(self.weights[:k], initial=0.0))[-1]
 
     def quantile(self, kappa: float) -> float:
         """Left-continuous generalized inverse inf{x : CDF(x) >= kappa}."""
+        kappa = require_finite("kappa", kappa)
         return self.support[_quantile_atom(list(accumulate(self.weights, initial=0.0)), kappa)]
 
     def expectation(self, fn: Callable[[float], float]) -> float:
@@ -496,7 +495,8 @@ class TransformSpec:
     regime: TransformRegime
 
     def apply(self, v: float) -> float:
-        return _image(float(v), self.alpha, self.price, self.regime is TransformRegime.MIXED)
+        v = require_finite("v", v)
+        return _image(v, self.alpha, self.price, self.regime is TransformRegime.MIXED)
 
 
 def _image(v: float, alpha: float, price: float, mixed: bool) -> float:
@@ -519,11 +519,11 @@ def _quadratic(q: float, pinv: float) -> bool:
 def transform(alpha: AlphaLike, price: float, q: float) -> TransformSpec:
     """Build the transform attached to order quantity ``q``."""
     a = as_misspec_index(alpha)
-    require_positive("price", price)
-    require_nonnegative("q", q)
+    price = require_positive("price", price)
+    q = require_nonnegative("q", q)
     _nonzero_index(a)
     regime = TransformRegime.QUADRATIC if _quadratic(q, price * a.inv) else TransformRegime.MIXED
-    return TransformSpec(a.alpha, float(price), float(q), regime)
+    return TransformSpec(a.alpha, price, q, regime)
 
 
 def push_forward(dist: DiscreteDistribution, t: TransformSpec) -> DiscreteDistribution:
@@ -696,6 +696,7 @@ def _ell_core(a: MisspecIndex, q: np.ndarray, v: np.ndarray, cost: CostStructure
 
 def fractile_factor(x: float) -> float:
     """The map f(x) = (1 - 2x) / (2 sqrt(x (1 - x))) on (0, 1)."""
+    x = require_finite("x", x)
     if not 0.0 < x < 1.0:
         raise InputError(f"fractile_factor needs x in (0, 1), got {x!r}")
     return (1.0 - 2.0 * x) / (2.0 * math.sqrt(x * (1.0 - x)))
