@@ -246,13 +246,8 @@ def _cmd_oracle_check(args) -> str:
 
 def _cmd_generate(args) -> str:
     kind = args.kind.replace("-", "_").upper()
-    params = {"mu": args.mu, "sigma": args.sigma}
-    if args.mu2 is not None:
-        params["mu2"] = args.mu2
-    if args.sigma2 is not None:
-        params["sigma2"] = args.sigma2
-    if args.split is not None:
-        params["split"] = args.split
+    names = ("mu", "sigma", "mu2", "sigma2", "split")
+    params = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
     values = draw_demand(kind, params, args.n, args.seed)
     return demand_csv_text(values)
 

@@ -208,10 +208,7 @@ class ExperimentReport:
     selections: tuple[tuple[str, float | None], ...]
 
     def selection(self, name: str) -> float | None:
-        for key, val in self.selections:
-            if key == name:
-                return val
-        raise KeyError(name)
+        return dict(self.selections)[name]
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +624,6 @@ def report_json_text(report: ExperimentReport) -> str:
 def _cell_field(x: float | None) -> str:
     if x is None:
         return ""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return f"{x:.6f}"
 
 

@@ -23,8 +23,8 @@ from .oracle import (
     Moment,
     MomentConstraint,
     MomentConstraintSet,
+    MomentLawFamily,
     Relation,
-    worst_case_expectation_oracle,
 )
 from .single_product import (
     AlphaLike,
@@ -35,7 +35,6 @@ from .single_product import (
     _grid_floats,
     _nonzero_index as _alpha_for_portfolio,
     as_misspec_index,
-    ell,
 )
 from .validation import (
     InputError,
@@ -46,6 +45,7 @@ from .validation import (
     _BISECT_REL_TOL,
     _MAX_BISECT_ITER,
     _fsum_or_inf,
+    _whole_number,
 )
 
 __all__ = [
@@ -199,10 +199,8 @@ def theta(j: int, lam: float, products: Sequence[ProductSpec], alpha: AlphaLike)
     """
     a, _, terms = _order(products, alpha)
     m = len(terms)
-    require(
-        isinstance(j, int) and 1 <= j <= m + 1,
-        f"segment index must lie in 1..{m + 1}, got {j!r}",
-    )
+    j = _whole_number("segment index", j, 1)
+    require(j <= m + 1, f"segment index must lie in 1..{m + 1}, got {j!r}")
     lam = require_nonnegative("lam", lam, allow_inf=True)
     return _theta(terms, j, lam, a.inv)
 
@@ -219,10 +217,12 @@ def product_quantities(
     index formula's limit and the single-product reduction, so the limit form
     is used (both branches then meet continuously at lambda = c/(2 mu)).
 
-    No quantity is negative.  On the first finite branch, 2 mu - c/lambda >=
+    At lambda = inf, c/lambda and (p - 2c)/(4 lambda) are 0, so the first
+    branch gives mu - p/(4 alpha), the order for the point mass at the mean.
+
+    No quantity is negative.  On the first branch, 2 mu - c/lambda >=
     p/alpha gives q >= mu/2 + (p - c)/(4 lambda) > 0, and every term of q is
-    at most mu in size, so rounding cannot cross 0; likewise mu - p/(4 alpha)
-    >= mu/2 on the first infinite-multiplier branch.  The other branches are
+    at most mu in size, so rounding cannot cross 0.  The other branches are
     quotients of positive terms, or 0 at lambda = 0.
     """
     a = _alpha_for_portfolio(alpha)
@@ -235,13 +235,10 @@ def _single_quantity(lam: float, prod: ProductSpec, a: MisspecIndex) -> float:
     pinv = p * a.inv
     if lam == 0.0:
         return 0.0
-    if math.isinf(lam):
-        # all-variance-forbidden limit: order for the point mass at the mean
-        if 2.0 * mu >= pinv:
-            return mu - 0.25 * pinv
-        return mu * mu / pinv
     if 2.0 * mu - c / lam >= pinv:
         return mu + (p - 2.0 * c) / (4.0 * lam) - 0.25 * pinv
+    if math.isinf(lam):  # the limit mu^2 / (p/alpha) of the form below, there inf/inf
+        return mu * mu / pinv
     den = p * lam * a.inv + c
     return lam * mu * mu * (1.0 + (p - c) / den) / den
 
@@ -380,25 +377,25 @@ def dual_objective(lam: float, portfolio: PortfolioSpec, grid) -> float:
     second-moment penalty lam * v^2 added to the transformed profit.  Used
     exclusively to validate solve_lambda; the closed forms never call this.
     ``grid`` obeys :func:`_grid`, with >= 2 points.
+
+    Each product's mean-constrained grid laws form one :class:`MomentLawFamily`,
+    which scores ``ell(q, v) + lam * v^2`` in one matrix, a row per grid
+    quantity q; the product's term is the largest row minimum.  The checks
+    run in this order, the first failure raising: lam, the grid, the index
+    (alpha = 0 degenerates), the 20,000-point pair cap, each product's mean
+    inside the grid (:class:`InfeasibleError`), each product's objective finite.
     """
     lam = require_nonnegative("lam", lam)
     v = _validated_grid(grid)
-    a = portfolio.alpha
+    a = _alpha_for_portfolio(portfolio.alpha)
+    means = (MomentConstraint(Moment.MEAN, Relation.EQ, prod.mean) for prod in portfolio.products)
+    families = [MomentLawFamily(MomentConstraintSet(v, (mean,))) for mean in means]
     total = -lam * portfolio.budget
-    for prod in portfolio.products:
-        cs = MomentConstraintSet(
-            grid=v,
-            constraints=(MomentConstraint(Moment.MEAN, Relation.EQ, prod.mean),),
-        )
-        cost = prod.cost_structure
-        best = -math.inf
-        for q in v:
-            res = worst_case_expectation_oracle(
-                lambda u, q=q: ell(a, float(q), u, cost) + lam * u * u, cs
-            )
-            if res.value > best:
-                best = res.value
-        total += best
+    for prod, family in zip(portfolio.products, families):
+        with np.errstate(over="ignore"):  # an overflow is an objective that is not finite
+            rows = _ell_core(a, v[:, None], v, prod.cost_structure) + lam * v * v
+        values = family._min_values(rows)
+        total += float(values.max())
     return total
 
 

@@ -383,41 +383,26 @@ class DiscreteDistribution:
     def from_samples(cls, values: Iterable[float]) -> "DiscreteDistribution":
         """Empirical law: equal weight 1/N per observation, duplicates merged.
 
-        Samples that are all finite and >= -1e-9 are sorted before dust is
-        clamped to 0, and go on to the merge, mass check and normalization of
-        :meth:`from_pairs`.  That is the law :meth:`from_pairs` returns, bit
-        for bit: clamping is monotone, so the clamped sorted samples are the
-        clamped samples sorted (-0.0 and dust become 0.0), and with equal
-        weights a stable sort of the atoms is a sort of the values, so the
-        atom and weight lists it merges are the same floats.  Any other input
-        goes to :meth:`from_pairs` unsorted, so its errors name the first bad
-        sample in input order.
-
-        A non-empty :func:`_float_vector` is sorted as float64 by numpy, and
-        takes this path when its ends are finite and the lowest is >= -1e-9
-        (NaN sorts last): exactly when its samples pass the test below, but
-        for a finite sum that overflows, where :meth:`from_pairs` gives the
-        same law.  Its clamp is the same, and the support is the same floats:
-        the float64 values are the floats of ``tolist``, and a sort of them is
-        that of ``sorted`` up to the order of equal values, which are the same
-        float but for ``-0.0 == 0.0``, which the clamp makes ``0.0``.
+        The samples are read once as floats (a :func:`_float_vector` as it
+        stands, any other input by :func:`_floats`) and sorted as float64 by
+        numpy.  When the sorted ends are finite and the lowest is >= -1e-9
+        (NaN sorts last), dust is clamped to 0 and the sorted samples go on to
+        the merge, mass check and normalization of :meth:`from_pairs`.  That
+        is the law :meth:`from_pairs` returns, bit for bit: clamping is
+        monotone, so the clamped sorted samples are the clamped samples sorted
+        (-0.0 and dust become 0.0), and with equal weights a sort of the atoms
+        is a sort of the values.  Other samples go to :meth:`from_pairs` as
+        read, so its errors name the first bad sample in input order.
         """
-        if _float_vector(values) and values.size:
-            arr = values.astype(np.float64)
-            arr.sort()
-            if -_SUPPORT_DUST <= arr[0] and arr[-1] < math.inf:
-                if not arr[0] > 0.0:
-                    arr[arr <= 0.0] = 0.0
-                return cls._from_sorted(arr.tolist(), [1.0 / arr.size] * arr.size)
-        vs = _floats(values)
-        n = len(vs)
+        vs = values if _float_vector(values) else _floats(values)
+        arr = np.array(vs, dtype=np.float64)
+        n = arr.size
         require(n > 0, "need at least one sample")
-        if math.isfinite(sum(vs)):  # no NaN or inf: sorted() orders every sample
-            sup = sorted(vs)
-            if sup[0] >= -_SUPPORT_DUST:
-                if not sup[0] > 0.0:
-                    sup = [v if v > 0.0 else 0.0 for v in sup]
-                return cls._from_sorted(sup, [1.0 / n] * n)
+        arr.sort()
+        if -_SUPPORT_DUST <= arr[0] and arr[-1] < math.inf:
+            if not arr[0] > 0.0:
+                arr[arr <= 0.0] = 0.0
+            return cls._from_sorted(arr.tolist(), [1.0 / n] * n)
         return cls.from_pairs(vs, [1.0 / n] * n)
 
     @classmethod
@@ -1044,41 +1029,42 @@ def _fractile_rounds_to_one(cost: CostStructure) -> InputError:
     )
 
 
+def _quantity_terms(alpha, mu, sig, p, kappa, sqrt):
+    """``(margin, high, low)`` at a nonzero index: the margin that sets the
+    regime threshold ``p / (2 margin)``, and the HIGH_ALPHA and LOW_ALPHA
+    quantities before ``max(q, 0)``.  ``sqrt`` is ``math.sqrt`` on floats or
+    ``np.sqrt`` on arrays; both round correctly, so both give the same bits."""
+    x = 1.0 - kappa
+    f = (1.0 - 2.0 * x) / (2.0 * sqrt(x * (1.0 - x)))
+    margin = mu - sig * sqrt(x / kappa)
+    high = mu + sig * f - p / (4.0 * alpha)
+    low = (mu * mu - sig * sig + 2.0 * mu * sig * f) * alpha / p
+    return margin, high, low
+
+
 def _quantity(a: MisspecIndex, m: MomentSpec, cost: CostStructure) -> tuple[float, Regime]:
     """The closed-form quantity and its regime at a nonzero index; see
     :func:`misspec_quantity`."""
-    kappa = cost.kappa
-    mu, sig = m.mean, m.std
-    p = cost.price
-    if kappa < sig * sig / m.second_moment:
+    kappa, p = cost.kappa, cost.price
+    if kappa < m.std * m.std / m.second_moment:
         return 0.0, Regime.DEGENERATE
     if not kappa < 1.0:
         raise _fractile_rounds_to_one(cost)
-    margin = mu - sig * math.sqrt((1.0 - kappa) / kappa)
-    threshold = p / (2.0 * margin) if margin > 0.0 else math.inf
-    f = fractile_factor(1.0 - kappa)
-    if a.alpha >= threshold:
-        q = mu + sig * f - p / (4.0 * a.alpha)
-        regime = Regime.AMBIGUITY_ONLY if a.is_infinite else Regime.HIGH_ALPHA
-    else:
-        q = (mu * mu - sig * sig + 2.0 * mu * sig * f) * a.alpha / p
-        regime = Regime.LOW_ALPHA
-    return max(q, 0.0), regime
+    margin, high, low = _quantity_terms(a.alpha, m.mean, m.std, p, kappa, math.sqrt)
+    if a.alpha >= (p / (2.0 * margin) if margin > 0.0 else math.inf):
+        return max(high, 0.0), Regime.AMBIGUITY_ONLY if a.is_infinite else Regime.HIGH_ALPHA
+    return max(low, 0.0), Regime.LOW_ALPHA
 
 
 def _quantities(alpha: float, mu, sig, second, p, kappa) -> np.ndarray:
-    """The array arm of :func:`_quantity`: its quantities, bit for bit, at a
-    nonzero index on broadcast float arrays (``second = mu^2 + sig^2``, and
-    ``kappa < 1`` checked by the caller).  Each term is formed as the float
-    arm forms it, by the same correctly rounded ``+ - * /`` and ``sqrt``;
-    ``np.where(0.0 > q, 0.0, q)`` is ``max(q, 0.0)``, NaN and -0.0 included."""
+    """:func:`_quantity`'s quantities on broadcast float arrays, at a nonzero
+    index (``second = mu^2 + sig^2``, and ``kappa < 1`` checked by the
+    caller): the same :func:`_quantity_terms`, regime tests and threshold,
+    each branch taken by ``np.where``.  ``np.where(0.0 > q, 0.0, q)`` is
+    ``max(q, 0.0)``, NaN and -0.0 included."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x = 1.0 - kappa
-        margin = mu - sig * np.sqrt(x / kappa)
+        margin, high, low = _quantity_terms(alpha, mu, sig, p, kappa, np.sqrt)
         threshold = np.where(margin > 0.0, p / (2.0 * margin), math.inf)
-        f = (1.0 - 2.0 * x) / (2.0 * np.sqrt(x * (1.0 - x)))  # fractile_factor(x)
-        high = mu + sig * f - p / (4.0 * alpha)
-        low = (mu * mu - sig * sig + 2.0 * mu * sig * f) * alpha / p
         q = np.where(kappa < sig * sig / second, 0.0, np.where(alpha >= threshold, high, low))
     return np.where(0.0 > q, 0.0, q)
 

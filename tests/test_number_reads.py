@@ -247,6 +247,7 @@ _COUNT_SITES = {
     "formula_calibrate-seed": ("seed", 0, 3, lambda x: formula_calibrate(
         TRAIN, TEST, COST, [0.1], seed=x, folds=2)),
     "stress_calibrate-seed": ("seed", 0, 3, lambda x: stress_calibrate(TRAIN, TEST, COST, (1.0, 4.0), seed=x)),
+    "theta-j": ("segment index", 1, 3, lambda x: theta(x, 0.5, PRODUCTS, 4.0)),
 }
 
 

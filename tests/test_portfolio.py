@@ -29,7 +29,15 @@ from robustnv import (
     theta,
 )
 from robustnv import portfolio
+from robustnv.oracle import (
+    Moment,
+    MomentConstraint,
+    MomentConstraintSet,
+    Relation,
+    worst_case_expectation_oracle,
+)
 from robustnv.portfolio import _envelope_min
+from robustnv.validation import require_nonnegative
 
 INF = MisspecIndex.INFINITY
 P1 = ProductSpec(price=10.0, cost=3.0, mean=4.0)
@@ -982,3 +990,152 @@ def test_dual_multiplier_maximizes_the_curve():
     # grid-restricted inner minima shift the sweep by at most the oracle's
     # discretization error; 1e-3 is far below the coarsest relevant scale
     assert at_star >= curve.max() - 1e-3
+
+
+# ---------------------------------------------------------------------------
+# one path per job: frozen copies of the replaced paths as references
+# ---------------------------------------------------------------------------
+
+
+def _streamed_dual_objective(lam, pf, grid):
+    """``dual_objective`` as first written: one streaming oracle call per
+    (product, grid quantity), scalar ``ell`` at every grid point."""
+    lam = require_nonnegative("lam", lam)
+    v = portfolio._validated_grid(grid)
+    total = -lam * pf.budget
+    for prod in pf.products:
+        cs = MomentConstraintSet(
+            grid=v, constraints=(MomentConstraint(Moment.MEAN, Relation.EQ, prod.mean),)
+        )
+        best = -math.inf
+        for q in v:
+            res = worst_case_expectation_oracle(
+                lambda u, q=q: ell(pf.alpha, float(q), u, prod.cost_structure) + lam * u * u, cs
+            )
+            if res.value > best:
+                best = res.value
+        total += best
+    return total
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as ``("value", float.hex)`` or ``(error class, message)``."""
+    try:
+        return "value", float.hex(fn(*args))
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc).__name__, str(exc)
+
+
+def _dual_plans(rng, count):
+    """(lam, plan, grid) triples: 1-3 products, finite and infinite alpha,
+    lam = 0 and 2-point grids among them, some means on a grid point."""
+    for k in range(count):
+        n = 2 if k % 10 == 0 else int(rng.integers(3, 41))
+        hi = float(rng.uniform(8.0, 30.0))
+        grid = np.linspace(0.0, hi, n) if k % 3 else np.sort(rng.uniform(0.0, hi, n))
+        grid = np.unique(grid)
+        products = []
+        for _ in range(int(rng.integers(1, 4))):
+            p = float(rng.uniform(2.0, 30.0))
+            mean = float(rng.uniform(grid[0], grid[-1]))
+            if k % 4 == 0:
+                mean = float(grid[int(rng.integers(0, grid.size))]) or float(grid[-1])
+            products.append(ProductSpec(p, p * float(rng.uniform(0.05, 0.95)), mean))
+        alpha = math.inf if k % 5 == 0 else float(10 ** rng.uniform(-2.0, 2.0))
+        lam = 0.0 if k % 7 == 0 else float(10 ** rng.uniform(-3.0, 1.0))
+        base = sum(p.mean**2 for p in products)
+        yield lam, PortfolioSpec(products, base * float(rng.uniform(0.5, 2.0)), alpha), grid
+
+
+def test_dual_objective_matches_the_streamed_reference_bit_for_bit():
+    rng = np.random.default_rng(34_001)
+    seen = collections.Counter()
+    for lam, pf, grid in _dual_plans(rng, 300):
+        want = _outcome(_streamed_dual_objective, lam, pf, grid)
+        assert _outcome(dual_objective, lam, pf, grid) == want, (lam, pf, grid.tolist())
+        seen["value"] += want[0] == "value"
+        seen["alpha inf"] += pf.alpha.is_infinite
+        seen["lam 0"] += lam == 0.0
+        seen["2 points"] += grid.size == 2
+        seen["mean on grid"] += any(p.mean in grid for p in pf.products)
+    assert seen["value"] == 300 and min(seen.values()) >= 20, seen
+
+
+_ONE = (ProductSpec(10.0, 3.0, 4.0),)
+# (case, lam, plan, grid, the error class raised); each is also the reference's
+_DUAL_BAD_INPUTS = [
+    ("unsorted-grid", 0.5, PortfolioSpec(_ONE, 40.0, 2.0), [2.0, 1.0, 3.0], "InputError"),
+    ("one-point-grid", 0.5, PortfolioSpec(_ONE, 40.0, 2.0), [4.0], "InputError"),
+    ("alpha-0", 0.5, PortfolioSpec(_ONE, 40.0, 0.0), [0.0, 4.0, 8.0], "DegenerateModelError"),
+    ("objective-overflows", 1e300, PortfolioSpec(_ONE, 40.0, 2.0), [0.0, 4.0, 1e10], "InputError"),
+    ("mean-outside-grid", 0.5, PortfolioSpec(_ONE, 40.0, 2.0), [5.0, 6.0, 8.0], "InfeasibleError"),
+]
+
+
+@pytest.mark.parametrize(
+    "lam, pf, grid, error", [pytest.param(*c[1:], id=c[0]) for c in _DUAL_BAD_INPUTS]
+)
+def test_dual_objective_keeps_each_single_error_of_the_streamed_reference(lam, pf, grid, error):
+    want = _outcome(_streamed_dual_objective, lam, pf, grid)
+    assert want[0] == error
+    assert _outcome(dual_objective, lam, pf, grid) == want
+
+
+def test_dual_objective_checks_two_bad_inputs_in_its_stated_order():
+    outside = [5.0, 6.0, 8.0]
+    # the index before the mean: the reference's order too
+    got = _outcome(dual_objective, 0.5, PortfolioSpec(_ONE, 40.0, 0.0), outside)
+    assert got == _outcome(_streamed_dual_objective, 0.5, PortfolioSpec(_ONE, 40.0, 0.0), outside)
+    assert got[0] == "DegenerateModelError"
+    # the mean before the objective: the reference read the objective first
+    plan = PortfolioSpec(_ONE, 40.0, 2.0)
+    assert _outcome(dual_objective, 1e300, plan, [5.0, 6.0, 1e10])[0] == "InfeasibleError"
+    # across products too: the second product's mean before the first's objective
+    two = PortfolioSpec((ProductSpec(10.0, 3.0, 5.5), ProductSpec(10.0, 3.0, 4.0)), 80.0, 2.0)
+    assert _outcome(dual_objective, 1e300, two, [5.0, 6.0, 1e10])[0] == "InfeasibleError"
+    # the pair cap after the index and before the mean, with no 20,001^2 matrix formed
+    wide = np.arange(20_001.0) + 5.0
+    assert _outcome(dual_objective, 0.5, PortfolioSpec(_ONE, 40.0, 0.0), wide)[0] == (
+        "DegenerateModelError")
+    assert _outcome(dual_objective, 0.5, plan, wide) == (
+        "InputError", "grid of 20001 points exceeds the pair cap 20000")
+    # the grid before the index
+    assert _outcome(dual_objective, 0.5, PortfolioSpec(_ONE, 40.0, 0.0), [4.0])[0] == "InputError"
+
+
+def _quantity_as_first_written(lam, prod, a):
+    """``_single_quantity`` with its own infinite-multiplier branch."""
+    p, c, mu = prod.price, prod.cost, prod.mean
+    pinv = p * a.inv
+    if lam == 0.0:
+        return 0.0
+    if math.isinf(lam):
+        if 2.0 * mu >= pinv:
+            return mu - 0.25 * pinv
+        return mu * mu / pinv
+    if 2.0 * mu - c / lam >= pinv:
+        return mu + (p - 2.0 * c) / (4.0 * lam) - 0.25 * pinv
+    den = p * lam * a.inv + c
+    return lam * mu * mu * (1.0 + (p - c) / den) / den
+
+
+def test_infinite_multiplier_quantities_match_their_own_branch_bit_for_bit():
+    rng = np.random.default_rng(34_002)
+    seen = collections.Counter()
+    for _ in range(2_000):
+        p = float(10 ** rng.uniform(-2.0, 4.0))
+        c = p * float(rng.uniform(0.01, 0.99))
+        alpha = math.inf if rng.random() < 0.1 else float(10 ** rng.uniform(-3.0, 3.0))
+        kink = p / alpha / 2.0  # 2 mu = p/alpha
+        mu = kink if kink > 0.0 and rng.random() < 0.3 else float(10 ** rng.uniform(-2.0, 4.0))
+        if kink > 0.0 and rng.random() < 0.3:
+            mu = float(np.nextafter(kink, (0.0, math.inf)[int(rng.integers(0, 2))]))
+        a = MisspecIndex(alpha)
+        prods = [ProductSpec(p, c, mu)]
+        want = [_quantity_as_first_written(math.inf, prods[0], a)]
+        assert [x.hex() for x in product_quantities(math.inf, prods, a)] == [x.hex() for x in want]
+        seen["below kink"] += 2.0 * mu < p * a.inv
+        seen["at kink"] += 2.0 * mu == p * a.inv
+        seen["above kink"] += 2.0 * mu > p * a.inv
+        seen["alpha inf"] += a.is_infinite
+    assert min(seen.values()) >= 20, seen

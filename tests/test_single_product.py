@@ -894,6 +894,44 @@ def test_array_histories_are_bit_equal_to_the_per_atom_reference():
         assert seen[kind, "merged"] >= 100 and seen[kind, "law"] >= 50, seen
 
 
+
+def _from_samples_with_a_list_arm(values):
+    """``from_samples`` as it stood with two sorts: numpy for a float vector,
+    ``sorted`` for every other input."""
+    cls = DiscreteDistribution
+    if sp._float_vector(values) and values.size:
+        arr = values.astype(np.float64)
+        arr.sort()
+        if -1e-9 <= arr[0] and arr[-1] < math.inf:
+            if not arr[0] > 0.0:
+                arr[arr <= 0.0] = 0.0
+            return cls._from_sorted(arr.tolist(), [1.0 / arr.size] * arr.size)
+    vs = sp._floats(values)
+    n = len(vs)
+    require(n > 0, "need at least one sample")
+    if math.isfinite(sum(vs)):
+        sup = sorted(vs)
+        if sup[0] >= -1e-9:
+            if not sup[0] > 0.0:
+                sup = [v if v > 0.0 else 0.0 for v in sup]
+            return cls._from_sorted(sup, [1.0 / n] * n)
+    return cls.from_pairs(vs, [1.0 / n] * n)
+
+
+def test_every_sample_input_sorts_as_the_list_arm_did():
+    # one sort for every input: the laws and the errors, which name the
+    # first bad sample in input order, a generator read once
+    cases = [
+        [3.0, math.nan, -5.0], [-5.0, math.nan, 3.0], [math.nan, 1.0], [2.0, math.inf, math.nan],
+        [1e308, 1.5e308, 0.5], [3.0, 1.0, 2.0, 2.0], [-0.0, 5.0, 0.0, -1e-10],
+        [4.0, -1e-9 - 1e-18], [], [1.0, -math.inf],
+    ]
+    for values in cases:
+        for kind in ("list", "tuple", "generator", "np.float64 list", "float64"):
+            make = _as_arg(values, kind)
+            want = _law_bits(_from_samples_with_a_list_arm, make)
+            assert _law_bits(DiscreteDistribution.from_samples, make) == want, (values, kind)
+
 def test_ell_examples_match_inner_min_oracle():
     cases = [
         (1.0, 2.0, 3.0, 3.0),
@@ -2457,6 +2495,72 @@ def test_the_array_arm_gives_the_scalar_quantities_bit_for_bit():
         assert got.tobytes() == np.array(want).tobytes(), (alpha, mu, sig, p, c)
     assert seen["point"] >= 10_000
     assert min(seen.values()) >= 20, seen
+
+
+
+def _quantity_as_first_written(a, m, cost):
+    """``_quantity`` with its own margin, fractile factor and branches, the
+    factor through the checked public :func:`fractile_factor`."""
+    kappa = cost.kappa
+    mu, sig = m.mean, m.std
+    p = cost.price
+    if kappa < sig * sig / m.second_moment:
+        return 0.0, Regime.DEGENERATE
+    if not kappa < 1.0:
+        raise sp._fractile_rounds_to_one(cost)
+    margin = mu - sig * math.sqrt((1.0 - kappa) / kappa)
+    threshold = p / (2.0 * margin) if margin > 0.0 else math.inf
+    f = fractile_factor(1.0 - kappa)
+    if a.alpha >= threshold:
+        q = mu + sig * f - p / (4.0 * a.alpha)
+        regime = Regime.AMBIGUITY_ONLY if a.is_infinite else Regime.HIGH_ALPHA
+    else:
+        q = (mu * mu - sig * sig + 2.0 * mu * sig * f) * a.alpha / p
+        regime = Regime.LOW_ALPHA
+    return max(q, 0.0), regime
+
+
+def _quantity_outcome(fn, a, m, cost):
+    try:
+        q, regime = fn(a, m, cost)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc).__name__, str(exc)
+    return q.hex(), regime
+
+
+def test_the_scalar_quantity_matches_its_first_form_bit_for_bit():
+    rng = np.random.default_rng(34_034)
+    n = 100_000
+    mus = 10 ** rng.uniform(-2.0, 4.0, n)
+    sigs = mus * 10 ** rng.uniform(-10.0, 0.7, n)
+    prices = 10 ** rng.uniform(-2.0, 4.0, n)
+    costs = prices * rng.uniform(0.001, 0.999, n)
+    alphas = np.where(rng.random(n) < 0.1, math.inf, 10 ** rng.uniform(-3.0, 15.0, n))
+    steps = rng.integers(-8, 9, n)
+    seen = Counter()
+    for i, (mu, sig, p, c, alpha, k) in enumerate(
+        zip(*(x.tolist() for x in (mus, sigs, prices, costs, alphas, steps)))
+    ):
+        kind = i % 4
+        if kind == 1:  # kappa rounding to 1, or within 4 ulps below it
+            c = p * 2.0**-54 * (1.0 + abs(k))
+        elif kind == 2:  # std within ulps of the degenerate boundary
+            sig = mu * math.sqrt((p - c) / c) * (1.0 + 2.0**-52 * k)
+        elif kind == 3:  # alpha at the regime threshold, or a few ulps either side
+            threshold = _threshold(mu, sig, p, c)
+            if threshold is not None:
+                alpha = threshold
+                for _ in range(abs(k)):
+                    alpha = math.nextafter(alpha, math.inf if k > 0 else 0.0)
+        a, m, cost = MisspecIndex(alpha), MomentSpec(mu, sig), CostStructure(p, c)
+        want = _quantity_outcome(_quantity_as_first_written, a, m, cost)
+        assert _quantity_outcome(sp._quantity, a, m, cost) == want, (alpha, mu, sig, p, c)
+        seen[want[1] if want[0] != "InputError" else "kappa rounds to 1"] += 1
+        seen["at threshold"] += alpha == _threshold(mu, sig, p, c)
+        seen["kappa near 1"] += kind == 1 and want[0] != "InputError"
+    assert sum(seen[r] for r in Regime) + seen["kappa rounds to 1"] == n
+    for key in (*Regime, "kappa rounds to 1", "kappa near 1", "at threshold"):
+        assert seen[key] >= 1_000, (key, seen)
 
 
 def _ordered_quantities(alpha, grid, model):
