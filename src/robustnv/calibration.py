@@ -46,7 +46,6 @@ from .single_product import (
     _solve,
     _test_profits,
     _until_error,
-    as_misspec_index,
 )
 from .validation import (
     DegenerateModelError,
@@ -357,6 +356,15 @@ def _best(candidates: Sequence, scores: Sequence[float], key: Callable):
     return best
 
 
+def _index_grid(alpha_grid: Sequence[AlphaLike]) -> list[MisspecIndex]:
+    """The non-empty ``alpha_grid`` as indices: an index is kept, any other entry
+    read as a float >= 0 (``inf`` the ambiguity-only index), naming ``alpha_grid[i]``."""
+    grid = [a if isinstance(a, MisspecIndex) else MisspecIndex(require_nonnegative(
+        f"alpha_grid[{i}]", a, allow_inf=True)) for i, a in enumerate(alpha_grid)]
+    require(len(grid) > 0, "alpha_grid must be non-empty")
+    return grid
+
+
 def cv_alpha(
     samples: SampleSet,
     cost: CostStructure,
@@ -370,8 +378,7 @@ def cv_alpha(
     the held-out mean profit.  Ties break toward the larger index (the less
     conservative choice).
     """
-    grid = [as_misspec_index(a) for a in alpha_grid]
-    require(len(grid) > 0, "alpha_grid must be non-empty")
+    grid = _index_grid(alpha_grid)
     split = _folds(samples, folds, np.random.default_rng(_whole_number("seed", seed, 0)))
     return _best(grid, _cv_score(split, cost, grid, lambda a, m: a), lambda a: a.alpha)
 
@@ -457,8 +464,7 @@ def stress_calibrate(
     scores each grid index by the expected profit of its training-moment
     quantity under the stress law.  Ties break toward the larger index.
     """
-    grid = [as_misspec_index(a) for a in alpha_grid]
-    require(len(grid) > 0, "alpha_grid must be non-empty")
+    grid = _index_grid(alpha_grid)
     _, target = _shift(train, test, seed)
     _, max_target = _max_reachable_target(train)
     if target > max_target:

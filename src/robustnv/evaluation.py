@@ -27,6 +27,7 @@ import numpy as np
 from ._version import __version__
 from .calibration import (
     SampleSet,
+    _index_grid,
     cv_alpha,
     formula_calibrate,
     stress_calibrate,
@@ -38,6 +39,7 @@ from .oracle import (
     MomentConstraintSet,
     MomentLawFamily,
     Relation,
+    _FAMILY_CUBIC_BUDGET,
 )
 from .single_product import (
     AlphaLike,
@@ -45,7 +47,7 @@ from .single_product import (
     MisspecIndex,
     MomentSpec,
     _checked_test_profits,
-    _ell_rows,
+    _ell_core,
     _expected_profits,
     _grid_floats,
     _require_demands,
@@ -128,8 +130,8 @@ class ExperimentConfig:
 
     Every number is checked once here and stored as it was checked, an error
     being an :class:`InputError` naming the field: each ``alpha_grid`` entry
-    as :class:`MisspecIndex` checks an index (a float >= 0, ``inf`` the
-    ambiguity-only index), each ``eps_grid`` entry as
+    as :func:`cv_alpha` reads an index (a float >= 0, ``inf`` or a
+    :class:`MisspecIndex`, stored as its alpha), each ``eps_grid`` entry as
     :func:`formula_calibrate` checks a budget (finite and >= 0), ``folds`` a
     whole number >= 2 and ``seed`` a whole number >= 0 (numpy's generators
     reject negative seeds).  A seed with a fraction, such as 1.7, is rejected
@@ -153,11 +155,7 @@ class ExperimentConfig:
         require(len(self.eps_grid) > 0, "eps_grid must be non-empty")
         object.__setattr__(self, "theta", require_nonnegative("theta", self.theta))
         object.__setattr__(self, "folds", _whole_number("folds", self.folds, 2))
-        alphas = (
-            require_nonnegative(f"alpha_grid[{i}]", a, allow_inf=True)
-            for i, a in enumerate(self.alpha_grid)
-        )
-        object.__setattr__(self, "alpha_grid", tuple(alphas))
+        object.__setattr__(self, "alpha_grid", tuple(a.alpha for a in _index_grid(self.alpha_grid)))
         object.__setattr__(self, "methods", tuple(_member(Method, m) for m in self.methods))
         eps = (require_nonnegative(f"eps_grid[{i}]", e) for i, e in enumerate(self.eps_grid))
         object.__setattr__(self, "eps_grid", tuple(eps))
@@ -685,19 +683,17 @@ def oracle_check(
     """
     instances = _whole_number("instances", instances, 1)
     grid_points = _whole_number("grid_points", grid_points, 20)
-    require(grid_points <= 400, "grid_points above 400 exceed the family budget")
+    budget = _FAMILY_CUBIC_BUDGET
+    require(grid_points <= budget, f"grid_points above {budget} exceed the family budget")
     q_points = _whole_number("q_points", q_points, 10)
     rng = np.random.default_rng(_whole_number("seed", seed, 0))
     worst_q_gap_steps = 0.0
     worst_value_gap = 0.0
     for k in range(instances):
         m, cs = _random_instance(rng)
-        alpha: AlphaLike
-        if k % 8 == 7:
-            alpha = MisspecIndex.INFINITY
-        else:
-            alpha = float(cs.price / 10.0 * 10.0 ** rng.uniform(-1.0, 1.6))
-        closed_q, closed_value = _solve(alpha, m, cs)
+        a = MisspecIndex.INFINITY if k % 8 == 7 else MisspecIndex(
+            cs.price / 10.0 * 10.0 ** rng.uniform(-1.0, 1.6))
+        closed_q, closed_value = _solve(a, m, cs)
 
         hi = m.mean + 6.0 * m.std
         grid = np.linspace(0.0, hi, grid_points)
@@ -713,7 +709,7 @@ def oracle_check(
         q_hi = max(_solve(MisspecIndex.INFINITY, m, cs)[0] * 1.2, 1e-6)
         q_grid = np.linspace(0.0, q_hi, q_points)
         q_step = q_grid[1] - q_grid[0]
-        rows = _ell_rows(alpha, [*q_grid, closed_q], grid, cs)
+        rows = _ell_core(a, np.append(q_grid, closed_q)[:, None], grid, cs)
         values = family._min_values(rows)
         best = int(np.argmax(values[:-1]))
         q_gap = abs(closed_q - q_grid[best])

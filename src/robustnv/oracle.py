@@ -70,6 +70,8 @@ _W_TOL = 1e-12  # weight nonnegativity slack
 _PIVOT_TOL = 1e-12  # near-singular subset systems are skipped
 _BLOCK = 1 << 14  # candidates (or triple rows) tested per numpy pass
 _LAW_BLOCK = 1 << 17  # law expectations per scored family block (1 MB)
+_FAMILY_CUBIC_BUDGET = 400  # grid points of a stored family with triples
+_PAIR_CAP = 20000  # grid points of either enumeration
 
 
 class Moment(str, Enum):
@@ -381,10 +383,10 @@ def worst_case_expectation_oracle(
     if cs.needs_cubic and grid.size > 1500:
         raise InputError(
             f"grid of {grid.size} points is too large for cubic enumeration "
-            "(cap 1500; recommended <= 400)"
+            f"(cap 1500; recommended <= {_FAMILY_CUBIC_BUDGET})"
         )
-    if grid.size > 20000:
-        raise InputError(f"grid of {grid.size} points exceeds the pair cap 20000")
+    if grid.size > _PAIR_CAP:
+        raise InputError(f"grid of {grid.size} points exceeds the pair cap {_PAIR_CAP}")
     fv = np.array([float(objective(v)) for v in cs.grid])
     _require_finite_objective(fv)
 
@@ -413,13 +415,13 @@ class MomentLawFamily:
 
     def __init__(self, cs: MomentConstraintSet):
         grid = np.asarray(cs.grid, dtype=float)
-        if cs.needs_cubic and grid.size > 400:
+        if cs.needs_cubic and grid.size > _FAMILY_CUBIC_BUDGET:
             raise InputError(
                 f"grid of {grid.size} points exceeds the family cubic budget of "
-                "400; use worst_case_expectation_oracle (streaming) instead"
+                f"{_FAMILY_CUBIC_BUDGET}; use worst_case_expectation_oracle (streaming) instead"
             )
-        if grid.size > 20000:
-            raise InputError(f"grid of {grid.size} points exceeds the pair cap 20000")
+        if grid.size > _PAIR_CAP:
+            raise InputError(f"grid of {grid.size} points exceeds the pair cap {_PAIR_CAP}")
         self.constraint_set = cs
         self.grid = grid
         idx_blocks: list[np.ndarray] = []

@@ -382,8 +382,8 @@ def dual_objective(lam: float, portfolio: PortfolioSpec, grid) -> float:
     which scores ``ell(q, v) + lam * v^2`` in one matrix, a row per grid
     quantity q; the product's term is the largest row minimum.  The checks
     run in this order, the first failure raising: lam, the grid, the index
-    (alpha = 0 degenerates), the 20,000-point pair cap, each product's mean
-    inside the grid (:class:`InfeasibleError`), each product's objective finite.
+    (alpha = 0 degenerates), the family's pair cap, each product's mean inside
+    the grid (:class:`InfeasibleError`), each product's ``alpha/p`` and objective finite.
     """
     lam = require_nonnegative("lam", lam)
     v = _validated_grid(grid)

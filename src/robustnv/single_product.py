@@ -14,16 +14,17 @@ Three layers of decision models live here:
   that the true law sits outside the moment set, penalizing candidate laws by
   ``alpha`` times their quadratic optimal-transport distance to it.  The
   penalized inner problem collapses to the pointwise envelope
-  ``ell(alpha, q, v) = min_u { pi(q, u) + alpha*(u - v)^2 }``, and the whole
+  ``ell(alpha, q, v) = min_u { pi(q, u) + alpha*(u - v)^2 }`` (the profit
+  ``pi(q, T(v))`` under the transform ``T`` of :func:`transform`), and the whole
   model admits closed-form order quantities indexed by ``alpha``: small
   ``alpha`` means strong aversion (``alpha -> 0`` orders nothing), while
   ``alpha -> INFINITY`` recovers the ambiguity-only model.
 
-The envelope, transform, value function, dual certificate and worst-case law
-are each written once in ``inv = 1/alpha``; the ambiguity-only model is the
-case ``inv = 0`` of the same formulas, not a separate branch, and Scarf's
-minimax quantity :func:`scarf_quantity` is :func:`misspec_quantity` at
-``inv = 0``.
+The transform, value function, dual certificate and worst-case law are each
+written once in ``inv = 1/alpha`` (the envelope is the transform's profit);
+the ambiguity-only model is the case ``inv = 0`` of the same formulas, not a
+separate branch, and Scarf's minimax quantity :func:`scarf_quantity` is
+:func:`misspec_quantity` at ``inv = 0``.
 
 Every solve returns a :class:`SolveReport` carrying the quantity, the model
 value, the attaining worst-case law and its transformed image, and (where
@@ -470,8 +471,8 @@ class TransformSpec:
     QUADRATIC regime (``alpha < p/(4q)``): ``apply(v) = (alpha/p) v^2``.
     MIXED regime (``alpha >= p/(4q)``): quadratic below ``p/(2 alpha)``, the
     shift ``v - p/(4 alpha)`` above; the two pieces agree at the junction.
-    ``apply(0) = 0`` in both regimes.  The infinite-index transform is the
-    identity: MIXED with ``p/alpha = 0``, so the shift vanishes.
+    ``apply(0) = 0`` in both regimes (:func:`transform` checks ``alpha/p``).
+    The infinite-index transform is the identity: MIXED with ``p/alpha = 0``.
     """
 
     alpha: float
@@ -501,12 +502,19 @@ def _quadratic(q: float, pinv: float) -> bool:
     return 4.0 * q < pinv
 
 
+def _require_slope(a: MisspecIndex, price: float) -> None:
+    """The slope ``alpha/p`` is finite at a finite index, or no transform exists."""
+    if a.alpha / price == math.inf and not a.is_infinite:
+        raise InputError(f"alpha/p leaves the float range at price={price!r}, alpha={a.alpha!r}")
+
+
 def transform(alpha: AlphaLike, price: float, q: float) -> TransformSpec:
-    """Build the transform attached to order quantity ``q``."""
+    """Build the transform attached to order quantity ``q``; a slope
+    ``alpha/p`` beyond the float range raises :class:`InputError`."""
     a = as_misspec_index(alpha)
     price = require_positive("price", price)
     q = require_nonnegative("q", q)
-    _nonzero_index(a)
+    _require_slope(_nonzero_index(a), price)
     regime = TransformRegime.QUADRATIC if _quadratic(q, price * a.inv) else TransformRegime.MIXED
     return TransformSpec(a.alpha, price, q, regime)
 
@@ -562,9 +570,9 @@ def _require_demands(v: np.ndarray) -> np.ndarray:
 
 
 def _profit(q: float, v: _Demand, cost: CostStructure) -> _Demand:
-    """``p*min(q, v) - c*q`` on a checked float or array ``v``; on a float the
-    conditional is ``min(q, v)`` bit for bit, without the builtin's call."""
-    sold = (v if v < q else q) if isinstance(v, float) else np.minimum(q, v)
+    """``p*min(q, v) - c*q`` on a checked float or array ``v``: ``min(q, v)`` is
+    the conditional, bit for bit, and ``np.minimum(v, q)`` is too (signed zeros)."""
+    sold = (v if v < q else q) if isinstance(v, float) else np.minimum(v, q)
     return cost.price * sold - cost.cost * q
 
 
@@ -634,49 +642,30 @@ def profit(q: float, v: _Demand, cost: CostStructure) -> _Demand:
 
 
 def ell(alpha: AlphaLike, q: float, v: _Demand, cost: CostStructure) -> _Demand:
-    """Pointwise envelope min_u { pi(q, u) + alpha*(u - v)^2 }.
-
-    Closed form: for ``q <= p/(4 alpha)`` it equals
-    ``min(alpha v^2, p q) - c q``; otherwise ``alpha v^2 - c q`` when
-    ``v <= p/(2 alpha)`` and ``pi(q, v - p/(4 alpha))`` above.  At
-    ``inv = 1/alpha = 0`` only the last piece is reached and ``ell`` is
-    ``pi`` itself.  ``v`` may be a float or an array: per point, bit for bit.
-    """
-    if isinstance(v, np.ndarray):
-        return _ell_rows(alpha, (q,), v, cost)[0]
+    """Pointwise envelope min_u { pi(q, u) + alpha*(u - v)^2 } over u >= 0: the
+    profit of the transformed demand, ``profit(q, transform(alpha, p, q).apply(v),
+    cost)``, bit for bit (over u <= q the minimum is ``p T(v) - c q``, over u >= q
+    at least ``p q - c q``).  ``v`` may be a float or an array: per point, bit for
+    bit.  A slope ``alpha/p`` beyond the float range raises :class:`InputError`."""
     a = _nonzero_index(alpha)
     q = require_nonnegative("q", q)
+    if isinstance(v, np.ndarray):
+        return _ell_core(a, q, _require_demands(v), cost)[()]
     v = require_nonnegative("v", v)
-    p, c = cost.price, cost.cost
-    pinv = p * a.inv
-    if 4.0 * q <= pinv:  # only q = 0 when inv = 0
-        return (a.alpha * v * v if v * v < q * pinv else p * q) - c * q
-    if 2.0 * v < pinv:
-        return a.alpha * v * v - c * q
-    return _profit(q, v - 0.25 * pinv, cost)
+    p = cost.price
+    _require_slope(a, p)
+    return _profit(q, _image(v, a.alpha, p, not _quadratic(q, p * a.inv)), cost)
 
 
-def _ell_rows(alpha: AlphaLike, qs, v: np.ndarray, cost: CostStructure) -> np.ndarray:
-    """``ell`` at every quantity of ``qs`` on one array of demands, stacked
-    along a new first axis: ``np.array([ell(alpha, q, v, cost) for q in
-    qs])``, bit for bit, with ``alpha``, each ``q`` and ``v`` checked once."""
-    a = _nonzero_index(alpha)
-    q = np.array([require_nonnegative("q", x) for x in qs], dtype=float)
-    v = _require_demands(v)
-    return _ell_core(a, q.reshape(q.shape + (1,) * v.ndim), v, cost)
-
-
-def _ell_core(a: MisspecIndex, q: np.ndarray, v: np.ndarray, cost: CostStructure) -> np.ndarray:
-    """:func:`_ell_rows` on inputs it has checked: an index other than 0 and
-    float arrays of quantities and demands >= 0, broadcast against each other."""
-    p, c = cost.price, cost.cost
-    pinv = p * a.inv
-    # np.where forms every piece: an unused alpha*v^2 may be inf*0 or overflow
-    with np.errstate(invalid="ignore", over="ignore"):
-        quad = a.alpha * v * v
-        low = np.where(v * v < q * pinv, quad, p * q) - c * q
-        high = np.where(2.0 * v < pinv, quad - c * q, _profit(q, v - 0.25 * pinv, cost))
-    return np.where(4.0 * q <= pinv, low, high)
+def _ell_core(a: MisspecIndex, q, v: np.ndarray, cost: CostStructure) -> np.ndarray:
+    """:func:`ell` on checked inputs (a nonzero index, quantities and demands >= 0,
+    broadcast: a column of quantities gives a row each), by :func:`_image`'s tests."""
+    p = cost.price
+    _require_slope(a, p)
+    shift = (4.0 * q >= p * a.inv) & (2.0 * v >= p / a.alpha)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 at alpha = inf, v = 0
+        image = np.where(shift, v - 0.25 * (p / a.alpha), (a.alpha / p) * v * v)
+    return _profit(q, image, cost)
 
 
 def fractile_factor(x: float) -> float:
@@ -912,15 +901,16 @@ def _laws(
     :func:`_checked_evaluation` formed them.
 
     These are the laws ``from_pairs(*atoms)`` and ``push_forward(G*,
-    transform(a, p, q))`` return, bit for bit.  The atoms (at most two) come
-    finite and in order, with weights >= 0, so from_pairs' stable sort is the
-    identity, and its clamp and :meth:`DiscreteDistribution._from_sorted` are
-    all it does (:func:`_sorted_law`).  The transform is monotone, so the same
-    holds for the images of an in-order support.  Each point of G* is one of
-    the atoms (a merge keeps the lower one, and a zero weight drops its atom),
-    so its image is read from ``images``.  A clamped ``-0.0`` atom and ``0.0``
-    have images that differ only in the sign of a zero, and only at ``p/alpha
-    = 0``, where every image equals its atom and the image law is G* itself.
+    transform(a, p, q))`` return, bit for bit, wherever ``transform`` accepts
+    ``alpha/p``.  The atoms (at most two) come finite and in order, with
+    weights >= 0, so from_pairs' stable sort is the identity, and its clamp
+    and :meth:`DiscreteDistribution._from_sorted` are all it does
+    (:func:`_sorted_law`).  The transform is monotone, so the same holds for
+    the images of an in-order support.  Each point of G* is one of the atoms
+    (a merge keeps the lower one, and a zero weight drops its atom), so its
+    image is read from ``images``.  A clamped ``-0.0`` atom and ``0.0`` have
+    images that differ only in the sign of a zero, and only at ``p/alpha =
+    0``, where every image equals its atom and the image law is G* itself.
 
     An image of a kept atom that is not finite (``alpha / p`` overflowed, so
     ``(alpha / p) v^2`` is inf, or NaN at ``v = 0``) raises the float-range

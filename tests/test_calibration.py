@@ -11,6 +11,7 @@ from robustnv import (
     CostStructure,
     DegenerateModelError,
     DiscreteDistribution,
+    ExperimentConfig,
     GuaranteeReport,
     InputError,
     MisspecIndex,
@@ -326,6 +327,39 @@ def test_cv_alpha_contract():
         cv_alpha(SampleSet((1.0, 2.0, 3.0)), COST, grid, folds=5)
     with pytest.raises(InputError):
         cv_alpha(samples, COST, [], folds=5)
+
+
+_BAD_INDEX_ENTRIES = [
+    ([1.0, -2.0], r"alpha_grid\[1\] must be >= 0, got -2.0"),
+    ([1.0, 2.0, math.nan], r"alpha_grid\[2\] must be finite, got nan"),
+    ([-math.inf], r"alpha_grid\[0\] must be finite, got -inf"),
+    ([1.0, "x"], r"alpha_grid\[1\] must be a finite number"),
+    ([10**400], r"alpha_grid\[0\] must be finite, got an int beyond"),
+]
+
+
+@pytest.mark.parametrize("grid, message", _BAD_INDEX_ENTRIES)
+def test_calibrators_name_the_bad_index_entry_as_the_experiment_config_does(grid, message):
+    samples = SampleSet(tuple(float(3 + (i * 7) % 11) for i in range(20)))
+    for calibrate in (
+        lambda: cv_alpha(samples, COST, grid, folds=5),
+        lambda: stress_calibrate(samples, samples, COST, grid),
+    ):
+        with pytest.raises(InputError, match="^" + message):
+            calibrate()
+
+
+def test_calibrators_keep_index_entries():
+    samples = SampleSet(tuple(float(3 + (i * 7) % 11) for i in range(20)))
+    given = [MisspecIndex(0.5), 2.0, MisspecIndex.INFINITY]
+    floats = [0.5, 2.0, math.inf]
+    assert cv_alpha(samples, COST, given, folds=5) == cv_alpha(samples, COST, floats, folds=5)
+    picked = stress_calibrate(samples, samples, COST, given)
+    assert picked == stress_calibrate(samples, samples, COST, floats)
+    assert picked in given  # a kept entry is returned as given
+    # the experiment config reads its grid the same way and stores the floats
+    config = ExperimentConfig(samples, COST, given, ("MISSPEC",), 0)
+    assert config.alpha_grid == tuple(floats) and {type(a) for a in config.alpha_grid} == {float}
 
 
 def test_cv_alpha_ties_break_toward_larger_index():

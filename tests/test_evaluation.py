@@ -698,7 +698,7 @@ def test_oracle_check_small_batch_passes():
 def test_oracle_check_value_rules_fail_a_shifted_closed_form(monkeypatch):
     # the quantity rule passes on both mutants: only the values move
     args = dict(seed=101, instances=2, grid_points=41, q_points=12)
-    solve, ell_rows = ev._solve, ev._ell_rows
+    solve, ell_core = ev._solve, ev._ell_core
     with monkeypatch.context() as patch:
         patch.setattr(ev, "_solve", lambda *a: (solve(*a)[0], solve(*a)[1] + 100.0))
         with pytest.raises(InternalCheckError, match=(
@@ -708,11 +708,11 @@ def test_oracle_check_value_rules_fail_a_shifted_closed_form(monkeypatch):
             oracle_check(**args)
 
     def raised(*a):  # every quantity of the grid, but not the closed one
-        rows = ell_rows(*a)
+        rows = ell_core(*a)
         rows[:-1] += 100.0
         return rows
 
-    monkeypatch.setattr(ev, "_ell_rows", raised)
+    monkeypatch.setattr(ev, "_ell_core", raised)
     with pytest.raises(InternalCheckError, match=re.escape(
         "instance 0: oracle found a quantity beating the closed value by more than the grid budget"
     )):

@@ -171,6 +171,8 @@ _NUMBER_SITES = {
     "point_mass": ("value", 3.0, DiscreteDistribution.point_mass),
     "fractile_factor": ("x", 0.25, fractile_factor),
     "formula_calibrate": ("eps_grid[0]", 0.25, lambda x: formula_calibrate(TRAIN, TEST, COST, [x], folds=2)),
+    "cv_alpha": ("alpha_grid[1]", 2.0, lambda x: cv_alpha(TRAIN, COST, [1.0, x], folds=2)),
+    "stress_calibrate": ("alpha_grid[1]", 2.0, lambda x: stress_calibrate(TRAIN, TEST, COST, [1.0, x])),
     "draw_demand-mu": ("mu", 6.0, _draw("TRUNC_NORMAL", "mu")),
     "draw_demand-sigma": ("sigma", 2.0, _draw("TRUNC_NORMAL", "sigma")),
     "draw_demand-lognormal-mu": ("mu", 0.5, _draw("LOGNORMAL", "mu")),

@@ -1018,18 +1018,19 @@ def test_array_demand_with_a_bad_entry_is_rejected(bad):
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 4.0, 1e6, math.inf])
-def test_ell_rows_are_bit_equal_to_stacked_ell_rows(alpha):
+def test_ell_core_rows_are_bit_equal_to_stacked_ell_rows(alpha):
     # q = 0, below the seam q = p/(4 alpha) (none at alpha = inf), on it, above it
     seam = COST.price / (4.0 * alpha)
     qs = [0.0, 0.5 * seam, seam, seam + 0.7, 3.0, 25.0]
+    a = sp.as_misspec_index(alpha)
     v = np.concatenate([np.linspace(0.0, 20.0, 161), [seam, 2.0 * seam, 1e-9]])
     want = np.array([ell(alpha, q, v, COST) for q in qs])
-    got = sp._ell_rows(alpha, qs, v, COST)
+    got = sp._ell_core(a, np.array(qs)[:, None], v, COST)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     grid = v.reshape(4, 41)  # an n-d demand array keeps its shape per row
     want = np.array([ell(alpha, q, grid, COST) for q in qs])
-    assert sp._ell_rows(alpha, qs, grid, COST).tobytes() == want.tobytes()
+    assert sp._ell_core(a, np.array(qs)[:, None, None], grid, COST).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -1043,12 +1044,119 @@ def test_ell_rows_are_bit_equal_to_stacked_ell_rows(alpha):
         (4.0, -1.0, [0.0, -2.0], InputError, "q must be >= 0, got -1.0"),  # q before v
     ],
 )
-def test_ell_rows_raise_what_ell_raises(alpha, q, v, error, message):
-    v = np.array(v)
-    for call in (lambda: ell(alpha, q, v, COST), lambda: sp._ell_rows(alpha, [2.0, q], v, COST)):
-        with pytest.raises(error) as got:
+def test_array_ell_raises_in_reading_order(alpha, q, v, error, message):
+    with pytest.raises(error) as got:
+        ell(alpha, q, np.array(v), COST)
+    assert str(got.value).startswith(message)
+
+
+def _ell_before_the_transform(alpha, q, v, cost):
+    """The envelope's own piecewise formula, as ``ell`` computed it before it
+    read the transform: frozen here as the reference for the rounding bound."""
+    p, c = cost.price, cost.cost
+    pinv = p * sp.as_misspec_index(alpha).inv
+    if 4.0 * q <= pinv:
+        return (alpha * v * v if v * v < q * pinv else p * q) - c * q
+    if 2.0 * v < pinv:
+        return alpha * v * v - c * q
+    return sp._profit(q, v - 0.25 * pinv, cost)
+
+
+def _and_neighbours(x):
+    """``x`` and the floats on either side of it, those >= 0 (-0.0 included)."""
+    return [y for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)) if y >= 0.0]
+
+
+def _envelope_table(instances, seed):
+    """``(alpha, cost, q, demands)``: alpha log-uniform in [1e-3, 1e15] * p/10
+    (every tenth INFINITY), p in [0.1, 100]; q is 0.0 or -0.0, the regime seam
+    ``4q = p/alpha`` or a float next to it, or log-uniform in [1e-2, 1e4]; the
+    demands are 0.0, -0.0, the seams ``2v = p/alpha``, ``v^2 = q p/alpha`` and
+    ``v = q`` with their neighbouring floats, and eight log-uniform in
+    [1e-2, 1e4]."""
+    rng = np.random.default_rng(seed)
+    for k in range(instances):
+        p = float(10 ** rng.uniform(-1, 2))
+        cost = CostStructure(p, p * float(rng.uniform(0.01, 0.99)))
+        alpha = math.inf if k % 10 == 0 else p / 10 * float(10 ** rng.uniform(-3, 15))
+        if k % 4 == 0:
+            q = (0.0, -0.0)[k // 4 % 2]
+        elif k % 4 == 1:
+            seam = _and_neighbours(p * sp.as_misspec_index(alpha).inv / 4)
+            q = seam[int(rng.integers(0, len(seam)))]
+        else:
+            q = float(10 ** rng.uniform(-2, 4))
+        demands = [
+            0.0, -0.0,
+            *_and_neighbours(p / alpha / 2),
+            *_and_neighbours(math.sqrt(q * p / alpha)),
+            *_and_neighbours(q),
+            *map(float, 10 ** rng.uniform(-2, 4, 8)),
+        ]
+        yield alpha, cost, q, demands
+
+
+def test_ell_is_the_profit_of_the_transformed_demand():
+    # both arms are profit(q, transform(alpha, p, q).apply(v)) bit for bit, on
+    # 110,100 points.  Against the envelope's own formula they differ by
+    # rounding only: the products (alpha/p) v v times p against alpha v v, and
+    # p/alpha against p * (1/alpha), carry a few ulps of p q, and the last
+    # subtraction one ulp of (p + c) q; where the two sides take different
+    # pieces at a seam, the pieces agree to second order there.  That bounds
+    # the gap by about 4.5 eps (p + c) q; the test allows 8 eps (p + c) q and
+    # measured at most 1.48 eps (p + c) q.  At q = 0 both are exactly 0.
+    eps = 2.0**-52
+    points = worst = 0
+    for alpha, cost, q, demands in _envelope_table(6_000, 35):
+        t = transform(alpha, cost.price, q)
+        want = np.array([profit(q, t.apply(v), cost) for v in demands])
+        floats = np.array([ell(alpha, q, v, cost) for v in demands])
+        assert floats.tobytes() == want.tobytes(), (alpha, cost, q)
+        assert ell(alpha, q, np.array(demands), cost).tobytes() == want.tobytes(), (alpha, cost, q)
+        before = np.array([_ell_before_the_transform(alpha, q, v, cost) for v in demands])
+        gap = float(np.max(np.abs(want - before)))
+        scale = eps * (cost.price + cost.cost) * q
+        assert gap <= 8.0 * scale, (alpha, cost, q, gap / scale if scale else gap)
+        worst = max(worst, gap / scale) if scale else worst
+        points += len(demands)
+    assert points >= 100_000 and 1.0 < worst < 1.5, (points, worst)
+
+
+def test_array_profit_takes_the_float_conditional_on_signed_zeros():
+    for q, v in ((0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)):
+        want = np.array([profit(q, v, COST)] * 20).tobytes()
+        assert profit(q, np.full(20, v), COST).tobytes() == want, (q, v)
+        assert ell(INF, q, np.full(20, v), COST).tobytes() == want, (q, v)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_a_slope_beyond_the_float_range_is_an_input_error(q):
+    # alpha/p = 1e315: the transform maps 0 to inf * 0 = NaN, and the envelope
+    # would be NaN (array) or p q - c q (float) at v = 0, where it is -c q
+    cost = CostStructure(1e-300, 5e-301)
+    calls = [
+        lambda: transform(1e15, 1e-300, q),
+        lambda: ell(1e15, q, 0.0, cost),
+        lambda: ell(1e15, q, np.zeros(3), cost),
+        lambda: ell(1e15, q, np.array(0.0), cost),
+        lambda: sp._ell_core(MisspecIndex(1e15), np.array([[q], [2.0]]), np.zeros(3), cost),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="^" + re.escape(
+            "alpha/p leaves the float range at price=1e-300, alpha=1000000000000000.0"
+        ) + "$"):
             call()
-        assert str(got.value).startswith(message)
+    # each entry reads its own arguments first
+    with pytest.raises(InputError, match="^q must be >= 0"):
+        ell(1e15, -1.0, 0.0, cost)
+    with pytest.raises(InputError, match="^v must be >= 0"):
+        ell(1e15, q, -1.0, cost)
+    with pytest.raises(InputError, match="^price must be"):
+        transform(1e15, -1.0, q)
+    # eight decades lower the slope 1e307 is finite: apply(0) = 0, ell = -c q
+    t = transform(1e7, 1e-300, q)
+    assert t.apply(0.0) == 0.0 and ell(1e7, q, 0.0, cost) == -cost.cost * q
+    assert ell(1e7, q, np.zeros(2), cost).tolist() == [-cost.cost * q] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -1746,12 +1854,22 @@ def _without_images(a, q, m, cost):
     return value, atoms, duals
 
 
+def _unchecked_transform(alpha, price, q):
+    """The TransformSpec that ``transform(alpha, price, q)`` builds, also at a
+    slope ``alpha/price`` beyond the float range, which ``transform`` now
+    rejects while a report there still builds its laws from finite images."""
+    a = sp.as_misspec_index(alpha)
+    mixed = not sp._quadratic(q, price * a.inv)
+    regime = TransformRegime.MIXED if mixed else TransformRegime.QUADRATIC
+    return sp.TransformSpec(a.alpha, price, q, regime)
+
+
 def _frozen_laws(atoms, a, q, cost):
     """The report's two laws as they were built before the checked
     evaluation's images were reused: ``from_pairs``, then a TransformSpec
     and ``push_forward``."""
     g_star = DiscreteDistribution.from_pairs(*atoms)
-    return g_star, push_forward(g_star, transform(a, cost.price, q))
+    return g_star, push_forward(g_star, _unchecked_transform(a, cost.price, q))
 
 
 def _frozen_report(a, m, cost):
@@ -1822,7 +1940,7 @@ def test_report_laws_are_bit_equal_to_from_pairs_and_push_forward():
         except (InputError, InternalCheckError):  # compared above
             continue
         # the edges, read from the frozen side
-        images = [transform(a, cost.price, q).apply(v) for v in support]
+        images = [_unchecked_transform(a, cost.price, q).apply(v) for v in support]
         seen["weights sum to 1.0" if math.fsum(weights) == 1.0 else "weights sum off 1.0"] += 1
         if support[0] == 0.0:
             seen["-0.0 low atom" if math.copysign(1.0, support[0]) < 0 else "0.0 low atom"] += 1
@@ -1886,7 +2004,8 @@ def test_an_overflowed_image_is_the_float_range_error():
         value = worst_case_transformed_expectation(alpha, q, m, cost)
         assert math.isfinite(value) and all(map(math.isfinite, sp._solve(alpha, m, cost)))
         support, weights = sp._checked_evaluation(MisspecIndex(alpha), q, m, cost)[1]
-        images = [transform(alpha, cost.price, q).apply(v) for v, w in zip(support, weights) if w > 0.0]
+        t = _unchecked_transform(alpha, cost.price, q)
+        images = [t.apply(v) for v, w in zip(support, weights) if w > 0.0]
         try:
             laws = misspec_worst_case(alpha, q, m, cost)
         except InputError as exc:
