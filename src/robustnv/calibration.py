@@ -44,6 +44,7 @@ from .single_product import (
     _expected_profits,
     _floats,
     _solve,
+    _solves,
     _test_profits,
     _until_error,
 )
@@ -315,17 +316,23 @@ def _cv_score(
     split: Sequence[tuple[np.ndarray, MomentSpec]],
     cost: CostStructure,
     candidates: Sequence,
-    index_for: Callable[[object, MomentSpec], AlphaLike],
+    index_for: Callable[[object, MomentSpec], MisspecIndex],
 ) -> list[float]:
     """Per candidate, the average over folds of the held-out mean selling
     profit of the quantity solved on each fold complement's moments at the
-    index ``index_for(candidate, moments)``.  All candidates are solved
-    first; then each fold scores every candidate in one numpy pass.  Errors
-    come in the per-candidate order: the first candidate whose solves or
-    fold profits fail decides, its solves first, then its folds in order."""
-    qs, error = _until_error(
-        lambda c: [_solve(index_for(c, m), m, cost)[0] for _, m in split], candidates
-    )
+    index ``index_for(candidate, moments)``.  All (candidate, fold) pairs are
+    solved first, in one batch; then each fold scores every candidate in one
+    numpy pass.  Errors come in the per-candidate order: the first candidate
+    whose indices, solves or fold profits fail decides, its indices and
+    solves first (pair by pair), then its folds in order."""
+    points = [(c, m) for c in candidates for _, m in split]
+    alphas, error = _until_error(lambda point: index_for(*point).alpha, points)
+    ms = [m for _, m in points[: len(alphas)]]
+    solved, solve_error = _solves(alphas, [m.mean for m in ms], [m.std for m in ms],
+                                  cost.price, cost.cost)
+    error = error if solve_error is None else solve_error  # it comes first
+    k = len(split)
+    qs = [[q for q, _ in solved[i : i + k]] for i in range(0, len(solved) - k + 1, k)]
     by_fold = [_test_profits(col, held, cost) for (held, _), col in zip(split, zip(*qs))]
     scores = np.array(by_fold).T.copy()  # (candidate, fold), rows contiguous for the mean
     # read every checked mean: the first bad (candidate, fold) raises
@@ -477,6 +484,7 @@ def stress_calibrate(
         target = max_target
     f_stress = stress_distribution(train, target)
     m_train = train.moments
+    # one index at a time, as an index grid is shorter than a batch that pays;
     # a solve error waits for the indices before it to be scored
     qs, error = _until_error(lambda a: _solve(a, m_train, cost)[0], grid)
     scores = list(_expected_profits(f_stress, qs, cost))

@@ -52,6 +52,7 @@ from .single_product import (
     _grid_floats,
     _require_demands,
     _solve,
+    _solves,
     _test_profits,
     _until_error,
     as_misspec_index,
@@ -260,32 +261,26 @@ def sweep(
     if axis not in _SWEEP_AXES:
         raise InputError(f"axis must be one of {_SWEEP_AXES}, got {axis!r}")
     m, base = config.train.moments, config.cost
-    # per axis: the default grid's span, and the point map v -> (index,
-    # moments, cost); the fixed index is resolved once the grid is known
-    if axis == "alpha":
-        span, point = None, lambda v: (v, m, base)
-    elif axis == "price":
-        span = (1.05 * base.cost, 2.5 * base.price)
-        point = lambda v: (fixed, m, CostStructure(v, base.cost))
-    else:
-        span, point = (1e-3, 1.5 * m.mean), lambda v: (fixed, MomentSpec(m.mean, v), base)
+    # per axis: the default grid's span, and the coordinate of a point
+    # (index, mean, std, price, cost) that the axis sets
+    span, slot = {"alpha": (None, 0), "price": ((1.05 * base.cost, 2.5 * base.price), 3),
+                  "sigma": ((1e-3, 1.5 * m.mean), 2)}[axis]
     if values is None:
         values = config.alpha_grid if span is None else np.linspace(*span, 200)
     vals = tuple(_grid_floats("values", values))
     require(len(vals) > 0, "sweep axis grid must be non-empty")
-    fixed = None if span is None else _sole_alpha(config, alpha)
+    # the fixed index is resolved once the grid is known
+    point = [None if span is None else _sole_alpha(config, alpha).alpha,
+             m.mean, m.std, base.price, base.cost]
+    point[slot] = list(vals)
     demands = None if config.test is None else _require_demands(config.test.values)
-
-    def solve(v: float) -> tuple[float, float, float]:
-        a, moments, cost = point(v)
-        return (*_solve(a, moments, cost), cost.price)
-
-    rows, error = _until_error(solve, vals)
-    quantities, in_sample, prices = (tuple(col) for col in zip(*rows)) if rows else ((),) * 3
+    rows, error = _solves(*point)
+    quantities, in_sample = (tuple(col) for col in zip(*rows)) if rows else ((), ())
     if demands is None:
         out_sample = (math.nan,) * len(rows)
     else:
-        means = _test_profits(quantities, demands, base, prices if axis == "price" else None)
+        prices = vals[: len(rows)] if axis == "price" else None
+        means = _test_profits(quantities, demands, base, prices)
         out_sample = tuple(_checked_test_profits(quantities, means))
     if error is not None:
         raise error
@@ -334,7 +329,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     emp, cost, test = config.train.empirical, config.cost, config.test
     demands = None if test is None else _require_demands(test.values)
     keys = [(method, a) for method in config.methods for a in config.alpha_grid]
-    solved, error = _until_error(lambda key: _method_solution(*key, config), keys)
+    # the closed-form cells in one batch; a cell past its first error solves
+    # alone, and raises it
+    m = config.train.moments
+    closed = [(method, a) for method, a in keys if method in (Method.AMBIGUITY, Method.MISSPEC)]
+    alphas = [math.inf if method is Method.AMBIGUITY else a for method, a in closed]
+    done = dict(zip(closed, _solves(alphas, m.mean, m.std, cost.price, cost.cost)[0]))
+    solved, error = _until_error(
+        lambda key: done[key] if key in done else _method_solution(*key, config), keys)
     qs = [q for q, _ in solved]
     outs = (repeat(None) if demands is None
             else _checked_test_profits(qs, _test_profits(qs, demands, cost)))

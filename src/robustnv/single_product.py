@@ -38,9 +38,11 @@ atoms before any law object exists: the law's mass and moments, its attainment
 of the value, and the identity ``s*mu - r*(mu^2 + sigma^2) - t == value``.  A
 report then builds each law once: G* from the checked atoms, and its image
 from the same images, with no TransformSpec.  Callers that read only the
-quantity and the value (the calibrators, the sweeps) run the same evaluation
-through ``_solve`` and never build the laws; the threshold scans take their
-quantities in one array pass (``_quantities``, the same bits as ``_quantity``)
+quantity and the value never build the laws: a point runs ``_solve``, and a
+batch (the sweeps, the cross-validation scores, the experiment's closed-form
+cells) runs ``_solves``, whose array arm ``_checked_values`` is the same
+evaluation, bit for bit, and hands ``_solve`` each point it does not pass.
+The threshold scans take their quantities in one array pass (``_quantities``)
 and run the evaluation only on the grid points that their turn reads.
 A failed check whose terms leave the float range is bad input, at any quantity.
 """
@@ -660,12 +662,17 @@ def ell(alpha: AlphaLike, q: float, v: _Demand, cost: CostStructure) -> _Demand:
 def _ell_core(a: MisspecIndex, q, v: np.ndarray, cost: CostStructure) -> np.ndarray:
     """:func:`ell` on checked inputs (a nonzero index, quantities and demands >= 0,
     broadcast: a column of quantities gives a row each), by :func:`_image`'s tests."""
-    p = cost.price
-    _require_slope(a, p)
-    shift = (4.0 * q >= p * a.inv) & (2.0 * v >= p / a.alpha)
+    _require_slope(a, cost.price)
+    return _envelope(a.alpha, a.inv, q, v, cost.price, cost.cost)
+
+
+def _envelope(alpha, inv, q, v, p, c):
+    """:func:`_ell_core` with the index (``inv = 1/alpha``), price and cost
+    broadcast too, unchecked; the profit is :func:`_profit`'s array arm."""
+    shift = (4.0 * q >= p * inv) & (2.0 * v >= p / alpha)
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 at alpha = inf, v = 0
-        image = np.where(shift, v - 0.25 * (p / a.alpha), (a.alpha / p) * v * v)
-    return _profit(q, image, cost)
+        image = np.where(shift, v - 0.25 * (p / alpha), (alpha / p) * v * v)
+    return p * np.minimum(image, q) - c * q
 
 
 def fractile_factor(x: float) -> float:
@@ -700,59 +707,68 @@ def ambiguity_worst_case(q: float, m: MomentSpec) -> DiscreteDistribution:
     return DiscreteDistribution.from_pairs(*_worst_case_law(_region(0.0, q, m, 1.0), m))
 
 
-#: ``(in_q, point_mass, x, h, z, pqi)``; see :func:`_region`
-_Region = tuple[bool, bool, float, float, float, float]
+#: ``(in_q, point_mass, x, y, h, z, pqi)``; see :func:`_region`
+_Region = tuple[bool, bool, float, float, float, float, float]
 
 
 def _region(inv: float, q: float, m: MomentSpec, p: float) -> _Region:
     """Branch of the value function at ``(inv = 1/alpha, q)`` and the terms
     that the value, the worst-case law and the certificate read, as
-    ``(in_q, point_mass, x, h, z, pqi)``.  In region Q (see
-    :func:`worst_case_transformed_expectation`): ``z = u = q + p/(4 alpha)``,
-    ``x = u - mu``, ``h = hypot(x, sigma)``.  Off Q: ``z = w = pqi + mu^2 +
+    ``(in_q, point_mass, x, y, h, z, pqi)`` with ``h = hypot(x, y)``: in
+    region Q (see :func:`worst_case_transformed_expectation`) ``z = u = q +
+    p/(4 alpha)``, ``x = u - mu``, ``y = sigma``; off Q ``z = w = pqi + mu^2 +
     sigma^2`` with ``pqi = p q/alpha``, and ``h = rad = sqrt(w^2 - 4 mu^2
-    pqi)`` taken as ``hypot(x, 2 mu sigma)``, ``x = pqi + sigma^2 - mu^2``, so
+    pqi)`` taken with ``x = pqi + sigma^2 - mu^2``, ``y = 2 mu sigma``, so
     that no nearly equal terms are subtracted.  ``point_mass`` (``h <= 1e-12
     z``): the worst case is one atom and the certificate is empty.
     """
-    mu, sig = m.mean, m.std
+    mu, sig, second = m.mean, m.std, m.second_moment
     pinv = p * inv
     pqi = p * (q * inv)
-    if q >= 0.25 * pinv and (2.0 * mu - pinv) * q >= m.second_moment - 0.5 * pinv * mu:
+    in_q = _in_q(q, pinv, mu, second)
+    x, y, z = _branch_terms(in_q, q, pinv, pqi, mu, sig, second)
+    h = math.hypot(x, y)
+    return in_q, h <= 1e-12 * z, x, y, h, z, pqi
+
+
+def _in_q(q, pinv, mu, second):
+    """Whether ``q`` lies in region Q, at ``pinv = p/alpha``; on floats or arrays."""
+    return (q >= 0.25 * pinv) & ((2.0 * mu - pinv) * q >= second - 0.5 * pinv * mu)
+
+
+def _branch_terms(in_q, q, pinv, pqi, mu, sig, second):
+    """``(x, y, z)`` of :func:`_region` in region Q (``in_q``) or off it: like
+    :func:`_value` and :func:`_dual_certificate`, it serves both arms."""
+    if in_q:
         u = q + 0.25 * pinv
-        x = u - mu
-        h = math.hypot(x, sig)
-        return True, h <= 1e-12 * u, x, h, u, pqi
-    x = pqi + sig * sig - mu * mu
-    h = math.hypot(x, 2.0 * mu * sig)
-    w = pqi + m.second_moment
-    return False, h <= 1e-12 * w, x, h, w, pqi
+        return u - mu, sig, u
+    return pqi + sig * sig - mu * mu, 2.0 * mu * sig, pqi + second
 
 
 _Atoms = tuple[tuple[float, ...], tuple[float, ...]]
 _Duals = tuple[tuple[str, float], ...]
 
 
-def _two_point(lo: float, hi: float, x: float, y: float, h: float) -> _Atoms:
-    """Atoms ``lo < hi`` with weights ``((h + x)/(2h), (h - x)/(2h))`` where
-    ``h = hypot(x, y)``; the smaller weight is ``y^2/(2h(h + |x|))``, free of
-    cancellation.  ``lo`` is clamped at 0 against rounding."""
-    big = (h + abs(x)) / (2.0 * h)
-    small = y * y / (2.0 * h * (h + abs(x)))
-    return (max(lo, 0.0), hi), ((big, small) if x >= 0.0 else (small, big))
+def _weights(x, y, h):
+    """The weights ``(h +- |x|)/(2h)`` of a two-point law, ``h = hypot(x, y)``,
+    the smaller as ``y^2/(2h(h + |x|))``, free of cancellation."""
+    return (h + abs(x)) / (2.0 * h), y * y / (2.0 * h * (h + abs(x)))
 
 
 def _worst_case_law(region: _Region, m: MomentSpec) -> _Atoms:
     """Atoms and weights of the worst-case law in ``region`` (of
-    :func:`_region`); see :func:`misspec_worst_case`."""
-    in_q, point_mass, x, h, z, pqi = region
-    mu, sig = m.mean, m.std
+    :func:`_region`); see :func:`misspec_worst_case`.  Of two atoms ``lo < hi``
+    (:func:`_weights`, the larger on ``lo`` at ``x >= 0``), ``lo`` is clamped at 0."""
+    in_q, point_mass, x, y, h, z, pqi = region
+    mu = m.mean
     if point_mass:
         return (mu if in_q else 0.5 * z / mu,), (1.0,)
     if in_q:
-        lo = mu - sig * sig / (h + x) if x > 0.0 else z - h
-        return _two_point(lo, z + h, x, sig, h)
-    return _two_point(2.0 * mu * pqi / (z + h), (z + h) / (2.0 * mu), x, 2.0 * mu * sig, h)
+        lo, hi = (mu - y * y / (h + x) if x > 0.0 else z - h), z + h
+    else:
+        lo, hi = 2.0 * mu * pqi / (z + h), (z + h) / (2.0 * mu)
+    big, small = _weights(x, y, h)
+    return (max(lo, 0.0), hi), ((big, small) if x >= 0.0 else (small, big))
 
 
 def worst_case_transformed_expectation(
@@ -773,31 +789,21 @@ def worst_case_transformed_expectation(
     q = require_nonnegative("q", q)
     if q == 0.0:
         return 0.0
-    return _value(_region(_nonzero_index(a).inv, q, m, cost.price), q, m, cost)
+    in_q, _, _, _, h, z, _ = _region(_nonzero_index(a).inv, q, m, cost.price)
+    return _value(in_q, q, m.mean, cost.price, cost.cost, z, h)
 
 
-def _value(region: _Region, q: float, m: MomentSpec, cost: CostStructure) -> float:
-    """L_alpha(q) in ``region`` (of :func:`_region`): the formula of
-    :func:`worst_case_transformed_expectation`, and 0 at ``q = 0`` (where a
-    product with 0 could be ``inf * 0``)."""
-    if q == 0.0:
-        return 0.0
-    mu = m.mean
-    p, c = cost.price, cost.cost
-    in_q, _, _, h, z, _ = region
+def _value(in_q, q, mu, p, c, z, h):
+    """L_alpha(q) at ``q > 0`` in region Q (``in_q``) or off it, from the terms
+    of :func:`_region`: see :func:`worst_case_transformed_expectation`."""
     if in_q:
         return 0.5 * p * (mu - z - h) + (p - c) * q
     return 2.0 * mu * mu * p * q / (z + h) - c * q
 
 
-def _dual_certificate(region: _Region, q: float, m: MomentSpec, cost: CostStructure) -> _Duals:
-    """Dual variables (s, r, t) certifying L_alpha(q) in ``region`` (of
-    :func:`_region`); empty when degenerate."""
-    mu = m.mean
-    p, c = cost.price, cost.cost
-    in_q, point_mass, _, h, z, pqi = region
-    if point_mass:
-        return ()
+def _dual_certificate(in_q, q, mu, p, c, z, h, pqi) -> _Duals:
+    """Dual variables (s, r, t) certifying L_alpha(q) in region Q (``in_q``)
+    or off it, from the terms of a :func:`_region` that is no point mass."""
     if in_q:  # z = u, h = hypot(u - mu, sigma)
         r = p / (4.0 * h)
         s = 0.5 * p + 2.0 * r * z
@@ -849,14 +855,16 @@ def _checked_evaluation(
     p, inv = cost.price, a.inv
     try:
         region = _region(inv, q, m, p)
-        value = _value(region, q, m, cost)
+        in_q, point_mass, _, _, h, z, pqi = region
+        # 0 at q = 0, where a product with 0 could be inf * 0
+        value = 0.0 if q == 0.0 else _value(in_q, q, m.mean, p, cost.cost, z, h)
         atoms = _worst_case_law(region, m)
         finite = all(map(math.isfinite, atoms[0]))  # else an atom overflowed
         if finite:
             mixed = not _quadratic(q, p * inv)
             images = [_image(v, a.alpha, p, mixed) for v in atoms[0]]
             profits = [_profit(q, x, cost) for x in images]
-            duals = _dual_certificate(region, q, m, cost)
+            duals = () if point_mass else _dual_certificate(in_q, q, m.mean, p, cost.cost, z, h, pqi)
     except ZeroDivisionError:  # a divisor underflowed to 0
         finite = False
     if finite:
@@ -1092,6 +1100,84 @@ def _solve(alpha: AlphaLike, m: MomentSpec, cost: CostStructure) -> tuple[float,
         return 0.0, 0.0
     q, _ = _quantity(a, m, cost)
     return q, _checked_evaluation(a, q, m, cost)[0]
+
+
+def _checked_values(alpha, mu, sig, p, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_solve` on broadcast float arrays, as :func:`_quantities` is
+    :func:`_quantity`: ``(q, value, ok)``, ``ok`` where they are its bits.
+    The terms come from the scalar path's helpers (``h`` by ``math.hypot``:
+    ``np.hypot`` can differ in the last bit), each branch by ``np.where``; the
+    atoms are :func:`_worst_case_law`'s, copied, and the checks the scalar
+    tests, copied into :func:`_checks_pass`, each two-term ``fsum`` taken as
+    ``a + b``: both round the exact sum, and where ``+`` overflows, ``fsum``
+    raises and the test fails.  ``ok`` fails wherever the scalar path may do
+    anything else: a spec its constructor rejects, alpha = 0, a fractile that
+    rounds to 1, ``alpha/p`` beyond the float range, a point mass, a value
+    that is not finite, or a failed check (as a divisor underflowed to 0 does)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        second = mu * mu + sig * sig
+        kappa = (p - c) / p
+        q = _quantities(alpha, mu, sig, second, p, kappa)
+        inv = 1.0 / alpha  # 0 at the infinite index
+        pinv, pqi = p * inv, p * (q * inv)
+        in_q = _in_q(q, pinv, mu, second)
+        x, y, z = (np.where(in_q, *pair) for pair in zip(
+            _branch_terms(True, q, pinv, pqi, mu, sig, second),
+            _branch_terms(False, q, pinv, pqi, mu, sig, second)))
+        h = np.array(list(map(math.hypot, x.tolist(), y.tolist())))
+        terms = (q, mu, p, c, z, h)
+        value = np.where(q == 0.0, 0.0, np.where(in_q, _value(True, *terms), _value(False, *terms)))
+        s, r, t = (np.where(in_q, dq, dw) for (_, dq), (_, dw) in zip(
+            _dual_certificate(True, *terms, pqi), _dual_certificate(False, *terms, pqi)))
+        # _worst_case_law's atoms and weights, one row per atom
+        lo = np.where(in_q, np.where(x > 0.0, mu - y * y / (h + x), z - h), 2.0 * mu * pqi / (z + h))
+        hi = np.where(in_q, z + h, (z + h) / (2.0 * mu))
+        atoms = np.array([np.where(0.0 > lo, 0.0, lo), hi])  # max(lo, 0.0)
+        big, small = _weights(x, y, h)
+        weights = np.where(x >= 0.0, [big, small], [small, big])
+        # each row the two terms of one fsum of the checks, in their order
+        mass, mean, square, paid = np.array([
+            weights, atoms * weights, atoms * atoms * weights,
+            weights * _envelope(alpha, inv, q, atoms, p, c)]).sum(axis=1)
+        ok = (
+            (0.0 < c) & (c < p) & (p < math.inf) & (mu > 0.0) & (sig >= 0.0)
+            & (_MIN_NORMAL <= second) & (second < math.inf) & (alpha > 0.0) & (kappa < 1.0)
+            & ((alpha / p < math.inf) | (alpha == math.inf)) & (h > 1e-12 * z)
+            & np.isfinite(value) & _checks_pass(mass, mean, square, paid, s, r, t, value, mu, second)
+        )
+    return q, value, ok
+
+
+def _checks_pass(mass, mean, square, paid, s, r, t, value, mu, second) -> np.ndarray:
+    """The three scalar checks' tests on arrays of their sums (``np.fmax(1.0,
+    x)`` is ``max(1.0, x)`` on every float)."""
+    tol = _CHECK_TOL * np.fmax(1.0, second)
+    unit = _CHECK_TOL * np.fmax(1.0, abs(value))
+    s, r = s * mu, r * second
+    dual_value = s - r - t
+    size = abs(s) + abs(r) + abs(t)
+    return ((abs(mass - 1.0) <= _CHECK_TOL) & (abs(mean - mu) <= tol)
+            & (abs(square - second) <= tol) & (abs(paid - value) <= unit)
+            & (abs(dual_value - value) <= unit + _ROUNDING * size) & (size < math.inf))
+
+
+def _solves(alpha, mu, sig, p, c) -> tuple[list[tuple[float, float]], Exception | None]:
+    """:func:`_until_error` of :func:`_solve` over the points ``(alpha,
+    MomentSpec(mu, sig), CostStructure(p, c))``, each argument a float or a
+    list of floats: one :func:`_checked_values` pass, and :func:`_solve` on
+    specs built for it at each point that the pass does not pass."""
+    cols = [np.asarray(x, dtype=float)[()] for x in (alpha, mu, sig, p, c)]
+    q, value, ok = _checked_values(*cols)
+    solved = list(zip(q.tolist(), value.tolist()))
+    if ok.all():
+        return solved, None
+    points = zip(*(np.broadcast_to(x, ok.shape).tolist() for x in cols), solved, ok.tolist())
+
+    def solve(point):
+        a, mean, std, price, cost, done, passed = point
+        return done if passed else _solve(a, MomentSpec(mean, std), CostStructure(price, cost))
+
+    return _until_error(solve, points)
 
 
 # ---------------------------------------------------------------------------

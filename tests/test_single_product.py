@@ -2770,3 +2770,44 @@ def test_scans_match_the_full_forward_reference(case, monkeypatch):
         ("zero", "first"), ("zero", "none"), ("inf", "none")
     ]:
         assert seen.get(key, 0) >= 10, seen
+
+
+# ---------------------------------------------------------------------------
+# the invariant of the checked evaluation's array arm
+# ---------------------------------------------------------------------------
+
+
+def _fsum_pairs(rng):
+    """Seeded pairs of finite floats: mixed magnitudes, near-cancelling
+    opposite signs, subnormals and half-way ties."""
+    tiny, eps = 5e-324, 2.0**-52
+    for _ in range(4_000):
+        a = float(rng.standard_normal()) * 10.0 ** float(rng.uniform(-300, 300))
+        yield a, float(rng.standard_normal()) * 10.0 ** float(rng.uniform(-300, 300))
+        yield a, -a * (1.0 + float(rng.integers(-4, 5)) * eps)  # cancels to a few ulps
+        yield a, -math.nextafter(a, math.inf)
+        yield float(rng.integers(-2**20, 2**20)) * tiny, float(rng.integers(-2**20, 2**20)) * tiny
+        # b is half an ulp of a: the exact sum is a tie, rounded to even
+        m = float(rng.integers(2**52, 2**53)) * 2.0 ** float(rng.integers(-1000, 960))
+        yield m, math.ulp(m) / 2.0
+        yield -m, -math.ulp(m) / 2.0
+        yield m, 3.0 * math.ulp(m) / 2.0
+
+
+def test_fsum_of_two_finite_floats_is_their_rounded_sum():
+    # _checked_values takes each two-term fsum of the checks as a + b: both
+    # round the exact sum correctly (to even on a tie)
+    for a, b in _fsum_pairs(np.random.default_rng(36)):
+        s = a + b
+        if math.isfinite(s):
+            assert math.fsum([a, b]).hex() == s.hex(), (a.hex(), b.hex())
+    # the one difference in bits: two negative zeros sum to -0.0, their fsum
+    # is 0.0; every check reads a sum only through abs(sum - target)
+    assert str(-0.0 + -0.0) == "-0.0" and str(math.fsum([-0.0, -0.0])) == "0.0"
+    # where + overflows to inf, fsum raises, and the array test fails
+    big = sys.float_info.max
+    for a, b in [(big, big), (big, math.ulp(big) / 2.0), (-big, -big)]:
+        assert abs(a + b) == math.inf
+        with pytest.raises(OverflowError):
+            math.fsum([a, b])
+    assert math.fsum([big, math.ulp(big) / 4.0]) == big + math.ulp(big) / 4.0 == big
