@@ -29,11 +29,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .distances import alpha_for_radius
+from .distances import _half_root, alpha_for_radius
 from .single_product import (
     AlphaLike,
     CostStructure,
@@ -275,7 +276,7 @@ def guarantee(
     total = eps + shift
     alpha_n = alpha_for_radius(total, m_hat, cost)
     _, value = _solve(alpha_n, m_hat, cost)
-    penalty = 0.5 * math.sqrt(cost.price * (cost.price - cost.cost) * total)
+    penalty = _half_root(cost, mul, total)
     return GuaranteeReport(
         epsilon_n=eps,
         shift_estimate=shift,

@@ -26,6 +26,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+from operator import truediv
 
 from .single_product import (
     AlphaLike,
@@ -34,6 +35,7 @@ from .single_product import (
     MisspecIndex,
     MomentSpec,
     _ATOM_TOL,
+    _MIN_NORMAL,
     _quantile_atom,
     _solve,
     as_misspec_index,
@@ -305,6 +307,18 @@ def tv_misspec_quantity(
 # ---------------------------------------------------------------------------
 
 
+def _half_root(cost: CostStructure, op, x: float) -> float:
+    """``0.5 sqrt(op(p (p - c), x))`` for ``op`` ``mul`` or ``truediv``, from the
+    three roots apart wherever ``p (p - c)`` or the radicand is not a normal
+    float (p beyond about 1.5e-154..1.3e154, or an extreme ``x``)."""
+    p, c = cost.price, cost.cost
+    product = p * (p - c)
+    radicand = op(product, x)
+    if _MIN_NORMAL <= product < math.inf and _MIN_NORMAL <= radicand < math.inf:
+        return 0.5 * math.sqrt(radicand)
+    return op(0.5 * math.sqrt(p) * math.sqrt(p - c), math.sqrt(x))
+
+
 def alpha_for_radius(
     epsilon_total: float, m_hat: MomentSpec, cost: CostStructure
 ) -> MisspecIndex:
@@ -314,9 +328,9 @@ def alpha_for_radius(
     alpha)``: with no budget the ambiguity-only model is best (INFINITY);
     with a budget below ``kappa * v_hat^2`` the interior stationary point
     ``sqrt(p (p - c) / epsilon) / 2`` wins; past that, robustness is not
-    worth buying and the index collapses to zero.  Where ``p (p - c) /
-    epsilon`` leaves the float range (p above about 1.3e154, or a tiny
-    epsilon), the stationary point is formed from the three roots apart.
+    worth buying and the index collapses to zero.  Where ``p (p - c)`` or
+    its quotient by epsilon is not a normal float, the stationary point is
+    formed from the three roots apart (:func:`_half_root`).
     """
     eps = require_nonnegative("epsilon_total", epsilon_total)
     if eps == 0.0:
@@ -333,9 +347,5 @@ def alpha_for_radius(
         return MisspecIndex(0.0)
     v_hat = m_hat.mean - m_hat.std * math.sqrt((1.0 - kappa) / kappa)
     if eps < kappa * v_hat * v_hat:
-        p, c = cost.price, cost.cost
-        alpha = 0.5 * math.sqrt(p * (p - c) / eps)
-        if alpha == math.inf:
-            alpha = 0.5 * math.sqrt(p) * math.sqrt(p - c) / math.sqrt(eps)
-        return MisspecIndex(alpha)
+        return MisspecIndex(_half_root(cost, truediv, eps))
     return MisspecIndex(0.0)

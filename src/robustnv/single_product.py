@@ -42,8 +42,7 @@ quantity and the value never build the laws: a point runs ``_solve``, and a
 batch (the sweeps, the cross-validation scores, the experiment's closed-form
 cells) runs ``_solves``, whose array arm ``_checked_values`` is the same
 evaluation, bit for bit, and hands ``_solve`` each point it does not pass.
-The threshold scans take their quantities in one array pass (``_quantities``)
-and run the evaluation only on the grid points that their turn reads.
+The threshold scans validate their grid, then solve it as one such batch.
 A failed check whose terms leave the float range is bad input, at any quantity.
 """
 
@@ -53,7 +52,6 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from itertools import accumulate, repeat
 from operator import le, lt, mul, sub, truediv
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence, Union
@@ -1185,27 +1183,23 @@ def _solves(alpha, mu, sig, p, c) -> tuple[list[tuple[float, float]], Exception 
 # ---------------------------------------------------------------------------
 
 
-def _scan_turn(
-    a: MisspecIndex,
-    grid: list[float],
-    quantities: Callable[[], np.ndarray],
-    model: Callable[[float], tuple[MomentSpec, CostStructure]],
-) -> float | None:
-    """Grid point at the smallest index j <= len-2 from which the closed-form
-    quantities (``quantities()``, an array over the grid) are non-increasing
-    within 1e-12; None if there is none.  The checked evaluation then runs,
-    in ascending order, on the points the rule compared, ``max(j-1, 0)`` to
-    the end, on specs built for them alone by ``model``; at alpha = 0 every
-    quantity is 0, as in :func:`_solve`, and none is taken or evaluated."""
-    n = len(grid)
-    qs = [0.0] * n if a.alpha == 0.0 else quantities().tolist()
-    j = n - 1
+def _turn(grid: list[float], point: tuple) -> float | None:
+    """Grid point at the smallest index j <= len-2 from which the quantities
+    are non-increasing within 1e-12; None if there is none.  ``point`` is
+    ``(alpha, mu, sigma, price, cost)`` with the grid in the axis slot, as a
+    sweep builds it: the whole grid is solved and checked in one
+    :func:`_solves` batch, and its first error is raised.  At alpha = 0 every
+    quantity is 0, as in :func:`_solve`, and no point is solved."""
+    if point[0] == 0.0:
+        return grid[0] if len(grid) > 1 else None
+    solved, error = _solves(*point)
+    if error is not None:
+        raise error
+    qs = [q for q, _ in solved]
+    j = len(qs) - 1
     while j > 0 and qs[j] <= qs[j - 1] + 1e-12:
         j -= 1
-    if a.alpha != 0.0:
-        for i in range(max(j - 1, 0), n):
-            _checked_evaluation(a, qs[i], *model(grid[i]))
-    return grid[j] if j <= n - 2 else None
+    return grid[j] if j <= len(qs) - 2 else None
 
 
 def price_threshold_scan(
@@ -1220,28 +1214,22 @@ def price_threshold_scan(
     rising (the ambiguity-only quantity always does).  Single-point grids
     return None by convention (no comparison is possible).  ``p_grid`` obeys :func:`_grid`.
 
-    The closed-form quantities at all grid prices are taken in one array
-    pass; its one error, the fractile (p - c)/p rounding to 1, is raised at
-    the first such price, as a price-by-price loop would.  The checked
-    evaluation of :func:`misspec_quantity` runs only on the prices the tail
-    rule compares: from the one before the returned price (the last two when
-    None is returned, the one point of a single-point grid) to the end of the
-    grid.  At alpha = 0 every quantity is 0 and no price is evaluated.
+    The grid is validated first: its one price-wise error, the fractile
+    (p - c)/p rounding to 1, is raised at the first such price.  Then every
+    price is solved and checked in one batch, as a price sweep is, and the
+    first bad price's error is raised.  At alpha = 0 every quantity is 0, the
+    fractile is never read and no price is solved.
     """
     unit_cost = require_positive("c", c)
     grid = _grid("p_grid", p_grid)
     require(grid[0] > unit_cost, f"all grid prices must exceed c={c!r}")
     a = as_misspec_index(alpha)
-
-    def quantities() -> np.ndarray:
+    if a.alpha != 0.0:
         p = np.array(grid)
-        kappa = (p - unit_cost) / p
-        rounded = np.flatnonzero(~(kappa < 1.0))
+        rounded = np.flatnonzero(~((p - unit_cost) / p < 1.0))
         if rounded.size:  # never degenerate: kappa = 1 >= sigma^2/(mu^2 + sigma^2)
             raise _fractile_rounds_to_one(CostStructure(grid[rounded[0]], unit_cost))
-        return _quantities(a.alpha, m.mean, m.std, m.second_moment, p, kappa)
-
-    return _scan_turn(a, grid, quantities, lambda p: (m, CostStructure(p, unit_cost)))
+    return _turn(grid, (a.alpha, m.mean, m.std, grid, unit_cost))
 
 
 def variance_threshold_scan(
@@ -1255,11 +1243,11 @@ def variance_threshold_scan(
     ``[0, mu*sqrt(kappa/(1-kappa))]`` (beyond it the model is degenerate),
     under :func:`_grid`.  Same tail convention as :func:`price_threshold_scan`;
     single-point grids return None (documented choice between the two
-    conventions offered).  As there, the quantities are taken in one array
-    pass and the checked evaluation runs only on the stds from the one before
-    the returned turn (the last two when None is returned) to the end; none
-    at alpha = 0.  A std's one error, ``mu^2 + s^2`` outside the range of
-    :class:`MomentSpec`, is raised at the first such std, at any alpha.
+    conventions offered).  As there, the grid is validated first: a std's
+    one error, ``mu^2 + s^2`` outside the range of :class:`MomentSpec`, is
+    raised at the first such std, at any alpha.  Then every std is solved and
+    checked in one batch, as a sigma sweep is, and the first bad std's error
+    is raised; none is solved at alpha = 0.
     """
     kappa = cost.kappa
     require(kappa >= 0.5, f"scan requires kappa >= 1/2, got {kappa!r}")
@@ -1279,5 +1267,4 @@ def variance_threshold_scan(
     out = np.flatnonzero(~((_MIN_NORMAL <= second) & (second < math.inf)))
     if out.size:
         MomentSpec(mu, grid[out[0]])  # raises InputError
-    quantities = partial(_quantities, a.alpha, mu, sig, second, cost.price, kappa)
-    return _scan_turn(a, grid, quantities, lambda s: (MomentSpec(mu, s), cost))
+    return _turn(grid, (a.alpha, mu, grid, cost.price, cost.cost))

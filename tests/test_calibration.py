@@ -35,7 +35,7 @@ from robustnv import (
 from robustnv import calibration as cal
 from robustnv import single_product as sp
 from robustnv.single_product import as_misspec_index
-from robustnv.validation import require_nonnegative
+from robustnv.validation import positive_part, require_nonnegative
 
 COST = CostStructure(10, 3)
 # mean 4, population std exactly 2 — matches the canonical moment pair
@@ -295,6 +295,52 @@ def test_guarantee_bound_non_increasing_in_shift():
         assert hi_shift <= lo_shift + 1e-12
     with pytest.raises(InputError):
         guarantee(SQUARE, -0.1, COST, 0.0)
+
+
+def test_guarantee_keeps_the_price_scale_where_p_times_p_minus_c_leaves_the_normal_floats():
+    # the index and the bound are homogeneous of degree 1 in (p, c): with
+    # c = 0.3 p they are fixed multiples of p, also where p (p - c)
+    # underflows (p below about 1.5e-154) or overflows (above about 1.3e154),
+    # and where a subnormal p (p - c) divided by a tiny budget is normal.
+    # Measured spread of the multiples: at most 6.7e-16 for the bound and
+    # 4.5e-16 for the index.  Before the roots were taken apart, at a budget
+    # of 0.4 the bound read 0 at p = 1e-165 and 2e154 and 0.45% low at
+    # 1e-161; at 1e-20 the index spread 1.4% with the radicand test alone.
+    s = SampleSet((3.1, 5.0, 4.2, 6.7, 2.9, 5.5))
+    prices = [*np.geomspace(1e-300, 5e154, 60).tolist(), 1e-165, 1e-161, 1e-158, 10.0, 2e154]
+    for eps in (0.4, 1e-20):
+        bounds, alphas = [], []
+        for p in prices:
+            g = guarantee(s, 0.0, CostStructure(p, 0.3 * p), eps)
+            bounds.append(g.lower_bound / p)
+            alphas.append(g.alpha_n.alpha / p)
+        for ratios in (bounds, alphas):
+            assert min(ratios) > 0.0 and max(ratios) / min(ratios) - 1.0 <= 1e-15, (eps, ratios)
+        if eps == 0.4:
+            assert bounds[prices.index(2e154)] * 2e154 == 4.1126308019283395e154
+            assert alphas[prices.index(1e-165)] * 1e-165 == 6.614378277661477e-166
+
+
+def test_guarantee_and_radius_index_keep_their_bits_on_ordinary_instances():
+    # where p (p - c) and the radicand are normal floats, the index and the
+    # penalty are formed as one square root, as they always were
+    rng = np.random.default_rng(37_037)
+    interior = 0
+    for _ in range(300):
+        samples = random_samples(rng)
+        p = float(10 ** rng.uniform(-2, 3))
+        cost = CostStructure(p, p * float(rng.uniform(0.01, 0.99)))
+        eps, shift = (float(10 ** rng.uniform(-4, 1)) for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a degenerate fractile
+            g = guarantee(samples, shift, cost, eps)
+            a = alpha_for_radius(eps, samples.moments, cost).alpha
+        penalty = 0.5 * math.sqrt(cost.price * (cost.price - cost.cost) * (eps + shift))
+        assert g.lower_bound.hex() == positive_part(g.in_sample_value - penalty).hex()
+        if 0.0 < a < math.inf:
+            interior += 1
+            assert a.hex() == (0.5 * math.sqrt(cost.price * (cost.price - cost.cost) / eps)).hex()
+    assert interior >= 50, interior
 
 
 def test_report_validation():

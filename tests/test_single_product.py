@@ -2449,24 +2449,29 @@ def test_variance_scan_scope_and_conventions():
     assert variance_threshold_scan(1.5, COST, 4.0, [1.0]) is None  # documented
 
 
-def _recorded_evaluations(monkeypatch):
-    """Patch the checked evaluation to record its ``(q, m, cost)`` calls."""
-    calls, evaluate = [], sp._checked_evaluation
+def _recorded_solves(monkeypatch):
+    """Patch the batch solve to record its ``(alpha, mu, sigma, price, cost)`` calls."""
+    calls, solves = [], sp._solves
 
-    def record(a, q, m, cost):
-        calls.append((q, m, cost))
-        return evaluate(a, q, m, cost)
+    def record(*point):
+        calls.append(point)
+        return solves(*point)
 
-    monkeypatch.setattr(sp, "_checked_evaluation", record)
+    monkeypatch.setattr(sp, "_solves", record)
     return calls
+
+
+def _solved_points(calls):
+    """Each recorded batch as its list of ``(alpha, MomentSpec, CostStructure)`` points."""
+    return [[(a, MomentSpec(mu, s), CostStructure(p, c))
+             for a, mu, s, p, c in zip(*(x.tolist() for x in np.broadcast_arrays(*call)))]
+            for call in calls]
 
 
 def test_scan_edges_keep_their_behaviour(monkeypatch):
     at_price = CostStructure(12.0, 3.0)
     at_std = MomentSpec(4.0, 1.0)
-    single = [(misspec_quantity(4.0, M42, at_price).quantity, M42, at_price),
-              (misspec_quantity(1.5, at_std, COST).quantity, at_std, COST)]
-    calls = _recorded_evaluations(monkeypatch)
+    calls = _recorded_solves(monkeypatch)
     # alpha = 0 orders nothing at every price and never reads the fractile
     assert price_threshold_scan(0.0, MomentSpec(5, 2), 3.0, [1e17, 2e17]) == 1e17
     assert variance_threshold_scan(0.0, COST, 4.0, [0.0, 1.0, 2.0]) == 0.0
@@ -2478,12 +2483,9 @@ def test_scan_edges_keep_their_behaviour(monkeypatch):
     # a single-point grid returns None once its one point is checked
     assert price_threshold_scan(4.0, M42, 3.0, [12.0]) is None
     assert variance_threshold_scan(1.5, COST, 4.0, [1.0]) is None
-    assert calls == single
-    # a check that fails on a point the turn reads fails the scan
-    def fail(*_):
-        raise InternalCheckError("perturbed")
-
-    monkeypatch.setattr(sp, "_checked_evaluation", fail)
+    assert _solved_points(calls) == [[(4.0, M42, at_price)], [(1.5, at_std, COST)]]
+    # the batch's error fails the scan
+    monkeypatch.setattr(sp, "_solves", lambda *_: ([], InternalCheckError("perturbed")))
     with pytest.raises(InternalCheckError, match="perturbed"):
         price_threshold_scan(4.0, M42, 3.0, [12.0, 13.0])
 
@@ -2726,7 +2728,7 @@ def _bad_point_cases():
 
 
 def test_scans_raise_at_the_first_bad_point_as_the_forward_reference_does(monkeypatch):
-    calls = _recorded_evaluations(monkeypatch)
+    calls = _recorded_solves(monkeypatch)
     outcomes = Counter()
     for alpha, grid, model, scan in _bad_point_cases():
         error = _ordered_quantities(alpha, grid, model)
@@ -2742,8 +2744,8 @@ def test_scans_raise_at_the_first_bad_point_as_the_forward_reference_does(monkey
         qs, j, want = _forward_turn(alpha, grid, models)
         del calls[:]
         assert scan() == want
-        read = range(max(j - 1, 0), len(grid)) if alpha != 0.0 else range(0)
-        assert calls == [(qs[i], *models[i]) for i in read]
+        batches = [[(alpha, *model) for model in models]] if alpha != 0.0 else []
+        assert _solved_points(calls) == batches
         outcomes["turn"] += 1
     # a bad price at alpha = 0 is never read; a bad std is built at every alpha
     assert outcomes == {"error": 15, "turn": 9}, outcomes
@@ -2752,17 +2754,17 @@ def test_scans_raise_at_the_first_bad_point_as_the_forward_reference_does(monkey
 @pytest.mark.parametrize("case", [_price_scan_case, _variance_scan_case], ids=["price", "variance"])
 def test_scans_match_the_full_forward_reference(case, monkeypatch):
     rng = np.random.default_rng(16_016)
-    calls = _recorded_evaluations(monkeypatch)
+    calls = _recorded_solves(monkeypatch)
     seen = {}
     for _ in range(2_000):
         alpha, grid, models, scan = case(rng)
         qs, j, want = _forward_turn(alpha, grid, models)
         del calls[:]
         assert scan() == want, (alpha, grid)
-        # the checked evaluation ran on exactly the compared points, in order
+        # one batch solved exactly the grid's points, in order; none at alpha = 0
         n = len(grid)
-        read = range(max(j - 1, 0), n) if alpha != 0.0 else range(0)
-        assert calls == [(qs[i], *models[i]) for i in read], (alpha, grid)
+        batches = [[(alpha, *model) for model in models]] if alpha != 0.0 else []
+        assert _solved_points(calls) == batches, (alpha, grid)
         at = "none" if want is None else "first" if j == 0 else "last" if j == n - 2 else "interior"
         kind = "zero" if alpha == 0.0 else "inf" if alpha == math.inf else "finite"
         seen[kind, at] = seen.get((kind, at), 0) + 1
@@ -2770,6 +2772,35 @@ def test_scans_match_the_full_forward_reference(case, monkeypatch):
         ("zero", "first"), ("zero", "none"), ("inf", "none")
     ]:
         assert seen.get(key, 0) >= 10, seen
+
+
+@pytest.mark.parametrize("kind", ["price", "variance"])
+def test_a_check_that_fails_before_the_turn_fails_the_scan(kind, monkeypatch):
+    # every grid point is checked, not only the tail that the turn compares:
+    # the value is shifted by 1e-6 relative at the sixth point with q > 0,
+    # far before the turn, and the scan raises where it returned the turn
+    if kind == "price":
+        m, c = MomentSpec(4.0, 2.5), 3.0
+        grid = np.linspace(3.5, 40.0, 200).tolist()
+        scan = partial(price_threshold_scan, 4.0, m, c, grid)
+        qs = [sp._solve(4.0, m, CostStructure(p, c))[0] for p in grid]
+        at, turn = 9, 114
+    else:
+        mu = 4.0
+        grid = np.linspace(0.0, 6.0, 200).tolist()
+        scan = partial(variance_threshold_scan, 1.5, COST, mu, grid)
+        qs = [sp._solve(1.5, MomentSpec(mu, s), COST)[0] for s in grid]
+        at, turn = 5, 58
+    assert [i for i, q in enumerate(qs) if q > 0.0][5] == at
+    assert scan() == grid[turn]
+    value = sp._value
+
+    def shifted(in_q, q, *terms):  # both arms read _value: np.where takes scalars and arrays
+        return value(in_q, q, *terms) * np.where(q == qs[at], 1.0 + 1e-6, 1.0)[()]
+
+    monkeypatch.setattr(sp, "_value", shifted)
+    with pytest.raises(InternalCheckError, match="worst-case law fails to attain"):
+        scan()
 
 
 # ---------------------------------------------------------------------------
