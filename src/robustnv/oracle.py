@@ -30,6 +30,15 @@ Two consumption styles:
   cubic budget strictly.  Objectives are scored in consecutive blocks of laws
   holding about ``_LAW_BLOCK`` expectations each (1 MB), folded into running
   minima, so scoring adds a fixed amount of memory however large the family.
+
+The grid envelope :func:`inner_min_oracle` and the transport-ball dual
+:func:`wasserstein_dual_oracle` share one kernel, :func:`_row_minima`: the
+minimum over a u grid of ``pi(psi, u) + gamma*(u - w)^2`` for every (psi,
+gamma) row of one atom.  It reads each row's minimum from two windows of grid
+points, the neighbours of w and psi and the points around the quadratic's
+vertex, and proves from the objective's monotone and convex pieces and a
+rounding bound that they hold the dense grid minimum, bit for bit; a row the
+bound does not certify is formed in full.
 """
 
 from __future__ import annotations
@@ -537,15 +546,122 @@ class MomentLawFamily:
         return DiscreteDistribution.from_pairs(self.grid[idx], wgt)
 
 
+_EPS = 2.0**-53  # unit roundoff of a double
+_ETA = 2.0**-1074  # smallest subnormal: bounds a product's underflow error
+_FULL_ROWS = 1 << 17  # lattice points per block of uncertified rows (1 MB)
+
+
+def _row_minima(
+    pi: np.ndarray, us: np.ndarray, psis: np.ndarray, w, gammas: np.ndarray, cost
+) -> tuple[np.ndarray, int]:
+    """``(minima, n_full)``: for one atom ``w``, ``minima[i, g]`` is the
+    minimum over j of ``pi[i, j] + gammas[g]*sq[j]``, bit for bit, where
+    ``pi = _profit(psis[:, None], us[None, :], cost)`` and ``sq = (us - w)**2``
+    (formed here, where an overflow to +inf raises no warning); ``n_full``
+    counts the rows (i, g) that were formed in full.
+
+    Each row's minimum is read from the points of two windows, each point
+    formed by that same expression from ``pi`` and ``sq``; every window point
+    is a grid point, so the windows' minimum is exact once they hold one
+    minimiser of the row.  Write v(j) for the value at ``us[j]``, s(j) =
+    ``sq[j]``, J for the first u >= psi and R for the first u >= w.  Rounding
+    is monotone (Higham 2002), every gamma is >= 0 (or -0.0), and ``pi`` and
+    ``sq`` are finite (else every row is formed in full).  The argument uses
+    only this objective:
+
+    * j >= J: ``pi[i, j]`` is one float P, so v = fl(P + fl(gamma*s)) does
+      not decrease with s.  s(j) = fl(fl(u - w)^2) does not increase below
+      R and does not decrease from R on.  So this piece's minimum is at
+      max(J, R - 1) or max(J, R).
+    * R <= j < J: fl(p*u) and s both rise with u; the minimum is at R.
+    * j < m = min(J, R): v is a rounding of the convex quadratic
+      g(u) = p*u - b + gamma*(u - w)^2, b = fl(c*psi), with its vertex at
+      w - p/(2 gamma).  Each step of v rounds with relative error at most
+      eps = 2^-53 or underflows by at most eta = 2^-1074, so on [0, m) every
+      |v(j) - g(u_j)| <= E = 8 eps (p min(w, psi) + c psi + gamma (w - u_0)^2)
+      + (4 + gamma) eta: the step bounds sum to 6 eps (...) + (3 + gamma) eta
+      for the same sum (...), and the rest covers the rounding of E itself.
+      The window is the two grid points on either side of the vertex (the
+      first four points when fewer than two lie below it); when that window
+      does not start at 0 and reaches past [0, m), it is the part's last two
+      points.  ``gamma > 0`` decides whether the vertex exists: gamma = -0.0
+      would put it at +inf, so it and a quotient that overflows put it at
+      -inf.  Let M = v(k) be the window's minimum.  If the point just outside
+      the window on one side has v > M + 2E, then g there exceeds g(u_k), so
+      by convexity g rises further out on that side, and every point there
+      has v >= g - E > M.  A row passes when both sides that hold points
+      pass; the others are formed in full with the same expression
+      (``n_full``, 0 on the package's test and benchmark grids).
+
+    So the windows are the neighbours {R - 1, R, J} and the part's last two
+    points, which depend on psi alone, and the four vertex points, which
+    depend on gamma alone; all are formed for every (psi, gamma) row at
+    once, with indices clamped into the grid.
+    """
+    rows, top = np.arange(psis.size), us.size - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (us - w) ** 2
+
+        def column(j):  # the u index j[i] (or j) on every gamma of row i
+            return pi[rows, j][:, None] + gammas * sq[j].reshape(-1, 1)
+
+        def across(j):  # the u index j[g] of gamma g on every row
+            return pi[:, j] + gammas * sq[j]
+
+        psi_at = np.searchsorted(us, psis)  # J: first u >= psi
+        w_at = int(np.searchsorted(us, w))  # R: first u >= w
+        best = np.minimum(column(min(max(w_at - 1, 0), top)), column(min(w_at, top)))
+        np.minimum(best, column(np.minimum(psi_at, top)), out=best)
+
+        part = np.minimum(psi_at, w_at)[:, None]  # m: u < min(psi, w) on [0, m)
+        vertex = np.full(gammas.size, -np.inf)
+        pos = gammas > 0.0
+        vertex[pos] = w - cost.price / (2.0 * gammas[pos])
+        start = np.maximum(np.searchsorted(us, vertex) - 2, 0)
+        low = across(np.minimum(start, top))
+        for k in (1, 2, 3):
+            np.minimum(low, across(np.minimum(start + k, top)), out=low)
+        tail = np.maximum(part[:, 0] - 2, 0)
+        end = np.minimum(column(tail), column(np.maximum(part[:, 0] - 1, 0)))
+        np.minimum(best, low, out=best)
+        np.minimum(best, end, out=best)
+
+        two_e = 2.0 * (
+            (8.0 * _EPS * (cost.price * np.minimum(w, psis) + cost.cost * psis))[:, None]
+            + (8.0 * _EPS * (w - us[0]) ** 2 * gammas + (4.0 + gammas) * _ETA)
+        )
+        ok = (start == 0) | (across(np.maximum(start - 1, 0)) - low > two_e)
+        ok &= (start + 4 >= part) | (across(np.minimum(start + 4, top)) - low > two_e)
+        ok = np.where(
+            (start > 0) & (start + 3 >= part),
+            (part < 3) | (column(np.maximum(tail - 1, 0)) - end > two_e),
+            ok,
+        )
+        # the largest products sit at the grid ends: p*min(u, psi) and c*psi
+        # in pi's last point, (u - w)^2 at either end of sq
+        if not (np.isfinite(pi[-1, -1]) and np.isfinite(sq[0]) and np.isfinite(sq[-1])):
+            ok[:] = False
+        ps, gs = np.nonzero(~ok)
+        step = max(1, _FULL_ROWS // us.size)
+        for lo in range(0, gs.size, step):
+            i, g = ps[lo : lo + step], gs[lo : lo + step]
+            best[i, g] = np.min(pi[i] + gammas[g, None] * sq, axis=1)
+    return best, int(gs.size)
+
+
 def inner_min_oracle(
     alpha: float, q: float, v: float, cost, u_grid: Sequence[float]
 ) -> float:
-    """Grid envelope: min over u of pi(q, u) + alpha (u - v)^2; see :func:`_grid`."""
+    """Grid envelope: min over u of pi(q, u) + alpha (u - v)^2; see :func:`_grid`.
+
+    The minimum is read from the two windows of :func:`_row_minima` (one row:
+    psi = q, gamma = alpha, atom v), bit for bit the dense grid minimum."""
     alpha = require_positive("alpha", alpha)
     q = require_nonnegative("q", q)
     v = require_nonnegative("v", v)
     u = np.array(_grid("u_grid", u_grid))
-    return float(np.min(_profit(q, u, cost) + alpha * (u - v) ** 2))
+    minima, _ = _row_minima(_profit(q, u, cost)[None, :], u, np.array([q]), v, np.array([alpha]), cost)
+    return float(minima[0, 0])
 
 
 def grid_argmax(
@@ -585,6 +701,14 @@ def wasserstein_dual_oracle(
     arithmetic: only the profit is shared with the closed-form reduction.
     The psi and u grids obey :func:`_grid`; the gammas may come in any order,
     each a number in [0, alpha).
+
+    Each row's minimum over u comes from :func:`_row_minima`, which forms
+    only two windows of grid points per (gamma, psi) row and proves them
+    enough (or forms the row in full), bit for bit the dense minimum; the
+    atoms are summed in order.  The penalty keeps the form above wherever
+    it is finite; elsewhere (``-alpha*gamma`` overflows) it is formed as
+    ``-(gamma*theta) * (alpha/(alpha - gamma))``, which is -inf only when
+    the penalty itself leaves the float range.
     """
     theta = require_nonnegative("theta", theta)
     alpha = require_nonnegative("alpha", alpha, allow_inf=True)
@@ -600,21 +724,16 @@ def wasserstein_dual_oracle(
 
     # pi(psi, u) on the (psi, u) lattice, shared across atoms and gammas
     pi = _profit(psis[:, None], us[None, :], cost)
-    sq = (us[None, :] - demand.support_array()[:, None]) ** 2  # (atom, u)
-    weights = demand.weights_array()
-
-    values = np.empty(gammas.size, dtype=float)
-    arg_psi = np.empty(gammas.size, dtype=float)
-    for k, gamma in enumerate(gammas):
-        inner = np.zeros(psis.size, dtype=float)
-        for a in range(sq.shape[0]):
-            inner += weights[a] * np.min(pi + gamma * sq[a][None, :], axis=1)
-        best = int(np.argmax(inner))
-        penalty = (
-            -gamma * theta
-            if math.isinf(alpha)
-            else -alpha * gamma * theta / (alpha - gamma)
-        )
-        values[k] = penalty + inner[best]
-        arg_psi[k] = psis[best]
-    return values, arg_psi
+    inner = np.zeros((psis.size, gammas.size))
+    for w, weight in zip(demand.support_array(), demand.weights_array()):
+        inner += weight * _row_minima(pi, us, psis, w, gammas, cost)[0]
+    best = np.argmax(inner, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isinf(alpha):
+            penalty = -gammas * theta
+        else:
+            penalty = -alpha * gammas * theta / (alpha - gammas)
+            penalty = np.where(
+                np.isfinite(penalty), penalty, -(gammas * theta) * (alpha / (alpha - gammas))
+            )
+        return penalty + inner[best, np.arange(gammas.size)], psis[best]
