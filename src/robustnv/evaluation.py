@@ -37,9 +37,9 @@ from .oracle import (
     Moment,
     MomentConstraint,
     MomentConstraintSet,
-    MomentLawFamily,
     Relation,
     _FAMILY_CUBIC_BUDGET,
+    _moment_min_values,
 )
 from .single_product import (
     AlphaLike,
@@ -675,11 +675,15 @@ def oracle_check(
 
     For each random non-degenerate instance, the worst-case expected profit
     is maximized over a quantity grid against every grid-supported law
-    matching the mean and second moment; the closed-form quantity must land
-    within one quantity step of the grid argmax, and the closed-form value
-    within the grid error budget (price * support step, covering the
-    rounding of the extremal atoms).  Every eighth instance runs the
-    infinite index (the ambiguity-only model).  Violations raise
+    matching the mean and second moment.  The minima over those laws are
+    ``MomentLawFamily``'s, bit for bit, but are read by
+    :func:`oracle._moment_min_values`: each quantity is scored only against
+    the laws its grid dual parabola cannot exclude, and the family is built
+    only for rows where that parabola excludes too little.  The closed-form
+    quantity must land within one quantity step of the grid argmax, and the
+    closed-form value within the grid error budget (price * support step,
+    covering the rounding of the extremal atoms).  Every eighth instance
+    runs the infinite index (the ambiguity-only model).  Violations raise
     :class:`InternalCheckError`; the returned summary reports the worst
     gaps actually observed.  The seed and the counts are whole numbers.
     """
@@ -699,20 +703,18 @@ def oracle_check(
 
         hi = m.mean + 6.0 * m.std
         grid = np.linspace(0.0, hi, grid_points)
-        family = MomentLawFamily(
-            MomentConstraintSet(
-                grid=tuple(grid),
-                constraints=(
-                    MomentConstraint(Moment.MEAN, Relation.EQ, m.mean),
-                    MomentConstraint(Moment.SECOND_MOMENT, Relation.EQ, m.second_moment),
-                ),
-            )
+        laws = MomentConstraintSet(
+            grid=tuple(grid),
+            constraints=(
+                MomentConstraint(Moment.MEAN, Relation.EQ, m.mean),
+                MomentConstraint(Moment.SECOND_MOMENT, Relation.EQ, m.second_moment),
+            ),
         )
         q_hi = max(_solve(MisspecIndex.INFINITY, m, cs)[0] * 1.2, 1e-6)
         q_grid = np.linspace(0.0, q_hi, q_points)
         q_step = q_grid[1] - q_grid[0]
         rows = _ell_core(a, np.append(q_grid, closed_q)[:, None], grid, cs)
-        values = family._min_values(rows)
+        values = _moment_min_values(laws, rows)
         best = int(np.argmax(values[:-1]))
         q_gap = abs(closed_q - q_grid[best])
         value_tol = cs.price * (hi / (grid.size - 1))

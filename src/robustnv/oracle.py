@@ -18,7 +18,7 @@ grid size.  Triples are formed row by row, a row being a (low, middle) atom
 pair; a row whose third weight is provably negative for every high atom is
 dropped before it is expanded (the proof is in :func:`_iter_triples`).
 
-Two consumption styles:
+Three consumption styles:
 
 * :func:`worst_case_expectation_oracle` — one-shot: streams candidate chunks
   against a single objective with a running minimum, so memory stays bounded
@@ -30,6 +30,16 @@ Two consumption styles:
   cubic budget strictly.  Objectives are scored in consecutive blocks of laws
   holding about ``_LAW_BLOCK`` expectations each (1 MB), folded into running
   minima, so scoring adds a fixed amount of memory however large the family.
+* :func:`_moment_min_values` — the family's minima for the mean and
+  second-moment set without the family: per objective row, an exchange on
+  the grid finds a dual parabola, a floor on every family triple's weights
+  proves that only triples on the few points near the parabola can reach the
+  row's minimum, and those are scored with the family's own weights and
+  summation, bit for bit.  ``oracle_check`` reads its minima this way.  It
+  builds the family, on the union of the screened points, only for rows
+  whose screened set exceeds ``_SCREEN_CAP`` points (the small-index rows
+  that are an exact parabola over much of the grid, where whole faces of
+  laws tie and rounding decides) and for instances without a usable floor.
 
 The grid envelope :func:`inner_min_oracle` and the transport-ball dual
 :func:`wasserstein_dual_oracle` share one kernel, :func:`_row_minima`: the
@@ -81,6 +91,11 @@ _BLOCK = 1 << 14  # candidates (or triple rows) tested per numpy pass
 _LAW_BLOCK = 1 << 17  # law expectations per scored family block (1 MB)
 _FAMILY_CUBIC_BUDGET = 400  # grid points of a stored family with triples
 _PAIR_CAP = 20000  # grid points of either enumeration
+_EPS = 2.0**-53  # unit roundoff of a double
+_ETA = 2.0**-1074  # smallest subnormal: bounds a product's underflow error
+_COARSE = 16  # about this many grid points hold the exchange's start
+_EXCHANGE_STEPS = 24  # pivots of the exchange, at most
+_SCREEN_CAP = 24  # screened points of a row scored by its own triples
 
 
 class Moment(str, Enum):
@@ -267,14 +282,9 @@ def _iter_triples(grid: np.ndarray, constraints) -> Iterator[tuple[np.ndarray, n
     """
     # triples are asked for only with >= 2 constraints, at most one per
     # moment id and two ids: both bounds are present
-    by_id = {c.moment: c for c in constraints}
-    t1 = by_id[Moment.MEAN].bound
-    t2 = by_id[Moment.SECOND_MOMENT].bound
-    g2 = grid * grid
-    # hull prefilters: nonnegative weights put each target moment inside the
-    # atom hull, so the low atom sits below both targets and the high above
-    low_ok = (grid <= t1 + _FEAS_TOL) & (g2 <= t2 + _FEAS_TOL)
-    hi = np.nonzero((grid >= t1 - _FEAS_TOL) & (g2 >= t2 - _FEAS_TOL))[0]
+    t1, t2 = _moment_bounds(constraints)
+    low_ok, hi_ok = _hull(grid, t1, t2)
+    hi = np.nonzero(hi_ok)[0]
     if hi.size == 0:
         return
     top = int(hi[-1])  # every row's last high atom
@@ -286,7 +296,7 @@ def _iter_triples(grid: np.ndarray, constraints) -> Iterator[tuple[np.ndarray, n
         j = i + 1 + off
         a, b = grid[i], grid[j]
         with np.errstate(divide="ignore", invalid="ignore"):
-            num_c = t2 - (a + b) * t1 + a * b
+            num_c = _moment_num(a, b, t1, t2)
             wc_top = num_c / ((grid[top] - a) * (grid[top] - b))
         keep = np.nonzero(~(wc_top < -_W_TOL))[0]
         i, j, a, b, num_c = i[keep], j[keep], a[keep], b[keep], num_c[keep]
@@ -297,18 +307,8 @@ def _iter_triples(grid: np.ndarray, constraints) -> Iterator[tuple[np.ndarray, n
                 return np.repeat(x[rows2], sizes2)
 
             pos = spread(above) + off2
-            ar, br, c_, d_ba_r = spread(a), spread(b), grid_hi[pos], spread(d_ba)
-            d_ca, d_cb = c_ - ar, c_ - br
-            p_b = d_ba_r * d_cb
-            with np.errstate(divide="ignore", invalid="ignore"):
-                wa = (t2 - (br + c_) * t1 + br * c_) / (d_ba_r * d_ca)
-                neg_wb = (t2 - (ar + c_) * t1 + ar * c_) / p_b
-                wc = spread(num_c) / (d_ca * d_cb)
-            feas = (
-                (p_b > _PIVOT_TOL)
-                & (wa >= -_W_TOL)
-                & (neg_wb <= _W_TOL)
-                & (wc >= -_W_TOL)
+            wa, neg_wb, wc, feas = _triple_weights(
+                spread(a), spread(b), grid_hi[pos], spread(d_ba), spread(num_c), t1, t2
             )
             hits = np.nonzero(feas)[0]
             if hits.size:
@@ -316,6 +316,45 @@ def _iter_triples(grid: np.ndarray, constraints) -> Iterator[tuple[np.ndarray, n
                     np.column_stack([spread(i)[hits], spread(j)[hits], hi[pos[hits]]]),
                     np.column_stack([wa[hits], -neg_wb[hits], wc[hits]]),
                 )
+
+
+def _moment_bounds(constraints) -> tuple[float, float]:
+    """The MEAN and SECOND_MOMENT bounds ``(t1, t2)`` of a set holding both."""
+    by_id = {c.moment: c.bound for c in constraints}
+    return by_id[Moment.MEAN], by_id[Moment.SECOND_MOMENT]
+
+
+def _hull(grid: np.ndarray, t1: float, t2: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(low_ok, hi_ok)``: the hull prefilters of :func:`_iter_triples`.
+
+    Nonnegative weights put each target moment inside the atom hull, so a
+    triple's low atom sits below both targets and its high atom above."""
+    g2 = grid * grid
+    low_ok = (grid <= t1 + _FEAS_TOL) & (g2 <= t2 + _FEAS_TOL)
+    hi_ok = (grid >= t1 - _FEAS_TOL) & (g2 >= t2 - _FEAS_TOL)
+    return low_ok, hi_ok
+
+
+def _moment_num(x, y, t1: float, t2: float):
+    """``t2 - (x + y)*t1 + x*y``, in exact arithmetic ``sigma^2 + (x - mu)*(y -
+    mu)``: the numerator of a triple's weight on its third atom, x and y its
+    other two."""
+    return t2 - (x + y) * t1 + x * y
+
+
+def _triple_weights(a, b, c, d_ba, num_c, t1: float, t2: float):
+    """``(wa, -wb, wc, feasible)`` for triples on atoms ``a < b < c``, with
+    ``d_ba = b - a`` and ``num_c = _moment_num(a, b, t1, t2)`` given: the
+    weight formulas and the pivot and sign tests of :func:`_iter_triples`,
+    which explains them (the hull prefilters are the caller's)."""
+    d_ca, d_cb = c - a, c - b
+    p_b = d_ba * d_cb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wa = _moment_num(b, c, t1, t2) / (d_ba * d_ca)
+        neg_wb = _moment_num(a, c, t1, t2) / p_b
+        wc = num_c / (d_ca * d_cb)
+    feas = (p_b > _PIVOT_TOL) & (wa >= -_W_TOL) & (neg_wb <= _W_TOL) & (wc >= -_W_TOL)
+    return wa, neg_wb, wc, feas
 
 
 def _iter_candidates(cs: MomentConstraintSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -377,6 +416,32 @@ def _require_finite_objective(fv: np.ndarray) -> None:
     require(bool(np.all(np.isfinite(fv))), "objective must be finite on the grid")
 
 
+def _checked_objectives(objectives, n: int) -> np.ndarray:
+    obj = np.asarray(objectives, dtype=float)
+    require(
+        obj.ndim == 2 and obj.shape[1] == n,
+        "objectives must have shape (n_objectives, n_grid)",
+    )
+    _require_finite_objective(obj)
+    return obj
+
+
+def _padded(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One (laws, 3) int32 index array and its weights from non-empty
+    candidate blocks, rows of fewer atoms padded by zero-weight repeats of
+    the last."""
+    idx_blocks: list[np.ndarray] = []
+    wgt_blocks: list[np.ndarray] = []
+    for idx, wgt in blocks:
+        m, k = idx.shape
+        if k < 3:
+            idx = np.hstack([idx, np.repeat(idx[:, -1:], 3 - k, axis=1)])
+            wgt = np.hstack([wgt, np.zeros((m, 3 - k))])
+        idx_blocks.append(idx.astype(np.int32))
+        wgt_blocks.append(wgt)
+    return np.vstack(idx_blocks), np.vstack(wgt_blocks)
+
+
 def worst_case_expectation_oracle(
     objective: Callable[[float], float], cs: MomentConstraintSet
 ) -> OracleResult:
@@ -433,17 +498,7 @@ class MomentLawFamily:
             raise InputError(f"grid of {grid.size} points exceeds the pair cap {_PAIR_CAP}")
         self.constraint_set = cs
         self.grid = grid
-        idx_blocks: list[np.ndarray] = []
-        wgt_blocks: list[np.ndarray] = []
-        for idx, wgt in _iter_candidates(cs):
-            m, k = idx.shape
-            if k < 3:  # pad with zero-weight repeats of the last atom
-                idx = np.hstack([idx, np.repeat(idx[:, -1:], 3 - k, axis=1)])
-                wgt = np.hstack([wgt, np.zeros((m, 3 - k))])
-            idx_blocks.append(idx.astype(np.int32))
-            wgt_blocks.append(wgt)
-        self.atom_indices = np.vstack(idx_blocks)
-        self.atom_weights = np.vstack(wgt_blocks)
+        self.atom_indices, self.atom_weights = _padded(_iter_candidates(cs))
 
     @property
     def n_laws(self) -> int:
@@ -471,7 +526,7 @@ class MomentLawFamily:
         (first hit), which is deterministic; use :meth:`minimize` when the
         strict lexicographic tie rule matters.
         """
-        obj = self._checked_objectives(objectives)
+        obj = _checked_objectives(objectives, self.grid.size)
         values = np.full(obj.shape[0], np.inf)
         rows = np.zeros(obj.shape[0], dtype=np.int64)
         cols = np.arange(obj.shape[0])
@@ -494,7 +549,7 @@ class MomentLawFamily:
         expectation is ``-0.0`` (each is a sum that starts at ``+0.0``), so
         the regrouping is exact.
         """
-        obj = self._checked_objectives(objectives)
+        obj = _checked_objectives(objectives, self.grid.size)
         values = np.full(obj.shape[0], np.inf)
         for _, block in self._expectation_blocks(obj):
             b, k = block.shape
@@ -502,15 +557,6 @@ class MomentLawFamily:
                 block = block.reshape(b // 8, 8 * k).min(axis=0).reshape(8, k)
             np.minimum(values, block.min(axis=0), out=values)
         return values
-
-    def _checked_objectives(self, objectives) -> np.ndarray:
-        obj = np.asarray(objectives, dtype=float)
-        require(
-            obj.ndim == 2 and obj.shape[1] == self.grid.size,
-            "objectives must have shape (n_objectives, n_grid)",
-        )
-        _require_finite_objective(obj)
-        return obj
 
     def _expectation_blocks(self, obj: np.ndarray):
         """(first law row, (laws, objectives) block of expectations) per block.
@@ -546,8 +592,255 @@ class MomentLawFamily:
         return DiscreteDistribution.from_pairs(self.grid[idx], wgt)
 
 
-_EPS = 2.0**-53  # unit roundoff of a double
-_ETA = 2.0**-1074  # smallest subnormal: bounds a product's underflow error
+def _index_triples(m: int) -> np.ndarray:
+    """Every index triple ``i < j < k`` below ``m``, in lexicographic order."""
+    less = np.less.outer(np.arange(m), np.arange(m))
+    return np.argwhere(less[:, :, None] & less[None, :, :])
+
+
+# those below m are the rows whose last index is below m
+_TRIPLES = _index_triples(_SCREEN_CAP)
+
+
+def _law_values(fa: np.ndarray, wgt: np.ndarray) -> np.ndarray:
+    """Each law's value as the family computes it: the CSR row sum ``0.0 +
+    w0*f0 + w1*f1 + w2*f2`` in atom order, ``fa[..., t]`` the objective at
+    atom t (``_expectation_blocks``' sparse product forms this per law, and
+    overflows to inf without a warning)."""
+    with np.errstate(over="ignore"):
+        return ((0.0 + wgt[..., 0] * fa[..., 0]) + wgt[..., 1] * fa[..., 1]) + wgt[..., 2] * fa[..., 2]
+
+
+def _triple_laws(grid, idx, t1, t2, low_ok, hi_ok) -> tuple[np.ndarray, np.ndarray]:
+    """``(weights, member)`` for index triples ``idx[..., 0] < idx[..., 1] <
+    idx[..., 2]``: :func:`_iter_triples`' weights, and whether the triple is
+    one of its laws (the hull prefilters and the pivot and sign tests; its row
+    pruning only skips triples that fail these)."""
+    a, b, c = grid[idx[..., 0]], grid[idx[..., 1]], grid[idx[..., 2]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wa, neg_wb, wc, feas = _triple_weights(a, b, c, b - a, _moment_num(a, b, t1, t2), t1, t2)
+    member = feas & low_ok[idx[..., 0]] & hi_ok[idx[..., 2]]
+    return np.stack([wa, -neg_wb, wc], axis=-1), member
+
+
+def _exchange(grid, f, t1, t2, basis, low_ok, hi_ok) -> tuple[np.ndarray, np.ndarray]:
+    """``(coef, basis)``: per objective row, the coefficients ``(a, b, c)`` of
+    a dual parabola and the sorted triple it interpolates ``f`` on.
+
+    A batched simplex on the grid LP of :func:`_moment_min_values`: the
+    parabola through ``f`` at a feasible basis triple (Newton's divided
+    differences), the most violated grid point entering, and of the three
+    triples it can form with two basis atoms the one whose least weight is
+    largest: the feasible one.  Rows stop when no point lies below their
+    parabola by more than a relative 1e-12, or after ``_EXCHANGE_STEPS``
+    pivots.  Nothing here needs to be exact: any parabola gives a sound
+    certificate, a poor one only a larger screened set.
+    """
+    coef = np.empty((f.shape[0], 3))
+    tol = 1e-12 * (1.0 + np.max(np.abs(f), axis=1))
+    live = np.arange(f.shape[0])  # the rows still pivoting
+    swap = np.arange(3)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(_EXCHANGE_STEPS + 1):
+            x, y = grid[basis[live]].T, f[live[:, None], basis[live]].T
+            d01 = (y[1] - y[0]) / (x[1] - x[0])
+            c = ((y[2] - y[1]) / (x[2] - x[1]) - d01) / (x[2] - x[0])
+            b = d01 - c * (x[0] + x[1])
+            coef[live] = np.column_stack([y[0] - x[0] * (b + c * x[0]), b, c])
+            slack = f[live] - ((c[:, None] * grid + b[:, None]) * grid + coef[live, :1])
+            enter = np.argmin(slack, axis=1)
+            below = slack[np.arange(live.size), enter] < -tol[live]
+            live, enter = live[below], enter[below]
+            if live.size == 0 or step == _EXCHANGE_STEPS:
+                break
+            cand = np.repeat(basis[live, None, :], 3, axis=1)
+            cand[:, swap, swap] = enter[:, None]
+            cand.sort(axis=2)
+            wgt, _ = _triple_laws(grid, cand, t1, t2, low_ok, hi_ok)
+            basis[live] = cand[np.arange(live.size), np.argmax(np.min(wgt, axis=2), axis=1)]
+    return coef, basis
+
+
+def _weight_floor(grid, t1, t2) -> tuple[float, float]:
+    """``(omega, w_err)``: every law of :func:`_iter_triples` on this grid has
+    all three weights >= omega, each within w_err of the exact weight, when
+    omega > ``_W_TOL``; :func:`_moment_min_values` gives the argument."""
+    top = float(grid[-1])
+    e_num = 8.0 * _EPS * (abs(t2) + 2.0 * top * abs(t1) + top * top) + 8.0 * _ETA
+    h = float(np.min(np.diff(grid)))
+    w_err = 8.0 * _EPS + 2.0 * e_num / (h * h)
+    i, j = np.triu_indices(grid.size, 1)
+    num = float(np.min(np.abs(_moment_num(grid[i], grid[j], t1, t2))))
+    span = top - float(grid[0])
+    omega = (num - e_num) / (span * span) * (1.0 - 8.0 * _EPS) - w_err
+    return omega, w_err
+
+
+def _screen(grid, f, t1, t2, coef, best, omega, w_err) -> tuple[np.ndarray, np.ndarray]:
+    """``(slack, thr)``: the computed slack ``f - P`` of each row's parabola
+    at every grid point, and per row a bound such that every law of
+    :func:`_iter_triples` with an atom whose slack exceeds it scores above
+    ``best`` (``inf`` where the bound is not finite);
+    :func:`_moment_min_values` gives the argument."""
+    a, b, c = (coef[:, t, None] for t in range(3))
+    top = float(grid[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_hat = (c * grid + b) * grid + a
+        slack = f - p_hat
+        p_abs = np.abs(a) + np.abs(b) * top + np.abs(c) * (top * top)
+        e_p = 8.0 * _EPS * p_abs + 8.0 * _ETA
+        e_s = e_p + 2.0 * _EPS * np.max(np.abs(slack), axis=1, keepdims=True)
+        e_mom = 3.0 * w_err * (np.max(np.abs(p_hat), axis=1, keepdims=True) + e_p)
+        r_sum = 16.0 * _EPS * np.max(np.abs(f), axis=1, keepdims=True) + 4.0 * _ETA
+        dual = a + b * t1 + c * t2
+        e_a = 8.0 * _EPS * (np.abs(a) + np.abs(b * t1) + np.abs(c * t2)) + 4.0 * _ETA
+        s_min = np.minimum(np.min(slack, axis=1, keepdims=True), 0.0)
+        terms = e_a + e_mom + (1.0 + 3.0 * w_err) * (e_s - s_min) + r_sum
+        q = best[:, None] - dual + terms
+        q += 8.0 * _EPS * (np.abs(best[:, None]) + np.abs(dual) + terms)
+        rise = np.maximum(q, 0.0) / omega
+        thr = s_min + 2.0 * e_s + rise
+        thr += 4.0 * _EPS * (2.0 * e_s - s_min + rise)
+    thr = np.where(np.isfinite(thr), thr, np.inf)[:, 0]
+    return slack, thr
+
+
+def _moment_min_values(cs: MomentConstraintSet, objectives) -> np.ndarray:
+    """``MomentLawFamily(cs)._min_values(objectives)``, bit for bit, scoring
+    each objective row only against the laws its dual parabola cannot
+    exclude.
+
+    For a set whose two constraints pin the mean t1 and the second moment t2
+    (``EQ``) on at most ``_FAMILY_CUBIC_BUDGET`` points; any other set, and
+    an instance the steps below cannot certify, builds the family.
+
+    1. Start: per row, the best law of :func:`_iter_triples` on about
+       ``_COARSE`` evenly spread grid points.  When there is none the family
+       is built, which raises its own ``InfeasibleError`` if it is empty.
+    2. :func:`_exchange` turns each start into a dual parabola P = a + b*v +
+       c*v^2 and a basis triple.  ``best`` is the least family value of the
+       basis triple (when it is a law of the family) and of every singleton
+       and pair of the grid.
+    3. :func:`_screen` bounds, per row, the slack s = f - P of any atom of a
+       triple that can score below ``best``.  The row's screened set is the
+       grid points within that bound, plus its basis triple.
+       A row without a finite bound, or whose basis is not a family law,
+       screens the whole grid.
+    4. A row with at most ``_SCREEN_CAP`` screened points scores every
+       triple among them, from :func:`_triple_laws`.  The other rows score
+       the family on the union of their screened sets.  Every row also
+       scores every singleton and pair, and a row of zeros, on which every
+       law scores +0.0, takes that value.
+
+    Why the bits stay:
+
+    * A law's weights and feasibility in :func:`_iter_pairs` and
+      :func:`_iter_triples` depend only on its atoms' values and on t1 and
+      t2, and the row pruning only skips triples that fail the tests.  So
+      any triple of grid points is a family law with the same weight bits,
+      or no family law at all, and a family on a sub-grid holds the family's
+      laws on those points.  The family's value of a law is the CSR sum
+      ``0.0 + w0*f0 + w1*f1 + w2*f2`` in atom order (:func:`_law_values`),
+      and no value is -0.0, so the minimum over any set of family laws that
+      holds a minimiser is the family's minimum, bit for bit.
+    * Weak duality, for any P with float coefficients.  Let L be a family
+      triple with computed weights w^ and exact weights w (the exact
+      solution of the Vandermonde system on its atoms, so sum w = 1, sum w*v
+      = t1, sum w*v^2 = t2).  Then sum w^*f = sum w*P + sum (w^ - w)*P + sum
+      w^*s, and sum w*P = A = a + b*t1 + c*t2.
+    * The weight floor (:func:`_weight_floor`).  For a triple on x < y < z,
+      each exact weight is ``_moment_num`` of the other two atoms over the
+      product of two atom gaps, and that product is at most span^2.  So
+      |w| >= omega0 = min over grid pairs |num| / span^2, formed from the
+      float num less its error bound e_num = 8 eps N + 8 eta, N = t2 + 2 X
+      t1 + X^2 with X the last grid point (the numerator's four roundings
+      cost 4 eps N).  The computed weight divides a numerator within e_num
+      by a denominator, at least h^2 for the least gap h, rounded three
+      times: |w^ - w| <= w_err = 8 eps + 2 e_num / h^2 when |w| <= 1.  If
+      omega = omega0 - w_err > ``_W_TOL``, a negative exact weight (at most
+      -omega0) computes below -``_W_TOL`` and fails the sign test, so every
+      family triple has exact weights in [omega0, 1] and computed weights >=
+      omega.  Otherwise (a grid pair that meets both moments exactly, say)
+      the family is built.
+    * The screen (:func:`_screen`), with s^ the computed slack (P^ formed
+      by Horner's rule) and s^min = min(0, min s^).  The rounding terms are
+      each twice their first-order bound (Higham 2002), which also covers
+      the few roundings of the terms themselves: e_p = 8 eps (|a| + |b| X +
+      |c| X^2) + 8 eta for P; e_s = e_p + 2 eps max|s^| for s; e_mom = 3
+      w_err (max|P^| + e_p) for sum (w^ - w)*P, the weights' moment error;
+      e_a = 8 eps (|a| + |b t1| + |c t2|) + 4 eta for A; r_sum = 16 eps
+      max|f| + 4 eta for the CSR sum against sum w^*f (sum w^ <= 1 + 3
+      w_err).  Let Q = best - A^ + e_a + e_mom + (1 + 3 w_err)(e_s - s^min)
+      + r_sum.  Suppose an atom j of L has s^_j > thr = s^min + 2 e_s +
+      max(Q, 0) / omega.  Every w^ >= omega > 0 and s - s_min >= 0, so sum
+      w^*s >= omega (s_j - s_min) + (1 + 3 w_err) s_min, and with s_j -
+      s_min >= s^_j - s^min - 2 e_s the family value of L exceeds ``best``.
+      The code raises Q by 8 eps times the sum of its terms' magnitudes, and
+      thr by 4 eps times its own, which bounds the rounding of both.  So
+      each triple at or below ``best`` lies in the screened set, and
+      ``best`` is itself a scored law: the basis triple is screened, and
+      pairs and singletons are always scored.
+    * Pairs get no floor: they are checked only to ``_FEAS_TOL``.  They are
+      few, and all of them are scored.
+
+    The argument uses only these oracles' own formulas: the objective rows
+    it is handed are its only link to the closed forms.
+    """
+    grid = np.asarray(cs.grid, dtype=float)
+    relations = {c.moment: c.relation for c in cs.constraints}
+    if grid.size > _FAMILY_CUBIC_BUDGET or relations != {
+        Moment.MEAN: Relation.EQ, Moment.SECOND_MOMENT: Relation.EQ
+    }:
+        return MomentLawFamily(cs)._min_values(objectives)
+    t1, t2 = _moment_bounds(cs.constraints)
+    sub = np.arange(0, grid.size, max(1, grid.size // _COARSE))
+    sub[-1] = grid.size - 1  # the last point holds the high atoms
+    starts = list(_iter_triples(grid[sub], cs.constraints))
+    if not starts:
+        return MomentLawFamily(cs)._min_values(objectives)
+    f = _checked_objectives(objectives, grid.size)
+    omega, w_err = _weight_floor(grid, t1, t2)
+    if not omega > _W_TOL:
+        return MomentLawFamily(cs)._min_values(f)
+    rows = np.arange(f.shape[0])
+
+    start_idx, start_wgt = _padded(starts)
+    start_idx = sub[start_idx]
+    first = np.argmin(_law_values(f[:, start_idx], start_wgt), axis=1)
+    low_ok, hi_ok = _hull(grid, t1, t2)
+    coef, basis = _exchange(grid, f, t1, t2, start_idx[first], low_ok, hi_ok)
+    pairs = [*_iter_singletons(grid, cs.constraints), *_iter_pairs(grid, cs.constraints)]
+    out = np.full(f.shape[0], np.inf)
+    if pairs:
+        idx, wgt = _padded(pairs)
+        out = np.min(_law_values(f[:, idx], wgt), axis=1)
+    wgt, member = _triple_laws(grid, basis, t1, t2, low_ok, hi_ok)
+    best = np.minimum(out, np.where(member, _law_values(f[rows[:, None], basis], wgt), np.inf))
+    slack, thr = _screen(grid, f, t1, t2, coef, best, omega, w_err)
+    thr[~member] = np.inf
+    screened = slack <= thr[:, None]
+    screened[rows[:, None], basis] = True
+    zero = ~np.any(f, axis=1)  # every law scores +0.0 on a row of zeros
+    screened[zero] = False
+
+    sizes = screened.sum(axis=1)
+    for m in range(3, _SCREEN_CAP + 1):
+        r = np.nonzero(sizes == m)[0]
+        if r.size == 0:
+            continue
+        idx = np.nonzero(screened[r])[1].reshape(r.size, m)[:, _TRIPLES[_TRIPLES[:, 2] < m]]
+        wgt, member = _triple_laws(grid, idx, t1, t2, low_ok, hi_ok)
+        values = np.where(member, _law_values(f[r[:, None, None], idx], wgt), np.inf)
+        out[r] = np.minimum(out[r], np.min(values, axis=1))
+    rest = np.nonzero(sizes > _SCREEN_CAP)[0]
+    if rest.size:
+        keep = np.nonzero(np.any(screened[rest], axis=0))[0]
+        part = MomentConstraintSet(tuple(grid[keep]), cs.constraints) if keep.size < grid.size else cs
+        out[rest] = np.minimum(out[rest], MomentLawFamily(part)._min_values(f[rest][:, keep]))
+    out[zero] = 0.0
+    return out
+
+
 _FULL_ROWS = 1 << 17  # lattice points per block of uncertified rows (1 MB)
 
 
@@ -660,7 +953,9 @@ def inner_min_oracle(
     q = require_nonnegative("q", q)
     v = require_nonnegative("v", v)
     u = np.array(_grid("u_grid", u_grid))
-    minima, _ = _row_minima(_profit(q, u, cost)[None, :], u, np.array([q]), v, np.array([alpha]), cost)
+    with np.errstate(over="ignore", invalid="ignore"):  # c*q past the float range: -inf
+        pi = _profit(q, u, cost)[None, :]
+    minima, _ = _row_minima(pi, u, np.array([q]), v, np.array([alpha]), cost)
     return float(minima[0, 0])
 
 
@@ -722,8 +1017,10 @@ def wasserstein_dual_oracle(
         "every gamma must lie in [0, alpha)",
     )
 
-    # pi(psi, u) on the (psi, u) lattice, shared across atoms and gammas
-    pi = _profit(psis[:, None], us[None, :], cost)
+    # pi(psi, u) on the (psi, u) lattice, shared across atoms and gammas; a
+    # c*psi past the float range makes its row -inf, as in the kernel
+    with np.errstate(over="ignore", invalid="ignore"):
+        pi = _profit(psis[:, None], us[None, :], cost)
     inner = np.zeros((psis.size, gammas.size))
     for w, weight in zip(demand.support_array(), demand.weights_array()):
         inner += weight * _row_minima(pi, us, psis, w, gammas, cost)[0]

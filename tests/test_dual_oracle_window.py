@@ -246,3 +246,19 @@ def test_an_overflowing_square_term_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert inner_min_oracle(1e308, 3.0, 2.0, COST, np.linspace(0, 6, 61)) == 11.0
+
+
+def test_a_profit_past_the_float_range_raises_no_warning():
+    # c*psi overflows at psi = 1e308: that row's profit is -inf, the
+    # out-of-range value, in both oracles and with no warning
+    demand = DiscreteDistribution.from_samples([1.0, 3.0, 5.0])
+    us = [0.0, 2.0, 4.0, 6.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert inner_min_oracle(1.0, 1e308, 2.0, COST, [0.0, 2.0, 4.0]) == -math.inf
+        values, arg_psi = wasserstein_dual_oracle(demand, 0.5, 4.0, COST, [0.0, 1.0], [0.0, 2.0, 1e308], us)
+        only, _ = wasserstein_dual_oracle(demand, 0.5, 4.0, COST, [0.0, 1.0], [1e308], us)
+    assert np.all(np.isfinite(values)) and 1e308 not in arg_psi
+    assert np.all(only == -math.inf)
+    want, _ = _dense_dual(demand, 0.5, 4.0, COST, [0.0, 1.0], [0.0, 2.0], us)
+    assert values.tolist() == want.tolist()
