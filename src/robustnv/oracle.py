@@ -31,15 +31,17 @@ Three consumption styles:
   holding about ``_LAW_BLOCK`` expectations each (1 MB), folded into running
   minima, so scoring adds a fixed amount of memory however large the family.
 * :func:`_moment_min_values` — the family's minima for the mean and
-  second-moment set without the family: per objective row, an exchange on
-  the grid finds a dual parabola, a floor on every family triple's weights
-  proves that only triples on the few points near the parabola can reach the
-  row's minimum, and those are scored with the family's own weights and
-  summation, bit for bit.  ``oracle_check`` reads its minima this way.  It
-  builds the family, on the union of the screened points, only for rows
-  whose screened set exceeds ``_SCREEN_CAP`` points (the small-index rows
-  that are an exact parabola over much of the grid, where whole faces of
-  laws tie and rounding decides) and for instances without a usable floor.
+  second-moment set without the family: one table of weight numerators over
+  the grid pairs proves that the family holds no singleton or pair and
+  floors every family triple's weights; per objective row, an exchange on
+  the grid finds a dual parabola, the floor proves that only triples on the
+  few points near the parabola can reach the row's minimum, and those are
+  scored with the family's own weights and summation, bit for bit.
+  ``oracle_check`` reads its minima this way.  It builds the family, on the
+  union of the screened points, only for rows whose screened set exceeds
+  ``_SCREEN_CAP`` points (the small-index rows that are an exact parabola
+  over much of the grid, where whole faces of laws tie and rounding
+  decides), and whole for instances where the table proves too little.
 
 The grid envelope :func:`inner_min_oracle` and the transport-ball dual
 :func:`wasserstein_dual_oracle` share one kernel, :func:`_row_minima`: the
@@ -662,15 +664,29 @@ def _exchange(grid, f, t1, t2, basis, low_ok, hi_ok) -> tuple[np.ndarray, np.nda
 
 
 def _weight_floor(grid, t1, t2) -> tuple[float, float]:
-    """``(omega, w_err)``: every law of :func:`_iter_triples` on this grid has
-    all three weights >= omega, each within w_err of the exact weight, when
-    omega > ``_W_TOL``; :func:`_moment_min_values` gives the argument."""
+    """``(omega, w_err)``: when omega > ``_W_TOL``, no singleton or pair of
+    the grid is a law of :func:`_iter_singletons` or :func:`_iter_pairs`,
+    and every law of :func:`_iter_triples` on this grid has all three
+    weights >= omega, each within w_err of the exact weight.
+
+    Both facts come from one minimum, of |num(x, y)| over the grid pairs
+    x <= y, diagonal included, with num = ``_moment_num(x, y, t1, t2)``: in
+    exact arithmetic sigma^2 + (x - mu)*(y - mu), and within e_num of it as
+    computed.  Each one- or two-point law of the family has |num| <= B =
+    ``_FEAS_TOL``*(1 + 2X) plus rounding (X the last grid point), so when
+    the minimum less e_num is at most B, omega is 0 and the caller builds
+    the family; otherwise no such law exists.  The diagonal's entries are
+    at least sigma^2 and can only lower the minimum, and a lower floor is
+    still a floor.  :func:`_moment_min_values` gives both arguments."""
     top = float(grid[-1])
     e_num = 8.0 * _EPS * (abs(t2) + 2.0 * top * abs(t1) + top * top) + 8.0 * _ETA
     h = float(np.min(np.diff(grid)))
     w_err = 8.0 * _EPS + 2.0 * e_num / (h * h)
-    i, j = np.triu_indices(grid.size, 1)
+    i, j = np.triu_indices(grid.size)
     num = float(np.min(np.abs(_moment_num(grid[i], grid[j], t1, t2))))
+    bound = _FEAS_TOL * (1.0 + 2.0 * top) * (1.0 + 2.0 * _EPS) + 32.0 * _EPS * top * top
+    if num - e_num <= bound * (1.0 + 8.0 * _EPS):
+        return 0.0, w_err
     span = top - float(grid[0])
     omega = (num - e_num) / (span * span) * (1.0 - 8.0 * _EPS) - w_err
     return omega, w_err
@@ -717,20 +733,21 @@ def _moment_min_values(cs: MomentConstraintSet, objectives) -> np.ndarray:
     1. Start: per row, the best law of :func:`_iter_triples` on about
        ``_COARSE`` evenly spread grid points.  When there is none the family
        is built, which raises its own ``InfeasibleError`` if it is empty.
-    2. :func:`_exchange` turns each start into a dual parabola P = a + b*v +
-       c*v^2 and a basis triple.  ``best`` is the least family value of the
-       basis triple (when it is a law of the family) and of every singleton
-       and pair of the grid.
-    3. :func:`_screen` bounds, per row, the slack s = f - P of any atom of a
+    2. :func:`_weight_floor` proves that the family has no singleton or
+       pair and bounds its triples' weights below by omega.  When it cannot
+       (omega <= ``_W_TOL``) the family is built.
+    3. :func:`_exchange` turns each start into a dual parabola P = a + b*v +
+       c*v^2 and a basis triple.  ``best`` is the family value of the basis
+       triple where it is a law of the family, and +inf elsewhere.
+    4. :func:`_screen` bounds, per row, the slack s = f - P of any atom of a
        triple that can score below ``best``.  The row's screened set is the
-       grid points within that bound, plus its basis triple.
-       A row without a finite bound, or whose basis is not a family law,
-       screens the whole grid.
-    4. A row with at most ``_SCREEN_CAP`` screened points scores every
+       grid points within that bound, plus its basis triple.  A row without
+       a finite bound (every row whose basis is not a family law) screens
+       the whole grid.
+    5. A row with at most ``_SCREEN_CAP`` screened points scores every
        triple among them, from :func:`_triple_laws`.  The other rows score
-       the family on the union of their screened sets.  Every row also
-       scores every singleton and pair, and a row of zeros, on which every
-       law scores +0.0, takes that value.
+       the family on the union of their screened sets.  A row of zeros, on
+       which every law scores +0.0, takes that value.
 
     Why the bits stay:
 
@@ -760,8 +777,9 @@ def _moment_min_values(cs: MomentConstraintSet, objectives) -> np.ndarray:
       omega = omega0 - w_err > ``_W_TOL``, a negative exact weight (at most
       -omega0) computes below -``_W_TOL`` and fails the sign test, so every
       family triple has exact weights in [omega0, 1] and computed weights >=
-      omega.  Otherwise (a grid pair that meets both moments exactly, say)
-      the family is built.
+      omega.  The minimum runs over the diagonal x = y too, whose entries
+      are at least sigma^2: that can only lower omega0, and a lower floor is
+      still a floor.
     * The screen (:func:`_screen`), with s^ the computed slack (P^ formed
       by Horner's rule) and s^min = min(0, min s^).  The rounding terms are
       each twice their first-order bound (Higham 2002), which also covers
@@ -778,10 +796,38 @@ def _moment_min_values(cs: MomentConstraintSet, objectives) -> np.ndarray:
       The code raises Q by 8 eps times the sum of its terms' magnitudes, and
       thr by 4 eps times its own, which bounds the rounding of both.  So
       each triple at or below ``best`` lies in the screened set, and
-      ``best`` is itself a scored law: the basis triple is screened, and
-      pairs and singletons are always scored.
-    * Pairs get no floor: they are checked only to ``_FEAS_TOL``.  They are
-      few, and all of them are scored.
+      ``best`` is itself a scored law: the basis triple is screened.
+    * No singleton or pair (:func:`_weight_floor`), from the same table.
+      With T = ``_FEAS_TOL`` and exact weights (the exact solution of the
+      solved row and the unit mass): a pair x < y that :func:`_iter_pairs`
+      solves on the MEAN row leaves -num(x, y) on the second moment, which
+      it checks; one solved on the SECOND_MOMENT row leaves num(x, y)/(x +
+      y) on the mean; a singleton at x is checked on both moments, and
+      num(x, x) = (t2 - x^2) - 2x(t1 - x).  A check passes a computed
+      residual of at most T, so an exact one within T(1 + 2 eps), plus the
+      rounding of the residual as the family forms it, each term twice its
+      first order, with every computed weight in [-``_W_TOL``, 1 +
+      ``_W_TOL``]:
+
+      - MEAN row: the weight's three roundings, times x^2 - y^2, 6 eps X^2;
+        the second moment's squares, products, sum and difference, 6 eps
+        X^2 + 2 eps T; the other weight, 1 - w^ rounded, 2 eps X^2.
+      - SECOND_MOMENT row: the weight divides by the difference of the
+        rounded squares, whose relative error eps (x^2 + y^2)/(y^2 - x^2)
+        reaches eps X/h (h the least grid gap); but the mean reads the
+        weight's error times y - x, which turns it into eps (x^2 + y^2)/(x
+        + y) <= eps y, and the weight costs 10 eps X in all; the mean's
+        products, sum and difference 4 eps X + 2 eps T; the other weight 2
+        eps X; all times x + y <= 2X.
+      - singleton: the rounded square, 2 eps X^2.
+
+      So each such law has |num| <= B = T (1 + 2X)(1 + 2 eps) + 32 eps X^2;
+      a product that underflows costs a few eta, far inside the doubled
+      terms.  If min |num^| - e_num > B, every grid pair and point has
+      exact |num| > B, and none is a family law (the code raises B by 8 eps
+      times itself, which bounds the comparison's rounding).  Otherwise
+      omega is 0 and the family is built, as for a pair that meets both
+      moments exactly.
 
     The argument uses only these oracles' own formulas: the objective rows
     it is handed are its only link to the closed forms.
@@ -809,15 +855,10 @@ def _moment_min_values(cs: MomentConstraintSet, objectives) -> np.ndarray:
     first = np.argmin(_law_values(f[:, start_idx], start_wgt), axis=1)
     low_ok, hi_ok = _hull(grid, t1, t2)
     coef, basis = _exchange(grid, f, t1, t2, start_idx[first], low_ok, hi_ok)
-    pairs = [*_iter_singletons(grid, cs.constraints), *_iter_pairs(grid, cs.constraints)]
-    out = np.full(f.shape[0], np.inf)
-    if pairs:
-        idx, wgt = _padded(pairs)
-        out = np.min(_law_values(f[:, idx], wgt), axis=1)
     wgt, member = _triple_laws(grid, basis, t1, t2, low_ok, hi_ok)
-    best = np.minimum(out, np.where(member, _law_values(f[rows[:, None], basis], wgt), np.inf))
+    best = np.where(member, _law_values(f[rows[:, None], basis], wgt), np.inf)
     slack, thr = _screen(grid, f, t1, t2, coef, best, omega, w_err)
-    thr[~member] = np.inf
+    out = np.full(f.shape[0], np.inf)
     screened = slack <= thr[:, None]
     screened[rows[:, None], basis] = True
     zero = ~np.any(f, axis=1)  # every law scores +0.0 on a row of zeros

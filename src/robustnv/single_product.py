@@ -849,7 +849,7 @@ def _checked_evaluation(
     :func:`_in_float_range`), or a divisor that underflows to 0, means that the
     price, the demand scale or ``q`` are beyond what floats can evaluate: bad
     input, an :class:`InputError`.  So is a worst-case atom that overflowed to
-    inf (or NaN)."""
+    inf (or NaN); where 1/alpha itself overflowed, the error names the index."""
     p, inv = cost.price, a.inv
     try:
         region = _region(inv, q, m, p)
@@ -874,6 +874,8 @@ def _checked_evaluation(
         except (InternalCheckError, OverflowError):  # OverflowError: an fsum overflowed
             if _in_float_range(value, atoms, profits, duals, m):
                 raise
+    if inv == math.inf:  # an index below 1/max-float, not the price or demand
+        raise InputError(f"1/alpha leaves the float range at alpha={a.alpha!r}")
     raise _float_range_error("the worst-case value or a term of its checks", cost, m)
 
 

@@ -328,6 +328,12 @@ def test_bad_files_and_axis_bounds_exit_2(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_an_index_whose_reciprocal_overflows_exits_2_naming_it(capsys):
+    code, out, err = run(SOLVE + ["--alpha", "1e-310"], capsys)
+    assert code == 2 and out == ""
+    assert err == "robustnv: input error: 1/alpha leaves the float range at alpha=1e-310\n"
+
+
 # a demand file whose squares overflow: fsum's partial sums, or one square alone
 OVERFLOWING_SQUARES = [(1.0, 1.3e154, 1.2e154), (1.0, 1e200, 3.0)]
 

@@ -4,6 +4,7 @@ must hold on every family triple they speak for."""
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from robustnv.oracle import (
     Relation,
 )
 from robustnv.single_product import _ell_core, _solve
+from robustnv.validation import InfeasibleError
 
 KINDS = ("check", "small_alpha", "rounded", "seeded", "degenerate", "ends")
 
@@ -125,20 +127,115 @@ def test_an_exactly_feasible_pair_builds_the_family(monkeypatch):
     assert spy.grids == [33]
 
 
-def test_a_feasible_pair_that_is_the_minimum_is_scored(monkeypatch):
+def test_a_feasible_pair_that_is_the_minimum_builds_the_family(monkeypatch):
     # the pair {2, 6} misses the variance by 5e-9, inside the feasibility
-    # tolerance, yet the weight floor stays above the sign tolerance: the
-    # screen runs, and only the pair scores 0.0 on the row that is 0 there
+    # tolerance, and only it scores 0.0 on the row that is 0 there: its
+    # numerator is within the pairs' bound, so the floor is 0 and the family
+    # is built
     grid = np.linspace(0.0, 16.0, 33)
     t2 = 20.0 + 5e-9
     cs = moment_set(grid, 4.0, t2)
-    assert oracle._weight_floor(grid, 4.0, t2)[0] > oracle._W_TOL
+    assert oracle._weight_floor(grid, 4.0, t2)[0] <= oracle._W_TOL
     rows = ((grid - 2.0) * (grid - 6.0)) ** 2 + np.array([[0.0], [1.0], [3.5]]) * grid
     want = family_min(cs, rows)
     assert want[0] == 0.0
     spy = FamilySpy(monkeypatch)
     assert_hex_equal(oracle._moment_min_values(cs, rows), want)
-    assert spy.grids == []
+    assert spy.grids == [33]
+
+
+@pytest.mark.parametrize(
+    "t2, atoms", [(500.0 + 2e-7, [10, 30]), (400.0 + 5e-9, [20, 20])], ids=["pair", "singleton"]
+)
+def test_a_one_or_two_point_law_that_is_the_minimum_builds_the_family(t2, atoms, monkeypatch):
+    # mean 20 on a unit grid.  At variance 100 + 2e-7, num(10, 30) = 2e-7:
+    # solved on the mean (weights 1/2) the pair misses the second moment by
+    # 2e-7 and fails, solved on the second moment it misses the mean by
+    # 2e-7/40 = 5e-9 and passes, so its |num| is past _FEAS_TOL but within
+    # _FEAS_TOL*(1 + 2X).  At variance 5e-9 the singleton at 20 passes,
+    # num(20, 20) = 5e-9.  Each is the one law that scores 0.0 on row 0
+    grid = np.linspace(0.0, 40.0, 41)
+    cs = moment_set(grid, 20.0, t2)
+    family = MomentLawFamily(cs)
+    short = family.atom_weights[:, 2] == 0.0
+    assert atoms in family.atom_indices[short][:, :2].tolist()
+    assert oracle._weight_floor(grid, 20.0, t2)[0] <= oracle._W_TOL
+    x, y = grid[atoms]
+    rows = ((grid - x) * (grid - y)) ** 2 + np.array([[0.0], [1.0], [3.5]]) * grid
+    want = family._min_values(rows)
+    assert want[0] == 0.0
+    spy = FamilySpy(monkeypatch)
+    assert_hex_equal(oracle._moment_min_values(cs, rows), want)
+    assert spy.grids == [41]
+
+
+def pair_bound(grid):
+    """The bound B of ``_weight_floor`` on |num| of a family singleton or pair."""
+    top = float(grid[-1])
+    eps = oracle._EPS
+    return oracle._FEAS_TOL * (1.0 + 2.0 * top) * (1.0 + 2.0 * eps) + 32.0 * eps * top * top
+
+
+def test_every_family_singleton_and_pair_is_within_the_bound():
+    # moments at a grid pair or point, moved by up to twice the feasibility
+    # tolerance (times x + y for pairs, the mean check's scale on the
+    # second-moment pass), so that many laws sit near the edge of the checks
+    rng = np.random.default_rng(40)
+    seen, worst = 0, 0.0
+    for _ in range(120):
+        n = int(rng.integers(20, 81))
+        grid = np.linspace(0.0, float(rng.uniform(1.0, 60.0)), n)
+        i, j = sorted(rng.choice(n, size=2, replace=rng.random() < 0.3))
+        x, y = float(grid[i]), float(grid[j])
+        w = float(rng.uniform(0.05, 0.95)) if i < j else 1.0
+        kick = 2.0 * oracle._FEAS_TOL * rng.uniform(-1.0, 1.0, size=2)
+        t1 = w * x + (1.0 - w) * y + kick[0] * (i == j)
+        t2 = w * x * x + (1.0 - w) * y * y + kick[1] * (x + y if i < j else 1.0)
+        cs = moment_set(grid, t1, t2)
+        try:
+            family = MomentLawFamily(cs)
+        except InfeasibleError:
+            continue
+        short = family.atom_weights[:, 2] == 0.0
+        if not short.any():
+            continue
+        seen += 1
+        bound = Fraction(pair_bound(grid))
+        for a, b in family.atom_indices[short][:, :2].tolist():
+            u, v = Fraction(float(grid[a])), Fraction(float(grid[b]))
+            num = abs(Fraction(t2) - (u + v) * Fraction(t1) + u * v)
+            assert num <= bound
+            worst = max(worst, float(num / bound))
+        assert oracle._weight_floor(grid, t1, t2)[0] <= oracle._W_TOL
+    assert seen >= 60 and worst > 0.3
+
+
+def test_the_numerator_minimum_runs_over_the_diagonal():
+    # mean 4.1, variance 0.01 on a unit grid (no law of the family: the
+    # least variance of a grid law at that mean is 0.1 * 0.9): the least
+    # |num| is the diagonal's, num(4, 4) = 0.01 + 0.1^2, against 0.08 for
+    # the pair (4, 5), and the floor is formed from it
+    grid = np.linspace(0.0, 10.0, 11)
+    omega, _ = oracle._weight_floor(grid, 4.1, 4.1**2 + 0.01)
+    assert oracle._W_TOL < omega <= 0.02 / 100.0
+
+
+def test_the_certified_path_enumerates_no_singleton_or_pair(monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = [instance(rng, "check", n) for n in (61, 150, 300)]
+    want = [family_min(cs, rows) for cs, rows in cases]
+    calls = []
+
+    def never(grid, constraints):
+        calls.append(grid.size)
+        return iter(())
+
+    monkeypatch.setattr(oracle, "_iter_singletons", never)
+    monkeypatch.setattr(oracle, "_iter_pairs", never)
+    for (cs, rows), expected in zip(cases, want):
+        assert_hex_equal(oracle._moment_min_values(cs, rows), expected)
+    oracle_check(seed=710212705, instances=2, grid_points=150, q_points=41)
+    assert calls == []
 
 
 def test_no_objective_rows_and_the_family_errors():

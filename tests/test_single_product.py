@@ -1541,6 +1541,28 @@ def test_an_overflowing_worst_case_atom_is_a_float_range_error():
         misspec_quantity(1.0, m, cost)
 
 
+def test_an_index_whose_reciprocal_overflows_is_named():
+    # 1/5e-309 is inf and 1/6e-309 is not: the price and the demand are
+    # ordinary, so the error names the index, on every path that solves it
+    m, cost = MomentSpec(4.0, 2.0), CostStructure(10.0, 3.0)
+    assert misspec_quantity(6e-309, m, cost).quantity == 1.1389783492531057e-308
+    for alpha in (5e-309, 1e-310):
+        assert MisspecIndex(alpha).inv == math.inf
+        want = re.escape(f"1/alpha leaves the float range at alpha={alpha!r}")
+        for solve in (
+            lambda: misspec_quantity(alpha, m, cost),
+            lambda: misspec_quantity(alpha, MomentSpec(4.0, 0.0), cost),
+            lambda: misspec_worst_case(alpha, 1.0, m, cost),
+            lambda: sp._solve(alpha, m, cost),
+        ):
+            with pytest.raises(InputError, match=want):
+                solve()
+    # the batch arm hands the point to the scalar solve, whose error it keeps
+    solved, error = sp._solves([5e-309, 4.0], 4.0, 2.0, 10.0, 3.0)
+    assert solved == [] and isinstance(error, InputError)
+    assert str(error) == "1/alpha leaves the float range at alpha=5e-309"
+
+
 @pytest.mark.parametrize(
     "alpha, q, m, cost, checks",
     [
