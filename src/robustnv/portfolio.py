@@ -415,12 +415,16 @@ def dual_objective_curve(lambdas, portfolio: PortfolioSpec, grid) -> np.ndarray:
 
     In the row of quantity q, the line of a law on va <= mu <= vb has slope
     m, the law's chord, and intercept b = w*ell(q, va) + (1 - w)*ell(q, vb).
-    All rows of a product share the slopes, so :func:`_envelope_min` finds
-    the slope order once; before the hull it drops a line when a line of
-    smaller or equal slope matches or beats it at lam0 = lambdas[0].  On
-    certify's curves, of 1,000 to 3,900 lines per row, about 48 survive that
-    on average, about 131 on the rows that reach the hull and about 135 on
-    the rows that still get an envelope below.
+    All rows of a product share the slopes, so the laws are put in slope
+    order once and every row's intercepts are built in it.  Before the hull
+    :func:`_envelope_min` drops a line when a line of smaller or equal slope
+    matches or beats it at lam0 = lambdas[0]; :func:`_chain` then takes the
+    hulls of all the rows of a call at once, in rounds.  On certify seed 1's
+    curves, of 1,000 to 3,900 lines per row, about 48 survive the filter on
+    average over all 11,778 rows, about 131 on the rows that keep more than
+    one, and about 132 on the 2,670 rows that get an envelope below; their
+    hulls keep about 35, after about 21 rounds that drop lines per call (at
+    most 29).
 
     Few rows reach the maximum, and a row that provably stays below it gets
     no envelope:
@@ -447,11 +451,12 @@ def dual_objective_curve(lambdas, portfolio: PortfolioSpec, grid) -> np.ndarray:
     * a computed line value b + m*lam lies within 2uV of the exact one;
     * a line that the lam0 filter drops lies at most 4uV below the line
       that drops it, at every lam >= lam0;
-    * each cut of :func:`_chain` is one subtraction and one division of
+    * each cut of :func:`_chain`'s rounds, and of the one-line-at-a-time
+      chain it falls back to, is one subtraction and one division of
       differences, so it lands within 3u|x| of the exact crossing x of its
       two lines; near x the lines differ by at most 3u|b1 - b2| <= 6uV, and
-      a line popped on such a cut loses at most that much.  Each of the n
-      lines is popped at most once.
+      a line dropped on such a cut loses at most that much.  Each of the n
+      lines is dropped at most once, in one round.
 
     So delta <= (6n + 16)uV to first order, and the margin 1e-12 (n + 1) V
     is more than 500 times that.  Forming floor - margin rounds by at most
@@ -498,13 +503,19 @@ def _product_curve(a: MisspecIndex, cost: CostStructure, mu: float, v, lams) -> 
         w = (vb[None, :] - mu) / gap
     singleton = gap == 0.0  # only where va == vb == mu
     w = np.where(singleton, 1.0, w)
-    # second-moment chords: one slope per candidate law
-    slopes = (w * (va * va)[:, None] + (1.0 - w) * (vb * vb)[None, :]).ravel()
+    # second-moment chords: one slope per candidate law, laws in descending
+    # slope order, each with its weight and its two grid points
+    chords = (w * (va * va)[:, None] + (1.0 - w) * (vb * vb)[None, :]).ravel()
+    order = np.argsort(-chords, kind="stable")
+    slopes, law_w = chords[order], w.ravel()[order]
+    law_a, law_b = ia[order // ib.size], ib[order % ib.size]
     n_rows, n_lams = v.size, lams.size
 
+    def mix(rows, laws=slice(None)):  # the laws' intercepts, a row per row of ell values
+        return law_w[laws] * rows[:, law_a[laws]] + (1.0 - law_w[laws]) * rows[:, law_b[laws]]
+
     def intercepts(qs):  # one row of intercepts per quantity
-        rows = _ell_core(a, v[qs, None], v, cost)
-        return (w * rows[:, ia, None] + (1.0 - w) * rows[:, None, ib]).reshape(len(rows), -1)
+        return mix(_ell_core(a, v[qs, None], v, cost))
 
     step = max(1, _ENVELOPE_BLOCK // slopes.size)  # quantity rows per block
     stride = max(_COARSE_STRIDE, -(-n_rows * n_lams // _ENVELOPE_BLOCK))
@@ -518,8 +529,6 @@ def _product_curve(a: MisspecIndex, cost: CostStructure, mu: float, v, lams) -> 
     floor = env_coarse.max(axis=0)
 
     laws = np.unique(np.concatenate(lowest))
-    pa, pb = np.divmod(laws, ib.size)
-    pw = w[pa, pb]
     lines = slopes[laws, None] * lams
     scale = 1e-12 * (slopes.size + 1)  # the margin per unit of V
     top = slopes.max() * lams[-1]
@@ -528,7 +537,7 @@ def _product_curve(a: MisspecIndex, cost: CostStructure, mu: float, v, lams) -> 
     block = max(1, _ENVELOPE_BLOCK // lines.size)  # rows per block of probe values
     for lo in range(0, n_rows, block):
         rows = _ell_core(a, v[lo : lo + block, None], v, cost)
-        b = pw * rows[:, ia[pa]] + (1.0 - pw) * rows[:, ib[pb]]
+        b = mix(rows, laws)
         bound = (b[:, :, None] + lines).min(axis=1)
         size = np.abs(rows).max(axis=1) + top  # V per row
         below = np.all(bound < floor - (scale * size)[:, None], axis=1)
@@ -554,11 +563,12 @@ def _envelope_min(slopes, intercepts, xs) -> np.ndarray:
     one family per row (2-D, returns one row per family), all sharing
     ``slopes``.
     """
-    order = np.argsort(-slopes, kind="stable")  # slope descending
-    ms = slopes[order]
-    bs = np.atleast_2d(intercepts)[:, order]
-    starts = np.flatnonzero(np.r_[True, np.diff(ms) < 0.0])
-    if starts.size < ms.size:
+    ms, bs = slopes, np.atleast_2d(intercepts)
+    if not np.all(ms[1:] <= ms[:-1]):  # to slope descending
+        order = np.argsort(-ms, kind="stable")
+        ms, bs = ms[order], bs[:, order]
+    if not np.all(ms[1:] < ms[:-1]):
+        starts = np.flatnonzero(np.r_[True, np.diff(ms) < 0.0])
         ms = ms[starts]
         bs = np.minimum.reduceat(bs, starts, axis=1)  # lowest per slope
     # a line that a later (flatter) line matches or beats at xs[0] stays at
@@ -567,16 +577,87 @@ def _envelope_min(slopes, intercepts, xs) -> np.ndarray:
     rest = np.minimum.accumulate(at0[:, :0:-1], axis=1)[:, ::-1]
     keep = np.ones(bs.shape, dtype=bool)
     keep[:, :-1] = at0[:, :-1] < rest
-    # the flattest line always survives; where it is alone it is the envelope
-    alone = keep.sum(axis=1) == 1
-    env = np.empty((bs.shape[0], xs.size))
-    env[alone] = bs[alone, -1:] + ms[-1] * xs
-    for r in np.flatnonzero(~alone):
-        env[r] = _chain(ms[keep[r]].tolist(), bs[r, keep[r]].tolist(), xs)
+    flat = np.flatnonzero(keep)  # the flattest line always survives
+    rows, cols = np.divmod(flat, ms.size)
+    slots = np.arange(flat.size) + rows  # and a NaN line after each row parts the rows
+    m, b = np.full((2, flat.size + len(bs)), np.nan)
+    m[slots], b[slots] = ms[cols], bs.ravel()[flat]
+    env = _chain(m, b, xs)
     return env if np.ndim(intercepts) == 2 else env[0]
 
 
-def _chain(ms: list[float], bs: list[float], xs) -> np.ndarray:
+def _chain(ms, bs, xs) -> np.ndarray:
+    """Lower envelopes at xs of rows of lines laid end to end, each row's
+    slopes finite and strictly descending and each row followed by a line of
+    NaN slope.  No two lines of a row may meet at a NaN cut: the filter of
+    :func:`_envelope_min` keeps at most one line of a row with intercept
+    -inf and one with +inf, and drops a line with a NaN intercept, and every
+    steeper one, unless it is the flattest.
+
+    The monotone chain's pop test, run on all rows at once: a line goes when
+    the cut past which its flatter neighbour undercuts it is at or before
+    the cut past which it undercuts its steeper neighbour.  Rounds drop every
+    such line until none is left; a cut next to a NaN line is NaN, so a
+    row's first and last lines stay.  Where the one-line-at-a-time chain
+    keeps the same lines it forms the same cuts and reads the same line at
+    every x, so every output bit matches; the rows that :func:`_unsure_rows`
+    cannot vouch for get that chain instead.
+    """
+    parts = np.isnan(ms)
+    rows = np.cumsum(parts) - parts  # each line's row, a NaN line's the row it ends
+    lines, at = (ms, bs, rows), np.arange(ms.size)  # at: the survivors' places in lines
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            cuts = (bs[1:] - bs[:-1]) / (ms[:-1] - ms[1:])  # x past which line i + 1 takes over
+            pop = cuts[1:] <= cuts[:-1]
+            if not pop.any():
+                break
+            kept = np.ones(ms.size, dtype=bool)
+            kept[1:-1] = ~pop
+            ms, bs, at = ms[kept], bs[kept], at[kept]
+        unsure = _unsure_rows(lines, at, cuts)
+    # The line in use at x in row r sits at the places before row r plus the
+    # number of row r's cuts below x.  Counting each cut at the first x past
+    # it, a running count over the rows gives both: an earlier row counts a
+    # cut per place, the two NaN cuts beside its NaN line falling past every x.
+    n_rows, n_xs = int(np.count_nonzero(parts)), xs.size
+    passed = rows[at[:-1]] * (n_xs + 1) + np.searchsorted(xs, cuts, side="right")
+    idx = np.cumsum(np.bincount(passed, minlength=n_rows * (n_xs + 1)))
+    idx = idx.reshape(n_rows, n_xs + 1)[:, :-1]
+    env = bs[idx] + ms[idx] * xs
+    for r in unsure:
+        row = rows == r  # the row's lines, then its NaN line
+        env[r] = _sequential_chain(lines[0][row][:-1].tolist(), lines[1][row][:-1].tolist(), xs)
+    return env
+
+
+def _unsure_rows(lines, at, cuts) -> np.ndarray:
+    """The rows of :func:`_chain`, ascending, in which a line that the rounds
+    dropped takes over from the kept line before it short of the cut between
+    the two kept lines around it, or gives way to the kept line after it
+    past that cut; ``at`` holds the kept lines' places in ``lines`` and
+    ``cuts`` the cuts between them.
+
+    In the other rows the one-line-at-a-time chain keeps just the rounds'
+    lines, since its cuts are the same floats.  Say it holds the kept lines
+    up to h, whose cut is c, and the next kept line h' takes over from h at
+    c' > c.  A line between them takes over from h at or past c', too late
+    to pop h (that takes a cut at or before c), so the ones the chain keeps
+    sit on cuts at or past c'.  h' takes over from each of them at or before
+    c', so it pops them all, and from h at c' > c, so it stays on h.
+    """
+    ms, bs, rows = lines
+    gone = np.ones(ms.size, dtype=bool)
+    gone[at] = False
+    j = np.flatnonzero(gone)
+    k = np.searchsorted(at, j)  # the kept line after each dropped one
+    before, after = at[k - 1], at[k]
+    left = (bs[j] - bs[before]) / (ms[before] - ms[j])
+    right = (bs[after] - bs[j]) / (ms[j] - ms[after])
+    return np.unique(rows[j[~((left >= cuts[k - 1]) & (cuts[k - 1] >= right))]])
+
+
+def _sequential_chain(ms: list[float], bs: list[float], xs) -> np.ndarray:
     """Lower envelope of lines with strictly descending slopes, at xs."""
     hull_m: list[float] = []
     hull_b: list[float] = []

@@ -781,13 +781,18 @@ def worst_case_transformed_expectation(
     formula; elsewhere ``2 mu^2 p q/(w + rad) - c q`` with ``w = p q/alpha +
     mu^2 + sigma^2`` and ``rad = sqrt(w^2 - 4 mu^2 p q/alpha)``.  At
     ``inv = 1/alpha = 0`` Q becomes {q >= (mu^2+sigma^2)/(2 mu)} and the other
-    branch the linear ``p q mu^2/(mu^2 + sigma^2) - c q``.
+    branch the linear ``p q mu^2/(mu^2 + sigma^2) - c q``.  An index whose
+    1/alpha overflows (below about 5.6e-309) raises :class:`InputError`
+    rather than read inv = inf as alpha = 0.
     """
     a = as_misspec_index(alpha)
     q = require_nonnegative("q", q)
     if q == 0.0:
         return 0.0
-    in_q, _, _, _, h, z, _ = _region(_nonzero_index(a).inv, q, m, cost.price)
+    inv = _nonzero_index(a).inv
+    if inv == math.inf:
+        raise InputError(f"1/alpha leaves the float range at alpha={a.alpha!r}")
+    in_q, _, _, _, h, z, _ = _region(inv, q, m, cost.price)
     return _value(in_q, q, m.mean, cost.price, cost.cost, z, h)
 
 

@@ -795,6 +795,102 @@ def test_envelope_min_takes_one_family_per_row():
         assert got[r].tobytes() == want.tobytes()
 
 
+def _ulps(values, steps):
+    """``values`` each moved by its count of ulps in ``steps``."""
+    out = np.array(values, dtype=float)
+    for _ in range(int(np.abs(steps).max())):
+        out = np.where(steps != 0, np.nextafter(out, np.where(steps > 0, np.inf, -np.inf)), out)
+        steps = steps - np.sign(steps)
+    return out
+
+
+def _knife_edge_families(rng, count):
+    """``count`` (slopes, intercepts, xs) calls, one line family per row, the
+    rows built where the rounds and the one-line-at-a-time chain could part:
+    rows that the filter leaves one or two lines beside long rows, lines
+    that meet within a few ulps or exactly at some x past xs[0], and tied
+    slopes with tied intercepts; half start at xs[0] = 0, the rest past it."""
+    for k in range(count):
+        first = 0.0 if k % 2 == 0 else float(rng.uniform(0.1, 2.0))
+        n = int(rng.integers(20, 90))
+        # whole slopes, many of them tied, or quarters, so that a slope
+        # times a whole x is exact; or slopes of up to 3 decimals
+        if k % 3 == 2:
+            slopes = np.round(rng.uniform(0.0, 30.0, size=n), int(rng.integers(0, 4)))
+        else:
+            slopes = rng.integers(0, 25, size=n) / (1.0 if k % 3 == 0 else 4.0)
+        meets = first + rng.uniform(0.05, 6.0, size=3)
+        whole = float(np.ceil(first)) + float(rng.integers(1, 5))
+        rows = []
+        for kind in rng.integers(0, 6, size=int(rng.integers(36, 56))):
+            if kind == 0:  # every line beaten at xs[0] by a flatter one
+                b = (3.0 + first) * slopes + rng.uniform(0.0, 1.0, size=n)
+            elif kind == 1:  # and the steepest line too
+                b = (3.0 + first) * slopes + 40.0
+                b[slopes == slopes.max()] = -100.0
+            elif kind == 2:  # lines through one point, to a few ulps, some lifted
+                x, y = float(rng.choice(meets)), float(rng.uniform(-20, 20))
+                b = _ulps(y - slopes * x, rng.integers(-3, 4, size=n) * rng.integers(0, 2))
+                lifted = rng.random(n) < rng.choice([0.0, 0.3])
+                b[lifted] += rng.uniform(0.1, 5.0, size=lifted.sum())
+            elif kind == 3:  # lines through one point exactly, some lifted
+                b = float(rng.integers(-20, 20)) - slopes * whole
+                b += np.where(rng.random(n) < 0.3, rng.integers(1, 4, size=n), 0)
+            elif kind == 4:  # equal slopes, equal intercepts
+                b = rng.uniform(-20, 20, size=n)[np.unique(slopes, return_inverse=True)[1]]
+            else:
+                b = rng.uniform(-20, 20, size=n)
+            rows.append(b)
+        xs = np.concatenate(
+            [[first], rng.uniform(first, first + 8.0, size=int(rng.integers(5, 40))), [whole]]
+            + [_ulps(np.full(5, x), np.arange(-2, 3)) for x in meets]
+        )
+        xs = np.sort(np.append(xs, rng.choice(xs, size=5)))  # with repeated points
+        yield slopes, np.array(rows), xs
+
+
+def test_envelope_min_on_knife_edge_rows_matches_the_per_row_chain(monkeypatch):
+    unsure = []
+    vouch = portfolio._unsure_rows
+
+    def counting(lines, at, cuts):
+        unsure.append(vouch(lines, at, cuts))
+        return unsure[-1]
+
+    monkeypatch.setattr(portfolio, "_unsure_rows", counting)
+    n_rows = 0
+    for slopes, intercepts, xs in _knife_edge_families(np.random.default_rng(77), 48):
+        got = _envelope_min(slopes, intercepts, xs)
+        for r in range(len(intercepts)):
+            assert got[r].tobytes() == _per_row_envelope_min(slopes, intercepts[r], xs).tobytes()
+        n_rows += len(intercepts)
+    assert n_rows >= 2000
+    # the one-line-at-a-time chain reruns a few rows, where a dropped line
+    # crosses a kept one on the wrong side of a cut
+    assert 0 < sum(map(len, unsure)) < 0.1 * n_rows
+
+
+def test_envelope_min_reruns_a_row_whose_rounds_keep_too_few_lines():
+    # four lines through x = 4.432 to within an ulp: the rounds drop both
+    # middle lines at once and keep the outer two, whose cut is 4.432; the
+    # chain, testing 1.4 against the steepest line alone, keeps it, with
+    # cuts 4.4319999999999995 and 4.432.  The dropped 1.4 takes over from
+    # the steepest line short of 4.432, so the row is rerun.
+    slopes = np.array([3.2, 2.4, 1.4, 0.5])
+    intercepts = np.array(
+        [-10.572400000000002, -7.026800000000001, -2.5948000000000007, 1.3939999999999997]
+    )
+    xs = np.append(0.0, _ulps(np.full(7, 4.432), np.arange(-3, 4)))
+    assert _envelope_min(slopes, intercepts, xs).tobytes() == (
+        _per_row_envelope_min(slopes, intercepts, xs).tobytes()
+    )
+    # and as the second row of a call, after a row the rounds settle alone
+    rows = np.stack([slopes, intercepts])
+    got = _envelope_min(slopes, rows, xs)
+    for r in range(2):
+        assert got[r].tobytes() == _per_row_envelope_min(slopes, rows[r], xs).tobytes()
+
+
 def test_dual_objective_curve_is_bit_equal_to_the_per_row_chain():
     # certify-shaped: 151-point support on [0, 40], 1-3 products, 501
     # multipliers from p_max / 60 through 4 lambda*, lambda* included

@@ -1546,6 +1546,8 @@ def test_an_index_whose_reciprocal_overflows_is_named():
     # ordinary, so the error names the index, on every path that solves it
     m, cost = MomentSpec(4.0, 2.0), CostStructure(10.0, 3.0)
     assert misspec_quantity(6e-309, m, cost).quantity == 1.1389783492531057e-308
+    # the unchecked value too, which would read inv = inf as alpha = 0 (-c*q)
+    assert worst_case_transformed_expectation(6e-309, 1e-308, m, cost) == 3.0000000000000007e-308
     for alpha in (5e-309, 1e-310):
         assert MisspecIndex(alpha).inv == math.inf
         want = re.escape(f"1/alpha leaves the float range at alpha={alpha!r}")
@@ -1553,6 +1555,7 @@ def test_an_index_whose_reciprocal_overflows_is_named():
             lambda: misspec_quantity(alpha, m, cost),
             lambda: misspec_quantity(alpha, MomentSpec(4.0, 0.0), cost),
             lambda: misspec_worst_case(alpha, 1.0, m, cost),
+            lambda: worst_case_transformed_expectation(alpha, 1e-308, m, cost),
             lambda: sp._solve(alpha, m, cost),
         ):
             with pytest.raises(InputError, match=want):
