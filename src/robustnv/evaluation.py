@@ -39,6 +39,8 @@ from .oracle import (
     MomentConstraintSet,
     Relation,
     _FAMILY_CUBIC_BUDGET,
+    _LAW_BLOCK,
+    _moment_min_batch,
     _moment_min_values,
 )
 from .single_product import (
@@ -665,6 +667,29 @@ def _random_instance(rng: np.random.Generator) -> tuple[MomentSpec, CostStructur
     return MomentSpec(mu, sigma), cs
 
 
+def _oracle_instance(rng: np.random.Generator, k: int, grid_points: int, q_points: int):
+    """Instance ``k`` of :func:`oracle_check`: ``(closed quantity, closed
+    value, quantity grid, value budget, laws, rows of both quantities)``."""
+    m, cs = _random_instance(rng)
+    a = MisspecIndex.INFINITY if k % 8 == 7 else MisspecIndex(
+        cs.price / 10.0 * 10.0 ** rng.uniform(-1.0, 1.6))
+    closed_q, closed_value = _solve(a, m, cs)
+
+    hi = m.mean + 6.0 * m.std
+    grid = np.linspace(0.0, hi, grid_points)
+    laws = MomentConstraintSet(
+        grid=tuple(grid),
+        constraints=(
+            MomentConstraint(Moment.MEAN, Relation.EQ, m.mean),
+            MomentConstraint(Moment.SECOND_MOMENT, Relation.EQ, m.second_moment),
+        ),
+    )
+    q_hi = max(_solve(MisspecIndex.INFINITY, m, cs)[0] * 1.2, 1e-6)
+    q_grid = np.linspace(0.0, q_hi, q_points)
+    rows = _ell_core(a, np.append(q_grid, closed_q)[:, None], grid, cs)
+    return closed_q, closed_value, q_grid, cs.price * (hi / (grid.size - 1)), laws, rows
+
+
 def oracle_check(
     seed: int,
     instances: int = 20,
@@ -677,15 +702,18 @@ def oracle_check(
     is maximized over a quantity grid against every grid-supported law
     matching the mean and second moment.  The minima over those laws are
     ``MomentLawFamily``'s, bit for bit, but are read by
-    :func:`oracle._moment_min_values`: each quantity is scored only against
+    :func:`oracle._moment_min_batch`: each quantity is scored only against
     the laws its grid dual parabola cannot exclude, and the family is built
-    only for rows where that parabola excludes too little.  The closed-form
-    quantity must land within one quantity step of the grid argmax, and the
-    closed-form value within the grid error budget (price * support step,
-    covering the rounding of the extremal atoms).  Every eighth instance
-    runs the infinite index (the ambiguity-only model).  Violations raise
-    :class:`InternalCheckError`; the returned summary reports the worst
-    gaps actually observed.  The seed and the counts are whole numbers.
+    only for rows where that parabola excludes too little.  The instances
+    are scored together in groups of at most ``_LAW_BLOCK`` rows times grid
+    points, so memory does not grow with ``instances``, and checked in
+    order.  The closed-form quantity must land within one quantity step of
+    the grid argmax, and the closed-form value within the grid error budget
+    (price * support step, covering the rounding of the extremal atoms).
+    Every eighth instance runs the infinite index (the ambiguity-only
+    model).  Violations raise :class:`InternalCheckError`, before any error
+    of a later instance; the returned summary reports the worst gaps
+    actually observed.  The seed and the counts are whole numbers.
     """
     instances = _whole_number("instances", instances, 1)
     grid_points = _whole_number("grid_points", grid_points, 20)
@@ -693,49 +721,44 @@ def oracle_check(
     require(grid_points <= budget, f"grid_points above {budget} exceed the family budget")
     q_points = _whole_number("q_points", q_points, 10)
     rng = np.random.default_rng(_whole_number("seed", seed, 0))
+    group = max(1, _LAW_BLOCK // ((q_points + 1) * grid_points))  # instances scored together
     worst_q_gap_steps = 0.0
     worst_value_gap = 0.0
-    for k in range(instances):
-        m, cs = _random_instance(rng)
-        a = MisspecIndex.INFINITY if k % 8 == 7 else MisspecIndex(
-            cs.price / 10.0 * 10.0 ** rng.uniform(-1.0, 1.6))
-        closed_q, closed_value = _solve(a, m, cs)
-
-        hi = m.mean + 6.0 * m.std
-        grid = np.linspace(0.0, hi, grid_points)
-        laws = MomentConstraintSet(
-            grid=tuple(grid),
-            constraints=(
-                MomentConstraint(Moment.MEAN, Relation.EQ, m.mean),
-                MomentConstraint(Moment.SECOND_MOMENT, Relation.EQ, m.second_moment),
-            ),
-        )
-        q_hi = max(_solve(MisspecIndex.INFINITY, m, cs)[0] * 1.2, 1e-6)
-        q_grid = np.linspace(0.0, q_hi, q_points)
-        q_step = q_grid[1] - q_grid[0]
-        rows = _ell_core(a, np.append(q_grid, closed_q)[:, None], grid, cs)
-        values = _moment_min_values(laws, rows)
-        best = int(np.argmax(values[:-1]))
-        q_gap = abs(closed_q - q_grid[best])
-        value_tol = cs.price * (hi / (grid.size - 1))
-        value_gap = abs(closed_value - values[-1])
-        worst_q_gap_steps = max(worst_q_gap_steps, q_gap / q_step)
-        worst_value_gap = max(worst_value_gap, value_gap / value_tol)
-        if q_gap > q_step + 1e-12:
-            raise InternalCheckError(
-                f"instance {k}: closed quantity {closed_q:.6f} is "
-                f"{q_gap / q_step:.2f} steps from the oracle argmax {q_grid[best]:.6f}"
-            )
-        if value_gap > value_tol:
-            raise InternalCheckError(
-                f"instance {k}: closed value {closed_value:.6f} differs from the "
-                f"oracle by {value_gap:.3e} (budget {value_tol:.3e})"
-            )
-        if float(np.max(values[:-1])) > closed_value + value_tol:
-            raise InternalCheckError(
-                f"instance {k}: oracle found a quantity beating the closed value "
-                f"by more than the grid budget"
-            )
+    for lo in range(0, instances, group):
+        drawn, error = [], None
+        try:
+            for k in range(lo, min(lo + group, instances)):
+                drawn.append(_oracle_instance(rng, k, grid_points, q_points))
+            minima = _moment_min_batch([inst[-2:] for inst in drawn])
+        except Exception as exc:  # raised after the checks of the instances before it
+            error, minima = exc, [None] * len(drawn)
+        for k, (inst, values) in enumerate(zip(drawn, minima), lo):
+            closed_q, closed_value, q_grid, value_tol, laws, rows = inst
+            if values is None:  # scored alone, so a failing one raises in turn
+                values = _moment_min_values(laws, rows)
+            q_step = q_grid[1] - q_grid[0]
+            best = int(np.argmax(values[:-1]))
+            q_gap = abs(closed_q - q_grid[best])
+            value_gap = abs(closed_value - values[-1])
+            worst_q_gap_steps = max(worst_q_gap_steps, q_gap / q_step)
+            worst_value_gap = max(worst_value_gap, value_gap / value_tol)
+            if q_gap > q_step + 1e-12:
+                raise InternalCheckError(
+                    f"instance {k}: closed quantity {closed_q:.6f} is "
+                    f"{q_gap / q_step:.2f} steps from the oracle argmax {q_grid[best]:.6f}"
+                )
+            if value_gap > value_tol:
+                raise InternalCheckError(
+                    f"instance {k}: closed value {closed_value:.6f} differs from the "
+                    f"oracle by {value_gap:.3e} (budget {value_tol:.3e})"
+                )
+            if float(np.max(values[:-1])) > closed_value + value_tol:
+                raise InternalCheckError(
+                    f"instance {k}: oracle found a quantity beating the closed value "
+                    f"by more than the grid budget"
+                )
+        if error is not None:
+            raise error
     return {
         "instances": instances,
         "grid_points": grid_points,

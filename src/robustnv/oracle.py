@@ -30,18 +30,21 @@ Three consumption styles:
   cubic budget strictly.  Objectives are scored in consecutive blocks of laws
   holding about ``_LAW_BLOCK`` expectations each (1 MB), folded into running
   minima, so scoring adds a fixed amount of memory however large the family.
-* :func:`_moment_min_values` — the family's minima for the mean and
-  second-moment set without the family: one table of weight numerators over
-  the grid pairs proves that the family holds no singleton or pair and
+* :func:`_moment_min_batch` — the family's minima for the mean and
+  second-moment set without the family, for instances on one grid size
+  (:func:`_moment_min_values` takes one): one table of weight numerators
+  over the grid pairs proves that the family holds no singleton or pair and
   floors every family triple's weights; per objective row, an exchange on
   the grid finds a dual parabola, the floor proves that only triples on the
   few points near the parabola can reach the row's minimum, and those are
-  scored with the family's own weights and summation, bit for bit.
-  ``oracle_check`` reads its minima this way.  It builds the family, on the
-  union of the screened points, only for rows whose screened set exceeds
-  ``_SCREEN_CAP`` points (the small-index rows that are an exact parabola
-  over much of the grid, where whole faces of laws tie and rounding
-  decides), and whole for instances where the table proves too little.
+  scored with the family's own weights and summation, bit for bit.  All
+  instances' rows run stacked, each on its own grid and moments.
+  ``oracle_check`` reads its minima this way, a group of instances at a
+  time.  It builds the family, on the union of the screened points,
+  only for rows whose screened set exceeds ``_SCREEN_CAP`` points (the
+  small-index rows that are an exact parabola over much of the grid, where
+  whole faces of laws tie and rounding decides), and whole for instances
+  where the table proves too little.
 
 The grid envelope :func:`inner_min_oracle` and the transport-ball dual
 :func:`wasserstein_dual_oracle` share one kernel, :func:`_row_minima`: the
@@ -600,8 +603,7 @@ def _index_triples(m: int) -> np.ndarray:
     return np.argwhere(less[:, :, None] & less[None, :, :])
 
 
-# those below m are the rows whose last index is below m
-_TRIPLES = _index_triples(_SCREEN_CAP)
+_TRIPLES = [_index_triples(m) for m in range(_SCREEN_CAP + 1)]  # on m screened points
 
 
 def _law_values(fa: np.ndarray, wgt: np.ndarray) -> np.ndarray:
@@ -614,22 +616,26 @@ def _law_values(fa: np.ndarray, wgt: np.ndarray) -> np.ndarray:
 
 
 def _triple_laws(grid, idx, t1, t2, low_ok, hi_ok) -> tuple[np.ndarray, np.ndarray]:
-    """``(weights, member)`` for index triples ``idx[..., 0] < idx[..., 1] <
-    idx[..., 2]``: :func:`_iter_triples`' weights, and whether the triple is
-    one of its laws (the hull prefilters and the pivot and sign tests; its row
-    pruning only skips triples that fail these)."""
-    a, b, c = grid[idx[..., 0]], grid[idx[..., 1]], grid[idx[..., 2]]
+    """``(weights, member)`` for the index triples ``i < j < k`` of each row
+    r of ``idx`` on row r's grid, bounds and prefilters (``grid[r]``, ``t1[r]``
+    ...): :func:`_iter_triples`' weights, and whether the triple is one of its
+    laws (the hull prefilters and the pivot and sign tests; its row pruning
+    only skips triples that fail these)."""
+    r = np.arange(idx.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 2))
+    a, b, c = (grid[r, idx[..., t]] for t in range(3))
+    t1, t2 = np.reshape(t1, r.shape), np.reshape(t2, r.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         wa, neg_wb, wc, feas = _triple_weights(a, b, c, b - a, _moment_num(a, b, t1, t2), t1, t2)
-    member = feas & low_ok[idx[..., 0]] & hi_ok[idx[..., 2]]
+    member = feas & low_ok[r, idx[..., 0]] & hi_ok[r, idx[..., 2]]
     return np.stack([wa, -neg_wb, wc], axis=-1), member
 
 
 def _exchange(grid, f, t1, t2, basis, low_ok, hi_ok) -> tuple[np.ndarray, np.ndarray]:
     """``(coef, basis)``: per objective row, the coefficients ``(a, b, c)`` of
-    a dual parabola and the sorted triple it interpolates ``f`` on.
+    a dual parabola and the sorted triple it interpolates ``f`` on, each row
+    on its own grid, bounds and prefilters (as in :func:`_triple_laws`).
 
-    A batched simplex on the grid LP of :func:`_moment_min_values`: the
+    A batched simplex on the grid LP of :func:`_moment_min_batch`: the
     parabola through ``f`` at a feasible basis triple (Newton's divided
     differences), the most violated grid point entering, and of the three
     triples it can form with two basis atoms the one whose least weight is
@@ -641,24 +647,26 @@ def _exchange(grid, f, t1, t2, basis, low_ok, hi_ok) -> tuple[np.ndarray, np.nda
     coef = np.empty((f.shape[0], 3))
     tol = 1e-12 * (1.0 + np.max(np.abs(f), axis=1))
     live = np.arange(f.shape[0])  # the rows still pivoting
+    g = grid  # their grids
     swap = np.arange(3)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(_EXCHANGE_STEPS + 1):
-            x, y = grid[basis[live]].T, f[live[:, None], basis[live]].T
+            at = (live[:, None], basis[live])
+            x, y = grid[at].T, f[at].T
             d01 = (y[1] - y[0]) / (x[1] - x[0])
             c = ((y[2] - y[1]) / (x[2] - x[1]) - d01) / (x[2] - x[0])
             b = d01 - c * (x[0] + x[1])
             coef[live] = np.column_stack([y[0] - x[0] * (b + c * x[0]), b, c])
-            slack = f[live] - ((c[:, None] * grid + b[:, None]) * grid + coef[live, :1])
+            slack = f[live] - ((c[:, None] * g + b[:, None]) * g + coef[live, :1])
             enter = np.argmin(slack, axis=1)
             below = slack[np.arange(live.size), enter] < -tol[live]
-            live, enter = live[below], enter[below]
+            live, enter, g = live[below], enter[below], g[below]
             if live.size == 0 or step == _EXCHANGE_STEPS:
                 break
             cand = np.repeat(basis[live, None, :], 3, axis=1)
             cand[:, swap, swap] = enter[:, None]
             cand.sort(axis=2)
-            wgt, _ = _triple_laws(grid, cand, t1, t2, low_ok, hi_ok)
+            wgt, _ = _triple_laws(g, cand, t1[live], t2[live], low_ok[live], hi_ok[live])
             basis[live] = cand[np.arange(live.size), np.argmax(np.min(wgt, axis=2), axis=1)]
     return coef, basis
 
@@ -677,19 +685,20 @@ def _weight_floor(grid, t1, t2) -> tuple[float, float]:
     the minimum less e_num is at most B, omega is 0 and the caller builds
     the family; otherwise no such law exists.  The diagonal's entries are
     at least sigma^2 and can only lower the minimum, and a lower floor is
-    still a floor.  :func:`_moment_min_values` gives both arguments."""
-    top = float(grid[-1])
-    e_num = 8.0 * _EPS * (abs(t2) + 2.0 * top * abs(t1) + top * top) + 8.0 * _ETA
-    h = float(np.min(np.diff(grid)))
+    still a floor.  :func:`_moment_min_batch` gives both arguments.  A
+    ``grid`` of shape (instances, n) takes t1 and t2 and gives both per
+    instance."""
+    top, t1, t2 = grid[..., -1], np.asarray(t1), np.asarray(t2)
+    e_num = 8.0 * _EPS * (np.abs(t2) + 2.0 * top * np.abs(t1) + top * top) + 8.0 * _ETA
+    h = np.min(np.diff(grid), axis=-1)
     w_err = 8.0 * _EPS + 2.0 * e_num / (h * h)
-    i, j = np.triu_indices(grid.size)
-    num = float(np.min(np.abs(_moment_num(grid[i], grid[j], t1, t2))))
+    i, j = np.triu_indices(grid.shape[-1])
+    num = _moment_num(grid[..., i], grid[..., j], t1[..., None], t2[..., None])
+    num = np.min(np.abs(num), axis=-1)
     bound = _FEAS_TOL * (1.0 + 2.0 * top) * (1.0 + 2.0 * _EPS) + 32.0 * _EPS * top * top
-    if num - e_num <= bound * (1.0 + 8.0 * _EPS):
-        return 0.0, w_err
-    span = top - float(grid[0])
+    span = top - grid[..., 0]
     omega = (num - e_num) / (span * span) * (1.0 - 8.0 * _EPS) - w_err
-    return omega, w_err
+    return np.where(num - e_num <= bound * (1.0 + 8.0 * _EPS), 0.0, omega), w_err
 
 
 def _screen(grid, f, t1, t2, coef, best, omega, w_err) -> tuple[np.ndarray, np.ndarray]:
@@ -697,9 +706,11 @@ def _screen(grid, f, t1, t2, coef, best, omega, w_err) -> tuple[np.ndarray, np.n
     at every grid point, and per row a bound such that every law of
     :func:`_iter_triples` with an atom whose slack exceeds it scores above
     ``best`` (``inf`` where the bound is not finite);
-    :func:`_moment_min_values` gives the argument."""
+    :func:`_moment_min_batch` gives the argument.  ``grid`` is one grid or
+    one per row, and each of t1, t2, omega and w_err a number or a column of
+    one per row."""
     a, b, c = (coef[:, t, None] for t in range(3))
-    top = float(grid[-1])
+    top = grid[..., -1:]
     with np.errstate(over="ignore", invalid="ignore"):
         p_hat = (c * grid + b) * grid + a
         slack = f - p_hat
@@ -722,20 +733,32 @@ def _screen(grid, f, t1, t2, coef, best, omega, w_err) -> tuple[np.ndarray, np.n
 
 
 def _moment_min_values(cs: MomentConstraintSet, objectives) -> np.ndarray:
-    """``MomentLawFamily(cs)._min_values(objectives)``, bit for bit, scoring
-    each objective row only against the laws its dual parabola cannot
-    exclude.
+    """``MomentLawFamily(cs)._min_values(objectives)``, bit for bit: one
+    instance of :func:`_moment_min_batch`."""
+    return _moment_min_batch([(cs, objectives)])[0]
+
+
+def _moment_min_batch(items) -> list[np.ndarray]:
+    """``MomentLawFamily(cs)._min_values(objectives)`` for each ``(cs,
+    objectives)`` of ``items``, bit for bit, scoring each objective row only
+    against the laws its dual parabola cannot exclude.
 
     For a set whose two constraints pin the mean t1 and the second moment t2
     (``EQ``) on at most ``_FAMILY_CUBIC_BUDGET`` points; any other set, and
-    an instance the steps below cannot certify, builds the family.
+    an instance the steps below cannot certify, builds the family.  Only
+    step 1 (with the rows' check) can raise, and it runs instance by
+    instance, so the first instance that raises raises its own error.  The
+    instances share one grid size; steps 3 to 5 run on the stacked rows of
+    all of them, each row with its own grid, bounds and floor, and each step
+    is elementwise or a reduction within a row, so no row's bits depend on
+    the rows beside it.
 
     1. Start: per row, the best law of :func:`_iter_triples` on about
        ``_COARSE`` evenly spread grid points.  When there is none the family
        is built, which raises its own ``InfeasibleError`` if it is empty.
-    2. :func:`_weight_floor` proves that the family has no singleton or
-       pair and bounds its triples' weights below by omega.  When it cannot
-       (omega <= ``_W_TOL``) the family is built.
+    2. :func:`_weight_floor`, over every instance at once, proves that the
+       family has no singleton or pair and bounds its triples' weights below
+       by omega.  When it cannot (omega <= ``_W_TOL``) the family is built.
     3. :func:`_exchange` turns each start into a dual parabola P = a + b*v +
        c*v^2 and a basis triple.  ``best`` is the family value of the basis
        triple where it is a law of the family, and +inf elsewhere.
@@ -745,9 +768,10 @@ def _moment_min_values(cs: MomentConstraintSet, objectives) -> np.ndarray:
        a finite bound (every row whose basis is not a family law) screens
        the whole grid.
     5. A row with at most ``_SCREEN_CAP`` screened points scores every
-       triple among them, from :func:`_triple_laws`.  The other rows score
-       the family on the union of their screened sets.  A row of zeros, on
-       which every law scores +0.0, takes that value.
+       triple among them, from :func:`_triple_laws`, ``_BLOCK`` triples or
+       one row per numpy pass.  The other rows of an instance score its
+       family on the union of their screened sets.  A row of zeros, on which
+       every law scores +0.0, takes that value.
 
     Why the bits stay:
 
@@ -832,33 +856,49 @@ def _moment_min_values(cs: MomentConstraintSet, objectives) -> np.ndarray:
     The argument uses only these oracles' own formulas: the objective rows
     it is handed are its only link to the closed forms.
     """
-    grid = np.asarray(cs.grid, dtype=float)
-    relations = {c.moment: c.relation for c in cs.constraints}
-    if grid.size > _FAMILY_CUBIC_BUDGET or relations != {
-        Moment.MEAN: Relation.EQ, Moment.SECOND_MOMENT: Relation.EQ
-    }:
-        return MomentLawFamily(cs)._min_values(objectives)
-    t1, t2 = _moment_bounds(cs.constraints)
-    sub = np.arange(0, grid.size, max(1, grid.size // _COARSE))
-    sub[-1] = grid.size - 1  # the last point holds the high atoms
-    starts = list(_iter_triples(grid[sub], cs.constraints))
-    if not starts:
-        return MomentLawFamily(cs)._min_values(objectives)
-    f = _checked_objectives(objectives, grid.size)
-    omega, w_err = _weight_floor(grid, t1, t2)
-    if not omega > _W_TOL:
-        return MomentLawFamily(cs)._min_values(f)
+    out, certify = [], []  # certify: (position, cs, grid, rows, start) past step 1
+    for cs, objectives in items:
+        grid = np.asarray(cs.grid, dtype=float)
+        relations = {c.moment: c.relation for c in cs.constraints}
+        starts = []
+        if grid.size <= _FAMILY_CUBIC_BUDGET and relations == {
+            Moment.MEAN: Relation.EQ, Moment.SECOND_MOMENT: Relation.EQ
+        }:
+            sub = np.arange(0, grid.size, max(1, grid.size // _COARSE))
+            sub[-1] = grid.size - 1  # the last point holds the high atoms
+            starts = list(_iter_triples(grid[sub], cs.constraints))
+        if not starts:
+            out.append(MomentLawFamily(cs)._min_values(objectives))
+            continue
+        f = _checked_objectives(objectives, grid.size)
+        start_idx, start_wgt = _padded(starts)
+        first = np.argmin(_law_values(f[:, sub[start_idx]], start_wgt), axis=1)
+        certify.append((len(out), cs, grid, f, sub[start_idx[first]]))
+        out.append(None)
+    if not certify:
+        return out
+    at, sets, grids, fs, bases = zip(*certify)
+    grids = np.stack(grids)
+    t1, t2 = np.array([_moment_bounds(cs.constraints) for cs in sets]).T
+    omega, w_err = _weight_floor(grids, t1, t2)
+    for k in np.nonzero(~(omega > _W_TOL))[0]:
+        out[at[k]] = MomentLawFamily(sets[k])._min_values(fs[k])
+    keep = np.nonzero(omega > _W_TOL)[0]
+    if keep.size == 0:
+        return out
+    counts = [fs[k].shape[0] for k in keep]
+    inst = np.repeat(keep, counts)  # each stacked row's instance
+    f = np.concatenate([fs[k] for k in keep])
+    basis = np.concatenate([bases[k] for k in keep])
+    grid, t1, t2 = grids[inst], t1[inst, None], t2[inst, None]
     rows = np.arange(f.shape[0])
 
-    start_idx, start_wgt = _padded(starts)
-    start_idx = sub[start_idx]
-    first = np.argmin(_law_values(f[:, start_idx], start_wgt), axis=1)
     low_ok, hi_ok = _hull(grid, t1, t2)
-    coef, basis = _exchange(grid, f, t1, t2, start_idx[first], low_ok, hi_ok)
+    coef, basis = _exchange(grid, f, t1, t2, basis, low_ok, hi_ok)
     wgt, member = _triple_laws(grid, basis, t1, t2, low_ok, hi_ok)
     best = np.where(member, _law_values(f[rows[:, None], basis], wgt), np.inf)
-    slack, thr = _screen(grid, f, t1, t2, coef, best, omega, w_err)
-    out = np.full(f.shape[0], np.inf)
+    slack, thr = _screen(grid, f, t1, t2, coef, best, omega[inst, None], w_err[inst, None])
+    values = np.full(f.shape[0], np.inf)
     screened = slack <= thr[:, None]
     screened[rows[:, None], basis] = True
     zero = ~np.any(f, axis=1)  # every law scores +0.0 on a row of zeros
@@ -866,19 +906,24 @@ def _moment_min_values(cs: MomentConstraintSet, objectives) -> np.ndarray:
 
     sizes = screened.sum(axis=1)
     for m in range(3, _SCREEN_CAP + 1):
-        r = np.nonzero(sizes == m)[0]
-        if r.size == 0:
-            continue
-        idx = np.nonzero(screened[r])[1].reshape(r.size, m)[:, _TRIPLES[_TRIPLES[:, 2] < m]]
-        wgt, member = _triple_laws(grid, idx, t1, t2, low_ok, hi_ok)
-        values = np.where(member, _law_values(f[r[:, None, None], idx], wgt), np.inf)
-        out[r] = np.minimum(out[r], np.min(values, axis=1))
+        r_m = np.nonzero(sizes == m)[0]
+        step = max(1, _BLOCK // len(_TRIPLES[m]))  # rows per pass
+        for lo in range(0, r_m.size, step):
+            r = r_m[lo : lo + step]
+            idx = np.nonzero(screened[r])[1].reshape(r.size, m)[:, _TRIPLES[m]]
+            wgt, member = _triple_laws(grid[r], idx, t1[r], t2[r], low_ok[r], hi_ok[r])
+            law_values = np.where(member, _law_values(f[r[:, None, None], idx], wgt), np.inf)
+            values[r] = np.min(law_values, axis=1)
     rest = np.nonzero(sizes > _SCREEN_CAP)[0]
-    if rest.size:
-        keep = np.nonzero(np.any(screened[rest], axis=0))[0]
-        part = MomentConstraintSet(tuple(grid[keep]), cs.constraints) if keep.size < grid.size else cs
-        out[rest] = np.minimum(out[rest], MomentLawFamily(part)._min_values(f[rest][:, keep]))
-    out[zero] = 0.0
+    for k in np.unique(inst[rest]):
+        r = rest[inst[rest] == k]
+        pts = np.nonzero(np.any(screened[r], axis=0))[0]
+        part = sets[k] if pts.size == grids.shape[1] else (
+            MomentConstraintSet(tuple(grids[k, pts]), sets[k].constraints))
+        values[r] = MomentLawFamily(part)._min_values(f[r][:, pts])
+    values[zero] = 0.0
+    for k, v in zip(keep, np.split(values, np.cumsum(counts)[:-1])):
+        out[at[k]] = v
     return out
 
 

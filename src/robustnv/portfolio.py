@@ -538,7 +538,9 @@ def _product_curve(a: MisspecIndex, cost: CostStructure, mu: float, v, lams) -> 
     for lo in range(0, n_rows, block):
         rows = _ell_core(a, v[lo : lo + block, None], v, cost)
         b = mix(rows, laws)
-        bound = (b[:, :, None] + lines).min(axis=1)
+        bound = b[:, 0, None] + lines[0]
+        for t in range(1, laws.size):  # a running minimum over the probe laws
+            np.minimum(bound, b[:, t, None] + lines[t], out=bound)
         size = np.abs(rows).max(axis=1) + top  # V per row
         below = np.all(bound < floor - (scale * size)[:, None], axis=1)
         keep[lo : lo + block] |= ~(below & (size <= _FLOAT_MAX / 4.0))
