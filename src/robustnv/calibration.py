@@ -47,7 +47,6 @@ from .single_product import (
     _solve,
     _solves,
     _test_profits,
-    _until_error,
 )
 from .validation import (
     DegenerateModelError,
@@ -57,6 +56,7 @@ from .validation import (
     require_positive,
     positive_part,
     _fsum_or_inf,
+    _until_error,
     _whole_number,
 )
 

@@ -41,7 +41,6 @@ from .oracle import (
     _FAMILY_CUBIC_BUDGET,
     _LAW_BLOCK,
     _moment_min_batch,
-    _moment_min_values,
 )
 from .single_product import (
     AlphaLike,
@@ -56,7 +55,6 @@ from .single_product import (
     _solve,
     _solves,
     _test_profits,
-    _until_error,
     as_misspec_index,
     nominal_quantity,
 )
@@ -68,6 +66,7 @@ from .validation import (
     require_finite,
     require_nonnegative,
     require_positive,
+    _until_error,
     _whole_number,
 )
 
@@ -705,15 +704,16 @@ def oracle_check(
     :func:`oracle._moment_min_batch`: each quantity is scored only against
     the laws its grid dual parabola cannot exclude, and the family is built
     only for rows where that parabola excludes too little.  The instances
-    are scored together in groups of at most ``_LAW_BLOCK`` rows times grid
+    are drawn and scored in groups of at most ``_LAW_BLOCK`` rows times grid
     points, so memory does not grow with ``instances``, and checked in
     order.  The closed-form quantity must land within one quantity step of
     the grid argmax, and the closed-form value within the grid error budget
     (price * support step, covering the rounding of the extremal atoms).
     Every eighth instance runs the infinite index (the ambiguity-only
-    model).  Violations raise :class:`InternalCheckError`, before any error
-    of a later instance; the returned summary reports the worst gaps
-    actually observed.  The seed and the counts are whole numbers.
+    model).  Violations raise :class:`InternalCheckError`; a group keeps its
+    first error, a draw's or a minimum's, by :func:`validation._until_error`,
+    so a violation comes before any error of a later instance.  The summary
+    reports the worst gaps observed.  The seed and counts are whole numbers.
     """
     instances = _whole_number("instances", instances, 1)
     grid_points = _whole_number("grid_points", grid_points, 20)
@@ -725,17 +725,12 @@ def oracle_check(
     worst_q_gap_steps = 0.0
     worst_value_gap = 0.0
     for lo in range(0, instances, group):
-        drawn, error = [], None
-        try:
-            for k in range(lo, min(lo + group, instances)):
-                drawn.append(_oracle_instance(rng, k, grid_points, q_points))
-            minima = _moment_min_batch([inst[-2:] for inst in drawn])
-        except Exception as exc:  # raised after the checks of the instances before it
-            error, minima = exc, [None] * len(drawn)
+        drawn, error = _until_error(lambda k: _oracle_instance(rng, k, grid_points, q_points),
+                                    range(lo, min(lo + group, instances)))
+        minima, first = _moment_min_batch([inst[-2:] for inst in drawn])
+        error = error if first is None else first  # it comes first
         for k, (inst, values) in enumerate(zip(drawn, minima), lo):
-            closed_q, closed_value, q_grid, value_tol, laws, rows = inst
-            if values is None:  # scored alone, so a failing one raises in turn
-                values = _moment_min_values(laws, rows)
+            closed_q, closed_value, q_grid, value_tol = inst[:4]
             q_step = q_grid[1] - q_grid[0]
             best = int(np.argmax(values[:-1]))
             q_gap = abs(closed_q - q_grid[best])

@@ -31,20 +31,19 @@ Three consumption styles:
   holding about ``_LAW_BLOCK`` expectations each (1 MB), folded into running
   minima, so scoring adds a fixed amount of memory however large the family.
 * :func:`_moment_min_batch` — the family's minima for the mean and
-  second-moment set without the family, for instances on one grid size
-  (:func:`_moment_min_values` takes one): one table of weight numerators
-  over the grid pairs proves that the family holds no singleton or pair and
-  floors every family triple's weights; per objective row, an exchange on
-  the grid finds a dual parabola, the floor proves that only triples on the
-  few points near the parabola can reach the row's minimum, and those are
-  scored with the family's own weights and summation, bit for bit.  All
-  instances' rows run stacked, each on its own grid and moments.
-  ``oracle_check`` reads its minima this way, a group of instances at a
-  time.  It builds the family, on the union of the screened points,
-  only for rows whose screened set exceeds ``_SCREEN_CAP`` points (the
-  small-index rows that are an exact parabola over much of the grid, where
-  whole faces of laws tie and rounding decides), and whole for instances
-  where the table proves too little.
+  second-moment set without the family, for instances on one grid size:
+  one table of weight numerators over the grid pairs proves that the family
+  holds no singleton or pair and floors every family triple's weights; per
+  objective row, an exchange on the grid finds a dual parabola, the floor
+  proves that only triples on the few points near the parabola can reach
+  the row's minimum, and those are scored with the family's own weights and
+  summation, bit for bit.  All instances' rows run stacked, each on its own
+  grid and moments.  ``oracle_check`` reads its minima this way, a group of
+  instances at a time.  It builds the family at two sites: whole, for a set
+  without a start law, and on the union of an instance's screened points,
+  for rows that screen over ``_SCREEN_CAP`` points (small-index rows, exact
+  parabolas over much of the grid, where rounding decides among tied laws)
+  and every row of an instance the table gives no floor.
 
 The grid envelope :func:`inner_min_oracle` and the transport-ball dual
 :func:`wasserstein_dual_oracle` share one kernel, :func:`_row_minima`: the
@@ -74,6 +73,7 @@ from .validation import (
     require_finite,
     require_nonnegative,
     require_positive,
+    _until_error,
 )
 
 __all__ = [
@@ -672,22 +672,23 @@ def _exchange(grid, f, t1, t2, basis, low_ok, hi_ok) -> tuple[np.ndarray, np.nda
 
 
 def _weight_floor(grid, t1, t2) -> tuple[float, float]:
-    """``(omega, w_err)``: when omega > ``_W_TOL``, no singleton or pair of
-    the grid is a law of :func:`_iter_singletons` or :func:`_iter_pairs`,
-    and every law of :func:`_iter_triples` on this grid has all three
-    weights >= omega, each within w_err of the exact weight.
+    """``(omega, w_err)``: omega is 0 (no floor) or above ``_W_TOL``, and
+    then no singleton or pair of the grid is a law of
+    :func:`_iter_singletons` or :func:`_iter_pairs`, and every law of
+    :func:`_iter_triples` on this grid has all three weights >= omega, each
+    within w_err of the exact weight.
 
     Both facts come from one minimum, of |num(x, y)| over the grid pairs
     x <= y, diagonal included, with num = ``_moment_num(x, y, t1, t2)``: in
     exact arithmetic sigma^2 + (x - mu)*(y - mu), and within e_num of it as
     computed.  Each one- or two-point law of the family has |num| <= B =
     ``_FEAS_TOL``*(1 + 2X) plus rounding (X the last grid point), so when
-    the minimum less e_num is at most B, omega is 0 and the caller builds
-    the family; otherwise no such law exists.  The diagonal's entries are
-    at least sigma^2 and can only lower the minimum, and a lower floor is
-    still a floor.  :func:`_moment_min_batch` gives both arguments.  A
-    ``grid`` of shape (instances, n) takes t1 and t2 and gives both per
-    instance."""
+    the minimum less e_num is at most B, omega is 0; otherwise no such law
+    exists, and omega is the floor, or 0 when that is not above ``_W_TOL``.
+    The diagonal's entries are at least sigma^2 and can only lower the
+    minimum, and a lower floor is still a floor.  :func:`_moment_min_batch`
+    gives both arguments.  A ``grid`` of shape (instances, n) takes t1 and
+    t2 and gives both per instance."""
     top, t1, t2 = grid[..., -1], np.asarray(t1), np.asarray(t2)
     e_num = 8.0 * _EPS * (np.abs(t2) + 2.0 * top * np.abs(t1) + top * top) + 8.0 * _ETA
     h = np.min(np.diff(grid), axis=-1)
@@ -698,20 +699,21 @@ def _weight_floor(grid, t1, t2) -> tuple[float, float]:
     bound = _FEAS_TOL * (1.0 + 2.0 * top) * (1.0 + 2.0 * _EPS) + 32.0 * _EPS * top * top
     span = top - grid[..., 0]
     omega = (num - e_num) / (span * span) * (1.0 - 8.0 * _EPS) - w_err
-    return np.where(num - e_num <= bound * (1.0 + 8.0 * _EPS), 0.0, omega), w_err
+    floor = (num - e_num > bound * (1.0 + 8.0 * _EPS)) & (omega > _W_TOL)
+    return np.where(floor, omega, 0.0), w_err
 
 
 def _screen(grid, f, t1, t2, coef, best, omega, w_err) -> tuple[np.ndarray, np.ndarray]:
     """``(slack, thr)``: the computed slack ``f - P`` of each row's parabola
     at every grid point, and per row a bound such that every law of
     :func:`_iter_triples` with an atom whose slack exceeds it scores above
-    ``best`` (``inf`` where the bound is not finite);
+    ``best`` (``inf`` where the bound is not finite, as for omega 0);
     :func:`_moment_min_batch` gives the argument.  ``grid`` is one grid or
     one per row, and each of t1, t2, omega and w_err a number or a column of
     one per row."""
     a, b, c = (coef[:, t, None] for t in range(3))
     top = grid[..., -1:]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         p_hat = (c * grid + b) * grid + a
         slack = f - p_hat
         p_abs = np.abs(a) + np.abs(b) * top + np.abs(c) * (top * top)
@@ -732,46 +734,46 @@ def _screen(grid, f, t1, t2, coef, best, omega, w_err) -> tuple[np.ndarray, np.n
     return slack, thr
 
 
-def _moment_min_values(cs: MomentConstraintSet, objectives) -> np.ndarray:
-    """``MomentLawFamily(cs)._min_values(objectives)``, bit for bit: one
-    instance of :func:`_moment_min_batch`."""
-    return _moment_min_batch([(cs, objectives)])[0]
-
-
-def _moment_min_batch(items) -> list[np.ndarray]:
-    """``MomentLawFamily(cs)._min_values(objectives)`` for each ``(cs,
-    objectives)`` of ``items``, bit for bit, scoring each objective row only
-    against the laws its dual parabola cannot exclude.
+def _moment_min_batch(items) -> tuple[list[np.ndarray], Exception | None]:
+    """``(minima, error)``: ``MomentLawFamily(cs)._min_values(objectives)``
+    for each ``(cs, objectives)`` of ``items`` before the first whose step 1
+    raises, bit for bit, and that error (None when none raised), which is
+    the family's own.  Each objective row is scored only against the laws
+    its dual parabola cannot exclude.
 
     For a set whose two constraints pin the mean t1 and the second moment t2
-    (``EQ``) on at most ``_FAMILY_CUBIC_BUDGET`` points; any other set, and
-    an instance the steps below cannot certify, builds the family.  Only
-    step 1 (with the rows' check) can raise, and it runs instance by
-    instance, so the first instance that raises raises its own error.  The
-    instances share one grid size; steps 3 to 5 run on the stacked rows of
-    all of them, each row with its own grid, bounds and floor, and each step
-    is elementwise or a reduction within a row, so no row's bits depend on
-    the rows beside it.
+    (``EQ``) on at most ``_FAMILY_CUBIC_BUDGET`` points; any other set builds
+    the family in step 1.  Only step 1 (with the rows' check) can raise; it
+    runs instance by instance, by the rule of :func:`_until_error`, and
+    steps 2 to 5 score the instances before the one that raised.  These
+    share one grid size; steps 3 to 5 run on the stacked rows of all of
+    them, each row with its own grid, bounds and floor, and each step is
+    elementwise or a reduction within a row, so no row's bits depend on the
+    rows beside it.
 
     1. Start: per row, the best law of :func:`_iter_triples` on about
        ``_COARSE`` evenly spread grid points.  When there is none the family
        is built, which raises its own ``InfeasibleError`` if it is empty.
     2. :func:`_weight_floor`, over every instance at once, proves that the
        family has no singleton or pair and bounds its triples' weights below
-       by omega.  When it cannot (omega <= ``_W_TOL``) the family is built.
+       by omega.  No floor means omega = 0, so the screen bounds nothing and
+       the family is built in step 5.
     3. :func:`_exchange` turns each start into a dual parabola P = a + b*v +
        c*v^2 and a basis triple.  ``best`` is the family value of the basis
        triple where it is a law of the family, and +inf elsewhere.
     4. :func:`_screen` bounds, per row, the slack s = f - P of any atom of a
        triple that can score below ``best``.  The row's screened set is the
-       grid points within that bound, plus its basis triple.  A row without
-       a finite bound (every row whose basis is not a family law) screens
-       the whole grid.
-    5. A row with at most ``_SCREEN_CAP`` screened points scores every
-       triple among them, from :func:`_triple_laws`, ``_BLOCK`` triples or
-       one row per numpy pass.  The other rows of an instance score its
-       family on the union of their screened sets.  A row of zeros, on which
-       every law scores +0.0, takes that value.
+       grid points not above that bound, plus its basis triple.  A row
+       without a finite bound (every row whose basis is not a family law,
+       or whose instance has no floor) screens the whole grid, points of NaN
+       slack included.
+    5. A row with at most ``_SCREEN_CAP`` screened points, on an instance
+       with a floor, scores every triple among them, from
+       :func:`_triple_laws`, ``_BLOCK`` triples or one row per numpy pass.
+       The other rows of an instance score its family on the union of their
+       screened sets: the whole grid for an instance without a floor, whose
+       pairs and singletons no triple stands for, however few its points.
+       A row of zeros, on which every law scores +0.0, takes that value.
 
     Why the bits stay:
 
@@ -850,14 +852,14 @@ def _moment_min_batch(items) -> list[np.ndarray]:
       terms.  If min |num^| - e_num > B, every grid pair and point has
       exact |num| > B, and none is a family law (the code raises B by 8 eps
       times itself, which bounds the comparison's rounding).  Otherwise
-      omega is 0 and the family is built, as for a pair that meets both
-      moments exactly.
+      omega is 0 and the rows score the whole family, as for a pair that
+      meets both moments exactly.
 
     The argument uses only these oracles' own formulas: the objective rows
     it is handed are its only link to the closed forms.
     """
-    out, certify = [], []  # certify: (position, cs, grid, rows, start) past step 1
-    for cs, objectives in items:
+    def start(item):  # step 1: the minima, or what steps 2 to 5 need
+        cs, objectives = item
         grid = np.asarray(cs.grid, dtype=float)
         relations = {c.moment: c.relation for c in cs.constraints}
         starts = []
@@ -868,28 +870,24 @@ def _moment_min_batch(items) -> list[np.ndarray]:
             sub[-1] = grid.size - 1  # the last point holds the high atoms
             starts = list(_iter_triples(grid[sub], cs.constraints))
         if not starts:
-            out.append(MomentLawFamily(cs)._min_values(objectives))
-            continue
+            return MomentLawFamily(cs)._min_values(objectives)
         f = _checked_objectives(objectives, grid.size)
         start_idx, start_wgt = _padded(starts)
         first = np.argmin(_law_values(f[:, sub[start_idx]], start_wgt), axis=1)
-        certify.append((len(out), cs, grid, f, sub[start_idx[first]]))
-        out.append(None)
-    if not certify:
-        return out
-    at, sets, grids, fs, bases = zip(*certify)
+        return cs, grid, f, sub[start_idx[first]]
+
+    out, error = _until_error(start, items)
+    at = [k for k, x in enumerate(out) if isinstance(x, tuple)]  # past step 1
+    if not at:
+        return out, error
+    sets, grids, fs, bases = zip(*(out[k] for k in at))
     grids = np.stack(grids)
     t1, t2 = np.array([_moment_bounds(cs.constraints) for cs in sets]).T
     omega, w_err = _weight_floor(grids, t1, t2)
-    for k in np.nonzero(~(omega > _W_TOL))[0]:
-        out[at[k]] = MomentLawFamily(sets[k])._min_values(fs[k])
-    keep = np.nonzero(omega > _W_TOL)[0]
-    if keep.size == 0:
-        return out
-    counts = [fs[k].shape[0] for k in keep]
-    inst = np.repeat(keep, counts)  # each stacked row's instance
-    f = np.concatenate([fs[k] for k in keep])
-    basis = np.concatenate([bases[k] for k in keep])
+    counts = [f.shape[0] for f in fs]
+    inst = np.repeat(np.arange(len(at)), counts)  # each stacked row's instance
+    f = np.concatenate(fs)
+    basis = np.concatenate(bases)
     grid, t1, t2 = grids[inst], t1[inst, None], t2[inst, None]
     rows = np.arange(f.shape[0])
 
@@ -899,12 +897,15 @@ def _moment_min_batch(items) -> list[np.ndarray]:
     best = np.where(member, _law_values(f[rows[:, None], basis], wgt), np.inf)
     slack, thr = _screen(grid, f, t1, t2, coef, best, omega[inst, None], w_err[inst, None])
     values = np.full(f.shape[0], np.inf)
-    screened = slack <= thr[:, None]
+    screened = ~(slack > thr[:, None])  # a NaN slack is screened
     screened[rows[:, None], basis] = True
     zero = ~np.any(f, axis=1)  # every law scores +0.0 on a row of zeros
     screened[zero] = False
 
     sizes = screened.sum(axis=1)
+    # the family scores rows past the cap and rows with no floor (pairs too)
+    family = ((sizes > _SCREEN_CAP) | (omega[inst] == 0.0)) & ~zero
+    sizes[family] = 0  # no triple loop for them
     for m in range(3, _SCREEN_CAP + 1):
         r_m = np.nonzero(sizes == m)[0]
         step = max(1, _BLOCK // len(_TRIPLES[m]))  # rows per pass
@@ -914,17 +915,16 @@ def _moment_min_batch(items) -> list[np.ndarray]:
             wgt, member = _triple_laws(grid[r], idx, t1[r], t2[r], low_ok[r], hi_ok[r])
             law_values = np.where(member, _law_values(f[r[:, None, None], idx], wgt), np.inf)
             values[r] = np.min(law_values, axis=1)
-    rest = np.nonzero(sizes > _SCREEN_CAP)[0]
-    for k in np.unique(inst[rest]):
-        r = rest[inst[rest] == k]
+    for k in np.unique(inst[family]):
+        r = np.nonzero(family & (inst == k))[0]
         pts = np.nonzero(np.any(screened[r], axis=0))[0]
         part = sets[k] if pts.size == grids.shape[1] else (
             MomentConstraintSet(tuple(grids[k, pts]), sets[k].constraints))
         values[r] = MomentLawFamily(part)._min_values(f[r][:, pts])
     values[zero] = 0.0
-    for k, v in zip(keep, np.split(values, np.cumsum(counts)[:-1])):
-        out[at[k]] = v
-    return out
+    for k, v in zip(at, np.split(values, np.cumsum(counts)[:-1])):
+        out[k] = v
+    return out, error
 
 
 _FULL_ROWS = 1 << 17  # lattice points per block of uncertified rows (1 MB)

@@ -67,6 +67,7 @@ from .validation import (
     require_nonnegative,
     require_positive,
     _fsum_or_inf,
+    _until_error,
 )
 
 __all__ = [
@@ -619,19 +620,6 @@ def _expected_profits(
     with np.errstate(over="ignore", invalid="ignore"):
         terms = dist.weights_array() * _profit(q, dist.support_array(), cost)
     return map(math.fsum, terms.tolist())
-
-
-def _until_error(fn: Callable, items: Iterable) -> tuple[list, Exception | None]:
-    """``fn`` of each item in order, up to the first that raises: the results
-    before it, and its error (None when none raised).  A batch scores those
-    results before it raises the error, so an earlier item's scoring error wins."""
-    done: list = []
-    try:
-        for item in items:
-            done.append(fn(item))
-    except Exception as exc:  # re-raised by the caller once the prefix is scored
-        return done, exc
-    return done, None
 
 
 def profit(q: float, v: _Demand, cost: CostStructure) -> _Demand:

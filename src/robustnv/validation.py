@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
+from typing import Callable, Iterable
 
 __all__ = [
     "ModelError",
@@ -122,6 +123,20 @@ def _fsum_or_inf(xs) -> float:
         return math.fsum(xs)
     except OverflowError:
         return math.inf
+
+
+def _until_error(fn: Callable, items: Iterable) -> tuple[list, Exception | None]:
+    """``fn`` of each item in order, up to the first that raises: the results
+    before it, and its error (None when none raised).  A batch (a sweep, the
+    experiment, a calibration, the moment minimum, ``oracle_check``) scores
+    those results before it raises the error, so an earlier item's error wins."""
+    done: list = []
+    try:
+        for item in items:
+            done.append(fn(item))
+    except Exception as exc:  # re-raised by the caller once the prefix is scored
+        return done, exc
+    return done, None
 
 
 def positive_part(x: float) -> float:

@@ -1,9 +1,9 @@
 """The batched moment minimum: ``oracle._moment_min_batch`` must give each
-instance of a mixed batch the whole family's ``_min_values`` bit for bit,
-and ``oracle_check``, which scores its instances through it in groups, must
-keep the sequential loop's summaries, errors and error order."""
+instance of a mixed batch, up to the first that fails, the whole family's
+``_min_values`` bit for bit, and that instance's error; and ``oracle_check``,
+which scores its instances through it in groups, must keep the sequential
+loop's summaries, errors and error order."""
 
-import re
 import tracemalloc
 from collections import Counter
 
@@ -91,12 +91,14 @@ def hexes(values):
 
 
 def test_each_instance_of_a_mixed_batch_is_the_family_minimum_bit_for_bit(monkeypatch):
-    floors, families = [], Counter()
+    floors, families, small = [], Counter(), []
     weight_floor, init = oracle._weight_floor, MomentLawFamily.__init__
 
     def floor_spy(grid, t1, t2):
         omega, w_err = weight_floor(grid, t1, t2)
         floors.extend(np.atleast_1d(omega) <= oracle._W_TOL)
+        if grid.shape[-1] <= oracle._SCREEN_CAP:  # whole grids within the cap
+            small.extend(np.atleast_1d(omega) <= oracle._W_TOL)
         return omega, w_err
 
     def family_spy(family, cs):
@@ -105,7 +107,7 @@ def test_each_instance_of_a_mixed_batch_is_the_family_minimum_bit_for_bit(monkey
 
     rng = np.random.default_rng(20261021)
     seen, sizes = Counter(), set()
-    for batch in range(262):
+    for batch in range(262 + 64):
         # most batches on small and certify-sized grids, 25-31 points (where
         # the start grid has more than _COARSE points) often, a few up to 400
         choices = [rng.integers(20, 101), rng.integers(25, 32), rng.integers(101, 162)]
@@ -115,37 +117,66 @@ def test_each_instance_of_a_mixed_batch_is_the_family_minimum_bit_for_bit(monkey
             n, count = int(rng.integers(161, 401)), 3
         kinds = [str(k) for k in rng.choice(KINDS, size=count, p=SHARES)]
         kinds = [k if k != "no_start" or n >= 2 * oracle._COARSE else "walk" for k in kinds]
+        if batch >= 262:
+            # pair laws on 20-24 points, where a row's screened set can be the
+            # whole grid and still within _SCREEN_CAP: no floor, so the
+            # family must score it, pairs and all
+            n, kinds = int(rng.integers(20, oracle._SCREEN_CAP + 1)), ["pair"] * 8
         items = [draw(rng, kind, n) for kind in kinds]
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_weight_floor", floor_spy)
             patch.setattr(MomentLawFamily, "__init__", family_spy)
-            got = oracle._moment_min_batch(items)
-        assert len(got) == len(items)
+            got, error = oracle._moment_min_batch(items)
+        assert error is None and len(got) == len(items)
         for kind, (cs, rows), values in zip(kinds, items, got):
             want = MomentLawFamily(cs)._min_values(rows)
             assert values.shape == want.shape and values.dtype == want.dtype
             assert hexes(values) == hexes(want), (batch, kind, n)
         seen.update(kinds)
         sizes.add(n)
-    assert sum(seen.values()) >= 2000 and set(seen) == set(KINDS)
-    assert set(range(25, 32)) <= sizes and max(sizes) > 300
+    assert sum(seen.values()) >= 2500 and set(seen) == set(KINDS) and sum(small) >= 500
+    assert set(range(20, 32)) <= sizes and max(sizes) > 300
     assert sum(floors) >= seen["pair"] // 2 and not all(floors)
     assert families[True] > 0 and families[False] > 0
 
 
 def test_a_batch_raises_the_first_failing_instance_error():
-    good = draw(np.random.default_rng(5), "check", 41)
+    # the minima of the instances before the first bad one, and its error:
+    # the family's, type and message; a later bad instance is never reached
+    rng = np.random.default_rng(5)
+    goods = [draw(rng, kind, 41) for kind in ("check", "walk", "pair", "no_start", "check")]
+    minima = [MomentLawFamily(cs)._min_values(rows) for cs, rows in goods]
     cases = [
-        (good[0], np.zeros((2, 40))),
-        (good[0], np.full((2, 41), np.nan)),
+        (goods[0][0], np.zeros((2, 40))),
+        (goods[0][0], np.full((2, 41), np.nan)),
         (moment_set(np.linspace(0.0, 10.0, 21), 4.25, 4.25**2 + 0.01), np.zeros((2, 21))),
     ]
     for bad in cases:
         with pytest.raises(Exception) as want:
             MomentLawFamily(bad[0])._min_values(bad[1])
-        for items in ([good, bad, good], [bad, cases[0]]):
-            with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-                oracle._moment_min_batch(items)
+        for at in range(len(goods) + 1):
+            items = goods[:at] + [bad] + goods[at:] + [cases[0]]
+            got, error = oracle._moment_min_batch(items)
+            assert [hexes(v) for v in got] == [hexes(v) for v in minima[:at]]
+            assert type(error) is type(want.value) and str(error) == str(want.value)
+
+
+def test_rows_near_the_float_range_keep_the_bits():
+    # objectives of random sign near the largest double: the exchange's
+    # divided differences overflow, the parabola is not finite and the slack
+    # is NaN at some points, which the screen must keep, with and without a
+    # weight floor
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        items = []
+        for kind in ("check", "pair") * 4:
+            cs, _ = draw(rng, kind, 41)
+            signs = np.where(rng.random((4, 41)) < 0.5, -1.0, 1.0)
+            items.append((cs, signs * rng.uniform(0.5, 1.0, (4, 41)) * 1.7e308))
+        got, error = oracle._moment_min_batch(items)
+        assert error is None
+        for (cs, rows), values in zip(items, got):
+            assert hexes(values) == hexes(MomentLawFamily(cs)._min_values(rows))
 
 
 def test_small_blocks_and_groups_keep_the_bits(monkeypatch):
@@ -157,7 +188,9 @@ def test_small_blocks_and_groups_keep_the_bits(monkeypatch):
     # scored a row at a time; one instance a group
     monkeypatch.setattr(oracle, "_BLOCK", 1000)
     monkeypatch.setattr(ev, "_LAW_BLOCK", 1)
-    for got, expected in zip(oracle._moment_min_batch(items), want):
+    minima, error = oracle._moment_min_batch(items)
+    assert error is None
+    for got, expected in zip(minima, want):
         assert hexes(got) == hexes(expected)
     assert ev.oracle_check(seed=9, instances=6, grid_points=161, q_points=41) == summary
 
@@ -172,6 +205,15 @@ def test_oracle_check_memory_does_not_grow_with_the_instances():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def moment_min(cs, rows):
+    """``oracle._moment_min_batch`` on one instance: its minima, or its error
+    raised."""
+    minima, error = oracle._moment_min_batch([(cs, rows)])
+    if error is not None:
+        raise error
+    return minima[0]
 
 
 def sequential_oracle_check(seed, instances, grid_points, q_points):
@@ -192,7 +234,7 @@ def sequential_oracle_check(seed, instances, grid_points, q_points):
         q_grid = np.linspace(0.0, q_hi, q_points)
         q_step = q_grid[1] - q_grid[0]
         rows = ev._ell_core(a, np.append(q_grid, closed_q)[:, None], grid, cs)
-        values = oracle._moment_min_values(laws, rows)
+        values = moment_min(laws, rows)
         best = int(np.argmax(values[:-1]))
         q_gap = abs(closed_q - q_grid[best])
         value_tol = cs.price * (hi / (grid.size - 1))

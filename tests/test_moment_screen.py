@@ -1,6 +1,6 @@
-"""The certified moment minimum: ``oracle._moment_min_values`` must equal the
-whole family's ``_min_values`` bit for bit, and its weight floor and screen
-must hold on every family triple they speak for."""
+"""The certified moment minimum: ``oracle._moment_min_batch`` on one
+instance must equal the whole family's ``_min_values`` bit for bit, and its
+weight floor and screen must hold on every family triple they speak for."""
 
 import math
 import re
@@ -68,6 +68,15 @@ def instance(rng, kind, n):
     return moment_set(grid, m.mean, m.second_moment), rows
 
 
+def moment_min(cs, rows):
+    """``oracle._moment_min_batch`` on one instance: its minima, or its error
+    raised."""
+    minima, error = oracle._moment_min_batch([(cs, rows)])
+    if error is not None:
+        raise error
+    return minima[0]
+
+
 def family_min(cs, rows):
     return MomentLawFamily(cs)._min_values(rows)
 
@@ -81,7 +90,7 @@ def test_moment_min_values_is_the_family_minimum_bit_for_bit(kind):
     rng = np.random.default_rng(20261020 + KINDS.index(kind))
     for _ in range(50):
         cs, rows = instance(rng, kind, int(rng.integers(20, 161)))
-        assert_hex_equal(oracle._moment_min_values(cs, rows), family_min(cs, rows))
+        assert_hex_equal(moment_min(cs, rows), family_min(cs, rows))
 
 
 class FamilySpy:
@@ -102,10 +111,10 @@ def test_ordinary_instances_build_no_family_and_parabola_rows_do(monkeypatch):
     want = [family_min(cs, rows) for cs, rows in cases]
     spy = FamilySpy(monkeypatch)
     for (cs, rows), expected in zip(cases[:2], want):
-        assert_hex_equal(oracle._moment_min_values(cs, rows), expected)
+        assert_hex_equal(moment_min(cs, rows), expected)
     assert spy.grids == []
     cs, rows = cases[2]
-    assert_hex_equal(oracle._moment_min_values(cs, rows), want[2])
+    assert_hex_equal(moment_min(cs, rows), want[2])
     assert len(spy.grids) == 1  # one family, for the parabola rows only
 
     # oracle_check at a certify-sized grid builds none for ordinary batches
@@ -123,7 +132,7 @@ def test_an_exactly_feasible_pair_builds_the_family(monkeypatch):
     rows = _ell_core(MisspecIndex(4.0), np.linspace(0.0, 8.0, 9)[:, None], grid, CostStructure(10.0, 3.0))
     want = family_min(cs, rows)
     spy = FamilySpy(monkeypatch)
-    assert_hex_equal(oracle._moment_min_values(cs, rows), want)
+    assert_hex_equal(moment_min(cs, rows), want)
     assert spy.grids == [33]
 
 
@@ -140,7 +149,7 @@ def test_a_feasible_pair_that_is_the_minimum_builds_the_family(monkeypatch):
     want = family_min(cs, rows)
     assert want[0] == 0.0
     spy = FamilySpy(monkeypatch)
-    assert_hex_equal(oracle._moment_min_values(cs, rows), want)
+    assert_hex_equal(moment_min(cs, rows), want)
     assert spy.grids == [33]
 
 
@@ -165,7 +174,7 @@ def test_a_one_or_two_point_law_that_is_the_minimum_builds_the_family(t2, atoms,
     want = family._min_values(rows)
     assert want[0] == 0.0
     spy = FamilySpy(monkeypatch)
-    assert_hex_equal(oracle._moment_min_values(cs, rows), want)
+    assert_hex_equal(moment_min(cs, rows), want)
     assert spy.grids == [41]
 
 
@@ -233,14 +242,14 @@ def test_the_certified_path_enumerates_no_singleton_or_pair(monkeypatch):
     monkeypatch.setattr(oracle, "_iter_singletons", never)
     monkeypatch.setattr(oracle, "_iter_pairs", never)
     for (cs, rows), expected in zip(cases, want):
-        assert_hex_equal(oracle._moment_min_values(cs, rows), expected)
+        assert_hex_equal(moment_min(cs, rows), expected)
     oracle_check(seed=710212705, instances=2, grid_points=150, q_points=41)
     assert calls == []
 
 
 def test_no_objective_rows_and_the_family_errors():
     cs = moment_set(np.linspace(0.0, 10.0, 41), 4.0, 20.0)
-    got = oracle._moment_min_values(cs, np.zeros((0, 41)))
+    got = moment_min(cs, np.zeros((0, 41)))
     assert got.shape == (0,) and got.dtype == float
     # a wrong shape, a NaN, no law on the grid (variance 0.01 between points
     # 0.5 apart), and too many points
@@ -254,7 +263,7 @@ def test_no_objective_rows_and_the_family_errors():
         with pytest.raises(Exception) as want:
             family_min(cs, bad)
         with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-            oracle._moment_min_values(cs, bad)
+            moment_min(cs, bad)
 
 
 # sigma and grid sizes whose least family weight is under 1.5x the floor
