@@ -11,21 +11,25 @@ else: the profit ``pi(q, v) = p*min(q, v) - c*q`` of
 ``single_product._profit`` and the grid rule of ``single_product._grid``.
 
 Candidates come singletons first, then pairs (one pass per solved constraint
-row), then triples, each family in lexicographic index order; the tie rules of
-both consumers depend on that order.  Pairs and triples are tested in blocks of
-``_BLOCK`` candidates per numpy pass, so memory stays bounded whatever the
-grid size.  Triples are formed row by row, a row being a (low, middle) atom
+row), then triples, each family in lexicographic index order: a block holds
+rows of one length in strictly ascending order, which the streaming oracle's
+tie rule depends on, and the family's first-hit rule follows that order.
+Pairs and triples are tested in blocks of ``_BLOCK`` candidates per numpy
+pass, so memory stays bounded whatever the grid size.  Triples are formed row by row, a row being a (low, middle) atom
 pair; a row whose third weight is provably negative for every high atom is
 dropped before it is expanded (the proof is in :func:`_iter_triples`).
 
 Three consumption styles:
 
-* :func:`worst_case_expectation_oracle` — one-shot: streams candidate chunks
-  against a single objective with a running minimum, so memory stays bounded
-  even on fine grids (cubic enumeration is capped at 1500 points; ~400 is the
-  recommended routine budget).
+* :func:`worst_case_expectation_oracle` — one-shot, and the package's one
+  lexicographic argmin: streams candidate chunks against a single objective
+  with a running minimum, so memory stays bounded even on fine grids (cubic
+  enumeration is capped at 1500 points; ~400 is the recommended routine
+  budget), and returns the argmin law with exact ties resolved toward the
+  lexicographically smallest support.
 * :class:`MomentLawFamily` — materializes the feasible family once for reuse
-  against many objectives (e.g. scanning order quantities); this is the
+  against many objectives (e.g. scanning order quantities): minima and
+  first-hit rows, no tie rule beyond enumeration order; this is the
   expensive-to-build, cheap-to-query path and therefore enforces the 400-point
   cubic budget strictly.  Objectives are scored in consecutive blocks of laws
   holding about ``_LAW_BLOCK`` expectations each (1 MB), folded into running
@@ -364,7 +368,10 @@ def _triple_weights(a, b, c, d_ba, num_c, t1: float, t2: float):
 
 def _iter_candidates(cs: MomentConstraintSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every candidate block, in order; :class:`InfeasibleError` after the
-    last one when there was none."""
+    last one when there was none.  A block holds index rows of one length
+    in strictly ascending lexicographic order, which :func:`_lex_min` relies
+    on.  The order across blocks is not monotone: the pairs restart with
+    each solved constraint row, and the triples follow the pairs."""
     grid = np.asarray(cs.grid, dtype=float)
     k_max = min(len(cs.constraints) + 1, 3, grid.size)
     found = False
@@ -381,31 +388,26 @@ def _iter_candidates(cs: MomentConstraintSet) -> Iterator[tuple[np.ndarray, np.n
 
 def _lex_min(
     fv: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray]]
-) -> tuple[float, list[int], np.ndarray, int]:
-    """``(value, index row, weight row, position in the stream)`` of the law
-    of smallest ``E[fv]`` in a non-empty stream of (index rows, weight rows).
+) -> tuple[float, list[int], np.ndarray]:
+    """``(value, index row, weight row)`` of the law of smallest ``E[fv]`` in
+    a non-empty stream of :func:`_iter_candidates` blocks.
 
     Exact ties go to the lexicographically smallest index row, then to the
     first.  Index rows compare as the supports they index do: the grid is
-    strictly increasing, and a shorter row, or one padded by repeating its
-    last index, sorts before every longer row it begins.  A block resolves
-    its tie among all rows equal to its minimum (a stable ``lexsort``): a
-    family block may cross the pair/triple boundary, so its first tied row
-    need not be the smallest.  A later block wins by a smaller value or row.
+    strictly increasing, and a shorter row sorts before every longer row it
+    begins.  A block's rows are strictly ascending, so its first minimum
+    (``np.argmin``) is its smallest tied row; a later block wins by a
+    smaller value or row.
     """
-    best, pos = None, 0
+    best = None
     for idx, wgt in blocks:
         exp = np.einsum("ij,ij->i", wgt, fv[idx])
         r = int(np.argmin(exp))
-        ties = np.nonzero(exp == exp[r])[0]
-        if ties.size > 1:
-            r = int(ties[np.lexsort(idx[ties].T[::-1])[0]])
         key = (float(exp[r]), idx[r].tolist())
         if best is None or key < best[0]:
-            best = key, wgt[r], pos + r
-        pos += idx.shape[0]
-    (value, row), wgt, at = best
-    return value, row, wgt, at
+            best = key, wgt[r]
+    (value, row), wgt = best
+    return value, row, wgt
 
 
 def _grid_error_bound(grid: np.ndarray, fv: np.ndarray) -> float:
@@ -469,7 +471,7 @@ def worst_case_expectation_oracle(
     fv = np.array([float(objective(v)) for v in cs.grid])
     _require_finite_objective(fv)
 
-    value, idx, wgt, _ = _lex_min(fv, _iter_candidates(cs))
+    value, idx, wgt = _lex_min(fv, _iter_candidates(cs))
     return OracleResult(
         value=value,
         argmin=DiscreteDistribution.from_pairs(grid[idx], wgt),
@@ -489,7 +491,8 @@ class MomentLawFamily:
     cache, and folds the per-block minima.  Scoring thus needs about 1 MB
     beyond the family itself, whatever its size.  Because every feasible law
     is stored, the cubic case enforces the recommended 400-point budget
-    strictly — use the streaming one-shot oracle for finer grids.
+    strictly — use the streaming one-shot oracle for finer grids, and for
+    the argmin law under the lexicographic tie rule.
     """
 
     def __init__(self, cs: MomentConstraintSet):
@@ -501,7 +504,6 @@ class MomentLawFamily:
             )
         if grid.size > _PAIR_CAP:
             raise InputError(f"grid of {grid.size} points exceeds the pair cap {_PAIR_CAP}")
-        self.constraint_set = cs
         self.grid = grid
         self.atom_indices, self.atom_weights = _padded(_iter_candidates(cs))
 
@@ -509,27 +511,14 @@ class MomentLawFamily:
     def n_laws(self) -> int:
         return int(self.atom_indices.shape[0])
 
-    def minimize(self, objective_on_grid: np.ndarray) -> tuple[float, int]:
-        """Minimum of E[objective] over the family; returns (value, law row).
-
-        Exact value ties resolve toward the lexicographically smallest support.
-        The laws are scored ``_BLOCK`` at a time.
-        """
-        fv = np.asarray(objective_on_grid, dtype=float)
-        require(fv.shape == self.grid.shape, "objective values must match the grid")
-        _require_finite_objective(fv)
-        cuts = range(_BLOCK, self.n_laws, _BLOCK)
-        blocks = zip(np.split(self.atom_indices, cuts), np.split(self.atom_weights, cuts))
-        value, _, _, row = _lex_min(fv, blocks)
-        return value, row
-
     def minimize_many(self, objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`minimize` over many objectives at once.
+        """Minimum of E[objective] over the family for many objectives at once.
 
         ``objectives`` has shape (n_objectives, n_grid); returns the per-row
         minima and attaining law rows.  Ties resolve by enumeration order
-        (first hit), which is deterministic; use :meth:`minimize` when the
-        strict lexicographic tie rule matters.
+        (first hit), which is deterministic; use
+        :func:`worst_case_expectation_oracle` when the strict lexicographic
+        tie rule matters.
         """
         obj = _checked_objectives(objectives, self.grid.size)
         values = np.full(obj.shape[0], np.inf)
@@ -590,11 +579,6 @@ class MomentLawFamily:
                 shape=(wgt.shape[0], self.grid.size),
             )
             yield lo, laws @ obj_t
-
-    def law(self, row: int) -> DiscreteDistribution:
-        idx = self.atom_indices[row]
-        wgt = self.atom_weights[row]
-        return DiscreteDistribution.from_pairs(self.grid[idx], wgt)
 
 
 def _index_triples(m: int) -> np.ndarray:

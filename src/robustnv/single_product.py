@@ -234,20 +234,23 @@ def _float_vector(xs) -> bool:
     return type(xs) is np.ndarray and xs.ndim == 1 and xs.dtype.kind == "f" and xs.itemsize <= 8
 
 
-def _floats(xs) -> list[float]:
+def _floats(xs, name: str | None = None) -> list[float]:
     """``xs`` as a list of floats: one ``tolist`` call for a
-    :func:`_float_vector`, ``float()`` per element for every other input (so
-    its errors are float()'s)."""
-    return xs.tolist() if _float_vector(xs) else list(map(float, xs))
+    :func:`_float_vector`, ``float()`` per element for every other input.
+    Without a ``name`` its errors are float()'s; with one, what ``float()``
+    rejects, a 2-D list or a non-iterable included, is an input error naming
+    it."""
+    try:
+        return xs.tolist() if _float_vector(xs) else list(map(float, xs))
+    except (TypeError, ValueError, OverflowError) as exc:
+        if name is None:
+            raise
+        raise InputError(f"{name} must be a 1-D sequence of finite numbers: {exc}") from None
 
 
 def _grid_floats(name: str, points) -> list[float]:
-    """The grid ``name`` as floats (:func:`_floats`); what ``float()`` rejects,
-    a 2-D grid or a non-iterable included, is an input error naming it."""
-    try:
-        return _floats(points)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{name} must be a 1-D sequence of finite numbers: {exc}") from None
+    """The grid ``name`` as floats, by :func:`_floats` under that name."""
+    return _floats(points, name)
 
 
 def _grid(name: str, points) -> list[float]:
@@ -301,7 +304,7 @@ class DiscreteDistribution:
         Written by hand, as :class:`MisspecIndex`'s is, so that each field's
         tuple of floats (:func:`_floats`) is formed, checked and stored once;
         the dataclass still generates ``==``, ``hash`` and ``repr``."""
-        sup, wts = tuple(_floats(support)), tuple(_floats(weights))
+        sup, wts = tuple(_floats(support, "support")), tuple(_floats(weights, "weights"))
         if not (
             sup
             and len(sup) == len(wts)
@@ -327,7 +330,7 @@ class DiscreteDistribution:
         merges coincident points, checks the mass, drops zero-weight atoms and
         renormalizes exactly (tolerances in the class docstring).
         """
-        vs, ws = _floats(values), _floats(weights)
+        vs, ws = _floats(values, "values"), _floats(weights, "weights")
         n = len(vs)
         # sum() is NaN or infinite when any atom is (min may skip a NaN); the
         # loops raise unless only a finite sum left the float range
@@ -396,7 +399,7 @@ class DiscreteDistribution:
         is a sort of the values.  Other samples go to :meth:`from_pairs` as
         read, so its errors name the first bad sample in input order.
         """
-        vs = values if _float_vector(values) else _floats(values)
+        vs = values if _float_vector(values) else _floats(values, "values")
         arr = np.array(vs, dtype=np.float64)
         n = arr.size
         require(n > 0, "need at least one sample")

@@ -169,6 +169,14 @@ _NUMBER_SITES = {
     "wasserstein_dual_oracle": ("alpha", 2.0, lambda x: wasserstein_dual_oracle(
         LAW, 0.5, x, COST, [0.0, 0.5], [1.0, 2.0, 3.0], [0.0, 2.0, 4.0])),
     "point_mass": ("value", 3.0, DiscreteDistribution.point_mass),
+    # a weight of 0 keeps every number kind's law valid
+    "DiscreteDistribution-support": ("support", 2.0, lambda x: DiscreteDistribution([1.0, x], [0.5, 0.5])),
+    "DiscreteDistribution-weights": ("weights", 0.0, lambda x: DiscreteDistribution(
+        [1.0, 2.0, 3.0], [0.5, 0.5, x])),
+    "from_pairs-values": ("values", 2.0, lambda x: DiscreteDistribution.from_pairs([1.0, x], [0.5, 0.5])),
+    "from_pairs-weights": ("weights", 0.0, lambda x: DiscreteDistribution.from_pairs(
+        [1.0, 2.0, 3.0], [0.5, 0.5, x])),
+    "from_samples": ("values", 2.0, lambda x: DiscreteDistribution.from_samples([1.0, x])),
     "fractile_factor": ("x", 0.25, fractile_factor),
     "formula_calibrate": ("eps_grid[0]", 0.25, lambda x: formula_calibrate(TRAIN, TEST, COST, [x], folds=2)),
     "cv_alpha": ("alpha_grid[1]", 2.0, lambda x: cv_alpha(TRAIN, COST, [1.0, x], folds=2)),

@@ -389,16 +389,16 @@ def test_family_agrees_with_streaming_oracle():
     assert family.n_laws > 0
     for q in (0.5, 2.0, 4.5):
         fv = np.array([ell(3.0, q, float(v), COST) for v in grid])
-        val, row = family.minimize(fv)
+        values, rows = family.minimize_many(fv[None])
         res = worst_case_expectation_oracle(
             lambda v, q=q: ell(3.0, q, v, COST), cs
         )
-        assert val == pytest.approx(res.value, abs=1e-10)
-        law = family.law(row)
+        assert values[0] == pytest.approx(res.value, abs=1e-10)
+        law = _family_law(family, rows[0])
         assert law.mean() == pytest.approx(4.0, abs=1e-7)
 
 
-def test_family_minimize_many_matches_single_calls():
+def test_family_minimize_many_matches_the_streaming_oracle():
     grid = np.linspace(0, 12, 97)
     cs = mean_second_set(grid, 4.0, 20.0)
     family = MomentLawFamily(cs)
@@ -406,9 +406,9 @@ def test_family_minimize_many_matches_single_calls():
     objectives = rng.standard_normal((8, grid.size))
     values, rows = family.minimize_many(objectives)
     for k in range(8):
-        v_single, r_single = family.minimize(objectives[k])
-        assert values[k] == pytest.approx(v_single, abs=1e-12)
-        assert rows[k] == r_single
+        res = worst_case_expectation_oracle(dict(zip(cs.grid, objectives[k])).__getitem__, cs)
+        assert values[k] == pytest.approx(res.value, abs=1e-12)
+        _assert_same_law(_family_law(family, rows[k]), res.argmin)
 
 
 def test_family_values_only_minimum_is_bit_equal_to_minimize_many():
@@ -782,7 +782,6 @@ def test_blocked_scoring_keeps_the_first_of_a_tie_across_a_block_boundary(family
     sub = _with_laws(family_300, rows)
     got = _assert_scoring_parity(sub, obj)
     assert got[0] == size - 1
-    assert sub.minimize(obj[0])[1] == size - 1
 
 
 def test_blocked_scoring_memory_is_bounded(family_300):
@@ -813,8 +812,6 @@ def test_family_rejects_an_objective_that_is_not_finite():
     message = "objective must be finite on the grid"
     with pytest.raises(InputError, match=message):
         worst_case_expectation_oracle(lambda v: obj[np.searchsorted(grid, v)], cs)
-    with pytest.raises(InputError, match=message):
-        family.minimize(obj)
     for bad in (obj, np.where(np.isinf(obj), np.nan, obj)):
         with pytest.raises(InputError, match=message):
             family.minimize_many(bad[None, :])
@@ -836,13 +833,19 @@ def _frozen_lex_smallest(idx, rows):
 
 
 def _frozen_minimize(family, fv):
-    """``MomentLawFamily.minimize`` as a whole-family gather and einsum."""
+    """The whole-family lexicographic minimum as one gather and einsum."""
     exp = np.einsum("ij,ij->i", family.atom_weights, fv[family.atom_indices])
     row = int(np.argmin(exp))
     ties = np.nonzero(exp == exp[row])[0]
     if ties.size > 1:
         row = _frozen_lex_smallest(family.atom_indices, ties)
     return float(exp[row]), row
+
+
+def _family_law(family, row):
+    return DiscreteDistribution.from_pairs(
+        family.grid[family.atom_indices[row]], family.atom_weights[row]
+    )
 
 
 def _frozen_streaming_oracle(fv, cs):
@@ -883,53 +886,79 @@ def _tie_objectives(grid, seed):
     return (noise[0], np.round(noise[1], 1), np.round(noise[1]), np.zeros(grid.size))
 
 
-def _assert_minimize_parity(family, fv):
+def _assert_same_law(got, want):
+    assert got.support == want.support
+    assert got.weights == want.weights
+
+
+def _assert_whole_family_parity(family, cs, fv):
+    """The streaming oracle against the whole family's frozen tie rule: the
+    value's bits and the argmin law."""
     want_val, want_row = _frozen_minimize(family, fv)
-    val, row = family.minimize(fv)
-    assert (val.hex(), row) == (want_val.hex(), want_row)
-    return row
+    res = worst_case_expectation_oracle(dict(zip(cs.grid, fv)).__getitem__, cs)
+    assert res.value.hex() == want_val.hex()
+    _assert_same_law(res.argmin, _family_law(family, want_row))
+    return res
 
 
 @pytest.mark.parametrize("n", [41, 97, 160, 300])
 @pytest.mark.parametrize("two", [False, True])
-def test_minimize_is_bit_equal_to_the_whole_family_tie_rule(n, two):
+def test_streaming_oracle_is_bit_equal_to_the_whole_family_tie_rule(n, two):
     for k, cs in enumerate(_shaped_sets(n, two)):
         family = MomentLawFamily(cs)
         for fv in _tie_objectives(family.grid, 1000 * n + k):
-            _assert_minimize_parity(family, fv)
+            _assert_whole_family_parity(family, cs, fv)
 
 
-def test_minimize_resolves_ties_across_blocks_in_reverse_lexicographic_order(family_300):
-    block = oracle._BLOCK
-    rev = _with_laws(family_300, np.arange(family_300.n_laws)[::-1])
-    zero = np.zeros(family_300.grid.size)
-    assert _assert_minimize_parity(rev, zero) == family_300.n_laws - 1
-    # the tied rows of each objective, latest first, one per block
-    rng = np.random.default_rng(25)
-    spread = 0
-    for fv in (zero, np.round(rng.standard_normal(family_300.grid.size))):
-        exp = np.einsum("ij,ij->i", family_300.atom_weights, fv[family_300.atom_indices])
-        ties = np.nonzero(exp == exp.min())[0][::-1][:4]
-        filler = np.nonzero(exp > exp.min())[0][: block * ties.size]
-        parts = zip(ties, np.array_split(filler, ties.size))
-        rows = np.concatenate([np.concatenate([[t], f]) for t, f in parts])
-        spread += ties.size > 1
-        _assert_minimize_parity(_with_laws(family_300, rows), fv)
-    assert spread == 2
-    # one law twice, in two blocks: the first copy wins
-    best = int(np.argmin(exp))
-    others = np.nonzero(exp > exp.min())[0][: block - 1]
-    twice = _with_laws(family_300, np.concatenate([[best], others, [best]]))
-    assert _assert_minimize_parity(twice, fv) == 0
-    # one block that crosses from the pairs into the triples: every row ties,
-    # and the first rows, pairs, sort after the triple that follows them
-    family = MomentLawFamily(_shaped_sets(120, True)[1])
-    idx = family.atom_indices
-    pairs = np.nonzero((idx[:, 0] < idx[:, 1]) & (idx[:, 1] == idx[:, 2]))[0][-3:]
-    triples = np.nonzero(idx[:, 1] < idx[:, 2])[0][:3]
-    assert min(idx[pairs].tolist()) > idx[triples[0]].tolist()
-    mixed = _with_laws(family, np.concatenate([pairs, triples]))
-    assert _assert_minimize_parity(mixed, np.zeros(family.grid.size)) == 3
+def test_streaming_ties_across_blocks_go_to_the_smallest_support(monkeypatch):
+    checked = 0
+    for block in (5, 97):
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        for two in (False, True):
+            for k, cs in enumerate(_shaped_sets(60, two)):
+                family = MomentLawFamily(cs)
+                assert family.n_laws > 2 * block  # the all-zero objective ties across blocks
+                for fv in _tie_objectives(family.grid, 100 * block + k):
+                    res = _assert_whole_family_parity(family, cs, fv)
+                    want_val, want_law = _frozen_streaming_oracle(fv, cs)
+                    assert res.value.hex() == want_val.hex()
+                    _assert_same_law(res.argmin, want_law)
+                    checked += 1
+    assert checked == 24
+
+
+def _five_shapes(grid):
+    """Mean-only and second-moment-only sets, and mean and second-moment
+    sets as EQ/EQ, LE/LE and EQ/LE given in reverse order."""
+    eq, le = Relation.EQ, Relation.LE
+    return (
+        MomentConstraintSet(grid=grid, constraints=(MomentConstraint(Moment.MEAN, eq, 4.0),)),
+        MomentConstraintSet(
+            grid=grid, constraints=(MomentConstraint(Moment.SECOND_MOMENT, le, 20.0),)
+        ),
+        _constraint_set(grid, 4.0, 20.0, (eq, eq)),
+        _constraint_set(grid, 4.0, 20.0, (le, le)),
+        _constraint_set(grid, 4.0, 20.0, (eq, le), reverse=True),
+    )
+
+
+def test_every_candidate_block_is_strictly_ascending_with_one_row_length(monkeypatch):
+    blocks = 0
+    for size in (5, 97, 1 << 14):
+        monkeypatch.setattr(oracle, "_BLOCK", size)
+        for n in (3, 41, 160):
+            for cs in _five_shapes(np.linspace(0, 16, n)):
+                try:
+                    for idx, wgt in oracle._iter_candidates(cs):
+                        assert idx.ndim == 2 and wgt.shape == idx.shape
+                        step = np.diff(idx, axis=0)
+                        moved = step != 0
+                        first = step[np.arange(step.shape[0]), moved.argmax(axis=1)]
+                        assert moved.any(axis=1).all() and (first > 0).all()
+                        blocks += 1
+                except InfeasibleError:
+                    pass
+    assert blocks > 1000
 
 
 @pytest.mark.parametrize("n", [41, 160, 300])
@@ -944,12 +973,14 @@ def test_streaming_oracle_is_bit_equal_to_its_value_tuple_tie_rule(n, two):
             assert res.argmin.weights == want_law.weights
 
 
-def test_minimize_memory_is_bounded(family_300):
-    fv = _ell_objectives(family_300.grid, 1)[0]
-    family_300.minimize(fv)
+def test_streaming_oracle_memory_is_bounded():
+    cs = mean_second_set(np.linspace(0, 16, 300), 4.0, 20.0)
+    fv = _ell_objectives(np.asarray(cs.grid), 1)[0]
+    objective = dict(zip(cs.grid, fv)).__getitem__
+    worst_case_expectation_oracle(objective, cs)
     tracemalloc.start()
     try:
-        family_300.minimize(fv)
+        worst_case_expectation_oracle(objective, cs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
