@@ -106,7 +106,7 @@ class SampleSet:
         # runs the loop that names the first of them
         values = self.values if isinstance(self.values, np.ndarray) else tuple(self.values)
         try:
-            vals = tuple(_floats(values))
+            vals = tuple(_floats(values, "values"))
         except (TypeError, ValueError, OverflowError):
             vals = tuple(require_nonnegative(f"values[{i}]", v) for i, v in enumerate(values))
         require(len(vals) >= 2, "need at least two observations for a deviation")
@@ -470,9 +470,7 @@ def stress_calibrate(
     Builds the downward-shifted law at the anticipated shift (budgets beyond
     the reachable maximum fall back to that maximum with a warning), then
     scores each grid index by the expected profit of its training-moment
-    quantity under the stress law.  The indices are solved in one batch, as
-    the cross-validation scores are; a solve error waits for the indices
-    before it to be scored.  Ties break toward the larger index.
+    quantity under the stress law.  Ties break toward the larger index.
     """
     grid = _index_grid(alpha_grid)
     _, target = _shift(train, test, seed)
@@ -486,9 +484,11 @@ def stress_calibrate(
         )
         target = max_target
     f_stress = stress_distribution(train, target)
-    m = train.moments
-    solved, error = _solves([a.alpha for a in grid], m.mean, m.std, cost.price, cost.cost)
-    scores = list(_expected_profits(f_stress, [q for q, _ in solved], cost))
+    m_train = train.moments
+    # one index at a time, as an index grid is shorter than a batch that pays;
+    # a solve error waits for the indices before it to be scored
+    qs, error = _until_error(lambda a: _solve(a, m_train, cost)[0], grid)
+    scores = list(_expected_profits(f_stress, qs, cost))
     if error is not None:
         raise error
     return _best(grid, scores, lambda a: a.alpha)

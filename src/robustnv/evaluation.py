@@ -50,7 +50,7 @@ from .single_product import (
     _checked_test_profits,
     _ell_core,
     _expected_profits,
-    _grid_floats,
+    _floats,
     _require_demands,
     _solve,
     _solves,
@@ -268,7 +268,7 @@ def sweep(
                   "sigma": ((1e-3, 1.5 * m.mean), 2)}[axis]
     if values is None:
         values = config.alpha_grid if span is None else np.linspace(*span, 200)
-    vals = tuple(_grid_floats("values", values))
+    vals = tuple(_floats(values, "values"))
     require(len(vals) > 0, "sweep axis grid must be non-empty")
     # the fixed index is resolved once the grid is known
     point = [None if span is None else _sole_alpha(config, alpha).alpha,

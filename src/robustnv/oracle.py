@@ -15,9 +15,10 @@ row), then triples, each family in lexicographic index order: a block holds
 rows of one length in strictly ascending order, which the streaming oracle's
 tie rule depends on, and the family's first-hit rule follows that order.
 Pairs and triples are tested in blocks of ``_BLOCK`` candidates per numpy
-pass, so memory stays bounded whatever the grid size.  Triples are formed row by row, a row being a (low, middle) atom
-pair; a row whose third weight is provably negative for every high atom is
-dropped before it is expanded (the proof is in :func:`_iter_triples`).
+pass, so memory stays bounded whatever the grid size.  Triples are formed
+row by row, a row being a (low, middle) atom pair; a row whose third weight
+is provably negative for every high atom is dropped before it is expanded
+(the proof is in :func:`_iter_triples`).
 
 Three consumption styles:
 
@@ -68,7 +69,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .single_product import DiscreteDistribution, _grid, _grid_floats, _profit
+from .single_product import DiscreteDistribution, _floats, _grid, _profit
 from .validation import (
     InfeasibleError,
     InputError,
@@ -1078,7 +1079,7 @@ def wasserstein_dual_oracle(
     theta = require_nonnegative("theta", theta)
     alpha = require_nonnegative("alpha", alpha, allow_inf=True)
     require(alpha > 0.0, "alpha must be > 0 (math.inf allowed)")
-    gammas = np.array(_grid_floats("gamma_grid", gamma_grid))
+    gammas = np.array(_floats(gamma_grid, "gamma_grid"))
     require(gammas.size > 0, "gamma_grid must be non-empty")
     psis = np.array(_grid("psi_grid", psi_grid))
     us = np.array(_grid("u_grid", u_grid))

@@ -31,8 +31,8 @@ from .single_product import (
     CostStructure,
     MisspecIndex,
     _ell_core,
+    _floats,
     _grid,
-    _grid_floats,
     _nonzero_index as _alpha_for_portfolio,
     as_misspec_index,
 )
@@ -472,7 +472,7 @@ def dual_objective_curve(lambdas, portfolio: PortfolioSpec, grid) -> np.ndarray:
     them: every output bit, signed zeros included, is what the full fold
     gives.
     """
-    lams = np.array(_grid_floats("lambdas", lambdas))
+    lams = np.array(_floats(lambdas, "lambdas"))
     require(lams.size >= 1, "lambdas must be nonempty")
     require(bool(np.all(np.isfinite(lams))), "lambdas must be finite")
     require(bool(np.all(lams >= 0.0)), "lambdas must be nonnegative")

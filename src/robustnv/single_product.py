@@ -234,31 +234,23 @@ def _float_vector(xs) -> bool:
     return type(xs) is np.ndarray and xs.ndim == 1 and xs.dtype.kind == "f" and xs.itemsize <= 8
 
 
-def _floats(xs, name: str | None = None) -> list[float]:
+def _floats(xs, name: str) -> list[float]:
     """``xs`` as a list of floats: one ``tolist`` call for a
     :func:`_float_vector`, ``float()`` per element for every other input.
-    Without a ``name`` its errors are float()'s; with one, what ``float()``
-    rejects, a 2-D list or a non-iterable included, is an input error naming
-    it."""
+    What ``float()`` rejects, a 2-D list or a non-iterable included, is an
+    input error naming ``name``."""
     try:
         return xs.tolist() if _float_vector(xs) else list(map(float, xs))
     except (TypeError, ValueError, OverflowError) as exc:
-        if name is None:
-            raise
         raise InputError(f"{name} must be a 1-D sequence of finite numbers: {exc}") from None
 
 
-def _grid_floats(name: str, points) -> list[float]:
-    """The grid ``name`` as floats, by :func:`_floats` under that name."""
-    return _floats(points, name)
-
-
 def _grid(name: str, points) -> list[float]:
-    """The oracle or scan grid ``name`` as floats (:func:`_grid_floats`):
+    """The oracle or scan grid ``name`` as floats (:func:`_floats`):
     non-empty, finite, >= 0 and strictly increasing.  A one-pass test (a NaN
     fails its ``<`` chain) decides whether the loop runs that names the first
     bad point."""
-    grid = _grid_floats(name, points)
+    grid = _floats(points, name)
     if not (grid and grid[0] >= 0.0 and grid[-1] < math.inf and all(map(lt, grid, grid[1:]))):
         require(len(grid) > 0, f"{name} must be non-empty")
         for x in grid:

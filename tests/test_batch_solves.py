@@ -341,34 +341,6 @@ def test_calibrators_match_the_scalar_loop_with_bad_points_first_middle_and_last
     assert errors == 9
 
 
-def test_stress_calibrate_solves_its_grid_in_one_batch(monkeypatch):
-    rng = np.random.default_rng(3_639)
-    train, test = _samples(rng, 4.0, 80), _samples(rng, 3.2, 50)
-    cost = CostStructure(10.0, 3.0)
-    grid = [0.0, 0.02, 0.2, 1.0, 4.0, 25.0, math.inf]
-    pick = stress_calibrate(train, test, cost, grid)
-    batches, failed, scalar = [], [], []
-    solves, solve, checked = sp._solves, sp._solve, sp._checked_values
-
-    def spy_solve(alpha, m, cost):
-        scalar.append(float(getattr(alpha, "alpha", alpha)))
-        return solve(alpha, m, cost)
-
-    def spy_values(alpha, *rest):  # the array arm, which also fails alpha = 4
-        q, value, ok = checked(alpha, *rest)
-        ok = ok & (alpha != 4.0)
-        failed.extend(np.broadcast_to(alpha, ok.shape)[~ok].tolist())
-        return q, value, ok
-
-    monkeypatch.setattr(cal, "_solves", lambda *args: batches.append(args[0]) or solves(*args))
-    monkeypatch.setattr(sp, "_solve", spy_solve)
-    monkeypatch.setattr(cal, "_solve", spy_solve)
-    monkeypatch.setattr(sp, "_checked_values", spy_values)
-    assert stress_calibrate(train, test, cost, grid) == pick
-    assert batches == [grid]
-    assert scalar == failed == [0.0, 4.0]
-
-
 def test_experiment_cells_keep_the_cell_order_rule(monkeypatch):
     rng = np.random.default_rng(3_638)
     train, test = _samples(rng, 4.0, 60), _samples(rng, 3.5, 30)

@@ -44,7 +44,7 @@ def test_the_dual_oracles_reach_no_closed_form():
 
 # the rules oracle.py shares with the closed forms: the profit, the grid rule
 # and the law type; it may read no other name that single_product.py defines
-SHARED = {"_profit", "_grid", "_grid_floats", "DiscreteDistribution"}
+SHARED = {"_profit", "_grid", "_floats", "DiscreteDistribution"}
 MOMENT_MINIMUM = "_moment_min_batch"
 
 

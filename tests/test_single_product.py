@@ -916,7 +916,7 @@ def _from_samples_with_a_list_arm(values):
             if not arr[0] > 0.0:
                 arr[arr <= 0.0] = 0.0
             return cls._from_sorted(arr.tolist(), [1.0 / arr.size] * arr.size)
-    vs = sp._floats(values)
+    vs = sp._floats(values, "values")
     n = len(vs)
     require(n > 0, "need at least one sample")
     if math.isfinite(sum(vs)):
