@@ -33,7 +33,7 @@ from .single_product import (
     _ell_core,
     _floats,
     _grid,
-    _nonzero_index as _alpha_for_portfolio,
+    _nonzero_index,
     as_misspec_index,
 )
 from .validation import (
@@ -90,6 +90,16 @@ class ProductSpec:
         object.__setattr__(self, "cost_structure", cs)
 
 
+def _products(products: Sequence[ProductSpec]) -> tuple[ProductSpec, ...]:
+    """``products`` as a tuple of at least one ProductSpec, each checked."""
+    products = tuple(products)
+    require(len(products) > 0, "portfolio needs at least one product")
+    for prod in products:
+        if not isinstance(prod, ProductSpec):
+            raise InputError(f"products must be ProductSpec, got {type(prod).__name__}")
+    return products
+
+
 @dataclass(frozen=True)
 class PortfolioSpec:
     """A family of products plus the shared second-moment budget K."""
@@ -101,15 +111,10 @@ class PortfolioSpec:
     mean_squares: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, products: Sequence[ProductSpec], budget: float, alpha: AlphaLike) -> None:
-        products = tuple(products)
-        require(len(products) > 0, "portfolio needs at least one product")
-        for prod in products:
-            if not isinstance(prod, ProductSpec):
-                raise InputError(f"products must be ProductSpec, got {type(prod).__name__}")
-        object.__setattr__(self, "products", products)
+        object.__setattr__(self, "products", _products(products))
         object.__setattr__(self, "budget", require_nonnegative("budget", budget))
         object.__setattr__(self, "alpha", as_misspec_index(alpha))
-        squares = _fsum_or_inf(p.mean * p.mean for p in products)
+        squares = _fsum_or_inf(p.mean * p.mean for p in self.products)
         require(math.isfinite(squares), "the squared means sum beyond the float range")
         object.__setattr__(self, "mean_squares", squares)
 
@@ -146,8 +151,7 @@ def _order(
     """The checked index, the ascending breakpoints with the 0 and +inf
     sentinels attached, and the products' :func:`_theta` terms in that order
     (stable in product order, so equal breakpoints keep their input order)."""
-    a = _alpha_for_portfolio(alpha)
-    require(len(products) > 0, "need at least one product")
+    a = _nonzero_index(alpha)
     pairs = sorted(((_breakpoint(prod, a), prod) for prod in products), key=lambda t: t[0])
     terms = [
         (prod.mean * prod.mean, prod.price, prod.cost, (prod.price - prod.cost) * prod.cost)
@@ -160,7 +164,8 @@ def lambda_breakpoints(
     products: Sequence[ProductSpec], alpha: AlphaLike
 ) -> list[float]:
     """Sorted multiplier breakpoints with the 0 and +inf sentinels attached."""
-    return _order(products, alpha)[1]
+    a = _nonzero_index(alpha)
+    return _order(_products(products), a)[1]
 
 
 def _theta(terms: _Terms, j: int, lam: float, inv: float) -> float:
@@ -197,7 +202,8 @@ def theta(j: int, lam: float, products: Sequence[ProductSpec], alpha: AlphaLike)
     the budget at the kink and parks the multiplier there, while this curve
     does not.  ``test_criterion_05_single_product_reduction`` checks both.
     """
-    a, _, terms = _order(products, alpha)
+    a = _nonzero_index(alpha)
+    _, _, terms = _order(_products(products), a)
     m = len(terms)
     j = _whole_number("segment index", j, 1)
     require(j <= m + 1, f"segment index must lie in 1..{m + 1}, got {j!r}")
@@ -225,9 +231,9 @@ def product_quantities(
     at most mu in size, so rounding cannot cross 0.  The other branches are
     quotients of positive terms, or 0 at lambda = 0.
     """
-    a = _alpha_for_portfolio(alpha)
+    a = _nonzero_index(alpha)
     lambda_star = require_nonnegative("lambda_star", lambda_star, allow_inf=True)
-    return [_single_quantity(lambda_star, prod, a) for prod in products]
+    return [_single_quantity(lambda_star, prod, a) for prod in _products(products)]
 
 
 def _single_quantity(lam: float, prod: ProductSpec, a: MisspecIndex) -> float:
@@ -353,8 +359,8 @@ def solve_lambda(portfolio: PortfolioSpec) -> DualSolution:
                 f"multiplier {lam!r} escaped its segment "
                 f"[{brk[i_star - 1]!r}, {brk[i_star]!r}]"
             )
-    quantities = product_quantities(lam, portfolio.products, a)
-    return DualSolution(lam, i_star, case, tuple(quantities), tuple(brk))
+    quantities = tuple(_single_quantity(lam, prod, a) for prod in portfolio.products)
+    return DualSolution(lam, i_star, case, quantities, tuple(brk))
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +375,13 @@ def _validated_grid(grid) -> np.ndarray:
     return np.array(v)
 
 
+def _dual_laws(portfolio: PortfolioSpec, grid) -> tuple[np.ndarray, MisspecIndex, list]:
+    """Both duals' front, checked in turn: the grid, the index, one mean law family per product."""
+    v, a = _validated_grid(grid), _nonzero_index(portfolio.alpha)
+    means = (MomentConstraint(Moment.MEAN, Relation.EQ, prod.mean) for prod in portfolio.products)
+    return v, a, [MomentLawFamily(MomentConstraintSet(v, (mean,))) for mean in means]
+
+
 def dual_objective(lam: float, portfolio: PortfolioSpec, grid) -> float:
     """Brute-force value of the dualized problem at one multiplier.
 
@@ -381,50 +394,50 @@ def dual_objective(lam: float, portfolio: PortfolioSpec, grid) -> float:
     Each product's mean-constrained grid laws form one :class:`MomentLawFamily`,
     which scores ``ell(q, v) + lam * v^2`` in one matrix, a row per grid
     quantity q; the product's term is the largest row minimum.  The checks
-    run in this order, the first failure raising: lam, the grid, the index
-    (alpha = 0 degenerates), the family's pair cap, each product's mean inside
-    the grid (:class:`InfeasibleError`), each product's ``alpha/p`` and objective finite.
+    run in this order, the first failure raising: lam, then :func:`_dual_laws`'
+    grid, index (alpha = 0 degenerates), pair cap and means inside the grid
+    (:class:`InfeasibleError`), then each ``alpha/p`` and objective finite.
     """
     lam = require_nonnegative("lam", lam)
-    v = _validated_grid(grid)
-    a = _alpha_for_portfolio(portfolio.alpha)
-    means = (MomentConstraint(Moment.MEAN, Relation.EQ, prod.mean) for prod in portfolio.products)
-    families = [MomentLawFamily(MomentConstraintSet(v, (mean,))) for mean in means]
+    v, a, families = _dual_laws(portfolio, grid)
     total = -lam * portfolio.budget
     for prod, family in zip(portfolio.products, families):
         with np.errstate(over="ignore"):  # an overflow is an objective that is not finite
             rows = _ell_core(a, v[:, None], v, prod.cost_structure) + lam * v * v
-        values = family._min_values(rows)
-        total += float(values.max())
+        total += float(family._min_values(rows).max())
     return total
 
 
 def dual_objective_curve(lambdas, portfolio: PortfolioSpec, grid) -> np.ndarray:
     """dual_objective swept over a sorted multiplier grid in one pass.
 
-    The inner minimum over mean-constrained grid laws is attained by a
-    singleton or a two-point law bracketing the mean, and the second-moment
-    chord of each such law does not depend on the multiplier.  Every
-    candidate law therefore traces a straight line in the multiplier, and the
-    sweep reduces to lower envelopes of line families - one row per
-    (product, quantity) - evaluated on the sorted grid, and per product to
-    their maximum over the quantities.  Agrees with dual_objective
-    pointwise; exists because a 10^4-point sweep through the oracle would be
-    hopeless.  ``grid`` is checked as in :func:`dual_objective`;
-    ``lambdas`` must be numbers, finite, >= 0 and ascending.
+    Its laws are dual_objective's: the singletons and two-point laws of each
+    product's mean-constrained :class:`MomentLawFamily` (:func:`_dual_laws`).
+    A law's second moment, its chord, does not depend on the multiplier, so
+    every law traces a straight line in the multiplier, and the sweep
+    reduces to lower envelopes of line families - one row per (product,
+    quantity) - evaluated on the sorted grid, and per product to their
+    maximum over the quantities.  Agrees with dual_objective pointwise;
+    exists because a 10^4-point sweep through the oracle would be hopeless.
+    ``lambdas`` must be numbers, finite, >= 0 and ascending; the grid, the
+    index and the means are then checked as in :func:`dual_objective`.
 
-    In the row of quantity q, the line of a law on va <= mu <= vb has slope
-    m, the law's chord, and intercept b = w*ell(q, va) + (1 - w)*ell(q, vb).
-    All rows of a product share the slopes, so the laws are put in slope
-    order once and every row's intercepts are built in it.  Before the hull
+    In the row of quantity q, the line of a law with weights (w, 1 - w) on
+    (va, vb) has slope m, the law's chord, and intercept
+    b = w*ell(q, va) + (1 - w)*ell(q, vb).  Off the family's 1e-8 tolerance
+    around grid points these are the laws on va <= mu <= vb bit for bit: its
+    w = (mu - vb)/(va - vb) is (vb - mu)/(vb - va), rounding being
+    sign-symmetric (a zero's sign aside, which no sum keeps: ell is never
+    -0.0), it stores 1 - w, and a singleton is (1, 0) on one point.  All rows
+    of a product share the slopes, so the laws are put in slope order once
+    (the envelope keeps the lowest line of a slope, whatever the law order)
+    and every row's intercepts are built in it.  Before the hull
     :func:`_envelope_min` drops a line when a line of smaller or equal slope
     matches or beats it at lam0 = lambdas[0]; :func:`_chain` then takes the
     hulls of all the rows of a call at once, in rounds.  On certify seed 1's
-    curves, of 1,000 to 3,900 lines per row, about 48 survive the filter on
-    average over all 11,778 rows, about 131 on the rows that keep more than
-    one, and about 132 on the 2,670 rows that get an envelope below; their
-    hulls keep about 35, after about 21 rounds that drop lines per call (at
-    most 29).
+    curves the filter leaves about 48 of a row's 1,000 to 3,900 lines (about
+    132 on the 2,670 of 11,778 rows that get an envelope below), their hulls
+    keep about 35, and a call drops lines in about 21 rounds (at most 29).
 
     Few rows reach the maximum, and a row that provably stays below it gets
     no envelope:
@@ -477,42 +490,28 @@ def dual_objective_curve(lambdas, portfolio: PortfolioSpec, grid) -> np.ndarray:
     require(bool(np.all(np.isfinite(lams))), "lambdas must be finite")
     require(bool(np.all(lams >= 0.0)), "lambdas must be nonnegative")
     require(bool(np.all(np.diff(lams) >= 0.0)), "lambdas must be sorted ascending")
-    v = _validated_grid(grid)
-    a = portfolio.alpha
-
+    v, a, families = _dual_laws(portfolio, grid)
     out = -lams * portfolio.budget
-    for prod in portfolio.products:
-        require(
-            v[0] <= prod.mean <= v[-1],
-            f"grid does not bracket the mean {prod.mean!r} of a product",
-        )
-        out = out + _product_curve(a, prod.cost_structure, prod.mean, v, lams)
+    for prod, family in zip(portfolio.products, families):
+        out = out + _product_curve(a, prod.cost_structure, family, v, lams)
     return out
 
 
-def _product_curve(a: MisspecIndex, cost: CostStructure, mu: float, v, lams) -> np.ndarray:
+def _product_curve(a: MisspecIndex, cost: CostStructure, family, v, lams) -> np.ndarray:
     """One product's maximum over the quantity rows of their envelopes, for
     :func:`dual_objective_curve`, which states how rows are skipped; the
-    quantities are points of the checked grid ``v``."""
-    a = _alpha_for_portfolio(a)
-    ia = np.flatnonzero(v <= mu)
-    ib = np.flatnonzero(v >= mu)
-    va, vb = v[ia], v[ib]
-    gap = vb[None, :] - va[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w = (vb[None, :] - mu) / gap
-    singleton = gap == 0.0  # only where va == vb == mu
-    w = np.where(singleton, 1.0, w)
-    # second-moment chords: one slope per candidate law, laws in descending
-    # slope order, each with its weight and its two grid points
-    chords = (w * (va * va)[:, None] + (1.0 - w) * (vb * vb)[None, :]).ravel()
+    quantities are points of the checked grid ``v``, the laws the pairs of
+    the mean-constrained ``family`` (its third atom is a pad of weight 0)."""
+    idx, wgt = family.atom_indices[:, :2], family.atom_weights[:, :2]
+    # second-moment chords: one slope per law, laws in descending slope
+    # order, each with its two weights and its two grid points
+    chords = wgt[:, 0] * (v * v)[idx[:, 0]] + wgt[:, 1] * (v * v)[idx[:, 1]]
     order = np.argsort(-chords, kind="stable")
-    slopes, law_w = chords[order], w.ravel()[order]
-    law_a, law_b = ia[order // ib.size], ib[order % ib.size]
+    slopes, law_w, law_i = chords[order], wgt[order], idx[order]
     n_rows, n_lams = v.size, lams.size
 
     def mix(rows, laws=slice(None)):  # the laws' intercepts, a row per row of ell values
-        return law_w[laws] * rows[:, law_a[laws]] + (1.0 - law_w[laws]) * rows[:, law_b[laws]]
+        return law_w[laws, 0] * rows[:, law_i[laws, 0]] + law_w[laws, 1] * rows[:, law_i[laws, 1]]
 
     def intercepts(qs):  # one row of intercepts per quantity
         return mix(_ell_core(a, v[qs, None], v, cost))

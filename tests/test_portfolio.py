@@ -69,6 +69,31 @@ def test_product_spec_validation():
         PortfolioSpec(products=(big, big), budget=1.0, alpha=1.0)
 
 
+def test_portfolio_spec_rejects_an_element_that_is_not_a_product():
+    with pytest.raises(InputError, match="products must be ProductSpec, got tuple"):
+        PortfolioSpec(products=(P1, (10.0, 3.0, 4.0)), budget=20.0, alpha=1.0)
+
+
+# every public function that takes a product list, as call(products, alpha)
+_PRODUCT_LIST_CALLS = [
+    pytest.param(lambda products, alpha: theta(1, 0.5, products, alpha), id="theta"),
+    pytest.param(lambda_breakpoints, id="lambda_breakpoints"),
+    pytest.param(lambda products, alpha: product_quantities(0.5, products, alpha), id="product_quantities"),
+]
+
+
+@pytest.mark.parametrize("products", [[P1, None], []], ids=["not-a-product", "empty"])
+@pytest.mark.parametrize("call", _PRODUCT_LIST_CALLS)
+def test_every_product_list_is_checked_by_the_portfolio_rule(call, products):
+    with pytest.raises(InputError) as want:
+        PortfolioSpec(products, 20.0, 2.0)
+    with pytest.raises(InputError) as got:
+        call(products, 2.0)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    with pytest.raises(DegenerateModelError):  # the index is checked first
+        call(products, 0.0)
+
+
 def test_breakpoints_examples():
     assert lambda_breakpoints([P1], 4.0) == pytest.approx([0.0, 6 / 11, math.inf])
     assert lambda_breakpoints([P1], INF) == pytest.approx([0.0, 0.375, math.inf])
@@ -555,7 +580,7 @@ def test_solve_lambda_is_bit_equal_to_the_public_per_call_path():
 def _frozen_order(products, alpha):
     """``portfolio._order`` as it stood before the per-product terms: the
     products themselves, in breakpoint order."""
-    a = portfolio._alpha_for_portfolio(alpha)
+    a = portfolio._nonzero_index(alpha)
     pairs = sorted(((portfolio._breakpoint(prod, a), prod) for prod in products), key=lambda t: t[0])
     return a, [0.0] + [b for b, _ in pairs] + [math.inf], [prod for _, prod in pairs]
 
@@ -1197,6 +1222,45 @@ def test_dual_objective_checks_two_bad_inputs_in_its_stated_order():
         "InputError", "grid of 20001 points exceeds the pair cap 20000")
     # the grid before the index
     assert _outcome(dual_objective, 0.5, PortfolioSpec(_ONE, 40.0, 0.0), [4.0])[0] == "InputError"
+
+
+def test_both_dual_oracles_raise_one_error_for_a_mean_the_grid_cannot_hold():
+    plan = PortfolioSpec(_ONE, 40.0, 2.0)
+    wide = np.arange(20_001.0) + 5.0  # the pair cap, before the mean
+    for grid in ([0.0, 1.0, 2.0], [5.0, 6.0, 8.0], wide):
+        want = _outcome(dual_objective, 0.5, plan, grid)
+        assert want[0] in ("InfeasibleError", "InputError")
+        assert _outcome(dual_objective_curve, [0.5], plan, grid) == want
+
+
+def test_both_dual_oracles_check_the_index_before_the_mean():
+    plan = PortfolioSpec(_ONE, 40.0, 0.0)
+    for oracle, lam in ((dual_objective, 0.5), (dual_objective_curve, [0.5])):
+        assert _outcome(oracle, lam, plan, [0.0, 1.0, 2.0])[0] == "DegenerateModelError"
+
+
+def test_both_dual_oracles_score_a_mean_within_the_family_tolerance_of_the_grid():
+    plan = PortfolioSpec(_ONE, 40.0, 2.0)
+    grid = [0.0, 1.0, 2.0, 4.0 - 5e-9]  # the mean 4 lies 5e-9 past the last point
+    lams = np.array([0.0, 0.5, 2.0])
+    curve = dual_objective_curve(lams, plan, grid)
+    for j, lam in enumerate(lams):
+        assert curve[j] == pytest.approx(dual_objective(float(lam), plan, grid), rel=1e-9, abs=1e-9)
+
+
+def test_the_curve_builds_one_law_family_per_product(monkeypatch):
+    means = []
+
+    class CountingFamily(portfolio.MomentLawFamily):
+        def __init__(self, cs):
+            means.append(cs.constraints[0].bound)
+            super().__init__(cs)
+
+    monkeypatch.setattr(portfolio, "MomentLawFamily", CountingFamily)
+    products = (ProductSpec(10.0, 3.0, 4.0), ProductSpec(8.0, 2.0, 5.5), ProductSpec(10.0, 3.0, 4.0))
+    pf = PortfolioSpec(products, 1.3 * sum(p.mean**2 for p in products), 2.0)
+    dual_objective_curve(np.linspace(0.1, 2.0, 7), pf, np.linspace(0.0, 12.0, 25))
+    assert means == [4.0, 5.5, 4.0]
 
 
 def _quantity_as_first_written(lam, prod, a):
